@@ -515,21 +515,29 @@ fn write_phase_cfg(
     }
 }
 
-/// [`fig4_gpufs_phase`] run through a [`gpufs::cluster::GpuFleet`] of
-/// **one** GPU instead of a hand-assembled rig: the cluster layer must
+/// [`fig4_gpufs_phase_chunk`] run through a [`gpufs::cluster::GpuFleet`]
+/// of **one** GPU instead of a hand-assembled rig: the cluster layer must
 /// be a zero-cost composition — a fleet of size 1 is the recorded
 /// single-mount configuration, so this must reproduce
-/// `fig4_gpufs_phase`'s number to four digits (asserted by the
+/// `fig4_gpufs_phase_chunk`'s number to four digits (asserted by the
 /// `fig_scale_json` recorder).
 ///
 /// # Panics
 ///
 /// Panics if the fleet cannot be built or the input file not created.
 #[must_use]
-pub fn fig4_fleet_phase(file_bytes: u64, page: usize, window: usize) -> f64 {
+pub fn fig4_fleet_phase(
+    file_bytes: u64,
+    page: usize,
+    window: usize,
+    io_chunk: Option<usize>,
+) -> f64 {
     let t = Timings::default();
     let cache = (file_bytes as usize + 16 * page).next_power_of_two();
-    let cfg = GpufsConfig::new(page, cache).with_readahead(window);
+    let mut cfg = GpufsConfig::new(page, cache).with_readahead(window);
+    if let Some(chunk) = io_chunk {
+        cfg = cfg.with_io_chunk(chunk);
+    }
     // The exact host FS and GPU the single-mount phase assembles.
     let fs = paper_host_fs(&t, 8 << 30);
     let fleet = FleetBuilder::new(1)

@@ -249,21 +249,37 @@ mod tests {
 
     #[test]
     fn throttle_blocks_writers_above_high_watermark_only() {
+        // The flusher is a real thread: with a low mark well under the
+        // high one it may drain as fast as a faulting writer dirties, and
+        // whether the ledger ever reaches the high mark is luck. So make
+        // the crossing certain instead: pages are faulted in first (a
+        // write is then a memcpy, no RPC), and low = high - 1 keeps the
+        // flusher idle until the very write that reaches the high mark —
+        // the writer's next call, nanoseconds later, must find it there.
+        const HIGH: usize = 4;
         let r = rig(1);
         r.fs.create("/thr", &[0u8; 32 * 4096]).unwrap();
-        let cfg = GpufsConfig::new(4096, 64 * 4096).with_async_writeback(4, 1);
+        let cfg = GpufsConfig::new(4096, 64 * 4096).with_async_writeback(HIGH, HIGH - 1);
         let mount = r.host.mount(0, cfg).unwrap();
         run_block(&r, |blk| {
             let fd = mount.open(blk, "/thr", GOpenMode::ReadWrite).unwrap();
-            for page in 0..32u64 {
-                mount.write(blk, &fd, page * 4096, &[0xAB; 4096]).unwrap();
+            let mut page = [0u8; 4096];
+            for p in 0..32u64 {
+                mount.read(blk, &fd, p * 4096, &mut page).unwrap();
+            }
+            for p in 0..32u64 {
+                mount.write(blk, &fd, p * 4096, &[0xAB; 4096]).unwrap();
+                if p < HIGH as u64 {
+                    // Calls 0..=3 saw the ledger at 0..=3: below the mark.
+                    assert_eq!(mount.counters().throttle_stalls.get(), 0);
+                }
             }
             mount.fsync(blk, &fd).unwrap();
             mount.close(blk, fd).unwrap();
         });
         assert!(
             mount.counters().throttle_stalls.get() > 0,
-            "32 dirty pages against a high mark of 4 must stall at least once"
+            "32 dirty pages against a high mark of {HIGH} must stall"
         );
         let (data, _) = r.fs.read_whole("/thr", 0).unwrap();
         assert!(

@@ -136,6 +136,31 @@ impl FPage {
         debug_assert!(v % 2 == 1, "end_update without begin");
     }
 
+    /// Enter an update section that will take the page's frame away
+    /// (eviction, discard) — only if nobody holds a pin. Must hold the
+    /// lock. Returns `false`, with the section already closed again, when
+    /// the page is pinned.
+    ///
+    /// The version is bumped *before* the pin count is read. A lock-free
+    /// pinner ([`FPage::try_pin_lockfree`]) does the mirror image — pin,
+    /// then re-read the version — so the two sides form a Dekker pair:
+    /// both stores are `SeqCst` and both loads are `SeqCst`, hence at
+    /// least one side sees the other, and a frame is never recycled under
+    /// a pin that validated. Checking the count first and bumping after
+    /// (as eviction once did) leaves a window in which both succeed.
+    #[must_use]
+    pub fn begin_update_if_unpinned(&self) -> bool {
+        let v = self.version.fetch_add(1, Ordering::SeqCst);
+        debug_assert!(v.is_multiple_of(2), "nested begin_update");
+        #[cfg(test)]
+        race_hook::at(race_hook::Point::EvictBetweenBumpAndRefs);
+        if self.refs.load(Ordering::SeqCst) > 0 {
+            self.end_update();
+            return false;
+        }
+        true
+    }
+
     /// Current state (racy read; stable only under the lock or seqlock).
     #[must_use]
     pub fn state(&self) -> PageState {
@@ -205,9 +230,12 @@ impl FPage {
         match state {
             PageState::Ready => {
                 // Optimistically pin, then revalidate: if an eviction
-                // started between the reads and the pin, back out.
-                self.refs.fetch_add(1, Ordering::AcqRel);
-                if self.version.load(Ordering::Acquire) == v1 {
+                // started between the reads and the pin, back out. These
+                // two accesses pair with `begin_update_if_unpinned`.
+                self.refs.fetch_add(1, Ordering::SeqCst);
+                #[cfg(test)]
+                race_hook::at(race_hook::Point::PinBetweenIncrAndRecheck);
+                if self.version.load(Ordering::SeqCst) == v1 {
                     Ok(Snapshot::Pinned(frame))
                 } else {
                     self.refs.fetch_sub(1, Ordering::AcqRel);
@@ -234,6 +262,42 @@ impl FPage {
         };
         self.unlock();
         out
+    }
+}
+
+/// Test seam for the pin/evict race: a per-thread callback run at the
+/// two points where the Dekker pair of [`FPage::try_pin_lockfree`] and
+/// [`FPage::begin_update_if_unpinned`] can interleave, so a test can park
+/// one side exactly there. Compiled only into this crate's unit tests.
+#[cfg(test)]
+pub(crate) mod race_hook {
+    use std::cell::RefCell;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Point {
+        /// The pinner has bumped `refs` and not yet re-read the version.
+        PinBetweenIncrAndRecheck,
+        /// The evictor has bumped the version and not yet read `refs`.
+        EvictBetweenBumpAndRefs,
+    }
+
+    type Hook = Box<dyn FnMut(Point)>;
+
+    thread_local! {
+        static HOOK: RefCell<Option<Hook>> = const { RefCell::new(None) };
+    }
+
+    /// Install `hook` for the calling thread (replacing any previous one).
+    pub(crate) fn set(hook: impl FnMut(Point) + 'static) {
+        HOOK.with(|h| *h.borrow_mut() = Some(Box::new(hook)));
+    }
+
+    pub(super) fn at(point: Point) {
+        HOOK.with(|h| {
+            if let Some(hook) = h.borrow_mut().as_mut() {
+                hook(point);
+            }
+        });
     }
 }
 

@@ -194,7 +194,7 @@ impl GpuFsMount {
                 let owner_ok = |f: FrameIdx| {
                     owner.is_none_or(|t| self.frames.pframe(f).tenant.load(Ordering::Relaxed) == t)
                 };
-                if let Some(frame) = Self::try_detach_page(fp, &owner_ok) {
+                if let Some(frame) = Self::try_detach_page(fp, owner_ok) {
                     detached.push(Detached {
                         page_idx: idx,
                         frame,
@@ -271,31 +271,36 @@ impl GpuFsMount {
         Ok(freed)
     }
 
-    /// Try to detach one Ready, unpinned page from its frame: the fpage
-    /// moves to `Initializing` (blocking new pins) and the frame — data
-    /// intact — is returned for write-back and release. `owner_ok`
+    /// Claim a Ready, unpinned page for an update that takes its frame
+    /// away. On `Some(frame)` the fpage is locked with an update section
+    /// open — new lock-free pins retry, and none validated before it (see
+    /// [`FPage::begin_update_if_unpinned`]) — and the caller must finish
+    /// with `end_update` + `unlock`. On `None` nothing is held. `owner_ok`
     /// filters by the frame's charged tenant (checked under the fpage
     /// lock, so the owner cannot change underneath a positive answer).
-    fn try_detach_page(fp: &FPage, owner_ok: &impl Fn(FrameIdx) -> bool) -> Option<FrameIdx> {
+    fn claim_unpinned(fp: &FPage, owner_ok: impl Fn(FrameIdx) -> bool) -> Option<FrameIdx> {
         if fp.state() != PageState::Ready || fp.refs() > 0 {
             return None;
         }
         fp.lock();
-        if fp.state() != PageState::Ready || fp.refs() > 0 {
+        // A Ready page always has a frame; treat a violation as
+        // not-claimable rather than tearing the daemon down.
+        let frame = (fp.state() == PageState::Ready)
+            .then(|| fp.frame())
+            .flatten()
+            .filter(|&f| owner_ok(f));
+        if frame.is_none() || !fp.begin_update_if_unpinned() {
             fp.unlock();
             return None;
         }
-        let Some(frame) = fp.frame() else {
-            // A Ready page always has a frame; treat a violation as
-            // not-detachable rather than tearing the daemon down.
-            fp.unlock();
-            return None;
-        };
-        if !owner_ok(frame) {
-            fp.unlock();
-            return None;
-        }
-        fp.begin_update();
+        frame
+    }
+
+    /// Try to detach one Ready, unpinned page from its frame: the fpage
+    /// moves to `Initializing` (blocking new pins) and the frame — data
+    /// intact — is returned for write-back and release.
+    fn try_detach_page(fp: &FPage, owner_ok: impl Fn(FrameIdx) -> bool) -> Option<FrameIdx> {
+        let frame = Self::claim_unpinned(fp, owner_ok)?;
         fp.set_state(PageState::Initializing); // blocks new pins
         fp.set_frame(None);
         fp.end_update();
@@ -316,20 +321,9 @@ impl GpuFsMount {
     /// Drop a page without write-back (stale cache, unlink, temp close).
     /// Pinned pages are skipped.
     pub(crate) fn try_discard_page(&self, fp: &FPage) -> bool {
-        if fp.state() != PageState::Ready || fp.refs() > 0 {
-            return false;
-        }
-        fp.lock();
-        if fp.state() != PageState::Ready || fp.refs() > 0 {
-            fp.unlock();
-            return false;
-        }
-        let Some(frame) = fp.frame() else {
-            // Same defensive stance as `try_detach_page`.
-            fp.unlock();
+        let Some(frame) = Self::claim_unpinned(fp, |_| true) else {
             return false;
         };
-        fp.begin_update();
         fp.set_frame(None);
         fp.set_state(PageState::Empty);
         fp.end_update();
@@ -357,9 +351,98 @@ impl GpuFsMount {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+
+    use crate::cache::radix::race_hook::{self, Point};
+    use crate::cache::{FPage, PageState, RadixTree, Snapshot};
     use crate::config::{GOpenMode, GpufsConfig};
+    use crate::mount::GpuFsMount;
     use crate::testrig::{rig, run_block};
     use gpusim::Grid;
+
+    fn ready_page(tree: &RadixTree, frame: u32) -> &FPage {
+        let fp = tree.get_or_insert(0);
+        fp.lock();
+        fp.begin_update();
+        fp.set_frame(Some(frame));
+        fp.set_state(PageState::Ready);
+        fp.end_update();
+        fp.unlock();
+        fp
+    }
+
+    /// Run `parked` on a second thread until it reaches `point`, run
+    /// `other` on this thread while it is parked there, then let it
+    /// finish. Returns both results.
+    fn interleave<A: Send, B>(
+        point: Point,
+        parked: impl FnOnce() -> A + Send,
+        other: impl FnOnce() -> B,
+    ) -> (A, B) {
+        let (reached_tx, reached_rx) = mpsc::channel();
+        let (resume_tx, resume_rx) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let t = s.spawn(move || {
+                race_hook::set(move |at| {
+                    if at == point {
+                        reached_tx.send(()).unwrap();
+                        resume_rx.recv().unwrap();
+                    }
+                });
+                parked()
+            });
+            reached_rx
+                .recv()
+                .expect("parked side never reached the point");
+            let b = other();
+            resume_tx.send(()).unwrap();
+            (t.join().unwrap(), b)
+        })
+    }
+
+    #[test]
+    fn eviction_parked_mid_claim_excludes_a_lockfree_pin() {
+        // The dirty-page loss: eviction used to read `refs == 0` and only
+        // then bump the version, so a complete lock-free pin fitted in
+        // between and the frame was recycled under it. With the version
+        // bumped first, the pin that runs inside the window must retry.
+        let tree = RadixTree::new();
+        let fp = ready_page(&tree, 9);
+        let (detached, pin) = interleave(
+            Point::EvictBetweenBumpAndRefs,
+            || GpuFsMount::try_detach_page(fp, |_| true),
+            || fp.try_pin_lockfree(),
+        );
+        assert_eq!(pin, Err(()), "a pin inside the window must not validate");
+        assert_eq!(detached, Some(9), "nothing pinned the page: it detaches");
+        assert_eq!(fp.refs(), 0);
+        assert_eq!(fp.try_pin_lockfree(), Ok(Snapshot::Initializing));
+    }
+
+    #[test]
+    fn pin_parked_before_its_recheck_is_seen_by_eviction() {
+        // The mirror interleaving: the pinner has raised `refs` and is
+        // parked before re-reading the version. Eviction (and discard,
+        // same claim) must see the pin and abandon; the page stays whole.
+        let tree = RadixTree::new();
+        let fp = ready_page(&tree, 9);
+        let (pin, detached) = interleave(
+            Point::PinBetweenIncrAndRecheck,
+            || fp.try_pin_lockfree(),
+            || GpuFsMount::try_detach_page(fp, |_| true),
+        );
+        assert_eq!(detached, None, "a pinned page is never detached");
+        assert_eq!(pin, Ok(Snapshot::Pinned(9)), "the pin it saw stands");
+        assert_eq!((fp.state(), fp.frame()), (PageState::Ready, Some(9)));
+        // Past the cheap unlocked filter the claim itself refuses too: it
+        // opens the update, sees the pin, and closes it again.
+        fp.lock();
+        assert!(!fp.begin_update_if_unpinned());
+        fp.unlock();
+        assert_eq!(fp.refs(), 1);
+        fp.unpin();
+        assert_eq!(GpuFsMount::try_detach_page(fp, |_| true), Some(9));
+    }
 
     #[test]
     fn temp_files_spill_and_refetch_under_pressure() {

@@ -415,15 +415,20 @@ mod tests {
         hf.fs().create("/sum", &vec![7u8; 32 << 10]).unwrap();
         for g in 0..HOSTS * GPUS {
             let mount = Arc::clone(FleetView::mount(&hf, g));
-            // Odd blocks run as tenant 1, so both breakdown columns see
-            // traffic on every GPU (the lane is the block id).
+            // Odd blocks run as tenant 1 (the lane is the block id), and
+            // every block faults a page of its own — so both breakdown
+            // columns see a ReadPages on every GPU by construction. With
+            // all four blocks on one shared page, which tenant's block
+            // won the open and the fault was scheduling luck, and now and
+            // then one tenant won every race on a host.
             for slot in 0..4 {
                 mount.set_tenant(slot, slot % 2);
             }
             FleetView::gpu(&hf, g).launch(Grid::new(4, 8), 0, move |blk| {
                 let fd = mount.open(blk, "/sum", GOpenMode::ReadOnly).unwrap();
                 let mut buf = [0u8; 4096];
-                mount.read(blk, &fd, 0, &mut buf).unwrap();
+                let own_page = blk.block_id() as u64 * 4096;
+                mount.read(blk, &fd, own_page, &mut buf).unwrap();
                 assert!(buf.iter().all(|&b| b == 7));
                 mount.close(blk, fd).unwrap();
             });

@@ -1,0 +1,159 @@
+//! Stage 2 of both bulk-data engines: the asynchronous DMA lane.
+//!
+//! A batch streamed chunk by chunk is one scatter-gather transaction on
+//! its PCIe direction. The lane owns everything the four engines (local
+//! and proxied, read and write) do identically to ship a chunk: charge
+//! the CPU-side submit, chain the reservation behind the transaction's
+//! previous chunk, count it, and emit its span.
+//!
+//! Setup is owed by the first chunk a transaction ships — unless the
+//! engine still has another stream's descriptor list open when the chunk's
+//! data is ready, in which case the chunk is appended to that list (see
+//! [`simtime::BandwidthResource::transfer_chunk`]): no setup on the
+//! engine, and the same [`simtime::Timings::dma_chunk_ns`] submit on the
+//! worker's clock that a continuation pays. A list is open only while a
+//! chunk with a successor is on the engine, so a transaction that fits in
+//! one chunk — every single-page fault, every batch no wider than
+//! `io_chunk_pages`, and the whole serialized engine (`io_chunk_pages =
+//! 0`, the paper prototype's DMA path) — never opens one, and traffic made
+//! only of those is priced exactly as before the rule existed.
+//!
+//! "Has a successor" is decided by chunk index, before the data is looked
+//! at: a read batch whose tail lies past end-of-file may declare a
+//! successor that then ships nothing. The list then stays open until that
+//! chunk's own reservation ends and no longer — a joiner still needs a
+//! running chunk to append to.
+
+use gpusim::{DevPtr, Gpu};
+use simtime::{ChunkPos, Clock, Nanos, Reservation};
+
+use super::{DaemonStats, ServeStats};
+
+/// A PCIe direction, as the lane accounts for it.
+#[derive(Clone, Copy)]
+enum Dir {
+    /// Host to device: the read engines' `dma` spans. A chunk's data is
+    /// ready when the worker's clock gets to it.
+    H2d,
+    /// Device to host: the write engines' `gather` spans. The dirty bytes
+    /// have sat in GPU memory since `ready`, when the RPC was issued.
+    D2h { ready: Nanos },
+}
+
+/// The DMA chain of one `ReadPages` or `WritePages` transaction.
+pub(crate) struct DmaLane<'a> {
+    gpu: &'a Gpu,
+    stats: &'a ServeStats<'a>,
+    submit_ns: Nanos,
+    /// Chunks shipped so far (empty chunks ship nothing and do not count).
+    shipped: u64,
+    /// When the last shipped chunk leaves the engine (0 before the first).
+    end: Nanos,
+}
+
+impl<'a> DmaLane<'a> {
+    pub(crate) fn new(gpu: &'a Gpu, stats: &'a ServeStats<'a>, submit_ns: Nanos) -> Self {
+        Self {
+            gpu,
+            stats,
+            submit_ns,
+            shipped: 0,
+            end: 0,
+        }
+    }
+
+    /// When the last shipped chunk's DMA completes (0 if none shipped).
+    pub(crate) fn end(&self) -> Nanos {
+        self.end
+    }
+
+    /// Ship one read chunk host-to-device, its data ready now on the
+    /// worker's `clock`. The worker does not wait for it.
+    pub(crate) fn read_chunk(
+        &mut self,
+        clock: &mut Clock,
+        parts: &[(&[u8], DevPtr)],
+        last: bool,
+    ) -> Reservation {
+        let bytes = parts.iter().map(|(b, _)| b.len() as u64).sum();
+        let gpu = self.gpu;
+        self.ship(clock, Dir::H2d, bytes, last, |issue, pos| {
+            gpu.dma_h2d_scattered_chunk(parts, issue, pos)
+        })
+    }
+
+    /// Gather one write chunk device-to-host. The dirty bytes have been in
+    /// GPU memory since the RPC was issued (`ready`), so the gather chain
+    /// runs ahead of the worker's `pwrite` lane; the caller waits for the
+    /// returned reservation before writing the chunk out.
+    pub(crate) fn write_chunk(
+        &mut self,
+        clock: &mut Clock,
+        ready: Nanos,
+        parts: &mut [(DevPtr, &mut [u8])],
+        last: bool,
+    ) -> Reservation {
+        let bytes = parts.iter().map(|(_, b)| b.len() as u64).sum();
+        let gpu = self.gpu;
+        self.ship(clock, Dir::D2h { ready }, bytes, last, |issue, pos| {
+            gpu.dma_d2h_scattered_chunk(parts, issue, pos)
+        })
+    }
+
+    fn ship(
+        &mut self,
+        clock: &mut Clock,
+        dir: Dir,
+        bytes: u64,
+        last: bool,
+        reserve: impl FnOnce(Nanos, ChunkPos) -> Reservation,
+    ) -> Reservation {
+        let first = self.shipped == 0;
+        if !first {
+            clock.advance(self.submit_ns);
+        }
+        // Issued when the data is ready and the transaction's previous
+        // chunk has left the engine: chunks of one transaction never
+        // overlap each other.
+        let (name, ready) = match dir {
+            Dir::H2d => ("dma", clock.now()),
+            Dir::D2h { ready } => ("gather", ready),
+        };
+        let sp = obs::span(name);
+        let issue = ready.max(self.end);
+        let r = reserve(issue, ChunkPos::new(first, last));
+        if r.joined {
+            // Appended to another stream's open list: a continuation's
+            // submit instead of a transaction's setup.
+            clock.advance(self.submit_ns);
+        }
+        self.stats.on(|s: &DaemonStats| {
+            let (moved, chunks, setups) = match dir {
+                Dir::H2d => (&s.bytes_h2d, &s.read_dma_chunks, &s.h2d_setups),
+                Dir::D2h { .. } => (&s.bytes_d2h, &s.write_dma_chunks, &s.d2h_setups),
+            };
+            moved.add(bytes);
+            chunks.incr();
+            if first && !r.joined {
+                setups.incr();
+            }
+        });
+        // The DMA runs asynchronously: its span covers the engine
+        // reservation (issue to completion), not worker wall time, split
+        // into time queued behind other work and time being served.
+        sp.finish_attrs(
+            issue,
+            r.end,
+            &[
+                ("chunk", self.shipped),
+                ("bytes", bytes),
+                ("queue_ns", r.start - issue),
+                ("service_ns", r.end - r.start),
+                ("joined", u64::from(r.joined)),
+            ],
+        );
+        self.shipped += 1;
+        self.end = r.end;
+        r
+    }
+}

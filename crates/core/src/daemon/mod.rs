@@ -3,7 +3,7 @@
 //! A pool of user-level threads in the host application polls the RPC
 //! channels and serves file requests against the host file system,
 //! initiating DMA transfers directly to or from GPU buffer-cache pages.
-//! The module splits along the daemon's three concerns:
+//! The module splits along the daemon's concerns:
 //!
 //! * **`mod.rs` (this file)** — the dispatcher/worker-pool core:
 //!   [`GpufsHost`] lifecycle, the worker loop, and [`DaemonStats`].
@@ -19,8 +19,13 @@
 //!   host file I/O and PCIe transfer overlap *inside* one RPC (the
 //!   paper's Figure 5 pipelining), not just across RPCs. `WritePages` is
 //!   symmetric: the D2H gather of chunk *k+1* overlaps the `pwrite`s of
-//!   chunk *k*. Chunk 0 pays the DMA setup; later chunks continue the
-//!   same scatter-gather transaction for a cheap CPU-side submit.
+//!   chunk *k*.
+//! * **[`lane`]** — stage 2 of that engine, shared with the proxied
+//!   serve path (`remote::client`): the chain of DMA reservations of one
+//!   transaction. The first chunk shipped pays the DMA setup — unless it
+//!   joins a scatter-gather list another streamed batch still has open
+//!   on the engine; later chunks continue the transaction for a cheap
+//!   CPU-side submit.
 //!
 //! The pool defaults to a single worker — the paper restricts
 //! GPU-related CPU load to one core — and scales with
@@ -32,6 +37,7 @@
 //! pool size.
 
 pub(crate) mod handlers;
+pub(crate) mod lane;
 pub(crate) mod pipeline;
 
 use std::sync::Arc;
@@ -79,6 +85,15 @@ pub struct DaemonStats {
     /// D2H gather chunks issued by the write pipeline — the write-side
     /// mirror of [`DaemonStats::read_dma_chunks`].
     pub write_dma_chunks: Counter,
+    /// H2D scatter-gather transactions that paid the engine's setup.
+    /// Equals the data-moving `ReadPages` count when every batch fits in
+    /// one chunk (single-page faults, the serialized engine); falls below
+    /// it when a batch's first chunk joins a list another streamed batch
+    /// still has open (`daemon/lane.rs`). The gap is the setups saved.
+    pub h2d_setups: Counter,
+    /// D2H gather transactions that paid setup — the write-side mirror of
+    /// [`DaemonStats::h2d_setups`].
+    pub d2h_setups: Counter,
 }
 
 impl DaemonStats {
@@ -102,6 +117,8 @@ impl DaemonStats {
             pages_per_write_rpc: field(|s| &s.pages_per_write_rpc),
             read_dma_chunks: field(|s| &s.read_dma_chunks),
             write_dma_chunks: field(|s| &s.write_dma_chunks),
+            h2d_setups: field(|s| &s.h2d_setups),
+            d2h_setups: field(|s| &s.d2h_setups),
         }
     }
 
@@ -119,6 +136,8 @@ impl DaemonStats {
             ("daemon_pages_per_write_rpc", &self.pages_per_write_rpc),
             ("daemon_read_dma_chunks", &self.read_dma_chunks),
             ("daemon_write_dma_chunks", &self.write_dma_chunks),
+            ("daemon_h2d_setups", &self.h2d_setups),
+            ("daemon_d2h_setups", &self.d2h_setups),
         ] {
             registry.register(name, labels, counter);
         }
@@ -140,6 +159,8 @@ impl DaemonStats {
             ("pages_per_write_rpc", self.pages_per_write_rpc.get()),
             ("read_dma_chunks", self.read_dma_chunks.get()),
             ("write_dma_chunks", self.write_dma_chunks.get()),
+            ("h2d_setups", self.h2d_setups.get()),
+            ("d2h_setups", self.d2h_setups.get()),
         ]
     }
 }
@@ -293,6 +314,16 @@ impl GpufsHost {
             cell_stats.iter().flatten().map(Arc::as_ref),
         ));
         stats.register(&registry, Labels::none());
+        // Per-direction PCIe occupancy, read from the engines themselves:
+        // accepted service time including setup. Over the elapsed virtual
+        // time it says how busy a link was; against `daemon_bytes_*` at
+        // the link's bandwidth it says how much of that was setup.
+        for (g, gpu) in gpus.iter().enumerate() {
+            let (h2d, d2h) = (Arc::clone(gpu), Arc::clone(gpu));
+            let labels = Labels::gpu(g as u32);
+            registry.probe("pcie_h2d_busy_ns", labels, move || h2d.dma().busy_ns().0);
+            registry.probe("pcie_d2h_busy_ns", labels, move || d2h.dma().busy_ns().1);
+        }
         let per_gpu_stats: Vec<Arc<DaemonStats>> = cell_stats
             .iter()
             .map(|row| Arc::new(DaemonStats::sum_of(row.iter().map(Arc::as_ref))))

@@ -19,14 +19,16 @@
 //!                       | pwrite c0 | pwrite c1 | pwrite c2
 //! ```
 //!
-//! The worker's clock carries the file-I/O lane; the DMA lane is a chain
-//! of [`gpusim::Gpu::dma_h2d_scattered_chunk`] reservations, each issued
-//! no earlier than its data is ready *and* no earlier than the previous
-//! chunk ends (chunks of one transaction never overlap each other on the
-//! engine). Setup is paid once, on chunk 0; each later chunk charges the
-//! cheap CPU-side submit [`simtime::Timings::dma_chunk_ns`] to the
-//! worker. `io_chunk_pages = 0` — or any chunk at least the batch width —
-//! collapses to exactly the serialized engine.
+//! The worker's clock carries the file-I/O lane; the DMA lane
+//! ([`super::lane::DmaLane`], shared with the proxied engine) is a chain
+//! of chunk reservations, each issued no earlier than its data is ready
+//! *and* no earlier than the previous chunk ends (chunks of one
+//! transaction never overlap each other on the engine). Setup is paid at
+//! most once, on the first chunk shipped — not at all if that chunk joins
+//! a list another stream still has open on the engine; each later chunk
+//! charges the cheap CPU-side submit [`simtime::Timings::dma_chunk_ns`]
+//! to the worker. `io_chunk_pages = 0` — or any chunk at least the batch
+//! width — collapses to exactly the serialized engine.
 //!
 //! Error semantics are those of the serialized engine: a failure in any
 //! chunk fails the whole RPC (the requester unwinds the batch — frames
@@ -37,18 +39,27 @@ use gpusim::{DevPtr, Gpu};
 use hostfs::{FsError, HostFd, HostFs};
 use simtime::{Clock, Nanos};
 
+use super::lane::DmaLane;
 use super::ServeStats;
 use crate::rpc::{PageRead, PageWrite, RespOk};
 
-/// Pages per chunk for a batch of `len` pages under the `io_chunk_pages`
-/// setting (`0` = the whole batch in one chunk, i.e. serialized). Shared
-/// with the remote mirror of this engine in `remote::client`.
-pub(crate) fn chunk_len(io_chunk_pages: usize, len: usize) -> usize {
-    if io_chunk_pages == 0 {
-        len.max(1)
-    } else {
-        io_chunk_pages.min(len.max(1))
-    }
+/// The chunks of a batch under the `io_chunk_pages` setting (`0` = the
+/// whole batch in one chunk, i.e. serialized), each with its index and
+/// whether it is the batch's last. Shared with the remote mirror of this
+/// engine in `remote::client`.
+pub(crate) fn chunks<T>(
+    io_chunk_pages: usize,
+    pages: &[T],
+) -> impl Iterator<Item = (usize, &[T], bool)> {
+    let step = match io_chunk_pages {
+        0 => pages.len().max(1),
+        n => n,
+    };
+    let n_chunks = pages.len().div_ceil(step);
+    pages
+        .chunks(step)
+        .enumerate()
+        .map(move |(j, chunk)| (j, chunk, j + 1 == n_chunks))
 }
 
 /// Serve a `ReadPages` batch: pread chunk *k+1* while the scatter-gather
@@ -84,18 +95,13 @@ pub(super) fn read_pages(
         });
     }
     let deep = io_depth > 2;
-    let submit_ns = fs.timings().dma_chunk_ns;
+    let mut lane = DmaLane::new(gpu, stats, fs.timings().dma_chunk_ns);
     let mut ns = Vec::with_capacity(pages.len());
     let mut ready: Vec<Nanos> = Vec::with_capacity(pages.len());
     // When each chunk's staging buffer frees again: its DMA end, or 0 for
     // chunks that shipped nothing.
     let mut free_at: Vec<Nanos> = Vec::new();
-    let mut dma_end: Nanos = 0;
-    let mut first_chunk = true;
-    for (j, chunk) in pages
-        .chunks(chunk_len(io_chunk_pages, pages.len()))
-        .enumerate()
-    {
+    for (j, chunk, last) in chunks(io_chunk_pages, pages) {
         // Depth-k staging bound: chunk j reuses the buffer of chunk
         // j - io_depth and must wait for that DMA to complete. Double
         // buffering keeps the prior engine's unbounded-within-the-batch
@@ -138,27 +144,7 @@ pub(super) fn read_pages(
         let chunk_ready = if parts.is_empty() {
             0
         } else {
-            if !first_chunk {
-                clock.advance(submit_ns);
-            }
-            let dma_sp = obs::span("dma");
-            let dma_issue = clock.now().max(dma_end);
-            let r = gpu.dma_h2d_scattered_chunk(&parts, dma_issue, first_chunk);
-            let chunk_bytes: u64 = parts.iter().map(|(b, _)| b.len() as u64).sum();
-            stats.on(|s| {
-                s.bytes_h2d.add(chunk_bytes);
-                s.read_dma_chunks.incr();
-            });
-            // The DMA runs asynchronously: its span covers the engine
-            // reservation (issue to completion), not worker wall time.
-            dma_sp.finish_attrs(
-                dma_issue,
-                r.end,
-                &[("chunk", j as u64), ("bytes", chunk_bytes)],
-            );
-            dma_end = r.end;
-            first_chunk = false;
-            r.end
+            lane.read_chunk(clock, &parts, last).end
         };
         free_at.push(chunk_ready);
         for buf in &staging {
@@ -174,7 +160,7 @@ pub(super) fn read_pages(
         let gate = free_at[..covered].iter().copied().max().unwrap_or(0);
         gate.max(clock.now())
     } else {
-        dma_end.max(clock.now())
+        lane.end().max(clock.now())
     };
     if !deep {
         // The drained engine's pages are all ready at the response.
@@ -204,16 +190,14 @@ pub(super) fn write_pages(
         });
     }
     let issue = clock.now();
-    let submit_ns = fs.timings().dma_chunk_ns;
     let ino = fs.fstat(fd).map(|m| m.ino).unwrap_or_default();
     if pages.iter().all(|pw| pw.extents.is_empty()) {
         let generation = fs.consistency().generation(ino);
         return (Ok(RespOk::Wrote { n: 0, generation }), clock.now());
     }
-    let mut gather_end: Nanos = 0;
-    let mut first_chunk = true;
+    let mut lane = DmaLane::new(gpu, stats, fs.timings().dma_chunk_ns);
     let mut written = 0usize;
-    for chunk in pages.chunks(chunk_len(io_chunk_pages, pages.len())) {
+    for (_, chunk, last) in chunks(io_chunk_pages, pages) {
         // Flatten this chunk's dirty extents into one scatter-gather
         // descriptor list; only the modified bytes travel.
         let mut srcs: Vec<(DevPtr, u64)> = Vec::new(); // (gpu addr, file off)
@@ -227,9 +211,6 @@ pub(super) fn write_pages(
         if srcs.is_empty() {
             continue;
         }
-        if !first_chunk {
-            clock.advance(submit_ns);
-        }
         let mut parts: Vec<(DevPtr, &mut [u8])> = srcs
             .iter()
             .zip(staging.iter_mut())
@@ -238,18 +219,8 @@ pub(super) fn write_pages(
         // The gather chain runs independently of the pwrite lane: chunk
         // k+1's gather starts when the engine frees up (gather k's end),
         // not after chunk k's pwrites.
-        let gather_sp = obs::span("gather");
-        let gather_issue = issue.max(gather_end);
-        let r = gpu.dma_d2h_scattered_chunk(&mut parts, gather_issue, first_chunk);
+        let r = lane.write_chunk(clock, issue, &mut parts, last);
         drop(parts);
-        let chunk_bytes: u64 = staging.iter().map(|b| b.len() as u64).sum();
-        stats.on(|s| {
-            s.bytes_d2h.add(chunk_bytes);
-            s.write_dma_chunks.incr();
-        });
-        gather_sp.finish_attrs(gather_issue, r.end, &[("bytes", chunk_bytes)]);
-        gather_end = r.end;
-        first_chunk = false;
         // This chunk's bytes must be in host memory before its pwrites.
         clock.wait_until(r.end);
         let pwrite_sp = obs::span("pwrite");
@@ -829,5 +800,126 @@ mod tests {
         // The daemon is still healthy.
         let (ok, _) = call(&h, Request::Stat { path: "/ro".into() }).unwrap();
         assert!(matches!(ok, RespOk::Stat { size, .. } if size == 4 * page as u64));
+    }
+
+    // ------------------------------------------------------------------
+    // The scatter-gather ring across RPCs.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn unloaded_single_page_read_costs_what_it_did_before_the_ring() {
+        // One 64 KB ReadPages on an idle engine, at the figure recorded at
+        // the parent commit: a transaction of one chunk neither opens nor
+        // joins a list, on any engine setting.
+        for (io_chunk, io_depth) in [(0, 2), (2, 2), (2, 4), (8, 2)] {
+            let (t, ready, _) = depth_read(io_chunk, io_depth, 1);
+            assert_eq!((t, ready), (8_543_420, vec![8_540_420]));
+        }
+    }
+
+    /// An 8-page (4 KB pages) batch starting at page `first`.
+    fn eight_pages(h: &GpufsHost, first: usize) -> Vec<PageRead> {
+        let dst = h.gpus()[0].global().alloc(8 * 4096).unwrap();
+        (0..8)
+            .map(|i| PageRead {
+                offset: ((first + i) * 4096) as u64,
+                len: 4096,
+                dst: dst + i * 4096,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn second_of_two_overlapping_batches_joins_and_pays_no_setup() {
+        let timings = Timings::default();
+        let h = host_chunked(2);
+        h.fs().create("/ring", &vec![1u8; 16 * 4096]).unwrap();
+        let fd = open(&h, "/ring", false);
+        let (pages_a, pages_b) = (eight_pages(&h, 0), eight_pages(&h, 8));
+        // Both issued at virtual time 0: the second batch's first chunk is
+        // ready while the first batch's non-final chunks are on the engine.
+        read_batch(&h, fd, pages_a);
+        let one_batch = h.gpus()[0].dma().busy_ns().0;
+        read_batch(&h, fd, pages_b);
+        assert_eq!(h.stats().read_dma_chunks.get(), 8, "4 chunks a batch");
+        assert_eq!(h.stats().h2d_setups.get(), 1, "the second batch joined");
+        let both = h.gpus()[0].dma().busy_ns().0;
+        assert_eq!(
+            both,
+            2 * one_batch - timings.dma_setup_ns,
+            "engine time: the same bytes, one setup fewer"
+        );
+
+        // The same two batches on the serialized engine: each is one
+        // chunk, nothing opens, both pay.
+        let h0 = host_chunked(0);
+        h0.fs().create("/ring", &vec![1u8; 16 * 4096]).unwrap();
+        let fd0 = open(&h0, "/ring", false);
+        let (pages_a, pages_b) = (eight_pages(&h0, 0), eight_pages(&h0, 8));
+        read_batch(&h0, fd0, pages_a);
+        read_batch(&h0, fd0, pages_b);
+        assert_eq!(h0.stats().read_dma_chunks.get(), 2);
+        assert_eq!(h0.stats().h2d_setups.get(), 2);
+    }
+
+    #[test]
+    fn single_page_requests_each_pay_their_own_setup() {
+        // Even back to back at one virtual instant, and even after a
+        // streamed batch has come and gone: one-chunk transactions never
+        // open a list, so among themselves they never find one.
+        let h = host_chunked(2);
+        h.fs().create("/ones", &vec![2u8; 32 * 4096]).unwrap();
+        let fd = open(&h, "/ones", false);
+        let dst = h.gpus()[0].global().alloc(4096).unwrap();
+        for i in 0..12u64 {
+            read_batch(
+                &h,
+                fd,
+                vec![PageRead {
+                    offset: i * 4096,
+                    len: 4096,
+                    dst,
+                }],
+            );
+        }
+        assert_eq!(h.stats().read_dma_chunks.get(), 12);
+        assert_eq!(h.stats().h2d_setups.get(), 12);
+        let setup = Timings::default().dma_setup_ns;
+        let bw = simtime::bw_time_ns(4096, Timings::default().pcie_mb_s);
+        assert_eq!(h.gpus()[0].dma().busy_ns().0, 12 * (setup + bw));
+        // The registry publishes that occupancy, setup included.
+        let snap = h.registry().snapshot();
+        let row = |key: &str| snap.iter().find(|(k, _)| k == key).unwrap().1;
+        assert_eq!(row("pcie_h2d_busy_ns{gpu=0}"), 12 * (setup + bw));
+        assert_eq!(row("pcie_d2h_busy_ns{gpu=0}"), 0);
+        assert_eq!(row("daemon_h2d_setups"), 12);
+    }
+
+    #[test]
+    fn write_gathers_join_on_their_own_direction() {
+        let page = 4096usize;
+        let h = host_chunked(2);
+        h.fs().create("/wring", &vec![0u8; 8 * page]).unwrap();
+        let fd = open(&h, "/wring", true);
+        let src = h.gpus()[0].global().alloc(8 * page).unwrap();
+        h.gpus()[0].global().write(src, &vec![4u8; 8 * page]);
+        let batch = |first: usize| Request::WritePages {
+            fd,
+            pages: (first..first + 4)
+                .map(|i| PageWrite {
+                    src: src + i * page,
+                    page_offset: (i * page) as u64,
+                    extents: vec![(0, page as u32)],
+                })
+                .collect(),
+            gpu: 0,
+        };
+        call(&h, batch(0)).unwrap();
+        call(&h, batch(4)).unwrap();
+        assert_eq!(h.stats().write_dma_chunks.get(), 4);
+        assert_eq!(h.stats().d2h_setups.get(), 1);
+        assert_eq!(h.stats().h2d_setups.get(), 0, "reads saw none of it");
+        let (data, _) = h.fs().read_whole("/wring", 0).unwrap();
+        assert!(data.iter().all(|&b| b == 4));
     }
 }

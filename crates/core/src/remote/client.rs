@@ -4,9 +4,11 @@
 //! A proxy-backed daemon worker enters [`serve`] exactly where a local
 //! worker enters `handlers::serve`, with the same clock, stat sheets,
 //! and I/O-engine knobs. The mirror is deliberately line-for-line: the
-//! staged read engine keeps its chunk ring, DMA chain, continuation
-//! submits, covered-gate early response, and per-page ready times; the
-//! write engine keeps its gather/pwrite overlap. What changes is stage
+//! staged read engine keeps its chunk ring, covered-gate early response,
+//! and per-page ready times; the write engine keeps its gather/pwrite
+//! overlap; and stage 2 — the DMA chain with its continuation submits —
+//! is not mirrored at all but the same [`DmaLane`] the local engine
+//! drives, so both join open transactions identically. What changes is stage
 //! 1 — instead of `fs.pread`/`fs.pwrite` against a local file system,
 //! each chunk consults the host page cache and ships one `ReadPages` /
 //! `WritePages` frame for the remainder, served by the
@@ -26,7 +28,8 @@ use simtime::{bw_time_ns, Clock, Nanos};
 
 use super::proto::{WireRequest, WireResponse};
 use super::proxy::HostProxy;
-use crate::daemon::pipeline::chunk_len;
+use crate::daemon::lane::DmaLane;
+use crate::daemon::pipeline::chunks;
 use crate::daemon::ServeStats;
 use crate::rpc::{PageRead, PageWrite, Request, RespOk};
 
@@ -169,9 +172,8 @@ fn hit_ns(proxy: &HostProxy, bytes: usize) -> Nanos {
 
 /// The read engine of `daemon/pipeline.rs` with stage 1 replaced by
 /// host-cache lookups plus one `ReadPages` frame per chunk for the
-/// misses. Stage 2 — the chained scatter-gather DMA with its ring bound,
-/// continuation submits, covered gate, and per-page ready times — is
-/// copied unchanged.
+/// misses. Stage 2 is the shared [`DmaLane`]; the ring bound, covered
+/// gate, and per-page ready times around it are copied unchanged.
 #[allow(clippy::too_many_arguments)]
 fn read_pages(
     proxy: &HostProxy,
@@ -190,17 +192,12 @@ fn read_pages(
         });
     }
     let deep = io_depth > 2;
-    let submit_ns = proxy.timings().dma_chunk_ns;
+    let mut lane = DmaLane::new(gpu, stats, proxy.timings().dma_chunk_ns);
     let fd_state = proxy.fd_state(fd);
     let mut ns = Vec::with_capacity(pages.len());
     let mut ready: Vec<Nanos> = Vec::with_capacity(pages.len());
     let mut free_at: Vec<Nanos> = Vec::new();
-    let mut dma_end: Nanos = 0;
-    let mut first_chunk = true;
-    for (j, chunk) in pages
-        .chunks(chunk_len(io_chunk_pages, pages.len()))
-        .enumerate()
-    {
+    for (j, chunk, last) in chunks(io_chunk_pages, pages) {
         if deep && j >= io_depth {
             clock.wait_until(free_at[j - io_depth]);
         }
@@ -265,18 +262,7 @@ fn read_pages(
         let chunk_ready = if parts.is_empty() {
             0
         } else {
-            if !first_chunk {
-                clock.advance(submit_ns);
-            }
-            let r = gpu.dma_h2d_scattered_chunk(&parts, clock.now().max(dma_end), first_chunk);
-            let chunk_bytes: u64 = parts.iter().map(|(b, _)| b.len() as u64).sum();
-            stats.on(|s| {
-                s.bytes_h2d.add(chunk_bytes);
-                s.read_dma_chunks.incr();
-            });
-            dma_end = r.end;
-            first_chunk = false;
-            r.end
+            lane.read_chunk(clock, &parts, last).end
         };
         free_at.push(chunk_ready);
         for buf in &staging {
@@ -289,7 +275,7 @@ fn read_pages(
         let gate = free_at[..covered].iter().copied().max().unwrap_or(0);
         gate.max(clock.now())
     } else {
-        dma_end.max(clock.now())
+        lane.end().max(clock.now())
     };
     if !deep {
         ready.fill(t);
@@ -299,7 +285,7 @@ fn read_pages(
 
 /// The write engine of `daemon/pipeline.rs` with the serial `pwrite`
 /// lane replaced by one `WritePages` frame per chunk — write-back
-/// batched over the wire. The D2H gather chain is copied unchanged, and
+/// batched over the wire. The D2H gather chain is the shared [`DmaLane`], and
 /// every successfully shipped batch invalidates the written ranges in
 /// the host cache so this host reads its own writes.
 fn write_pages(
@@ -318,7 +304,6 @@ fn write_pages(
         });
     }
     let issue = clock.now();
-    let submit_ns = proxy.timings().dma_chunk_ns;
     let fd_state = proxy.fd_state(fd);
     if pages.iter().all(|pw| pw.extents.is_empty()) {
         // The local engine answers an empty batch from the generation
@@ -341,11 +326,10 @@ fn write_pages(
             Err(e) => (Err(e), clock.now()),
         };
     }
-    let mut gather_end: Nanos = 0;
-    let mut first_chunk = true;
+    let mut lane = DmaLane::new(gpu, stats, proxy.timings().dma_chunk_ns);
     let mut written = 0usize;
     let mut generation = 0u64;
-    for chunk in pages.chunks(chunk_len(io_chunk_pages, pages.len())) {
+    for (_, chunk, last) in chunks(io_chunk_pages, pages) {
         let mut srcs: Vec<(DevPtr, u64)> = Vec::new(); // (gpu addr, file off)
         let mut staging: Vec<Vec<u8>> = Vec::new();
         for pw in chunk {
@@ -357,23 +341,13 @@ fn write_pages(
         if srcs.is_empty() {
             continue;
         }
-        if !first_chunk {
-            clock.advance(submit_ns);
-        }
         let mut parts: Vec<(DevPtr, &mut [u8])> = srcs
             .iter()
             .zip(staging.iter_mut())
             .map(|(&(src, _), buf)| (src, buf.as_mut_slice()))
             .collect();
-        let r = gpu.dma_d2h_scattered_chunk(&mut parts, issue.max(gather_end), first_chunk);
+        let r = lane.write_chunk(clock, issue, &mut parts, last);
         drop(parts);
-        let chunk_bytes: u64 = staging.iter().map(|b| b.len() as u64).sum();
-        stats.on(|s| {
-            s.bytes_d2h.add(chunk_bytes);
-            s.write_dma_chunks.incr();
-        });
-        gather_end = r.end;
-        first_chunk = false;
         // This chunk's bytes must be in host memory before they can go
         // on the wire.
         clock.wait_until(r.end);
@@ -591,9 +565,55 @@ mod tests {
                 transcript(&remote),
                 "engine divergence at io_chunk_pages={chunk}, io_depth={depth}"
             );
+            // The script's two ReadPages both issue at virtual time 0. On
+            // the chunked engines the reread's first chunk finds the first
+            // batch's list still open and joins it — on both hosts alike,
+            // through the one shared lane; the serialized engine's
+            // one-chunk transactions each pay their own setup.
+            let want = if chunk == 0 { 2 } else { 1 };
+            assert_eq!(local.stats().h2d_setups.get(), want);
+            assert_eq!(remote.stats().h2d_setups.get(), want);
             local.shutdown();
             remote.shutdown();
         }
+    }
+
+    /// Stage 2 is the shared lane, so a proxied daemon's DMA shows up in
+    /// a trace exactly like a local one's: `dma` / `gather` spans over
+    /// `[issue, end]`, split into queueing and service, marked when the
+    /// chunk joined an open transaction.
+    #[test]
+    fn proxied_stage_two_emits_the_lane_spans() {
+        let h = proxied_host(2, 2, 0);
+        h.set_tracing(true);
+        let root = h.tracer().root("script");
+        let _ = transcript(&h);
+        root.finish(0, 1);
+        let spans = h.tracer().snapshot();
+        let attr = |s: &obs::SpanRecord, key: &str| {
+            s.attrs
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|&(_, v)| v)
+                .unwrap_or_else(|| panic!("{} span without `{key}`", s.name))
+        };
+        let dma: Vec<_> = spans.iter().filter(|s| s.name == "dma").collect();
+        let gather: Vec<_> = spans.iter().filter(|s| s.name == "gather").collect();
+        assert_eq!(dma.len() as u64, h.stats().read_dma_chunks.get());
+        assert_eq!(gather.len() as u64, h.stats().write_dma_chunks.get());
+        assert!(!dma.is_empty() && !gather.is_empty());
+        for s in dma.iter().chain(&gather) {
+            assert_eq!(
+                attr(s, "queue_ns") + attr(s, "service_ns"),
+                s.end - s.start,
+                "{} span extent is queue + service",
+                s.name
+            );
+        }
+        // One setup for the script's two read batches: the other batch's
+        // first chunk carries the join mark.
+        let firsts = dma.iter().filter(|s| attr(s, "chunk") == 0);
+        assert_eq!(firsts.map(|s| attr(s, "joined")).sum::<u64>(), 1);
     }
 
     /// The host cache changes virtual time (hits cost a DRAM copy, not a

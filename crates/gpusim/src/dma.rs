@@ -1,6 +1,6 @@
 //! PCIe DMA engines: full-duplex, bandwidth-arbitrated, setup-priced.
 
-use simtime::{BandwidthResource, Nanos, Reservation, Timings};
+use simtime::{BandwidthResource, ChunkPos, Nanos, Reservation, Timings};
 
 use crate::{DevPtr, Gpu};
 
@@ -49,29 +49,31 @@ impl DmaEngines {
     /// transaction over the given extents: setup is paid once for the
     /// whole descriptor list (see [`simtime::BandwidthResource::transfer_scattered`]).
     pub fn reserve_h2d_scattered(&self, earliest: Nanos, extent_bytes: &[u64]) -> Reservation {
-        self.reserve_h2d_chunk(earliest, extent_bytes, true)
+        self.reserve_h2d_chunk(earliest, extent_bytes, ChunkPos::Only)
     }
 
     /// Reserve the device-to-host direction for one scatter-gather
     /// transaction over the given extents — the write-back mirror of
     /// [`DmaEngines::reserve_h2d_scattered`].
     pub fn reserve_d2h_scattered(&self, earliest: Nanos, extent_bytes: &[u64]) -> Reservation {
-        self.reserve_d2h_chunk(earliest, extent_bytes, true)
+        self.reserve_d2h_chunk(earliest, extent_bytes, ChunkPos::Only)
     }
 
     /// Reserve the host-to-device direction for one *chunk* of a larger
-    /// scatter-gather transaction: setup is paid only on the `first`
-    /// chunk; continuations stream the already-programmed descriptor list
-    /// at pure bandwidth (see [`simtime::BandwidthResource::transfer_chunk`]).
-    /// The caller serializes chunks of one transaction by threading the
-    /// previous chunk's `end` into `earliest`.
+    /// scatter-gather transaction: setup is paid by the chunk that begins
+    /// the transaction — unless it joins a list another stream still has
+    /// open on this direction; continuations stream the already-programmed
+    /// descriptor list at pure bandwidth (see
+    /// [`simtime::BandwidthResource::transfer_chunk`]). The caller
+    /// serializes chunks of one transaction by threading the previous
+    /// chunk's `end` into `earliest`.
     pub fn reserve_h2d_chunk(
         &self,
         earliest: Nanos,
         extent_bytes: &[u64],
-        first: bool,
+        pos: ChunkPos,
     ) -> Reservation {
-        self.h2d.transfer_chunk(earliest, extent_bytes, first)
+        self.h2d.transfer_chunk(earliest, extent_bytes, pos)
     }
 
     /// Reserve the device-to-host direction for one chunk of a larger
@@ -81,9 +83,17 @@ impl DmaEngines {
         &self,
         earliest: Nanos,
         extent_bytes: &[u64],
-        first: bool,
+        pos: ChunkPos,
     ) -> Reservation {
-        self.d2h.transfer_chunk(earliest, extent_bytes, first)
+        self.d2h.transfer_chunk(earliest, extent_bytes, pos)
+    }
+
+    /// Engine time — setup included — each direction has accepted since
+    /// the last reset, as `(h2d, d2h)`: the numerator of per-direction
+    /// link occupancy.
+    #[must_use]
+    pub fn busy_ns(&self) -> (Nanos, Nanos) {
+        (self.h2d.busy_ns(), self.d2h.busy_ns())
     }
 
     /// Forget queued work in both directions (between benchmark phases).
@@ -125,17 +135,19 @@ impl Gpu {
     ///
     /// Panics if any destination range is out of bounds.
     pub fn dma_h2d_scattered(&self, parts: &[(&[u8], DevPtr)], earliest: Nanos) -> Reservation {
-        self.dma_h2d_scattered_chunk(parts, earliest, true)
+        self.dma_h2d_scattered_chunk(parts, earliest, ChunkPos::Only)
     }
 
     /// DMA one *chunk* of a larger scatter-gather transaction into device
     /// memory: every extent is copied, but the host-to-device setup cost
-    /// is charged only when this is the transaction's `first` chunk. This
-    /// is the timing model behind the daemon's pipelined `ReadPages`
-    /// engine, which streams a batch chunk by chunk so host file I/O of
-    /// chunk *k+1* overlaps the DMA of chunk *k*. Callers serialize the
-    /// chunks of one transaction by passing the previous chunk's `end`
-    /// (max'ed with the data-ready time) as `earliest`.
+    /// is charged only to the chunk that begins the transaction (`pos`),
+    /// and not even to that one when it joins a descriptor list another
+    /// stream still has open ([`Reservation::joined`]). This is the timing
+    /// model behind the daemon's pipelined `ReadPages` engine, which
+    /// streams a batch chunk by chunk so host file I/O of chunk *k+1*
+    /// overlaps the DMA of chunk *k*. Callers serialize the chunks of one
+    /// transaction by passing the previous chunk's `end` (max'ed with the
+    /// data-ready time) as `earliest`.
     ///
     /// # Panics
     ///
@@ -144,14 +156,14 @@ impl Gpu {
         &self,
         parts: &[(&[u8], DevPtr)],
         earliest: Nanos,
-        first: bool,
+        pos: ChunkPos,
     ) -> Reservation {
         let mut extent_bytes = Vec::with_capacity(parts.len());
         for (src, dst) in parts {
             self.global().write(*dst, src);
             extent_bytes.push(src.len() as u64);
         }
-        self.dma().reserve_h2d_chunk(earliest, &extent_bytes, first)
+        self.dma().reserve_h2d_chunk(earliest, &extent_bytes, pos)
     }
 
     /// DMA several device extents into host buffers as one scatter-gather
@@ -168,7 +180,7 @@ impl Gpu {
         parts: &mut [(DevPtr, &mut [u8])],
         earliest: Nanos,
     ) -> Reservation {
-        self.dma_d2h_scattered_chunk(parts, earliest, true)
+        self.dma_d2h_scattered_chunk(parts, earliest, ChunkPos::Only)
     }
 
     /// DMA one chunk of a larger device-to-host scatter-gather transaction
@@ -183,14 +195,14 @@ impl Gpu {
         &self,
         parts: &mut [(DevPtr, &mut [u8])],
         earliest: Nanos,
-        first: bool,
+        pos: ChunkPos,
     ) -> Reservation {
         let mut extent_bytes = Vec::with_capacity(parts.len());
         for (src, dst) in parts.iter_mut() {
             self.global().read(*src, dst);
             extent_bytes.push(dst.len() as u64);
         }
-        self.dma().reserve_d2h_chunk(earliest, &extent_bytes, first)
+        self.dma().reserve_d2h_chunk(earliest, &extent_bytes, pos)
     }
 }
 
@@ -300,8 +312,8 @@ mod tests {
         let dst = gpu.global().alloc(2 << 20).unwrap();
         let a = vec![3u8; 1 << 20];
         let b = vec![4u8; 1 << 20];
-        let c1 = gpu.dma_h2d_scattered_chunk(&[(&a, dst)], 0, true);
-        let c2 = gpu.dma_h2d_scattered_chunk(&[(&b, dst + (1 << 20))], c1.end, false);
+        let c1 = gpu.dma_h2d_scattered_chunk(&[(&a, dst)], 0, ChunkPos::First);
+        let c2 = gpu.dma_h2d_scattered_chunk(&[(&b, dst + (1 << 20))], c1.end, ChunkPos::Last);
         let mut out = vec![0u8; 1 << 20];
         gpu.global().read(dst, &mut out);
         assert_eq!(out, a);
@@ -319,6 +331,33 @@ mod tests {
             "chunked {chunked} vs whole {}",
             whole.busy()
         );
+    }
+
+    #[test]
+    fn a_chunk_joins_an_open_stream_on_its_own_direction_only() {
+        let gpu = Gpu::new(0, GpuSpec::small_test());
+        let dst = gpu.global().alloc(4 << 20).unwrap();
+        let mb = vec![6u8; 1 << 20];
+        let setup = gpu.dma().timings().dma_setup_ns;
+        let bw = gpu.dma_h2d(&mb, dst, 0).busy() - setup;
+        gpu.dma().reset();
+        let open = gpu.dma_h2d_scattered_chunk(&[(&mb, dst)], 0, ChunkPos::First);
+        assert_eq!(open.busy(), setup + bw);
+        // Another transaction, ready while `open` is on the engine.
+        let other =
+            gpu.dma_h2d_scattered_chunk(&[(&mb, dst + (1 << 20))], open.end / 2, ChunkPos::Only);
+        assert!(other.joined);
+        assert_eq!(other.busy(), bw, "joined: no setup of its own");
+        // A plain transfer keeps its cost, and the other direction has
+        // no open list at all.
+        let plain = gpu.dma_h2d(&mb, dst + (2 << 20), open.end / 2);
+        assert_eq!(plain.busy(), setup + bw);
+        let mut sink = vec![0u8; 1 << 20];
+        let mut parts: Vec<(DevPtr, &mut [u8])> = vec![(dst, sink.as_mut_slice())];
+        let up = gpu.dma_d2h_scattered_chunk(&mut parts, open.end / 2, ChunkPos::Only);
+        assert!(!up.joined);
+        assert_eq!(up.busy(), setup + bw);
+        assert_eq!(gpu.dma().busy_ns(), (2 * setup + 3 * bw, setup + bw));
     }
 
     #[test]

@@ -70,6 +70,7 @@ impl DiskModel {
         Reservation {
             start,
             end: start.saturating_add(dur),
+            joined: false,
         }
     }
 

@@ -98,12 +98,25 @@ impl HistogramHandle {
     }
 }
 
+/// A value some other component already keeps (a device's accepted busy
+/// time, say), read through at snapshot time rather than mirrored into a
+/// counter that could drift from it.
+#[derive(Clone)]
+struct Probe(Arc<dyn Fn() -> u64 + Send + Sync>);
+
+impl std::fmt::Debug for Probe {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Probe")
+    }
+}
+
 /// One typed home for a subsystem's metrics. Counters registered here
 /// are the same `Arc`-backed cells the owning structs hold — the
 /// registry adds names and labels, it never forks the value.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<Vec<(&'static str, Labels, Counter)>>,
+    probes: Mutex<Vec<(&'static str, Labels, Probe)>>,
     hists: Mutex<Vec<(&'static str, Labels, HistogramHandle)>>,
 }
 
@@ -126,6 +139,19 @@ impl Registry {
         self.counters.lock().push((name, labels, counter.clone()));
     }
 
+    /// Publish a value owned elsewhere: `read` is called at every
+    /// snapshot. It must be cheap and must not touch this registry.
+    pub fn probe(
+        &self,
+        name: &'static str,
+        labels: Labels,
+        read: impl Fn() -> u64 + Send + Sync + 'static,
+    ) {
+        self.probes
+            .lock()
+            .push((name, labels, Probe(Arc::new(read))));
+    }
+
     /// Mint and register a histogram; returns the recording handle.
     pub fn histogram(&self, name: &'static str, labels: Labels) -> HistogramHandle {
         let h = HistogramHandle(Arc::new(Mutex::new(Histogram::new())));
@@ -133,15 +159,24 @@ impl Registry {
         h
     }
 
-    /// Every registered counter as a `(name{labels}, value)` row, in
-    /// registration order.
+    /// Every registered counter, then every probe, as a
+    /// `(name{labels}, value)` row, each in registration order.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        self.counters
+        let mut rows: Vec<(String, u64)> = self
+            .counters
             .lock()
             .iter()
             .map(|(name, labels, c)| (keyed(name, labels), c.get()))
-            .collect()
+            .collect();
+        // Cloned out so no probe runs under the registry's lock.
+        let probes = self.probes.lock().clone();
+        rows.extend(
+            probes
+                .iter()
+                .map(|(name, labels, p)| (keyed(name, labels), (p.0)())),
+        );
+        rows
     }
 
     /// Every registered histogram as a `(name{labels}, digest)` row.
@@ -182,6 +217,24 @@ mod tests {
                 ("requests{gpu=1,tenant=2}".to_owned(), 7),
                 ("requests".to_owned(), 7),
             ]
+        );
+    }
+
+    #[test]
+    fn probes_read_through_at_snapshot_time() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let r = Registry::new();
+        let c = r.counter("requests", Labels::none());
+        let device = Arc::new(AtomicU64::new(5));
+        let seen = Arc::clone(&device);
+        r.probe("busy_ns", Labels::gpu(0), move || {
+            seen.load(Ordering::Relaxed)
+        });
+        c.incr();
+        device.store(9, Ordering::Relaxed);
+        assert_eq!(
+            r.snapshot(),
+            vec![("requests".to_owned(), 1), ("busy_ns{gpu=0}".to_owned(), 9),]
         );
     }
 

@@ -38,7 +38,7 @@ mod stats;
 mod timings;
 
 pub use clock::{Clock, Horizon};
-pub use resource::{BandwidthResource, Reservation, SerialResource};
+pub use resource::{BandwidthResource, ChunkPos, Reservation, SerialResource};
 pub use stats::{ByteLedger, Counter};
 pub use timings::Timings;
 

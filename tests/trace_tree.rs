@@ -8,7 +8,9 @@
 //!   root), and
 //! * if it is a daemon pipeline chunk (`pread`/`dma`/`gather`/
 //!   `pwrite`), hang under its serving RPC's `serve:*` span — which in
-//!   turn hangs under the client-side `rpc:*` span of the same trace.
+//!   turn hangs under the client-side `rpc:*` span of the same trace —
+//!   and, if it is a DMA span, split its extent exactly into `queue_ns`
+//!   and `service_ns`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -113,6 +115,18 @@ fn assert_well_formed(spans: &[SpanRecord]) {
                 s.name,
                 parent.name
             );
+        }
+        // A DMA span covers its engine reservation from issue to
+        // completion, and says how that splits into queueing and service.
+        if matches!(s.name, "dma" | "gather") {
+            let attr = |key: &str| {
+                let found = s.attrs.iter().find(|(k, _)| *k == key);
+                found
+                    .unwrap_or_else(|| panic!("{} span without `{key}`", s.name))
+                    .1
+            };
+            assert_eq!(attr("queue_ns") + attr("service_ns"), s.end - s.start);
+            assert!(attr("joined") <= 1);
         }
         if s.name.starts_with("serve:") {
             assert!(
