@@ -2,8 +2,9 @@
 //!
 //! A 1.8 GB file (scaled) is read three ways with a warm host page cache:
 //! (a) from the GPU kernel via GPUfs (`gmmap` of consecutive pages) — at
-//! readahead window 1 (the paper's strictly on-demand paging) and
-//! window 8 (batched multi-page RPC), (b) a hand-written CUDA pipeline
+//! readahead window 1 on the paper prototype's daemon (strictly on-demand
+//! paging, one DMA per RPC: the paper's curve) and at window 8 on the
+//! default engine (batched multi-page RPC), (b) a hand-written CUDA pipeline
 //! moving chunks the size of a GPUfs page through pinned staging buffers,
 //! and (c) one whole-file read plus one (pageable-memory) transfer. The
 //! red reference line is the maximum achievable PCIe bandwidth,
@@ -11,7 +12,10 @@
 
 use std::sync::Arc;
 
-use gpufs_bench::{banner, fig4_gpufs_phase, human_size, rig, secs, PAGE_SIZES, SCALE};
+use gpufs_bench::{
+    banner, fig4_gpufs_phase, fig4_gpufs_phase_chunk, human_size, rig, secs, PAGE_SIZES,
+    PROTOTYPE_DAEMON, SCALE,
+};
 use gpusim::HostPinned;
 use hostfs::OpenFlags;
 use simtime::{bw_time_ns, throughput_mb_s, Clock, Timings};
@@ -76,8 +80,9 @@ fn main() {
             "file = {} MB (paper: 1800 MB, scale 1/{SCALE}), warm host cache, 28 threadblocks\n\
              paper reference points: GPUfs ~500 MB/s @16K rising to ~5400 MB/s @16M;\n\
              whole-file transfer 2100 MB/s; max PCIe 5731 MB/s.\n\
-             readahead axis: w=1 reproduces the paper's on-demand paging, w=8 batches\n\
-             8 pages per RPC (one round-trip + one DMA setup per batch)",
+             readahead axis: w=1 reproduces the paper's on-demand paging on the prototype's\n\
+             daemon (io_chunk_pages = 0: every fault its own DMA transaction); w=8 batches\n\
+             8 pages per RPC on the default engine (one round-trip, setups shared on the ring)",
             FILE_BYTES >> 20
         ),
     );
@@ -87,7 +92,7 @@ fn main() {
         "page", "GPUfs w=1 (MB/s)", "GPUfs w=8 (MB/s)", "pipeline (MB/s)", "whole-file (MB/s)"
     );
     for &page in PAGE_SIZES {
-        let gpufs_w1 = fig4_gpufs_phase(FILE_BYTES, page, 1);
+        let gpufs_w1 = fig4_gpufs_phase_chunk(FILE_BYTES, page, 1, Some(PROTOTYPE_DAEMON));
         let gpufs_w8 = fig4_gpufs_phase(FILE_BYTES, page, 8);
         let pipeline = cuda_pipeline_phase(page);
         println!(

@@ -27,6 +27,9 @@
 //!   byte scanned beyond the single-host baseline's cold faults — the
 //!   host caches absorb re-reads, which is the point of the tier.
 //!
+//! Like the BENCH_scale sweeps it is held against, every fleet here
+//! runs the paper prototype's daemon (`gpufs_bench::PROTOTYPE_DAEMON`).
+//!
 //! Set `GPUFS_BENCH_SMOKE=1` for a tiny-scale run (≤ 2×2, small corpus)
 //! — used by CI to keep this recorder from rotting; smoke records go to
 //! a scratch path, never to the repo's BENCH file. The smoke compat

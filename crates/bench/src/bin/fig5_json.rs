@@ -14,10 +14,12 @@
 //!
 //! * `sweep` — the Figure-5 breakdown (total, −DMA, −file I/O, −both,
 //!   in ms) of the 28-block window-1 workload under a 2-worker /
-//!   4-channel pool: the PR-3 baseline, bit-for-bit insensitive to the
-//!   I/O engine (window-1 batches are single-page), so every record
-//!   doubles as the compat-reproduction proof. Its 64 KB overlap is
-//!   recorded as `compat_overlap_64k` (recorded baseline: 0.973).
+//!   4-channel pool: the PR-3 baseline, pinned by `fig5_phase` to the
+//!   paper prototype's daemon (`io_chunk_pages = 0`: on the default
+//!   engine its concurrent single-page faults would join the DMA ring),
+//!   so every record doubles as the compat-reproduction proof. Its
+//!   64 KB overlap is recorded as `compat_overlap_64k` (recorded
+//!   baseline: 0.973).
 //! * `pipe` — the per-RPC pipeline breakdown: **one** threadblock
 //!   streams at readahead window 8, where a batch is a real multi-page
 //!   RPC and the daemon engine's internal serialization is the dominant

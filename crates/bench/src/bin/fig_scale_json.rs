@@ -29,6 +29,12 @@
 //!   full scale they must keep reproducing the recorded single-mount
 //!   baseline (w1@64K 1798.2 MB/s, w8@64K 4378.2 MB/s at scale 16).
 //!
+//! Every fleet here runs the paper prototype's daemon
+//! (`gpufs_bench::PROTOTYPE_DAEMON`), as the recorded trajectory did: the
+//! sweeps put up to eight GPUs' concurrent single-page faults behind one
+//! daemon worker, which the default engine would serve through the DMA
+//! ring and bound by that worker's CPU time.
+//!
 //! Set `GPUFS_BENCH_SMOKE=1` for a tiny-scale run (2 GPUs, small
 //! corpus, scaled-down fig4 file) — used by CI to keep this recorder
 //! from rotting; smoke records go to a scratch path, never to the

@@ -20,6 +20,15 @@ use workloads::corpus::{gen_image_dataset, ImageDatasetConfig};
 /// Dataset scale-down factor relative to the paper's testbed.
 pub const SCALE: u64 = 16;
 
+/// `io_chunk_pages` of the paper prototype's daemon: the serialized
+/// engine, one one-shot scatter-gather transaction per RPC, worker CPU
+/// counted but never queued for. The recorded paper baselines pin it
+/// wherever concurrent single-page faults would otherwise be appended to
+/// a running DMA ring — and stop paying the per-DMA setup the paper's
+/// figures measure — or would ask one daemon worker for more CPU time
+/// than it has.
+pub const PROTOTYPE_DAEMON: usize = 0;
+
 /// The page sizes swept in Figures 4–6 (16 KB – 16 MB).
 pub const PAGE_SIZES: &[usize] = &[
     16 << 10,
@@ -49,26 +58,12 @@ pub struct Rig {
 /// `host_mem_bytes` of host RAM (page cache + pinned pool), and `timings`.
 #[must_use]
 pub fn rig(n_gpus: usize, gpu_mem_bytes: usize, host_mem_bytes: u64, timings: &Timings) -> Rig {
-    rig_pool(n_gpus, gpu_mem_bytes, host_mem_bytes, timings, 1, 1)
-}
-
-/// [`rig`] with the daemon concurrency knobs: `channels` independent RPC
-/// channels served by `workers` daemon threads.
-#[must_use]
-pub fn rig_pool(
-    n_gpus: usize,
-    gpu_mem_bytes: usize,
-    host_mem_bytes: u64,
-    timings: &Timings,
-    channels: usize,
-    workers: usize,
-) -> Rig {
     rig_cfg(
         n_gpus,
         gpu_mem_bytes,
         host_mem_bytes,
         timings,
-        &GpufsConfig::default().with_concurrency(channels, workers),
+        &GpufsConfig::default(),
     )
 }
 
@@ -198,6 +193,12 @@ fn fig4_drive(
 /// whatever timing components `timings` has surgically removed. Returns
 /// the elapsed virtual time.
 ///
+/// Figure 5 breaks down the paper prototype, so the phase pins the
+/// prototype's daemon ([`PROTOTYPE_DAEMON`]): its 28 blocks fault single
+/// pages concurrently, which on the default engine would join the
+/// scatter-gather ring and stop paying the very per-DMA setup the
+/// figure's `−DMA` column measures.
+///
 /// Shared between the `fig5_breakdown` bench target and the `fig5_json`
 /// perf-trajectory recorder so both measure the same thing.
 ///
@@ -213,14 +214,11 @@ pub fn fig5_phase(
     workers: usize,
 ) -> Nanos {
     let cache = (file_bytes as usize + 16 * page).next_power_of_two();
-    let r = rig_pool(1, cache + (64 << 20), 8 << 30, timings, channels, workers);
-    let mount = r
-        .host
-        .mount(
-            0,
-            GpufsConfig::new(page, cache).with_concurrency(channels, workers),
-        )
-        .unwrap();
+    let cfg = GpufsConfig::new(page, cache)
+        .with_concurrency(channels, workers)
+        .with_io_chunk(PROTOTYPE_DAEMON);
+    let r = rig_cfg(1, cache + (64 << 20), 8 << 30, timings, &cfg);
+    let mount = r.host.mount(0, cfg).unwrap();
     // fig4_drive creates and warms the input itself.
     fig4_drive(&r.fs, &r.gpus[0], &mount, file_bytes, page)
 }
@@ -580,7 +578,9 @@ const SCALE_CHUNK: usize = 16;
 /// `i`'s image count for skew experiments) are sharded across an
 /// `n_gpus` fleet — 64 KB pages, 32 MB buffer cache per GPU, one shared
 /// host FS with a warm page cache — and scanned exhaustively against
-/// the query set under `strategy`.
+/// the query set under `strategy`. Like every recorded paper baseline
+/// whose blocks fault single pages concurrently, it runs on the
+/// prototype's daemon ([`PROTOTYPE_DAEMON`]).
 ///
 /// # Panics
 ///
@@ -616,7 +616,7 @@ pub fn scale_phase(
     let fleet = FleetBuilder::new(n_gpus)
         .spec(paper_gpu_spec(256 << 20))
         .timings(t)
-        .config(GpufsConfig::new(64 << 10, 32 << 20))
+        .config(GpufsConfig::new(64 << 10, 32 << 20).with_io_chunk(PROTOTYPE_DAEMON))
         .host_fs(Arc::clone(&fs))
         .build()
         .expect("scale fleet");
@@ -705,7 +705,7 @@ pub fn dist_phase(
     let fleet = HostFleet::builder(hosts, gpus_per_host)
         .spec(paper_gpu_spec(256 << 20))
         .timings(t)
-        .config(GpufsConfig::new(64 << 10, 32 << 20))
+        .config(GpufsConfig::new(64 << 10, 32 << 20).with_io_chunk(PROTOTYPE_DAEMON))
         .storage_fs(Arc::clone(&fs))
         .host_cache_pages(cache_pages)
         .build()

@@ -114,9 +114,14 @@ pub struct GpufsConfig {
     /// chunk costs only a cheap CPU-side submit
     /// ([`simtime::Timings::dma_chunk_ns`]).
     ///
-    /// `0` (or any value at least the batch width) disables the pipeline
-    /// and reproduces the serialized engine exactly: all preads, then one
-    /// DMA (and the inverse for writes). Host-side state like
+    /// Any value at least the batch width disables the pipeline for that
+    /// batch: all preads, then one DMA (and the inverse for writes). `0`
+    /// is the serialized engine proper and the **paper prototype's
+    /// daemon**, the setting every recorded Figure 4/5 and scaling
+    /// baseline pins: each RPC's DMA is a one-shot transaction that pays
+    /// its own setup and never joins the engine's descriptor ring, and
+    /// worker CPU time is counted but never waited for — as it was when
+    /// those figures were recorded. Host-side state like
     /// [`GpufsConfig::daemon_workers`]: consumed by
     /// [`crate::GpufsHost::with_config`] and validated at `mount`.
     pub io_chunk_pages: usize,
@@ -130,9 +135,12 @@ pub struct GpufsConfig {
     pub rpc_channels: usize,
     /// Threads in the host daemon's worker pool serving those channels
     /// (paper §4.3: a multi-threaded daemon overlapping host file I/O
-    /// with DMA). `1` is the original single-threaded event loop.
-    /// Host-side state, validated at `mount` like
-    /// [`GpufsConfig::rpc_channels`].
+    /// with DMA). `1` is the original single-threaded event loop. It is
+    /// also the CPU the daemon has in virtual time: requests draw their
+    /// dispatch, file-I/O and DMA-submit costs from a pool of this many
+    /// workers and queue once they ask for more
+    /// ([`simtime::WorkerPool`]). Host-side state, validated at `mount`
+    /// like [`GpufsConfig::rpc_channels`].
     pub daemon_workers: usize,
     /// Staging depth, in chunks, of the daemon's pipelined read engine.
     /// `2` (the default) is classic double-buffering and reproduces the
@@ -270,7 +278,7 @@ impl GpufsConfig {
 
     /// Copy with the daemon's pipelined-I/O chunk size set to `pages`
     /// (`0` = the serialized engine: all file I/O of a batch, then one
-    /// DMA).
+    /// one-shot DMA — the paper prototype's daemon).
     #[must_use]
     pub fn with_io_chunk(self, pages: usize) -> Self {
         Self {

@@ -13,21 +13,17 @@ use hostfs::{FsError, HostFs, OpenFlags};
 use simtime::{Clock, Nanos};
 
 use super::pipeline;
-use super::ServeStats;
+use super::ServeCtx;
 use crate::rpc::{Request, RespOk};
 
 /// Serve one request. Returns the response and the virtual time at which
 /// the requester may proceed (which, for reads, includes DMA the worker
 /// itself does not wait for).
-#[allow(clippy::too_many_arguments)]
 pub(super) fn serve(
     fs: &HostFs,
     gpus: &[Arc<Gpu>],
-    stats: &ServeStats<'_>,
+    ctx: &ServeCtx<'_>,
     clock: &mut Clock,
-    io_chunk_pages: usize,
-    io_depth: usize,
-    _gpu: usize,
     req: &Request,
 ) -> (Result<RespOk, FsError>, Nanos) {
     let now = clock.now();
@@ -38,7 +34,7 @@ pub(super) fn serve(
             create,
             truncate,
         } => {
-            stats.on(|s| s.opens.incr());
+            ctx.on(|s| s.opens.incr());
             let flags = OpenFlags {
                 read: true,
                 write: *write,
@@ -71,18 +67,11 @@ pub(super) fn serve(
             let r = fs.close(*fd).map(|()| RespOk::Done);
             (r, clock.now())
         }
-        Request::ReadPages { fd, pages, gpu } => pipeline::read_pages(
-            fs,
-            &gpus[*gpu],
-            stats,
-            clock,
-            io_chunk_pages,
-            io_depth,
-            *fd,
-            pages,
-        ),
+        Request::ReadPages { fd, pages, gpu } => {
+            pipeline::read_pages(fs, &gpus[*gpu], ctx, clock, *fd, pages)
+        }
         Request::WritePages { fd, pages, gpu } => {
-            pipeline::write_pages(fs, &gpus[*gpu], stats, clock, io_chunk_pages, *fd, pages)
+            pipeline::write_pages(fs, &gpus[*gpu], ctx, clock, *fd, pages)
         }
         Request::Fsync { fd } => match fs.fsync(*fd, now) {
             Ok(t) => {

@@ -7,27 +7,25 @@
 //! previous chunk, count it, and emit its span.
 //!
 //! Setup is owed by the first chunk a transaction ships — unless the
-//! engine still has another stream's descriptor list open when the chunk's
-//! data is ready, in which case the chunk is appended to that list (see
+//! engine's descriptor ring is still running when the chunk's data is
+//! ready, in which case the chunk is appended to it (see
 //! [`simtime::BandwidthResource::transfer_chunk`]): no setup on the
-//! engine, and the same [`simtime::Timings::dma_chunk_ns`] submit on the
-//! worker's clock that a continuation pays. A list is open only while a
-//! chunk with a successor is on the engine, so a transaction that fits in
-//! one chunk — every single-page fault, every batch no wider than
-//! `io_chunk_pages`, and the whole serialized engine (`io_chunk_pages =
-//! 0`, the paper prototype's DMA path) — never opens one, and traffic made
-//! only of those is priced exactly as before the rule existed.
+//! engine, and the same [`simtime::Timings::dma_chunk_ns`] submit a
+//! continuation pays, drawn like it from the worker pool. Every chunk the
+//! lane ships keeps the ring running until it lands, so under load —
+//! faults queueing behind a busy engine — setups all but disappear and the
+//! submits, which only `daemon_workers` threads can issue, become the
+//! bound.
 //!
-//! "Has a successor" is decided by chunk index, before the data is looked
-//! at: a read batch whose tail lies past end-of-file may declare a
-//! successor that then ships nothing. The list then stays open until that
-//! chunk's own reservation ends and no longer — a joiner still needs a
-//! running chunk to append to.
+//! The serialized engine (`io_chunk_pages = 0`) is the paper prototype's
+//! DMA path and the ring's ablation: it ships each RPC as one one-shot
+//! scatter-gather transaction, which pays its setup whatever the engine
+//! is doing and leaves no ring behind it.
 
 use gpusim::{DevPtr, Gpu};
-use simtime::{ChunkPos, Clock, Nanos, Reservation};
+use simtime::{Clock, Nanos, Reservation};
 
-use super::{DaemonStats, ServeStats};
+use super::{DaemonStats, ServeCtx};
 
 /// A PCIe direction, as the lane accounts for it.
 #[derive(Clone, Copy)]
@@ -43,8 +41,7 @@ enum Dir {
 /// The DMA chain of one `ReadPages` or `WritePages` transaction.
 pub(crate) struct DmaLane<'a> {
     gpu: &'a Gpu,
-    stats: &'a ServeStats<'a>,
-    submit_ns: Nanos,
+    ctx: &'a ServeCtx<'a>,
     /// Chunks shipped so far (empty chunks ship nothing and do not count).
     shipped: u64,
     /// When the last shipped chunk leaves the engine (0 before the first).
@@ -52,11 +49,10 @@ pub(crate) struct DmaLane<'a> {
 }
 
 impl<'a> DmaLane<'a> {
-    pub(crate) fn new(gpu: &'a Gpu, stats: &'a ServeStats<'a>, submit_ns: Nanos) -> Self {
+    pub(crate) fn new(gpu: &'a Gpu, ctx: &'a ServeCtx<'a>) -> Self {
         Self {
             gpu,
-            stats,
-            submit_ns,
+            ctx,
             shipped: 0,
             end: 0,
         }
@@ -73,12 +69,15 @@ impl<'a> DmaLane<'a> {
         &mut self,
         clock: &mut Clock,
         parts: &[(&[u8], DevPtr)],
-        last: bool,
     ) -> Reservation {
         let bytes = parts.iter().map(|(b, _)| b.len() as u64).sum();
-        let gpu = self.gpu;
-        self.ship(clock, Dir::H2d, bytes, last, |issue, pos| {
-            gpu.dma_h2d_scattered_chunk(parts, issue, pos)
+        let (gpu, one_shot) = (self.gpu, self.one_shot());
+        self.ship(clock, Dir::H2d, bytes, |issue, first| {
+            if one_shot {
+                gpu.dma_h2d_scattered(parts, issue)
+            } else {
+                gpu.dma_h2d_scattered_chunk(parts, issue, first)
+            }
         })
     }
 
@@ -91,13 +90,22 @@ impl<'a> DmaLane<'a> {
         clock: &mut Clock,
         ready: Nanos,
         parts: &mut [(DevPtr, &mut [u8])],
-        last: bool,
     ) -> Reservation {
         let bytes = parts.iter().map(|(_, b)| b.len() as u64).sum();
-        let gpu = self.gpu;
-        self.ship(clock, Dir::D2h { ready }, bytes, last, |issue, pos| {
-            gpu.dma_d2h_scattered_chunk(parts, issue, pos)
+        let (gpu, one_shot) = (self.gpu, self.one_shot());
+        self.ship(clock, Dir::D2h { ready }, bytes, |issue, first| {
+            if one_shot {
+                gpu.dma_d2h_scattered(parts, issue)
+            } else {
+                gpu.dma_d2h_scattered_chunk(parts, issue, first)
+            }
         })
+    }
+
+    /// The serialized engine has one chunk per RPC and ships it whole,
+    /// past the ring.
+    fn one_shot(&self) -> bool {
+        self.ctx.engine.io_chunk_pages == 0
     }
 
     fn ship(
@@ -105,12 +113,12 @@ impl<'a> DmaLane<'a> {
         clock: &mut Clock,
         dir: Dir,
         bytes: u64,
-        last: bool,
-        reserve: impl FnOnce(Nanos, ChunkPos) -> Reservation,
+        reserve: impl FnOnce(Nanos, bool) -> Reservation,
     ) -> Reservation {
+        let submit_ns = self.ctx.engine.timings.dma_chunk_ns;
         let first = self.shipped == 0;
         if !first {
-            clock.advance(self.submit_ns);
+            self.ctx.cpu(clock, submit_ns);
         }
         // Issued when the data is ready and the transaction's previous
         // chunk has left the engine: chunks of one transaction never
@@ -121,13 +129,13 @@ impl<'a> DmaLane<'a> {
         };
         let sp = obs::span(name);
         let issue = ready.max(self.end);
-        let r = reserve(issue, ChunkPos::new(first, last));
+        let r = reserve(issue, first);
         if r.joined {
-            // Appended to another stream's open list: a continuation's
-            // submit instead of a transaction's setup.
-            clock.advance(self.submit_ns);
+            // Appended to the running ring: a continuation's submit
+            // instead of a transaction's setup.
+            self.ctx.cpu(clock, submit_ns);
         }
-        self.stats.on(|s: &DaemonStats| {
+        self.ctx.on(|s: &DaemonStats| {
             let (moved, chunks, setups) = match dir {
                 Dir::H2d => (&s.bytes_h2d, &s.read_dma_chunks, &s.h2d_setups),
                 Dir::D2h { .. } => (&s.bytes_d2h, &s.write_dma_chunks, &s.d2h_setups),

@@ -22,31 +22,34 @@
 //!   chunk *k*.
 //! * **[`lane`]** — stage 2 of that engine, shared with the proxied
 //!   serve path (`remote::client`): the chain of DMA reservations of one
-//!   transaction. The first chunk shipped pays the DMA setup — unless it
-//!   joins a scatter-gather list another streamed batch still has open
-//!   on the engine; later chunks continue the transaction for a cheap
-//!   CPU-side submit.
+//!   transaction. The first chunk shipped pays the DMA setup — unless the
+//!   engine's descriptor ring is still running when the chunk is ready,
+//!   in which case it is appended; appended and later chunks cost a cheap
+//!   CPU-side submit instead.
 //!
 //! The pool defaults to a single worker — the paper restricts
 //! GPU-related CPU load to one core — and scales with
 //! [`crate::GpufsConfig::daemon_workers`]. Contention between
 //! concurrently served requests is arbitrated by the shared `simtime`
-//! resources underneath — the host file system's disk/page-cache devices
-//! and the per-direction PCIe [`simtime::BandwidthResource`]s — not by
-//! the real thread count, so virtual results are reproducible at any
-//! pool size.
+//! resources underneath — the host file system's disk/page-cache devices,
+//! the per-direction PCIe [`simtime::BandwidthResource`]s, and the
+//! workers' own CPU time, a [`simtime::WorkerPool`] of `daemon_workers`
+//! servers every request draws its dispatch, file-I/O and DMA-submit
+//! costs from ([`ServeCtx`]) — not by the real thread count or the real
+//! order threads happen to run in.
 
 pub(crate) mod handlers;
 pub(crate) mod lane;
 pub(crate) mod pipeline;
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use gpusim::Gpu;
 use hostfs::HostFs;
 use obs::{Counter, Labels, Registry, Tracer};
-use simtime::Clock;
+use simtime::{bw_time_ns, Clock, Nanos, Timings, WorkerPool};
 
 use crate::config::GpufsConfig;
 use crate::remote::HostProxy;
@@ -86,10 +89,11 @@ pub struct DaemonStats {
     /// mirror of [`DaemonStats::read_dma_chunks`].
     pub write_dma_chunks: Counter,
     /// H2D scatter-gather transactions that paid the engine's setup.
-    /// Equals the data-moving `ReadPages` count when every batch fits in
-    /// one chunk (single-page faults, the serialized engine); falls below
-    /// it when a batch's first chunk joins a list another streamed batch
-    /// still has open (`daemon/lane.rs`). The gap is the setups saved.
+    /// Equals the data-moving `ReadPages` count on the serialized engine
+    /// (`io_chunk_pages = 0`, one one-shot transaction per RPC) and on an
+    /// unloaded one; falls below it when a batch's first chunk finds the
+    /// engine's descriptor ring still running and joins it
+    /// (`daemon/lane.rs`). The gap is the setups saved.
     pub h2d_setups: Counter,
     /// D2H gather transactions that paid setup — the write-side mirror of
     /// [`DaemonStats::h2d_setups`].
@@ -165,23 +169,90 @@ impl DaemonStats {
     }
 }
 
-/// The stat sheet one served request lands on: the single
-/// per-`(gpu, tenant)` *leaf* sheet of the requesting GPU and issuing
-/// tenant. The host-wide aggregate and the per-GPU / per-tenant
-/// breakdowns are [`DaemonStats::sum_of`] views over these leaves, so
-/// the one write [`ServeStats::on`] makes here is visible on every sheet
-/// by construction — which is what makes [`GpufsHost::stats_for`] and
-/// [`GpufsHost::stats_for_tenant`] trustworthy when several mounts (or
-/// tenant classes) share one daemon.
-pub(crate) struct ServeStats<'a> {
+/// What one served request carries to every place that counts or charges
+/// on its behalf.
+///
+/// *Counts* land on the single per-`(gpu, tenant)` *leaf* sheet of the
+/// requesting GPU and issuing tenant. The host-wide aggregate and the
+/// per-GPU / per-tenant breakdowns are [`DaemonStats::sum_of`] views over
+/// these leaves, so the one write [`ServeCtx::on`] makes here is visible
+/// on every sheet by construction — which is what makes
+/// [`GpufsHost::stats_for`] and [`GpufsHost::stats_for_tenant`]
+/// trustworthy when several mounts (or tenant classes) share one daemon.
+///
+/// *CPU charges* — time a worker thread spends computing, as opposed to
+/// blocked on a disk, a link or a DMA landing — are drawn from the host's
+/// [`WorkerPool`]: [`ServeCtx::cpu`] and [`ServeCtx::file_io`]. While the
+/// pool has spare capacity a draw costs exactly what advancing the clock
+/// would; once requests ask for more CPU than `daemon_workers` threads
+/// have, the draw waits its turn and the wait lands on the request's
+/// clock (and in its `serve:*` span as `queue_ns`).
+pub(crate) struct ServeCtx<'a> {
     leaf: &'a DaemonStats,
+    pub(crate) engine: &'a Engine,
+    /// Time this request has waited for a worker so far.
+    queue_ns: Cell<Nanos>,
+    /// Pool time this request has drawn so far.
+    cpu_ns: Cell<Nanos>,
 }
 
-impl ServeStats<'_> {
+/// The per-host half of every [`ServeCtx`]: the I/O engine's settings and
+/// the CPU time of the worker threads that run it.
+#[derive(Debug)]
+pub(crate) struct Engine {
+    workers: WorkerPool,
+    pub(crate) timings: Timings,
+    /// Chunk size in pages; `0` is the serialized engine on the paper
+    /// prototype's one-DMA-per-RPC path.
+    pub(crate) io_chunk_pages: usize,
+    /// Read-staging depth in chunks.
+    pub(crate) io_depth: usize,
+}
+
+impl ServeCtx<'_> {
     /// Apply one counter update to the request's leaf sheet (every
     /// aggregate view reads through to it).
     pub(crate) fn on(&self, f: impl Fn(&DaemonStats)) {
         f(self.leaf);
+    }
+
+    /// Spend `ns` of a worker's CPU time on `clock`.
+    pub(crate) fn cpu(&self, clock: &mut Clock, ns: Nanos) {
+        let issued = clock.now();
+        clock.advance(ns);
+        self.draw(clock, issued, ns);
+    }
+
+    /// Account the CPU half of file-system calls that were issued at
+    /// `issued` and whose completion `clock` has already waited for: per
+    /// call, the syscall plus the page-cache copy of the bytes it moved.
+    /// (The other half — a disk access, the storage server's link — is
+    /// waiting and holds no worker.)
+    pub(crate) fn file_io(
+        &self,
+        clock: &mut Clock,
+        issued: Nanos,
+        call_bytes: impl Iterator<Item = usize>,
+    ) {
+        let t = &self.engine.timings;
+        let cpu = call_bytes
+            .map(|n| t.host_syscall_ns + bw_time_ns(n as u64, t.host_cached_mb_s))
+            .sum();
+        self.draw(clock, issued, cpu);
+    }
+
+    /// Draw `cpu` ns from the pool for work `clock` has already been
+    /// advanced over since `issued`: if no worker was free at `issued`
+    /// the work began that much later, and so does everything after it.
+    fn draw(&self, clock: &mut Clock, issued: Nanos, cpu: Nanos) {
+        if cpu == 0 {
+            // Costs excluded from the model (Figure 5) wait for nobody.
+            return;
+        }
+        let queued = self.engine.workers.acquire(issued, cpu).start - issued;
+        clock.advance(queued);
+        self.queue_ns.set(self.queue_ns.get() + queued);
+        self.cpu_ns.set(self.cpu_ns.get() + cpu);
     }
 }
 
@@ -219,8 +290,9 @@ pub struct GpufsHost {
     /// The host's span tracer (off by default; see [`GpufsHost::set_tracing`]).
     tracer: Tracer,
     worker_count: usize,
-    io_chunk_pages: usize,
-    io_depth: usize,
+    /// The I/O engine's settings and the workers' CPU pool, shared with
+    /// the worker threads.
+    engine: Arc<Engine>,
     /// When set, this daemon is the host side of a cross-host fleet:
     /// workers serve requests through the proxy's wire boundary
     /// (`remote::client::serve`) instead of calling the file system
@@ -324,6 +396,28 @@ impl GpufsHost {
             registry.probe("pcie_h2d_busy_ns", labels, move || h2d.dma().busy_ns().0);
             registry.probe("pcie_d2h_busy_ns", labels, move || d2h.dma().busy_ns().1);
         }
+        let worker_count = config.daemon_workers.max(1);
+        // The paper-prototype path (`io_chunk_pages = 0`) exists to
+        // reproduce figures recorded while worker CPU was free, and some
+        // of them ask for more of it than their daemon had (Figure 5's
+        // DMA-excluded leg, eight GPUs behind one worker). Its pool counts
+        // what requests draw but has a server for every one of them.
+        let servers = match config.io_chunk_pages {
+            0 => usize::MAX,
+            _ => worker_count,
+        };
+        let engine = Arc::new(Engine {
+            workers: WorkerPool::new(servers),
+            timings: fs.timings().clone(),
+            io_chunk_pages: config.io_chunk_pages,
+            io_depth: config.io_depth.max(2),
+        });
+        // The same for the worker threads: CPU time drawn, summed over the
+        // pool. Over `elapsed × daemon_workers` it is their occupancy.
+        let cpu = Arc::clone(&engine);
+        registry.probe("daemon_worker_busy_ns", Labels::none(), move || {
+            cpu.workers.busy_ns()
+        });
         let per_gpu_stats: Vec<Arc<DaemonStats>> = cell_stats
             .iter()
             .map(|row| Arc::new(DaemonStats::sum_of(row.iter().map(Arc::as_ref))))
@@ -335,9 +429,6 @@ impl GpufsHost {
                 ))
             })
             .collect();
-        let worker_count = config.daemon_workers.max(1);
-        let io_chunk_pages = config.io_chunk_pages;
-        let io_depth = config.io_depth.max(2);
         let workers = (0..worker_count)
             .map(|w| {
                 let fs = Arc::clone(&fs);
@@ -346,19 +437,11 @@ impl GpufsHost {
                 let cells = cell_stats.clone();
                 let tracer = tracer.clone();
                 let proxy = proxy.clone();
+                let engine = Arc::clone(&engine);
                 std::thread::Builder::new()
                     .name(format!("gpufs-worker-{w}"))
                     .spawn(move || {
-                        worker_loop(
-                            &fs,
-                            proxy.as_deref(),
-                            &gpus,
-                            &hub,
-                            &cells,
-                            &tracer,
-                            io_chunk_pages,
-                            io_depth,
-                        )
+                        worker_loop(&fs, proxy.as_deref(), &gpus, &hub, &cells, &tracer, &engine)
                     })
                     .unwrap_or_else(|e| {
                         // No daemon without its worker threads: spawn
@@ -380,8 +463,7 @@ impl GpufsHost {
             registry,
             tracer,
             worker_count,
-            io_chunk_pages,
-            io_depth,
+            engine,
             proxy,
             workers,
         }
@@ -487,14 +569,14 @@ impl GpufsHost {
     /// this host was started with; `0` is the serialized engine.
     #[must_use]
     pub fn io_chunk_pages(&self) -> usize {
-        self.io_chunk_pages
+        self.engine.io_chunk_pages
     }
 
     /// Staging depth (in chunks) of the pipelined read engine this host
     /// was started with; `2` is classic double-buffering.
     #[must_use]
     pub fn io_depth(&self) -> usize {
-        self.io_depth
+        self.engine.io_depth
     }
 
     /// Stop the worker pool. Idempotent. Requests queued before the stop
@@ -538,7 +620,6 @@ fn serve_span_name(req: &Request) -> &'static str {
 
 /// One worker of the daemon pool: claim requests from the hub's channels
 /// until shutdown, serving each against the host FS and DMA engines.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     fs: &HostFs,
     proxy: Option<&HostProxy>,
@@ -546,56 +627,46 @@ fn worker_loop(
     hub: &RpcHub,
     cells: &[Vec<Arc<DaemonStats>>],
     tracer: &Tracer,
-    io_chunk_pages: usize,
-    io_depth: usize,
+    engine: &Engine,
 ) {
-    let timings = fs.timings().clone();
+    let timings = &engine.timings;
     while let Some(env) = hub.next() {
         let row = &cells[env.gpu];
-        let stats = ServeStats {
+        let ctx = ServeCtx {
             leaf: &row[env.tenant.min(row.len() - 1)],
+            engine,
+            queue_ns: Cell::new(0),
+            cpu_ns: Cell::new(0),
         };
-        stats.on(|s| s.requests.incr());
+        ctx.on(|s| s.requests.incr());
         // Adopt the issuing g* call's trace context so this worker's
         // spans (and any it forwards over the wire) nest under the
         // client's RPC span.
         let _scope = tracer.adopt(env.ctx);
         // Each request is timed from its own issue point: poll-notice
-        // latency plus dispatch, then the host file system and DMA
-        // engines — which carry all the real serialization (disk head,
-        // PCIe direction). The daemon's own event loop is orders of
-        // magnitude faster than either and is not modeled as a shared
-        // bottleneck, which also makes virtual time independent of the
-        // real worker count (requests drain in claim order regardless).
+        // latency, then dispatch — the first CPU time it draws from the
+        // worker pool, so a request no worker is free for waits here —
+        // then the host file system and DMA engines. All of it is
+        // arbitrated in virtual time, which keeps the result independent
+        // of which real thread claimed the envelope and when.
         let mut clock = Clock::starting_at(env.issue + timings.rpc_poll_ns);
-        clock.advance(timings.rpc_dispatch_ns);
+        ctx.cpu(&mut clock, timings.rpc_dispatch_ns);
         let sp = obs::span(serve_span_name(&env.req));
         let serve_start = clock.now();
         let (result, end) = match proxy {
             // Host side of a cross-host fleet: the same serve sequence,
             // but through the proxy's wire boundary and host cache.
-            Some(p) => crate::remote::client::serve(
-                p,
-                gpus,
-                &stats,
-                &mut clock,
-                io_chunk_pages,
-                io_depth,
-                env.gpu,
-                &env.req,
-            ),
-            None => handlers::serve(
-                fs,
-                gpus,
-                &stats,
-                &mut clock,
-                io_chunk_pages,
-                io_depth,
-                env.gpu,
-                &env.req,
-            ),
+            Some(p) => crate::remote::client::serve(p, gpus, &ctx, &mut clock, &env.req),
+            None => handlers::serve(fs, gpus, &ctx, &mut clock, &env.req),
         };
-        sp.finish(serve_start, end);
+        sp.finish_attrs(
+            serve_start,
+            end,
+            &[
+                ("queue_ns", ctx.queue_ns.get()),
+                ("cpu_ns", ctx.cpu_ns.get()),
+            ],
+        );
         // Sends fail only if the caller vanished (e.g. a panicking test
         // threadblock); the daemon itself must keep serving others.
         let _ = env.tx.send((result, end));

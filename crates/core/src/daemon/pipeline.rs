@@ -24,11 +24,14 @@
 //! of chunk reservations, each issued no earlier than its data is ready
 //! *and* no earlier than the previous chunk ends (chunks of one
 //! transaction never overlap each other on the engine). Setup is paid at
-//! most once, on the first chunk shipped — not at all if that chunk joins
-//! a list another stream still has open on the engine; each later chunk
-//! charges the cheap CPU-side submit [`simtime::Timings::dma_chunk_ns`]
-//! to the worker. `io_chunk_pages = 0` — or any chunk at least the batch
-//! width — collapses to exactly the serialized engine.
+//! most once, on the first chunk shipped — not at all if that chunk finds
+//! the engine's descriptor ring still running and joins it; each later or
+//! joined chunk charges the cheap CPU-side submit
+//! [`simtime::Timings::dma_chunk_ns`] to the worker. Any chunk at least
+//! the batch width collapses to the serialized engine's schedule — all
+//! preads, then one DMA; `io_chunk_pages = 0` is that engine proper, on
+//! the paper prototype's DMA path (one one-shot transaction per RPC, past
+//! the ring).
 //!
 //! Error semantics are those of the serialized engine: a failure in any
 //! chunk fails the whole RPC (the requester unwinds the batch — frames
@@ -40,26 +43,18 @@ use hostfs::{FsError, HostFd, HostFs};
 use simtime::{Clock, Nanos};
 
 use super::lane::DmaLane;
-use super::ServeStats;
+use super::ServeCtx;
 use crate::rpc::{PageRead, PageWrite, RespOk};
 
 /// The chunks of a batch under the `io_chunk_pages` setting (`0` = the
-/// whole batch in one chunk, i.e. serialized), each with its index and
-/// whether it is the batch's last. Shared with the remote mirror of this
-/// engine in `remote::client`.
-pub(crate) fn chunks<T>(
-    io_chunk_pages: usize,
-    pages: &[T],
-) -> impl Iterator<Item = (usize, &[T], bool)> {
+/// whole batch in one chunk, i.e. serialized), each with its index.
+/// Shared with the remote mirror of this engine in `remote::client`.
+pub(crate) fn chunks<T>(io_chunk_pages: usize, pages: &[T]) -> impl Iterator<Item = (usize, &[T])> {
     let step = match io_chunk_pages {
         0 => pages.len().max(1),
         n => n,
     };
-    let n_chunks = pages.len().div_ceil(step);
-    pages
-        .chunks(step)
-        .enumerate()
-        .map(move |(j, chunk)| (j, chunk, j + 1 == n_chunks))
+    pages.chunks(step).enumerate()
 }
 
 /// Serve a `ReadPages` batch: pread chunk *k+1* while the scatter-gather
@@ -77,31 +72,29 @@ pub(crate) fn chunks<T>(
 /// each page's individual ready time (its chunk's DMA completion)
 /// carried back so the client can gate pins per page instead of on the
 /// whole batch.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn read_pages(
     fs: &HostFs,
     gpu: &Gpu,
-    stats: &ServeStats<'_>,
+    ctx: &ServeCtx<'_>,
     clock: &mut Clock,
-    io_chunk_pages: usize,
-    io_depth: usize,
     fd: HostFd,
     pages: &[PageRead],
 ) -> (Result<RespOk, FsError>, Nanos) {
     if pages.len() > 1 {
-        stats.on(|s| {
+        ctx.on(|s| {
             s.batched_rpcs.incr();
             s.pages_per_rpc.add(pages.len() as u64);
         });
     }
+    let io_depth = ctx.engine.io_depth;
     let deep = io_depth > 2;
-    let mut lane = DmaLane::new(gpu, stats, fs.timings().dma_chunk_ns);
+    let mut lane = DmaLane::new(gpu, ctx);
     let mut ns = Vec::with_capacity(pages.len());
     let mut ready: Vec<Nanos> = Vec::with_capacity(pages.len());
     // When each chunk's staging buffer frees again: its DMA end, or 0 for
     // chunks that shipped nothing.
     let mut free_at: Vec<Nanos> = Vec::new();
-    for (j, chunk, last) in chunks(io_chunk_pages, pages) {
+    for (j, chunk) in chunks(ctx.engine.io_chunk_pages, pages) {
         // Depth-k staging bound: chunk j reuses the buffer of chunk
         // j - io_depth and must wait for that DMA to complete. Double
         // buffering keeps the prior engine's unbounded-within-the-batch
@@ -117,9 +110,11 @@ pub(super) fn read_pages(
         let mut staging: Vec<Vec<u8>> = Vec::with_capacity(chunk.len());
         for page in chunk {
             let mut buf = vec![0u8; page.len];
-            match fs.pread(fd, page.offset, &mut buf, clock.now()) {
+            let issued = clock.now();
+            match fs.pread(fd, page.offset, &mut buf, issued) {
                 Ok((n, t)) => {
                     clock.wait_until(t);
+                    ctx.file_io(clock, issued, std::iter::once(n));
                     buf.truncate(n);
                     ns.push(n);
                     staging.push(buf);
@@ -144,7 +139,7 @@ pub(super) fn read_pages(
         let chunk_ready = if parts.is_empty() {
             0
         } else {
-            lane.read_chunk(clock, &parts, last).end
+            lane.read_chunk(clock, &parts).end
         };
         free_at.push(chunk_ready);
         for buf in &staging {
@@ -177,14 +172,13 @@ pub(super) fn read_pages(
 pub(super) fn write_pages(
     fs: &HostFs,
     gpu: &Gpu,
-    stats: &ServeStats<'_>,
+    ctx: &ServeCtx<'_>,
     clock: &mut Clock,
-    io_chunk_pages: usize,
     fd: HostFd,
     pages: &[PageWrite],
 ) -> (Result<RespOk, FsError>, Nanos) {
     if pages.len() > 1 {
-        stats.on(|s| {
+        ctx.on(|s| {
             s.batched_write_rpcs.incr();
             s.pages_per_write_rpc.add(pages.len() as u64);
         });
@@ -195,9 +189,9 @@ pub(super) fn write_pages(
         let generation = fs.consistency().generation(ino);
         return (Ok(RespOk::Wrote { n: 0, generation }), clock.now());
     }
-    let mut lane = DmaLane::new(gpu, stats, fs.timings().dma_chunk_ns);
+    let mut lane = DmaLane::new(gpu, ctx);
     let mut written = 0usize;
-    for (_, chunk, last) in chunks(io_chunk_pages, pages) {
+    for (_, chunk) in chunks(ctx.engine.io_chunk_pages, pages) {
         // Flatten this chunk's dirty extents into one scatter-gather
         // descriptor list; only the modified bytes travel.
         let mut srcs: Vec<(DevPtr, u64)> = Vec::new(); // (gpu addr, file off)
@@ -219,16 +213,18 @@ pub(super) fn write_pages(
         // The gather chain runs independently of the pwrite lane: chunk
         // k+1's gather starts when the engine frees up (gather k's end),
         // not after chunk k's pwrites.
-        let r = lane.write_chunk(clock, issue, &mut parts, last);
+        let r = lane.write_chunk(clock, issue, &mut parts);
         drop(parts);
         // This chunk's bytes must be in host memory before its pwrites.
         clock.wait_until(r.end);
         let pwrite_sp = obs::span("pwrite");
         let pwrite_start = clock.now();
         for (&(_, file_off), data) in srcs.iter().zip(&staging) {
-            match fs.pwrite(fd, file_off, data, clock.now()) {
+            let issued = clock.now();
+            match fs.pwrite(fd, file_off, data, issued) {
                 Ok((n, t)) => {
                     clock.wait_until(t);
+                    ctx.file_io(clock, issued, std::iter::once(n));
                     written += n;
                 }
                 Err(e) => return (Err(e), clock.now()),
@@ -268,6 +264,12 @@ mod tests {
             panic!("expected Opened")
         };
         fd
+    }
+
+    /// One row of the host's registry snapshot.
+    fn row(h: &GpufsHost, key: &str) -> u64 {
+        let snap = h.registry().snapshot();
+        snap.iter().find(|(k, _)| k == key).unwrap().1
     }
 
     fn read_batch(h: &GpufsHost, fd: hostfs::HostFd, pages: Vec<PageRead>) -> (Vec<usize>, Nanos) {
@@ -808,9 +810,9 @@ mod tests {
 
     #[test]
     fn unloaded_single_page_read_costs_what_it_did_before_the_ring() {
-        // One 64 KB ReadPages on an idle engine, at the figure recorded at
-        // the parent commit: a transaction of one chunk neither opens nor
-        // joins a list, on any engine setting.
+        // One 64 KB ReadPages on an idle engine and an idle worker pool, at
+        // the figure recorded before either was modelled: nothing is
+        // running to join and no draw has to wait, on any engine setting.
         for (io_chunk, io_depth) in [(0, 2), (2, 2), (2, 4), (8, 2)] {
             let (t, ready, _) = depth_read(io_chunk, io_depth, 1);
             assert_eq!((t, ready), (8_543_420, vec![8_540_420]));
@@ -864,10 +866,10 @@ mod tests {
 
     #[test]
     fn single_page_requests_each_pay_their_own_setup() {
-        // Even back to back at one virtual instant, and even after a
-        // streamed batch has come and gone: one-chunk transactions never
-        // open a list, so among themselves they never find one.
-        let h = host_chunked(2);
+        // On the paper prototype's DMA path every RPC is a one-shot
+        // transaction: even back to back at one virtual instant, each
+        // pays, and none leaves a ring running for the next.
+        let h = host_chunked(0);
         h.fs().create("/ones", &vec![2u8; 32 * 4096]).unwrap();
         let fd = open(&h, "/ones", false);
         let dst = h.gpus()[0].global().alloc(4096).unwrap();
@@ -888,11 +890,83 @@ mod tests {
         let bw = simtime::bw_time_ns(4096, Timings::default().pcie_mb_s);
         assert_eq!(h.gpus()[0].dma().busy_ns().0, 12 * (setup + bw));
         // The registry publishes that occupancy, setup included.
-        let snap = h.registry().snapshot();
-        let row = |key: &str| snap.iter().find(|(k, _)| k == key).unwrap().1;
-        assert_eq!(row("pcie_h2d_busy_ns{gpu=0}"), 12 * (setup + bw));
-        assert_eq!(row("pcie_d2h_busy_ns{gpu=0}"), 0);
-        assert_eq!(row("daemon_h2d_setups"), 12);
+        assert_eq!(row(&h, "pcie_h2d_busy_ns{gpu=0}"), 12 * (setup + bw));
+        assert_eq!(row(&h, "pcie_d2h_busy_ns{gpu=0}"), 0);
+        assert_eq!(row(&h, "daemon_h2d_setups"), 12);
+    }
+
+    /// 28 threadblocks' worth of single-page (16 KB) faults over a warm
+    /// host cache, all issued at virtual time 0 — the schedule a resident
+    /// grid produces when every block misses at once. Returns each
+    /// response time and what landed in GPU memory.
+    fn fault_burst(h: &GpufsHost) -> (Vec<Nanos>, Vec<u8>) {
+        const PAGE: usize = 16 << 10;
+        h.fs().create_synthetic("/faults", 1 << 20, 17).unwrap();
+        let _ = h.fs().read_whole("/faults", 0).unwrap();
+        h.fs().reset_device_time();
+        let fd = open(h, "/faults", false);
+        let dst = h.gpus()[0].global().alloc(28 * PAGE).unwrap();
+        let ends = (0..28)
+            .map(|i| {
+                let pages = vec![PageRead {
+                    offset: (i * PAGE) as u64,
+                    len: PAGE,
+                    dst: dst + i * PAGE,
+                }];
+                read_batch(h, fd, pages).1
+            })
+            .collect();
+        let mut bytes = vec![0u8; 28 * PAGE];
+        h.gpus()[0].global().read(dst, &mut bytes);
+        (ends, bytes)
+    }
+
+    #[test]
+    fn concurrent_single_page_faults_join_the_ring_under_the_worker_bound() {
+        let t = Timings::default();
+        let copy = simtime::bw_time_ns(16 << 10, t.host_cached_mb_s);
+        let fault_cpu = t.rpc_dispatch_ns + t.host_syscall_ns + copy;
+
+        // The prototype path: one setup per RPC, at exactly the times
+        // recorded before the worker pool was a resource. (It would be
+        // here even if its draws could wait: the engine, at 27.9 us a
+        // fault, outlasts the worker's 6 us.)
+        let h0 = host_chunked(0);
+        let (ends0, bytes0) = fault_burst(&h0);
+        assert_eq!(h0.stats().h2d_setups.get(), 28);
+        let pinned: Vec<Nanos> = (0..28)
+            .map(|i| if i == 0 { 40_841 } else { 30_859 + i * 27_859 })
+            .collect();
+        assert_eq!(ends0, pinned);
+        // Open + 28 faults, no submits: nothing ever joined.
+        let open_cpu = t.rpc_dispatch_ns;
+        assert_eq!(row(&h0, "daemon_worker_busy_ns"), open_cpu + 28 * fault_cpu);
+
+        // The default engine: the first fault programs the ring, the rest
+        // are ready while it runs and are appended. Same chunks, same
+        // bytes, fewer setups — and a 2 us submit each on the one worker,
+        // whose CPU time is now what the burst waits for.
+        let h = host_chunked(crate::GpufsConfig::default().io_chunk_pages);
+        let (ends, bytes) = fault_burst(&h);
+        assert_eq!(bytes, bytes0);
+        assert_eq!(h.stats().read_dma_chunks.get(), 28);
+        assert_eq!(h.stats().bytes_h2d.get(), h0.stats().bytes_h2d.get());
+        let setups = h.stats().h2d_setups.get();
+        assert!((1..28).contains(&setups), "{setups} setups for 28 RPCs");
+        let cpu = row(&h, "daemon_worker_busy_ns");
+        assert_eq!(
+            cpu,
+            open_cpu + 28 * fault_cpu + (28 - setups) * t.dma_chunk_ns
+        );
+        let last = *ends.iter().max().unwrap();
+        assert!(
+            last >= cpu / h.daemon_workers() as u64,
+            "last response at {last} ns outran {cpu} ns of worker CPU"
+        );
+        assert!(
+            last < *ends0.last().unwrap() / 2,
+            "{last} vs {ends0:?}: the setups saved must show"
+        );
     }
 
     #[test]

@@ -8,17 +8,24 @@
 //! and per-page ready times; the write engine keeps its gather/pwrite
 //! overlap; and stage 2 — the DMA chain with its continuation submits —
 //! is not mirrored at all but the same [`DmaLane`] the local engine
-//! drives, so both join open transactions identically. What changes is stage
-//! 1 — instead of `fs.pread`/`fs.pwrite` against a local file system,
-//! each chunk consults the host page cache and ships one `ReadPages` /
-//! `WritePages` frame for the remainder, served by the
+//! drives, so both join the running ring identically. What changes is
+//! stage 1 — instead of `fs.pread`/`fs.pwrite` against a local file
+//! system, each chunk consults the host page cache and ships one
+//! `ReadPages` / `WritePages` frame for the remainder, served by the
 //! [`super::StorageServer`] through the same cost model.
+//!
+//! Worker CPU is drawn as the local engine draws it. The storage server
+//! is passive — `serve_frame` runs on the calling worker's thread — so
+//! the syscall and page-cache copy it spends on each page of a frame are
+//! this worker's ([`ServeCtx::file_io`]); the link's share of the
+//! round-trip is waiting, and a host-cache hit costs its DRAM copy.
 //!
 //! Under [`simtime::Timings::without_net`] with the host cache disabled,
 //! every wire round-trip collapses to the server's own service time at
 //! the caller's clock — so this path reproduces the local engine's
-//! virtual times bit for bit (asserted by the equivalence tests below
-//! and, end to end, by the zero-net BENCH_scale compat run).
+//! virtual times bit for bit, worker-bound schedules included (asserted
+//! by the equivalence tests below and, end to end, by the zero-net
+//! BENCH_scale compat run).
 
 use std::sync::Arc;
 
@@ -30,21 +37,17 @@ use super::proto::{WireRequest, WireResponse};
 use super::proxy::HostProxy;
 use crate::daemon::lane::DmaLane;
 use crate::daemon::pipeline::chunks;
-use crate::daemon::ServeStats;
+use crate::daemon::ServeCtx;
 use crate::rpc::{PageRead, PageWrite, Request, RespOk};
 
 /// Serve one request through the proxy's wire boundary. Mirrors
 /// `handlers::serve` argument-for-argument so the daemon worker loop can
 /// branch between them on the presence of a proxy.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn serve(
     proxy: &HostProxy,
     gpus: &[Arc<Gpu>],
-    stats: &ServeStats<'_>,
+    ctx: &ServeCtx<'_>,
     clock: &mut Clock,
-    io_chunk_pages: usize,
-    io_depth: usize,
-    _gpu: usize,
     req: &Request,
 ) -> (Result<RespOk, FsError>, Nanos) {
     match req {
@@ -54,7 +57,7 @@ pub(crate) fn serve(
             create,
             truncate,
         } => {
-            stats.on(|s| s.opens.incr());
+            ctx.on(|s| s.opens.incr());
             match proxy.call(
                 clock,
                 &WireRequest::Open {
@@ -83,18 +86,11 @@ pub(crate) fn serve(
             }
         }
         Request::Close { fd } => done_call(proxy, clock, &WireRequest::Close { fd: *fd }),
-        Request::ReadPages { fd, pages, gpu } => read_pages(
-            proxy,
-            &gpus[*gpu],
-            stats,
-            clock,
-            io_chunk_pages,
-            io_depth,
-            *fd,
-            pages,
-        ),
+        Request::ReadPages { fd, pages, gpu } => {
+            read_pages(proxy, &gpus[*gpu], ctx, clock, *fd, pages)
+        }
         Request::WritePages { fd, pages, gpu } => {
-            write_pages(proxy, &gpus[*gpu], stats, clock, io_chunk_pages, *fd, pages)
+            write_pages(proxy, &gpus[*gpu], ctx, clock, *fd, pages)
         }
         Request::Fsync { fd } => done_call(proxy, clock, &WireRequest::Fsync { fd: *fd }),
         Request::Unlink { path } => {
@@ -174,30 +170,28 @@ fn hit_ns(proxy: &HostProxy, bytes: usize) -> Nanos {
 /// host-cache lookups plus one `ReadPages` frame per chunk for the
 /// misses. Stage 2 is the shared [`DmaLane`]; the ring bound, covered
 /// gate, and per-page ready times around it are copied unchanged.
-#[allow(clippy::too_many_arguments)]
 fn read_pages(
     proxy: &HostProxy,
     gpu: &Gpu,
-    stats: &ServeStats<'_>,
+    ctx: &ServeCtx<'_>,
     clock: &mut Clock,
-    io_chunk_pages: usize,
-    io_depth: usize,
     fd: HostFd,
     pages: &[PageRead],
 ) -> (Result<RespOk, FsError>, Nanos) {
     if pages.len() > 1 {
-        stats.on(|s| {
+        ctx.on(|s| {
             s.batched_rpcs.incr();
             s.pages_per_rpc.add(pages.len() as u64);
         });
     }
+    let io_depth = ctx.engine.io_depth;
     let deep = io_depth > 2;
-    let mut lane = DmaLane::new(gpu, stats, proxy.timings().dma_chunk_ns);
+    let mut lane = DmaLane::new(gpu, ctx);
     let fd_state = proxy.fd_state(fd);
     let mut ns = Vec::with_capacity(pages.len());
     let mut ready: Vec<Nanos> = Vec::with_capacity(pages.len());
     let mut free_at: Vec<Nanos> = Vec::new();
-    for (j, chunk, last) in chunks(io_chunk_pages, pages) {
+    for (j, chunk) in chunks(ctx.engine.io_chunk_pages, pages) {
         if deep && j >= io_depth {
             clock.wait_until(free_at[j - io_depth]);
         }
@@ -216,7 +210,7 @@ fn read_pages(
             match cached {
                 Some(mut data) => {
                     data.truncate(page.len);
-                    clock.advance(hit_ns(proxy, data.len()));
+                    ctx.cpu(clock, hit_ns(proxy, data.len()));
                     staging[i] = data;
                 }
                 None => misses.push(i),
@@ -227,6 +221,7 @@ fn read_pages(
                 .iter()
                 .map(|&i| (chunk[i].offset, chunk[i].len as u32))
                 .collect();
+            let issued = clock.now();
             match proxy.call(
                 clock,
                 &WireRequest::ReadPages {
@@ -235,6 +230,7 @@ fn read_pages(
                 },
             ) {
                 Ok(WireResponse::Read { pages: got }) => {
+                    ctx.file_io(clock, issued, got.iter().map(Vec::len));
                     for (&i, data) in misses.iter().zip(got) {
                         if let Some(st) = fd_state {
                             proxy.cache().insert(
@@ -262,7 +258,7 @@ fn read_pages(
         let chunk_ready = if parts.is_empty() {
             0
         } else {
-            lane.read_chunk(clock, &parts, last).end
+            lane.read_chunk(clock, &parts).end
         };
         free_at.push(chunk_ready);
         for buf in &staging {
@@ -291,14 +287,13 @@ fn read_pages(
 fn write_pages(
     proxy: &HostProxy,
     gpu: &Gpu,
-    stats: &ServeStats<'_>,
+    ctx: &ServeCtx<'_>,
     clock: &mut Clock,
-    io_chunk_pages: usize,
     fd: HostFd,
     pages: &[PageWrite],
 ) -> (Result<RespOk, FsError>, Nanos) {
     if pages.len() > 1 {
-        stats.on(|s| {
+        ctx.on(|s| {
             s.batched_write_rpcs.incr();
             s.pages_per_write_rpc.add(pages.len() as u64);
         });
@@ -326,10 +321,10 @@ fn write_pages(
             Err(e) => (Err(e), clock.now()),
         };
     }
-    let mut lane = DmaLane::new(gpu, stats, proxy.timings().dma_chunk_ns);
+    let mut lane = DmaLane::new(gpu, ctx);
     let mut written = 0usize;
     let mut generation = 0u64;
-    for (_, chunk, last) in chunks(io_chunk_pages, pages) {
+    for (_, chunk) in chunks(ctx.engine.io_chunk_pages, pages) {
         let mut srcs: Vec<(DevPtr, u64)> = Vec::new(); // (gpu addr, file off)
         let mut staging: Vec<Vec<u8>> = Vec::new();
         for pw in chunk {
@@ -346,7 +341,7 @@ fn write_pages(
             .zip(staging.iter_mut())
             .map(|(&(src, _), buf)| (src, buf.as_mut_slice()))
             .collect();
-        let r = lane.write_chunk(clock, issue, &mut parts, last);
+        let r = lane.write_chunk(clock, issue, &mut parts);
         drop(parts);
         // This chunk's bytes must be in host memory before they can go
         // on the wire.
@@ -360,8 +355,10 @@ fn write_pages(
             .iter()
             .map(|(off, data)| (*off, off + data.len() as u64))
             .collect();
+        let issued = clock.now();
         match proxy.call(clock, &WireRequest::WritePages { fd, extents }) {
             Ok(WireResponse::Wrote { n, generation: g }) => {
+                ctx.file_io(clock, issued, ranges.iter().map(|(a, b)| (b - a) as usize));
                 written += n as usize;
                 generation = g;
                 proxy.wire().writeback_batches.incr();
@@ -550,11 +547,51 @@ mod tests {
         out
     }
 
+    /// A schedule that saturates the one daemon worker: 28 single-page
+    /// faults and 4 single-extent write-backs, every one issued at virtual
+    /// time 0. On the chunked engines the faults join the running ring, so
+    /// what each response waits for is the CPU time the requests before it
+    /// drew from the worker pool — any difference in what the two serve
+    /// paths charge it shows up in every later completion time.
+    fn burst_transcript(h: &GpufsHost) -> Vec<String> {
+        h.fs().create("/burst", &payload(PAGE * 32)).unwrap();
+        let fd = open(h, "/burst", true);
+        let dsts: Vec<DevPtr> = (0..28)
+            .map(|_| h.gpus()[0].global().alloc(PAGE).unwrap())
+            .collect();
+        let mut out: Vec<String> = (0..28)
+            .map(|i| call(h, read_req(fd, &dsts[i..=i], i as u64)))
+            .collect();
+        for (i, &src) in dsts.iter().take(4).enumerate() {
+            out.push(call(
+                h,
+                Request::WritePages {
+                    fd,
+                    pages: vec![PageWrite {
+                        src,
+                        page_offset: ((28 + i) * PAGE) as u64,
+                        extents: vec![(0, PAGE as u32)],
+                    }],
+                    gpu: 0,
+                },
+            ));
+        }
+        out.push(format!("{:?}", h.stats().snapshot()));
+        let snap = h.registry().snapshot();
+        out.extend(
+            snap.iter()
+                .filter(|(k, _)| k == "daemon_worker_busy_ns")
+                .map(|row| format!("{row:?}")),
+        );
+        out
+    }
+
     /// The tentpole's time-transparency claim, end to end through the
     /// daemon worker loop: with zero-cost links and the host cache off, a
     /// proxy-backed host reproduces the local host's results, virtual
     /// completion times, GPU memory contents, and daemon counters
-    /// *exactly* — across the serialized, pipelined, and deep engines.
+    /// *exactly* — across the serialized, pipelined, and deep engines, and
+    /// whether or not the worker pool is the bottleneck.
     #[test]
     fn zero_net_proxy_daemon_matches_the_local_daemon_exactly() {
         for (chunk, depth) in [(0, 2), (2, 2), (2, 4)] {
@@ -566,15 +603,33 @@ mod tests {
                 "engine divergence at io_chunk_pages={chunk}, io_depth={depth}"
             );
             // The script's two ReadPages both issue at virtual time 0. On
-            // the chunked engines the reread's first chunk finds the first
-            // batch's list still open and joins it — on both hosts alike,
-            // through the one shared lane; the serialized engine's
-            // one-chunk transactions each pay their own setup.
+            // the chunked engines the reread's first chunk finds the ring
+            // the first batch left running and joins it — on both hosts
+            // alike, through the one shared lane; the serialized engine's
+            // one-shot transactions each pay their own setup.
             let want = if chunk == 0 { 2 } else { 1 };
             assert_eq!(local.stats().h2d_setups.get(), want);
             assert_eq!(remote.stats().h2d_setups.get(), want);
             local.shutdown();
             remote.shutdown();
+
+            let (local, remote) = (local_host(chunk, depth), proxied_host(chunk, depth, 0));
+            let script = burst_transcript(&local);
+            assert_eq!(
+                script,
+                burst_transcript(&remote),
+                "pool-charge divergence at io_chunk_pages={chunk}, io_depth={depth}"
+            );
+            assert!(script
+                .last()
+                .unwrap()
+                .starts_with("(\"daemon_worker_busy_ns"));
+            let setups = local.stats().h2d_setups.get();
+            if chunk == 0 {
+                assert_eq!(setups, 28);
+            } else {
+                assert!(setups < 28, "the burst must join: {setups} setups");
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! PCIe DMA engines: full-duplex, bandwidth-arbitrated, setup-priced.
 
-use simtime::{BandwidthResource, ChunkPos, Nanos, Reservation, Timings};
+use simtime::{BandwidthResource, Nanos, Reservation, Timings};
 
 use crate::{DevPtr, Gpu};
 
@@ -49,31 +49,31 @@ impl DmaEngines {
     /// transaction over the given extents: setup is paid once for the
     /// whole descriptor list (see [`simtime::BandwidthResource::transfer_scattered`]).
     pub fn reserve_h2d_scattered(&self, earliest: Nanos, extent_bytes: &[u64]) -> Reservation {
-        self.reserve_h2d_chunk(earliest, extent_bytes, ChunkPos::Only)
+        self.h2d.transfer_scattered(earliest, extent_bytes)
     }
 
     /// Reserve the device-to-host direction for one scatter-gather
     /// transaction over the given extents — the write-back mirror of
     /// [`DmaEngines::reserve_h2d_scattered`].
     pub fn reserve_d2h_scattered(&self, earliest: Nanos, extent_bytes: &[u64]) -> Reservation {
-        self.reserve_d2h_chunk(earliest, extent_bytes, ChunkPos::Only)
+        self.d2h.transfer_scattered(earliest, extent_bytes)
     }
 
-    /// Reserve the host-to-device direction for one *chunk* of a larger
-    /// scatter-gather transaction: setup is paid by the chunk that begins
-    /// the transaction — unless it joins a list another stream still has
-    /// open on this direction; continuations stream the already-programmed
-    /// descriptor list at pure bandwidth (see
-    /// [`simtime::BandwidthResource::transfer_chunk`]). The caller
+    /// Reserve the host-to-device direction for one *chunk* of a
+    /// scatter-gather transaction fed through the direction's descriptor
+    /// ring: setup is paid by the `first` chunk — unless the ring is still
+    /// running when its data is ready, in which case it is appended;
+    /// continuations stream the already-programmed list at pure bandwidth
+    /// (see [`simtime::BandwidthResource::transfer_chunk`]). The caller
     /// serializes chunks of one transaction by threading the previous
     /// chunk's `end` into `earliest`.
     pub fn reserve_h2d_chunk(
         &self,
         earliest: Nanos,
         extent_bytes: &[u64],
-        pos: ChunkPos,
+        first: bool,
     ) -> Reservation {
-        self.h2d.transfer_chunk(earliest, extent_bytes, pos)
+        self.h2d.transfer_chunk(earliest, extent_bytes, first)
     }
 
     /// Reserve the device-to-host direction for one chunk of a larger
@@ -83,9 +83,9 @@ impl DmaEngines {
         &self,
         earliest: Nanos,
         extent_bytes: &[u64],
-        pos: ChunkPos,
+        first: bool,
     ) -> Reservation {
-        self.d2h.transfer_chunk(earliest, extent_bytes, pos)
+        self.d2h.transfer_chunk(earliest, extent_bytes, first)
     }
 
     /// Engine time — setup included — each direction has accepted since
@@ -129,25 +129,28 @@ impl Gpu {
     /// DMA several host buffers into device memory as one scatter-gather
     /// transaction: every extent is copied, but the host-to-device
     /// direction is charged a single setup cost for the whole batch. This
-    /// is the timing model behind the batched multi-page `ReadPages` RPC.
+    /// is the timing model behind the batched multi-page `ReadPages` RPC
+    /// on the paper prototype's DMA path: one driver call per RPC, which
+    /// neither joins the descriptor ring nor leaves it running.
     ///
     /// # Panics
     ///
     /// Panics if any destination range is out of bounds.
     pub fn dma_h2d_scattered(&self, parts: &[(&[u8], DevPtr)], earliest: Nanos) -> Reservation {
-        self.dma_h2d_scattered_chunk(parts, earliest, ChunkPos::Only)
+        let extent_bytes = self.write_extents(parts);
+        self.dma().reserve_h2d_scattered(earliest, &extent_bytes)
     }
 
-    /// DMA one *chunk* of a larger scatter-gather transaction into device
-    /// memory: every extent is copied, but the host-to-device setup cost
-    /// is charged only to the chunk that begins the transaction (`pos`),
-    /// and not even to that one when it joins a descriptor list another
-    /// stream still has open ([`Reservation::joined`]). This is the timing
-    /// model behind the daemon's pipelined `ReadPages` engine, which
-    /// streams a batch chunk by chunk so host file I/O of chunk *k+1*
-    /// overlaps the DMA of chunk *k*. Callers serialize the chunks of one
-    /// transaction by passing the previous chunk's `end` (max'ed with the
-    /// data-ready time) as `earliest`.
+    /// DMA one *chunk* of a scatter-gather transaction into device memory
+    /// through the host-to-device descriptor ring: every extent is copied,
+    /// but setup is charged only to the transaction's `first` chunk, and
+    /// not even to that one when the ring is still running as its data
+    /// becomes ready ([`Reservation::joined`]). This is the timing model
+    /// behind the daemon's pipelined `ReadPages` engine, which streams a
+    /// batch chunk by chunk so host file I/O of chunk *k+1* overlaps the
+    /// DMA of chunk *k*. Callers serialize the chunks of one transaction
+    /// by passing the previous chunk's `end` (max'ed with the data-ready
+    /// time) as `earliest`.
     ///
     /// # Panics
     ///
@@ -156,14 +159,10 @@ impl Gpu {
         &self,
         parts: &[(&[u8], DevPtr)],
         earliest: Nanos,
-        pos: ChunkPos,
+        first: bool,
     ) -> Reservation {
-        let mut extent_bytes = Vec::with_capacity(parts.len());
-        for (src, dst) in parts {
-            self.global().write(*dst, src);
-            extent_bytes.push(src.len() as u64);
-        }
-        self.dma().reserve_h2d_chunk(earliest, &extent_bytes, pos)
+        let extent_bytes = self.write_extents(parts);
+        self.dma().reserve_h2d_chunk(earliest, &extent_bytes, first)
     }
 
     /// DMA several device extents into host buffers as one scatter-gather
@@ -180,12 +179,13 @@ impl Gpu {
         parts: &mut [(DevPtr, &mut [u8])],
         earliest: Nanos,
     ) -> Reservation {
-        self.dma_d2h_scattered_chunk(parts, earliest, ChunkPos::Only)
+        let extent_bytes = self.read_extents(parts);
+        self.dma().reserve_d2h_scattered(earliest, &extent_bytes)
     }
 
-    /// DMA one chunk of a larger device-to-host scatter-gather transaction
-    /// — the write-back mirror of [`Gpu::dma_h2d_scattered_chunk`], behind
-    /// the daemon's pipelined `WritePages` engine (the D2H gather of chunk
+    /// DMA one chunk of a device-to-host scatter-gather transaction — the
+    /// write-back mirror of [`Gpu::dma_h2d_scattered_chunk`], behind the
+    /// daemon's pipelined `WritePages` engine (the D2H gather of chunk
     /// *k+1* overlaps the host `pwrite`s of chunk *k*).
     ///
     /// # Panics
@@ -195,14 +195,32 @@ impl Gpu {
         &self,
         parts: &mut [(DevPtr, &mut [u8])],
         earliest: Nanos,
-        pos: ChunkPos,
+        first: bool,
     ) -> Reservation {
-        let mut extent_bytes = Vec::with_capacity(parts.len());
-        for (src, dst) in parts.iter_mut() {
-            self.global().read(*src, dst);
-            extent_bytes.push(dst.len() as u64);
-        }
-        self.dma().reserve_d2h_chunk(earliest, &extent_bytes, pos)
+        let extent_bytes = self.read_extents(parts);
+        self.dma().reserve_d2h_chunk(earliest, &extent_bytes, first)
+    }
+
+    /// Copy every extent into device memory; returns the extent lengths.
+    fn write_extents(&self, parts: &[(&[u8], DevPtr)]) -> Vec<u64> {
+        parts
+            .iter()
+            .map(|(src, dst)| {
+                self.global().write(*dst, src);
+                src.len() as u64
+            })
+            .collect()
+    }
+
+    /// Copy every extent out of device memory; returns the extent lengths.
+    fn read_extents(&self, parts: &mut [(DevPtr, &mut [u8])]) -> Vec<u64> {
+        parts
+            .iter_mut()
+            .map(|(src, dst)| {
+                self.global().read(*src, dst);
+                dst.len() as u64
+            })
+            .collect()
     }
 }
 
@@ -312,8 +330,8 @@ mod tests {
         let dst = gpu.global().alloc(2 << 20).unwrap();
         let a = vec![3u8; 1 << 20];
         let b = vec![4u8; 1 << 20];
-        let c1 = gpu.dma_h2d_scattered_chunk(&[(&a, dst)], 0, ChunkPos::First);
-        let c2 = gpu.dma_h2d_scattered_chunk(&[(&b, dst + (1 << 20))], c1.end, ChunkPos::Last);
+        let c1 = gpu.dma_h2d_scattered_chunk(&[(&a, dst)], 0, true);
+        let c2 = gpu.dma_h2d_scattered_chunk(&[(&b, dst + (1 << 20))], c1.end, false);
         let mut out = vec![0u8; 1 << 20];
         gpu.global().read(dst, &mut out);
         assert_eq!(out, a);
@@ -341,23 +359,24 @@ mod tests {
         let setup = gpu.dma().timings().dma_setup_ns;
         let bw = gpu.dma_h2d(&mb, dst, 0).busy() - setup;
         gpu.dma().reset();
-        let open = gpu.dma_h2d_scattered_chunk(&[(&mb, dst)], 0, ChunkPos::First);
+        let open = gpu.dma_h2d_scattered_chunk(&[(&mb, dst)], 0, true);
         assert_eq!(open.busy(), setup + bw);
         // Another transaction, ready while `open` is on the engine.
-        let other =
-            gpu.dma_h2d_scattered_chunk(&[(&mb, dst + (1 << 20))], open.end / 2, ChunkPos::Only);
+        let other = gpu.dma_h2d_scattered_chunk(&[(&mb, dst + (1 << 20))], open.end / 2, true);
         assert!(other.joined);
         assert_eq!(other.busy(), bw, "joined: no setup of its own");
-        // A plain transfer keeps its cost, and the other direction has
-        // no open list at all.
+        // One-shot transfers keep their cost, and the other direction's
+        // ring is not running at all.
         let plain = gpu.dma_h2d(&mb, dst + (2 << 20), open.end / 2);
         assert_eq!(plain.busy(), setup + bw);
+        let shot = gpu.dma_h2d_scattered(&[(&mb, dst + (3 << 20))], open.end / 2);
+        assert_eq!((shot.joined, shot.busy()), (false, setup + bw));
         let mut sink = vec![0u8; 1 << 20];
         let mut parts: Vec<(DevPtr, &mut [u8])> = vec![(dst, sink.as_mut_slice())];
-        let up = gpu.dma_d2h_scattered_chunk(&mut parts, open.end / 2, ChunkPos::Only);
+        let up = gpu.dma_d2h_scattered_chunk(&mut parts, open.end / 2, true);
         assert!(!up.joined);
         assert_eq!(up.busy(), setup + bw);
-        assert_eq!(gpu.dma().busy_ns(), (2 * setup + 3 * bw, setup + bw));
+        assert_eq!(gpu.dma().busy_ns(), (3 * setup + 4 * bw, setup + bw));
     }
 
     #[test]

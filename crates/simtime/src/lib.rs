@@ -9,10 +9,10 @@
 //!
 //! * every simulated executor (a GPU threadblock slot, the CPU RPC daemon, a
 //!   DMA engine) owns an [`Clock`] holding its local virtual time;
-//! * shared devices are either a [`BandwidthResource`] (PCIe direction, disk
-//!   streaming, DRAM) or a [`SerialResource`] (the single-threaded RPC
-//!   daemon, the disk head) that arbitrate concurrent reservations with an
-//!   atomic compare-and-swap on the device's next-free time;
+//! * shared devices are either a [`BandwidthResource`] (PCIe direction,
+//!   network link, DRAM) or a [`WorkerPool`] (the RPC daemon's worker
+//!   threads) that arbitrate concurrent reservations with one atomic add
+//!   on the work the device has accepted so far;
 //! * cross-actor waits take the maximum of the waiter's clock and the
 //!   producer's completion time.
 //!
@@ -38,7 +38,7 @@ mod stats;
 mod timings;
 
 pub use clock::{Clock, Horizon};
-pub use resource::{BandwidthResource, ChunkPos, Reservation, SerialResource};
+pub use resource::{BandwidthResource, Reservation, WorkerPool};
 pub use stats::{ByteLedger, Counter};
 pub use timings::Timings;
 

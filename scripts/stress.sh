@@ -13,7 +13,10 @@
 #
 # After it, the tests that once failed only now and then are looped on
 # their own, 20 times each: the deterministic pin/evict interleavings, and
-# the three tier-1 tests that used to depend on scheduling luck.
+# the three tier-1 tests that used to depend on scheduling luck. With them
+# go the two tests that hold the DMA ring under the daemon's worker bound:
+# 28 concurrent faults served by the daemon alone, and the
+# `evict_random`-shaped kernel whose 28 real threads race for the ring.
 #
 # Usage: scripts/stress.sh [RUNS]   (default: 10)
 set -euo pipefail
@@ -30,7 +33,8 @@ flaky_runs=20
 for i in $(seq 1 "$flaky_runs"); do
   echo "== once-flaky run $i/$flaky_runs =="
   cargo test -q --release -p gpufs --lib -- \
-    parked throttle_blocks_writers per_host_stats_sum
+    parked throttle_blocks_writers per_host_stats_sum concurrent_single_page_faults
   cargo test -q --release --test trace_equiv recorded_fig4_and_fig5
+  cargo test -q --release --test integration evict_random_miniature
 done
 echo "all $flaky_runs once-flaky runs green"

@@ -325,3 +325,100 @@ fn cache_counters_attribute_per_tenant_and_sum_to_the_aggregate() {
         );
     }
 }
+
+#[test]
+fn evict_random_miniature_stays_under_the_worker_bound() {
+    // The benchmark's `evict_random` shape, small: 28 resident blocks
+    // issue Zipf(0.9) page-aligned 16 KB reads of a 4 MB file through a
+    // 1 MB buffer cache, host cache warm, default daemon (one worker). A
+    // miss is a single-page `ReadPages`, and with 28 blocks missing at
+    // once most find the DMA ring running and join it — which is only a
+    // gain a real daemon could deliver if the CPU time the requests drew
+    // fits in what one worker had.
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use simtime::Timings;
+    const PAGE: usize = 16 << 10;
+    const PAGES: usize = 256;
+    const READS: usize = 96;
+
+    let t = Timings::default();
+    let fs = Arc::new(HostFs::new(HostFsConfig::default()));
+    let spec = GpuSpec {
+        memory_bytes: 16 << 20,
+        ..GpuSpec::tesla_c2075()
+    };
+    let gpu = Arc::new(Gpu::with_timings(0, spec, &t));
+    let cfg = GpufsConfig::new(PAGE, PAGES * PAGE / 4);
+    let host = GpufsHost::with_config(Arc::clone(&fs), vec![Arc::clone(&gpu)], &cfg);
+    let mount = host.mount(0, cfg).unwrap();
+    fs.create_synthetic("/big.bin", (PAGES * PAGE) as u64, 11)
+        .unwrap();
+    let (data, _) = fs.read_whole("/big.bin", 0).unwrap();
+    fs.reset_device_time();
+    let sum = |page: &[u8]| {
+        page.iter()
+            .fold(0u64, |h, &b| h.wrapping_mul(31) + u64::from(b))
+    };
+    let page_sums: Vec<u64> = data.chunks(PAGE).map(sum).collect();
+
+    // Zipf(0.9) by inverse CDF over popularity ranks.
+    let weights: Vec<f64> = (1..=PAGES).map(|r| (r as f64).powf(-0.9)).collect();
+    let total: f64 = weights.iter().sum();
+    let mut rng = StdRng::seed_from_u64(11);
+    let blocks = gpu.spec().concurrent_blocks();
+    let reads: Vec<Vec<usize>> = (0..blocks)
+        .map(|_| {
+            (0..READS)
+                .map(|_| {
+                    let mut u = rng.gen_range(0.0..total);
+                    let rank = weights.iter().position(|w| {
+                        u -= w;
+                        u < 0.0
+                    });
+                    // Ranks scattered over the file, not clustered at its head.
+                    rank.unwrap_or(PAGES - 1) * 67 % PAGES
+                })
+                .collect()
+        })
+        .collect();
+
+    let res = gpu.launch(Grid::new(blocks, 256), 0, |blk| {
+        let fd = mount.open(blk, "/big.bin", GOpenMode::ReadOnly).unwrap();
+        let mut buf = vec![0u8; PAGE];
+        for &page in &reads[blk.block_id()] {
+            let off = (page * PAGE) as u64;
+            assert_eq!(mount.read(blk, &fd, off, &mut buf).unwrap(), PAGE);
+            assert_eq!(sum(&buf), page_sums[page], "page {page} came back wrong");
+        }
+        mount.close(blk, fd).unwrap();
+    });
+
+    let snap = host.registry().snapshot();
+    let row = |key: &str| snap.iter().find(|(k, _)| k == key).unwrap().1;
+    let read_rpcs = mount.counters().read_rpcs.get();
+    let stats = host.stats();
+    assert!(
+        read_rpcs > (PAGES / 4) as u64,
+        "the working set must thrash"
+    );
+    assert_eq!(stats.read_dma_chunks.get(), read_rpcs, "one page a fault");
+    assert_eq!(stats.bytes_h2d.get(), read_rpcs * PAGE as u64);
+    assert!(
+        stats.h2d_setups.get() < read_rpcs,
+        "{} setups for {read_rpcs} faults: none joined",
+        stats.h2d_setups.get()
+    );
+    let busy = row("daemon_worker_busy_ns");
+    let copy = simtime::bw_time_ns(PAGE as u64, t.host_cached_mb_s);
+    assert!(
+        busy >= read_rpcs * (t.rpc_dispatch_ns + t.host_syscall_ns + copy),
+        "every fault draws its dispatch, syscall and copy"
+    );
+    assert!(
+        busy <= res.elapsed() * host.daemon_workers() as u64,
+        "{busy} ns of worker CPU in {} ns on {} worker(s)",
+        res.elapsed(),
+        host.daemon_workers()
+    );
+    assert_eq!(row("pcie_h2d_busy_ns{gpu=0}"), gpu.dma().busy_ns().0);
+}

@@ -10,7 +10,8 @@
 //!   `pwrite`), hang under its serving RPC's `serve:*` span — which in
 //!   turn hangs under the client-side `rpc:*` span of the same trace —
 //!   and, if it is a DMA span, split its extent exactly into `queue_ns`
-//!   and `service_ns`.
+//!   and `service_ns`; a `serve:*` span says what its request drew from
+//!   the daemon's worker pool (`cpu_ns`) and waited for it (`queue_ns`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -118,13 +119,13 @@ fn assert_well_formed(spans: &[SpanRecord]) {
         }
         // A DMA span covers its engine reservation from issue to
         // completion, and says how that splits into queueing and service.
+        let attr = |key: &str| {
+            let found = s.attrs.iter().find(|(k, _)| *k == key);
+            found
+                .unwrap_or_else(|| panic!("{} span without `{key}`", s.name))
+                .1
+        };
         if matches!(s.name, "dma" | "gather") {
-            let attr = |key: &str| {
-                let found = s.attrs.iter().find(|(k, _)| *k == key);
-                found
-                    .unwrap_or_else(|| panic!("{} span without `{key}`", s.name))
-                    .1
-            };
             assert_eq!(attr("queue_ns") + attr("service_ns"), s.end - s.start);
             assert!(attr("joined") <= 1);
         }
@@ -135,6 +136,11 @@ fn assert_well_formed(spans: &[SpanRecord]) {
                 s.name,
                 parent.name
             );
+            // What the request drew from the worker pool — its dispatch at
+            // the very least — and how long it waited for a worker: both
+            // inside the RPC that carried it.
+            assert!(attr("cpu_ns") >= simtime::Timings::default().rpc_dispatch_ns);
+            assert!(attr("queue_ns") + attr("cpu_ns") <= parent.end - parent.start);
         }
     }
     // Every trace in the forest has at least one root.
