@@ -455,10 +455,10 @@ impl GpuFsMount {
             },
         )?;
         if let Some(open) = self.tables.get_open(path) {
-            self.discard_file_cache(&open);
+            self.discard_file_cache(blk.block_id(), &open);
         }
         if let Some(parked) = self.tables.take_closed(ino) {
-            self.discard_file_cache(&parked);
+            self.discard_file_cache(blk.block_id(), &parked);
             let _ = self.rpc(
                 blk,
                 Request::Close {
@@ -492,7 +492,7 @@ impl GpuFsMount {
         let first_dropped = size.div_ceil(ps);
         file.tree().for_each_page(|idx, fp| {
             if idx >= first_dropped {
-                self.try_discard_page(fp);
+                self.try_discard_page(blk.block_id(), fp);
             } else if idx == size / ps && !size.is_multiple_of(ps) {
                 // Boundary page: clamp valid data and zero the tail so
                 // re-extension reads zeros.

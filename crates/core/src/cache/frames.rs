@@ -225,6 +225,12 @@ impl FrameArena {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
+    /// Frames currently free in `hint`'s home shard.
+    #[cfg(test)]
+    pub(crate) fn shard_free(&self, hint: usize) -> usize {
+        self.shards[self.shard_of(hint)].lock().len()
+    }
+
     /// Tenant classes the arena accounts for (≥ 1).
     #[must_use]
     pub fn num_tenants(&self) -> usize {

@@ -12,7 +12,9 @@ pub(crate) mod writeback;
 
 pub use diff::{diff_extents, extent_bytes, nonzero_extents, Extents};
 pub use frames::{FrameArena, FrameIdx, PFrame, NO_FRAME};
-pub use radix::{FPage, PageState, RadixTree, Snapshot, FANOUT, MAX_PAGES, TREE_LEVELS};
+pub use radix::{
+    FPage, PageState, RadixTree, Snapshot, FANOUT, MAX_PAGES, REFERENCE_CAP, TREE_LEVELS,
+};
 
 use obs::{Counter, Labels, Registry};
 
@@ -67,6 +69,13 @@ pub struct CacheCounters {
     pub flusher_passes: Counter,
     /// `gwrite` calls that stalled on the dirty-page high watermark.
     pub throttle_stalls: Counter,
+    /// Fpage slots the reclaim hand examined. Divide by
+    /// [`CacheCounters::pages_reclaimed`] for the scan work one freed
+    /// frame cost — the "bounded work" in-line paging needs.
+    pub reclaim_scanned: Counter,
+    /// Resident, unpinned pages the hand passed over because they had
+    /// been hit since its last visit (each pass spends one reference).
+    pub second_chances: Counter,
 }
 
 impl CacheCounters {
@@ -92,6 +101,8 @@ impl CacheCounters {
         self.pages_per_write_rpc.take();
         self.flusher_passes.take();
         self.throttle_stalls.take();
+        self.reclaim_scanned.take();
+        self.second_chances.take();
     }
 
     /// A read-only sum view over `parts`: each field aggregates the
@@ -116,6 +127,8 @@ impl CacheCounters {
             pages_per_write_rpc: field(|c| &c.pages_per_write_rpc),
             flusher_passes: field(|c| &c.flusher_passes),
             throttle_stalls: field(|c| &c.throttle_stalls),
+            reclaim_scanned: field(|c| &c.reclaim_scanned),
+            second_chances: field(|c| &c.second_chances),
         }
     }
 
@@ -127,7 +140,7 @@ impl CacheCounters {
         }
     }
 
-    fn fields(&self) -> [(&'static str, &Counter); 14] {
+    fn fields(&self) -> [(&'static str, &Counter); 16] {
         [
             ("cache_lockfree_accesses", &self.lockfree_accesses),
             ("cache_locked_accesses", &self.locked_accesses),
@@ -143,6 +156,8 @@ impl CacheCounters {
             ("cache_pages_per_write_rpc", &self.pages_per_write_rpc),
             ("cache_flusher_passes", &self.flusher_passes),
             ("cache_throttle_stalls", &self.throttle_stalls),
+            ("cache_reclaim_scanned", &self.reclaim_scanned),
+            ("cache_second_chances", &self.second_chances),
         ]
     }
 
@@ -166,6 +181,8 @@ impl CacheCounters {
             ("pages_per_write_rpc", self.pages_per_write_rpc.get()),
             ("flusher_passes", self.flusher_passes.get()),
             ("throttle_stalls", self.throttle_stalls.get()),
+            ("reclaim_scanned", self.reclaim_scanned.get()),
+            ("second_chances", self.second_chances.get()),
         ]
     }
 }
@@ -185,6 +202,8 @@ mod tests {
         c.pages_per_rpc.add(8);
         c.write_rpcs.incr();
         c.pages_per_write_rpc.add(4);
+        c.reclaim_scanned.add(40);
+        c.second_chances.add(2);
         c.reset();
         assert_eq!(c.lockfree_accesses.get(), 0);
         assert_eq!(c.pages_reclaimed.get(), 0);
@@ -194,5 +213,27 @@ mod tests {
         assert_eq!(c.pages_per_rpc.get(), 0);
         assert_eq!(c.write_rpcs.get(), 0);
         assert_eq!(c.pages_per_write_rpc.get(), 0);
+        assert!(c.snapshot().iter().all(|&(_, v)| v == 0), "reset is total");
+    }
+
+    #[test]
+    fn every_counter_is_registered_summed_and_listed() {
+        // One row per field in each of the three views — a counter added
+        // to the struct but not to a view would break the sum-to-aggregate
+        // and registry-reconciliation invariants silently.
+        let (a, b) = (CacheCounters::new(), CacheCounters::new());
+        a.reclaim_scanned.add(5);
+        b.reclaim_scanned.add(7);
+        b.second_chances.add(3);
+        let sum = CacheCounters::sum_of(&[&a, &b]);
+        assert_eq!(sum.reclaim_scanned.get(), 12);
+        assert_eq!(sum.second_chances.get(), 3);
+        let listed: Vec<&str> = sum.snapshot().iter().map(|&(n, _)| n).collect();
+        let registered: Vec<&str> = sum.fields().iter().map(|&(n, _)| n).collect();
+        assert_eq!(listed.len(), registered.len());
+        for (l, r) in listed.iter().zip(&registered) {
+            assert_eq!(format!("cache_{l}"), *r);
+        }
+        assert!(listed.contains(&"reclaim_scanned") && listed.contains(&"second_chances"));
     }
 }

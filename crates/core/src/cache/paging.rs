@@ -223,6 +223,8 @@ impl GpuFsMount {
                         }
                         c.hits.incr();
                     });
+                    // A hit buys the page a pass of the reclaim hand.
+                    fp.touch();
                     let pf = self.frames.pframe(frame);
                     // Relaxed-load guard: with readahead off (or the page
                     // demand-fetched) this stays a read, keeping the
@@ -493,6 +495,7 @@ impl GpuFsMount {
             fp.begin_update();
             fp.set_frame(Some(frame));
             fp.set_state(PageState::Ready);
+            fp.clear_references();
             fp.pin_direct();
             fp.end_update();
             fp.unlock();
@@ -550,6 +553,7 @@ impl GpuFsMount {
         fp.begin_update();
         fp.set_frame(Some(frame));
         fp.set_state(PageState::Ready);
+        fp.clear_references();
         if pin {
             fp.pin_direct();
         }

@@ -19,9 +19,28 @@
 //! are recycled). This keeps traversal memory-safe without hazard
 //! pointers; node memory is bounded by file size / page size and is
 //! released when the file cache itself is dropped.
+//!
+//! # Replacement order
+//!
+//! The paper pages in-line on the faulting threadblock and therefore
+//! rejects "variable-work" clock for a FIFO-like policy. The objection is
+//! to the *unbounded* scan, not to the hand: this tree keeps a bounded
+//! GCLOCK. The leaves, in allocation order, form a ring of
+//! `leaves × FANOUT` slots and [`RadixTree::for_each_reclaim_candidate`]
+//! is its hand — every slot it hands out is claimed from one counter, so
+//! a sweep resumes exactly where the previous one (by any threadblock)
+//! stopped and one revolution examines every slot once. Each fpage also
+//! carries a small saturating reference count ([`REFERENCE_CAP`]) that a
+//! hit raises and a passing sweep lowers; only a page found at zero is
+//! evicted. The work is bounded three ways: a sweep never goes further
+//! than one revolution, a page is passed over at most `REFERENCE_CAP`
+//! times between two hits, and the caller stops the hand as soon as its
+//! small batch is met (see `cache/reclaim.rs`).
 
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{
+    AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+};
 
 use parking_lot::Mutex;
 
@@ -36,6 +55,10 @@ pub const FANOUT: usize = 1 << FANOUT_BITS;
 pub const TREE_LEVELS: u32 = 4;
 /// Largest page index the tree can hold.
 pub const MAX_PAGES: u64 = 1 << (FANOUT_BITS * TREE_LEVELS);
+/// Saturation point of an fpage's reference count: the most sweeps a page
+/// can sit out on the strength of past hits. A constant, not a knob — it
+/// bounds how far the hand can travel for one frame.
+pub const REFERENCE_CAP: u8 = 3;
 
 /// Lifecycle of one fpage slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +108,11 @@ pub struct FPage {
     /// Pages pinned by in-flight reads/writes/mappings.
     refs: AtomicU32,
     locked: AtomicBool,
+    /// Hits since the reclaim hand last passed, saturating at
+    /// [`REFERENCE_CAP`]. A replacement hint only: every access is a
+    /// relaxed load or store, so racing updates may lose a count but can
+    /// never corrupt the page.
+    references: AtomicU8,
 }
 
 impl FPage {
@@ -95,6 +123,7 @@ impl FPage {
             frame: AtomicU32::new(NO_FRAME),
             refs: AtomicU32::new(0),
             locked: AtomicBool::new(false),
+            references: AtomicU8::new(0),
         }
     }
 
@@ -209,6 +238,40 @@ impl FPage {
     pub fn unpin(&self) {
         let prev = self.refs.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "unpin of unpinned fpage");
+    }
+
+    /// Hits recorded since the reclaim hand last passed this page.
+    #[must_use]
+    pub fn references(&self) -> u8 {
+        self.references.load(Ordering::Relaxed)
+    }
+
+    /// Record a hit: raise the reference count unless it is saturated.
+    /// Load-then-store rather than a read-modify-write — the caller has
+    /// just pinned the page, so the line is already its own, and a hot
+    /// page at the cap costs one load.
+    pub fn touch(&self) {
+        let n = self.references.load(Ordering::Relaxed);
+        if n < REFERENCE_CAP {
+            self.references.store(n + 1, Ordering::Relaxed);
+        }
+    }
+
+    /// Forget past hits (a freshly faulted page starts cold: the fault's
+    /// own access is not a second use).
+    pub fn clear_references(&self) {
+        self.references.store(0, Ordering::Relaxed);
+    }
+
+    /// The reclaim hand passes: spend one reference if the page has any.
+    /// Returns `true` when it had — the page has bought a second chance.
+    #[must_use]
+    pub fn spend_reference(&self) -> bool {
+        let n = self.references.load(Ordering::Relaxed);
+        if n > 0 {
+            self.references.store(n - 1, Ordering::Relaxed);
+        }
+        n > 0
     }
 
     /// One lock-free pin attempt using the seqlock protocol.
@@ -357,12 +420,17 @@ pub struct RadixTree {
     // to nodes, so node addresses must survive Vec reallocation.
     #[allow(clippy::vec_box)]
     arena: Box<[Mutex<Vec<Box<Node>>>]>,
-    /// Leaves in per-shard allocation order — the (approximate) FIFO
-    /// spine of the eviction policy. Concatenating the shards loses total
-    /// allocation order across shards, which the reclaim scan tolerates:
-    /// its cursor rotation only ever promised FIFO-*like* coverage.
+    /// Leaves in per-shard allocation order — the ring the reclaim hand
+    /// travels, `FANOUT` slots a leaf. Concatenating the shards loses
+    /// total allocation order across shards, which the hand tolerates: it
+    /// needs a stable ring, not an age order (the reference counts carry
+    /// the recency). A leaf registered mid-revolution shifts the ring
+    /// under the hand once; files stop growing leaves long before their
+    /// cache is under pressure.
     leaves: Box<[Mutex<Vec<LeafRef>>]>,
-    /// Rotating start position for reclaim scans.
+    /// The reclaim hand: slots handed out so far, over all sweeps by all
+    /// threadblocks. Its position on the ring is this modulo the ring
+    /// size; it only ever moves forward, one slot per slot examined.
     evict_cursor: AtomicUsize,
 }
 
@@ -489,23 +557,25 @@ impl RadixTree {
         out
     }
 
-    /// Visit fpages in FIFO-like reclaim order, starting from a rotating
-    /// cursor over leaves in allocation order. `f` receives each page's
-    /// index and slot and returns `true` to keep scanning.
+    /// Advance the reclaim hand: visit fpages in ring order (leaves in
+    /// allocation order, slots in index order) from where the last sweep
+    /// stopped. `f` examines one page — its index and slot — and returns
+    /// `true` to be handed the next. Every slot is claimed from the
+    /// shared hand before it is examined, so concurrent sweeps split the
+    /// ring between them instead of re-examining each other's slots, and
+    /// the hand advances by exactly the slots examined. A sweep ends
+    /// after one revolution at the latest.
     pub fn for_each_reclaim_candidate(&self, mut f: impl FnMut(u64, &FPage) -> bool) {
         let snapshot: Vec<LeafRef> = self.leaf_snapshot();
-        if snapshot.is_empty() {
-            return;
-        }
-        let start = self.evict_cursor.fetch_add(1, Ordering::Relaxed) % snapshot.len();
-        for i in 0..snapshot.len() {
-            let leaf = snapshot[(start + i) % snapshot.len()];
+        let ring = snapshot.len() * FANOUT;
+        for _ in 0..ring {
+            let at = self.evict_cursor.fetch_add(1, Ordering::Relaxed) % ring;
+            let leaf = snapshot[at / FANOUT];
             // SAFETY: leaf nodes live in the arena for the tree's lifetime.
             let node = unsafe { &*leaf.node };
-            for (slot, page) in node.pages.iter().enumerate() {
-                if !f(leaf.base_page + slot as u64, page) {
-                    return;
-                }
+            let slot = at % FANOUT;
+            if !f(leaf.base_page + slot as u64, &node.pages[slot]) {
+                return;
             }
         }
     }
@@ -631,6 +701,65 @@ mod tests {
         });
         assert!(seen.contains(&0) && seen.contains(&100) && seen.contains(&1000));
         assert_eq!(seen.len(), 3 * FANOUT);
+    }
+
+    #[test]
+    fn the_reclaim_hand_resumes_where_the_last_sweep_stopped() {
+        let t = RadixTree::new();
+        t.get_or_insert(0);
+        t.get_or_insert(100);
+        t.get_or_insert(1000);
+        let ring = 3 * FANOUT;
+        // Sweeps of 7 slots each (7 does not divide the ring), until they
+        // have gone once round and a little further.
+        let mut visited = Vec::new();
+        while visited.len() < ring {
+            let mut examined = 0;
+            t.for_each_reclaim_candidate(|idx, _| {
+                visited.push(idx);
+                examined += 1;
+                examined < 7
+            });
+        }
+        let revolution: std::collections::HashSet<u64> = visited[..ring].iter().copied().collect();
+        assert_eq!(revolution.len(), ring, "every slot once per revolution");
+        let overshoot = visited.len() - ring;
+        assert_eq!(visited[ring..], visited[..overshoot], "then round again");
+        // An unbounded sweep picks up at the next slot and stops after
+        // exactly one revolution.
+        let mut full = Vec::new();
+        t.for_each_reclaim_candidate(|idx, _| {
+            full.push(idx);
+            true
+        });
+        assert_eq!(full.len(), ring);
+        assert_eq!(full[0], visited[overshoot]);
+    }
+
+    #[test]
+    fn references_saturate_and_are_spent_one_per_pass() {
+        let t = RadixTree::new();
+        let p = t.get_or_insert(0);
+        assert!(!p.spend_reference(), "a cold page has nothing to spend");
+        for _ in 0..10 {
+            p.touch();
+        }
+        assert_eq!(p.references(), REFERENCE_CAP);
+        for left in (0..REFERENCE_CAP).rev() {
+            assert!(p.spend_reference());
+            assert_eq!(p.references(), left);
+        }
+        assert!(!p.spend_reference());
+        p.touch();
+        p.clear_references();
+        assert_eq!(p.references(), 0);
+    }
+
+    #[test]
+    fn fpage_stays_three_words() {
+        // The reference count lives in padding next to `locked`: the hit
+        // path touches no line it did not already own.
+        assert_eq!(std::mem::size_of::<FPage>(), 24);
     }
 
     #[test]

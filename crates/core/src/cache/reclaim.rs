@@ -6,6 +6,12 @@
 //! files, then open read-only files, then writable ones. Dirty victims
 //! are written back through [`crate::cache::writeback`] before their
 //! frames are reused.
+//!
+//! Within a file the victims are chosen by a bounded GCLOCK (see the
+//! "Replacement order" section of [`crate::cache::radix`]): the sweep
+//! resumes where the last one stopped, passes over a page that was hit
+//! since — spending one of its references — and detaches the first
+//! unpinned pages it finds at zero.
 
 use std::sync::atomic::Ordering;
 
@@ -32,7 +38,12 @@ const RECLAIM_ROUNDS: usize = 4096;
 const RECLAIM_SPIN_ROUNDS: usize = 128;
 
 /// Frames reclaimed per paging pass; small to keep the hijacked caller's
-/// detour short (the paper avoids variable-work replacement like clock).
+/// detour short. The paper turns clock down as "variable-work"
+/// replacement; this sweep is a clock whose work is bounded instead: the
+/// hand stops at the batch-th victim, travels one revolution at most, and
+/// a page can make it pass at most `REFERENCE_CAP` times per hit — in
+/// practice a handful of slots examined per frame freed (the
+/// `reclaim_scanned` / `pages_reclaimed` counters).
 const RECLAIM_BATCH: usize = 8;
 
 /// One page detached from its fpage for eviction: the fpage is
@@ -187,21 +198,31 @@ impl GpuFsMount {
             // fpage `Initializing` (blocking new pins) with the frame
             // still holding the data, exactly as single-page eviction did.
             let mut detached: Vec<Detached> = Vec::new();
+            let owner_ok = |f: FrameIdx| {
+                owner.is_none_or(|t| self.frames.pframe(f).tenant.load(Ordering::Relaxed) == t)
+            };
+            let (mut scanned, mut spared) = (0u64, 0u64);
             victim.tree().for_each_reclaim_candidate(|idx, fp| {
-                if freed + detached.len() >= want {
-                    return false;
+                scanned += 1;
+                // Pinned pages and other tenants' pages are passed
+                // untouched; a page hit since the hand last came by
+                // spends one reference and stays.
+                if Self::looks_evictable(fp, &owner_ok) {
+                    if fp.spend_reference() {
+                        spared += 1;
+                    } else if let Some(frame) = Self::try_detach_page(fp, &owner_ok) {
+                        detached.push(Detached {
+                            page_idx: idx,
+                            frame,
+                            fp: fp as *const FPage,
+                        });
+                    }
                 }
-                let owner_ok = |f: FrameIdx| {
-                    owner.is_none_or(|t| self.frames.pframe(f).tenant.load(Ordering::Relaxed) == t)
-                };
-                if let Some(frame) = Self::try_detach_page(fp, owner_ok) {
-                    detached.push(Detached {
-                        page_idx: idx,
-                        frame,
-                        fp: fp as *const FPage,
-                    });
-                }
-                true
+                freed + detached.len() < want
+            });
+            self.count_for(blk.block_id(), |c| {
+                c.reclaim_scanned.add(scanned);
+                c.second_chances.add(spared);
             });
             if !detached.is_empty() {
                 // Everything except read-only data is written back before
@@ -271,6 +292,15 @@ impl GpuFsMount {
         Ok(freed)
     }
 
+    /// The unlocked filter in front of [`Self::claim_unpinned`]: Ready,
+    /// unpinned, and charged to an acceptable tenant. Racy — good enough
+    /// to decide whether a page is the sweep's business at all (and so
+    /// whether the hand may spend one of its references); the claim
+    /// re-checks everything under the fpage lock.
+    fn looks_evictable(fp: &FPage, owner_ok: &impl Fn(FrameIdx) -> bool) -> bool {
+        fp.state() == PageState::Ready && fp.refs() == 0 && fp.frame().is_some_and(owner_ok)
+    }
+
     /// Claim a Ready, unpinned page for an update that takes its frame
     /// away. On `Some(frame)` the fpage is locked with an update section
     /// open — new lock-free pins retry, and none validated before it (see
@@ -278,8 +308,8 @@ impl GpuFsMount {
     /// with `end_update` + `unlock`. On `None` nothing is held. `owner_ok`
     /// filters by the frame's charged tenant (checked under the fpage
     /// lock, so the owner cannot change underneath a positive answer).
-    fn claim_unpinned(fp: &FPage, owner_ok: impl Fn(FrameIdx) -> bool) -> Option<FrameIdx> {
-        if fp.state() != PageState::Ready || fp.refs() > 0 {
+    fn claim_unpinned(fp: &FPage, owner_ok: &impl Fn(FrameIdx) -> bool) -> Option<FrameIdx> {
+        if !Self::looks_evictable(fp, owner_ok) {
             return None;
         }
         fp.lock();
@@ -299,7 +329,7 @@ impl GpuFsMount {
     /// Try to detach one Ready, unpinned page from its frame: the fpage
     /// moves to `Initializing` (blocking new pins) and the frame — data
     /// intact — is returned for write-back and release.
-    fn try_detach_page(fp: &FPage, owner_ok: impl Fn(FrameIdx) -> bool) -> Option<FrameIdx> {
+    fn try_detach_page(fp: &FPage, owner_ok: &impl Fn(FrameIdx) -> bool) -> Option<FrameIdx> {
         let frame = Self::claim_unpinned(fp, owner_ok)?;
         fp.set_state(PageState::Initializing); // blocks new pins
         fp.set_frame(None);
@@ -318,10 +348,12 @@ impl GpuFsMount {
         fp.unlock();
     }
 
-    /// Drop a page without write-back (stale cache, unlink, temp close).
-    /// Pinned pages are skipped.
-    pub(crate) fn try_discard_page(&self, fp: &FPage) -> bool {
-        let Some(frame) = Self::claim_unpinned(fp, |_| true) else {
+    /// Drop a page without write-back (stale cache, unlink, temp close),
+    /// retiring its frames into freelist shard `shard` — the caller's, so
+    /// the frames it frees are the ones its next faults find. Pinned
+    /// pages are skipped.
+    pub(crate) fn try_discard_page(&self, shard: usize, fp: &FPage) -> bool {
+        let Some(frame) = Self::claim_unpinned(fp, &|_| true) else {
             return false;
         };
         fp.set_frame(None);
@@ -330,18 +362,19 @@ impl GpuFsMount {
         fp.unlock();
         let pf = self.frames.pframe(frame);
         if let Some(pristine) = pf.pristine_frame() {
-            self.retire_frame(0, pristine);
+            self.retire_frame(shard, pristine);
         }
-        self.retire_frame(0, frame);
+        self.retire_frame(shard, frame);
         true
     }
 
     /// Discard every unpinned cached page of `file` and unregister this
     /// GPU from the file's consistency-layer cache registry (a caller
     /// that keeps a newer copy of the same inode cached re-registers).
-    pub(crate) fn discard_file_cache(&self, file: &GFile) {
+    /// The frames land in freelist shard `shard` (the calling block's).
+    pub(crate) fn discard_file_cache(&self, shard: usize, file: &GFile) {
         file.tree().for_each_page(|_, fp| {
-            self.try_discard_page(fp);
+            self.try_discard_page(shard, fp);
         });
         self.host_fs
             .consistency()
@@ -351,11 +384,15 @@ impl GpuFsMount {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Arc};
+
+    use gpusim::{Gpu, GpuSpec};
+    use hostfs::{HostFs, HostFsConfig};
 
     use crate::cache::radix::race_hook::{self, Point};
-    use crate::cache::{FPage, PageState, RadixTree, Snapshot};
+    use crate::cache::{FPage, PageState, RadixTree, Snapshot, FANOUT, REFERENCE_CAP};
     use crate::config::{GOpenMode, GpufsConfig};
+    use crate::daemon::GpufsHost;
     use crate::mount::GpuFsMount;
     use crate::testrig::{rig, run_block};
     use gpusim::Grid;
@@ -410,7 +447,7 @@ mod tests {
         let fp = ready_page(&tree, 9);
         let (detached, pin) = interleave(
             Point::EvictBetweenBumpAndRefs,
-            || GpuFsMount::try_detach_page(fp, |_| true),
+            || GpuFsMount::try_detach_page(fp, &|_| true),
             || fp.try_pin_lockfree(),
         );
         assert_eq!(pin, Err(()), "a pin inside the window must not validate");
@@ -429,7 +466,7 @@ mod tests {
         let (pin, detached) = interleave(
             Point::PinBetweenIncrAndRecheck,
             || fp.try_pin_lockfree(),
-            || GpuFsMount::try_detach_page(fp, |_| true),
+            || GpuFsMount::try_detach_page(fp, &|_| true),
         );
         assert_eq!(detached, None, "a pinned page is never detached");
         assert_eq!(pin, Ok(Snapshot::Pinned(9)), "the pin it saw stands");
@@ -441,7 +478,191 @@ mod tests {
         fp.unlock();
         assert_eq!(fp.refs(), 1);
         fp.unpin();
-        assert_eq!(GpuFsMount::try_detach_page(fp, |_| true), Some(9));
+        assert_eq!(GpuFsMount::try_detach_page(fp, &|_| true), Some(9));
+    }
+
+    /// Look at the fpage of `page` of the open file at `path`.
+    fn with_fpage<R>(mount: &GpuFsMount, path: &str, page: u64, f: impl Fn(&FPage) -> R) -> R {
+        let file = mount.tables.get_open(path).expect("file is open");
+        f(file.tree().lookup(page).expect("leaf exists"))
+    }
+
+    fn resident(mount: &GpuFsMount, path: &str, page: u64) -> bool {
+        with_fpage(mount, path, page, |fp| fp.state() == PageState::Ready)
+    }
+
+    fn references(mount: &GpuFsMount, path: &str, page: u64) -> u8 {
+        with_fpage(mount, path, page, FPage::references)
+    }
+
+    #[test]
+    fn a_hit_since_the_last_sweep_buys_a_second_chance() {
+        let r = rig(1);
+        r.fs.create("/two", &[7u8; 2 * 4096]).unwrap();
+        let mount = r.host.mount(0, GpufsConfig::new(4096, 8 * 4096)).unwrap();
+        run_block(&r, |blk| {
+            let fd = mount.open(blk, "/two", GOpenMode::ReadOnly).unwrap();
+            let mut buf = [0u8; 4096];
+            mount.read(blk, &fd, 0, &mut buf).unwrap(); // fault page 0
+            mount.read(blk, &fd, 4096, &mut buf).unwrap(); // fault page 1
+            mount.read(blk, &fd, 0, &mut buf).unwrap(); // hit page 0
+            assert_eq!(references(&mount, "/two", 0), 1, "the hit counts");
+            assert_eq!(references(&mount, "/two", 1), 0, "the fault does not");
+            // The hand meets page 0 first, and passes it.
+            assert_eq!(mount.reclaim(blk, 1).unwrap(), 1);
+            assert!(resident(&mount, "/two", 0), "the hit page survives");
+            assert!(!resident(&mount, "/two", 1), "its cold neighbour goes");
+            assert_eq!(references(&mount, "/two", 0), 0, "the chance is spent");
+            assert_eq!(mount.reclaim(blk, 1).unwrap(), 1);
+            assert!(!resident(&mount, "/two", 0));
+            mount.close(blk, fd).unwrap();
+        });
+        let c = mount.counters();
+        assert_eq!(c.second_chances.get(), 1);
+        assert_eq!(c.pages_reclaimed.get(), 2);
+        // Slots 0 and 1, then the rest of the revolution to slot 0 again.
+        assert_eq!(c.reclaim_scanned.get(), 2 + FANOUT as u64 - 1);
+    }
+
+    #[test]
+    fn a_saturated_count_survives_three_passes_and_goes_on_the_fourth() {
+        let r = rig(1);
+        r.fs.create("/hot", &[7u8; 4096]).unwrap();
+        let mount = r.host.mount(0, GpufsConfig::new(4096, 8 * 4096)).unwrap();
+        run_block(&r, |blk| {
+            let fd = mount.open(blk, "/hot", GOpenMode::ReadOnly).unwrap();
+            let mut buf = [0u8; 4096];
+            for _ in 0..10 {
+                mount.read(blk, &fd, 0, &mut buf).unwrap();
+            }
+            assert_eq!(references(&mount, "/hot", 0), REFERENCE_CAP, "saturates");
+            for pass in 1..=REFERENCE_CAP {
+                assert_eq!(
+                    mount.reclaim(blk, 1).unwrap(),
+                    0,
+                    "pass {pass} frees nothing"
+                );
+                assert!(resident(&mount, "/hot", 0));
+                assert_eq!(references(&mount, "/hot", 0), REFERENCE_CAP - pass);
+            }
+            assert_eq!(mount.reclaim(blk, 1).unwrap(), 1, "the fourth takes it");
+            assert!(!resident(&mount, "/hot", 0));
+            // The refault starts cold again.
+            mount.read(blk, &fd, 0, &mut buf).unwrap();
+            assert_eq!(references(&mount, "/hot", 0), 0);
+            mount.close(blk, fd).unwrap();
+        });
+        assert_eq!(
+            mount.counters().second_chances.get(),
+            u64::from(REFERENCE_CAP)
+        );
+    }
+
+    #[test]
+    fn the_last_slot_of_a_full_leaf_is_evicted_within_two_revolutions() {
+        // A sweep that restarts at slot 0 evicts the low slots of a leaf
+        // over and over — as fast as they refault — and never reaches the
+        // high ones. The hand moves on, so slot 63's turn comes.
+        let r = rig(1);
+        let pages = FANOUT as u64;
+        r.fs.create("/leaf", &vec![7u8; FANOUT * 4096]).unwrap();
+        let mount = r
+            .host
+            .mount(0, GpufsConfig::new(4096, (FANOUT + 16) * 4096))
+            .unwrap();
+        run_block(&r, |blk| {
+            let fd = mount.open(blk, "/leaf", GOpenMode::ReadOnly).unwrap();
+            let mut buf = [0u8; 4096];
+            for page in 0..pages {
+                mount.read(blk, &fd, page * 4096, &mut buf).unwrap();
+            }
+            let mut last_slot_evicted = false;
+            for _ in 0..2 * FANOUT / 8 {
+                assert_eq!(mount.reclaim(blk, 8).unwrap(), 8);
+                last_slot_evicted |= !resident(&mount, "/leaf", pages - 1);
+                // Refault whatever went, so the leaf is full again.
+                for page in 0..pages {
+                    if !resident(&mount, "/leaf", page) {
+                        mount.read(blk, &fd, page * 4096, &mut buf).unwrap();
+                    }
+                }
+            }
+            assert!(last_slot_evicted, "slot 63 never came under the hand");
+            mount.close(blk, fd).unwrap();
+        });
+    }
+
+    #[test]
+    fn an_owner_restricted_pass_leaves_other_tenants_pages_alone() {
+        // Tenant 0 (block 0) is over its quota of 2; tenant 1 (block 1)
+        // has hit its page. The pass restricted to tenant 0 frees that
+        // tenant's pages and neither evicts tenant 1's page nor spends
+        // its reference.
+        let cfg = GpufsConfig::new(4096, 16 * 4096).with_tenant_quotas(vec![2, 8]);
+        let fs = Arc::new(HostFs::new(HostFsConfig::default()));
+        let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
+        let host = GpufsHost::with_config(Arc::clone(&fs), vec![Arc::clone(&gpu)], &cfg);
+        fs.create("/a", &[1u8; 4 * 4096]).unwrap();
+        fs.create("/b", &[2u8; 4096]).unwrap();
+        let mount = host.mount(0, cfg).unwrap();
+        mount.set_tenant(1, 1);
+        gpu.launch_seeded(Grid::new(2, 32), 0, 1, |blk| {
+            let mut buf = [0u8; 4096];
+            if blk.block_id() == 1 {
+                let fd = mount.open(blk, "/b", GOpenMode::ReadOnly).unwrap();
+                mount.read(blk, &fd, 0, &mut buf).unwrap();
+                mount.read(blk, &fd, 0, &mut buf).unwrap();
+                std::mem::forget(fd); // stays open for block 0 to sweep
+            }
+        });
+        assert_eq!(references(&mount, "/b", 0), 1);
+        gpu.launch_seeded(Grid::new(1, 32), 0, 1, |blk| {
+            let mut buf = [0u8; 4096];
+            let fd = mount.open(blk, "/a", GOpenMode::ReadOnly).unwrap();
+            for page in 0..4u64 {
+                mount.read(blk, &fd, page * 4096, &mut buf).unwrap();
+            }
+            assert!(mount.frames.over_quota(0));
+            // Ask for more than tenant 0 holds, so the restricted pass
+            // sweeps every file whichever order it takes them in.
+            assert_eq!(mount.reclaim_pass(blk, 8, Some(0)).unwrap(), 4);
+            mount.close(blk, fd).unwrap();
+        });
+        assert!(resident(&mount, "/b", 0), "tenant 1's page is not evicted");
+        assert_eq!(references(&mount, "/b", 0), 1, "nor its reference spent");
+        assert_eq!(mount.counters().second_chances.get(), 0);
+    }
+
+    #[test]
+    fn discarded_frames_land_in_the_callers_shard() {
+        // 32 frames over 8 shards, 4 each. Block 3 fills a temp file with
+        // 16 pages — its own shard's 4 frames plus 12 stolen from shards
+        // 4, 5 and 6 — and closes it, which discards the cache. All 16
+        // frames retire into shard 3 (not shard 0), and the ledger holds.
+        let r = rig(1);
+        let cfg = GpufsConfig::new(4096, 32 * 4096).with_cache_shards(8);
+        let mount = r.host.mount(0, cfg).unwrap();
+        r.gpus[0].launch_seeded(Grid::new(4, 32), 0, 1, |blk| {
+            if blk.block_id() != 3 {
+                return;
+            }
+            let fd = mount.open(blk, "/scratch.tmp", GOpenMode::Temp).unwrap();
+            for page in 0..16u64 {
+                mount.write(blk, &fd, page * 4096, &[9u8; 4096]).unwrap();
+            }
+            assert_eq!(mount.frames.free_frames(), 16);
+            mount.close(blk, fd).unwrap();
+        });
+        let frames = &mount.frames;
+        assert_eq!(frames.shard_free(3), 16, "the caller's shard takes them");
+        assert_eq!(frames.shard_free(0), 4, "shard 0 is not a dumping ground");
+        assert_eq!(frames.free_frames(), frames.num_frames(), "conservation");
+        assert_eq!(frames.tenant_held(0), 0);
+        assert_eq!(
+            mount.dirty.pages.load(std::sync::atomic::Ordering::Acquire),
+            0,
+            "discarded dirty pages settle"
+        );
     }
 
     #[test]

@@ -308,6 +308,27 @@ impl GpuFsMount {
         self.frames.free_frames()
     }
 
+    /// Every frame attached to a page of a cached file — open or parked
+    /// — with each page's pristine copy, in no particular order. On a
+    /// quiescent mount (no kernel running) the frame ledger is
+    /// `attached_frames().len() + free_frames() == num_frames` with no
+    /// frame listed twice; test oracles check exactly that.
+    #[must_use]
+    pub fn attached_frames(&self) -> Vec<FrameIdx> {
+        let mut attached = Vec::new();
+        let mut files = self.tables.closed_files();
+        files.extend(self.tables.open_files_by_eviction_priority());
+        for file in files {
+            file.tree().for_each_page(|_, fp| {
+                if let Some(frame) = fp.frame() {
+                    attached.push(frame);
+                    attached.extend(self.frames.pframe(frame).pristine_frame());
+                }
+            });
+        }
+        attached
+    }
+
     /// The GPU this mount serves.
     #[must_use]
     pub fn gpu(&self) -> &Arc<Gpu> {

@@ -81,7 +81,7 @@ pub(crate) fn serve(
                     }),
                     clock.now(),
                 ),
-                Ok(other) => unanswerable("Open", &other),
+                Ok(other) => (Err(unanswerable("Open", &other)), clock.now()),
                 Err(e) => (Err(e), clock.now()),
             }
         }
@@ -134,7 +134,7 @@ pub(crate) fn serve(
                     }),
                     clock.now(),
                 ),
-                Ok(other) => unanswerable("Stat", &other),
+                Ok(other) => (Err(unanswerable("Stat", &other)), clock.now()),
                 Err(e) => (Err(e), clock.now()),
             }
         }
@@ -149,15 +149,28 @@ fn done_call(
 ) -> (Result<RespOk, FsError>, Nanos) {
     match proxy.call(clock, req) {
         Ok(WireResponse::Done) => (Ok(RespOk::Done), clock.now()),
-        Ok(other) => unanswerable("Done-shaped request", &other),
+        Ok(other) => (
+            Err(unanswerable("a Done-shaped request", &other)),
+            clock.now(),
+        ),
         Err(e) => (Err(e), clock.now()),
     }
 }
 
-/// The in-process server answered a request with a response of the wrong
-/// shape — impossible by construction, so a bug, not an I/O condition.
-fn unanswerable(what: &str, got: &WireResponse) -> ! {
-    unreachable!("storage server answered {what} with {got:?}")
+/// The storage server answered a request with a response of the wrong
+/// shape. The response is peer-controlled, so this fails the one RPC with
+/// a typed error — naming the response's kind, not its payload — rather
+/// than taking the daemon worker down.
+fn unanswerable(what: &str, got: &WireResponse) -> FsError {
+    let kind = match got {
+        WireResponse::Opened { .. } => "Opened",
+        WireResponse::Read { .. } => "Read",
+        WireResponse::Wrote { .. } => "Wrote",
+        WireResponse::Stat { .. } => "Stat",
+        WireResponse::Done => "Done",
+        WireResponse::Err(_) => "Err",
+    };
+    FsError::Protocol(format!("storage server answered {what} with {kind}"))
 }
 
 /// The virtual cost of serving one page from the host-local cache: a
@@ -243,7 +256,7 @@ fn read_pages(
                         staging[i] = data;
                     }
                 }
-                Ok(other) => unanswerable("ReadPages", &other),
+                Ok(other) => return (Err(unanswerable("ReadPages", &other)), clock.now()),
                 Err(e) => return (Err(e), clock.now()),
             }
         }
@@ -317,7 +330,7 @@ fn write_pages(
                 }),
                 clock.now(),
             ),
-            Ok(other) => unanswerable("WritePages", &other),
+            Ok(other) => (Err(unanswerable("WritePages", &other)), clock.now()),
             Err(e) => (Err(e), clock.now()),
         };
     }
@@ -368,7 +381,7 @@ fn write_pages(
                     }
                 }
             }
-            Ok(other) => unanswerable("WritePages", &other),
+            Ok(other) => return (Err(unanswerable("WritePages", &other)), clock.now()),
             Err(e) => return (Err(e), clock.now()),
         }
     }
@@ -584,6 +597,61 @@ mod tests {
                 .map(|row| format!("{row:?}")),
         );
         out
+    }
+
+    /// A peer that answers out of protocol fails the one RPC with a typed
+    /// error; the daemon worker that served it lives to serve the next.
+    #[test]
+    fn a_wrong_shaped_response_fails_the_rpc_without_panicking() {
+        use crate::error::GpufsError;
+        use crate::remote::proto::WireResponse;
+        use hostfs::FsError;
+
+        let mut h = proxied_host(2, 2, 0);
+        h.fs().create("/data", &payload(PAGE * 2)).unwrap();
+        let fd = open(&h, "/data", true);
+        let dst = h.gpus()[0].global().alloc(PAGE).unwrap();
+        let stat = Request::Stat {
+            path: "/data".into(),
+        };
+        let open_req = Request::Open {
+            path: "/data".into(),
+            write: false,
+            create: false,
+            truncate: false,
+        };
+        let write_req = Request::WritePages {
+            fd,
+            pages: vec![PageWrite {
+                src: dst,
+                page_offset: 0,
+                extents: vec![(0, 64)],
+            }],
+            gpu: 0,
+        };
+        let wrote = WireResponse::Wrote {
+            n: 1,
+            generation: 1,
+        };
+        for (req, wrong) in [
+            (open_req, WireResponse::Done),
+            (stat.clone(), WireResponse::Done),
+            (Request::Fsync { fd }, wrote.clone()),
+            (read_req(fd, &[dst], 0), wrote),
+            (write_req, WireResponse::Read { pages: vec![] }),
+        ] {
+            let proxy = h.proxy().expect("proxied host");
+            proxy.misanswer_next(wrong);
+            let got = h.hub().call(0, 0, 0, 0, &Timings::default(), req);
+            assert!(
+                matches!(got, Err(GpufsError::Host(FsError::Protocol(_)))),
+                "expected a protocol error, got {got:?}"
+            );
+            // Same worker pool, next request: served normally.
+            let ok = h.hub().call(0, 0, 0, 0, &Timings::default(), stat.clone());
+            assert!(matches!(ok, Ok((RespOk::Stat { .. }, _))), "got {ok:?}");
+        }
+        h.shutdown();
     }
 
     /// The tentpole's time-transparency claim, end to end through the

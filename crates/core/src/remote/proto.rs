@@ -388,6 +388,7 @@ const ERR_PERMISSION_DENIED: u8 = 5;
 const ERR_BAD_DESCRIPTOR: u8 = 6;
 const ERR_INVALID_PATH: u8 = 7;
 const ERR_IMMUTABLE_FILE: u8 = 8;
+const ERR_PROTOCOL: u8 = 9;
 
 const FLAG_WRITE: u8 = 1;
 const FLAG_CREATE: u8 = 1 << 1;
@@ -682,6 +683,10 @@ fn encode_fs_error(p: &mut Vec<u8>, e: &FsError) {
             p.push(ERR_IMMUTABLE_FILE);
             put_str(p, s);
         }
+        FsError::Protocol(s) => {
+            p.push(ERR_PROTOCOL);
+            put_str(p, s);
+        }
     }
 }
 
@@ -696,6 +701,7 @@ fn decode_fs_error(r: &mut Reader<'_>) -> Result<FsError, ProtoError> {
         ERR_BAD_DESCRIPTOR => FsError::BadDescriptor(r.u64()?),
         ERR_INVALID_PATH => FsError::InvalidPath(r.string()?),
         ERR_IMMUTABLE_FILE => FsError::ImmutableFile(r.string()?),
+        ERR_PROTOCOL => FsError::Protocol(r.string()?),
         _ => return Err(ProtoError::Corrupt("unknown error tag")),
     })
 }

@@ -75,6 +75,10 @@ pub struct HostProxy {
     cache: HostPageCache,
     fds: Mutex<HashMap<HostFd, FdState>>,
     wire: WireStats,
+    /// Test seam: a response to hand back in place of the server's next
+    /// one, standing in for a peer that answers out of protocol.
+    #[cfg(test)]
+    misanswer: Mutex<Option<WireResponse>>,
 }
 
 impl HostProxy {
@@ -91,9 +95,17 @@ impl HostProxy {
             cache: HostPageCache::new(cache_pages, 8),
             fds: Mutex::new(HashMap::new()),
             wire: WireStats::default(),
+            #[cfg(test)]
+            misanswer: Mutex::new(None),
             timings,
             server,
         }
+    }
+
+    /// Replace the server's next response with `resp` (see `misanswer`).
+    #[cfg(test)]
+    pub(crate) fn misanswer_next(&self, resp: WireResponse) {
+        *self.misanswer.lock() = Some(resp);
     }
 
     /// The storage server this proxy frames to.
@@ -143,9 +155,10 @@ impl HostProxy {
     ///
     /// # Errors
     ///
-    /// Returns the [`FsError`] the server answered with. Frame-level
-    /// failures cannot occur on this path — the proxy authored the
-    /// request frame itself — so they are a panic, not an error.
+    /// Returns the [`FsError`] the server answered with, or
+    /// [`FsError::Protocol`] when the server rejects the request frame or
+    /// its response frame does not decode — the peer's bytes never panic
+    /// this host.
     pub(crate) fn call(
         &self,
         clock: &mut Clock,
@@ -169,16 +182,17 @@ impl HostProxy {
         let served = parking_lot::lockcheck::blocking_region("net-roundtrip", || {
             self.server.serve_frame(&frame, arrival)
         });
-        #[allow(clippy::expect_used)]
-        let (resp_frame, server_end) = served.expect("proxy-authored frames are well-formed");
+        let (resp_frame, server_end) =
+            served.map_err(|e| FsError::Protocol(format!("request frame rejected: {e}")))?;
         self.wire.wire_resp_bytes.add(resp_frame.len() as u64);
         let end = self.down.transfer(server_end, resp_frame.len() as u64).end
             + (self.rtt_ns - self.rtt_ns / 2);
         clock.wait_until(end);
         sp.finish_attrs(issued, clock.now(), &[("req_bytes", wire_len)]);
-        #[allow(clippy::expect_used)]
-        let resp =
-            proto::decode_response(&resp_frame).expect("server response frames are well-formed");
+        let resp = proto::decode_response(&resp_frame)
+            .map_err(|e| FsError::Protocol(format!("response frame: {e}")))?;
+        #[cfg(test)]
+        let resp = self.misanswer.lock().take().unwrap_or(resp);
         match (&resp, req) {
             (
                 WireResponse::Opened {

@@ -27,6 +27,11 @@ pub enum FsError {
     /// Write attempted on a synthetic (generated-content) file that was
     /// created immutable.
     ImmutableFile(String),
+    /// A storage peer broke the wire protocol: a frame that does not
+    /// decode, or a response whose shape does not answer the request. The
+    /// local file system never produces this; it exists so a misbehaving
+    /// peer fails one call instead of the process.
+    Protocol(String),
 }
 
 impl fmt::Display for FsError {
@@ -41,6 +46,7 @@ impl fmt::Display for FsError {
             FsError::BadDescriptor(fd) => write!(f, "bad file descriptor: {fd}"),
             FsError::InvalidPath(p) => write!(f, "invalid path: {p}"),
             FsError::ImmutableFile(p) => write!(f, "immutable synthetic file: {p}"),
+            FsError::Protocol(what) => write!(f, "storage protocol violation: {what}"),
         }
     }
 }

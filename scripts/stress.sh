@@ -17,6 +17,9 @@
 # go the two tests that hold the DMA ring under the daemon's worker bound:
 # 28 concurrent faults served by the daemon alone, and the
 # `evict_random`-shaped kernel whose 28 real threads race for the ring.
+# Last, the replacement policy: the three `cache::reclaim` tests of the
+# hand and its reference counts, and the two-block sweep of one tree
+# (the suite above runs that one too; here it gets 20 more processes).
 #
 # Usage: scripts/stress.sh [RUNS]   (default: 10)
 set -euo pipefail
@@ -33,7 +36,9 @@ flaky_runs=20
 for i in $(seq 1 "$flaky_runs"); do
   echo "== once-flaky run $i/$flaky_runs =="
   cargo test -q --release -p gpufs --lib -- \
-    parked throttle_blocks_writers per_host_stats_sum concurrent_single_page_faults
+    parked throttle_blocks_writers per_host_stats_sum concurrent_single_page_faults \
+    a_hit_since_the_last_sweep a_saturated_count the_last_slot_of_a_full_leaf
+  cargo test -q --release --test stress stress_concurrent_sweeps
   cargo test -q --release --test trace_equiv recorded_fig4_and_fig5
   cargo test -q --release --test integration evict_random_miniature
 done

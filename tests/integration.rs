@@ -326,6 +326,30 @@ fn cache_counters_attribute_per_tenant_and_sum_to_the_aggregate() {
     }
 }
 
+/// `n` page numbers drawn Zipf(0.9) over `pages` popularity ranks (by
+/// inverse CDF), the ranks scattered over the file rather than clustered
+/// at its head.
+fn zipf_pages(rng: &mut rand::rngs::StdRng, pages: usize, n: usize) -> Vec<usize> {
+    use rand::Rng;
+    let weights: Vec<f64> = (1..=pages).map(|r| (r as f64).powf(-0.9)).collect();
+    let total: f64 = weights.iter().sum();
+    (0..n)
+        .map(|_| {
+            let mut u = rng.gen_range(0.0..total);
+            let rank = weights.iter().position(|w| {
+                u -= w;
+                u < 0.0
+            });
+            rank.unwrap_or(pages - 1) * 67 % pages
+        })
+        .collect()
+}
+
+fn page_sum(page: &[u8]) -> u64 {
+    page.iter()
+        .fold(0u64, |h, &b| h.wrapping_mul(31) + u64::from(b))
+}
+
 #[test]
 fn evict_random_miniature_stays_under_the_worker_bound() {
     // The benchmark's `evict_random` shape, small: 28 resident blocks
@@ -335,7 +359,7 @@ fn evict_random_miniature_stays_under_the_worker_bound() {
     // once most find the DMA ring running and join it — which is only a
     // gain a real daemon could deliver if the CPU time the requests drew
     // fits in what one worker had.
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rand::{rngs::StdRng, SeedableRng};
     use simtime::Timings;
     const PAGE: usize = 16 << 10;
     const PAGES: usize = 256;
@@ -355,31 +379,12 @@ fn evict_random_miniature_stays_under_the_worker_bound() {
         .unwrap();
     let (data, _) = fs.read_whole("/big.bin", 0).unwrap();
     fs.reset_device_time();
-    let sum = |page: &[u8]| {
-        page.iter()
-            .fold(0u64, |h, &b| h.wrapping_mul(31) + u64::from(b))
-    };
-    let page_sums: Vec<u64> = data.chunks(PAGE).map(sum).collect();
+    let page_sums: Vec<u64> = data.chunks(PAGE).map(page_sum).collect();
 
-    // Zipf(0.9) by inverse CDF over popularity ranks.
-    let weights: Vec<f64> = (1..=PAGES).map(|r| (r as f64).powf(-0.9)).collect();
-    let total: f64 = weights.iter().sum();
     let mut rng = StdRng::seed_from_u64(11);
     let blocks = gpu.spec().concurrent_blocks();
     let reads: Vec<Vec<usize>> = (0..blocks)
-        .map(|_| {
-            (0..READS)
-                .map(|_| {
-                    let mut u = rng.gen_range(0.0..total);
-                    let rank = weights.iter().position(|w| {
-                        u -= w;
-                        u < 0.0
-                    });
-                    // Ranks scattered over the file, not clustered at its head.
-                    rank.unwrap_or(PAGES - 1) * 67 % PAGES
-                })
-                .collect()
-        })
+        .map(|_| zipf_pages(&mut rng, PAGES, READS))
         .collect();
 
     let res = gpu.launch(Grid::new(blocks, 256), 0, |blk| {
@@ -388,7 +393,11 @@ fn evict_random_miniature_stays_under_the_worker_bound() {
         for &page in &reads[blk.block_id()] {
             let off = (page * PAGE) as u64;
             assert_eq!(mount.read(blk, &fd, off, &mut buf).unwrap(), PAGE);
-            assert_eq!(sum(&buf), page_sums[page], "page {page} came back wrong");
+            assert_eq!(
+                page_sum(&buf),
+                page_sums[page],
+                "page {page} came back wrong"
+            );
         }
         mount.close(blk, fd).unwrap();
     });
@@ -421,4 +430,61 @@ fn evict_random_miniature_stays_under_the_worker_bound() {
         host.daemon_workers()
     );
     assert_eq!(row("pcie_h2d_busy_ns{gpu=0}"), gpu.dma().busy_ns().0);
+}
+
+#[test]
+fn zipf_miniature_misses_a_fifth_less_than_the_restarting_sweep() {
+    // One block, so the run is deterministic: 16 384 Zipf(0.9) page reads
+    // of a 512-page file (eight leaves) through a 128-frame cache. The
+    // sweep this replaced — restart at slot 0 of the next leaf, take the
+    // first eight resident pages — missed `RESTARTING_SWEEP_MISSES` times
+    // on this exact trace (recorded at the parent commit). The hand with
+    // reference counts must miss at most four fifths of that, return
+    // every byte right, and stay a bounded detour: no more than 16 slots
+    // examined per frame freed.
+    use rand::{rngs::StdRng, SeedableRng};
+    const PAGE: usize = 4 << 10;
+    const PAGES: usize = 512;
+    const FRAMES: usize = 128;
+    const READS: usize = 16_384;
+    const RESTARTING_SWEEP_MISSES: u64 = 8157;
+
+    let r = rig(1);
+    r.fs.create_synthetic("/zipf.bin", (PAGES * PAGE) as u64, 23)
+        .unwrap();
+    let (data, _) = r.fs.read_whole("/zipf.bin", 0).unwrap();
+    let page_sums: Vec<u64> = data.chunks(PAGE).map(page_sum).collect();
+    let reads = zipf_pages(&mut StdRng::seed_from_u64(23), PAGES, READS);
+    let mount = r
+        .host
+        .mount(0, GpufsConfig::new(PAGE, FRAMES * PAGE))
+        .unwrap();
+    r.gpus[0].launch(Grid::new(1, 32), 0, |blk| {
+        let fd = mount.open(blk, "/zipf.bin", GOpenMode::ReadOnly).unwrap();
+        let mut buf = vec![0u8; PAGE];
+        for &page in &reads {
+            let off = (page * PAGE) as u64;
+            assert_eq!(mount.read(blk, &fd, off, &mut buf).unwrap(), PAGE);
+            assert_eq!(
+                page_sum(&buf),
+                page_sums[page],
+                "page {page} came back wrong"
+            );
+        }
+        mount.close(blk, fd).unwrap();
+    });
+    let c = mount.counters();
+    let (misses, reclaimed) = (c.misses.get(), c.pages_reclaimed.get());
+    assert_eq!(c.hits.get() + misses, READS as u64);
+    assert!(
+        misses * 5 <= RESTARTING_SWEEP_MISSES * 4,
+        "{misses} misses against {RESTARTING_SWEEP_MISSES} before"
+    );
+    assert!(reclaimed > 0, "the working set must not fit");
+    assert!(
+        c.reclaim_scanned.get() <= 16 * reclaimed,
+        "{} slots examined to free {reclaimed} frames",
+        c.reclaim_scanned.get()
+    );
+    assert!(c.second_chances.get() > 0 && c.second_chances.get() < c.reclaim_scanned.get());
 }

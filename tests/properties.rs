@@ -341,6 +341,7 @@ fn wire_fs_error() -> impl Strategy<Value = FsError> {
         any::<u64>().prop_map(FsError::BadDescriptor),
         wire_path().prop_map(FsError::InvalidPath),
         wire_path().prop_map(FsError::ImmutableFile),
+        wire_path().prop_map(FsError::Protocol),
     ]
 }
 
@@ -862,6 +863,174 @@ proptest! {
             c.hits.get() + c.misses.get(),
             c.lockfree_accesses.get() + c.locked_accesses.get(),
             "every access is either lock-free or locked, never both or neither"
+        );
+    }
+}
+
+/// One step of a block's session in the frame-ledger property below.
+#[derive(Debug, Clone, Copy)]
+enum SessionOp {
+    /// Read one page of the shared read-only file (twice: the second read
+    /// is a hit, so the page carries a reference when the hand comes by).
+    ReadShared(u64),
+    /// Read one of the block's own pages of a read-write file and compare
+    /// it with what the block last wrote there.
+    ReadOwn { file: usize, slot: u64 },
+    /// Write `len` bytes of `fill` at `off` inside one of the block's own
+    /// pages of a read-write file.
+    WriteOwn {
+        file: usize,
+        slot: u64,
+        off: usize,
+        len: usize,
+        fill: u8,
+    },
+    /// Close a read-write file and open it again (parks it in the closed
+    /// table, first in line for eviction, then revives it).
+    Reopen(usize),
+}
+
+fn session_op(pages: u64) -> impl Strategy<Value = SessionOp> {
+    prop_oneof![
+        (0..pages).prop_map(SessionOp::ReadShared),
+        (0..pages).prop_map(SessionOp::ReadShared),
+        (0usize..2, 0..pages / 4).prop_map(|(file, slot)| SessionOp::ReadOwn { file, slot }),
+        (
+            (0usize..2, 0..pages / 4),
+            (0usize..4096, 1usize..4096, 1u8..255)
+        )
+            .prop_map(|((file, slot), (off, len, fill))| SessionOp::WriteOwn {
+                file,
+                slot,
+                off,
+                len: len.min(4096 - off),
+                fill,
+            }),
+        (0usize..2).prop_map(SessionOp::Reopen),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The frame ledger and the content oracle, together, over tenant
+    /// quotas, cache size, readahead window and per-block sessions: four
+    /// blocks (two tenants) open, read, write, reopen and close three
+    /// files through a cache far smaller than what they touch. Whatever
+    /// the schedule — second chances, owner-restricted quota passes,
+    /// dirty write-back of victims, parked files drained and revived —
+    /// every byte a block reads back is the byte it (or the host) put
+    /// there, the host ends up with exactly the model image, and once the
+    /// kernel is over every frame is either free or attached to exactly
+    /// one page.
+    #[test]
+    fn frame_ledger_and_contents_hold_under_quotas_and_pressure(
+        frames in 20usize..48,
+        quotas in (3usize..16, 3usize..16),
+        readahead in 1usize..4,
+        sessions in proptest::collection::vec(
+            proptest::collection::vec(session_op(24), 20..60), 4..5),
+    ) {
+        use gpufs::{GOpenMode, GpufsConfig, GpufsHost};
+        use gpusim::{Gpu, GpuSpec, Grid};
+        const PAGE: usize = 4096;
+        const PAGES: u64 = 24;
+        const BLOCKS: usize = 4;
+        const RW: [&str; 2] = ["/ledger_rw0", "/ledger_rw1"];
+
+        let image = |salt: usize| -> Vec<u8> {
+            (0..PAGES as usize * PAGE).map(|i| ((i / 7 + salt * 31) % 251) as u8).collect()
+        };
+        let fs = Arc::new(HostFs::new(HostFsConfig::default()));
+        fs.create("/ledger_ro", &image(9)).unwrap();
+        for (i, path) in RW.iter().enumerate() {
+            fs.create(path, &image(i)).unwrap();
+        }
+        let cfg = GpufsConfig::new(PAGE, frames * PAGE)
+            .with_readahead(readahead)
+            .with_tenant_quotas(vec![quotas.0, quotas.1]);
+        let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
+        let host = GpufsHost::with_config(Arc::clone(&fs), vec![Arc::clone(&gpu)], &cfg);
+        let mount = host.mount(0, cfg).unwrap();
+        for b in 0..BLOCKS {
+            mount.set_tenant(b, b / 2);
+        }
+        // Block b owns pages b, b + 4, b + 8, … of both read-write files;
+        // the model is each block's own view of its pages, merged below.
+        let own_page = |b: usize, slot: u64| slot * BLOCKS as u64 + b as u64;
+        let shared = image(9);
+        let models: Vec<std::sync::OnceLock<[Vec<u8>; 2]>> =
+            (0..BLOCKS).map(|_| std::sync::OnceLock::new()).collect();
+        gpu.launch(Grid::new(BLOCKS, 32), 0, |blk| {
+                let b = blk.block_id();
+                let mut model = [image(0), image(1)];
+                let ro = mount.open(blk, "/ledger_ro", GOpenMode::ReadOnly).unwrap();
+                let mut rw: Vec<_> = RW
+                    .iter()
+                    .map(|p| Some(mount.open(blk, p, GOpenMode::ReadWrite).unwrap()))
+                    .collect();
+                let mut buf = vec![0u8; PAGE];
+                for &op in &sessions[b] {
+                    match op {
+                        SessionOp::ReadShared(page) => {
+                            let at = page as usize * PAGE;
+                            for _ in 0..2 {
+                                assert_eq!(mount.read(blk, &ro, at as u64, &mut buf).unwrap(), PAGE);
+                                assert_eq!(buf, shared[at..at + PAGE], "shared page {page}");
+                            }
+                        }
+                        SessionOp::ReadOwn { file, slot } => {
+                            let at = own_page(b, slot) as usize * PAGE;
+                            let fd = rw[file].as_ref().unwrap();
+                            assert_eq!(mount.read(blk, fd, at as u64, &mut buf).unwrap(), PAGE);
+                            assert_eq!(buf, model[file][at..at + PAGE], "block {b} file {file} slot {slot}");
+                        }
+                        SessionOp::WriteOwn { file, slot, off, len, fill } => {
+                            let at = own_page(b, slot) as usize * PAGE + off;
+                            let fd = rw[file].as_ref().unwrap();
+                            mount.write(blk, fd, at as u64, &vec![fill; len]).unwrap();
+                            model[file][at..at + len].fill(fill);
+                        }
+                        SessionOp::Reopen(file) => {
+                            mount.close(blk, rw[file].take().unwrap()).unwrap();
+                            rw[file] = Some(mount.open(blk, RW[file], GOpenMode::ReadWrite).unwrap());
+                        }
+                    }
+                }
+                for fd in rw.into_iter().flatten() {
+                    mount.fsync(blk, &fd).unwrap();
+                    mount.close(blk, fd).unwrap();
+                }
+                mount.close(blk, ro).unwrap();
+                models[b].set(model).unwrap();
+            });
+
+        // Content oracle: the host image is the initial image with every
+        // block's own pages as that block last left them.
+        for (file, path) in RW.iter().enumerate() {
+            let (host_image, _) = fs.read_whole(path, 0).unwrap();
+            for page in 0..PAGES as usize {
+                let span = page * PAGE..(page + 1) * PAGE;
+                prop_assert_eq!(
+                    &host_image[span.clone()],
+                    &models[page % BLOCKS].get().unwrap()[file][span],
+                    "{} page {}", path, page
+                );
+            }
+        }
+        // Frame ledger: free + attached = arena, nothing attached twice.
+        let mut attached = mount.attached_frames();
+        let n = attached.len();
+        attached.sort_unstable();
+        attached.dedup();
+        prop_assert_eq!(attached.len(), n, "a frame is attached to two pages");
+        prop_assert_eq!(n + mount.free_frames(), frames);
+        let c = mount.counters();
+        prop_assert!(c.pages_reclaimed.get() > 0, "the sessions must not fit the cache");
+        prop_assert!(c.second_chances.get() > 0, "no re-read page met the hand");
+        prop_assert_eq!(
+            c.hits.get() + c.misses.get(),
+            c.lockfree_accesses.get() + c.locked_accesses.get()
         );
     }
 }

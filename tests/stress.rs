@@ -421,3 +421,92 @@ fn stress_logger_over_quota_loses_no_dirty_pages() {
         );
     }
 }
+
+#[test]
+fn stress_concurrent_sweeps_share_one_hand() {
+    // Two blocks reclaim from the same tree at the same time. A parked
+    // (closed) four-leaf file fills the cache, cold; then each block
+    // zero-fills a temp file of its own, and every frame that takes beyond
+    // the 32 spare ones comes out of the parked file, eight at a time,
+    // under whichever block ran dry. The hand is shared: a slot is
+    // examined by exactly one of the two sweeps, so each pass frees its
+    // whole batch, no slot range is swept twice, and none is jumped over —
+    // what is gone afterwards is one contiguous run of the ring from
+    // where the hand started.
+    const LEAF: usize = 64;
+    const PARKED: usize = 4 * LEAF;
+    const SPARE: usize = 32;
+    const PER_BLOCK: usize = 100;
+    for round in 0..ROUNDS {
+        let fs = Arc::new(HostFs::new(HostFsConfig::default()));
+        fs.create("/parked.bin", &vec![5u8; PARKED * PAGE]).unwrap();
+        let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
+        let host = GpufsHost::new(Arc::clone(&fs), vec![Arc::clone(&gpu)]);
+        let mount = host
+            .mount(0, GpufsConfig::new(PAGE, (PARKED + SPARE) * PAGE))
+            .unwrap();
+        let read_all = |blk: &mut gpusim::BlockCtx<'_>| -> Vec<bool> {
+            let fd = mount.open(blk, "/parked.bin", GOpenMode::ReadOnly).unwrap();
+            let mut buf = vec![0u8; PAGE];
+            let missed = (0..PARKED)
+                .map(|page| {
+                    let before = mount.counters().misses.get();
+                    let n = mount.read(blk, &fd, (page * PAGE) as u64, &mut buf);
+                    assert_eq!(n.unwrap(), PAGE);
+                    assert!(buf.iter().all(|&b| b == 5), "page {page} corrupted");
+                    mount.counters().misses.get() > before
+                })
+                .collect();
+            mount.close(blk, fd).unwrap();
+            missed
+        };
+        let first = std::sync::OnceLock::new();
+        gpu.launch(Grid::new(1, 32), 0, |blk| {
+            first.set(read_all(blk)).unwrap();
+        });
+        assert!(first.get().unwrap().iter().all(|&m| m), "cold cache");
+        assert_eq!(mount.free_frames(), SPARE);
+
+        // Both blocks start together, and neither gives its frames back
+        // (closing a temp file discards it) until both are done.
+        let rendezvous = std::sync::Barrier::new(2);
+        gpu.launch(Grid::new(2, 32), 0, |blk| {
+            let path = format!("/fill{}.tmp", blk.block_id());
+            let fd = mount.open(blk, &path, GOpenMode::Temp).unwrap();
+            rendezvous.wait();
+            for page in 0..PER_BLOCK {
+                mount
+                    .write(blk, &fd, (page * PAGE) as u64, &[9u8; PAGE])
+                    .unwrap();
+            }
+            rendezvous.wait();
+            mount.close(blk, fd).unwrap();
+        });
+        let c = mount.counters();
+        let reclaimed = c.pages_reclaimed.get() as usize;
+        assert!(
+            reclaimed >= 2 * PER_BLOCK - SPARE && reclaimed.is_multiple_of(8),
+            "round {round}: {reclaimed} frames freed — a pass came up short"
+        );
+        assert_eq!(
+            c.reclaim_scanned.get() as usize,
+            reclaimed,
+            "round {round}: a slot was examined twice, or examined and not freed"
+        );
+        assert_eq!(c.second_chances.get(), 0);
+        // The temp files are discarded; what is left of the parked file
+        // is everything past the hand.
+        assert_eq!(mount.free_frames(), SPARE + reclaimed);
+        let second = std::sync::OnceLock::new();
+        gpu.launch(Grid::new(1, 32), 0, |blk| {
+            second.set(read_all(blk)).unwrap();
+        });
+        for (page, &missed) in second.get().unwrap().iter().enumerate() {
+            assert_eq!(
+                missed,
+                page < reclaimed,
+                "round {round}: page {page} of {PARKED}, hand at {reclaimed}"
+            );
+        }
+    }
+}

@@ -10,9 +10,12 @@
 //!   `shims/parking_lot` shim so the lockcheck detector sees it. The
 //!   shim itself (under `shims/`) is the one place std locks may live.
 //! * **`unwrap`** — no `.unwrap()` / `.expect(` in non-test code under
-//!   `crates/core/src/{daemon,cache,cluster}` and `rpc.rs`: the daemon
-//!   serves a fleet, and a panic there strands every spinning
-//!   threadblock. Handle the error or propagate it.
+//!   `crates/core/src/{daemon,cache,cluster,remote}` and `rpc.rs`: the
+//!   daemon serves a fleet, and a panic there strands every spinning
+//!   threadblock. Handle the error or propagate it. Under `remote/`
+//!   ([`PANIC_SCOPE`]) the rule also covers `unreachable!` / `panic!`:
+//!   what that code matches on is a peer's bytes, so "cannot happen" is
+//!   the peer's to decide, and it must come back as a typed error.
 //! * **`sleep`** — no `thread::sleep` in non-test code under `crates/`
 //!   outside the designated backoff helper (`crates/core/src/backoff.rs`):
 //!   ad-hoc sleeps hide ordering bugs and skew the virtual clock's
@@ -65,8 +68,13 @@ const UNWRAP_SCOPE: &[&str] = &[
     "crates/core/src/daemon/",
     "crates/core/src/cache/",
     "crates/core/src/cluster/",
+    "crates/core/src/remote/",
     "crates/core/src/rpc.rs",
 ];
+
+/// Where the `unwrap` rule also forbids `unreachable!` / `panic!`: the
+/// wire tier, whose match arms are chosen by a peer's response.
+const PANIC_SCOPE: &[&str] = &["crates/core/src/remote/"];
 
 /// Files whose non-test code must stay mutex-free (the `hot-mutex`
 /// rule): the page-lookup hot path. A mutex here puts every concurrent
@@ -192,7 +200,9 @@ const RULES_HELP: &str = "\
 xtask lint rules:
   std-sync       no std::sync::{Mutex,RwLock,Condvar} under crates/ (use the
                  parking_lot shim so lockcheck sees every acquisition)
-  unwrap         no .unwrap()/.expect( in non-test daemon/cache/cluster/rpc code
+  unwrap         no .unwrap()/.expect( in non-test daemon/cache/cluster/remote/rpc
+                 code, nor unreachable!/panic! in non-test remote/ code (a peer
+                 picks those match arms: return a typed error)
   sleep          no thread::sleep under crates/ outside crates/core/src/backoff.rs
   unsafe-safety  every unsafe needs a // SAFETY: comment within 6 lines above
   hot-mutex      no Mutex/RwLock/parking_lot:: in the lock-free page-lookup
@@ -242,6 +252,7 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
     let code: Vec<String> = lines.iter().map(|l| stripper.code_of(l)).collect();
     let in_test = test_regions(&code);
     let unwrap_scoped = UNWRAP_SCOPE.iter().any(|p| rel.starts_with(p));
+    let panic_scoped = PANIC_SCOPE.iter().any(|p| rel.starts_with(p));
     let sleep_allowed = SLEEP_ALLOWED.contains(&rel);
     let hot_lockfree = HOT_LOCKFREE.contains(&rel);
     let proxy_no_hostfs = PROXY_NO_HOSTFS.contains(&rel);
@@ -284,6 +295,18 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
                     ".expect( in daemon/cache/cluster/rpc production code; handle or propagate"
                         .into(),
                 );
+            }
+        }
+        if panic_scoped {
+            for mac in ["unreachable!", "panic!"] {
+                if code_line.contains(mac) {
+                    report(
+                        Rule::Unwrap,
+                        format!(
+                            "{mac} in wire-tier production code; return a typed protocol error"
+                        ),
+                    );
+                }
             }
         }
         if !sleep_allowed && code_line.contains("thread::sleep") {
@@ -683,6 +706,23 @@ let c = '{'; let lt: &'static str = "x";"#,
         assert!(f.is_empty(), "outside the scoped paths: {f:?}");
         let f = lint_file("crates/core/src/cache/paging.rs", "v.expect(\"x\");\n");
         assert_eq!(f.len(), 1);
+    }
+
+    #[test]
+    fn unwrap_rule_covers_panicking_macros_in_the_wire_tier_only() {
+        let text = "fn f() { match r { Ok(x) => x, _ => unreachable!(\"shape\") } }\n\
+                    fn g() { panic!(\"peer\") }\n\
+                    #[cfg(test)]\nmod tests { fn t() { panic!(\"fine\") } }\n";
+        let f = lint_file("crates/core/src/remote/client.rs", text);
+        assert_eq!(f.len(), 2, "both non-test macros, not the test one: {f:?}");
+        assert!(f.iter().all(|x| x.rule.name() == "unwrap"));
+        let f = lint_file("crates/core/src/cache/paging.rs", text);
+        assert!(
+            f.is_empty(),
+            "outside remote/ the macros are allowed: {f:?}"
+        );
+        let f = lint_file("crates/core/src/remote/proxy.rs", "x.expect(\"y\");\n");
+        assert_eq!(f.len(), 1, "remote/ is inside the unwrap scope too");
     }
 
     #[test]
