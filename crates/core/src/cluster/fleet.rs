@@ -233,24 +233,14 @@ impl FleetBuilder {
                 // daemon an override that names different values would be
                 // exactly the silent no-op `mount` guards against —
                 // reject it here, where the message can say which GPU.
-                let key = |c: &GpufsConfig| {
-                    (
-                        c.rpc_channels.max(1),
-                        c.daemon_workers.max(1),
-                        c.io_chunk_pages,
-                        c.tenant_weights.clone(),
-                        c.tenant_admission.clone(),
-                    )
-                };
-                for over in self.overrides.values() {
-                    if key(over) != key(&self.base) {
-                        return Err(GpufsError::InvalidMode(
-                            "per-GPU override changes rpc_channels/daemon_workers/\
-                             io_chunk_pages/tenant_weights/tenant_admission under \
-                             a shared daemon; use DaemonTopology::PerGpu for \
-                             per-GPU host-side knobs",
-                        ));
-                    }
+                let key = self.base.daemon_key();
+                if self.overrides.values().any(|o| o.daemon_key() != key) {
+                    return Err(GpufsError::InvalidMode(
+                        "per-GPU override changes rpc_channels/daemon_workers/\
+                         io_chunk_pages/io_depth/tenant_weights/tenant_admission \
+                         under a shared daemon; use DaemonTopology::PerGpu for \
+                         per-GPU host-side knobs",
+                    ));
                 }
                 let host = match &self.proxy {
                     Some(proxy) => {
@@ -485,10 +475,17 @@ mod tests {
 
     #[test]
     fn shared_daemon_rejects_host_side_knob_overrides() {
-        let err = small_fleet(2)
-            .gpu_config(1, GpufsConfig::small_test().with_concurrency(4, 2))
-            .build();
-        assert!(matches!(err, Err(GpufsError::InvalidMode(_))));
+        // Every daemon-state knob, `io_depth` included, is refused here,
+        // where the message names the topology — not later by `mount`.
+        for over in [
+            GpufsConfig::small_test().with_concurrency(4, 2),
+            GpufsConfig::small_test().with_io_depth(4),
+        ] {
+            let err = small_fleet(2).gpu_config(1, over).build();
+            assert!(
+                matches!(err, Err(GpufsError::InvalidMode(why)) if why.contains("shared daemon"))
+            );
+        }
         // GPU-side overrides are fine under a shared daemon.
         let fleet = small_fleet(2)
             .gpu_config(1, GpufsConfig::small_test().with_readahead(8))

@@ -227,6 +227,18 @@ impl Default for GpufsConfig {
     }
 }
 
+/// [`GpufsConfig::daemon_key`]: the knobs that are state of the host
+/// daemon, with the values the daemon runs them at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct DaemonKey {
+    pub rpc_channels: usize,
+    pub daemon_workers: usize,
+    pub io_chunk_pages: usize,
+    pub io_depth: usize,
+    pub tenant_weights: Vec<u32>,
+    pub tenant_admission: Vec<usize>,
+}
+
 impl GpufsConfig {
     /// A configuration with the given page size and cache capacity.
     ///
@@ -373,6 +385,21 @@ impl GpufsConfig {
             .max(self.tenant_admission.len())
             .max(self.tenant_frame_quotas.len())
             .max(1)
+    }
+
+    /// The knobs that are state of the host daemon rather than of a mount
+    /// — fixed when the host starts, clamped as the host clamps them. Two
+    /// configurations can share one daemon exactly when their keys are
+    /// equal; every place that has to decide that compares this.
+    pub(crate) fn daemon_key(&self) -> DaemonKey {
+        DaemonKey {
+            rpc_channels: self.rpc_channels.max(1),
+            daemon_workers: self.daemon_workers.max(1),
+            io_chunk_pages: self.io_chunk_pages,
+            io_depth: self.io_depth.max(2),
+            tenant_weights: self.tenant_weights.clone(),
+            tenant_admission: self.tenant_admission.clone(),
+        }
     }
 
     /// A small configuration for unit tests: 4 KB pages, 16 frames.

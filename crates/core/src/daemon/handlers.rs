@@ -1,17 +1,18 @@
 //! Per-request handlers of the daemon worker pool.
 //!
-//! [`serve`] is the dispatch point a worker enters with a claimed
-//! envelope: metadata operations (open/close/fsync/unlink/truncate/stat)
-//! are handled inline here against the host file system's cost model,
+//! [`serve`] is the one dispatch point a worker enters with a claimed
+//! envelope, whatever storage the host has: metadata operations
+//! (open/close/fsync/unlink/truncate/stat) are one [`Backing`] call each,
 //! while the two bulk-data requests — `ReadPages` and `WritePages` —
 //! delegate to the staged, chunked engine in [`super::pipeline`].
 
 use std::sync::Arc;
 
 use gpusim::Gpu;
-use hostfs::{FsError, HostFs, OpenFlags};
+use hostfs::{FsError, OpenFlags};
 use simtime::{Clock, Nanos};
 
+use super::backing::Backing;
 use super::pipeline;
 use super::ServeCtx;
 use crate::rpc::{Request, RespOk};
@@ -20,14 +21,13 @@ use crate::rpc::{Request, RespOk};
 /// the requester may proceed (which, for reads, includes DMA the worker
 /// itself does not wait for).
 pub(super) fn serve(
-    fs: &HostFs,
+    backing: &dyn Backing,
     gpus: &[Arc<Gpu>],
     ctx: &ServeCtx<'_>,
     clock: &mut Clock,
     req: &Request,
 ) -> (Result<RespOk, FsError>, Nanos) {
-    let now = clock.now();
-    match req {
+    let result = match req {
         Request::Open {
             path,
             write,
@@ -41,69 +41,36 @@ pub(super) fn serve(
                 create: *create,
                 truncate: *truncate,
             };
-            match fs.open(path, flags, now).and_then(|(fd, t)| {
-                // fstat on a freshly opened fd can only fail if the fd
-                // table is corrupt; surface that to the caller as the
-                // open's error instead of panicking the worker.
-                fs.fstat(fd).map(|meta| (fd, t, meta))
-            }) {
-                Ok((fd, t, meta)) => {
-                    clock.wait_until(t);
-                    let generation = fs.consistency().generation(meta.ino);
-                    (
-                        Ok(RespOk::Opened {
-                            fd,
-                            ino: meta.ino,
-                            size: meta.size,
-                            generation,
-                        }),
-                        clock.now(),
-                    )
-                }
-                Err(e) => (Err(e), clock.now()),
-            }
+            backing.open(clock, path, flags).map(|o| RespOk::Opened {
+                fd: o.fd,
+                ino: o.ino,
+                size: o.size,
+                generation: o.generation,
+            })
         }
-        Request::Close { fd } => {
-            let r = fs.close(*fd).map(|()| RespOk::Done);
-            (r, clock.now())
-        }
+        Request::Close { fd } => backing.close(clock, *fd).map(|()| RespOk::Done),
         Request::ReadPages { fd, pages, gpu } => {
-            pipeline::read_pages(fs, &gpus[*gpu], ctx, clock, *fd, pages)
+            match pipeline::read_pages(backing, &gpus[*gpu], ctx, clock, *fd, pages) {
+                Ok((read, landed)) => return (Ok(read), landed),
+                Err(e) => Err(e),
+            }
         }
         Request::WritePages { fd, pages, gpu } => {
-            pipeline::write_pages(fs, &gpus[*gpu], ctx, clock, *fd, pages)
+            pipeline::write_pages(backing, &gpus[*gpu], ctx, clock, *fd, pages)
         }
-        Request::Fsync { fd } => match fs.fsync(*fd, now) {
-            Ok(t) => {
-                clock.wait_until(t);
-                (Ok(RespOk::Done), clock.now())
-            }
-            Err(e) => (Err(e), clock.now()),
-        },
-        Request::Unlink { path } => match fs.unlink(path, now) {
-            Ok(t) => {
-                clock.wait_until(t);
-                (Ok(RespOk::Done), clock.now())
-            }
-            Err(e) => (Err(e), clock.now()),
-        },
-        Request::Truncate { fd, size } => match fs.ftruncate(*fd, *size, now) {
-            Ok(t) => {
-                clock.wait_until(t);
-                (Ok(RespOk::Done), clock.now())
-            }
-            Err(e) => (Err(e), clock.now()),
-        },
-        Request::Stat { path } => {
-            let r = fs.stat(path).map(|m| RespOk::Stat {
-                ino: m.ino,
-                size: m.size,
-                writable: m.writable,
-                generation: fs.consistency().generation(m.ino),
-            });
-            (r, clock.now())
+        Request::Fsync { fd } => backing.fsync(clock, *fd).map(|()| RespOk::Done),
+        Request::Unlink { path } => backing.unlink(clock, path).map(|()| RespOk::Done),
+        Request::Truncate { fd, size } => {
+            backing.truncate(clock, *fd, *size).map(|()| RespOk::Done)
         }
-    }
+        Request::Stat { path } => backing.stat(clock, path).map(|m| RespOk::Stat {
+            ino: m.ino,
+            size: m.size,
+            writable: m.writable,
+            generation: m.generation,
+        }),
+    };
+    (result, clock.now())
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
-//! Stage 2 of both bulk-data engines: the asynchronous DMA lane.
+//! Stage 2 of the bulk-data engine: the asynchronous DMA lane.
 //!
 //! A batch streamed chunk by chunk is one scatter-gather transaction on
-//! its PCIe direction. The lane owns everything the four engines (local
-//! and proxied, read and write) do identically to ship a chunk: charge
-//! the CPU-side submit, chain the reservation behind the transaction's
-//! previous chunk, count it, and emit its span.
+//! its PCIe direction. The lane owns everything the read and the write
+//! side of `pipeline.rs` do identically to ship a chunk: charge the
+//! CPU-side submit, chain the reservation behind the transaction's
+//! previous chunk, count it, and emit its span. It never sees where the
+//! chunk's bytes were staged from, so a proxied daemon's DMA is a local
+//! daemon's DMA.
 //!
 //! Setup is owed by the first chunk a transaction ships — unless the
 //! engine's descriptor ring is still running when the chunk's data is
@@ -30,10 +32,10 @@ use super::{DaemonStats, ServeCtx};
 /// A PCIe direction, as the lane accounts for it.
 #[derive(Clone, Copy)]
 enum Dir {
-    /// Host to device: the read engines' `dma` spans. A chunk's data is
+    /// Host to device: the read side's `dma` spans. A chunk's data is
     /// ready when the worker's clock gets to it.
     H2d,
-    /// Device to host: the write engines' `gather` spans. The dirty bytes
+    /// Device to host: the write side's `gather` spans. The dirty bytes
     /// have sat in GPU memory since `ready`, when the RPC was issued.
     D2h { ready: Nanos },
 }

@@ -9,23 +9,26 @@
 //!   [`GpufsHost`] lifecycle, the worker loop, and [`DaemonStats`].
 //!   Dispatch is the fair channel scan in `RpcHub::next`: workers park on
 //!   one condvar and each claim serves exactly one request.
-//! * **[`handlers`]** — one handler per request kind: the metadata
-//!   operations (open/close/fsync/unlink/truncate/stat) and the dispatch
-//!   match itself.
+//! * **[`backing`]** — the storage seam: the `Backing` trait a worker
+//!   serves against, and its implementation on [`HostFs`]. A proxy-backed
+//!   host's workers get the [`HostProxy`]'s implementation instead
+//!   (`remote/client.rs`); nothing above the seam can tell which.
+//! * **[`handlers`]** — the one dispatch match every worker enters, and
+//!   the metadata operations (open/close/fsync/unlink/truncate/stat),
+//!   each one `Backing` call.
 //! * **[`pipeline`]** — the staged, chunked I/O engine behind the two
-//!   bulk-data requests. A batched `ReadPages` is streamed in chunks of
-//!   [`crate::GpufsConfig::io_chunk_pages`]: the worker preads chunk
-//!   *k+1* while the scatter-gather DMA of chunk *k* is in flight, so
-//!   host file I/O and PCIe transfer overlap *inside* one RPC (the
-//!   paper's Figure 5 pipelining), not just across RPCs. `WritePages` is
-//!   symmetric: the D2H gather of chunk *k+1* overlaps the `pwrite`s of
-//!   chunk *k*.
-//! * **[`lane`]** — stage 2 of that engine, shared with the proxied
-//!   serve path (`remote::client`): the chain of DMA reservations of one
-//!   transaction. The first chunk shipped pays the DMA setup — unless the
-//!   engine's descriptor ring is still running when the chunk is ready,
-//!   in which case it is appended; appended and later chunks cost a cheap
-//!   CPU-side submit instead.
+//!   bulk-data requests, the only one in the tree. A batched `ReadPages`
+//!   is streamed in chunks of [`crate::GpufsConfig::io_chunk_pages`]: the
+//!   worker stages chunk *k+1* (`Backing::read_chunk`) while the
+//!   scatter-gather DMA of chunk *k* is in flight, so host file I/O and
+//!   PCIe transfer overlap *inside* one RPC (the paper's Figure 5
+//!   pipelining), not just across RPCs. `WritePages` is symmetric: the
+//!   D2H gather of chunk *k+1* overlaps the write-out of chunk *k*.
+//! * **[`lane`]** — stage 2 of that engine: the chain of DMA
+//!   reservations of one transaction. The first chunk shipped pays the
+//!   DMA setup — unless the engine's descriptor ring is still running
+//!   when the chunk is ready, in which case it is appended; appended and
+//!   later chunks cost a cheap CPU-side submit instead.
 //!
 //! The pool defaults to a single worker — the paper restricts
 //! GPU-related CPU load to one core — and scales with
@@ -38,9 +41,10 @@
 //! costs from ([`ServeCtx`]) — not by the real thread count or the real
 //! order threads happen to run in.
 
-pub(crate) mod handlers;
-pub(crate) mod lane;
-pub(crate) mod pipeline;
+pub(crate) mod backing;
+mod handlers;
+mod lane;
+mod pipeline;
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -51,7 +55,8 @@ use hostfs::HostFs;
 use obs::{Counter, Labels, Registry, Tracer};
 use simtime::{bw_time_ns, Clock, Nanos, Timings, WorkerPool};
 
-use crate::config::GpufsConfig;
+use self::backing::Backing;
+use crate::config::{DaemonKey, GpufsConfig};
 use crate::remote::HostProxy;
 use crate::rpc::{Request, RpcHub};
 
@@ -289,16 +294,18 @@ pub struct GpufsHost {
     registry: Arc<Registry>,
     /// The host's span tracer (off by default; see [`GpufsHost::set_tracing`]).
     tracer: Tracer,
-    worker_count: usize,
     /// The I/O engine's settings and the workers' CPU pool, shared with
     /// the worker threads.
     engine: Arc<Engine>,
+    /// The daemon-state knobs this host was started with; a mount whose
+    /// configuration names others is refused.
+    daemon_key: DaemonKey,
     /// When set, this daemon is the host side of a cross-host fleet:
-    /// workers serve requests through the proxy's wire boundary
-    /// (`remote::client::serve`) instead of calling the file system
-    /// directly. `fs` then aliases the storage server's file system —
-    /// kept for mount probing, seeding, and auditing, exactly the
-    /// WRAPFS-device view the paper's consistency layer assumes.
+    /// the workers' `Backing` is the proxy (host cache, then the wire)
+    /// instead of the file system. `fs` then aliases the storage server's
+    /// file system — kept for mount probing, seeding, and auditing,
+    /// exactly the WRAPFS-device view the paper's consistency layer
+    /// assumes.
     proxy: Option<Arc<HostProxy>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -317,7 +324,7 @@ impl GpufsHost {
     /// [`GpufsConfig::io_chunk_pages`], and [`GpufsConfig::io_depth`]).
     #[must_use]
     pub fn with_config(fs: Arc<HostFs>, gpus: Vec<Arc<Gpu>>, config: &GpufsConfig) -> Self {
-        Self::with_opts(fs, gpus, config)
+        Self::build(fs, gpus, config, None)
     }
 
     /// Start the host daemon with `rpc_channels` independent request
@@ -333,7 +340,7 @@ impl GpufsHost {
         daemon_workers: usize,
     ) -> Self {
         let config = GpufsConfig::default().with_concurrency(rpc_channels, daemon_workers);
-        Self::with_opts(fs, gpus, &config)
+        Self::build(fs, gpus, &config, None)
     }
 
     /// Start a *proxy-backed* host daemon: every request is served over
@@ -350,21 +357,19 @@ impl GpufsHost {
         Self::build(fs, gpus, config, Some(proxy))
     }
 
-    fn with_opts(fs: Arc<HostFs>, gpus: Vec<Arc<Gpu>>, config: &GpufsConfig) -> Self {
-        Self::build(fs, gpus, config, None)
-    }
-
     fn build(
         fs: Arc<HostFs>,
         gpus: Vec<Arc<Gpu>>,
         config: &GpufsConfig,
         proxy: Option<Arc<HostProxy>>,
     ) -> Self {
+        // The daemon runs with the key's values: clamped in one place.
+        let daemon_key = config.daemon_key();
         let hub = Arc::new(RpcHub::with_tenancy(
-            config.rpc_channels,
+            daemon_key.rpc_channels,
             config.num_tenants(),
-            &config.tenant_weights,
-            &config.tenant_admission,
+            &daemon_key.tenant_weights,
+            &daemon_key.tenant_admission,
         ));
         let registry = Arc::new(Registry::new());
         let tracer = Tracer::new();
@@ -396,21 +401,20 @@ impl GpufsHost {
             registry.probe("pcie_h2d_busy_ns", labels, move || h2d.dma().busy_ns().0);
             registry.probe("pcie_d2h_busy_ns", labels, move || d2h.dma().busy_ns().1);
         }
-        let worker_count = config.daemon_workers.max(1);
         // The paper-prototype path (`io_chunk_pages = 0`) exists to
         // reproduce figures recorded while worker CPU was free, and some
         // of them ask for more of it than their daemon had (Figure 5's
         // DMA-excluded leg, eight GPUs behind one worker). Its pool counts
         // what requests draw but has a server for every one of them.
-        let servers = match config.io_chunk_pages {
+        let servers = match daemon_key.io_chunk_pages {
             0 => usize::MAX,
-            _ => worker_count,
+            _ => daemon_key.daemon_workers,
         };
         let engine = Arc::new(Engine {
             workers: WorkerPool::new(servers),
             timings: fs.timings().clone(),
-            io_chunk_pages: config.io_chunk_pages,
-            io_depth: config.io_depth.max(2),
+            io_chunk_pages: daemon_key.io_chunk_pages,
+            io_depth: daemon_key.io_depth,
         });
         // The same for the worker threads: CPU time drawn, summed over the
         // pool. Over `elapsed × daemon_workers` it is their occupancy.
@@ -429,20 +433,23 @@ impl GpufsHost {
                 ))
             })
             .collect();
-        let workers = (0..worker_count)
+        // What the workers serve against: the proxy if this is the host
+        // side of a cross-host fleet, else the file system itself.
+        let backing: Arc<dyn Backing> = match &proxy {
+            Some(proxy) => Arc::clone(proxy) as _,
+            None => Arc::clone(&fs) as _,
+        };
+        let workers = (0..daemon_key.daemon_workers)
             .map(|w| {
-                let fs = Arc::clone(&fs);
+                let backing = Arc::clone(&backing);
                 let gpus = gpus.clone();
                 let hub = Arc::clone(&hub);
                 let cells = cell_stats.clone();
                 let tracer = tracer.clone();
-                let proxy = proxy.clone();
                 let engine = Arc::clone(&engine);
                 std::thread::Builder::new()
                     .name(format!("gpufs-worker-{w}"))
-                    .spawn(move || {
-                        worker_loop(&fs, proxy.as_deref(), &gpus, &hub, &cells, &tracer, &engine)
-                    })
+                    .spawn(move || worker_loop(&*backing, &gpus, &hub, &cells, &tracer, &engine))
                     .unwrap_or_else(|e| {
                         // No daemon without its worker threads: spawn
                         // failure (EAGAIN at process thread limits) is fatal
@@ -462,8 +469,8 @@ impl GpufsHost {
             per_tenant_stats,
             registry,
             tracer,
-            worker_count,
             engine,
+            daemon_key,
             proxy,
             workers,
         }
@@ -559,10 +566,15 @@ impl GpufsHost {
         self.tracer.set_enabled(on);
     }
 
+    /// See the `daemon_key` field.
+    pub(crate) fn daemon_key(&self) -> &DaemonKey {
+        &self.daemon_key
+    }
+
     /// Size of the worker pool this host was started with.
     #[must_use]
     pub fn daemon_workers(&self) -> usize {
-        self.worker_count
+        self.daemon_key.daemon_workers
     }
 
     /// Chunk size (in buffer-cache pages) of the pipelined I/O engine
@@ -619,10 +631,9 @@ fn serve_span_name(req: &Request) -> &'static str {
 }
 
 /// One worker of the daemon pool: claim requests from the hub's channels
-/// until shutdown, serving each against the host FS and DMA engines.
+/// until shutdown, serving each against the host's storage and DMA engines.
 fn worker_loop(
-    fs: &HostFs,
-    proxy: Option<&HostProxy>,
+    backing: &dyn Backing,
     gpus: &[Arc<Gpu>],
     hub: &RpcHub,
     cells: &[Vec<Arc<DaemonStats>>],
@@ -653,12 +664,7 @@ fn worker_loop(
         ctx.cpu(&mut clock, timings.rpc_dispatch_ns);
         let sp = obs::span(serve_span_name(&env.req));
         let serve_start = clock.now();
-        let (result, end) = match proxy {
-            // Host side of a cross-host fleet: the same serve sequence,
-            // but through the proxy's wire boundary and host cache.
-            Some(p) => crate::remote::client::serve(p, gpus, &ctx, &mut clock, &env.req),
-            None => handlers::serve(fs, gpus, &ctx, &mut clock, &env.req),
-        };
+        let (result, end) = handlers::serve(backing, gpus, &ctx, &mut clock, &env.req);
         sp.finish_attrs(
             serve_start,
             end,
@@ -714,7 +720,21 @@ pub(crate) mod testutil {
         let config = crate::config::GpufsConfig::default()
             .with_io_chunk(io_chunk_pages)
             .with_io_depth(io_depth);
-        GpufsHost::with_opts(fs, vec![gpu], &config)
+        GpufsHost::build(fs, vec![gpu], &config, None)
+    }
+
+    /// [`host_chunked`] behind a storage server on a free link, host cache
+    /// off: the same engine, its chunks served over the wire.
+    pub(crate) fn host_chunked_proxied(io_chunk_pages: usize) -> GpufsHost {
+        let fs = Arc::new(HostFs::new(HostFsConfig {
+            timings: Timings::default().without_net(),
+            ..HostFsConfig::default()
+        }));
+        let server = Arc::new(crate::remote::StorageServer::new(fs));
+        let proxy = Arc::new(HostProxy::new(server, 0));
+        let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
+        let config = crate::config::GpufsConfig::default().with_io_chunk(io_chunk_pages);
+        GpufsHost::with_proxy(proxy, vec![gpu], &config)
     }
 
     pub(crate) fn call(h: &GpufsHost, req: Request) -> crate::error::GpufsResult<(RespOk, Nanos)> {

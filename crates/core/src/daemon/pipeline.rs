@@ -19,19 +19,25 @@
 //!                       | pwrite c0 | pwrite c1 | pwrite c2
 //! ```
 //!
+//! This is the only copy of that engine. What it stages from and writes
+//! out to it knows as a [`Backing`] and nothing more: a local daemon's
+//! file system, where a chunk is that many `pread`s or `pwrite`s, or a
+//! proxied daemon's storage server, where a chunk is a host-cache lookup
+//! and one wire frame. The chunk ring, the early response and the
+//! per-page ready times below are the same code either way.
+//!
 //! The worker's clock carries the file-I/O lane; the DMA lane
-//! ([`super::lane::DmaLane`], shared with the proxied engine) is a chain
-//! of chunk reservations, each issued no earlier than its data is ready
-//! *and* no earlier than the previous chunk ends (chunks of one
-//! transaction never overlap each other on the engine). Setup is paid at
-//! most once, on the first chunk shipped — not at all if that chunk finds
-//! the engine's descriptor ring still running and joins it; each later or
-//! joined chunk charges the cheap CPU-side submit
-//! [`simtime::Timings::dma_chunk_ns`] to the worker. Any chunk at least
-//! the batch width collapses to the serialized engine's schedule — all
-//! preads, then one DMA; `io_chunk_pages = 0` is that engine proper, on
-//! the paper prototype's DMA path (one one-shot transaction per RPC, past
-//! the ring).
+//! ([`super::lane::DmaLane`]) is a chain of chunk reservations, each
+//! issued no earlier than its data is ready *and* no earlier than the
+//! previous chunk ends (chunks of one transaction never overlap each
+//! other on the engine). Setup is paid at most once, on the first chunk
+//! shipped — not at all if that chunk finds the engine's descriptor ring
+//! still running and joins it; each later or joined chunk charges the
+//! cheap CPU-side submit [`simtime::Timings::dma_chunk_ns`] to the worker.
+//! Any chunk at least the batch width collapses to the serialized
+//! engine's schedule — all preads, then one DMA; `io_chunk_pages = 0` is
+//! that engine proper, on the paper prototype's DMA path (one one-shot
+//! transaction per RPC, past the ring).
 //!
 //! Error semantics are those of the serialized engine: a failure in any
 //! chunk fails the whole RPC (the requester unwinds the batch — frames
@@ -39,17 +45,17 @@
 //! partially-DMA'd chunks are never observable).
 
 use gpusim::{DevPtr, Gpu};
-use hostfs::{FsError, HostFd, HostFs};
+use hostfs::{FsError, HostFd};
 use simtime::{Clock, Nanos};
 
+use super::backing::Backing;
 use super::lane::DmaLane;
 use super::ServeCtx;
 use crate::rpc::{PageRead, PageWrite, RespOk};
 
 /// The chunks of a batch under the `io_chunk_pages` setting (`0` = the
 /// whole batch in one chunk, i.e. serialized), each with its index.
-/// Shared with the remote mirror of this engine in `remote::client`.
-pub(crate) fn chunks<T>(io_chunk_pages: usize, pages: &[T]) -> impl Iterator<Item = (usize, &[T])> {
+fn chunks<T>(io_chunk_pages: usize, pages: &[T]) -> impl Iterator<Item = (usize, &[T])> {
     let step = match io_chunk_pages {
         0 => pages.len().max(1),
         n => n,
@@ -57,9 +63,9 @@ pub(crate) fn chunks<T>(io_chunk_pages: usize, pages: &[T]) -> impl Iterator<Ite
     pages.chunks(step).enumerate()
 }
 
-/// Serve a `ReadPages` batch: pread chunk *k+1* while the scatter-gather
-/// DMA of chunk *k* is in flight. Returns the per-page byte counts, the
-/// per-page ready times, and the virtual time the requester may proceed.
+/// Serve a `ReadPages` batch: stage chunk *k+1* while the scatter-gather
+/// DMA of chunk *k* is in flight. Returns the per-page byte counts and
+/// ready times, and the virtual time the requester may proceed.
 ///
 /// `io_depth` is the staging depth in chunks. At the default `2`
 /// (classic double-buffering) the engine behaves exactly as before:
@@ -73,13 +79,13 @@ pub(crate) fn chunks<T>(io_chunk_pages: usize, pages: &[T]) -> impl Iterator<Ite
 /// carried back so the client can gate pins per page instead of on the
 /// whole batch.
 pub(super) fn read_pages(
-    fs: &HostFs,
+    backing: &dyn Backing,
     gpu: &Gpu,
     ctx: &ServeCtx<'_>,
     clock: &mut Clock,
     fd: HostFd,
     pages: &[PageRead],
-) -> (Result<RespOk, FsError>, Nanos) {
+) -> Result<(RespOk, Nanos), FsError> {
     if pages.len() > 1 {
         ctx.on(|s| {
             s.batched_rpcs.incr();
@@ -102,34 +108,13 @@ pub(super) fn read_pages(
         if deep && j >= io_depth {
             clock.wait_until(free_at[j - io_depth]);
         }
-        // Stage 1 — host file I/O of this chunk, serialized on the
-        // worker's clock (the host file system pipelines/serializes the
-        // individual preads as its cost model says).
-        let pread_sp = obs::span("pread");
-        let pread_start = clock.now();
-        let mut staging: Vec<Vec<u8>> = Vec::with_capacity(chunk.len());
-        for page in chunk {
-            let mut buf = vec![0u8; page.len];
-            let issued = clock.now();
-            match fs.pread(fd, page.offset, &mut buf, issued) {
-                Ok((n, t)) => {
-                    clock.wait_until(t);
-                    ctx.file_io(clock, issued, std::iter::once(n));
-                    buf.truncate(n);
-                    ns.push(n);
-                    staging.push(buf);
-                }
-                Err(e) => return (Err(e), clock.now()),
-            }
-        }
-        pread_sp.finish_attrs(
-            pread_start,
-            clock.now(),
-            &[("chunk", j as u64), ("pages", chunk.len() as u64)],
-        );
+        // Stage 1 — this chunk's bytes into host staging buffers, on the
+        // worker's clock.
+        let wanted: Vec<(u64, usize)> = chunk.iter().map(|p| (p.offset, p.len)).collect();
+        let staging = backing.read_chunk(Some(ctx), clock, fd, j, &wanted)?;
         // Stage 2 — ship the chunk asynchronously: the DMA is issued at
         // max(data ready, previous chunk's end) and the worker moves on
-        // to the next chunk's preads without waiting for it.
+        // to the next chunk's stage 1 without waiting for it.
         let parts: Vec<(&[u8], DevPtr)> = staging
             .iter()
             .zip(chunk)
@@ -143,6 +128,7 @@ pub(super) fn read_pages(
         };
         free_at.push(chunk_ready);
         for buf in &staging {
+            ns.push(buf.len());
             ready.push(if buf.is_empty() { 0 } else { chunk_ready });
         }
     }
@@ -161,22 +147,23 @@ pub(super) fn read_pages(
         // The drained engine's pages are all ready at the response.
         ready.fill(t);
     }
-    (Ok(RespOk::Read { ns, ready }), t)
+    Ok((RespOk::Read { ns, ready }, t))
 }
 
 /// Serve a `WritePages` batch: the D2H gather of chunk *k+1* overlaps the
-/// host `pwrite`s of chunk *k*. Unlike reads, each chunk's gather must
-/// land in host memory before that chunk's file writes can run, so the
-/// worker's clock waits per chunk — but only for *its* chunk, not the
-/// whole batch's gather as the serialized engine did.
+/// write-out of chunk *k*. Unlike reads, each chunk's gather must land in
+/// host memory before that chunk can be written out, so the worker's
+/// clock waits per chunk — but only for *its* chunk, not the whole
+/// batch's gather as the serialized engine did. The requester proceeds
+/// when the worker's clock gets to the end of the last write-out.
 pub(super) fn write_pages(
-    fs: &HostFs,
+    backing: &dyn Backing,
     gpu: &Gpu,
     ctx: &ServeCtx<'_>,
     clock: &mut Clock,
     fd: HostFd,
     pages: &[PageWrite],
-) -> (Result<RespOk, FsError>, Nanos) {
+) -> Result<RespOk, FsError> {
     if pages.len() > 1 {
         ctx.on(|s| {
             s.batched_write_rpcs.incr();
@@ -184,22 +171,18 @@ pub(super) fn write_pages(
         });
     }
     let issue = clock.now();
-    let ino = fs.fstat(fd).map(|m| m.ino).unwrap_or_default();
-    if pages.iter().all(|pw| pw.extents.is_empty()) {
-        let generation = fs.consistency().generation(ino);
-        return (Ok(RespOk::Wrote { n: 0, generation }), clock.now());
-    }
     let mut lane = DmaLane::new(gpu, ctx);
     let mut written = 0usize;
+    let mut generation = None;
     for (_, chunk) in chunks(ctx.engine.io_chunk_pages, pages) {
         // Flatten this chunk's dirty extents into one scatter-gather
         // descriptor list; only the modified bytes travel.
-        let mut srcs: Vec<(DevPtr, u64)> = Vec::new(); // (gpu addr, file off)
-        let mut staging: Vec<Vec<u8>> = Vec::new();
+        let mut extents: Vec<(u64, Vec<u8>)> = Vec::new(); // (file off, staging)
+        let mut srcs: Vec<DevPtr> = Vec::new();
         for pw in chunk {
             for &(off, len) in &pw.extents {
-                srcs.push((pw.src + off as usize, pw.page_offset + u64::from(off)));
-                staging.push(vec![0u8; len as usize]);
+                srcs.push(pw.src + off as usize);
+                extents.push((pw.page_offset + u64::from(off), vec![0u8; len as usize]));
             }
         }
         if srcs.is_empty() {
@@ -207,46 +190,43 @@ pub(super) fn write_pages(
         }
         let mut parts: Vec<(DevPtr, &mut [u8])> = srcs
             .iter()
-            .zip(staging.iter_mut())
-            .map(|(&(src, _), buf)| (src, buf.as_mut_slice()))
+            .zip(extents.iter_mut())
+            .map(|(&src, (_, buf))| (src, buf.as_mut_slice()))
             .collect();
-        // The gather chain runs independently of the pwrite lane: chunk
-        // k+1's gather starts when the engine frees up (gather k's end),
-        // not after chunk k's pwrites.
+        // The gather chain runs independently of the write-out lane:
+        // chunk k+1's gather starts when the engine frees up (gather k's
+        // end), not after chunk k is written out.
         let r = lane.write_chunk(clock, issue, &mut parts);
         drop(parts);
-        // This chunk's bytes must be in host memory before its pwrites.
+        // This chunk's bytes must be in host memory before they go out.
         clock.wait_until(r.end);
-        let pwrite_sp = obs::span("pwrite");
-        let pwrite_start = clock.now();
-        for (&(_, file_off), data) in srcs.iter().zip(&staging) {
-            let issued = clock.now();
-            match fs.pwrite(fd, file_off, data, issued) {
-                Ok((n, t)) => {
-                    clock.wait_until(t);
-                    ctx.file_io(clock, issued, std::iter::once(n));
-                    written += n;
-                }
-                Err(e) => return (Err(e), clock.now()),
-            }
-        }
-        pwrite_sp.finish(pwrite_start, clock.now());
+        let (n, g) = backing.write_chunk(Some(ctx), clock, fd, extents)?;
+        written += n;
+        generation = Some(g);
     }
-    let generation = fs.consistency().generation(ino);
-    (
-        Ok(RespOk::Wrote {
-            n: written,
-            generation,
-        }),
-        clock.now(),
-    )
+    let generation = match generation {
+        Some(g) => g,
+        // Nothing was dirty: the answer is only the file's generation.
+        None => backing.write_chunk(Some(ctx), clock, fd, Vec::new())?.1,
+    };
+    Ok(RespOk::Wrote {
+        n: written,
+        generation,
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{call, host, host_chunked, host_depth};
-    use super::super::GpufsHost;
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use super::super::backing::{FileStat, Opened};
+    use super::super::testutil::{call, host, host_chunked, host_chunked_proxied, host_depth};
+    use super::super::{DaemonStats, Engine, GpufsHost};
+    use super::*;
     use crate::rpc::{PageRead, PageWrite, Request, RespOk};
+    use hostfs::{HostFs, OpenFlags};
+    use simtime::WorkerPool;
     use simtime::{Nanos, Timings};
 
     fn open(h: &GpufsHost, path: &str, write: bool) -> hostfs::HostFd {
@@ -585,48 +565,49 @@ mod tests {
         // ns = 0 and no DMA extent, and the empty tail chunk must not
         // issue a DMA chunk at all.
         let page = 4096usize;
-        let h = host_chunked(2);
-        h.fs()
-            .create("/eofpipe", &vec![3u8; 2 * page + 100])
-            .unwrap();
-        let fd = open(&h, "/eofpipe", false);
-        let dst = h.gpus()[0].global().alloc(4 * page).unwrap();
-        let pages: Vec<PageRead> = (0..4)
-            .map(|i| PageRead {
-                offset: (i * page) as u64,
-                len: page,
-                dst: dst + i * page,
-            })
-            .collect();
-        let (ns, _) = read_batch(&h, fd, pages);
-        assert_eq!(ns, vec![page, page, 100, 0]);
-        assert_eq!(
-            h.stats().bytes_h2d.get(),
-            (2 * page + 100) as u64,
-            "not one byte DMA'd beyond EOF"
-        );
-        assert_eq!(
-            h.stats().read_dma_chunks.get(),
-            2,
-            "chunk 1 still ships its 100-byte extent; no third chunk"
-        );
-        let mut out = vec![0u8; 100];
-        h.gpus()[0].global().read(dst + 2 * page, &mut out);
-        assert!(out.iter().all(|&b| b == 3), "short page bytes landed");
+        for h in [host_chunked(2), host_chunked_proxied(2)] {
+            h.fs()
+                .create("/eofpipe", &vec![3u8; 2 * page + 100])
+                .unwrap();
+            let fd = open(&h, "/eofpipe", false);
+            let dst = h.gpus()[0].global().alloc(4 * page).unwrap();
+            let pages: Vec<PageRead> = (0..4)
+                .map(|i| PageRead {
+                    offset: (i * page) as u64,
+                    len: page,
+                    dst: dst + i * page,
+                })
+                .collect();
+            let (ns, _) = read_batch(&h, fd, pages);
+            assert_eq!(ns, vec![page, page, 100, 0]);
+            assert_eq!(
+                h.stats().bytes_h2d.get(),
+                (2 * page + 100) as u64,
+                "not one byte DMA'd beyond EOF"
+            );
+            assert_eq!(
+                h.stats().read_dma_chunks.get(),
+                2,
+                "chunk 1 still ships its 100-byte extent; no third chunk"
+            );
+            let mut out = vec![0u8; 100];
+            h.gpus()[0].global().read(dst + 2 * page, &mut out);
+            assert!(out.iter().all(|&b| b == 3), "short page bytes landed");
 
-        // A batch entirely past EOF: no DMA chunks at all, ns all zero.
-        let before = h.stats().read_dma_chunks.get();
-        let (ns, _) = read_batch(
-            &h,
-            fd,
-            vec![PageRead {
-                offset: (8 * page) as u64,
-                len: page,
-                dst,
-            }],
-        );
-        assert_eq!(ns, vec![0]);
-        assert_eq!(h.stats().read_dma_chunks.get(), before);
+            // A batch entirely past EOF: no DMA chunks at all, ns all zero.
+            let before = h.stats().read_dma_chunks.get();
+            let (ns, _) = read_batch(
+                &h,
+                fd,
+                vec![PageRead {
+                    offset: (8 * page) as u64,
+                    len: page,
+                    dst,
+                }],
+            );
+            assert_eq!(ns, vec![0]);
+            assert_eq!(h.stats().read_dma_chunks.get(), before);
+        }
     }
 
     #[test]
@@ -773,35 +754,36 @@ mod tests {
         // whole RPC must fail, later chunks must never run, and the
         // daemon must keep serving.
         let page = 4096usize;
-        let h = host_chunked(2);
-        h.fs().create("/ro", &vec![0u8; 4 * page]).unwrap();
-        let fd = open(&h, "/ro", false); // read-only descriptor
-        let src = h.gpus()[0].global().alloc(4 * page).unwrap();
-        h.gpus()[0].global().write(src, &vec![9u8; 4 * page]);
-        let pages: Vec<PageWrite> = (0..4)
-            .map(|i| PageWrite {
-                src: src + i * page,
-                page_offset: (i * page) as u64,
-                extents: vec![(0, page as u32)],
-            })
-            .collect();
-        let err = call(&h, Request::WritePages { fd, pages, gpu: 0 });
-        assert!(matches!(
-            err,
-            Err(crate::error::GpufsError::Host(
-                hostfs::FsError::PermissionDenied(_)
-            ))
-        ));
-        assert_eq!(
-            h.stats().write_dma_chunks.get(),
-            1,
-            "the pipeline stops at the failing chunk; chunk 1 never gathers"
-        );
-        let (data, _) = h.fs().read_whole("/ro", 0).unwrap();
-        assert!(data.iter().all(|&b| b == 0), "no byte reached the file");
-        // The daemon is still healthy.
-        let (ok, _) = call(&h, Request::Stat { path: "/ro".into() }).unwrap();
-        assert!(matches!(ok, RespOk::Stat { size, .. } if size == 4 * page as u64));
+        for h in [host_chunked(2), host_chunked_proxied(2)] {
+            h.fs().create("/ro", &vec![0u8; 4 * page]).unwrap();
+            let fd = open(&h, "/ro", false); // read-only descriptor
+            let src = h.gpus()[0].global().alloc(4 * page).unwrap();
+            h.gpus()[0].global().write(src, &vec![9u8; 4 * page]);
+            let pages: Vec<PageWrite> = (0..4)
+                .map(|i| PageWrite {
+                    src: src + i * page,
+                    page_offset: (i * page) as u64,
+                    extents: vec![(0, page as u32)],
+                })
+                .collect();
+            let err = call(&h, Request::WritePages { fd, pages, gpu: 0 });
+            assert!(matches!(
+                err,
+                Err(crate::error::GpufsError::Host(
+                    hostfs::FsError::PermissionDenied(_)
+                ))
+            ));
+            assert_eq!(
+                h.stats().write_dma_chunks.get(),
+                1,
+                "the pipeline stops at the failing chunk; chunk 1 never gathers"
+            );
+            let (data, _) = h.fs().read_whole("/ro", 0).unwrap();
+            assert!(data.iter().all(|&b| b == 0), "no byte reached the file");
+            // The daemon is still healthy.
+            let (ok, _) = call(&h, Request::Stat { path: "/ro".into() }).unwrap();
+            assert!(matches!(ok, RespOk::Stat { size, .. } if size == 4 * page as u64));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -995,5 +977,125 @@ mod tests {
         assert_eq!(h.stats().h2d_setups.get(), 0, "reads saw none of it");
         let (data, _) = h.fs().read_whole("/wring", 0).unwrap();
         assert!(data.iter().all(|&b| b == 4));
+    }
+
+    // ------------------------------------------------------------------
+    // The engine over a backing that fails on request.
+    // ------------------------------------------------------------------
+
+    /// A file system whose `fail_at`-th `read_chunk` (counting from 0)
+    /// fails; everything else is the file system's own answer.
+    struct FailingReads {
+        fs: HostFs,
+        fail_at: usize,
+        read_chunks: AtomicUsize,
+    }
+
+    impl Backing for FailingReads {
+        fn open(&self, clock: &mut Clock, path: &str, flags: OpenFlags) -> Result<Opened, FsError> {
+            Backing::open(&self.fs, clock, path, flags)
+        }
+        fn close(&self, clock: &mut Clock, fd: HostFd) -> Result<(), FsError> {
+            Backing::close(&self.fs, clock, fd)
+        }
+        fn fsync(&self, clock: &mut Clock, fd: HostFd) -> Result<(), FsError> {
+            Backing::fsync(&self.fs, clock, fd)
+        }
+        fn unlink(&self, clock: &mut Clock, path: &str) -> Result<(), FsError> {
+            Backing::unlink(&self.fs, clock, path)
+        }
+        fn truncate(&self, clock: &mut Clock, fd: HostFd, size: u64) -> Result<(), FsError> {
+            Backing::truncate(&self.fs, clock, fd, size)
+        }
+        fn stat(&self, clock: &mut Clock, path: &str) -> Result<FileStat, FsError> {
+            Backing::stat(&self.fs, clock, path)
+        }
+        fn read_chunk(
+            &self,
+            worker: Option<&ServeCtx<'_>>,
+            clock: &mut Clock,
+            fd: HostFd,
+            chunk: usize,
+            pages: &[(u64, usize)],
+        ) -> Result<Vec<Vec<u8>>, FsError> {
+            if self.read_chunks.fetch_add(1, Ordering::Relaxed) == self.fail_at {
+                return Err(FsError::Protocol("injected read fault".into()));
+            }
+            self.fs.read_chunk(worker, clock, fd, chunk, pages)
+        }
+        fn write_chunk(
+            &self,
+            worker: Option<&ServeCtx<'_>>,
+            clock: &mut Clock,
+            fd: HostFd,
+            extents: Vec<(u64, Vec<u8>)>,
+        ) -> Result<(usize, u64), FsError> {
+            self.fs.write_chunk(worker, clock, fd, extents)
+        }
+    }
+
+    #[test]
+    fn read_error_mid_batch_fails_the_rpc_after_the_chunks_already_shipped() {
+        // No real file system can fail the k-th chunk of a read once the
+        // first went through (the descriptor is good or it is not), so the
+        // engine is driven directly, over a backing that can: 8 pages in
+        // chunks of 2, the read of chunk `k` fails.
+        let page = 4096usize;
+        for k in 0..4 {
+            let backing = FailingReads {
+                fs: HostFs::new(hostfs::HostFsConfig::default()),
+                fail_at: k,
+                read_chunks: AtomicUsize::new(0),
+            };
+            backing.fs.create("/flaky", &vec![7u8; 8 * page]).unwrap();
+            let (fd, _) = backing
+                .fs
+                .open("/flaky", OpenFlags::read_only(), 0)
+                .unwrap();
+            let gpu = Gpu::new(0, gpusim::GpuSpec::small_test());
+            let dst = gpu.global().alloc(8 * page).unwrap();
+            let pages: Vec<PageRead> = (0..8)
+                .map(|i| PageRead {
+                    offset: (i * page) as u64,
+                    len: page,
+                    dst: dst + i * page,
+                })
+                .collect();
+            let leaf = DaemonStats::default();
+            let engine = Engine {
+                workers: WorkerPool::new(1),
+                timings: backing.fs.timings().clone(),
+                io_chunk_pages: 2,
+                io_depth: 2,
+            };
+            let ctx = ServeCtx {
+                leaf: &leaf,
+                engine: &engine,
+                queue_ns: Cell::new(0),
+                cpu_ns: Cell::new(0),
+            };
+            let mut clock = Clock::starting_at(0);
+            let got = read_pages(&backing, &gpu, &ctx, &mut clock, fd, &pages);
+            assert_eq!(
+                got.err(),
+                Some(FsError::Protocol("injected read fault".into())),
+                "chunk {k}'s failure is the RPC's"
+            );
+            assert_eq!(
+                backing.read_chunks.load(Ordering::Relaxed),
+                k + 1,
+                "no chunk after the failing one is read"
+            );
+            // What shipped before the failure stays on the books: the
+            // requester unwinds the batch, the daemon does not.
+            assert_eq!(leaf.read_dma_chunks.get(), k as u64);
+            assert_eq!(leaf.bytes_h2d.get(), (k * 2 * page) as u64);
+            assert_eq!(leaf.h2d_setups.get(), u64::from(k > 0));
+            assert_eq!((leaf.batched_rpcs.get(), leaf.pages_per_rpc.get()), (1, 8));
+            let mut landed = vec![0u8; 8 * page];
+            gpu.global().read(dst, &mut landed);
+            assert!(landed[..k * 2 * page].iter().all(|&b| b == 7));
+            assert!(landed[k * 2 * page..].iter().all(|&b| b == 0));
+        }
     }
 }

@@ -182,27 +182,17 @@ impl GpufsHost {
         config: GpufsConfig,
         coherence_id: usize,
     ) -> GpufsResult<Arc<GpuFsMount>> {
-        if config.rpc_channels.max(1) != self.hub().num_channels()
-            || config.daemon_workers.max(1) != self.daemon_workers()
-            || config.io_chunk_pages != self.io_chunk_pages()
-            || config.io_depth.max(2) != self.io_depth()
-        {
-            return Err(crate::error::GpufsError::InvalidMode(
-                "mount rpc_channels/daemon_workers/io_chunk_pages/io_depth do not \
-                 match the host daemon (build the host with GpufsHost::with_config)",
-            ));
-        }
-        // The tenant dispatch knobs are daemon state too: the hub's DRR
-        // weights and admission caps were fixed when the host started, and
-        // the daemon's per-tenant stat sheets must cover every tenant this
+        // Channels, workers, the I/O engine's settings and the tenant
+        // dispatch knobs were fixed when the host started — and the
+        // daemon's per-tenant stat sheets must cover every tenant this
         // mount will name.
-        if config.tenant_weights != self.hub().tenant_weights()
-            || config.tenant_admission != self.hub().tenant_admission()
+        if config.daemon_key() != *self.daemon_key()
             || config.num_tenants() > self.hub().num_tenants()
         {
             return Err(crate::error::GpufsError::InvalidMode(
-                "mount tenant_weights/tenant_admission do not match the host \
-                 daemon (build the host with GpufsHost::with_config)",
+                "mount rpc_channels/daemon_workers/io_chunk_pages/io_depth/\
+                 tenant_weights/tenant_admission do not match the host daemon \
+                 (build the host with GpufsHost::with_config)",
             ));
         }
         let gpu = Arc::clone(&self.gpus()[gpu_id]);

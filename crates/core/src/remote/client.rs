@@ -1,161 +1,38 @@
-//! The remote serve path: `daemon/handlers.rs` + `daemon/pipeline.rs`
-//! with every file-system call replaced by a wire round-trip.
+//! The proxied daemon's storage: [`Backing`] implemented on
+//! [`HostProxy`].
 //!
-//! A proxy-backed daemon worker enters [`serve`] exactly where a local
-//! worker enters `handlers::serve`, with the same clock, stat sheets,
-//! and I/O-engine knobs. The mirror is deliberately line-for-line: the
-//! staged read engine keeps its chunk ring, covered-gate early response,
-//! and per-page ready times; the write engine keeps its gather/pwrite
-//! overlap; and stage 2 — the DMA chain with its continuation submits —
-//! is not mirrored at all but the same [`DmaLane`] the local engine
-//! drives, so both join the running ring identically. What changes is
-//! stage 1 — instead of `fs.pread`/`fs.pwrite` against a local file
-//! system, each chunk consults the host page cache and ships one
-//! `ReadPages` / `WritePages` frame for the remainder, served by the
-//! [`super::StorageServer`] through the same cost model.
+//! A proxy-backed daemon worker runs the same `handlers::serve` and the
+//! same staged engine (`daemon/pipeline.rs`) as a local one; this file is
+//! only what those find under the storage seam when the file system is
+//! on another host. A metadata call is one frame. A read chunk consults
+//! the host page cache and ships one `ReadPages` frame for the misses; a
+//! write chunk is one `WritePages` frame — write-back batched over the
+//! wire — after which the written ranges leave the host cache, so this
+//! host reads its own writes. The [`super::StorageServer`] answers every
+//! frame through [`hostfs::HostFs`]'s implementation of the same trait,
+//! naming no worker: the syscall and page-cache copy it spends on each
+//! page of a frame are drawn here, by the worker that shipped the frame,
+//! when the response is back ([`ServeCtx::file_io`]). The link's share of
+//! the round-trip is waiting, and a host-cache hit costs its DRAM copy.
 //!
-//! Worker CPU is drawn as the local engine draws it. The storage server
-//! is passive — `serve_frame` runs on the calling worker's thread — so
-//! the syscall and page-cache copy it spends on each page of a frame are
-//! this worker's ([`ServeCtx::file_io`]); the link's share of the
-//! round-trip is waiting, and a host-cache hit costs its DRAM copy.
+//! A response is the peer's: one of the wrong shape, a `Read` with the
+//! wrong number of pages or a page longer than was asked for, a `Wrote`
+//! that claims more bytes than were sent — each fails the one RPC with
+//! [`FsError::Protocol`] before anything is cached, counted or DMA'd.
 //!
 //! Under [`simtime::Timings::without_net`] with the host cache disabled,
 //! every wire round-trip collapses to the server's own service time at
-//! the caller's clock — so this path reproduces the local engine's
+//! the caller's clock — so a proxied daemon reproduces a local daemon's
 //! virtual times bit for bit, worker-bound schedules included (asserted
-//! by the equivalence tests below and, end to end, by the zero-net
-//! BENCH_scale compat run).
+//! by the transcript-equality tests below).
 
-use std::sync::Arc;
-
-use gpusim::{DevPtr, Gpu};
-use hostfs::{FsError, HostFd};
-use simtime::{bw_time_ns, Clock, Nanos};
+use hostfs::{FsError, HostFd, OpenFlags};
+use simtime::{bw_time_ns, Clock};
 
 use super::proto::{WireRequest, WireResponse};
 use super::proxy::HostProxy;
-use crate::daemon::lane::DmaLane;
-use crate::daemon::pipeline::chunks;
+use crate::daemon::backing::{Backing, FileStat, Opened};
 use crate::daemon::ServeCtx;
-use crate::rpc::{PageRead, PageWrite, Request, RespOk};
-
-/// Serve one request through the proxy's wire boundary. Mirrors
-/// `handlers::serve` argument-for-argument so the daemon worker loop can
-/// branch between them on the presence of a proxy.
-pub(crate) fn serve(
-    proxy: &HostProxy,
-    gpus: &[Arc<Gpu>],
-    ctx: &ServeCtx<'_>,
-    clock: &mut Clock,
-    req: &Request,
-) -> (Result<RespOk, FsError>, Nanos) {
-    match req {
-        Request::Open {
-            path,
-            write,
-            create,
-            truncate,
-        } => {
-            ctx.on(|s| s.opens.incr());
-            match proxy.call(
-                clock,
-                &WireRequest::Open {
-                    path: path.clone(),
-                    write: *write,
-                    create: *create,
-                    truncate: *truncate,
-                },
-            ) {
-                Ok(WireResponse::Opened {
-                    fd,
-                    ino,
-                    size,
-                    generation,
-                }) => (
-                    Ok(RespOk::Opened {
-                        fd,
-                        ino,
-                        size,
-                        generation,
-                    }),
-                    clock.now(),
-                ),
-                Ok(other) => (Err(unanswerable("Open", &other)), clock.now()),
-                Err(e) => (Err(e), clock.now()),
-            }
-        }
-        Request::Close { fd } => done_call(proxy, clock, &WireRequest::Close { fd: *fd }),
-        Request::ReadPages { fd, pages, gpu } => {
-            read_pages(proxy, &gpus[*gpu], ctx, clock, *fd, pages)
-        }
-        Request::WritePages { fd, pages, gpu } => {
-            write_pages(proxy, &gpus[*gpu], ctx, clock, *fd, pages)
-        }
-        Request::Fsync { fd } => done_call(proxy, clock, &WireRequest::Fsync { fd: *fd }),
-        Request::Unlink { path } => {
-            done_call(proxy, clock, &WireRequest::Unlink { path: path.clone() })
-        }
-        Request::Truncate { fd, size } => {
-            let st = proxy.fd_state(*fd);
-            let r = done_call(
-                proxy,
-                clock,
-                &WireRequest::Truncate {
-                    fd: *fd,
-                    size: *size,
-                },
-            );
-            // Like write-back: this host must read its own truncation, so
-            // drop every cached page past the new end of file. (Bytes
-            // below `size` are untouched by a truncate and stay valid.)
-            if r.0.is_ok() {
-                if let Some(st) = st {
-                    proxy
-                        .cache()
-                        .invalidate_overlapping(st.ino, *size, u64::MAX);
-                }
-            }
-            r
-        }
-        Request::Stat { path } => {
-            match proxy.call(clock, &WireRequest::Stat { path: path.clone() }) {
-                Ok(WireResponse::Stat {
-                    ino,
-                    size,
-                    writable,
-                    generation,
-                }) => (
-                    Ok(RespOk::Stat {
-                        ino,
-                        size,
-                        writable,
-                        generation,
-                    }),
-                    clock.now(),
-                ),
-                Ok(other) => (Err(unanswerable("Stat", &other)), clock.now()),
-                Err(e) => (Err(e), clock.now()),
-            }
-        }
-    }
-}
-
-/// A request whose only success shape is `Done`.
-fn done_call(
-    proxy: &HostProxy,
-    clock: &mut Clock,
-    req: &WireRequest,
-) -> (Result<RespOk, FsError>, Nanos) {
-    match proxy.call(clock, req) {
-        Ok(WireResponse::Done) => (Ok(RespOk::Done), clock.now()),
-        Ok(other) => (
-            Err(unanswerable("a Done-shaped request", &other)),
-            clock.now(),
-        ),
-        Err(e) => (Err(e), clock.now()),
-    }
-}
 
 /// The storage server answered a request with a response of the wrong
 /// shape. The response is peer-controlled, so this fails the one RPC with
@@ -173,225 +50,186 @@ fn unanswerable(what: &str, got: &WireResponse) -> FsError {
     FsError::Protocol(format!("storage server answered {what} with {kind}"))
 }
 
-/// The virtual cost of serving one page from the host-local cache: a
-/// host DRAM copy of the page (no syscall, no wire, no disk).
-fn hit_ns(proxy: &HostProxy, bytes: usize) -> Nanos {
-    bw_time_ns(bytes as u64, proxy.timings().host_mem_mb_s)
+/// The only success shape of close, fsync, unlink and truncate.
+fn done(resp: WireResponse) -> Result<(), FsError> {
+    match resp {
+        WireResponse::Done => Ok(()),
+        other => Err(unanswerable("a Done-shaped request", &other)),
+    }
 }
 
-/// The read engine of `daemon/pipeline.rs` with stage 1 replaced by
-/// host-cache lookups plus one `ReadPages` frame per chunk for the
-/// misses. Stage 2 is the shared [`DmaLane`]; the ring bound, covered
-/// gate, and per-page ready times around it are copied unchanged.
-fn read_pages(
-    proxy: &HostProxy,
-    gpu: &Gpu,
-    ctx: &ServeCtx<'_>,
-    clock: &mut Clock,
-    fd: HostFd,
-    pages: &[PageRead],
-) -> (Result<RespOk, FsError>, Nanos) {
-    if pages.len() > 1 {
-        ctx.on(|s| {
-            s.batched_rpcs.incr();
-            s.pages_per_rpc.add(pages.len() as u64);
-        });
-    }
-    let io_depth = ctx.engine.io_depth;
-    let deep = io_depth > 2;
-    let mut lane = DmaLane::new(gpu, ctx);
-    let fd_state = proxy.fd_state(fd);
-    let mut ns = Vec::with_capacity(pages.len());
-    let mut ready: Vec<Nanos> = Vec::with_capacity(pages.len());
-    let mut free_at: Vec<Nanos> = Vec::new();
-    for (j, chunk) in chunks(ctx.engine.io_chunk_pages, pages) {
-        if deep && j >= io_depth {
-            clock.wait_until(free_at[j - io_depth]);
+impl Backing for HostProxy {
+    fn open(&self, clock: &mut Clock, path: &str, flags: OpenFlags) -> Result<Opened, FsError> {
+        let req = WireRequest::Open {
+            path: path.to_owned(),
+            write: flags.write,
+            create: flags.create,
+            truncate: flags.truncate,
+        };
+        match self.call(clock, &req)? {
+            WireResponse::Opened {
+                fd,
+                ino,
+                size,
+                generation,
+            } => Ok(Opened {
+                fd,
+                ino,
+                size,
+                generation,
+            }),
+            other => Err(unanswerable("Open", &other)),
         }
-        // Stage 1 — fill this chunk's staging buffers: host-cache hits
-        // cost a local DRAM copy; the misses ride one wire round-trip,
-        // which the server runs through the same pread sequence the
-        // local engine would.
-        let mut staging: Vec<Vec<u8>> = vec![Vec::new(); chunk.len()];
+    }
+
+    fn close(&self, clock: &mut Clock, fd: HostFd) -> Result<(), FsError> {
+        self.call(clock, &WireRequest::Close { fd }).and_then(done)
+    }
+
+    fn fsync(&self, clock: &mut Clock, fd: HostFd) -> Result<(), FsError> {
+        self.call(clock, &WireRequest::Fsync { fd }).and_then(done)
+    }
+
+    fn unlink(&self, clock: &mut Clock, path: &str) -> Result<(), FsError> {
+        let path = path.to_owned();
+        self.call(clock, &WireRequest::Unlink { path })
+            .and_then(done)
+    }
+
+    fn truncate(&self, clock: &mut Clock, fd: HostFd, size: u64) -> Result<(), FsError> {
+        let st = self.fd_state(fd);
+        self.call(clock, &WireRequest::Truncate { fd, size })
+            .and_then(done)?;
+        // Like write-back: this host must read its own truncation, so
+        // drop every cached page past the new end of file. (Bytes below
+        // `size` are untouched by a truncate and stay valid.)
+        if let Some(st) = st {
+            self.cache().invalidate_overlapping(st.ino, size, u64::MAX);
+        }
+        Ok(())
+    }
+
+    fn stat(&self, clock: &mut Clock, path: &str) -> Result<FileStat, FsError> {
+        let path = path.to_owned();
+        match self.call(clock, &WireRequest::Stat { path })? {
+            WireResponse::Stat {
+                ino,
+                size,
+                writable,
+                generation,
+            } => Ok(FileStat {
+                ino,
+                size,
+                writable,
+                generation,
+            }),
+            other => Err(unanswerable("Stat", &other)),
+        }
+    }
+
+    /// Host-cache hits cost a local DRAM copy; the misses ride one wire
+    /// round-trip, which the server runs through the pread sequence a
+    /// local daemon would.
+    fn read_chunk(
+        &self,
+        worker: Option<&ServeCtx<'_>>,
+        clock: &mut Clock,
+        fd: HostFd,
+        _chunk: usize,
+        pages: &[(u64, usize)],
+    ) -> Result<Vec<Vec<u8>>, FsError> {
+        let fd_state = self.fd_state(fd);
+        let mut staging: Vec<Vec<u8>> = vec![Vec::new(); pages.len()];
         let mut misses: Vec<usize> = Vec::new();
-        for (i, page) in chunk.iter().enumerate() {
-            let cached = fd_state.and_then(|st| {
-                proxy
-                    .cache()
-                    .lookup(st.ino, page.offset, st.generation, page.len)
-            });
+        for (i, &(offset, len)) in pages.iter().enumerate() {
+            let cached =
+                fd_state.and_then(|st| self.cache().lookup(st.ino, offset, st.generation, len));
             match cached {
                 Some(mut data) => {
-                    data.truncate(page.len);
-                    ctx.cpu(clock, hit_ns(proxy, data.len()));
+                    data.truncate(len);
+                    let copy_ns = bw_time_ns(data.len() as u64, self.timings().host_mem_mb_s);
+                    match worker {
+                        Some(w) => w.cpu(clock, copy_ns),
+                        None => clock.advance(copy_ns),
+                    }
                     staging[i] = data;
                 }
                 None => misses.push(i),
             }
         }
-        if !misses.is_empty() {
-            let wire_pages: Vec<(u64, u32)> = misses
-                .iter()
-                .map(|&i| (chunk[i].offset, chunk[i].len as u32))
-                .collect();
-            let issued = clock.now();
-            match proxy.call(
-                clock,
-                &WireRequest::ReadPages {
-                    fd,
-                    pages: wire_pages,
-                },
-            ) {
-                Ok(WireResponse::Read { pages: got }) => {
-                    ctx.file_io(clock, issued, got.iter().map(Vec::len));
-                    for (&i, data) in misses.iter().zip(got) {
-                        if let Some(st) = fd_state {
-                            proxy.cache().insert(
-                                st.ino,
-                                chunk[i].offset,
-                                st.generation,
-                                data.clone(),
-                            );
-                        }
-                        staging[i] = data;
-                    }
-                }
-                Ok(other) => return (Err(unanswerable("ReadPages", &other)), clock.now()),
-                Err(e) => return (Err(e), clock.now()),
-            }
+        if misses.is_empty() {
+            return Ok(staging);
         }
-        // Stage 2 — ship the chunk asynchronously, exactly as the local
-        // engine does.
-        let parts: Vec<(&[u8], DevPtr)> = staging
+        let wire = misses
             .iter()
-            .zip(chunk)
-            .filter(|(buf, _)| !buf.is_empty())
-            .map(|(buf, page)| (buf.as_slice(), page.dst))
+            .map(|&i| (pages[i].0, pages[i].1 as u32))
             .collect();
-        let chunk_ready = if parts.is_empty() {
-            0
-        } else {
-            lane.read_chunk(clock, &parts).end
+        let issued = clock.now();
+        let req = WireRequest::ReadPages { fd, pages: wire };
+        let got = match self.call(clock, &req)? {
+            WireResponse::Read { pages: got } => got,
+            other => return Err(unanswerable("ReadPages", &other)),
         };
-        free_at.push(chunk_ready);
-        for buf in &staging {
-            ns.push(buf.len());
-            ready.push(if buf.is_empty() { 0 } else { chunk_ready });
+        // One page too few would leave a hole where there is data; one
+        // too long would be DMA'd past its frame into the neighbour's.
+        let fits = |(&i, data): (&usize, &Vec<u8>)| data.len() <= pages[i].1;
+        if got.len() != misses.len() || !misses.iter().zip(&got).all(fits) {
+            return Err(FsError::Protocol(
+                "storage server answered ReadPages with the wrong page count or an overlong page"
+                    .into(),
+            ));
         }
+        if let Some(w) = worker {
+            w.file_io(clock, issued, got.iter().map(Vec::len));
+        }
+        for (&i, data) in misses.iter().zip(got) {
+            if let Some(st) = fd_state {
+                self.cache()
+                    .insert(st.ino, pages[i].0, st.generation, data.clone());
+            }
+            staging[i] = data;
+        }
+        Ok(staging)
     }
-    let t = if deep {
-        let covered = free_at.len().saturating_sub(io_depth - 2).max(1);
-        let gate = free_at[..covered].iter().copied().max().unwrap_or(0);
-        gate.max(clock.now())
-    } else {
-        lane.end().max(clock.now())
-    };
-    if !deep {
-        ready.fill(t);
-    }
-    (Ok(RespOk::Read { ns, ready }), t)
-}
 
-/// The write engine of `daemon/pipeline.rs` with the serial `pwrite`
-/// lane replaced by one `WritePages` frame per chunk — write-back
-/// batched over the wire. The D2H gather chain is the shared [`DmaLane`], and
-/// every successfully shipped batch invalidates the written ranges in
-/// the host cache so this host reads its own writes.
-fn write_pages(
-    proxy: &HostProxy,
-    gpu: &Gpu,
-    ctx: &ServeCtx<'_>,
-    clock: &mut Clock,
-    fd: HostFd,
-    pages: &[PageWrite],
-) -> (Result<RespOk, FsError>, Nanos) {
-    if pages.len() > 1 {
-        ctx.on(|s| {
-            s.batched_write_rpcs.incr();
-            s.pages_per_write_rpc.add(pages.len() as u64);
-        });
-    }
-    let issue = clock.now();
-    let fd_state = proxy.fd_state(fd);
-    if pages.iter().all(|pw| pw.extents.is_empty()) {
-        // The local engine answers an empty batch from the generation
-        // table alone; remotely that is one payload-free frame.
-        return match proxy.call(
-            clock,
-            &WireRequest::WritePages {
-                fd,
-                extents: vec![],
-            },
-        ) {
-            Ok(WireResponse::Wrote { n, generation }) => (
-                Ok(RespOk::Wrote {
-                    n: n as usize,
-                    generation,
-                }),
-                clock.now(),
-            ),
-            Ok(other) => (Err(unanswerable("WritePages", &other)), clock.now()),
-            Err(e) => (Err(e), clock.now()),
-        };
-    }
-    let mut lane = DmaLane::new(gpu, ctx);
-    let mut written = 0usize;
-    let mut generation = 0u64;
-    for (_, chunk) in chunks(ctx.engine.io_chunk_pages, pages) {
-        let mut srcs: Vec<(DevPtr, u64)> = Vec::new(); // (gpu addr, file off)
-        let mut staging: Vec<Vec<u8>> = Vec::new();
-        for pw in chunk {
-            for &(off, len) in &pw.extents {
-                srcs.push((pw.src + off as usize, pw.page_offset + u64::from(off)));
-                staging.push(vec![0u8; len as usize]);
-            }
-        }
-        if srcs.is_empty() {
-            continue;
-        }
-        let mut parts: Vec<(DevPtr, &mut [u8])> = srcs
-            .iter()
-            .zip(staging.iter_mut())
-            .map(|(&(src, _), buf)| (src, buf.as_mut_slice()))
-            .collect();
-        let r = lane.write_chunk(clock, issue, &mut parts);
-        drop(parts);
-        // This chunk's bytes must be in host memory before they can go
-        // on the wire.
-        clock.wait_until(r.end);
-        let extents: Vec<(u64, Vec<u8>)> = srcs
-            .iter()
-            .zip(staging)
-            .map(|(&(_, file_off), data)| (file_off, data))
-            .collect();
+    fn write_chunk(
+        &self,
+        worker: Option<&ServeCtx<'_>>,
+        clock: &mut Clock,
+        fd: HostFd,
+        extents: Vec<(u64, Vec<u8>)>,
+    ) -> Result<(usize, u64), FsError> {
+        let fd_state = self.fd_state(fd);
         let ranges: Vec<(u64, u64)> = extents
             .iter()
             .map(|(off, data)| (*off, off + data.len() as u64))
             .collect();
+        let sent: u64 = ranges.iter().map(|(start, end)| end - start).sum();
         let issued = clock.now();
-        match proxy.call(clock, &WireRequest::WritePages { fd, extents }) {
-            Ok(WireResponse::Wrote { n, generation: g }) => {
-                ctx.file_io(clock, issued, ranges.iter().map(|(a, b)| (b - a) as usize));
-                written += n as usize;
-                generation = g;
-                proxy.wire().writeback_batches.incr();
-                if let Some(st) = fd_state {
-                    for (start, end) in ranges {
-                        proxy.cache().invalidate_overlapping(st.ino, start, end);
-                    }
-                }
+        let (n, generation) = match self.call(clock, &WireRequest::WritePages { fd, extents })? {
+            WireResponse::Wrote { n, generation } if n <= sent => (n, generation),
+            WireResponse::Wrote { n, .. } => {
+                return Err(FsError::Protocol(format!(
+                    "storage server wrote {n} of the {sent} bytes it was sent"
+                )))
             }
-            Ok(other) => return (Err(unanswerable("WritePages", &other)), clock.now()),
-            Err(e) => return (Err(e), clock.now()),
+            other => return Err(unanswerable("WritePages", &other)),
+        };
+        if let Some(w) = worker {
+            w.file_io(clock, issued, ranges.iter().map(|(a, b)| (b - a) as usize));
         }
+        // The payload-free frame of a batch with nothing dirty is not a
+        // write-back.
+        if !ranges.is_empty() {
+            self.wire().writeback_batches.incr();
+        }
+        if let Some(st) = fd_state {
+            for (start, end) in ranges {
+                self.cache().invalidate_overlapping(st.ino, start, end);
+            }
+        }
+        Ok((n as usize, generation))
     }
-    (
-        Ok(RespOk::Wrote {
-            n: written,
-            generation,
-        }),
-        clock.now(),
-    )
 }
 
 #[cfg(test)]
@@ -599,18 +437,22 @@ mod tests {
         out
     }
 
-    /// A peer that answers out of protocol fails the one RPC with a typed
-    /// error; the daemon worker that served it lives to serve the next.
+    /// A peer that answers out of protocol — the wrong shape, or the right
+    /// shape with content that does not fit the request — fails the one
+    /// RPC with a typed error before any of it is cached, counted or
+    /// DMA'd; the daemon worker that served it lives to serve the next.
     #[test]
     fn a_wrong_shaped_response_fails_the_rpc_without_panicking() {
         use crate::error::GpufsError;
         use crate::remote::proto::WireResponse;
         use hostfs::FsError;
 
-        let mut h = proxied_host(2, 2, 0);
+        let mut h = proxied_host(2, 2, 64);
         h.fs().create("/data", &payload(PAGE * 2)).unwrap();
         let fd = open(&h, "/data", true);
-        let dst = h.gpus()[0].global().alloc(PAGE).unwrap();
+        let dsts: Vec<DevPtr> = (0..2)
+            .map(|_| h.gpus()[0].global().alloc(PAGE).unwrap())
+            .collect();
         let stat = Request::Stat {
             path: "/data".into(),
         };
@@ -623,34 +465,47 @@ mod tests {
         let write_req = Request::WritePages {
             fd,
             pages: vec![PageWrite {
-                src: dst,
+                src: dsts[0],
                 page_offset: 0,
                 extents: vec![(0, 64)],
             }],
             gpu: 0,
         };
-        let wrote = WireResponse::Wrote {
-            n: 1,
-            generation: 1,
+        let wrote = |n| WireResponse::Wrote { n, generation: 1 };
+        let read = |lens: &[usize]| WireResponse::Read {
+            pages: lens.iter().map(|&len| vec![0x5a; len]).collect(),
         };
         for (req, wrong) in [
             (open_req, WireResponse::Done),
             (stat.clone(), WireResponse::Done),
-            (Request::Fsync { fd }, wrote.clone()),
-            (read_req(fd, &[dst], 0), wrote),
-            (write_req, WireResponse::Read { pages: vec![] }),
+            (Request::Fsync { fd }, wrote(1)),
+            (read_req(fd, &dsts[..1], 0), wrote(1)),
+            (write_req.clone(), read(&[])),
+            // Well-shaped, wrong content: a page short of the two asked
+            // for, a page a byte longer than asked for, and more bytes
+            // written than were sent.
+            (read_req(fd, &dsts, 0), read(&[PAGE])),
+            (read_req(fd, &dsts[..1], 0), read(&[PAGE + 1])),
+            (write_req, wrote(65)),
         ] {
             let proxy = h.proxy().expect("proxied host");
+            let before = (h.stats().bytes_h2d.get(), proxy.cache().len());
             proxy.misanswer_next(wrong);
             let got = h.hub().call(0, 0, 0, 0, &Timings::default(), req);
             assert!(
                 matches!(got, Err(GpufsError::Host(FsError::Protocol(_)))),
                 "expected a protocol error, got {got:?}"
             );
+            assert_eq!(
+                (h.stats().bytes_h2d.get(), proxy.cache().len()),
+                before,
+                "nothing of a rejected response is DMA'd or cached"
+            );
             // Same worker pool, next request: served normally.
             let ok = h.hub().call(0, 0, 0, 0, &Timings::default(), stat.clone());
             assert!(matches!(ok, Ok((RespOk::Stat { .. }, _))), "got {ok:?}");
         }
+        assert_eq!(h.proxy().expect("proxied host").cache().len(), 0);
         h.shutdown();
     }
 

@@ -9,21 +9,24 @@
 //! * [`proto`] — the hand-rolled frame encoding of the request/response
 //!   surface (no serde; rejected-never-panicked decoding).
 //! * [`StorageServer`] — sole owner of the shared [`hostfs::HostFs`] and
-//!   its close-to-open consistency registry; serves decoded frames
-//!   through the same operation sequences as `daemon/handlers.rs`.
+//!   its close-to-open consistency registry; answers each decoded frame
+//!   through that file system's `Backing` implementation
+//!   (`daemon/backing.rs`), the calls a local daemon worker makes.
 //! * [`HostProxy`] — the per-host gateway: serializes requests, moves
 //!   frames over a simulated network link (per-direction
 //!   [`simtime::BandwidthResource`] + fixed RTT, the PCIe model's
 //!   shape, calibrated by [`simtime::Timings::net_rtt_ns`] /
 //!   [`simtime::Timings::net_mb_s`]), and keeps the [`HostPageCache`] so
 //!   repeat faults across a host's GPUs never cross the network.
-//! * [`client`](self) — the proxy-backed daemon serve path (crate
-//!   internal), mirroring the local handlers + pipelined I/O engine
-//!   line for line with frames in place of file-system calls.
+//! * [`client`](self) — `Backing` implemented on [`HostProxy`] (crate
+//!   internal): what the daemon's one dispatch and one staged engine
+//!   serve against on a proxied host — host cache, then one frame per
+//!   metadata call or chunk.
 //!
 //! Under [`simtime::Timings::without_net`] with the host cache disabled
-//! the whole tier is virtually-time-transparent: a proxy-backed fleet
-//! reproduces the local fleet's BENCH_scale numbers to four digits.
+//! the whole tier is virtually-time-transparent: a proxy-backed daemon
+//! answers a request script with the local daemon's results, completion
+//! times and counters, exactly (`client`'s transcript-equality tests).
 
 pub(crate) mod cache;
 pub(crate) mod client;

@@ -13,8 +13,8 @@
 //! `net_mb_s` the way DMA mirrors `dma_setup_ns` / `pcie_mb_s`: under
 //! [`simtime::Timings::without_net`] both directions are free and the
 //! fixed charge is zero, so a proxied operation lands on *exactly* the
-//! virtual times the local `daemon/handlers.rs` path produces — the
-//! invariant the zero-net BENCH_scale compat run asserts to four digits.
+//! virtual times the same operation costs a local daemon — the invariant
+//! `client.rs`'s transcript-equality tests assert.
 
 use std::collections::HashMap;
 use std::sync::Arc;

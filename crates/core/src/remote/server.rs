@@ -4,10 +4,11 @@
 //! directly. The cross-host split moves that ownership here: a
 //! [`StorageServer`] holds the one `HostFs` (and with it the
 //! close-to-open consistency registry every host's GPUs register
-//! against) and serves *decoded wire frames* — the same operation
-//! sequences, against the same cost model, as the local
-//! `daemon/handlers.rs` dispatch, so a proxy-backed daemon over a free
-//! network link times bit-for-bit like a local one.
+//! against) and serves *decoded wire frames* through that file system's
+//! `Backing` implementation (`daemon/backing.rs`) — the very calls a
+//! local daemon worker makes, so a proxy-backed daemon over a free
+//! network link times bit-for-bit like a local one. What is left here is
+//! the mapping: request → call → response.
 //!
 //! The server is passive: it has no threads of its own. Each
 //! [`StorageServer::serve_frame`] call runs on the caller's (proxy's)
@@ -22,6 +23,7 @@ use hostfs::{HostFs, OpenFlags};
 use simtime::{Clock, Counter, Nanos, Timings};
 
 use super::proto::{self, ProtoError, WireRequest, WireResponse};
+use crate::daemon::backing::Backing;
 
 /// The trace-span name of one served wire request.
 fn server_span_name(req: &WireRequest) -> &'static str {
@@ -125,7 +127,7 @@ impl StorageServer {
         let _remote = obs::adopt_remote(ctx);
         let sp = obs::span(server_span_name(&req));
         let mut clock = Clock::starting_at(now);
-        let resp = self.serve(&req, &mut clock);
+        let resp = self.serve(req, &mut clock);
         sp.finish(now, clock.now());
         if matches!(resp, WireResponse::Err(_)) {
             self.stats.errors.incr();
@@ -133,13 +135,14 @@ impl StorageServer {
         Ok((proto::encode_response(&resp), clock.now()))
     }
 
-    /// Serve one decoded request against the file system, advancing
-    /// `clock` through the same wait sequence the local
-    /// `daemon/handlers.rs` dispatch would.
-    fn serve(&self, req: &WireRequest, clock: &mut Clock) -> WireResponse {
-        let fs = &self.fs;
-        let now = clock.now();
-        match req {
+    /// Answer one decoded request through the file system's own
+    /// [`Backing`] implementation — the calls a local daemon worker makes,
+    /// so the same waits on `clock` — with no worker named: the server is
+    /// passive, and the CPU its file-system calls cost is drawn by the
+    /// worker that shipped the frame.
+    fn serve(&self, req: WireRequest, clock: &mut Clock) -> WireResponse {
+        let backing: &dyn Backing = self.fs.as_ref();
+        let result = match req {
             WireRequest::Open {
                 path,
                 write,
@@ -148,104 +151,57 @@ impl StorageServer {
             } => {
                 let flags = OpenFlags {
                     read: true,
-                    write: *write,
-                    create: *create,
-                    truncate: *truncate,
+                    write,
+                    create,
+                    truncate,
                 };
-                match fs
-                    .open(path, flags, now)
-                    .and_then(|(fd, t)| fs.fstat(fd).map(|meta| (fd, t, meta)))
-                {
-                    Ok((fd, t, meta)) => {
-                        clock.wait_until(t);
-                        WireResponse::Opened {
-                            fd,
-                            ino: meta.ino,
-                            size: meta.size,
-                            generation: fs.consistency().generation(meta.ino),
-                        }
-                    }
-                    Err(e) => WireResponse::Err(e),
-                }
+                backing
+                    .open(clock, &path, flags)
+                    .map(|o| WireResponse::Opened {
+                        fd: o.fd,
+                        ino: o.ino,
+                        size: o.size,
+                        generation: o.generation,
+                    })
             }
-            WireRequest::Close { fd } => match fs.close(*fd) {
-                Ok(()) => WireResponse::Done,
-                Err(e) => WireResponse::Err(e),
-            },
+            WireRequest::Close { fd } => backing.close(clock, fd).map(|()| WireResponse::Done),
             WireRequest::ReadPages { fd, pages } => {
-                let mut out = Vec::with_capacity(pages.len());
-                for &(offset, len) in pages {
-                    let mut buf = vec![0u8; len as usize];
-                    match fs.pread(*fd, offset, &mut buf, clock.now()) {
-                        Ok((n, t)) => {
-                            clock.wait_until(t);
-                            buf.truncate(n);
-                            self.stats.bytes_read.add(n as u64);
-                            out.push(buf);
-                        }
-                        Err(e) => return WireResponse::Err(e),
-                    }
-                }
-                WireResponse::Read { pages: out }
+                let wanted: Vec<(u64, usize)> = pages
+                    .iter()
+                    .map(|&(off, len)| (off, len as usize))
+                    .collect();
+                backing
+                    .read_chunk(None, clock, fd, 0, &wanted)
+                    .map(|pages| {
+                        let bytes: usize = pages.iter().map(Vec::len).sum();
+                        self.stats.bytes_read.add(bytes as u64);
+                        WireResponse::Read { pages }
+                    })
             }
-            WireRequest::WritePages { fd, extents } => {
-                // Mirrors the local engine's bookkeeping: the ino probe
-                // and generation reads cost nothing, and an empty batch
-                // only reports the current generation.
-                let ino = fs.fstat(*fd).map(|m| m.ino).unwrap_or_default();
-                if extents.is_empty() {
-                    return WireResponse::Wrote {
-                        n: 0,
-                        generation: fs.consistency().generation(ino),
-                    };
-                }
-                let mut written = 0u64;
-                for (offset, data) in extents {
-                    match fs.pwrite(*fd, *offset, data, clock.now()) {
-                        Ok((n, t)) => {
-                            clock.wait_until(t);
-                            written += n as u64;
-                        }
-                        Err(e) => return WireResponse::Err(e),
+            WireRequest::WritePages { fd, extents } => backing
+                .write_chunk(None, clock, fd, extents)
+                .map(|(n, generation)| {
+                    self.stats.bytes_written.add(n as u64);
+                    WireResponse::Wrote {
+                        n: n as u64,
+                        generation,
                     }
-                }
-                self.stats.bytes_written.add(written);
-                WireResponse::Wrote {
-                    n: written,
-                    generation: fs.consistency().generation(ino),
-                }
+                }),
+            WireRequest::Fsync { fd } => backing.fsync(clock, fd).map(|()| WireResponse::Done),
+            WireRequest::Unlink { path } => {
+                backing.unlink(clock, &path).map(|()| WireResponse::Done)
             }
-            WireRequest::Fsync { fd } => match fs.fsync(*fd, now) {
-                Ok(t) => {
-                    clock.wait_until(t);
-                    WireResponse::Done
-                }
-                Err(e) => WireResponse::Err(e),
-            },
-            WireRequest::Unlink { path } => match fs.unlink(path, now) {
-                Ok(t) => {
-                    clock.wait_until(t);
-                    WireResponse::Done
-                }
-                Err(e) => WireResponse::Err(e),
-            },
-            WireRequest::Truncate { fd, size } => match fs.ftruncate(*fd, *size, now) {
-                Ok(t) => {
-                    clock.wait_until(t);
-                    WireResponse::Done
-                }
-                Err(e) => WireResponse::Err(e),
-            },
-            WireRequest::Stat { path } => match fs.stat(path) {
-                Ok(m) => WireResponse::Stat {
-                    ino: m.ino,
-                    size: m.size,
-                    writable: m.writable,
-                    generation: fs.consistency().generation(m.ino),
-                },
-                Err(e) => WireResponse::Err(e),
-            },
-        }
+            WireRequest::Truncate { fd, size } => backing
+                .truncate(clock, fd, size)
+                .map(|()| WireResponse::Done),
+            WireRequest::Stat { path } => backing.stat(clock, &path).map(|m| WireResponse::Stat {
+                ino: m.ino,
+                size: m.size,
+                writable: m.writable,
+                generation: m.generation,
+            }),
+        };
+        result.unwrap_or_else(WireResponse::Err)
     }
 }
 

@@ -30,11 +30,15 @@
 //!   convoy. The fpage seqlock (`fp.lock()`) is part of the protocol
 //!   and does not trip this rule.
 //! * **`proxy-hostfs`** — no `HostFs` token in the non-test host-proxy
-//!   code ([`PROXY_NO_HOSTFS`]: the proxy, its page cache, and the
-//!   proxy-backed serve path): everything the proxy learns about server
-//!   state must arrive through the wire protocol, or the cross-host
-//!   split silently degenerates to shared-memory peeking and the
-//!   zero-net transparency test stops proving anything.
+//!   code ([`PROXY_NO_HOSTFS`]: the proxy, its page cache, and its
+//!   `Backing` impl): everything the proxy learns about server state
+//!   must arrive through the wire protocol, or the cross-host split
+//!   silently degenerates to shared-memory peeking and the zero-net
+//!   transparency test stops proving anything. And the converse
+//!   ([`ENGINE_NO_BACKEND`]): the daemon's dispatch, engine and DMA lane
+//!   name none of [`BACKEND_TYPES`] — they know their storage only as
+//!   `dyn Backing`, so a second serve path for one kind of storage has
+//!   nowhere to start.
 //! * **`adhoc-counter`** — no raw `AtomicU64` in non-test `crates/core`
 //!   code outside the data-plane files ([`ADHOC_COUNTER_ALLOWED`]):
 //!   counters belong to `obs::Counter` and the metrics registry, whose
@@ -84,7 +88,7 @@ const PANIC_SCOPE: &[&str] = &["crates/core/src/remote/"];
 const HOT_LOCKFREE: &[&str] = &["crates/core/src/cache/paging.rs"];
 
 /// Files on the host side of the wire (the `proxy-hostfs` rule): the
-/// proxy, its page cache, and the proxy-backed serve path. None of them
+/// proxy, its page cache, and its `Backing` impl. None of them
 /// may name `HostFs` — the storage server is the sole owner of the file
 /// system, and the proxy talks to it only in frames. Reaching around the
 /// wire here would un-split the tier while every test keeps passing.
@@ -93,6 +97,21 @@ const PROXY_NO_HOSTFS: &[&str] = &[
     "crates/core/src/remote/cache.rs",
     "crates/core/src/remote/client.rs",
 ];
+
+/// The converse file list of the `proxy-hostfs` rule: the one serve path
+/// — dispatch, staged engine, DMA lane. What these serve against is a
+/// `dyn Backing`; code here that names an implementor ([`BACKEND_TYPES`])
+/// serves one kind of storage only, which is the first line of a second
+/// serve path.
+const ENGINE_NO_BACKEND: &[&str] = &[
+    "crates/core/src/daemon/handlers.rs",
+    "crates/core/src/daemon/pipeline.rs",
+    "crates/core/src/daemon/lane.rs",
+];
+
+/// The `Backing` implementors and the wire vocabulary only one of them
+/// speaks.
+const BACKEND_TYPES: &[&str] = &["HostFs", "HostProxy", "WireRequest", "WireResponse"];
 
 /// Files under `crates/core/src/` where raw `AtomicU64` is data-plane
 /// state, not an ad-hoc counter (the `adhoc-counter` rule). Every entry
@@ -211,7 +230,10 @@ xtask lint rules:
   proxy-hostfs   no HostFs token in non-test host-proxy code
                  (crates/core/src/remote/{proxy,cache,client}.rs) — the
                  proxy reaches the storage server only through the wire
-                 protocol, never by touching the file system directly
+                 protocol, never by touching the file system directly;
+                 nor HostFs/HostProxy/WireRequest/WireResponse in the one
+                 serve path (crates/core/src/daemon/{handlers,pipeline,lane}.rs)
+                 — it knows its storage only as dyn Backing
   adhoc-counter  no raw AtomicU64 in non-test crates/core code outside the
                  data-plane files (radix/frames/table) — counters go through
                  obs::Counter and the registry so every rollup reconciles
@@ -256,6 +278,7 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
     let sleep_allowed = SLEEP_ALLOWED.contains(&rel);
     let hot_lockfree = HOT_LOCKFREE.contains(&rel);
     let proxy_no_hostfs = PROXY_NO_HOSTFS.contains(&rel);
+    let engine_no_backend = ENGINE_NO_BACKEND.contains(&rel);
     let adhoc_scoped = rel.starts_with("crates/core/src/") && !ADHOC_COUNTER_ALLOWED.contains(&rel);
     let mut findings = Vec::new();
     for (i, code_line) in code.iter().enumerate() {
@@ -340,6 +363,17 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
                  the storage server only through the wire protocol"
                     .into(),
             );
+        }
+        if engine_no_backend {
+            if let Some(what) = BACKEND_TYPES.iter().find(|w| has_word(code_line, w)) {
+                report(
+                    Rule::ProxyHostFs,
+                    format!(
+                        "{what} named in the daemon's serve path; handlers, \
+                         pipeline and lane know their storage only as `dyn Backing`"
+                    ),
+                );
+            }
         }
         if adhoc_scoped && has_word(code_line, "AtomicU64") {
             report(
@@ -824,6 +858,26 @@ pub unsafe fn slice(&self) -> &[u8] { todo!() }
         // The server and the rest of the tree own the file system.
         assert!(lint_file("crates/core/src/remote/server.rs", text).is_empty());
         assert!(lint_file("crates/core/src/daemon/mod.rs", text).is_empty());
+        assert!(lint_file("crates/core/src/daemon/backing.rs", text).is_empty());
+        // The converse: the one serve path names neither implementor of
+        // its `Backing`, nor the wire vocabulary — once per line.
+        let fork = "use hostfs::{FsError, HostFs};\nfn serve(p: &HostProxy) {}\n\
+                    fn ask(r: &WireRequest) -> WireResponse {}\nfn ok(b: &dyn Backing) {}\n";
+        for file in ["handlers", "pipeline", "lane"] {
+            let f = lint_file(&format!("crates/core/src/daemon/{file}.rs"), fork);
+            assert_eq!(f.len(), 3, "{file}: every line but the last: {f:?}");
+            assert!(f.iter().all(|x| x.rule.name() == "proxy-hostfs"));
+        }
+        assert!(lint_file(
+            "crates/core/src/remote/client.rs",
+            "fn f(r: WireRequest) {}\n"
+        )
+        .is_empty());
+        assert!(lint_file(
+            "crates/core/src/daemon/pipeline.rs",
+            "use hostfs::HostFd;\n#[cfg(test)]\nmod tests {\n    use hostfs::HostFs;\n}\n",
+        )
+        .is_empty());
         // Word boundaries: config/descriptor types carrying the prefix
         // are not the file system.
         assert!(lint_file(
