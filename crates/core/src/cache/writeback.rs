@@ -26,7 +26,7 @@ use crate::table::GFile;
 
 /// Identical-byte gap below which adjacent dirty extents are merged into
 /// one host write.
-const DIFF_MERGE_GAP: usize = 64;
+pub(super) const DIFF_MERGE_GAP: usize = 64;
 
 /// Upper bound on the page span one `WritePages` batch may cover under
 /// the *serialized* daemon engine (`io_chunk_pages = 0`), whatever the

@@ -168,8 +168,8 @@ impl Backing for HostFs {
         extents: Vec<(u64, Vec<u8>)>,
     ) -> Result<(usize, u64), FsError> {
         // The ino probe and the generation read cost nothing, and an empty
-        // chunk is no stage at all.
-        let ino = self.fstat(fd).map(|m| m.ino).unwrap_or_default();
+        // chunk is no stage at all — but it still needs an open descriptor.
+        let ino = self.fstat(fd)?.ino;
         let sp = worker
             .filter(|_| !extents.is_empty())
             .map(|_| obs::span("pwrite"));

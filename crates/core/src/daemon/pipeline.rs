@@ -786,6 +786,31 @@ mod tests {
         }
     }
 
+    #[test]
+    fn all_clean_write_batch_on_a_closed_descriptor_is_a_bad_descriptor() {
+        // Every page clean: nothing is gathered or written, and the answer
+        // is only the file's generation — which a closed descriptor does
+        // not have.
+        for h in [host_chunked(2), host_chunked_proxied(2)] {
+            h.fs().create("/clean", &[1u8; 4096]).unwrap();
+            let fd = open(&h, "/clean", true);
+            call(&h, Request::Close { fd }).unwrap();
+            let pages = vec![PageWrite {
+                src: h.gpus()[0].global().alloc(4096).unwrap(),
+                page_offset: 0,
+                extents: Vec::new(),
+            }];
+            let err = call(&h, Request::WritePages { fd, pages, gpu: 0 });
+            assert!(
+                matches!(
+                    err,
+                    Err(crate::error::GpufsError::Host(hostfs::FsError::BadDescriptor(bad))) if bad == fd
+                ),
+                "{err:?}"
+            );
+        }
+    }
+
     // ------------------------------------------------------------------
     // The scatter-gather ring across RPCs.
     // ------------------------------------------------------------------

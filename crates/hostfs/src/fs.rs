@@ -1,4 +1,16 @@
 //! The host file system: namespace, descriptors, and timed I/O.
+//!
+//! One lock, `HostFs::inner`, covers the namespace, the descriptor table
+//! and every file body, and the daemon's workers all go through it. It is
+//! held for lookups and for copies of bytes that can change, never for
+//! work that can be done from a copied value: `pread` of a synthetic file
+//! copies the body's `(len, seed)` under the lock, releases it, and only
+//! then generates the bytes. Synthetic bodies are immutable (no write,
+//! truncate or open-for-write reaches one), so that read takes effect at
+//! the lock like any other. A `Bytes` body is copied out under the lock.
+//! The page cache, the disk model and the consistency registry have locks
+//! of their own; one taken while `inner` is held is taken after it, and
+//! none of them is held while `inner` is taken.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -601,8 +613,17 @@ impl HostFs {
         let ino = self.fd_ino(fd, true, false)?;
         let start = now + self.timings.host_syscall_ns;
         let inner = self.inner.lock();
-        let n = inner.inodes[&ino].body.read_at(offset, dst);
-        drop(inner);
+        let body = &inner.inodes[&ino].body;
+        let n = if let FileBody::Synthetic { len, seed } = *body {
+            // A synthetic body never changes: the read takes effect here,
+            // and its bytes are generated with the lock released.
+            drop(inner);
+            FileBody::Synthetic { len, seed }.read_at(offset, dst)
+        } else {
+            let n = body.read_at(offset, dst);
+            drop(inner);
+            n
+        };
         if n == 0 {
             return Ok((0, start));
         }
@@ -1027,6 +1048,96 @@ mod tests {
         );
         assert!(f.cache_stats().hits > 0);
         f.close(fd).unwrap();
+    }
+
+    #[test]
+    fn synthetic_preads_stay_exact_beside_namespace_churn() {
+        // Two readers pread overlapping and disjoint 64 KB ranges of one
+        // synthetic file while a third thread creates, stats, truncates
+        // and unlinks other files; a barrier starts every round on all
+        // three at once. Every byte must be the reference's, and the lock
+        // checker must find nothing. A failed round is recorded, not
+        // panicked on, so that no thread is left waiting at the barrier.
+        use crate::inode::synth_byte;
+        use std::sync::Barrier;
+
+        const LEN: u64 = 4 << 20;
+        const ROUNDS: u64 = 24;
+        let f = fs();
+        f.create_synthetic("/syn", LEN, 21).unwrap();
+        f.mkdir_p("/churn").unwrap();
+        let round_start = Barrier::new(3);
+        let read_round =
+            |fd: HostFd, round: u64, reader: u64, t: &mut Nanos| -> Result<(), String> {
+                let mut buf = vec![0u8; 64 << 10];
+                // Both readers read in the first 350 KB, 4099 bytes apart;
+                // each also reads in its own half of the file.
+                let shared = round * 12_289 + reader * 4_099;
+                let own = LEN / 2 * reader + round * 65_537;
+                for offset in [shared, own] {
+                    let (n, end) = f
+                        .pread(fd, offset, &mut buf, *t)
+                        .map_err(|e| e.to_string())?;
+                    *t = end;
+                    let exact = n == buf.len()
+                        && buf
+                            .iter()
+                            .zip(offset..)
+                            .all(|(&b, p)| b == synth_byte(21, p));
+                    if !exact {
+                        return Err(format!("reader {reader}: {n} bytes at {offset} are wrong"));
+                    }
+                }
+                Ok(())
+            };
+        // (size by path, size by descriptor, exists after unlink)
+        let churn_round = |path: &str| -> FsResult<(u64, u64, bool)> {
+            f.create(path, &[7; 100])?;
+            let (fd, t) = f.open(path, OpenFlags::read_write(), 0)?;
+            f.ftruncate(fd, 10, t)?;
+            let sizes = (f.stat(path)?.size, f.fstat(fd)?.size);
+            f.unlink(path, t)?;
+            f.close(fd)?;
+            Ok((sizes.0, sizes.1, f.exists(path)))
+        };
+        let failures = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2u64)
+                .map(|reader| {
+                    let (f, round_start, read_round) = (&f, &round_start, &read_round);
+                    s.spawn(move || {
+                        let (fd, mut t) = f.open("/syn", OpenFlags::read_only(), 0).unwrap();
+                        let failed: Vec<_> = (0..ROUNDS)
+                            .filter_map(|round| {
+                                round_start.wait();
+                                read_round(fd, round, reader, &mut t).err()
+                            })
+                            .collect();
+                        f.close(fd).unwrap();
+                        failed
+                    })
+                })
+                .collect();
+            let churn = s.spawn(|| {
+                (0..ROUNDS)
+                    .filter_map(|round| {
+                        round_start.wait();
+                        let path = format!("/churn/f{round}");
+                        match churn_round(&path) {
+                            Ok((10, 10, false)) => None,
+                            other => Some(format!("{path}: {other:?}")),
+                        }
+                    })
+                    .collect::<Vec<_>>()
+            });
+            readers
+                .into_iter()
+                .chain([churn])
+                .flat_map(|h| h.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        assert!(failures.is_empty(), "{failures:?}");
+        let reports = parking_lot::lockcheck::take_reports();
+        assert!(reports.is_empty(), "lock checker findings: {reports:#?}");
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! Inodes: files, directories, and file bodies.
+//!
+//! A synthetic body's content is a contract, not an implementation: byte
+//! `p` of the file with seed `s` is byte `p % 8`, little-endian, of the
+//! 64-bit word `splitmix64(s ^ p / 8)`. Every recorded experiment read
+//! these bytes, and a test pins two checksums of them.
 
 use std::collections::BTreeMap;
 
@@ -155,18 +160,29 @@ impl FileBody {
 /// Fill `dst` with the deterministic synthetic content of the file with
 /// `seed` starting at byte `offset`.
 ///
-/// Content is defined per 8-byte word: word `i` is `splitmix64(seed ^ i)`,
-/// so any byte range reads the same regardless of access pattern.
+/// Content is defined per 8-byte word: word `i` is `splitmix64(seed ^ i)`
+/// in little-endian byte order, so any byte range reads the same
+/// regardless of access pattern. Every aligned word of `dst` is written
+/// whole; only a partial word at either end is copied in part.
 pub(crate) fn synth_fill(seed: u64, offset: u64, dst: &mut [u8]) {
-    let mut pos = 0usize;
-    while pos < dst.len() {
-        let byte_off = offset + pos as u64;
-        let word_idx = byte_off / 8;
-        let in_word = (byte_off % 8) as usize;
-        let word = splitmix64(seed ^ word_idx).to_le_bytes();
-        let n = (8 - in_word).min(dst.len() - pos);
-        dst[pos..pos + n].copy_from_slice(&word[in_word..in_word + n]);
-        pos += n;
+    let word = |i: u64| splitmix64(seed ^ i).to_le_bytes();
+    let mut index = offset / 8;
+    let skip = (offset % 8) as usize;
+    let head = ((8 - skip) % 8).min(dst.len());
+    let (head_dst, body) = dst.split_at_mut(head);
+    if head > 0 {
+        head_dst.copy_from_slice(&word(index)[skip..skip + head]);
+        index += 1;
+    }
+    let mut words = body.chunks_exact_mut(8);
+    for chunk in &mut words {
+        chunk.copy_from_slice(&word(index));
+        index += 1;
+    }
+    let tail = words.into_remainder();
+    if !tail.is_empty() {
+        let n = tail.len();
+        tail.copy_from_slice(&word(index)[..n]);
     }
 }
 
@@ -176,6 +192,14 @@ fn splitmix64(mut x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The content contract one byte at a time, the reference the tests hold
+/// [`synth_fill`] to: byte `p` of a synthetic file is byte `p % 8` of
+/// `splitmix64(seed ^ p / 8)`, little-endian.
+#[cfg(test)]
+pub(crate) fn synth_byte(seed: u64, pos: u64) -> u8 {
+    splitmix64(seed ^ (pos / 8)).to_le_bytes()[(pos % 8) as usize]
 }
 
 /// One inode: kind, body, and link metadata.
@@ -296,6 +320,63 @@ mod tests {
         assert_eq!(out, [9, 9, 0, 0]);
         assert!(b.truncate(1));
         assert_eq!(b.len(), 1);
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn synth_fill_matches_the_per_byte_reference() {
+        for offset in 0..16u64 {
+            for len in 0..=40usize {
+                let mut got = vec![0xa5u8; len];
+                synth_fill(42, offset, &mut got);
+                let want: Vec<u8> = (offset..offset + len as u64)
+                    .map(|p| synth_byte(42, p))
+                    .collect();
+                assert_eq!(got, want, "offset {offset} len {len}");
+            }
+        }
+        // A 64 KB read at an odd offset, and one cut short by end of file:
+        // the bytes past what was read stay untouched.
+        let file_len = 1u64 << 20;
+        let body = FileBody::Synthetic {
+            len: file_len,
+            seed: 9,
+        };
+        for (offset, want_n) in [(12_345u64, 64 << 10), (file_len - 40_001, 40_001)] {
+            let mut got = vec![0xa5u8; 64 << 10];
+            assert_eq!(body.read_at(offset, &mut got), want_n, "at {offset}");
+            for (i, &b) in got.iter().enumerate() {
+                let want = if i < want_n {
+                    synth_byte(9, offset + i as u64)
+                } else {
+                    0xa5
+                };
+                assert_eq!(b, want, "byte {i} of the read at {offset}");
+            }
+        }
+    }
+
+    #[test]
+    fn synthetic_content_is_pinned() {
+        // Every recorded experiment read these bytes: a faster generator
+        // must produce exactly them.
+        let body = FileBody::Synthetic {
+            len: 1 << 20,
+            seed: 7,
+        };
+        let mut page = vec![0u8; 64 << 10];
+        let mut short = [0u8; 13];
+        assert_eq!(body.read_at(0, &mut page), 64 << 10);
+        assert_eq!(body.read_at(5, &mut short), 13);
+        assert_eq!(
+            (fnv1a(&page), fnv1a(&short)),
+            (0xb0c3_92eb_5f31_dd83, 0xb906_c1f1_b52e_15d8)
+        );
     }
 
     #[test]

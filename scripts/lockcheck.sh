@@ -11,7 +11,8 @@
 #      off — the exact code `cargo build --release` ships;
 #   3. the full workspace suite runs clean under the detector: zero
 #      lock-order cycles, zero wait-for cycles, zero unwaived
-#      held-across-RPC findings (waivers live in lockcheck.toml).
+#      held-across-RPC findings (waivers live in lockcheck.toml);
+#   4. the host file system's lock-scope test once more, by name.
 #
 # Usage: scripts/lockcheck.sh
 set -euo pipefail
@@ -25,5 +26,10 @@ cargo test -q -p parking_lot
 
 echo "== full workspace under the detector =="
 LOCKCHECK=1 cargo test -q
+
+# Synthetic preads outside `HostFs::inner`, beside a thread that changes
+# the namespace, with the detector's reports asserted empty.
+echo "== hostfs lock scope: synthetic preads beside namespace churn =="
+LOCKCHECK=1 cargo test -q -p hostfs synthetic_preads_stay_exact_beside_namespace_churn
 
 echo "lockcheck: all suites green"
