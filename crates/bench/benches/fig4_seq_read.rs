@@ -12,10 +12,8 @@
 
 use std::sync::Arc;
 
-use gpufs_bench::{
-    banner, fig4_gpufs_phase, fig4_gpufs_phase_chunk, human_size, rig, secs, PAGE_SIZES,
-    PROTOTYPE_DAEMON, SCALE,
-};
+use gpufs::GpufsConfig;
+use gpufs_bench::{banner, fig4_gpufs_phase, human_size, rig, PAGE_SIZES, SCALE};
 use gpusim::HostPinned;
 use hostfs::OpenFlags;
 use simtime::{bw_time_ns, throughput_mb_s, Clock, Timings};
@@ -91,9 +89,10 @@ fn main() {
         "{:>10} {:>16} {:>16} {:>16} {:>20}",
         "page", "GPUfs w=1 (MB/s)", "GPUfs w=8 (MB/s)", "pipeline (MB/s)", "whole-file (MB/s)"
     );
+    let engine = GpufsConfig::default().io_chunk_pages;
     for &page in PAGE_SIZES {
-        let gpufs_w1 = fig4_gpufs_phase_chunk(FILE_BYTES, page, 1, Some(PROTOTYPE_DAEMON));
-        let gpufs_w8 = fig4_gpufs_phase(FILE_BYTES, page, 8);
+        let gpufs_w1 = fig4_gpufs_phase(FILE_BYTES, page, 1, 0);
+        let gpufs_w8 = fig4_gpufs_phase(FILE_BYTES, page, 8, engine);
         let pipeline = cuda_pipeline_phase(page);
         println!(
             "{:>10} {:>16.0} {:>16.0} {:>16.0} {:>20.0}",
@@ -108,5 +107,4 @@ fn main() {
         "\nmax PCIe bandwidth line: {:.0} MB/s",
         Timings::default().pcie_mb_s
     );
-    let _ = secs(0);
 }

@@ -7,10 +7,12 @@
 //! time with both excluded (leaving RPC traffic plus GPUfs buffer-cache
 //! code). Lower is better.
 //!
-//! The workload runs under the daemon's worker pool (2 workers over 4 RPC
-//! channels, the paper's §4.3 multi-channel design); the `overlap` column
-//! is `total / (−DMA + −file I/O)` — strictly below 1 when host file I/O
-//! and DMA pipeline instead of adding up, which is the Figure 5 claim.
+//! The workload runs on the paper prototype's DMA path (`io_chunk_pages =
+//! 0`) under the daemon's worker pool (2 workers over 4 RPC channels, the
+//! paper's §4.3 multi-channel design), so the `−DMA` leg is bound by the
+//! two workers' `pread` CPU. The `overlap` column is
+//! `total / (−DMA + −file I/O)` — strictly below 1 when host file I/O and
+//! DMA pipeline instead of adding up, which is the Figure 5 claim.
 //!
 //! A second table isolates the daemon's *in-RPC* pipeline: one
 //! threadblock streams at readahead window 8, so every `ReadPages` is a
@@ -19,6 +21,7 @@
 //! PCIe direction). Compare the pipelined default against the
 //! serialized engine (`io_chunk_pages = 0`).
 
+use gpufs::GpufsConfig;
 use gpufs_bench::{banner, fig5_phase, fig5_pipe_phase, human_size, millis, PAGE_SIZES, SCALE};
 use simtime::Timings;
 
@@ -94,11 +97,15 @@ fn main() {
         "{:>10} {:>13} {:>15} {:>9} {:>15} {:>9}",
         "page", "piped (ms)", "serialized (ms)", "speedup", "floor", "overlap"
     );
+    let engine = GpufsConfig::default().io_chunk_pages;
     for &page in PAGE_SIZES.iter().filter(|&&p| p as u64 <= PIPE_BYTES / 8) {
-        let piped = fig5_pipe_phase(PIPE_BYTES, page, &base, PIPE_WINDOW, None);
-        let serial = fig5_pipe_phase(PIPE_BYTES, page, &base, PIPE_WINDOW, Some(0));
-        let no_dma = fig5_pipe_phase(PIPE_BYTES, page, &base.without_dma(), PIPE_WINDOW, None);
-        let no_io = fig5_pipe_phase(PIPE_BYTES, page, &base.without_host_io(), PIPE_WINDOW, None);
+        let pipe = |timings: &Timings, io_chunk| {
+            fig5_pipe_phase(PIPE_BYTES, page, timings, PIPE_WINDOW, io_chunk)
+        };
+        let piped = pipe(&base, engine);
+        let serial = pipe(&base, 0);
+        let no_dma = pipe(&base.without_dma(), engine);
+        let no_io = pipe(&base.without_host_io(), engine);
         let sum = (no_dma + no_io) as f64;
         println!(
             "{:>10} {:>13.2} {:>15.2} {:>8.2}x {:>15.3} {:>9.3}",

@@ -551,6 +551,54 @@ mod tests {
     }
 
     #[test]
+    fn a_fleet_of_one_times_exactly_like_a_hand_assembled_mount() {
+        // The cluster layer is a zero-cost composition: a single-block
+        // sequential `gmmap` walk over a fleet of one GPU ends at the same
+        // virtual nanosecond as over the mount it wraps, assembled by hand.
+        let page = 16 << 10;
+        let file_bytes = 64 * page as u64;
+        let config = GpufsConfig::new(page, 2 * file_bytes as usize).with_readahead(4);
+        let walk = |fs: &HostFs, gpu: &Gpu, mount: &Arc<GpuFsMount>| {
+            fs.create_synthetic("/seq", file_bytes, 4).unwrap();
+            let _ = fs.read_whole("/seq", 0).unwrap();
+            fs.reset_device_time();
+            gpu.launch(Grid::new(1, 256), 0, |blk| {
+                let fd = mount.open(blk, "/seq", GOpenMode::ReadOnly).unwrap();
+                let mut off = 0;
+                while off < file_bytes {
+                    let map = mount.mmap(blk, &fd, off, page).unwrap();
+                    off += map.len() as u64;
+                    mount.munmap(blk, map);
+                }
+                mount.close(blk, fd).unwrap();
+            })
+            .end
+        };
+        let new_fs = || Arc::new(HostFs::new(HostFsConfig::default()));
+
+        let fs = new_fs();
+        let fleet = small_fleet(1)
+            .config(config.clone())
+            .host_fs(Arc::clone(&fs))
+            .build()
+            .unwrap();
+        let fleet_end = walk(&fs, fleet.gpu(0), fleet.mount(0));
+
+        let fs = new_fs();
+        let gpu = Arc::new(Gpu::with_timings(
+            0,
+            GpuSpec::small_test(),
+            &Timings::default(),
+        ));
+        let host = GpufsHost::with_config(Arc::clone(&fs), vec![Arc::clone(&gpu)], &config);
+        let mount = host.mount(0, config).unwrap();
+        let hand_end = walk(&fs, &gpu, &mount);
+
+        assert!(hand_end > 0);
+        assert_eq!(fleet_end, hand_end, "the fleet layer moved virtual time");
+    }
+
+    #[test]
     fn fleet_attributes_daemon_stats_per_gpu() {
         let fleet = small_fleet(2).build().unwrap();
         fleet.fs().create("/a", &[1u8; 8192]).unwrap();

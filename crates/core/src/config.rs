@@ -116,12 +116,12 @@ pub struct GpufsConfig {
     ///
     /// Any value at least the batch width disables the pipeline for that
     /// batch: all preads, then one DMA (and the inverse for writes). `0`
-    /// is the serialized engine proper and the **paper prototype's
-    /// daemon**, the setting every recorded Figure 4/5 and scaling
-    /// baseline pins: each RPC's DMA is a one-shot transaction that pays
-    /// its own setup and never joins the engine's descriptor ring, and
-    /// worker CPU time is counted but never waited for — as it was when
-    /// those figures were recorded. Host-side state like
+    /// is the serialized engine proper on the **paper prototype's DMA
+    /// path**, the ablation of the descriptor ring (Figures 4 and 5): each
+    /// RPC's DMA is a one-shot transaction that pays its own setup and
+    /// never joins the ring. Its worker CPU is drawn from the same
+    /// [`GpufsConfig::daemon_workers`] pool as any other setting's.
+    /// Host-side state like
     /// [`GpufsConfig::daemon_workers`]: consumed by
     /// [`crate::GpufsHost::with_config`] and validated at `mount`.
     pub io_chunk_pages: usize,
@@ -290,7 +290,7 @@ impl GpufsConfig {
 
     /// Copy with the daemon's pipelined-I/O chunk size set to `pages`
     /// (`0` = the serialized engine: all file I/O of a batch, then one
-    /// one-shot DMA — the paper prototype's daemon).
+    /// one-shot DMA — the paper prototype's DMA path).
     #[must_use]
     pub fn with_io_chunk(self, pages: usize) -> Self {
         Self {
@@ -481,7 +481,7 @@ mod tests {
         assert_eq!(
             GpufsConfig::small_test().with_io_chunk(0).io_chunk_pages,
             0,
-            "0 is the serialized-compat setting, never clamped away"
+            "0 is the serialized engine, the ring's ablation, never clamped away"
         );
         assert_eq!(GpufsConfig::small_test().with_io_chunk(7).io_chunk_pages, 7);
     }

@@ -22,7 +22,8 @@
 //! The serialized engine (`io_chunk_pages = 0`) is the paper prototype's
 //! DMA path and the ring's ablation: it ships each RPC as one one-shot
 //! scatter-gather transaction, which pays its setup whatever the engine
-//! is doing and leaves no ring behind it.
+//! is doing and leaves no ring behind it. Only the DMA differs: its
+//! worker CPU comes from the same bounded pool.
 
 use gpusim::{DevPtr, Gpu};
 use simtime::{Clock, Nanos, Reservation};

@@ -208,7 +208,7 @@ pub(crate) struct Engine {
     workers: WorkerPool,
     pub(crate) timings: Timings,
     /// Chunk size in pages; `0` is the serialized engine on the paper
-    /// prototype's one-DMA-per-RPC path.
+    /// prototype's one-DMA-per-RPC path, the DMA ring's ablation.
     pub(crate) io_chunk_pages: usize,
     /// Read-staging depth in chunks.
     pub(crate) io_depth: usize,
@@ -401,17 +401,8 @@ impl GpufsHost {
             registry.probe("pcie_h2d_busy_ns", labels, move || h2d.dma().busy_ns().0);
             registry.probe("pcie_d2h_busy_ns", labels, move || d2h.dma().busy_ns().1);
         }
-        // The paper-prototype path (`io_chunk_pages = 0`) exists to
-        // reproduce figures recorded while worker CPU was free, and some
-        // of them ask for more of it than their daemon had (Figure 5's
-        // DMA-excluded leg, eight GPUs behind one worker). Its pool counts
-        // what requests draw but has a server for every one of them.
-        let servers = match daemon_key.io_chunk_pages {
-            0 => usize::MAX,
-            _ => daemon_key.daemon_workers,
-        };
         let engine = Arc::new(Engine {
-            workers: WorkerPool::new(servers),
+            workers: WorkerPool::new(daemon_key.daemon_workers),
             timings: fs.timings().clone(),
             io_chunk_pages: daemon_key.io_chunk_pages,
             io_depth: daemon_key.io_depth,

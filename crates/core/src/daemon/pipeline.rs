@@ -219,13 +219,14 @@ pub(super) fn write_pages(
 mod tests {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     use super::super::backing::{FileStat, Opened};
     use super::super::testutil::{call, host, host_chunked, host_chunked_proxied, host_depth};
     use super::super::{DaemonStats, Engine, GpufsHost};
     use super::*;
     use crate::rpc::{PageRead, PageWrite, Request, RespOk};
-    use hostfs::{HostFs, OpenFlags};
+    use hostfs::{HostFs, HostFsConfig, OpenFlags};
     use simtime::WorkerPool;
     use simtime::{Nanos, Timings};
 
@@ -519,9 +520,9 @@ mod tests {
 
     #[test]
     fn single_page_requests_are_identical_at_any_chunk_setting() {
-        // Window-1 paging (the paper's on-demand protocol, and the
-        // recorded fig4/fig5 baselines' hot path) must be bit-for-bit
-        // unaffected by the pipeline: a batch of one is one chunk.
+        // Window-1 paging (the paper's on-demand protocol) must be
+        // bit-for-bit unaffected by the pipeline: a batch of one is one
+        // chunk.
         let run = |io_chunk: usize| -> Vec<Nanos> {
             let h = host_chunked(io_chunk);
             h.fs().create_synthetic("/one", 1 << 20, 9).unwrap();
@@ -735,8 +736,8 @@ mod tests {
     fn singleton_and_single_chunk_batches_ignore_io_depth() {
         // A batch that fits in one chunk has no trailing DMAs to leave in
         // flight: `covered` clamps to 1 and the response equals the lone
-        // chunk's DMA end — bit-for-bit the depth-2 engine. This is the
-        // fig4/fig5 compat guarantee for the hot window-1 path.
+        // chunk's DMA end — bit-for-bit the depth-2 engine, so window-1
+        // paging never sees the staging depth.
         for (io_chunk, n_pages) in [(0, 1), (0, 4), (8, 3)] {
             let (t2, ready2, bytes2) = depth_read(io_chunk, 2, n_pages);
             let (t7, ready7, bytes7) = depth_read(io_chunk, 7, n_pages);
@@ -817,9 +818,9 @@ mod tests {
 
     #[test]
     fn unloaded_single_page_read_costs_what_it_did_before_the_ring() {
-        // One 64 KB ReadPages on an idle engine and an idle worker pool, at
-        // the figure recorded before either was modelled: nothing is
-        // running to join and no draw has to wait, on any engine setting.
+        // One 64 KB ReadPages on an idle engine and an idle worker pool
+        // costs exactly its pread, setup and transfer: nothing is running
+        // to join and no draw has to wait, on any engine setting.
         for (io_chunk, io_depth) in [(0, 2), (2, 2), (2, 4), (8, 2)] {
             let (t, ready, _) = depth_read(io_chunk, io_depth, 1);
             assert_eq!((t, ready), (8_543_420, vec![8_540_420]));
@@ -934,10 +935,9 @@ mod tests {
         let copy = simtime::bw_time_ns(16 << 10, t.host_cached_mb_s);
         let fault_cpu = t.rpc_dispatch_ns + t.host_syscall_ns + copy;
 
-        // The prototype path: one setup per RPC, at exactly the times
-        // recorded before the worker pool was a resource. (It would be
-        // here even if its draws could wait: the engine, at 27.9 us a
-        // fault, outlasts the worker's 6 us.)
+        // The prototype path: one setup per RPC. Its draws wait for the
+        // one worker like any other, but the engine, at 27.9 us a fault,
+        // outlasts the worker's 6 us, so the engine sets these times.
         let h0 = host_chunked(0);
         let (ends0, bytes0) = fault_burst(&h0);
         assert_eq!(h0.stats().h2d_setups.get(), 28);
@@ -973,6 +973,26 @@ mod tests {
         assert!(
             last < *ends0.last().unwrap() / 2,
             "{last} vs {ends0:?}: the setups saved must show"
+        );
+
+        // The prototype path with DMA excluded (Figure 5's `-DMA` leg):
+        // the engine is free, so only the one worker bounds the burst.
+        let free = t.without_dma();
+        let fs = Arc::new(HostFs::new(HostFsConfig {
+            timings: free.clone(),
+            ..HostFsConfig::default()
+        }));
+        let gpu = Arc::new(Gpu::with_timings(0, gpusim::GpuSpec::small_test(), &free));
+        let config = crate::GpufsConfig::default().with_io_chunk(0);
+        let h_free = GpufsHost::with_config(fs, vec![gpu], &config);
+        let (ends_free, bytes_free) = fault_burst(&h_free);
+        assert_eq!(bytes_free, bytes0);
+        let cpu_free = row(&h_free, "daemon_worker_busy_ns");
+        assert_eq!(cpu_free, open_cpu + 28 * fault_cpu);
+        let last_free = *ends_free.iter().max().unwrap();
+        assert!(
+            last_free >= cpu_free / h_free.daemon_workers() as u64,
+            "last response at {last_free} ns outran {cpu_free} ns of worker CPU"
         );
     }
 

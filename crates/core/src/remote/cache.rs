@@ -73,8 +73,8 @@ struct Shard {
 
 /// A sharded, generation-checked, FIFO-bounded page cache keyed by
 /// `(ino, page offset)`. Capacity `0` disables the cache entirely: every
-/// lookup misses silently and inserts are dropped, which is what the
-/// zero-net BENCH_scale compat configuration runs with.
+/// lookup misses silently and inserts are dropped, so a proxied host
+/// without one serves every page from the storage server.
 #[derive(Debug)]
 pub struct HostPageCache {
     shards: Box<[Mutex<Shard>]>,
@@ -306,8 +306,8 @@ mod tests {
         assert_eq!(c.lookup(1, 0, 0, 4), None);
         assert!(c.is_empty());
         let s = c.stats();
-        // Disabled caches count nothing: the zero-net compat bench must
-        // see a spotless sheet.
+        // Disabled caches count nothing: a host without a cache must
+        // publish a spotless sheet.
         assert_eq!(s.hits.get() + s.misses.get() + s.insertions.get(), 0);
     }
 

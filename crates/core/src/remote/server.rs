@@ -345,8 +345,8 @@ mod tests {
     #[test]
     fn server_times_match_the_local_handler_sequence() {
         // The same op sequence served locally (fs calls + a clock) and
-        // over frames must land on identical virtual times — the
-        // foundation of the zero-net BENCH_scale compat claim.
+        // over frames must land on identical virtual times, so a
+        // zero-net proxied host times exactly like a local one.
         let s = server();
         s.fs().create("/t", &vec![7u8; 256 << 10]).unwrap();
         // Warm the host page cache first so both runs see the same

@@ -148,8 +148,7 @@ impl Timings {
     /// Copy with the host↔storage network made free: zero round-trip
     /// latency and free transfers. A proxy-backed daemon under this copy
     /// must time identically to a daemon holding the file system
-    /// directly — the equivalence `bench_dist` asserts against the
-    /// recorded BENCH_scale numbers.
+    /// directly.
     #[must_use]
     pub fn without_net(&self) -> Self {
         Self {

@@ -15,7 +15,8 @@
 //! after later rows re-dirty it, and a batch of one costs exactly the
 //! old per-page RPC — the example prints the live counters to keep that
 //! honest. The batching win needs multi-page dirty sets; see
-//! `grep_search` (68 pages → 28 RPCs) and the `write_throughput` bench.
+//! `grep_search` (68 pages → 28 RPCs) and the benchmark's `write_back`
+//! workload.
 //!
 //! Run with: `cargo run --release --example matvec_oom`
 

@@ -13,7 +13,7 @@
 #
 # After it, the tests that once failed only now and then are looped on
 # their own, 20 times each: the deterministic pin/evict interleavings, and
-# the three tier-1 tests that used to depend on scheduling luck. With them
+# the two tier-1 tests that used to depend on scheduling luck. With them
 # go the two tests that hold the DMA ring under the daemon's worker bound:
 # 28 concurrent faults served by the daemon alone, and the
 # `evict_random`-shaped kernel whose 28 real threads race for the ring.
@@ -39,7 +39,6 @@ for i in $(seq 1 "$flaky_runs"); do
     parked throttle_blocks_writers per_host_stats_sum concurrent_single_page_faults \
     a_hit_since_the_last_sweep a_saturated_count the_last_slot_of_a_full_leaf
   cargo test -q --release --test stress stress_concurrent_sweeps
-  cargo test -q --release --test trace_equiv recorded_fig4_and_fig5
   cargo test -q --release --test integration evict_random_miniature
 done
 echo "all $flaky_runs once-flaky runs green"

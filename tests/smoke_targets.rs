@@ -26,23 +26,9 @@ const BENCHES: &[&str] = &[
     "fig6_random_read",
     "fig7_cache_access",
     "fig8_matvec",
-    "micro_pagecache",
-    "micro_radix",
     "table2_cache_size",
     "table3_imgmatch",
     "table4_grep",
-    "write_throughput",
-];
-
-/// Tooling binaries (perf-trajectory recorders driven by `scripts/`).
-const BINS: &[&str] = &[
-    "dist_json",
-    "fig4_json",
-    "fig5_json",
-    "fig7_json",
-    "fig_scale_json",
-    "tail_json",
-    "trace_json",
 ];
 
 fn cargo() -> Command {
@@ -54,12 +40,12 @@ fn cargo() -> Command {
 #[test]
 fn all_examples_and_benches_compile() {
     let output = cargo()
-        .args(["build", "--examples", "--benches", "--bins"])
+        .args(["build", "--examples", "--benches"])
         .output()
         .expect("failed to spawn cargo");
     assert!(
         output.status.success(),
-        "`cargo build --examples --benches --bins` failed:\n{}",
+        "`cargo build --examples --benches` failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
 }
@@ -86,9 +72,5 @@ fn expected_target_set_is_declared() {
     for bench in BENCHES {
         let needle = format!("[\"bench\"],\"crate_types\":[\"bin\"],\"name\":\"{bench}\"");
         assert!(metadata.contains(&needle), "bench target {bench} missing");
-    }
-    for bin in BINS {
-        let needle = format!("[\"bin\"],\"crate_types\":[\"bin\"],\"name\":\"{bin}\"");
-        assert!(metadata.contains(&needle), "bin target {bin} missing");
     }
 }

@@ -12,6 +12,9 @@
 //!   and, if it is a DMA span, split its extent exactly into `queue_ns`
 //!   and `service_ns`; a `serve:*` span says what its request drew from
 //!   the daemon's worker pool (`cpu_ns`) and waited for it (`queue_ns`).
+//!
+//! A fixed smoke point also goes through the Chrome trace-event exporter,
+//! whose output must stay loadable.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -182,6 +185,37 @@ proptest! {
         if writes {
             prop_assert!(spans.iter().any(|s| s.name == "gwrite"));
             prop_assert!(spans.iter().any(|s| s.name == "rpc:WritePages"));
+        }
+    }
+}
+
+/// The Perfetto export of a traced smoke walk is loadable: one
+/// `{"traceEvents":[...]}` envelope, one complete (`"ph":"X"`) event per
+/// span, and within each trace (one `tid`) timestamps never run backwards.
+#[test]
+fn chrome_trace_export_is_well_formed() {
+    let spans = traced_smoke_point(14, 8, 4, 2, 2, true);
+    let json = obs::chrome_trace_json(&spans);
+    let envelope = "{\"traceEvents\":[";
+    assert!(
+        json.starts_with(envelope) && json.ends_with("]}"),
+        "chrome trace envelope malformed"
+    );
+    let complete = json.matches("\"ph\":\"X\"").count();
+    assert!(complete > 0, "chrome trace exported zero events");
+    assert_eq!(complete, spans.len(), "one event per span");
+    let mut last_ts: HashMap<u64, f64> = HashMap::new();
+    for ev in json[envelope.len()..].split("},{") {
+        let field = |key: &str| -> &str {
+            let at = ev
+                .find(key)
+                .unwrap_or_else(|| panic!("event missing {key}: {ev}"));
+            ev[at + key.len()..].split([',', '}']).next().unwrap()
+        };
+        let ts: f64 = field("\"ts\":").parse().expect("numeric ts");
+        let tid: u64 = field("\"tid\":").parse().expect("numeric tid");
+        if let Some(prev) = last_ts.insert(tid, ts) {
+            assert!(prev <= ts, "ts regressed within tid {tid}: {prev} > {ts}");
         }
     }
 }
