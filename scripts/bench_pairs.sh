@@ -10,12 +10,17 @@
 # both sides; even pairs run the parent first, odd pairs the change first.
 #
 # Every run prints one line with its end-to-end values. At the end, one row
-# per (workload, end-to-end metric of BENCHMARK.json): each side's median
-# and quartiles over its runs, the change's median against the parent's,
-# the pairs the change won (ties count for neither side), and whether the
-# claim rule holds: at least nine tenths of the pairs won and the medians
-# further apart than the parent's quartile distance. Any failed operation
-# or non-zero exit makes the script exit 1.
+# per (workload, end-to-end metric of BENCHMARK.json), plus an `iterations`
+# row per workload: each side's median and quartiles over its runs, the
+# change's median against the parent's, the pairs the change won out of
+# the pairs the row rests on (ties, and pairs where a side printed no
+# value, count for neither side), and whether the claim rule holds: at
+# least nine tenths of all pairs won and the medians further apart than
+# the parent's quartile distance. `iterations` is the count from each
+# run's first line: the work done in the fixed run time, untimed build
+# and teardown of every iteration included, so a change that only moved
+# work out of the timed region shows there. Any failed operation or
+# non-zero exit makes the script exit 1.
 #
 # Usage: scripts/bench_pairs.sh [--smoke] PARENT_REV [WORKLOADS [SECONDS [PAIRS [FIRST_SEED]]]]
 #   WORKLOADS   comma-separated names, or `all` (default)
@@ -76,10 +81,13 @@ for ((i = 0; i < pairs; i++)); do
         --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 "${smoke[@]}") >"$log"; then
         status=1
       fi
-      # The first line ends "..., F failed"; metric rows are
-      # "name value unit kind q1 .. q3 .. n ..".
+      # The first line reads "... N iterations, ..., F failed"; metric
+      # rows are "name value unit kind q1 .. q3 .. n ..".
       awk -v side="$side" -v pair="$i" -v w="$w" '
-        NR == 1 { print side, pair, w, "failed", $(NF - 1) }
+        NR == 1 {
+          for (k = 2; k <= NF; k++) if ($k == "iterations,") print side, pair, w, "iterations", $(k - 1)
+          print side, pair, w, "failed", $(NF - 1)
+        }
         $5 == "q1" { print side, pair, w, $1, $2 }
       ' "$log" | tee -a "$results" |
         awk -v side="$side" -v pair="$i" -v seed="$seed" -v w="$w" '
@@ -123,16 +131,19 @@ awk -v pairs="$pairs" '
     return x[j] + (x[j + 1] - x[j]) * frac
   }
   END {
+    metrics[++m] = "iterations"; better["iterations"] = "higher"
     printf "\n%-14s %-15s %30s %30s %8s %6s %s\n", "workload", "metric",
-      "parent median [q1, q3]", "change median [q1, q3]", "change", "wins", "claim rule"
+      "parent median [q1, q3]", "change median [q1, q3]", "change", "wins/n", "claim rule"
     for (iw = 1; iw <= nw; iw++) {
       w = order[iw]
       for (im = 1; im <= m; im++) {
         name = metrics[im]; up = better[name] == "higher"
         pm = quart("parent", w, name, 2); cm = quart("change", w, name, 2)
         pq1 = quart("parent", w, name, 1); pq3 = quart("parent", w, name, 3)
-        wins = 0
+        wins = 0; n = 0
         for (i = 0; i < pairs; i++) {
+          if (!(("parent", w, name, i) in v) || !(("change", w, name, i) in v)) continue
+          n++
           p = v["parent", w, name, i]; c = v["change", w, name, i]
           if ((up && c > p) || (!up && c < p)) wins++
         }
@@ -140,7 +151,7 @@ awk -v pairs="$pairs" '
         met = (wins >= 0.9 * pairs && gain > pq3 - pq1) ? "met" : "-"
         printf "%-14s %-15s %12.6g [%.6g, %.6g] %12.6g [%.6g, %.6g] %+7.2f%% %3d/%-2d %s\n",
           w, name, pm, pq1, pq3, cm, quart("change", w, name, 1), quart("change", w, name, 3),
-          pm == 0 ? 0 : 100 * (cm - pm) / pm, wins, pairs, met
+          pm == 0 ? 0 : 100 * (cm - pm) / pm, wins, n, met
       }
     }
     printf "\nfailed operations: parent %d, change %d\n", failed["parent"], failed["change"]

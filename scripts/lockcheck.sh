@@ -12,7 +12,8 @@
 #   3. the full workspace suite runs clean under the detector: zero
 #      lock-order cycles, zero wait-for cycles, zero unwaived
 #      held-across-RPC findings (waivers live in lockcheck.toml);
-#   4. the host file system's lock-scope test once more, by name.
+#   4. the host file system's lock-scope test and the GPU-memory pool's
+#      concurrent build/drop test once more, by name.
 #
 # Usage: scripts/lockcheck.sh
 set -euo pipefail
@@ -31,5 +32,10 @@ LOCKCHECK=1 cargo test -q
 # the namespace, with the detector's reports asserted empty.
 echo "== hostfs lock scope: synthetic preads beside namespace churn =="
 LOCKCHECK=1 cargo test -q -p hostfs synthetic_preads_stay_exact_beside_namespace_churn
+
+# Four threads build and drop same-capacity GPUs through the process-wide
+# arena pool; every new GPU must read as zero, with no detector reports.
+echo "== gpusim arena pool: same-capacity GPUs built and dropped on four threads =="
+LOCKCHECK=1 cargo test -q -p gpusim concurrent_same_capacity_gpus_always_start_zeroed
 
 echo "lockcheck: all suites green"
