@@ -15,6 +15,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use simtime::bw_time_ns;
 
 use crate::cache::{diff_extents, nonzero_extents, Extents, FrameIdx, PageState};
@@ -49,6 +50,32 @@ const WRITEBACK_MAX_BATCH_BYTES: usize = 4 << 20;
 /// binding limit at every paper page size.
 const WRITEBACK_MAX_BATCH_BYTES_PIPELINED: usize = 512 << 20;
 
+/// Page buffers for read-write snapshots, shared by every mount of the
+/// process. A buffer is only parked after it was live, and only
+/// allocated when none is parked, so parked plus live buffers never
+/// exceed the most that were live at once; after warm-up a flush
+/// allocates none.
+static SNAPSHOT_BUFS: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+/// A copy of a page's working bytes in a buffer taken from
+/// [`SNAPSHOT_BUFS`], which the buffer rejoins when this drops.
+struct Snapshot(Vec<u8>);
+
+impl Snapshot {
+    fn of(bytes: &[u8]) -> Self {
+        let mut buf = SNAPSHOT_BUFS.lock().pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(bytes);
+        Snapshot(buf)
+    }
+}
+
+impl Drop for Snapshot {
+    fn drop(&mut self) {
+        SNAPSHOT_BUFS.lock().push(std::mem::take(&mut self.0));
+    }
+}
+
 /// One page whose modified extents have been computed (and whose dirty
 /// flag has been cleared), awaiting shipment in a batch.
 struct GatheredPage {
@@ -57,7 +84,10 @@ struct GatheredPage {
     extents: Extents,
     /// Snapshot of the working bytes the diff ran over, kept to refresh
     /// the pristine copy after a successful shipment (read-write mode).
-    snapshot: Option<Vec<u8>>,
+    /// Its buffer comes from [`SNAPSHOT_BUFS`] and goes back when the
+    /// batch drops its gathered pages: after the pristine refresh, or
+    /// when a failed batch unwinds.
+    snapshot: Option<Snapshot>,
     /// Valid data bytes at gather time.
     ds: usize,
 }
@@ -253,7 +283,7 @@ impl GpuFsMount {
                 if let Some(pristine_frame) = self.frames.pframe(g.frame).pristine_frame() {
                     self.gpu
                         .global()
-                        .write(self.frames.frame_ptr(pristine_frame), snapshot);
+                        .write(self.frames.frame_ptr(pristine_frame), &snapshot.0);
                     blk.advance(bw_time_ns(2 * g.ds as u64, self.timings.gpu_mem_mb_s));
                 }
             }
@@ -264,7 +294,10 @@ impl GpuFsMount {
     /// Compute the modified extents of one page: a byte diff against the
     /// pristine copy for read-write files, or against zeros for
     /// `O_GWRONCE` (paper §3.1). Returns `None` for clean pages and pages
-    /// whose diff is empty.
+    /// whose diff is empty. A read-write page's diff runs over a snapshot
+    /// copied into a page buffer from the process-wide pool
+    /// ([`SNAPSHOT_BUFS`]); the buffer returns to it when the snapshot
+    /// drops, after the pristine refresh or a failed batch's unwind.
     fn gather_page<L: Lane>(
         &self,
         blk: &mut L,
@@ -301,7 +334,7 @@ impl GpuFsMount {
         // refreshing from live working memory would absorb a concurrent
         // writer's not-yet-synced bytes into the pristine copy, making
         // that writer's own sync diff them away — a lost update.
-        let mut snapshot: Option<Vec<u8>> = None;
+        let mut snapshot: Option<Snapshot> = None;
         let extents: Extents = match file.mode() {
             GOpenMode::WriteOnce => {
                 blk.advance(bw_time_ns(ds as u64, self.timings.gpu_mem_mb_s));
@@ -309,13 +342,13 @@ impl GpuFsMount {
             }
             GOpenMode::ReadWrite => match pf.pristine_frame() {
                 Some(pristine_frame) => {
-                    let snap = working.to_vec();
+                    let snap = Snapshot::of(working);
                     let pptr = self.frames.frame_ptr(pristine_frame);
                     // SAFETY: pristine frames are only touched by sync
                     // paths, serialized by the page pin / detachment above.
                     let pristine = unsafe { self.gpu.global().slice(pptr, ds) };
                     blk.advance(bw_time_ns(2 * ds as u64, self.timings.gpu_mem_mb_s));
-                    let extents = diff_extents(&snap, pristine, DIFF_MERGE_GAP);
+                    let extents = diff_extents(&snap.0, pristine, DIFF_MERGE_GAP);
                     snapshot = Some(snap);
                     extents
                 }

@@ -242,6 +242,27 @@ impl Inner {
         ino
     }
 
+    /// The open file behind `fd` and its inode, with the access checked.
+    /// Both come from one guard: an open descriptor holds its inode, so
+    /// a concurrent last `close` can only make the descriptor itself
+    /// gone, which is [`FsError::BadDescriptor`].
+    fn open_file(
+        &mut self,
+        fd: HostFd,
+        need_read: bool,
+        need_write: bool,
+    ) -> FsResult<(&OpenFile, &mut Inode)> {
+        let of = self.fds.get(&fd).ok_or(FsError::BadDescriptor(fd))?;
+        if (need_read && !of.flags.read) || (need_write && !of.flags.write) {
+            return Err(FsError::PermissionDenied(of.path.clone()));
+        }
+        let node = self
+            .inodes
+            .get_mut(&of.ino)
+            .ok_or(FsError::BadDescriptor(fd))?;
+        Ok((of, node))
+    }
+
     /// Drop the inode if it has no links and no open descriptors.
     fn maybe_reap(&mut self, ino: Ino) -> bool {
         let open = self.open_counts.get(&ino).copied().unwrap_or(0);
@@ -344,14 +365,7 @@ impl HostFs {
     ///
     /// Fails if the file exists or the parent directory is missing.
     pub fn create(&self, path: &str, content: &[u8]) -> FsResult<Ino> {
-        self.create_body(
-            path,
-            FileBody::Bytes {
-                cached: content.to_vec(),
-                durable: content.to_vec(),
-            },
-            true,
-        )
+        self.create_body(path, FileBody::bytes(content), true)
     }
 
     /// Create an immutable synthetic file of `len` deterministic bytes.
@@ -522,18 +536,6 @@ impl HostFs {
         Ok(())
     }
 
-    fn fd_ino(&self, fd: HostFd, need_read: bool, need_write: bool) -> FsResult<Ino> {
-        let inner = self.inner.lock();
-        let of = inner.fds.get(&fd).ok_or(FsError::BadDescriptor(fd))?;
-        if need_read && !of.flags.read {
-            return Err(FsError::PermissionDenied(of.path.clone()));
-        }
-        if need_write && !of.flags.write {
-            return Err(FsError::PermissionDenied(of.path.clone()));
-        }
-        Ok(of.ino)
-    }
-
     /// Charge the timing of touching `[offset, offset+len)` of `ino` for
     /// reading: page-cache hits stream at cached bandwidth, misses go to
     /// disk (contiguous miss runs pay one seek), and any dirty pages the
@@ -610,17 +612,17 @@ impl HostFs {
         dst: &mut [u8],
         now: Nanos,
     ) -> FsResult<(usize, Nanos)> {
-        let ino = self.fd_ino(fd, true, false)?;
         let start = now + self.timings.host_syscall_ns;
-        let inner = self.inner.lock();
-        let body = &inner.inodes[&ino].body;
-        let n = if let FileBody::Synthetic { len, seed } = *body {
+        let mut inner = self.inner.lock();
+        let (of, node) = inner.open_file(fd, true, false)?;
+        let ino = of.ino;
+        let n = if let FileBody::Synthetic { len, seed } = node.body {
             // A synthetic body never changes: the read takes effect here,
             // and its bytes are generated with the lock released.
             drop(inner);
             FileBody::Synthetic { len, seed }.read_at(offset, dst)
         } else {
-            let n = body.read_at(offset, dst);
+            let n = node.body.read_at(offset, dst);
             drop(inner);
             n
         };
@@ -646,14 +648,13 @@ impl HostFs {
         src: &[u8],
         now: Nanos,
     ) -> FsResult<(usize, Nanos)> {
-        let ino = self.fd_ino(fd, false, true)?;
         let start = now + self.timings.host_syscall_ns;
         let mut inner = self.inner.lock();
-        let node = inner.inodes.get_mut(&ino).unwrap();
+        let (of, node) = inner.open_file(fd, false, true)?;
         if !node.body.write_at(offset, src) {
-            let path = inner.fds[&fd].path.clone();
-            return Err(FsError::ImmutableFile(path));
+            return Err(FsError::ImmutableFile(of.path.clone()));
         }
+        let ino = of.ino;
         drop(inner);
         self.consistency.bump(ino);
         let mut end = start + bw_time_ns(src.len() as u64, self.timings.host_cached_mb_s);
@@ -682,12 +683,13 @@ impl HostFs {
     ///
     /// Fails on a bad descriptor.
     pub fn fsync(&self, fd: HostFd, now: Nanos) -> FsResult<Nanos> {
-        let ino = self.fd_ino(fd, false, false)?;
         let start = now + self.timings.host_syscall_ns;
-        let dirty_pages = self.cache.lock().clean(ino);
         let mut inner = self.inner.lock();
-        inner.inodes.get_mut(&ino).unwrap().body.sync();
+        let (of, node) = inner.open_file(fd, false, false)?;
+        node.body.sync();
+        let ino = of.ino;
         drop(inner);
+        let dirty_pages = self.cache.lock().clean(ino);
         if dirty_pages == 0 {
             return Ok(start);
         }
@@ -771,14 +773,13 @@ impl HostFs {
     /// Fails on a bad descriptor, missing write permission, or an
     /// immutable synthetic file.
     pub fn ftruncate(&self, fd: HostFd, size: u64, now: Nanos) -> FsResult<Nanos> {
-        let ino = self.fd_ino(fd, false, true)?;
         let t = now + self.timings.host_syscall_ns;
         let mut inner = self.inner.lock();
-        let node = inner.inodes.get_mut(&ino).unwrap();
+        let (of, node) = inner.open_file(fd, false, true)?;
         if !node.body.truncate(size) {
-            let path = inner.fds[&fd].path.clone();
-            return Err(FsError::ImmutableFile(path));
+            return Err(FsError::ImmutableFile(of.path.clone()));
         }
+        let ino = of.ino;
         drop(inner);
         self.consistency.bump(ino);
         let psize = self.cache.lock().page_size();
@@ -1138,6 +1139,133 @@ mod tests {
         assert!(failures.is_empty(), "{failures:?}");
         let reports = parking_lot::lockcheck::take_reports();
         assert!(reports.is_empty(), "lock checker findings: {reports:#?}");
+    }
+
+    /// One thread calls `op` on a descriptor until it is gone while
+    /// another makes the last `close` of the descriptor's unlinked file,
+    /// which reaps the inode; a barrier starts each round on both. Every
+    /// call must succeed or fail with `BadDescriptor`. A panic is caught
+    /// and recorded, so the closer is never left waiting at the barrier.
+    fn race_the_last_close(op: impl Fn(&HostFs, HostFd) -> FsResult<usize> + Sync) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Barrier;
+
+        const ROUNDS: usize = 4_000;
+        let f = fs();
+        let fd_of_round = AtomicU64::new(0);
+        let (start, end) = (Barrier::new(2), Barrier::new(2));
+        let failures = std::thread::scope(|s| {
+            let user = s.spawn(|| {
+                let mut failed = Vec::new();
+                for round in 0..ROUNDS {
+                    start.wait();
+                    let fd = fd_of_round.load(Ordering::Acquire);
+                    loop {
+                        match catch_unwind(AssertUnwindSafe(|| op(&f, fd))) {
+                            Ok(Ok(_)) => {}
+                            Ok(Err(FsError::BadDescriptor(_))) => break,
+                            Ok(Err(e)) => {
+                                failed.push(format!("round {round}: {e}"));
+                                break;
+                            }
+                            Err(_) => {
+                                failed.push(format!("round {round}: panicked"));
+                                break;
+                            }
+                        }
+                    }
+                    end.wait();
+                }
+                failed
+            });
+            for round in 0..ROUNDS {
+                let path = format!("/race{round}");
+                f.create(&path, &[3; 64]).unwrap();
+                let (fd, _) = f.open(&path, OpenFlags::read_write(), 0).unwrap();
+                f.unlink(&path, 0).unwrap();
+                fd_of_round.store(fd, Ordering::Release);
+                start.wait();
+                f.close(fd).unwrap();
+                end.wait();
+            }
+            user.join().unwrap()
+        });
+        assert!(
+            failures.is_empty(),
+            "{} of {ROUNDS} rounds failed: {:?}",
+            failures.len(),
+            &failures[..failures.len().min(5)]
+        );
+        let reports = parking_lot::lockcheck::take_reports();
+        assert!(reports.is_empty(), "lock checker findings: {reports:#?}");
+    }
+
+    #[test]
+    fn descriptor_race_pread_against_the_last_close() {
+        race_the_last_close(|f, fd| {
+            let mut buf = [0u8; 64];
+            f.pread(fd, 0, &mut buf, 0).map(|(n, _)| n)
+        });
+    }
+
+    #[test]
+    fn descriptor_race_pwrite_against_the_last_close() {
+        race_the_last_close(|f, fd| f.pwrite(fd, 0, &[5; 64], 0).map(|(n, _)| n));
+    }
+
+    #[test]
+    fn growth_over_a_dropped_file_systems_blocks_reads_zero() {
+        // A file system's files, full of a non-zero pattern, are dropped
+        // and their blocks parked; files of the next one grow over them.
+        let old = fs();
+        for i in 0..8 {
+            old.create(&format!("/old{i}"), &[0xab; 5 * 4096 + 123])
+                .unwrap();
+        }
+        drop(old);
+        let f = fs();
+        let pattern = [0xcd; 100];
+        let extended = |path: &str, grow: &dyn Fn(HostFd)| -> Vec<u8> {
+            f.create(path, &pattern).unwrap();
+            let (fd, _) = f.open(path, OpenFlags::read_write(), 0).unwrap();
+            grow(fd);
+            f.close(fd).unwrap();
+            f.read_whole(path, 0).unwrap().0
+        };
+        // A pwrite past end of file: the gap reads zero.
+        let data = extended("/pwrite", &|fd| {
+            f.pwrite(fd, 3 * 4096 + 7, b"tail", 0).unwrap();
+        });
+        assert_eq!(data.len(), 3 * 4096 + 11);
+        assert_eq!(&data[..100], &pattern);
+        assert!(
+            data[100..3 * 4096 + 7].iter().all(|&b| b == 0),
+            "pwrite gap"
+        );
+        assert_eq!(&data[3 * 4096 + 7..], b"tail");
+        // ftruncate up, and down then up within the first block: the file's
+        // own old bytes past the cut must not come back either.
+        let data = extended("/ftruncate", &|fd| {
+            f.ftruncate(fd, 2 * 4096 + 5, 0).unwrap();
+        });
+        assert_eq!(data.len(), 2 * 4096 + 5);
+        assert!(data[100..].iter().all(|&b| b == 0), "ftruncate growth");
+        let data = extended("/shrink", &|fd| {
+            f.ftruncate(fd, 10, 0).unwrap();
+            f.ftruncate(fd, 9000, 0).unwrap();
+        });
+        assert_eq!(&data[..10], &pattern[..10]);
+        assert!(data[10..].iter().all(|&b| b == 0), "shrink then growth");
+        // open(truncate), then a pwrite past the new end of file.
+        f.create("/otrunc", &[0xef; 3 * 4096]).unwrap();
+        let (fd, _) = f.open("/otrunc", OpenFlags::create_truncate(), 0).unwrap();
+        f.pwrite(fd, 5000, b"x", 0).unwrap();
+        f.close(fd).unwrap();
+        let data = f.read_whole("/otrunc", 0).unwrap().0;
+        assert_eq!(data.len(), 5001);
+        assert!(data[..5000].iter().all(|&b| b == 0), "open(truncate) gap");
+        assert_eq!(data[5000], b'x');
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use consistency::{Consistency, FileGeneration, FileSnapshot};
 pub use disk::DiskModel;
 pub use error::FsError;
 pub use fs::{HostFd, HostFs, HostFsConfig, Metadata, OpenFlags};
-pub use inode::{FileBody, FileKind, Ino};
+pub use inode::{Blocks, FileBody, FileKind, Ino};
 pub use pagecache::{CacheStats, PageCache};
 
 /// Result alias for host file-system operations.

@@ -19,7 +19,11 @@
 # the parent's quartile distance. `iterations` is the count from each
 # run's first line: the work done in the fixed run time, untimed build
 # and teardown of every iteration included, so a change that only moved
-# work out of the timed region shows there. Any failed operation or
+# work out of the timed region shows there. Two more rows per workload,
+# lower is better, read from each run's rusage after it exits, say where
+# host time went: `minflt_per_iter`, the run's minor page faults over the
+# iterations it executed (timed, plus one untimed per setup), and
+# `sys_share`, its sys CPU over its total CPU. Any failed operation or
 # non-zero exit makes the script exit 1.
 #
 # Usage: scripts/bench_pairs.sh [--smoke] PARENT_REV [WORKLOADS [SECONDS [PAIRS [FIRST_SEED]]]]
@@ -33,9 +37,13 @@
 set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 
+# Untimed iterations a run executes before its timed ones: one per setup
+# (benchmark/src/runner.rs, `SETUPS`; a smoke run sets up once).
+setups=5
 smoke=()
 if [[ "${1:-}" == "--smoke" ]]; then
   smoke=(--smoke)
+  setups=1
   shift
 fi
 if [[ $# -lt 1 ]]; then
@@ -77,15 +85,33 @@ for ((i = 0; i < pairs; i++)); do
   for w in "${names[@]}"; do
     for side in "${order[@]}"; do
       log="$work/runs/$side.$w.$i.txt"
-      if ! (cd "${src[$side]}" && "$work/target-$side/release/gpufs-benchmark" \
-        --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 "${smoke[@]}") >"$log"; then
+      # The subshell reads its own /proc stat after the run has exited and
+      # been reaped: fields 11, 16 and 17 (cminflt, cutime, cstime) are
+      # then the run's minor faults and user and sys CPU ticks.
+      if ! (
+        cd "${src[$side]}" || exit 1
+        "$work/target-$side/release/gpufs-benchmark" \
+          --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 "${smoke[@]}" >"$log"
+        rc=$?
+        read -r -a stat <"/proc/$BASHPID/stat"
+        echo "${stat[10]} ${stat[15]} ${stat[16]}" >"$log.rusage"
+        exit "$rc"
+      ); then
         status=1
       fi
+      minflt="" utime=0 stime=0
+      if [[ -f "$log.rusage" ]]; then read -r minflt utime stime <"$log.rusage"; fi
       # The first line reads "... N iterations, ..., F failed"; metric
-      # rows are "name value unit kind q1 .. q3 .. n ..".
-      awk -v side="$side" -v pair="$i" -v w="$w" '
+      # rows are "name value unit kind q1 .. q3 .. n ..". Faults are per
+      # executed iteration: the timed ones plus one untimed one per setup.
+      awk -v side="$side" -v pair="$i" -v w="$w" -v setups="$setups" \
+        -v minflt="$minflt" -v utime="$utime" -v stime="$stime" '
         NR == 1 {
-          for (k = 2; k <= NF; k++) if ($k == "iterations,") print side, pair, w, "iterations", $(k - 1)
+          for (k = 2; k <= NF; k++) if ($k == "iterations,") {
+            print side, pair, w, "iterations", $(k - 1)
+            if (minflt != "") print side, pair, w, "minflt_per_iter", minflt / ($(k - 1) + setups)
+          }
+          if (utime + stime > 0) print side, pair, w, "sys_share", stime / (utime + stime)
           print side, pair, w, "failed", $(NF - 1)
         }
         $5 == "q1" { print side, pair, w, $1, $2 }
@@ -132,6 +158,8 @@ awk -v pairs="$pairs" '
   }
   END {
     metrics[++m] = "iterations"; better["iterations"] = "higher"
+    metrics[++m] = "minflt_per_iter"; better["minflt_per_iter"] = "lower"
+    metrics[++m] = "sys_share"; better["sys_share"] = "lower"
     printf "\n%-14s %-15s %30s %30s %8s %6s %s\n", "workload", "metric",
       "parent median [q1, q3]", "change median [q1, q3]", "change", "wins/n", "claim rule"
     for (iw = 1; iw <= nw; iw++) {

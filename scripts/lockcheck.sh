@@ -12,8 +12,8 @@
 #   3. the full workspace suite runs clean under the detector: zero
 #      lock-order cycles, zero wait-for cycles, zero unwaived
 #      held-across-RPC findings (waivers live in lockcheck.toml);
-#   4. the host file system's lock-scope test and the GPU-memory pool's
-#      concurrent build/drop test once more, by name.
+#   4. the host file system's lock-scope and descriptor-race tests and
+#      the GPU-memory pool's concurrent build/drop test once more, by name.
 #
 # Usage: scripts/lockcheck.sh
 set -euo pipefail
@@ -37,5 +37,11 @@ LOCKCHECK=1 cargo test -q -p hostfs synthetic_preads_stay_exact_beside_namespace
 # arena pool; every new GPU must read as zero, with no detector reports.
 echo "== gpusim arena pool: same-capacity GPUs built and dropped on four threads =="
 LOCKCHECK=1 cargo test -q -p gpusim concurrent_same_capacity_gpus_always_start_zeroed
+
+# One thread preads or pwrites a descriptor while another makes the last
+# close of its unlinked file; every call must return bytes or a bad-
+# descriptor error, never panic.
+echo "== hostfs descriptor race: pread/pwrite against the last close =="
+LOCKCHECK=1 cargo test -q -p hostfs descriptor_race
 
 echo "lockcheck: all suites green"
