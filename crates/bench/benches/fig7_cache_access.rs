@@ -106,7 +106,7 @@ fn raw_memory_phase() -> f64 {
 fn main() {
     banner(
         "Figure 7 — warm buffer-cache access: lock-free vs locked, normalized to raw memory",
-        "real wall-time measurement of the concurrent radix tree (112 blocks, 16 KB chunks,\n\
+        "modelled (virtual-time) access cost of the concurrent radix tree (112 blocks, 16 KB chunks,\n\
          randomized offsets, file fully resident). paper: lock-free reaches 85-88% of raw\n\
          memory bandwidth and ~3x the locked variant",
     );

@@ -761,4 +761,73 @@ mod tests {
             "pressure forced reclaim"
         );
     }
+
+    #[test]
+    fn a_reused_frame_takes_a_short_page_in_place_and_reads_zero_past_eof() {
+        // A one-frame cache: `/b`'s short last page faults into the frame
+        // `/a`'s full page of 0xab held. The daemon preads straight into
+        // the frame, so until the page is published its tail still holds
+        // `/a`'s bytes; the fault must leave `/b`'s bytes and then zeros.
+        use std::sync::Arc;
+
+        use gpusim::{Gpu, GpuSpec, Grid};
+        use hostfs::{HostFs, HostFsConfig};
+
+        use crate::daemon::GpufsHost;
+        use crate::remote::{HostProxy, StorageServer};
+
+        const PAGE: usize = 4096;
+        let tail: Vec<u8> = (0..100u32).map(|i| (i * 7 + 1) as u8).collect();
+        let one_frame = GpufsConfig::new(PAGE, PAGE);
+        let local = |config: &GpufsConfig| {
+            let fs = Arc::new(HostFs::new(HostFsConfig::default()));
+            let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
+            GpufsHost::with_config(fs, vec![gpu], config)
+        };
+        let proxied = |config: &GpufsConfig| {
+            let fs = Arc::new(HostFs::new(HostFsConfig::default()));
+            let proxy = Arc::new(HostProxy::new(Arc::new(StorageServer::new(fs)), 16));
+            let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
+            GpufsHost::with_proxy(proxy, vec![gpu], config)
+        };
+        let one_shot = one_frame.clone().with_io_chunk(0);
+        let hosts = [
+            ("local", local(&one_frame), &one_frame),
+            ("proxied", proxied(&one_frame), &one_frame),
+            ("one-shot", local(&one_shot), &one_shot),
+        ];
+        for (name, host, config) in hosts {
+            host.fs().create("/a", &[0xab; PAGE]).unwrap();
+            host.fs()
+                .create("/b", &[&[5u8; PAGE][..], &tail].concat())
+                .unwrap();
+            let mount = host.mount(0, config.clone()).unwrap();
+            let gpu = Arc::clone(&host.gpus()[0]);
+            let frame = || {
+                let mut bytes = vec![0u8; PAGE];
+                gpu.global().read(mount.frames.frame_ptr(0), &mut bytes);
+                bytes
+            };
+            gpu.launch(Grid::new(1, 32), 0, |blk| {
+                let mut buf = vec![0u8; PAGE];
+                let a = mount.open(blk, "/a", GOpenMode::ReadOnly).unwrap();
+                assert_eq!(mount.read(blk, &a, 0, &mut buf).unwrap(), PAGE);
+                mount.close(blk, a).unwrap();
+                assert_eq!(frame(), vec![0xab; PAGE], "{name}: /a's page in the frame");
+
+                let b = mount.open(blk, "/b", GOpenMode::ReadOnly).unwrap();
+                assert_eq!(mount.read(blk, &b, PAGE as u64, &mut buf).unwrap(), 100);
+                assert_eq!(buf[..100], tail[..], "{name}");
+                let held = frame();
+                assert_eq!(held[..100], tail[..], "{name}: /b's bytes in place");
+                assert!(held[100..].iter().all(|&x| x == 0), "{name}: zero past EOF");
+                let map = mount.mmap(blk, &b, PAGE as u64, PAGE).unwrap();
+                assert_eq!(map.bytes(), &tail[..], "{name}");
+                drop(map);
+                mount.close(blk, b).unwrap();
+            });
+            assert_eq!(mount.counters().pages_reclaimed.get(), 1, "{name}");
+            assert_eq!(host.stats().bytes_h2d.get(), PAGE as u64 + 100, "{name}");
+        }
+    }
 }

@@ -21,21 +21,18 @@
 //! run on the calling proxy's thread, and the worker that shipped the
 //! frame draws that CPU itself when the response comes back — so a frame
 //! adds nothing under its `server:*` span and nothing to any pool.
+//!
+//! Both chunk calls work on the caller's memory, like rCore's
+//! `read_at(&self, offset, &mut [u8])`: a read fills the destinations it
+//! is handed — the daemon hands it the batch's GPU frames — and a write
+//! sends out the extents it is handed. No host staging buffer exists; the
+//! paper's pinned staging ring is modelled in virtual time only
+//! (`daemon/pipeline.rs`).
 
 use hostfs::{FsError, HostFd, HostFs, Ino, OpenFlags};
-use parking_lot::Mutex;
 use simtime::Clock;
 
 use super::ServeCtx;
-
-/// Staging buffers of [`HostFs`] reads, shared by every daemon of the
-/// process. Requests are served on the threadblocks' own threads, so
-/// without it each page's buffer would come from whichever of their
-/// malloc arenas the thread has, and be faulted in afresh there. A buffer
-/// is only parked after [`Backing::recycle`] returned it and only
-/// allocated when none is parked, so parked plus live buffers never
-/// exceed the most that were live at once.
-static STAGING: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
 
 /// What [`Backing::open`] learned about the file it opened.
 pub(crate) struct Opened {
@@ -64,18 +61,21 @@ pub(crate) trait Backing: Send + Sync {
     fn truncate(&self, clock: &mut Clock, fd: HostFd, size: u64) -> Result<(), FsError>;
     fn stat(&self, clock: &mut Clock, path: &str) -> Result<FileStat, FsError>;
 
-    /// Stage 1 of a read: fill one staging buffer per `(offset, len)` of
-    /// `pages`, in order — exactly `pages.len()` buffers, each at most its
-    /// `len` long, short or empty at end of file. `chunk` is the chunk's
-    /// index in its batch (the stage span carries it).
+    /// Stage 1 of a read: read the file at each `(offset, dst)` of `pages`
+    /// straight into its `dst`, in order, and set the same index of `ns`
+    /// to the bytes it got — at most `dst.len()`, short or 0 at end of
+    /// file. Bytes of `dst` past that count are left as they were.
+    /// `chunk` is the chunk's index in its batch (the stage span carries
+    /// it).
     fn read_chunk(
         &self,
         worker: Option<&ServeCtx<'_>>,
         clock: &mut Clock,
         fd: HostFd,
         chunk: usize,
-        pages: &[(u64, usize)],
-    ) -> Result<Vec<Vec<u8>>, FsError>;
+        pages: &mut [(u64, &mut [u8])],
+        ns: &mut [usize],
+    ) -> Result<(), FsError>;
 
     /// The write lane of one chunk: write every `(offset, bytes)` extent
     /// out. Returns the bytes written and the file's consistency
@@ -86,12 +86,8 @@ pub(crate) trait Backing: Send + Sync {
         worker: Option<&ServeCtx<'_>>,
         clock: &mut Clock,
         fd: HostFd,
-        extents: Vec<(u64, Vec<u8>)>,
+        extents: &[(u64, &[u8])],
     ) -> Result<(usize, u64), FsError>;
-
-    /// Take back the buffers a [`Backing::read_chunk`] returned, once
-    /// their chunk has shipped.
-    fn recycle(&self, _staging: Vec<Vec<u8>>) {}
 }
 
 // `HostFs`'s own methods of the same names take priority inside this
@@ -149,32 +145,27 @@ impl Backing for HostFs {
         clock: &mut Clock,
         fd: HostFd,
         chunk: usize,
-        pages: &[(u64, usize)],
-    ) -> Result<Vec<Vec<u8>>, FsError> {
+        pages: &mut [(u64, &mut [u8])],
+        ns: &mut [usize],
+    ) -> Result<(), FsError> {
         let sp = worker.map(|_| obs::span("pread"));
         let start = clock.now();
-        let mut staging = Vec::with_capacity(pages.len());
         // The preads run back to back on the caller's clock; the file
         // system pipelines or serializes them as its cost model says.
-        for &(offset, len) in pages {
-            // A parked buffer keeps stale bytes past what the `pread`
-            // fills; the truncate below drops them.
-            let mut buf = STAGING.lock().pop().unwrap_or_default();
-            buf.resize(len, 0);
+        for ((offset, dst), n) in pages.iter_mut().zip(ns.iter_mut()) {
             let issued = clock.now();
-            let (n, t) = self.pread(fd, offset, &mut buf, issued)?;
+            let (got, t) = self.pread(fd, *offset, dst, issued)?;
             clock.wait_until(t);
             if let Some(w) = worker {
-                w.file_io(clock, issued, std::iter::once(n));
+                w.file_io(clock, issued, std::iter::once(got));
             }
-            buf.truncate(n);
-            staging.push(buf);
+            *n = got;
         }
         if let Some(sp) = sp {
             let attrs = [("chunk", chunk as u64), ("pages", pages.len() as u64)];
             sp.finish_attrs(start, clock.now(), &attrs);
         }
-        Ok(staging)
+        Ok(())
     }
 
     fn write_chunk(
@@ -182,7 +173,7 @@ impl Backing for HostFs {
         worker: Option<&ServeCtx<'_>>,
         clock: &mut Clock,
         fd: HostFd,
-        extents: Vec<(u64, Vec<u8>)>,
+        extents: &[(u64, &[u8])],
     ) -> Result<(usize, u64), FsError> {
         // The ino probe and the generation read cost nothing, and an empty
         // chunk is no stage at all — but it still needs an open descriptor.
@@ -192,9 +183,9 @@ impl Backing for HostFs {
             .map(|_| obs::span("pwrite"));
         let start = clock.now();
         let mut written = 0;
-        for (offset, data) in &extents {
+        for &(offset, data) in extents {
             let issued = clock.now();
-            let (n, t) = self.pwrite(fd, *offset, data, issued)?;
+            let (n, t) = self.pwrite(fd, offset, data, issued)?;
             clock.wait_until(t);
             if let Some(w) = worker {
                 w.file_io(clock, issued, std::iter::once(n));
@@ -205,9 +196,5 @@ impl Backing for HostFs {
             sp.finish(start, clock.now());
         }
         Ok((written, self.consistency().generation(ino)))
-    }
-
-    fn recycle(&self, staging: Vec<Vec<u8>>) {
-        STAGING.lock().extend(staging);
     }
 }

@@ -4,9 +4,11 @@
 //! its PCIe direction. The lane owns everything the read and the write
 //! side of `pipeline.rs` do identically to ship a chunk: charge the
 //! CPU-side submit, chain the reservation behind the transaction's
-//! previous chunk, count it, and emit its span. It never sees where the
-//! chunk's bytes were staged from, so a proxied daemon's DMA is a local
-//! daemon's DMA.
+//! previous chunk, count it, and emit its span. It never sees bytes at
+//! all: the backing has already read them into the GPU frames, or will
+//! write them out of the frames, so the lane only charges the link for a
+//! chunk's byte count — and a proxied daemon's DMA is a local daemon's
+//! DMA.
 //!
 //! Setup is owed by the first chunk a transaction ships — unless the
 //! engine's descriptor ring is still running when the chunk's data is
@@ -25,7 +27,7 @@
 //! is doing and leaves no ring behind it. Only the DMA differs: its
 //! worker CPU comes from the same bounded pool.
 
-use gpusim::{DevPtr, Gpu};
+use gpusim::Gpu;
 use simtime::{Clock, Nanos, Reservation};
 
 use super::{DaemonStats, ServeCtx};
@@ -66,41 +68,35 @@ impl<'a> DmaLane<'a> {
         self.end
     }
 
-    /// Ship one read chunk host-to-device, its data ready now on the
-    /// worker's `clock`. The worker does not wait for it.
-    pub(crate) fn read_chunk(
-        &mut self,
-        clock: &mut Clock,
-        parts: &[(&[u8], DevPtr)],
-    ) -> Reservation {
-        let bytes = parts.iter().map(|(b, _)| b.len() as u64).sum();
-        let (gpu, one_shot) = (self.gpu, self.one_shot());
+    /// Ship one read chunk of `bytes` host-to-device, its data ready now
+    /// on the worker's `clock`. The worker does not wait for it.
+    pub(crate) fn read_chunk(&mut self, clock: &mut Clock, bytes: u64) -> Reservation {
+        let (dma, one_shot) = (self.gpu.dma(), self.one_shot());
         self.ship(clock, Dir::H2d, bytes, |issue, first| {
             if one_shot {
-                gpu.dma_h2d_scattered(parts, issue)
+                dma.reserve_h2d_scattered(issue, &[bytes])
             } else {
-                gpu.dma_h2d_scattered_chunk(parts, issue, first)
+                dma.reserve_h2d_chunk(issue, &[bytes], first)
             }
         })
     }
 
-    /// Gather one write chunk device-to-host. The dirty bytes have been in
-    /// GPU memory since the RPC was issued (`ready`), so the gather chain
-    /// runs ahead of the worker's `pwrite` lane; the caller waits for the
-    /// returned reservation before writing the chunk out.
+    /// Gather one write chunk of `bytes` device-to-host. The dirty bytes
+    /// have been in GPU memory since the RPC was issued (`ready`), so the
+    /// gather chain runs ahead of the worker's `pwrite` lane; the caller
+    /// waits for the returned reservation before writing the chunk out.
     pub(crate) fn write_chunk(
         &mut self,
         clock: &mut Clock,
         ready: Nanos,
-        parts: &mut [(DevPtr, &mut [u8])],
+        bytes: u64,
     ) -> Reservation {
-        let bytes = parts.iter().map(|(_, b)| b.len() as u64).sum();
-        let (gpu, one_shot) = (self.gpu, self.one_shot());
+        let (dma, one_shot) = (self.gpu.dma(), self.one_shot());
         self.ship(clock, Dir::D2h { ready }, bytes, |issue, first| {
             if one_shot {
-                gpu.dma_d2h_scattered(parts, issue)
+                dma.reserve_d2h_scattered(issue, &[bytes])
             } else {
-                gpu.dma_d2h_scattered_chunk(parts, issue, first)
+                dma.reserve_d2h_chunk(issue, &[bytes], first)
             }
         })
     }

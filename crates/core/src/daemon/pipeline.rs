@@ -26,6 +26,13 @@
 //! and one wire frame. The chunk ring, the early response and the
 //! per-page ready times below are the same code either way.
 //!
+//! Page bytes move once. A `ReadPages` hands the backing the batch's GPU
+//! frames themselves, so stage 1 `pread`s each page straight into its
+//! frame; a `WritePages` hands it the dirty extents straight out of
+//! theirs. The modelled DMA only needs byte counts, so the lane charges
+//! the link and touches no byte, and no host staging buffer exists: the
+//! staging ring is modelled in virtual time only.
+//!
 //! The worker's clock carries the file-I/O lane; the DMA lane
 //! ([`super::lane::DmaLane`]) is a chain of chunk reservations, each
 //! issued no earlier than its data is ready *and* no earlier than the
@@ -42,9 +49,10 @@
 //! Error semantics are those of the serialized engine: a failure in any
 //! chunk fails the whole RPC (the requester unwinds the batch — frames
 //! released on reads, every page's dirty flag re-armed on writes — so
-//! partially-DMA'd chunks are never observable).
+//! partially filled frames and partially DMA'd chunks are never
+//! observable).
 
-use gpusim::{DevPtr, Gpu};
+use gpusim::Gpu;
 use hostfs::{FsError, HostFd};
 use simtime::{Clock, Nanos};
 
@@ -53,19 +61,23 @@ use super::lane::DmaLane;
 use super::ServeCtx;
 use crate::rpc::{PageRead, PageWrite, RespOk};
 
-/// The chunks of a batch under the `io_chunk_pages` setting (`0` = the
-/// whole batch in one chunk, i.e. serialized), each with its index.
-fn chunks<T>(io_chunk_pages: usize, pages: &[T]) -> impl Iterator<Item = (usize, &[T])> {
-    let step = match io_chunk_pages {
-        0 => pages.len().max(1),
+/// Pages per chunk of a `len`-page batch under the `io_chunk_pages`
+/// setting (`0` = the whole batch in one chunk, i.e. serialized).
+fn chunk_len(io_chunk_pages: usize, len: usize) -> usize {
+    match io_chunk_pages {
+        0 => len.max(1),
         n => n,
-    };
-    pages.chunks(step).enumerate()
+    }
 }
 
 /// Serve a `ReadPages` batch: stage chunk *k+1* while the scatter-gather
 /// DMA of chunk *k* is in flight. Returns the per-page byte counts and
 /// ready times, and the virtual time the requester may proceed.
+///
+/// Stage 1 `pread`s each page straight into its frame, so a page's bytes
+/// are copied once; stage 2 only charges the link for them. The batch's
+/// destinations, byte counts and ready times are allocated once, up
+/// front: no page or chunk allocates.
 ///
 /// `io_depth` is the staging depth in chunks. At the default `2`
 /// (classic double-buffering) the engine behaves exactly as before:
@@ -77,7 +89,8 @@ fn chunks<T>(io_chunk_pages: usize, pages: &[T]) -> impl Iterator<Item = (usize,
 /// `io_depth − 2` trailing chunk DMAs may outlive the response, with
 /// each page's individual ready time (its chunk's DMA completion)
 /// carried back so the client can gate pins per page instead of on the
-/// whole batch.
+/// whole batch. The ring exists in virtual time only, as the times its
+/// buffers free (`free_at`); no host buffer backs it.
 pub(super) fn read_pages(
     backing: &dyn Backing,
     gpu: &Gpu,
@@ -94,13 +107,27 @@ pub(super) fn read_pages(
     }
     let io_depth = ctx.engine.io_depth;
     let deep = io_depth > 2;
+    let step = chunk_len(ctx.engine.io_chunk_pages, pages.len());
     let mut lane = DmaLane::new(gpu, ctx);
-    let mut ns = Vec::with_capacity(pages.len());
-    let mut ready: Vec<Nanos> = Vec::with_capacity(pages.len());
+    // SAFETY: the requester allocated a distinct frame for every page of
+    // the batch and keeps each one unpublished (`Initializing`) until this
+    // response returns, so nothing else reads or writes these ranges while
+    // the slices live; a failed batch releases the frames unpublished.
+    let mut dsts: Vec<(u64, &mut [u8])> = pages
+        .iter()
+        .map(|p| (p.offset, unsafe { gpu.global().slice_mut(p.dst, p.len) }))
+        .collect();
+    let mut ns = vec![0; pages.len()];
+    let mut ready: Vec<Nanos> = vec![0; pages.len()];
     // When each chunk's staging buffer frees again: its DMA end, or 0 for
     // chunks that shipped nothing.
-    let mut free_at: Vec<Nanos> = Vec::new();
-    for (j, chunk) in chunks(ctx.engine.io_chunk_pages, pages) {
+    let mut free_at: Vec<Nanos> =
+        Vec::with_capacity(if deep { pages.len().div_ceil(step) } else { 0 });
+    let chunks = dsts
+        .chunks_mut(step)
+        .zip(ns.chunks_mut(step))
+        .zip(ready.chunks_mut(step));
+    for (j, ((dsts, ns), ready)) in chunks.enumerate() {
         // Depth-k staging bound: chunk j reuses the buffer of chunk
         // j - io_depth and must wait for that DMA to complete. Double
         // buffering keeps the prior engine's unbounded-within-the-batch
@@ -108,30 +135,24 @@ pub(super) fn read_pages(
         if deep && j >= io_depth {
             clock.wait_until(free_at[j - io_depth]);
         }
-        // Stage 1 — this chunk's bytes into host staging buffers, on the
-        // worker's clock.
-        let wanted: Vec<(u64, usize)> = chunk.iter().map(|p| (p.offset, p.len)).collect();
-        let staging = backing.read_chunk(Some(ctx), clock, fd, j, &wanted)?;
+        // Stage 1 — this chunk's bytes into its frames, on the worker's
+        // clock.
+        backing.read_chunk(Some(ctx), clock, fd, j, dsts, ns)?;
         // Stage 2 — ship the chunk asynchronously: the DMA is issued at
         // max(data ready, previous chunk's end) and the worker moves on
         // to the next chunk's stage 1 without waiting for it.
-        let parts: Vec<(&[u8], DevPtr)> = staging
-            .iter()
-            .zip(chunk)
-            .filter(|(buf, _)| !buf.is_empty())
-            .map(|(buf, page)| (buf.as_slice(), page.dst))
-            .collect();
-        let chunk_ready = if parts.is_empty() {
+        let bytes: usize = ns.iter().sum();
+        let chunk_ready = if bytes == 0 {
             0
         } else {
-            lane.read_chunk(clock, &parts).end
+            lane.read_chunk(clock, bytes as u64).end
         };
-        free_at.push(chunk_ready);
-        for buf in &staging {
-            ns.push(buf.len());
-            ready.push(if buf.is_empty() { 0 } else { chunk_ready });
+        if deep {
+            free_at.push(chunk_ready);
         }
-        backing.recycle(staging);
+        for (r, &n) in ready.iter_mut().zip(ns.iter()) {
+            *r = if n == 0 { 0 } else { chunk_ready };
+        }
     }
     let t = if deep {
         // Early response: all but the last io_depth - 2 chunk DMAs must
@@ -156,7 +177,8 @@ pub(super) fn read_pages(
 /// host memory before that chunk can be written out, so the worker's
 /// clock waits per chunk — but only for *its* chunk, not the whole
 /// batch's gather as the serialized engine did. The requester proceeds
-/// when the worker's clock gets to the end of the last write-out.
+/// when the worker's clock gets to the end of the last write-out, which
+/// reads each dirty extent straight out of its frame.
 pub(super) fn write_pages(
     backing: &dyn Backing,
     gpu: &Gpu,
@@ -175,40 +197,41 @@ pub(super) fn write_pages(
     let mut lane = DmaLane::new(gpu, ctx);
     let mut written = 0usize;
     let mut generation = None;
-    for (_, chunk) in chunks(ctx.engine.io_chunk_pages, pages) {
+    // One chunk's dirty extents, as (file offset, bytes in the frame).
+    let mut extents: Vec<(u64, &[u8])> = Vec::new();
+    for chunk in pages.chunks(chunk_len(ctx.engine.io_chunk_pages, pages.len())) {
         // Flatten this chunk's dirty extents into one scatter-gather
         // descriptor list; only the modified bytes travel.
-        let mut extents: Vec<(u64, Vec<u8>)> = Vec::new(); // (file off, staging)
-        let mut srcs: Vec<DevPtr> = Vec::new();
+        extents.clear();
         for pw in chunk {
             for &(off, len) in &pw.extents {
-                srcs.push(pw.src + off as usize);
-                extents.push((pw.page_offset + u64::from(off), vec![0u8; len as usize]));
+                // SAFETY: the flushing caller holds a pin on the page or
+                // has detached its frame, so the frame is not reused
+                // while the batch is served; concurrent writers to the
+                // same page coordinate with sync (Table 1), as the diff
+                // that produced these extents already assumed.
+                let bytes = unsafe { gpu.global().slice(pw.src + off as usize, len as usize) };
+                extents.push((pw.page_offset + u64::from(off), bytes));
             }
         }
-        if srcs.is_empty() {
+        if extents.is_empty() {
             continue;
         }
-        let mut parts: Vec<(DevPtr, &mut [u8])> = srcs
-            .iter()
-            .zip(extents.iter_mut())
-            .map(|(&src, (_, buf))| (src, buf.as_mut_slice()))
-            .collect();
+        let bytes = extents.iter().map(|(_, b)| b.len() as u64).sum();
         // The gather chain runs independently of the write-out lane:
         // chunk k+1's gather starts when the engine frees up (gather k's
         // end), not after chunk k is written out.
-        let r = lane.write_chunk(clock, issue, &mut parts);
-        drop(parts);
+        let r = lane.write_chunk(clock, issue, bytes);
         // This chunk's bytes must be in host memory before they go out.
         clock.wait_until(r.end);
-        let (n, g) = backing.write_chunk(Some(ctx), clock, fd, extents)?;
+        let (n, g) = backing.write_chunk(Some(ctx), clock, fd, &extents)?;
         written += n;
         generation = Some(g);
     }
     let generation = match generation {
         Some(g) => g,
         // Nothing was dirty: the answer is only the file's generation.
-        None => backing.write_chunk(Some(ctx), clock, fd, Vec::new())?.1,
+        None => backing.write_chunk(Some(ctx), clock, fd, &[])?.1,
     };
     Ok(RespOk::Wrote {
         n: written,
@@ -1059,19 +1082,20 @@ mod tests {
             clock: &mut Clock,
             fd: HostFd,
             chunk: usize,
-            pages: &[(u64, usize)],
-        ) -> Result<Vec<Vec<u8>>, FsError> {
+            pages: &mut [(u64, &mut [u8])],
+            ns: &mut [usize],
+        ) -> Result<(), FsError> {
             if self.read_chunks.fetch_add(1, Ordering::Relaxed) == self.fail_at {
                 return Err(FsError::Protocol("injected read fault".into()));
             }
-            self.fs.read_chunk(worker, clock, fd, chunk, pages)
+            self.fs.read_chunk(worker, clock, fd, chunk, pages, ns)
         }
         fn write_chunk(
             &self,
             worker: Option<&ServeCtx<'_>>,
             clock: &mut Clock,
             fd: HostFd,
-            extents: Vec<(u64, Vec<u8>)>,
+            extents: &[(u64, &[u8])],
         ) -> Result<(usize, u64), FsError> {
             self.fs.write_chunk(worker, clock, fd, extents)
         }

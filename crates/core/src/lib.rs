@@ -62,6 +62,8 @@
 //! });
 //! ```
 
+#[cfg(test)]
+mod allocations;
 mod api;
 mod backoff;
 pub mod cache;

@@ -146,13 +146,38 @@ impl HostPageCache {
         generation: u64,
         min_len: usize,
     ) -> Option<Vec<u8>> {
+        self.find(ino, offset, generation, min_len, <[u8]>::to_vec)
+    }
+
+    /// [`HostPageCache::lookup`] of a `dst.len()`-byte page, copied
+    /// straight into `dst` instead of returned. Returns whether it hit;
+    /// on a miss `dst` is untouched.
+    pub(crate) fn read_into(&self, ino: Ino, offset: u64, generation: u64, dst: &mut [u8]) -> bool {
+        let n = dst.len();
+        self.find(ino, offset, generation, n, |data| {
+            dst.copy_from_slice(&data[..n]);
+        })
+        .is_some()
+    }
+
+    /// The lookup both [`HostPageCache::lookup`] and
+    /// [`HostPageCache::read_into`] are: `take` sees a hit's bytes under
+    /// the shard lock.
+    fn find<R>(
+        &self,
+        ino: Ino,
+        offset: u64,
+        generation: u64,
+        min_len: usize,
+        take: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
         if !self.enabled() {
             return None;
         }
         let mut shard = self.shard_of(ino, offset).lock();
         match shard.map.get(&(ino, offset)) {
             Some(e) if e.generation == generation && e.data.len() >= min_len => {
-                let data = e.data.clone();
+                let data = take(&e.data);
                 drop(shard);
                 self.stats.hits.incr();
                 Some(data)

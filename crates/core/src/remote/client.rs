@@ -129,40 +129,39 @@ impl Backing for HostProxy {
 
     /// Host-cache hits cost a local DRAM copy; the misses ride one wire
     /// round-trip, which the server runs through the pread sequence a
-    /// local daemon would.
+    /// local daemon would. Each hit or wire page is copied into its
+    /// destination once, and a wire page then moves into the host cache.
     fn read_chunk(
         &self,
         worker: Option<&ServeCtx<'_>>,
         clock: &mut Clock,
         fd: HostFd,
         _chunk: usize,
-        pages: &[(u64, usize)],
-    ) -> Result<Vec<Vec<u8>>, FsError> {
+        pages: &mut [(u64, &mut [u8])],
+        ns: &mut [usize],
+    ) -> Result<(), FsError> {
         let fd_state = self.fd_state(fd);
-        let mut staging: Vec<Vec<u8>> = vec![Vec::new(); pages.len()];
         let mut misses: Vec<usize> = Vec::new();
-        for (i, &(offset, len)) in pages.iter().enumerate() {
-            let cached =
-                fd_state.and_then(|st| self.cache().lookup(st.ino, offset, st.generation, len));
-            match cached {
-                Some(mut data) => {
-                    data.truncate(len);
-                    let copy_ns = bw_time_ns(data.len() as u64, self.timings().host_mem_mb_s);
-                    match worker {
-                        Some(w) => w.cpu(clock, copy_ns),
-                        None => clock.advance(copy_ns),
-                    }
-                    staging[i] = data;
+        for (i, (offset, dst)) in pages.iter_mut().enumerate() {
+            let hit = fd_state
+                .is_some_and(|st| self.cache().read_into(st.ino, *offset, st.generation, dst));
+            if hit {
+                let copy_ns = bw_time_ns(dst.len() as u64, self.timings().host_mem_mb_s);
+                match worker {
+                    Some(w) => w.cpu(clock, copy_ns),
+                    None => clock.advance(copy_ns),
                 }
-                None => misses.push(i),
+                ns[i] = dst.len();
+            } else {
+                misses.push(i);
             }
         }
         if misses.is_empty() {
-            return Ok(staging);
+            return Ok(());
         }
         let wire = misses
             .iter()
-            .map(|&i| (pages[i].0, pages[i].1 as u32))
+            .map(|&i| (pages[i].0, pages[i].1.len() as u32))
             .collect();
         let issued = clock.now();
         let req = WireRequest::ReadPages { fd, pages: wire };
@@ -172,7 +171,7 @@ impl Backing for HostProxy {
         };
         // One page too few would leave a hole where there is data; one
         // too long would be DMA'd past its frame into the neighbour's.
-        let fits = |(&i, data): (&usize, &Vec<u8>)| data.len() <= pages[i].1;
+        let fits = |(&i, data): (&usize, &Vec<u8>)| data.len() <= pages[i].1.len();
         if got.len() != misses.len() || !misses.iter().zip(&got).all(fits) {
             return Err(FsError::Protocol(
                 "storage server answered ReadPages with the wrong page count or an overlong page"
@@ -183,13 +182,14 @@ impl Backing for HostProxy {
             w.file_io(clock, issued, got.iter().map(Vec::len));
         }
         for (&i, data) in misses.iter().zip(got) {
+            let (offset, dst) = &mut pages[i];
+            dst[..data.len()].copy_from_slice(&data);
+            ns[i] = data.len();
             if let Some(st) = fd_state {
-                self.cache()
-                    .insert(st.ino, pages[i].0, st.generation, data.clone());
+                self.cache().insert(st.ino, *offset, st.generation, data);
             }
-            staging[i] = data;
         }
-        Ok(staging)
+        Ok(())
     }
 
     fn write_chunk(
@@ -197,12 +197,17 @@ impl Backing for HostProxy {
         worker: Option<&ServeCtx<'_>>,
         clock: &mut Clock,
         fd: HostFd,
-        extents: Vec<(u64, Vec<u8>)>,
+        extents: &[(u64, &[u8])],
     ) -> Result<(usize, u64), FsError> {
         let fd_state = self.fd_state(fd);
         let ranges: Vec<(u64, u64)> = extents
             .iter()
-            .map(|(off, data)| (*off, off + data.len() as u64))
+            .map(|&(off, data)| (off, off + data.len() as u64))
+            .collect();
+        // The wire request owns its payload.
+        let extents = extents
+            .iter()
+            .map(|&(off, data)| (off, data.to_vec()))
             .collect();
         let sent: u64 = ranges.iter().map(|(start, end)| end - start).sum();
         let issued = clock.now();

@@ -166,27 +166,42 @@ impl StorageServer {
             }
             WireRequest::Close { fd } => backing.close(clock, fd).map(|()| WireResponse::Done),
             WireRequest::ReadPages { fd, pages } => {
-                let wanted: Vec<(u64, usize)> = pages
+                // The response's pages, filled by the file system in place.
+                let mut bufs: Vec<Vec<u8>> = pages
                     .iter()
-                    .map(|&(off, len)| (off, len as usize))
+                    .map(|&(_, len)| vec![0; len as usize])
                     .collect();
+                let mut dsts: Vec<(u64, &mut [u8])> = pages
+                    .iter()
+                    .zip(&mut bufs)
+                    .map(|(&(off, _), buf)| (off, buf.as_mut_slice()))
+                    .collect();
+                let mut ns = vec![0; pages.len()];
                 backing
-                    .read_chunk(None, clock, fd, 0, &wanted)
-                    .map(|pages| {
-                        let bytes: usize = pages.iter().map(Vec::len).sum();
-                        self.stats.bytes_read.add(bytes as u64);
-                        WireResponse::Read { pages }
+                    .read_chunk(None, clock, fd, 0, &mut dsts, &mut ns)
+                    .map(|()| {
+                        for (buf, &n) in bufs.iter_mut().zip(&ns) {
+                            buf.truncate(n);
+                        }
+                        self.stats.bytes_read.add(ns.iter().sum::<usize>() as u64);
+                        WireResponse::Read { pages: bufs }
                     })
             }
-            WireRequest::WritePages { fd, extents } => backing
-                .write_chunk(None, clock, fd, extents)
-                .map(|(n, generation)| {
-                    self.stats.bytes_written.add(n as u64);
-                    WireResponse::Wrote {
-                        n: n as u64,
-                        generation,
-                    }
-                }),
+            WireRequest::WritePages { fd, extents } => {
+                let extents: Vec<(u64, &[u8])> = extents
+                    .iter()
+                    .map(|(off, data)| (*off, data.as_slice()))
+                    .collect();
+                backing
+                    .write_chunk(None, clock, fd, &extents)
+                    .map(|(n, generation)| {
+                        self.stats.bytes_written.add(n as u64);
+                        WireResponse::Wrote {
+                            n: n as u64,
+                            generation,
+                        }
+                    })
+            }
             WireRequest::Fsync { fd } => backing.fsync(clock, fd).map(|()| WireResponse::Done),
             WireRequest::Unlink { path } => {
                 backing.unlink(clock, &path).map(|()| WireResponse::Done)

@@ -102,6 +102,15 @@ impl PageCache {
             .or_insert(Entry { dirty: false, tick });
         e.tick = tick;
         e.dirty |= dirty_or;
+        // Every access queues its key and leaves the key's older entry
+        // stale. A full queue that is at least half stale drops the stale
+        // entries instead of growing: its capacity follows the resident
+        // pages, and a steady access pattern allocates nothing.
+        if self.lru.len() == self.lru.capacity() && self.lru.len() >= 2 * self.entries.len() {
+            let entries = &self.entries;
+            self.lru
+                .retain(|(tick, key)| entries.get(key).is_some_and(|e| e.tick == *tick));
+        }
         self.lru.push_back((tick, key));
     }
 
@@ -239,6 +248,27 @@ mod tests {
         assert!(c.is_resident(1, 0));
         assert!(!c.is_resident(1, 1));
         assert!(c.is_resident(1, 2));
+        assert_eq!(c.stats().evictions, 1);
+    }
+
+    #[test]
+    fn rereads_under_budget_keep_the_lru_queue_small_and_ordered() {
+        // Nothing is ever evicted here, so a queue that only shrank on
+        // eviction would hold all 10 000 accesses.
+        let mut c = cache(16);
+        for i in 0..10_000u64 {
+            c.touch_read(1, i % 4);
+        }
+        assert!(c.lru.capacity() <= 16, "queue of {}", c.lru.capacity());
+        // Dropping stale entries keeps the recency order: page 0, touched
+        // least recently, is the one a full cache gives up first.
+        for page in 4..16 {
+            c.touch_read(2, page);
+        }
+        c.touch_read(1, 3);
+        c.touch_read(3, 0);
+        assert!(!c.is_resident(1, 0));
+        assert!((1..4).all(|p| c.is_resident(1, p)));
         assert_eq!(c.stats().evictions, 1);
     }
 

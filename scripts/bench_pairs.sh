@@ -4,7 +4,9 @@
 # "`check`, and the noise behind each bound").
 #
 # The parent revision is exported with `git archive` into a temporary
-# directory; the change is this checkout's working tree. Each side is built
+# directory; the change is this checkout's working tree, or, with
+# `--change REV`, revision REV exported the same way (so a landed change
+# can be re-run as parent against merged commit). Each side is built
 # once, in release, into a target directory of its own. Pair i runs every
 # named workload once per side with seed FIRST_SEED + i, the same seconds on
 # both sides; even pairs run the parent first, odd pairs the change first.
@@ -26,12 +28,13 @@
 # `sys_share`, its sys CPU over its total CPU. Any failed operation or
 # non-zero exit makes the script exit 1.
 #
-# Usage: scripts/bench_pairs.sh [--smoke] PARENT_REV [WORKLOADS [SECONDS [PAIRS [FIRST_SEED]]]]
+# Usage: scripts/bench_pairs.sh [--smoke] [--change REV] PARENT_REV [WORKLOADS [SECONDS [PAIRS [FIRST_SEED]]]]
 #   WORKLOADS   comma-separated names, or `all` (default)
 #   SECONDS     measuring time of one run (default 10, as BENCHMARK.json)
 #   PAIRS       default 10
 #   FIRST_SEED  default 1
 #   --smoke     pass `--smoke` to every run (plumbing check, not numbers)
+#   --change    measure revision REV instead of the working tree
 # Builds and run logs go to a directory made by `mktemp -d` (honours
 # TMPDIR), removed at exit.
 set -euo pipefail
@@ -41,11 +44,25 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 # (benchmark/src/runner.rs, `SETUPS`; a smoke run sets up once).
 setups=5
 smoke=()
-if [[ "${1:-}" == "--smoke" ]]; then
-  smoke=(--smoke)
-  setups=1
-  shift
-fi
+change_rev=""
+while [[ $# -gt 0 ]]; do
+  case "$1" in
+    --smoke)
+      smoke=(--smoke)
+      setups=1
+      shift
+      ;;
+    --change)
+      if [[ $# -lt 2 ]]; then
+        echo "--change needs a revision" >&2
+        exit 2
+      fi
+      change_rev="$2"
+      shift 2
+      ;;
+    *) break ;;
+  esac
+done
 if [[ $# -lt 1 ]]; then
   sed -n '/^# Usage:/,/^# TMPDIR/p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
@@ -66,6 +83,12 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 mkdir -p "$work/parent" "$work/runs"
 git -C "$root" archive "$parent" | tar -x -C "$work/parent"
+change_src="$root"
+if [[ -n "$change_rev" ]]; then
+  change_src="$work/change"
+  mkdir -p "$change_src"
+  git -C "$root" archive "$change_rev" | tar -x -C "$change_src"
+fi
 
 build() { # side source_dir
   echo "== building $1 ($2) =="
@@ -73,8 +96,8 @@ build() { # side source_dir
     cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 }
 build parent "$work/parent"
-build change "$root"
-declare -A src=([parent]="$work/parent" [change]="$root")
+build change "$change_src"
+declare -A src=([parent]="$work/parent" [change]="$change_src")
 
 results="$work/results.tsv" # side pair workload metric value
 : >"$results"

@@ -107,6 +107,9 @@ struct Registry {
     edges: HashMap<u64, HashMap<u64, Edge>>,
     /// Current holders of each lock id.
     holders: HashMap<u64, Vec<(ThreadId, Kind)>>,
+    /// Holder lists of locks nobody holds any more, kept for reuse so an
+    /// uncontended acquisition allocates nothing once warm.
+    spare_holders: Vec<Vec<(ThreadId, Kind)>>,
     /// Per-thread held stacks and current wants.
     threads: HashMap<ThreadId, ThreadRec>,
     /// Every unwaived report emitted (including ones that then
@@ -368,8 +371,10 @@ pub fn pre_blocking_acquire(id: u64, what: &'static str, site: Site, kind: Kind)
         if !ORDER_CHECK.load(Ordering::Relaxed) {
             return None;
         }
-        let held: Vec<Held> = rec.held.clone();
-        for h in held {
+        // By index: the held stack is read while the order graph grows,
+        // without copying the stack.
+        for i in 0..rec.held.len() {
+            let h = r.threads[&tid].held[i];
             if h.id == id {
                 continue;
             }
@@ -465,7 +470,10 @@ pub fn acquired(id: u64, what: &'static str, site: Site, kind: Kind) {
             site,
             kind,
         });
-        r.holders.entry(id).or_default().push((tid, kind));
+        r.holders
+            .entry(id)
+            .or_insert_with(|| r.spare_holders.pop().unwrap_or_default())
+            .push((tid, kind));
     });
 }
 
@@ -485,7 +493,9 @@ pub fn released(id: u64) {
                 holders.remove(pos);
             }
             if holders.is_empty() {
-                r.holders.remove(&id);
+                if let Some(spare) = r.holders.remove(&id) {
+                    r.spare_holders.push(spare);
+                }
             }
         }
     });
