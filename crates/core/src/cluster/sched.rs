@@ -68,22 +68,6 @@ impl WorkQueue {
         Self::from_shards(shards, strategy)
     }
 
-    /// Deal items round-robin (item `i` to shard `i mod n_shards`),
-    /// interleaving consecutive items across GPUs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_shards` is zero.
-    #[must_use]
-    pub fn round_robin(n_items: usize, n_shards: usize, strategy: ShardStrategy) -> Self {
-        assert!(n_shards > 0, "work queue needs at least one shard");
-        let mut shards: Vec<VecDeque<usize>> = (0..n_shards).map(|_| VecDeque::new()).collect();
-        for item in 0..n_items {
-            shards[item % n_shards].push_back(item);
-        }
-        Self::from_shards(shards, strategy)
-    }
-
     /// Deal item `i` to shard `assignments[i]` — the general form behind
     /// file-grained sharding with sub-file items: assign every chunk of
     /// one file to that file's shard, and stealing still migrates
@@ -199,15 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_interleaves() {
-        let q = WorkQueue::round_robin(6, 3, ShardStrategy::Static);
-        assert_eq!(
-            drain_all(&q, 1).iter().map(|w| w.index).collect::<Vec<_>>(),
-            vec![1, 4]
-        );
-    }
-
-    #[test]
     fn static_shard_goes_idle_but_stealing_drains_everything() {
         let q = WorkQueue::contiguous(6, 3, ShardStrategy::Static);
         assert_eq!(drain_all(&q, 0).len(), 2);
@@ -242,7 +217,7 @@ mod tests {
 
     #[test]
     fn concurrent_claimants_cover_every_item_exactly_once() {
-        let q = WorkQueue::round_robin(256, 4, ShardStrategy::WorkStealing);
+        let q = WorkQueue::contiguous(256, 4, ShardStrategy::WorkStealing);
         let claimed: Vec<Vec<usize>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|g| {

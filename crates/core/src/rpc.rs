@@ -14,11 +14,13 @@
 //! daemon's workers are a [`simtime::WorkerPool`] of `daemon_workers`
 //! servers, so what each request waits for is decided there. No worker
 //! thread, request queue or reply channel stands between a block and its
-//! answer: a block waits only for a turn, handed out in arrival order,
-//! which paces the real threads the way the daemon's worker threads once
-//! did (see `Turns`). This is the shape of a synchronous device call made
-//! in the caller's context, like rCore's `Device::read_at` (SNIPPETS.md
-//! №3).
+//! answer: a block waits only for a turn, which paces the real threads
+//! the way the daemon's worker threads once did (see `Turns`). A freed
+//! turn goes to the waiting block whose request was issued earliest in
+//! virtual time, as the daemon polling the paper's queue would find it;
+//! a free turn, and a block not yet waiting, still go in real order.
+//! This is the shape of a synchronous device call made in the caller's
+//! context, like rCore's `Device::read_at` (SNIPPETS.md №3).
 //!
 //! ## Multi-tenancy
 //!
@@ -45,7 +47,7 @@
 //! to completion on its own thread. No threadblock can be left waiting on
 //! a request nobody will answer, because nobody but the caller answers.
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::Thread;
 
@@ -275,9 +277,10 @@ impl Drop for Slot<'_> {
     }
 }
 
-/// Turns at the daemon, handed out in arrival order: at most `turns`
-/// calls are being served at once, and a call that finds them all taken
-/// waits for the earliest caller ahead of it to finish.
+/// Turns at the daemon, handed out in issue order: at most `turns` calls
+/// are being served at once, and when a turn frees it goes to the waiting
+/// caller whose request was issued earliest in virtual time (the earlier
+/// arrival on a tie).
 ///
 /// This paces real threads the way the daemon's worker threads once did,
 /// and nothing more: which request costs what is decided in virtual time.
@@ -286,7 +289,15 @@ impl Drop for Slot<'_> {
 /// reservation it makes ahead of the blocks it left behind. Serving in
 /// turns keeps the blocks' clocks as close together as the daemon's
 /// queue kept them; without it `evict_random`'s modelled throughput
-/// halves.
+/// halves. Handing a freed turn to the earliest-issued waiter is the
+/// paper's polled queue (§4.3) among the callers that queue here: a
+/// request posted earlier is not served behind one posted after it.
+///
+/// Two paths are still in real order. A turn that is free goes to
+/// whoever asks, without looking at its issue time; and a caller that
+/// has not yet reached the hub cannot be waited for, so a virtually
+/// earlier request still in flight on its thread can be overtaken by
+/// one that is already waiting.
 ///
 /// There is one turn per daemon worker, but never fewer than two. A
 /// turn handed to a parked caller idles until that thread wakes up,
@@ -303,11 +314,11 @@ struct Turns {
 #[derive(Debug)]
 struct TurnQueue {
     next_ticket: u64,
-    /// Tickets admitted so far: the waiter holding ticket `t` is in once
-    /// this exceeds `t`.
-    admitted: u64,
     serving: usize,
-    waiting: VecDeque<(u64, Thread)>,
+    /// Parked callers by `(issue time, ticket)`. A freed turn is granted
+    /// by taking the first entry out: a caller whose entry is gone holds
+    /// a turn.
+    waiting: BTreeMap<(Nanos, u64), Thread>,
 }
 
 impl Turns {
@@ -316,32 +327,30 @@ impl Turns {
             turns: workers.max(2),
             queue: Mutex::new(TurnQueue {
                 next_ticket: 0,
-                admitted: 0,
                 serving: 0,
-                waiting: VecDeque::new(),
+                waiting: BTreeMap::new(),
             }),
         }
     }
 
-    /// Wait for a turn; it ends when the returned guard drops.
-    fn take(&self) -> Turn<'_> {
-        let ticket = {
+    /// Wait for a turn for a request issued at `start`; it ends when the
+    /// returned guard drops.
+    fn take(&self, start: Nanos) -> Turn<'_> {
+        let key = {
             let mut q = self.queue.lock();
-            let ticket = q.next_ticket;
-            q.next_ticket += 1;
             if q.serving < self.turns {
-                // A free turn means nobody is waiting: tickets stay in order.
                 q.serving += 1;
-                q.admitted = ticket + 1;
                 return Turn(self);
             }
-            q.waiting.push_back((ticket, std::thread::current()));
-            ticket
+            let key = (start, q.next_ticket);
+            q.next_ticket += 1;
+            q.waiting.insert(key, std::thread::current());
+            key
         };
         // An unpark that lands before the park makes it return at once.
         loop {
             std::thread::park();
-            if self.queue.lock().admitted > ticket {
+            if !self.queue.lock().waiting.contains_key(&key) {
                 return Turn(self);
             }
         }
@@ -349,18 +358,15 @@ impl Turns {
 }
 
 /// One call's turn at the daemon; dropping it hands the turn to the
-/// earliest waiter, if any.
+/// earliest-issued waiter, if any.
 struct Turn<'a>(&'a Turns);
 
 impl Drop for Turn<'_> {
     fn drop(&mut self) {
         let turns = self.0;
         let mut q = turns.queue.lock();
-        match q.waiting.pop_front() {
-            Some((ticket, thread)) => {
-                q.admitted = ticket + 1;
-                thread.unpark();
-            }
+        match q.waiting.pop_first() {
+            Some((_, thread)) => thread.unpark(),
             None => q.serving -= 1,
         }
     }
@@ -491,7 +497,7 @@ impl RpcHub {
         // Lockcheck flags exactly that.
         let (result, visible) = parking_lot::lockcheck::blocking_region("rpc-roundtrip", || {
             let (start, mut slot) = self.admit(tenant, issue);
-            let turn = self.turns.take();
+            let turn = self.turns.take(start);
             let (result, end) = (self.serve)(&req, tenant, gpu, start);
             drop(turn);
             let visible = end + timings.rpc_complete_ns;
@@ -689,6 +695,72 @@ mod tests {
             let slots = hub.admission[0].as_ref().unwrap().slots.lock();
             assert!(slots.iter().all(Option::is_some), "admission balanced");
         }
+    }
+
+    #[test]
+    fn a_freed_turn_goes_to_the_earliest_issued_waiter() {
+        // Two turns, each serve held until the test releases it. With both
+        // turns taken, callers queue in real order with issue times 300,
+        // 100, 200 and then 100 again; each freed turn must go to the
+        // earliest-issued waiter, the earlier arrival first on a tie.
+        let gate = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let held = Arc::clone(&gate);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let served = Arc::clone(&log);
+        let hub = RpcHub::new(2, 1, &[], move |req, _, _, start| {
+            let Request::Fsync { fd } = req else {
+                unreachable!("only fsyncs are posted")
+            };
+            served.lock().push((start, *fd));
+            let (releases, released) = &*held;
+            let mut left = releases.lock();
+            while *left == 0 {
+                released.wait(&mut left);
+            }
+            *left -= 1;
+            (Ok(RespOk::Done), start)
+        });
+        let release = || {
+            *gate.0.lock() += 1;
+            gate.1.notify_one();
+        };
+        let started = |n: usize| {
+            while log.lock().len() < n {
+                std::thread::yield_now();
+            }
+        };
+        let queued = |n: usize| {
+            while hub.turns.queue.lock().waiting.len() < n {
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|s| {
+            let call = |issue: Nanos, fd: HostFd| {
+                let hub = &hub;
+                s.spawn(move || {
+                    hub.call(0, 0, issue, &Timings::default(), Request::Fsync { fd })
+                        .unwrap();
+                });
+            };
+            call(0, 0);
+            call(0, 1);
+            started(2);
+            for (i, (issue, fd)) in [(300, 2), (100, 3), (200, 4), (100, 5)]
+                .into_iter()
+                .enumerate()
+            {
+                call(issue, fd);
+                queued(i + 1);
+            }
+            for n in 3..=6 {
+                release();
+                started(n);
+            }
+            release();
+            release();
+        });
+        let order = log.lock()[2..].to_vec();
+        assert_eq!(order, [(100, 3), (100, 5), (200, 4), (300, 2)]);
     }
 
     #[test]

@@ -54,17 +54,6 @@ impl OpenFlags {
         }
     }
 
-    /// `O_WRONLY`.
-    #[must_use]
-    pub fn write_only() -> Self {
-        Self {
-            read: false,
-            write: true,
-            create: false,
-            truncate: false,
-        }
-    }
-
     /// `O_RDWR`.
     #[must_use]
     pub fn read_write() -> Self {
@@ -84,17 +73,6 @@ impl OpenFlags {
             write: true,
             create: true,
             truncate: true,
-        }
-    }
-
-    /// `O_RDWR | O_CREAT`.
-    #[must_use]
-    pub fn read_write_create() -> Self {
-        Self {
-            read: true,
-            write: true,
-            create: true,
-            truncate: false,
         }
     }
 }

@@ -1,6 +1,4 @@
-//! Per-actor virtual clocks and the experiment-wide horizon.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Per-actor virtual clocks.
 
 use crate::Nanos;
 
@@ -46,43 +44,6 @@ impl Clock {
     }
 }
 
-/// Experiment-wide high-water mark of virtual time.
-///
-/// Actors publish their final (or intermediate) clocks with
-/// [`Horizon::observe`]; the experiment's elapsed virtual time is
-/// [`Horizon::now`] minus its starting point. This mirrors how a kernel's
-/// completion time is the max over its threadblocks.
-#[derive(Debug, Default)]
-pub struct Horizon {
-    max: AtomicU64,
-}
-
-impl Horizon {
-    /// A horizon at time zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Record that some actor reached virtual time `t`.
-    pub fn observe(&self, t: Nanos) {
-        self.max.fetch_max(t, Ordering::AcqRel);
-    }
-
-    /// Latest virtual time observed so far.
-    #[must_use]
-    pub fn now(&self) -> Nanos {
-        self.max.load(Ordering::Acquire)
-    }
-
-    /// Reset the horizon to `t` (used between benchmark phases).
-    pub fn reset_to(&self, t: Nanos) {
-        self.max.store(t, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,27 +69,5 @@ mod tests {
         let mut c = Clock::starting_at(u64::MAX - 1);
         c.advance(100);
         assert_eq!(c.now(), u64::MAX);
-    }
-
-    #[test]
-    fn horizon_tracks_max_across_threads() {
-        let h = Horizon::new();
-        std::thread::scope(|s| {
-            for i in 0..8u64 {
-                let h = &h;
-                s.spawn(move || h.observe(i * 100));
-            }
-        });
-        assert_eq!(h.now(), 700);
-    }
-
-    #[test]
-    fn horizon_reset() {
-        let h = Horizon::new();
-        h.observe(500);
-        h.reset_to(100);
-        assert_eq!(h.now(), 100);
-        h.observe(50);
-        assert_eq!(h.now(), 100);
     }
 }

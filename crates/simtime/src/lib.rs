@@ -37,7 +37,7 @@ mod resource;
 mod stats;
 mod timings;
 
-pub use clock::{Clock, Horizon};
+pub use clock::Clock;
 pub use resource::{BandwidthResource, Reservation, WorkerPool};
 pub use stats::{ByteLedger, Counter};
 pub use timings::Timings;

@@ -20,6 +20,8 @@
 # Last, the replacement policy: the three `cache::reclaim` tests of the
 # hand and its reference counts, and the two-block sweep of one tree
 # (the suite above runs that one too; here it gets 20 more processes).
+# With them goes the daemon-turn test that hands freed turns to parked
+# callers in issue order, so the park/unpark handoff is re-rolled too.
 #
 # Usage: scripts/stress.sh [RUNS]   (default: 10)
 set -euo pipefail
@@ -37,7 +39,8 @@ for i in $(seq 1 "$flaky_runs"); do
   echo "== once-flaky run $i/$flaky_runs =="
   cargo test -q --release -p gpufs --lib -- \
     parked throttle_blocks_writers per_host_stats_sum concurrent_single_page_faults \
-    a_hit_since_the_last_sweep a_saturated_count the_last_slot_of_a_full_leaf
+    a_hit_since_the_last_sweep a_saturated_count the_last_slot_of_a_full_leaf \
+    a_freed_turn_goes_to_the_earliest_issued_waiter
   cargo test -q --release --test stress stress_concurrent_sweeps
   cargo test -q --release --test integration evict_random_miniature
 done
