@@ -5,17 +5,18 @@
 //! thread-local — so neither the harness's other threads nor the
 //! allocator's own bookkeeping ever count. Release builds may elide
 //! allocations a debug build makes, so the tests pin equalities and upper
-//! bounds, not exact counts. Both counts below rest on two pieces of
-//! bookkeeping reusing their memory once warm: the lock checker's holder
-//! lists (test builds only) and the host page cache's LRU queue.
+//! bounds, not exact counts. Both counts below rest on the host page
+//! cache's LRU queue reusing its memory once warm. The lock checker
+//! (test builds only) keeps no per-lock state, so an acquisition on the
+//! counting thread never allocates for locks other threads hold.
 //!
 //! Serving a `ReadPages` used to build a page list, a staging list and a
 //! DMA part list per chunk, so its count grew with the batch. For batches
 //! of 1, 2, 8 and 32 pages, debug and release alike, it made 7 / 7 / 19 /
 //! 69 allocations under 2-page chunks and 7 / 7 / 8 / 10 on the one-shot
 //! engine. The engine now `pread`s straight into the batch's frames and
-//! allocates the batch's three lists once (destinations, byte counts,
-//! ready times): 3 / 3 / 3 / 3 on either engine. A warm `gread` hit made
+//! allocates the batch's two lists once (destinations, byte counts):
+//! 2 / 2 / 2 / 2 on either engine. A warm `gread` hit made
 //! no allocation before and makes none now.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -135,7 +136,7 @@ fn serving_a_read_batch_allocates_the_same_at_any_width() {
                 let req = req();
                 let (served, allocs) = allocations(|| call(&h, req));
                 let (ok, _) = served.unwrap();
-                assert!(matches!(ok, RespOk::Read { ref ns, .. } if ns == &vec![PAGE; n]));
+                assert!(matches!(ok, RespOk::Read { ref ns } if ns == &vec![PAGE; n]));
                 allocs
             })
             .collect();
@@ -143,6 +144,6 @@ fn serving_a_read_batch_allocates_the_same_at_any_width() {
             counts.iter().all(|&c| c == counts[0]),
             "io_chunk {io_chunk}: allocations per batch of 1, 2, 8, 32 pages: {counts:?}"
         );
-        assert!(counts[0] <= 3, "io_chunk {io_chunk}: {counts:?}");
+        assert!(counts[0] <= 2, "io_chunk {io_chunk}: {counts:?}");
     }
 }

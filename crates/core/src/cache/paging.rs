@@ -13,10 +13,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use gpusim::BlockCtx;
-use simtime::{bw_time_ns, Nanos};
+use simtime::bw_time_ns;
 
 use crate::cache::{FPage, FrameIdx, PageState, Snapshot};
-use crate::config::GOpenMode;
+use crate::config::{GOpenMode, LOCKFREE_RETRIES};
 use crate::error::GpufsResult;
 use crate::mount::GpuFsMount;
 use crate::rpc::{PageRead, Request, RespOk};
@@ -142,18 +142,17 @@ impl GpuFsMount {
         let fp = file.tree().get_or_insert(page_idx);
         let mut failed_attempts = 0u32;
         loop {
-            let snap =
-                if !self.config.force_locked && failed_attempts <= self.config.lockfree_retries {
-                    match fp.try_pin_lockfree() {
-                        Ok(s) => s,
-                        Err(()) => {
-                            failed_attempts += 1;
-                            continue;
-                        }
+            let snap = if !self.config.force_locked && failed_attempts <= LOCKFREE_RETRIES {
+                match fp.try_pin_lockfree() {
+                    Ok(s) => s,
+                    Err(()) => {
+                        failed_attempts += 1;
+                        continue;
                     }
-                } else {
-                    fp.pin_locked()
-                };
+                }
+            } else {
+                fp.pin_locked()
+            };
             match snap {
                 Snapshot::Pinned(frame) => {
                     let pf = self.frames.pframe(frame);
@@ -179,7 +178,7 @@ impl GpuFsMount {
     /// true readahead, flagged `prefetched` for the hit accounting.
     ///
     /// The lock-free fast path follows the paper's protocol: try the
-    /// seqlock-validated lookup, retry `lockfree_retries` times on
+    /// seqlock-validated lookup, retry [`LOCKFREE_RETRIES`] times on
     /// contention, then fall back to the fpage lock.
     pub(crate) fn pin_page_windowed(
         &self,
@@ -198,21 +197,20 @@ impl GpuFsMount {
         let mut contended = self.config.force_locked;
         loop {
             let mut via_lock = false;
-            let snap =
-                if !self.config.force_locked && failed_attempts <= self.config.lockfree_retries {
-                    match fp.try_pin_lockfree() {
-                        Ok(s) => s,
-                        Err(()) => {
-                            failed_attempts += 1;
-                            contended = true;
-                            continue;
-                        }
+            let snap = if !self.config.force_locked && failed_attempts <= LOCKFREE_RETRIES {
+                match fp.try_pin_lockfree() {
+                    Ok(s) => s,
+                    Err(()) => {
+                        failed_attempts += 1;
+                        contended = true;
+                        continue;
                     }
-                } else {
-                    via_lock = true;
-                    contended = true;
-                    fp.pin_locked()
-                };
+                }
+            } else {
+                via_lock = true;
+                contended = true;
+                fp.pin_locked()
+            };
             match snap {
                 Snapshot::Pinned(frame) => {
                     self.count_for(blk.block_id(), |c| {
@@ -435,8 +433,8 @@ impl GpuFsMount {
                     gpu: self.gpu.id(),
                 },
             );
-            let (ns, ready) = match resp {
-                Ok(RespOk::Read { ns, ready }) => (ns, ready),
+            let ns = match resp {
+                Ok(RespOk::Read { ns }) => ns,
                 Ok(_) => unreachable!("read answers Read"),
                 Err(e) => {
                     self.abort_batch(blk.block_id(), &extras, frame, pristine, fp);
@@ -447,14 +445,9 @@ impl GpuFsMount {
             // unpinned. Pages inside the caller's own request span are
             // demand bytes (the same gread's loop pins them next); only
             // pages beyond `demand_through` are true readahead and get
-            // the `prefetched` flag. Each page carries its own DMA
-            // completion time: under a deep staging ring the daemon
-            // responds before the trailing chunks land, and those pages'
-            // `ready_at` gates their first pin instead.
-            self.publish_fetched_page(
-                blk, file, page_idx, fp, frame, pristine, ns[0], ready[0], true, false,
-            );
-            for (extra, (&xn, &xready)) in extras.iter().zip(ns[1..].iter().zip(&ready[1..])) {
+            // the `prefetched` flag.
+            self.publish_fetched_page(blk, file, page_idx, fp, frame, pristine, ns[0], true, false);
+            for (extra, &xn) in extras.iter().zip(&ns[1..]) {
                 // A batched initialization is a locked page operation
                 // like any other fault; it is a miss in the "unique pages
                 // faulted" sense.
@@ -470,7 +463,6 @@ impl GpuFsMount {
                     extra.frame,
                     extra.pristine,
                     xn,
-                    xready,
                     false,
                     extra.page_idx > demand_through,
                 );
@@ -521,7 +513,6 @@ impl GpuFsMount {
         frame: FrameIdx,
         pristine: Option<FrameIdx>,
         n: usize,
-        ready: Nanos,
         pin: bool,
         prefetched: bool,
     ) {
@@ -541,11 +532,9 @@ impl GpuFsMount {
             blk.advance(bw_time_ns(2 * ps as u64, self.timings.gpu_mem_mb_s));
             pf.set_pristine(Some(pristine));
         }
-        // At io_depth 2 the daemon drains before responding, so `ready`
-        // never exceeds the response time and this is exactly `blk.now()`;
-        // deeper staging can hand back pages whose DMA is still in flight,
-        // and their first pin waits for the bytes, not this publish.
-        pf.set_ready_at(blk.now().max(ready));
+        // The daemon responds once every page's DMA has landed, so the
+        // bytes are ready now.
+        pf.set_ready_at(blk.now());
         if prefetched {
             pf.prefetched.store(true, Ordering::Release);
         }

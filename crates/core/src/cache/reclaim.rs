@@ -643,12 +643,12 @@ mod tests {
 
     #[test]
     fn discarded_frames_land_in_the_callers_shard() {
-        // 32 frames over 8 shards, 4 each. Block 3 fills a temp file with
+        // 32 frames over the 8 shards, 4 each. Block 3 fills a temp file with
         // 16 pages — its own shard's 4 frames plus 12 stolen from shards
         // 4, 5 and 6 — and closes it, which discards the cache. All 16
         // frames retire into shard 3 (not shard 0), and the ledger holds.
         let r = rig(1);
-        let cfg = GpufsConfig::new(4096, 32 * 4096).with_cache_shards(8);
+        let cfg = GpufsConfig::new(4096, 32 * 4096);
         let mount = r.host.mount(0, cfg).unwrap();
         r.gpus[0].launch_seeded(Grid::new(4, 32), 0, 1, |blk| {
             if blk.block_id() != 3 {

@@ -40,15 +40,11 @@ pub(super) const DIFF_MERGE_GAP: usize = 64;
 /// and is within a few percent of peak everywhere below 1 MB); wider
 /// spans start losing the D2H/pwrite interleaving that separate
 /// round-trips retain.
+/// The pipelined engine has no such bound: its chunked gathers overlap
+/// each chunk's `pwrite`s — the serialization the cap worked around —
+/// and measured on the write sweep, a full 32-page batch at large pages
+/// matches or beats the span-capped split.
 const WRITEBACK_MAX_BATCH_BYTES: usize = 4 << 20;
-
-/// The same bound under the *pipelined* engine, whose chunked gathers
-/// overlap each chunk's `pwrite`s — the serialization the 4 MB cap
-/// worked around. Measured on the write sweep, a full 32-page batch at
-/// large pages now matches or beats the span-capped split, so the cap is
-/// raised until [`crate::GpufsConfig::write_batch_pages`] is the only
-/// binding limit at every paper page size.
-const WRITEBACK_MAX_BATCH_BYTES_PIPELINED: usize = 512 << 20;
 
 /// Page buffers for read-write snapshots, shared by every mount of the
 /// process. A buffer is only parked after it was live, and only
@@ -138,15 +134,12 @@ impl GpuFsMount {
 
     /// Largest number of pages one `WritePages` batch may carry.
     pub(crate) fn write_batch_cap(&self) -> usize {
-        let cap_bytes = if self.config.io_chunk_pages == 0 {
-            WRITEBACK_MAX_BATCH_BYTES
+        let pages = self.config.write_batch_pages.max(1);
+        if self.config.io_chunk_pages == 0 {
+            pages.min((WRITEBACK_MAX_BATCH_BYTES / self.config.page_size).max(1))
         } else {
-            WRITEBACK_MAX_BATCH_BYTES_PIPELINED
-        };
-        self.config
-            .write_batch_pages
-            .min((cap_bytes / self.config.page_size).max(1))
-            .max(1)
+            pages
+        }
     }
 
     /// Write back a single page (`gmsync`, and the batch-of-one case).

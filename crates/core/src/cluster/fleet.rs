@@ -6,18 +6,13 @@
 //! cache, while the host file system — and with it the §4.4 consistency
 //! registry — is shared, so cross-GPU coherence traffic is real.
 //!
-//! The daemon topology is a fleet-level choice:
-//!
-//! * **[`DaemonTopology::Shared`]** (default) — one [`GpufsHost`] serves
-//!   every GPU, as the paper's single daemon process does. The host-side
-//!   knobs ([`GpufsConfig::daemon_workers`],
-//!   [`GpufsConfig::io_chunk_pages`], [`GpufsConfig::io_depth`])
-//!   come from the fleet's base config, and a per-GPU override that
-//!   names different values is rejected at build — exactly the
-//!   validation `mount` performs for a lone mount, surfaced earlier.
-//! * **[`DaemonTopology::PerGpu`]** — each GPU gets its own daemon
-//!   (worker pool + RPC hub) over the same shared file system, so
-//!   per-GPU overrides may legitimately differ in host-side knobs too.
+//! One [`GpufsHost`] serves every GPU, as the paper's single daemon
+//! process does. The host-side knobs ([`GpufsConfig::daemon_workers`],
+//! [`GpufsConfig::io_chunk_pages`], the tenant weights and caps) come
+//! from the fleet's base config, and a per-GPU override that names
+//! different values is rejected at build — exactly the validation
+//! `mount` performs for a lone mount, surfaced earlier. Per-GPU RPC
+//! attribution still works through [`GpufsHost::stats_for`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,20 +27,6 @@ use crate::error::{GpufsError, GpufsResult};
 use crate::mount::GpuFsMount;
 use crate::remote::HostProxy;
 
-/// How the fleet's GPUs share CPU-side daemon resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DaemonTopology {
-    /// One daemon (hub + worker pool) serves every GPU — the paper's
-    /// single host process. Per-GPU RPC attribution still works through
-    /// [`GpufsHost::stats_for`].
-    #[default]
-    Shared,
-    /// One daemon per GPU over the same shared host file system: no
-    /// cross-GPU queueing in the communication layer, at the cost of one
-    /// worker pool per device.
-    PerGpu,
-}
-
 /// Builder for a [`GpuFleet`], mirroring [`GpufsConfig`]'s builder style.
 ///
 /// Defaults: TESLA C2075 GPUs on the platform-default [`Timings`], the
@@ -59,7 +40,6 @@ pub struct FleetBuilder {
     spec: GpuSpec,
     timings: Timings,
     gpu_timings: HashMap<usize, Timings>,
-    topology: DaemonTopology,
     fs: Option<Arc<HostFs>>,
     proxy: Option<Arc<HostProxy>>,
     coherence_base: usize,
@@ -76,7 +56,6 @@ impl FleetBuilder {
             spec: GpuSpec::tesla_c2075(),
             timings: Timings::default(),
             gpu_timings: HashMap::new(),
-            topology: DaemonTopology::Shared,
             fs: None,
             proxy: None,
             coherence_base: 0,
@@ -91,9 +70,9 @@ impl FleetBuilder {
     }
 
     /// Override the configuration of one GPU (page size, cache budget,
-    /// readahead, ... — under a shared daemon the host-side knobs must
-    /// still match the fleet's base config; [`FleetBuilder::build`]
-    /// rejects an override that disagrees).
+    /// readahead, ... — the host-side knobs must still match the fleet's
+    /// base config, since one daemon serves every GPU;
+    /// [`FleetBuilder::build`] rejects an override that disagrees).
     #[must_use]
     pub fn gpu_config(mut self, gpu: usize, config: GpufsConfig) -> Self {
         self.overrides.insert(gpu, config);
@@ -120,13 +99,6 @@ impl FleetBuilder {
     #[must_use]
     pub fn gpu_timings(mut self, gpu: usize, timings: Timings) -> Self {
         self.gpu_timings.insert(gpu, timings);
-        self
-    }
-
-    /// Choose the daemon topology (default: [`DaemonTopology::Shared`]).
-    #[must_use]
-    pub fn topology(mut self, topology: DaemonTopology) -> Self {
-        self.topology = topology;
         self
     }
 
@@ -170,8 +142,8 @@ impl FleetBuilder {
             .unwrap_or_else(|| self.base.clone())
     }
 
-    /// Build the fleet: construct the GPUs, start the daemon(s), and
-    /// mount GPUfs on every GPU.
+    /// Build the fleet: construct the GPUs, start the daemon, and mount
+    /// GPUfs on every GPU.
     ///
     /// # Errors
     ///
@@ -227,52 +199,26 @@ impl FleetBuilder {
         let cluster = GpuCluster::heterogeneous(&links);
         let gpus: Vec<Arc<Gpu>> = cluster.gpus().to_vec();
 
-        let (hosts, host_of) = match self.topology {
-            DaemonTopology::Shared => {
-                // Host-side knobs are daemon state: under one shared
-                // daemon an override that names different values would be
-                // exactly the silent no-op `mount` guards against —
-                // reject it here, where the message can say which GPU.
-                let key = self.base.daemon_key();
-                if self.overrides.values().any(|o| o.daemon_key() != key) {
-                    return Err(GpufsError::InvalidMode(
-                        "per-GPU override changes daemon_workers/\
-                         io_chunk_pages/io_depth/tenant_weights/tenant_admission \
-                         under a shared daemon; use DaemonTopology::PerGpu for \
-                         per-GPU host-side knobs",
-                    ));
-                }
-                let host = match &self.proxy {
-                    Some(proxy) => {
-                        GpufsHost::with_proxy(Arc::clone(proxy), gpus.clone(), &self.base)
-                    }
-                    None => GpufsHost::with_config(Arc::clone(&fs), gpus.clone(), &self.base),
-                };
-                (vec![host], vec![0; self.n_gpus])
-            }
-            DaemonTopology::PerGpu => {
-                if self.proxy.is_some() {
-                    // One proxy models one host's network link; per-GPU
-                    // daemons multiplexed onto it would share the link's
-                    // descriptor table without sharing its queueing
-                    // discipline — nothing the simulation means to model.
-                    return Err(GpufsError::InvalidMode(
-                        "DaemonTopology::PerGpu cannot serve through a host \
-                         proxy; use the shared topology per host",
-                    ));
-                }
-                let hosts: Vec<GpufsHost> = (0..self.n_gpus)
-                    .map(|g| {
-                        GpufsHost::with_config(Arc::clone(&fs), gpus.clone(), &self.config_of(g))
-                    })
-                    .collect();
-                (hosts, (0..self.n_gpus).collect())
-            }
+        // Host-side knobs are daemon state: under the one shared daemon
+        // an override that names different values would be exactly the
+        // silent no-op `mount` guards against — reject it here, where the
+        // message can say it is an override.
+        let key = self.base.daemon_key();
+        if self.overrides.values().any(|o| o.daemon_key() != key) {
+            return Err(GpufsError::InvalidMode(
+                "per-GPU override changes daemon_workers/io_chunk_pages/\
+                 tenant_weights/tenant_admission, which the fleet's shared \
+                 daemon fixes for every GPU",
+            ));
+        }
+        let host = match &self.proxy {
+            Some(proxy) => GpufsHost::with_proxy(Arc::clone(proxy), gpus.clone(), &self.base),
+            None => GpufsHost::with_config(Arc::clone(&fs), gpus.clone(), &self.base),
         };
 
         let mut mounts = Vec::with_capacity(self.n_gpus);
         for g in 0..self.n_gpus {
-            mounts.push(hosts[host_of[g]].mount_with_coherence_id(
+            mounts.push(host.mount_with_coherence_id(
                 g,
                 self.config_of(g),
                 self.coherence_base + g,
@@ -281,10 +227,8 @@ impl FleetBuilder {
         Ok(GpuFleet {
             fs,
             gpus,
-            hosts,
-            host_of,
+            host,
             mounts,
-            topology: self.topology,
         })
     }
 }
@@ -293,19 +237,14 @@ impl FleetBuilder {
 pub struct GpuFleet {
     fs: Arc<HostFs>,
     gpus: Vec<Arc<Gpu>>,
-    hosts: Vec<GpufsHost>,
-    /// `host_of[g]` indexes the daemon in `hosts` that serves GPU `g`.
-    host_of: Vec<usize>,
+    host: GpufsHost,
     mounts: Vec<Arc<GpuFsMount>>,
-    topology: DaemonTopology,
 }
 
 impl std::fmt::Debug for GpuFleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GpuFleet")
             .field("gpus", &self.gpus.len())
-            .field("daemons", &self.hosts.len())
-            .field("topology", &self.topology)
             .finish()
     }
 }
@@ -368,46 +307,41 @@ impl GpuFleet {
         &self.mounts[g]
     }
 
-    /// The daemon topology this fleet was built with.
+    /// The daemon serving every GPU of the fleet.
     #[must_use]
-    pub fn topology(&self) -> DaemonTopology {
-        self.topology
+    pub fn host(&self) -> &GpufsHost {
+        &self.host
     }
 
-    /// The daemons (one under [`DaemonTopology::Shared`], one per GPU
-    /// under [`DaemonTopology::PerGpu`]).
-    #[must_use]
-    pub fn hosts(&self) -> &[GpufsHost] {
-        &self.hosts
-    }
-
-    /// The daemon serving GPU `g`.
+    /// The daemon serving GPU `g`: the fleet's one daemon.
     ///
     /// # Panics
     ///
     /// Panics if `g` is out of range.
     #[must_use]
     pub fn host_for(&self, g: usize) -> &GpufsHost {
-        &self.hosts[self.host_of[g]]
+        assert!(
+            g < self.len(),
+            "GPU {g} is outside a {}-GPU fleet",
+            self.len()
+        );
+        &self.host
     }
 
-    /// Daemon activity attributed to GPU `g` alone, whichever topology is
-    /// in use ([`GpufsHost::stats_for`] under a shared daemon; the GPU's
-    /// own daemon's sheet under per-GPU daemons reports the same thing).
+    /// Daemon activity attributed to GPU `g` alone
+    /// ([`GpufsHost::stats_for`]).
     ///
     /// # Panics
     ///
     /// Panics if `g` is out of range.
     #[must_use]
     pub fn stats_for(&self, g: usize) -> &DaemonStats {
-        self.hosts[self.host_of[g]].stats_for(g)
+        self.host.stats_for(g)
     }
 
-    /// Stop every daemon. Idempotent; in-flight requests drain first.
+    /// Stop the daemon. Idempotent; in-flight requests drain first.
     pub fn shutdown(&mut self) {
-        for host in &mut self.hosts {
-            host.shutdown();
-        }
+        self.host.shutdown();
     }
 }
 
@@ -427,8 +361,6 @@ mod tests {
     fn fleet_builds_n_mounts_over_one_shared_fs() {
         let fleet = small_fleet(4).build().unwrap();
         assert_eq!(fleet.len(), 4);
-        assert_eq!(fleet.hosts().len(), 1, "shared daemon by default");
-        assert_eq!(fleet.topology(), DaemonTopology::Shared);
         for g in 0..4 {
             assert_eq!(fleet.gpu(g).id(), g);
             assert!(Arc::ptr_eq(fleet.fs(), fleet.host_for(g).fs()));
@@ -454,32 +386,14 @@ mod tests {
     }
 
     #[test]
-    fn per_gpu_daemons_give_each_gpu_its_own_host() {
-        let fleet = small_fleet(3)
-            .topology(DaemonTopology::PerGpu)
-            .build()
-            .unwrap();
-        assert_eq!(fleet.hosts().len(), 3);
-        for g in 0..3 {
-            assert!(std::ptr::eq(fleet.host_for(g), &fleet.hosts()[g]));
-        }
-        // Per-GPU daemons may differ in host-side knobs.
-        let fleet = small_fleet(2)
-            .topology(DaemonTopology::PerGpu)
-            .gpu_config(1, GpufsConfig::small_test().with_concurrency(4, 2))
-            .build()
-            .unwrap();
-        assert_eq!(fleet.host_for(0).daemon_workers(), 1);
-        assert_eq!(fleet.host_for(1).daemon_workers(), 2);
-    }
-
-    #[test]
     fn shared_daemon_rejects_host_side_knob_overrides() {
-        // Every daemon-state knob, `io_depth` included, is refused here,
-        // where the message names the topology — not later by `mount`.
+        // Every daemon-state knob is refused here, where the message
+        // names the shared daemon — not later by `mount`.
         for over in [
             GpufsConfig::small_test().with_concurrency(4, 2),
-            GpufsConfig::small_test().with_io_depth(4),
+            GpufsConfig::small_test().with_io_chunk(0),
+            GpufsConfig::small_test().with_tenant_weights(vec![2, 1]),
+            GpufsConfig::small_test().with_tenant_admission(vec![4]),
         ] {
             let err = small_fleet(2).gpu_config(1, over).build();
             assert!(

@@ -232,7 +232,7 @@ impl HostFleet {
     /// Panics if `h` is out of range.
     #[must_use]
     pub fn host_stats(&self, h: usize) -> &DaemonStats {
-        self.fleets[h].hosts()[0].stats()
+        self.fleets[h].host().stats()
     }
 
     /// Point-in-time coherence audit of every file the shared registry
@@ -440,7 +440,7 @@ mod tests {
             .sum();
         assert!(fleet_total > 0);
         for h in 0..HOSTS {
-            let host = &hf.fleet(h).hosts()[0];
+            let host = hf.fleet(h).host();
             for (name, host_v) in host.stats().snapshot() {
                 // Host aggregate == Σ its per-GPU sheets == Σ its
                 // per-tenant sheets == Σ its (gpu, tenant) cells.

@@ -11,8 +11,8 @@
 //!   shared [`hostfs::HostFs`] and consistency registry, each GPU with
 //!   its own simulated PCIe link and buffer cache, built by a
 //!   [`FleetBuilder`] that mirrors [`crate::GpufsConfig`] (per-GPU
-//!   overrides, shared vs per-GPU daemon worker pools) and is validated
-//!   at mount like the existing concurrency knobs.
+//!   overrides of the GPU-side knobs, one shared daemon) and is
+//!   validated at mount like the existing concurrency knobs.
 //! * **[`sched`]** — work distribution for file-grained jobs:
 //!   [`WorkQueue`] gives static sharding plus a dynamic work-stealing
 //!   mode where an idle GPU steals file chunks from the slowest shard —
@@ -38,7 +38,7 @@ pub mod sched;
 pub mod view;
 
 pub use coherence::{CoherenceOp, FileCoherence, ScheduleReport};
-pub use fleet::{DaemonTopology, FleetBuilder, GpuFleet};
+pub use fleet::{FleetBuilder, GpuFleet};
 pub use hosts::{HostFleet, HostFleetBuilder};
 pub use sched::{ShardStrategy, WorkItem, WorkQueue};
 pub use view::FleetView;

@@ -57,6 +57,20 @@ impl GOpenMode {
     }
 }
 
+/// How many times a buffer-cache lookup retries lock-free before falling
+/// back to the fpage lock. The paper retries once and locks on the third
+/// attempt (§4.2).
+pub(crate) const LOCKFREE_RETRIES: u32 = 1;
+
+/// Shard count of the buffer-cache control plane: the frame freelist,
+/// the radix node arena/leaf registry, and the open/closed/path-lock file
+/// tables each split into this many independently locked shards (frames
+/// are keyed by the faulting threadblock, tables by key hash) so
+/// concurrent misses on different shards never contend on one `Mutex`.
+/// Frame allocation steals from sibling shards on local exhaustion, so
+/// capacity semantics are shard-count-independent.
+pub(crate) const CACHE_SHARDS: usize = 8;
+
 /// Configuration of one GPU's GPUfs instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GpufsConfig {
@@ -65,13 +79,10 @@ pub struct GpufsConfig {
     pub page_size: usize,
     /// Total buffer-cache capacity in bytes (the raw data array).
     pub cache_bytes: usize,
-    /// How many times a buffer-cache lookup retries lock-free before
-    /// falling back to the fpage lock. The paper retries once and locks on
-    /// the third attempt (§4.2).
-    pub lockfree_retries: u32,
     /// Disable the lock-free fast path entirely: every lookup takes the
-    /// fpage lock. This exists only for the Figure 7 ablation ("locked"
-    /// series) and the corresponding Criterion microbenchmark.
+    /// fpage lock instead of first retrying lock-free once (§4.2). This
+    /// exists only for the Figure 7 ablation ("locked" series) and the
+    /// corresponding Criterion microbenchmark.
     pub force_locked: bool,
     /// Ablation: disable the closed-file table (paper §4.1). Closing a
     /// file discards its cached pages (dirty data is flushed first), so
@@ -100,8 +111,8 @@ pub struct GpufsConfig {
     /// Under the *serialized* daemon engine ([`GpufsConfig::io_chunk_pages`]
     /// `= 0`) batches are additionally capped at 4 MB of page span — the
     /// measured optimum there; the pipelined default overlaps each
-    /// chunk's gather with the previous chunk's `pwrite`s, so the span
-    /// cap relaxes and this page count is the binding limit (see
+    /// chunk's gather with the previous chunk's `pwrite`s, so it has no
+    /// span cap and this page count is the only limit (see
     /// `cache/writeback.rs`).
     pub write_batch_pages: usize,
     /// Chunk size, in buffer-cache pages, of the daemon's pipelined I/O
@@ -135,28 +146,6 @@ pub struct GpufsConfig {
     /// a config whose value disagrees with the daemon it is mounted on
     /// (never a silent no-op).
     pub daemon_workers: usize,
-    /// Staging depth, in chunks, of the daemon's pipelined read engine.
-    /// `2` (the default) is classic double-buffering and reproduces the
-    /// prior engine bit-for-bit: the `ReadPages` response is returned
-    /// only once the *last* chunk's DMA has landed, so every page of the
-    /// batch becomes ready at the response time. Depths ≥ 3 let up to
-    /// `io_depth - 2` trailing chunk DMAs outlive the response: the RPC
-    /// returns as soon as the staging window allows, and the response
-    /// carries a *per-page* ready time (its own chunk's DMA completion)
-    /// so prefetched pages become pinnable individually while later
-    /// chunks are still in flight. Host-side state, validated at `mount`
-    /// like [`GpufsConfig::daemon_workers`]; clamped to ≥ 2.
-    pub io_depth: usize,
-    /// Shard count of the buffer-cache control plane: the frame freelist,
-    /// the radix node arena/leaf registry, and the open/closed/path-lock
-    /// file tables each split into this many independently locked shards
-    /// (frames are keyed by the faulting threadblock, tables by key hash)
-    /// so concurrent misses on different shards never contend on one
-    /// `Mutex`. `1` reproduces the original single-freelist layout; frame
-    /// allocation steals from sibling shards on local exhaustion, so
-    /// capacity semantics are shard-count-independent. Client-side only —
-    /// not validated against the host daemon.
-    pub cache_shards: usize,
     /// High watermark, in dirty pages, of the asynchronous write-back
     /// throttle. `0` (the default) disables the background flusher
     /// entirely: write-back happens synchronously at `gfsync`/eviction
@@ -191,7 +180,7 @@ pub struct GpufsConfig {
     /// exist, but reclaim under pressure prefers the frames of over-quota
     /// tenants (the caller's own first), so a hot tenant evicts its own
     /// pages before anyone else's. Empty (the default) disables
-    /// partitioning. Client-side state, like [`GpufsConfig::cache_shards`].
+    /// partitioning. Client-side state: the host daemon never sees it.
     pub tenant_frame_quotas: Vec<usize>,
 }
 
@@ -200,7 +189,6 @@ impl Default for GpufsConfig {
         Self {
             page_size: 256 << 10,
             cache_bytes: 1 << 30,
-            lockfree_retries: 1,
             force_locked: false,
             disable_closed_table: false,
             sync_on_close: false,
@@ -208,8 +196,6 @@ impl Default for GpufsConfig {
             write_batch_pages: 32,
             io_chunk_pages: 2,
             daemon_workers: 1,
-            io_depth: 2,
-            cache_shards: 8,
             dirty_high_pages: 0,
             dirty_low_pages: 0,
             tenant_weights: Vec::new(),
@@ -225,7 +211,6 @@ impl Default for GpufsConfig {
 pub(crate) struct DaemonKey {
     pub daemon_workers: usize,
     pub io_chunk_pages: usize,
-    pub io_depth: usize,
     pub tenant_weights: Vec<u32>,
     pub tenant_admission: Vec<usize>,
 }
@@ -306,27 +291,6 @@ impl GpufsConfig {
         }
     }
 
-    /// Copy with the daemon's read-staging depth set to `chunks` (clamped
-    /// to ≥ 2; `2` = classic double-buffering, the bit-for-bit compat
-    /// setting).
-    #[must_use]
-    pub fn with_io_depth(self, chunks: usize) -> Self {
-        Self {
-            io_depth: chunks.max(2),
-            ..self
-        }
-    }
-
-    /// Copy with the cache control-plane shard count set to `shards`
-    /// (clamped to ≥ 1; `1` = the original unsharded layout).
-    #[must_use]
-    pub fn with_cache_shards(self, shards: usize) -> Self {
-        Self {
-            cache_shards: shards.max(1),
-            ..self
-        }
-    }
-
     /// Copy with asynchronous write-back enabled behind a `high`/`low`
     /// dirty-page watermark pair (`high = 0` disables the flusher; `low`
     /// is clamped below `high` when the flusher is on).
@@ -389,7 +353,6 @@ impl GpufsConfig {
         DaemonKey {
             daemon_workers: self.daemon_workers.max(1),
             io_chunk_pages: self.io_chunk_pages,
-            io_depth: self.io_depth.max(2),
             tenant_weights: self.tenant_weights.clone(),
             tenant_admission: self.tenant_admission.clone(),
         }
@@ -483,33 +446,6 @@ mod tests {
             "0 is the serialized engine, the ring's ablation, never clamped away"
         );
         assert_eq!(GpufsConfig::small_test().with_io_chunk(7).io_chunk_pages, 7);
-    }
-
-    #[test]
-    fn io_depth_defaults_to_double_buffering_and_clamps() {
-        assert_eq!(
-            GpufsConfig::default().io_depth,
-            2,
-            "double-buffering (the prior engine) by default"
-        );
-        assert_eq!(GpufsConfig::small_test().with_io_depth(0).io_depth, 2);
-        assert_eq!(GpufsConfig::small_test().with_io_depth(5).io_depth, 5);
-    }
-
-    #[test]
-    fn cache_shards_default_on_and_clamp() {
-        assert!(
-            GpufsConfig::default().cache_shards > 1,
-            "sharding defaults on"
-        );
-        assert_eq!(
-            GpufsConfig::small_test().with_cache_shards(0).cache_shards,
-            1
-        );
-        assert_eq!(
-            GpufsConfig::small_test().with_cache_shards(4).cache_shards,
-            4
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! `read_at(&self, offset, &mut [u8])`: a read fills the destinations it
 //! is handed — the daemon hands it the batch's GPU frames — and a write
 //! sends out the extents it is handed. No host staging buffer exists; the
-//! paper's pinned staging ring is modelled in virtual time only
+//! paper's pinned staging buffers are modelled in virtual time only
 //! (`daemon/pipeline.rs`).
 
 use hostfs::{FsError, HostFd, HostFs, Ino, OpenFlags};

@@ -113,7 +113,7 @@ mod tests {
             },
         )
         .unwrap();
-        let RespOk::Read { ns, .. } = ok else {
+        let RespOk::Read { ns } = ok else {
             panic!("expected Read")
         };
         assert_eq!(ns, vec![11]);

@@ -70,7 +70,7 @@ impl<'a> DmaLane<'a> {
 
     /// Ship one read chunk of `bytes` host-to-device, its data ready now
     /// on the worker's `clock`. The worker does not wait for it.
-    pub(crate) fn read_chunk(&mut self, clock: &mut Clock, bytes: u64) -> Reservation {
+    pub(crate) fn read_chunk(&mut self, clock: &mut Clock, bytes: u64) {
         let (dma, one_shot) = (self.gpu.dma(), self.one_shot());
         self.ship(clock, Dir::H2d, bytes, |issue, first| {
             if one_shot {
@@ -78,7 +78,7 @@ impl<'a> DmaLane<'a> {
             } else {
                 dma.reserve_h2d_chunk(issue, &[bytes], first)
             }
-        })
+        });
     }
 
     /// Gather one write chunk of `bytes` device-to-host. The dirty bytes

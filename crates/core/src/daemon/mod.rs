@@ -213,8 +213,6 @@ pub(crate) struct Engine {
     /// Chunk size in pages; `0` is the serialized engine on the paper
     /// prototype's one-DMA-per-RPC path, the DMA ring's ablation.
     pub(crate) io_chunk_pages: usize,
-    /// Read-staging depth in chunks.
-    pub(crate) io_depth: usize,
 }
 
 impl ServeCtx<'_> {
@@ -327,8 +325,8 @@ impl GpufsHost {
     }
 
     /// Start the host daemon with the host-side knobs of `config`
-    /// ([`GpufsConfig::daemon_workers`], [`GpufsConfig::io_chunk_pages`],
-    /// [`GpufsConfig::io_depth`] and the tenant weights and caps).
+    /// ([`GpufsConfig::daemon_workers`], [`GpufsConfig::io_chunk_pages`]
+    /// and the tenant weights and caps).
     #[must_use]
     pub fn with_config(fs: Arc<HostFs>, gpus: Vec<Arc<Gpu>>, config: &GpufsConfig) -> Self {
         Self::build(fs, gpus, config, None)
@@ -390,7 +388,6 @@ impl GpufsHost {
             workers: WorkerPool::weighted(daemon_key.daemon_workers, &daemon_key.tenant_weights),
             timings: fs.timings().clone(),
             io_chunk_pages: daemon_key.io_chunk_pages,
-            io_depth: daemon_key.io_depth,
         });
         // The same for the daemon's workers: CPU time drawn, summed over
         // the pool. Over `elapsed × daemon_workers` it is their occupancy.
@@ -550,13 +547,6 @@ impl GpufsHost {
         self.engine.io_chunk_pages
     }
 
-    /// Staging depth (in chunks) of the pipelined read engine this host
-    /// was started with; `2` is classic double-buffering.
-    #[must_use]
-    pub fn io_depth(&self) -> usize {
-        self.engine.io_depth
-    }
-
     /// Stop the daemon. Idempotent. Calls arriving after it fail with
     /// [`crate::GpufsError::DaemonStopped`]; a request already being served
     /// finishes on its caller's thread, so no threadblock is ever left
@@ -670,17 +660,9 @@ pub(crate) mod testutil {
     /// A single-worker host whose I/O engine chunks at `io_chunk_pages`
     /// (`0` = serialized).
     pub(crate) fn host_chunked(io_chunk_pages: usize) -> GpufsHost {
-        host_depth(io_chunk_pages, 2)
-    }
-
-    /// A single-worker host with a given chunk size and read-staging
-    /// depth.
-    pub(crate) fn host_depth(io_chunk_pages: usize, io_depth: usize) -> GpufsHost {
         let fs = Arc::new(HostFs::new(HostFsConfig::default()));
         let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
-        let config = crate::config::GpufsConfig::default()
-            .with_io_chunk(io_chunk_pages)
-            .with_io_depth(io_depth);
+        let config = crate::config::GpufsConfig::default().with_io_chunk(io_chunk_pages);
         GpufsHost::build(fs, vec![gpu], &config, None)
     }
 
@@ -1006,9 +988,7 @@ mod tests {
                                 },
                             )
                             .unwrap();
-                        let RespOk::Read { ns, .. } = ok else {
-                            panic!()
-                        };
+                        let RespOk::Read { ns } = ok else { panic!() };
                         assert_eq!(ns, vec![512]);
                         let mut out = vec![0u8; 512];
                         h.gpus()[0].global().read(dst, &mut out);

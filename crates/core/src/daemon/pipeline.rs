@@ -23,15 +23,15 @@
 //! out to it knows as a [`Backing`] and nothing more: a local daemon's
 //! file system, where a chunk is that many `pread`s or `pwrite`s, or a
 //! proxied daemon's storage server, where a chunk is a host-cache lookup
-//! and one wire frame. The chunk ring, the early response and the
-//! per-page ready times below are the same code either way.
+//! and one wire frame. The chunking and the DMA lane below are the same
+//! code either way.
 //!
 //! Page bytes move once. A `ReadPages` hands the backing the batch's GPU
 //! frames themselves, so stage 1 `pread`s each page straight into its
 //! frame; a `WritePages` hands it the dirty extents straight out of
 //! theirs. The modelled DMA only needs byte counts, so the lane charges
 //! the link and touches no byte, and no host staging buffer exists: the
-//! staging ring is modelled in virtual time only.
+//! double buffer is modelled in virtual time only.
 //!
 //! The worker's clock carries the file-I/O lane; the DMA lane
 //! ([`super::lane::DmaLane`]) is a chain of chunk reservations, each
@@ -72,25 +72,13 @@ fn chunk_len(io_chunk_pages: usize, len: usize) -> usize {
 
 /// Serve a `ReadPages` batch: stage chunk *k+1* while the scatter-gather
 /// DMA of chunk *k* is in flight. Returns the per-page byte counts and
-/// ready times, and the virtual time the requester may proceed.
+/// the virtual time the requester may proceed: the end of the *last*
+/// chunk's DMA, so every page of the batch is ready at the response.
 ///
 /// Stage 1 `pread`s each page straight into its frame, so a page's bytes
 /// are copied once; stage 2 only charges the link for them. The batch's
-/// destinations, byte counts and ready times are allocated once, up
-/// front: no page or chunk allocates.
-///
-/// `io_depth` is the staging depth in chunks. At the default `2`
-/// (classic double-buffering) the engine behaves exactly as before:
-/// staging is effectively unbounded within the batch and the response
-/// time is the end of the *last* chunk's DMA, so every page's ready time
-/// equals the response time. At depths ≥ 3 the engine models a ring of
-/// `io_depth` staging buffers — chunk *j*'s pread waits for chunk
-/// *j − io_depth*'s DMA to free its buffer — and responds *early*: up to
-/// `io_depth − 2` trailing chunk DMAs may outlive the response, with
-/// each page's individual ready time (its chunk's DMA completion)
-/// carried back so the client can gate pins per page instead of on the
-/// whole batch. The ring exists in virtual time only, as the times its
-/// buffers free (`free_at`); no host buffer backs it.
+/// destinations and byte counts are allocated once, up front: no page or
+/// chunk allocates.
 pub(super) fn read_pages(
     backing: &dyn Backing,
     gpu: &Gpu,
@@ -105,8 +93,6 @@ pub(super) fn read_pages(
             s.pages_per_rpc.add(pages.len() as u64);
         });
     }
-    let io_depth = ctx.engine.io_depth;
-    let deep = io_depth > 2;
     let step = chunk_len(ctx.engine.io_chunk_pages, pages.len());
     let mut lane = DmaLane::new(gpu, ctx);
     // SAFETY: the requester allocated a distinct frame for every page of
@@ -118,23 +104,7 @@ pub(super) fn read_pages(
         .map(|p| (p.offset, unsafe { gpu.global().slice_mut(p.dst, p.len) }))
         .collect();
     let mut ns = vec![0; pages.len()];
-    let mut ready: Vec<Nanos> = vec![0; pages.len()];
-    // When each chunk's staging buffer frees again: its DMA end, or 0 for
-    // chunks that shipped nothing.
-    let mut free_at: Vec<Nanos> =
-        Vec::with_capacity(if deep { pages.len().div_ceil(step) } else { 0 });
-    let chunks = dsts
-        .chunks_mut(step)
-        .zip(ns.chunks_mut(step))
-        .zip(ready.chunks_mut(step));
-    for (j, ((dsts, ns), ready)) in chunks.enumerate() {
-        // Depth-k staging bound: chunk j reuses the buffer of chunk
-        // j - io_depth and must wait for that DMA to complete. Double
-        // buffering keeps the prior engine's unbounded-within-the-batch
-        // staging for bit-for-bit compatibility.
-        if deep && j >= io_depth {
-            clock.wait_until(free_at[j - io_depth]);
-        }
+    for (j, (dsts, ns)) in dsts.chunks_mut(step).zip(ns.chunks_mut(step)).enumerate() {
         // Stage 1 — this chunk's bytes into its frames, on the worker's
         // clock.
         backing.read_chunk(Some(ctx), clock, fd, j, dsts, ns)?;
@@ -142,34 +112,12 @@ pub(super) fn read_pages(
         // max(data ready, previous chunk's end) and the worker moves on
         // to the next chunk's stage 1 without waiting for it.
         let bytes: usize = ns.iter().sum();
-        let chunk_ready = if bytes == 0 {
-            0
-        } else {
-            lane.read_chunk(clock, bytes as u64).end
-        };
-        if deep {
-            free_at.push(chunk_ready);
-        }
-        for (r, &n) in ready.iter_mut().zip(ns.iter()) {
-            *r = if n == 0 { 0 } else { chunk_ready };
+        if bytes > 0 {
+            lane.read_chunk(clock, bytes as u64);
         }
     }
-    let t = if deep {
-        // Early response: all but the last io_depth - 2 chunk DMAs must
-        // have landed (the demand page rides in chunk 0, so chunk 0 is
-        // always covered); trailing chunks gate their pages through the
-        // per-page ready times instead.
-        let covered = free_at.len().saturating_sub(io_depth - 2).max(1);
-        let gate = free_at[..covered].iter().copied().max().unwrap_or(0);
-        gate.max(clock.now())
-    } else {
-        lane.end().max(clock.now())
-    };
-    if !deep {
-        // The drained engine's pages are all ready at the response.
-        ready.fill(t);
-    }
-    Ok((RespOk::Read { ns, ready }, t))
+    let t = lane.end().max(clock.now());
+    Ok((RespOk::Read { ns }, t))
 }
 
 /// Serve a `WritePages` batch: the D2H gather of chunk *k+1* overlaps the
@@ -246,7 +194,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::super::backing::{FileStat, Opened};
-    use super::super::testutil::{call, host, host_chunked, host_chunked_proxied, host_depth};
+    use super::super::testutil::{call, host, host_chunked, host_chunked_proxied};
     use super::super::{DaemonStats, Engine, GpufsHost};
     use super::*;
     use crate::rpc::{PageRead, PageWrite, Request, RespOk};
@@ -279,9 +227,7 @@ mod tests {
 
     fn read_batch(h: &GpufsHost, fd: hostfs::HostFd, pages: Vec<PageRead>) -> (Vec<usize>, Nanos) {
         let (ok, t) = call(h, Request::ReadPages { fd, pages, gpu: 0 }).unwrap();
-        let RespOk::Read { ns, .. } = ok else {
-            panic!()
-        };
+        let RespOk::Read { ns } = ok else { panic!() };
         (ns, t)
     }
 
@@ -655,119 +601,6 @@ mod tests {
         );
     }
 
-    // ------------------------------------------------------------------
-    // Depth-k staging ring coverage.
-    // ------------------------------------------------------------------
-
-    /// Run one `n_pages`-page read batch on a `host_depth(io_chunk,
-    /// io_depth)` rig; return (response t, per-page ready times, bytes).
-    fn depth_read(
-        io_chunk: usize,
-        io_depth: usize,
-        n_pages: usize,
-    ) -> (Nanos, Vec<Nanos>, Vec<u8>) {
-        let page = 64 << 10;
-        let h = host_depth(io_chunk, io_depth);
-        h.fs().create_synthetic("/deep", 4 << 20, 13).unwrap();
-        let fd = open(&h, "/deep", false);
-        let dst = h.gpus()[0].global().alloc(n_pages * page).unwrap();
-        let pages: Vec<PageRead> = (0..n_pages)
-            .map(|i| PageRead {
-                offset: (i * page) as u64,
-                len: page,
-                dst: dst + i * page,
-            })
-            .collect();
-        let (ok, t) = call(&h, Request::ReadPages { fd, pages, gpu: 0 }).unwrap();
-        let RespOk::Read { ns, ready } = ok else {
-            panic!()
-        };
-        assert_eq!(ns, vec![page; n_pages]);
-        let mut bytes = vec![0u8; n_pages * page];
-        h.gpus()[0].global().read(dst, &mut bytes);
-        (t, ready, bytes)
-    }
-
-    #[test]
-    fn deep_staging_responds_earlier_than_double_buffering() {
-        // An 8-chunk read at depth 4 may leave the last two chunk DMAs in
-        // flight at response time, so the RPC completes strictly earlier
-        // than the depth-2 engine which drains every DMA first — with
-        // identical bytes, and with every page still carrying a ready
-        // time the client can gate on.
-        let (t2, ready2, bytes2) = depth_read(1, 2, 8);
-        let (t4, ready4, bytes4) = depth_read(1, 4, 8);
-        assert_eq!(bytes2, bytes4);
-        assert!(
-            t4 < t2,
-            "depth-4 early response ({t4}) must beat the drained depth-2 \
-             response ({t2})"
-        );
-        // Depth 2 publishes every page at the engine's response time
-        // (the returned t adds the RPC completion overhead on top);
-        // depth 4's trailing pages become ready after even that.
-        assert!(ready2.iter().all(|&r| r == ready2[0] && r <= t2));
-        assert!(ready4.iter().all(|&r| r > 0));
-        let past_response = ready4.iter().filter(|&&r| r > t4).count();
-        assert!(
-            (1..=2).contains(&past_response),
-            "up to io_depth - 2 = 2 trailing chunks may outlive the \
-             response, got {past_response}"
-        );
-        // The last page is always among the uncovered tail; chunk 0 (the
-        // demand page's chunk) is always covered by the response gate.
-        assert!(ready4[7] > t4);
-        assert!(ready4[0] <= t4);
-    }
-
-    #[test]
-    fn deep_staging_ready_times_are_monotone_per_chunk() {
-        // Chunk DMAs of one transaction never overlap each other, so the
-        // per-page ready times must be non-decreasing in page order (all
-        // pages of one chunk share the chunk's DMA completion).
-        let (_, ready, _) = depth_read(2, 5, 12);
-        for w in ready.windows(2) {
-            assert!(w[0] <= w[1], "ready times regressed: {ready:?}");
-        }
-        // 12 pages / chunk 2 = 6 distinct chunk completions.
-        let mut distinct: Vec<Nanos> = ready.clone();
-        distinct.dedup();
-        assert_eq!(distinct.len(), 6);
-    }
-
-    #[test]
-    fn deep_staging_bounds_pread_lead_over_dma() {
-        // The ring bound itself: at depth 3 chunk j's pread cannot start
-        // before chunk j-3's DMA frees its buffer, so a long batch at
-        // depth 3 must respond no earlier than at a deeper setting that
-        // relaxes the bound (and strictly later than unbounded depth-2
-        // staging would allow the DMA lane to lag... measured simply:
-        // deeper staging never hurts).
-        let (t3, _, bytes3) = depth_read(1, 3, 10);
-        let (t6, _, bytes6) = depth_read(1, 6, 10);
-        assert_eq!(bytes3, bytes6);
-        assert!(
-            t6 <= t3,
-            "a deeper ring ({t6}) can only relax the staging bound vs \
-             depth 3 ({t3})"
-        );
-    }
-
-    #[test]
-    fn singleton_and_single_chunk_batches_ignore_io_depth() {
-        // A batch that fits in one chunk has no trailing DMAs to leave in
-        // flight: `covered` clamps to 1 and the response equals the lone
-        // chunk's DMA end — bit-for-bit the depth-2 engine, so window-1
-        // paging never sees the staging depth.
-        for (io_chunk, n_pages) in [(0, 1), (0, 4), (8, 3)] {
-            let (t2, ready2, bytes2) = depth_read(io_chunk, 2, n_pages);
-            let (t7, ready7, bytes7) = depth_read(io_chunk, 7, n_pages);
-            assert_eq!(t2, t7, "chunkless batch must not see io_depth");
-            assert_eq!(ready2, ready7);
-            assert_eq!(bytes2, bytes7);
-        }
-    }
-
     #[test]
     fn pwrite_error_mid_pipeline_fails_whole_rpc_and_daemon_survives() {
         // A WritePages batch against a read-only host descriptor: chunk
@@ -842,9 +675,18 @@ mod tests {
         // One 64 KB ReadPages on an idle engine and an idle worker pool
         // costs exactly its pread, setup and transfer: nothing is running
         // to join and no draw has to wait, on any engine setting.
-        for (io_chunk, io_depth) in [(0, 2), (2, 2), (2, 4), (8, 2)] {
-            let (t, ready, _) = depth_read(io_chunk, io_depth, 1);
-            assert_eq!((t, ready), (8_543_420, vec![8_540_420]));
+        let page = 64 << 10;
+        for io_chunk in [0, 2, 8] {
+            let h = host_chunked(io_chunk);
+            h.fs().create_synthetic("/one", 4 << 20, 13).unwrap();
+            let fd = open(&h, "/one", false);
+            let dst = h.gpus()[0].global().alloc(page).unwrap();
+            let pages = vec![PageRead {
+                offset: 0,
+                len: page,
+                dst,
+            }];
+            assert_eq!(read_batch(&h, fd, pages), (vec![page], 8_543_420));
         }
     }
 
@@ -1133,7 +975,6 @@ mod tests {
                 workers: WorkerPool::new(1),
                 timings: backing.fs.timings().clone(),
                 io_chunk_pages: 2,
-                io_depth: 2,
             };
             let ctx = ServeCtx {
                 leaf: &leaf,

@@ -81,8 +81,8 @@ pub(crate) mod testrig;
 
 pub use api::{GFd, GMap, GStat};
 pub use cluster::{
-    CoherenceOp, DaemonTopology, FileCoherence, FleetBuilder, FleetView, GpuFleet, HostFleet,
-    HostFleetBuilder, ScheduleReport, ShardStrategy, WorkItem, WorkQueue,
+    CoherenceOp, FileCoherence, FleetBuilder, FleetView, GpuFleet, HostFleet, HostFleetBuilder,
+    ScheduleReport, ShardStrategy, WorkItem, WorkQueue,
 };
 pub use config::{GOpenMode, GpufsConfig};
 pub use daemon::{DaemonStats, GpufsHost};

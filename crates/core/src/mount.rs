@@ -36,7 +36,7 @@ use gpusim::{BlockCtx, Gpu};
 use simtime::Timings;
 
 use crate::cache::{CacheCounters, FrameArena, FrameIdx};
-use crate::config::GpufsConfig;
+use crate::config::{GpufsConfig, CACHE_SHARDS};
 use crate::daemon::GpufsHost;
 use crate::error::GpufsResult;
 use crate::rpc::{Request, RespOk, RpcHub, TenantId};
@@ -163,11 +163,11 @@ impl GpufsHost {
     ///
     /// Fails if the GPU cannot hold the configured buffer cache, or if
     /// the mount's host-side knobs ([`GpufsConfig::daemon_workers`],
-    /// [`GpufsConfig::io_chunk_pages`], [`GpufsConfig::io_depth`], the
-    /// tenant weights and caps) disagree with the daemon this host was
-    /// started with — all are daemon state, so a config that names
-    /// different values would be a silent no-op; build the host with
-    /// [`GpufsHost::with_config`] instead.
+    /// [`GpufsConfig::io_chunk_pages`], the tenant weights and caps)
+    /// disagree with the daemon this host was started with — all are
+    /// daemon state, so a config that names different values would be a
+    /// silent no-op; build the host with [`GpufsHost::with_config`]
+    /// instead.
     pub fn mount(&self, gpu_id: usize, config: GpufsConfig) -> GpufsResult<Arc<GpuFsMount>> {
         self.mount_with_coherence_id(gpu_id, config, gpu_id)
     }
@@ -189,8 +189,8 @@ impl GpufsHost {
             || config.num_tenants() > self.hub().num_tenants()
         {
             return Err(crate::error::GpufsError::InvalidMode(
-                "mount daemon_workers/io_chunk_pages/io_depth/\
-                 tenant_weights/tenant_admission do not match the host daemon \
+                "mount daemon_workers/io_chunk_pages/tenant_weights/\
+                 tenant_admission do not match the host daemon \
                  (build the host with GpufsHost::with_config)",
             ));
         }
@@ -199,7 +199,7 @@ impl GpufsHost {
             gpu.global(),
             config.page_size,
             config.num_frames(),
-            config.cache_shards,
+            CACHE_SHARDS,
             config.num_tenants(),
             &config.tenant_frame_quotas,
         )?;

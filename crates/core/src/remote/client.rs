@@ -264,18 +264,14 @@ mod tests {
         (0..len).map(|i| (i * 7 + 13) as u8).collect()
     }
 
-    fn local_host(chunk: usize, depth: usize) -> GpufsHost {
-        let config = GpufsConfig::default()
-            .with_io_chunk(chunk)
-            .with_io_depth(depth);
+    fn local_host(chunk: usize) -> GpufsHost {
+        let config = GpufsConfig::default().with_io_chunk(chunk);
         let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
         GpufsHost::with_config(no_net_fs(), vec![gpu], &config)
     }
 
-    fn proxied_host(chunk: usize, depth: usize, cache_pages: usize) -> GpufsHost {
-        let config = GpufsConfig::default()
-            .with_io_chunk(chunk)
-            .with_io_depth(depth);
+    fn proxied_host(chunk: usize, cache_pages: usize) -> GpufsHost {
+        let config = GpufsConfig::default().with_io_chunk(chunk);
         let server = Arc::new(StorageServer::new(no_net_fs()));
         let proxy = Arc::new(HostProxy::new(server, cache_pages));
         let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
@@ -451,7 +447,7 @@ mod tests {
         use crate::remote::proto::WireResponse;
         use hostfs::FsError;
 
-        let mut h = proxied_host(2, 2, 64);
+        let mut h = proxied_host(2, 64);
         h.fs().create("/data", &payload(PAGE * 2)).unwrap();
         let fd = open(&h, "/data", true);
         let dsts: Vec<DevPtr> = (0..2)
@@ -517,17 +513,17 @@ mod tests {
     /// daemon worker loop: with zero-cost links and the host cache off, a
     /// proxy-backed host reproduces the local host's results, virtual
     /// completion times, GPU memory contents, and daemon counters
-    /// *exactly* — across the serialized, pipelined, and deep engines, and
+    /// *exactly* — across the serialized and pipelined engines, and
     /// whether or not the worker pool is the bottleneck.
     #[test]
     fn zero_net_proxy_daemon_matches_the_local_daemon_exactly() {
-        for (chunk, depth) in [(0, 2), (2, 2), (2, 4)] {
-            let mut local = local_host(chunk, depth);
-            let mut remote = proxied_host(chunk, depth, 0);
+        for chunk in [0, 2] {
+            let mut local = local_host(chunk);
+            let mut remote = proxied_host(chunk, 0);
             assert_eq!(
                 transcript(&local),
                 transcript(&remote),
-                "engine divergence at io_chunk_pages={chunk}, io_depth={depth}"
+                "engine divergence at io_chunk_pages={chunk}"
             );
             // The script's two ReadPages both issue at virtual time 0. On
             // the chunked engines the reread's first chunk finds the ring
@@ -540,12 +536,12 @@ mod tests {
             local.shutdown();
             remote.shutdown();
 
-            let (local, remote) = (local_host(chunk, depth), proxied_host(chunk, depth, 0));
+            let (local, remote) = (local_host(chunk), proxied_host(chunk, 0));
             let script = burst_transcript(&local);
             assert_eq!(
                 script,
                 burst_transcript(&remote),
-                "pool-charge divergence at io_chunk_pages={chunk}, io_depth={depth}"
+                "pool-charge divergence at io_chunk_pages={chunk}"
             );
             assert!(script
                 .last()
@@ -566,7 +562,7 @@ mod tests {
     /// chunk joined an open transaction.
     #[test]
     fn proxied_stage_two_emits_the_lane_spans() {
-        let h = proxied_host(2, 2, 0);
+        let h = proxied_host(2, 0);
         h.set_tracing(true);
         let root = h.tracer().root("script");
         let _ = transcript(&h);
@@ -602,8 +598,8 @@ mod tests {
     /// wire round-trip), but never what the GPU reads.
     #[test]
     fn cached_proxy_preserves_data_and_results() {
-        let mut local = local_host(2, 2);
-        let mut remote = proxied_host(2, 2, 64);
+        let mut local = local_host(2);
+        let mut remote = proxied_host(2, 64);
         let a = transcript(&local);
         let b = transcript(&remote);
         // Compare only the GPU-memory and counter lines (the data
@@ -624,7 +620,7 @@ mod tests {
     /// lazily (on the next lookup, never eagerly).
     #[test]
     fn host_cache_counters_are_exact_through_the_daemon() {
-        let h = proxied_host(0, 2, 64);
+        let h = proxied_host(0, 64);
         #[allow(clippy::expect_used)]
         let proxy = Arc::clone(h.proxy().expect("proxied host"));
         h.fs().create("/c", &payload(PAGE * 4)).unwrap();

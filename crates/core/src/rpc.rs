@@ -212,13 +212,6 @@ pub enum RespOk {
         /// Bytes actually read per descriptor, in request order (short at
         /// EOF).
         ns: Vec<usize>,
-        /// Virtual time at which each page's bytes land in GPU memory
-        /// (its chunk's DMA completion), in request order; `0` for pages
-        /// that moved no bytes. At [`crate::GpufsConfig::io_depth`] `= 2`
-        /// the engine drains before responding, so every entry equals the
-        /// response time; deeper staging lets trailing entries exceed it,
-        /// and the client gates each page's pins on its own entry.
-        ready: Vec<Nanos>,
     },
     /// Bytes written back.
     Wrote {

@@ -315,7 +315,7 @@ pub struct Tables {
 
 impl Default for Tables {
     fn default() -> Self {
-        Self::with_shards(crate::config::GpufsConfig::default().cache_shards)
+        Self::with_shards(crate::config::CACHE_SHARDS)
     }
 }
 

@@ -23,6 +23,12 @@
 # With them goes the daemon-turn test that hands freed turns to parked
 # callers in issue order, so the park/unpark handoff is re-rolled too.
 #
+# Finally the whole `gpufs` lib test binary runs 5 times, unfiltered and in
+# debug as the tier-1 suite builds it: the loops above filter by test name,
+# so they cannot catch a test disturbed by the others sharing its process
+# (the read-batch allocation pin once counted the lock checker's
+# bookkeeping for locks other test threads held).
+#
 # Usage: scripts/stress.sh [RUNS]   (default: 10)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -45,3 +51,10 @@ for i in $(seq 1 "$flaky_runs"); do
   cargo test -q --release --test integration evict_random_miniature
 done
 echo "all $flaky_runs once-flaky runs green"
+
+lib_runs=5
+for i in $(seq 1 "$lib_runs"); do
+  echo "== whole lib binary run $i/$lib_runs =="
+  cargo test -q -p gpufs --lib
+done
+echo "all $lib_runs whole lib binary runs green"

@@ -105,12 +105,9 @@ struct Edge {
 struct Registry {
     /// Lock-order graph: `from → (to → first edge's sites)`.
     edges: HashMap<u64, HashMap<u64, Edge>>,
-    /// Current holders of each lock id.
-    holders: HashMap<u64, Vec<(ThreadId, Kind)>>,
-    /// Holder lists of locks nobody holds any more, kept for reuse so an
-    /// uncontended acquisition allocates nothing once warm.
-    spare_holders: Vec<Vec<(ThreadId, Kind)>>,
-    /// Per-thread held stacks and current wants.
+    /// Per-thread held stacks and current wants. A lock's holders are
+    /// found by scanning the held stacks, which only the contended wait
+    /// path does: an acquisition touches no state but its own thread's.
     threads: HashMap<ThreadId, ThreadRec>,
     /// Every unwaived report emitted (including ones that then
     /// panicked). Waived findings are only counted, never recorded.
@@ -456,7 +453,7 @@ fn describe_cycle(edges: &HashMap<u64, HashMap<u64, Edge>>, path: &[u64], closin
 }
 
 /// Record a successful acquisition: the lock joins the thread's held
-/// stack and the lock's holder set.
+/// stack.
 pub fn acquired(id: u64, what: &'static str, site: Site, kind: Kind) {
     let tid = std::thread::current().id();
     with_registry(|r| {
@@ -470,32 +467,18 @@ pub fn acquired(id: u64, what: &'static str, site: Site, kind: Kind) {
             site,
             kind,
         });
-        r.holders
-            .entry(id)
-            .or_insert_with(|| r.spare_holders.pop().unwrap_or_default())
-            .push((tid, kind));
     });
 }
 
 /// Record a release: drops the most recent matching entry from the held
-/// stack and the holder set. Tolerates unbalanced calls (a lock acquired
-/// while the checker was disabled releases as a no-op).
+/// stack. Tolerates unbalanced calls (a lock acquired while the checker
+/// was disabled releases as a no-op).
 pub fn released(id: u64) {
     let tid = std::thread::current().id();
     with_registry(|r| {
         if let Some(rec) = r.threads.get_mut(&tid) {
             if let Some(pos) = rec.held.iter().rposition(|h| h.id == id) {
                 rec.held.remove(pos);
-            }
-        }
-        if let Some(holders) = r.holders.get_mut(&id) {
-            if let Some(pos) = holders.iter().rposition(|(t, _)| *t == tid) {
-                holders.remove(pos);
-            }
-            if holders.is_empty() {
-                if let Some(spare) = r.holders.remove(&id) {
-                    r.spare_holders.push(spare);
-                }
             }
         }
     });
@@ -583,14 +566,15 @@ fn deadlock_report(tid: ThreadId) -> Option<String> {
         loop {
             let cur = *chain.last().expect("chain starts non-empty");
             let want = r.threads.get(&cur).and_then(|rec| rec.want)?;
-            // Prefer an exclusive holder; shared holders can also block an
-            // exclusive want, so follow the first blocked holder found.
-            let holders = r.holders.get(&want.id)?;
+            // Shared holders can block an exclusive want as well as an
+            // exclusive holder can, so follow the first blocked holder
+            // found.
+            let holders = r
+                .threads
+                .iter()
+                .filter(|(&t, rec)| t != cur && rec.held.iter().any(|h| h.id == want.id));
             let mut next = None;
-            for &(holder, _) in holders {
-                if holder == cur {
-                    continue;
-                }
+            for (&holder, _) in holders {
                 if chain.contains(&holder) {
                     // Cycle closed.
                     chain.push(holder);
