@@ -46,7 +46,7 @@ fn cuda_pipeline_phase(page: usize) -> f64 {
             r.fs.pread(fd, off, &mut staging[i].as_mut()[..n], cpu.now())
                 .unwrap();
         cpu.wait_until(tr);
-        let xfer = r.gpus[0].dma().reserve_h2d(cpu.now(), got as u64);
+        let xfer = r.gpus[0].dma().h2d().transfer(cpu.now(), got as u64);
         end = end.max(xfer.end);
         off += got as u64;
         i ^= 1;

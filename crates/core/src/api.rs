@@ -833,9 +833,7 @@ mod tests {
         let r = rig_pool(1, 3);
         let base: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 211) as u8).collect();
         r.fs.create("/mc", &base).unwrap();
-        let cfg = GpufsConfig::new(4096, 8 * 4096)
-            .with_concurrency(4, 3)
-            .with_write_batch(4);
+        let cfg = GpufsConfig::new(4096, 8 * 4096).with_concurrency(4, 3);
         let mount = r.host.mount(0, cfg).unwrap();
         r.gpus[0].launch(Grid::new(8, 32), 0, |blk| {
             let fd = mount.open(blk, "/mc", GOpenMode::ReadWrite).unwrap();

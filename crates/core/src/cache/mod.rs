@@ -57,9 +57,9 @@ pub struct CacheCounters {
     /// [`CacheCounters::batched_rpcs`] for the mean batch width.
     pub pages_per_rpc: Counter,
     /// `WritePages` RPCs issued, of any width — the write-side round-trip
-    /// count. With batching off (`write_batch_pages = 1`) this equals
+    /// count. Were every batch a batch of one this would equal
     /// [`CacheCounters::writebacks`]; batching drives it down toward
-    /// `writebacks / write_batch_pages`.
+    /// `writebacks / 32` (the batch cap).
     pub write_rpcs: Counter,
     /// Total pages carried by those write RPCs. Divide by
     /// [`CacheCounters::write_rpcs`] for the mean write-batch width.

@@ -10,7 +10,7 @@
 //! capped [`Request::WritePages`] batches — one daemon round-trip and one
 //! scatter-gather D2H DMA charge per batch — symmetric with the read
 //! path's batched `ReadPages`. A single-page sync is simply the batch of
-//! one, so `write_batch_pages = 1` reproduces the original per-page RPCs.
+//! one.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use simtime::bw_time_ns;
 
 use crate::cache::{diff_extents, nonzero_extents, Extents, FrameIdx, PageState};
-use crate::config::GOpenMode;
+use crate::config::{GOpenMode, WRITE_BATCH_PAGES};
 use crate::error::GpufsResult;
 use crate::mount::{GpuFsMount, Lane};
 use crate::rpc::{PageWrite, Request, RespOk};
@@ -31,7 +31,7 @@ pub(super) const DIFF_MERGE_GAP: usize = 64;
 
 /// Upper bound on the page span one `WritePages` batch may cover under
 /// the *serialized* daemon engine (`io_chunk_pages = 0`), whatever the
-/// configured [`crate::GpufsConfig::write_batch_pages`] — the same
+/// [`WRITE_BATCH_PAGES`] — the same
 /// pipelining argument as the read path's 8 MB readahead cap: a
 /// serialized batch is one gather-then-pwrite sequence, and an
 /// over-large batch trades away the overlap that separate in-flight
@@ -134,11 +134,10 @@ impl GpuFsMount {
 
     /// Largest number of pages one `WritePages` batch may carry.
     pub(crate) fn write_batch_cap(&self) -> usize {
-        let pages = self.config.write_batch_pages.max(1);
         if self.config.io_chunk_pages == 0 {
-            pages.min((WRITEBACK_MAX_BATCH_BYTES / self.config.page_size).max(1))
+            WRITE_BATCH_PAGES.min((WRITEBACK_MAX_BATCH_BYTES / self.config.page_size).max(1))
         } else {
-            pages
+            WRITE_BATCH_PAGES
         }
     }
 
@@ -505,7 +504,7 @@ mod tests {
             GpufsConfig::default().io_chunk_pages > 0 && GpufsConfig::default().io_chunk_pages < 6,
             "the 6-page batch must span several pipeline chunks"
         );
-        let cfg = GpufsConfig::new(4096, 32 * 4096).with_write_batch(8);
+        let cfg = GpufsConfig::new(4096, 32 * 4096);
         let mount = r.host.mount(0, cfg).unwrap();
         run_block(&r, |blk| {
             let fd = mount
@@ -541,16 +540,17 @@ mod tests {
 
     #[test]
     fn batched_fsync_gathers_pages_into_capped_write_rpcs() {
-        // 12 dirty pages at a batch cap of 8: gfsync must ship them in
-        // exactly two WritePages round-trips (8 + 4), with the client and
+        // 40 dirty pages at the batch cap of 32: gfsync must ship them in
+        // exactly two WritePages round-trips (32 + 8), with the client and
         // daemon write counters agreeing and the bytes landing exactly.
+        const PAGES: usize = 40;
         let r = rig(1);
-        r.fs.create("/batchy", &[0u8; 12 * 4096]).unwrap();
-        let cfg = GpufsConfig::new(4096, 32 * 4096).with_write_batch(8);
+        r.fs.create("/batchy", &[0u8; PAGES * 4096]).unwrap();
+        let cfg = GpufsConfig::new(4096, 64 * 4096);
         let mount = r.host.mount(0, cfg).unwrap();
         run_block(&r, |blk| {
             let fd = mount.open(blk, "/batchy", GOpenMode::ReadWrite).unwrap();
-            for page in 0..12u64 {
+            for page in 0..PAGES as u64 {
                 mount
                     .write(blk, &fd, page * 4096, &[page as u8 + 1; 4096])
                     .unwrap();
@@ -559,15 +559,19 @@ mod tests {
             mount.close(blk, fd).unwrap();
         });
         let c = mount.counters();
-        assert_eq!(c.write_rpcs.get(), 2, "ceil(12 / 8) round-trips");
-        assert_eq!(c.pages_per_write_rpc.get(), 12);
-        assert_eq!(c.writebacks.get(), 12, "every page individually counted");
-        // The daemon saw one multi-page batch of 8 and one of 4.
+        assert_eq!(c.write_rpcs.get(), 2, "ceil(40 / 32) round-trips");
+        assert_eq!(c.pages_per_write_rpc.get(), PAGES as u64);
+        assert_eq!(
+            c.writebacks.get(),
+            PAGES as u64,
+            "every page individually counted"
+        );
+        // The daemon saw one multi-page batch of 32 and one of 8.
         assert_eq!(r.host.stats().batched_write_rpcs.get(), 2);
-        assert_eq!(r.host.stats().pages_per_write_rpc.get(), 12);
-        assert_eq!(r.host.stats().bytes_d2h.get(), 12 * 4096);
+        assert_eq!(r.host.stats().pages_per_write_rpc.get(), PAGES as u64);
+        assert_eq!(r.host.stats().bytes_d2h.get(), (PAGES * 4096) as u64);
         let (data, _) = r.fs.read_whole("/batchy", 0).unwrap();
-        for page in 0..12usize {
+        for page in 0..PAGES {
             assert!(
                 data[page * 4096..(page + 1) * 4096]
                     .iter()
@@ -579,21 +583,20 @@ mod tests {
 
     #[test]
     fn write_batch_one_reproduces_per_page_rpcs() {
+        // One dirty page is a batch of one: one RPC carrying one page.
         let r = rig(1);
         r.fs.create("/perpage", &[0u8; 6 * 4096]).unwrap();
-        let cfg = GpufsConfig::new(4096, 32 * 4096).with_write_batch(1);
+        let cfg = GpufsConfig::new(4096, 32 * 4096);
         let mount = r.host.mount(0, cfg).unwrap();
         run_block(&r, |blk| {
             let fd = mount.open(blk, "/perpage", GOpenMode::ReadWrite).unwrap();
-            for page in 0..6u64 {
-                mount.write(blk, &fd, page * 4096, &[7u8; 4096]).unwrap();
-            }
+            mount.write(blk, &fd, 2 * 4096, &[7u8; 4096]).unwrap();
             mount.fsync(blk, &fd).unwrap();
             mount.close(blk, fd).unwrap();
         });
         let c = mount.counters();
-        assert_eq!(c.write_rpcs.get(), 6, "one RPC per dirty page");
-        assert_eq!(c.pages_per_write_rpc.get(), 6);
+        assert_eq!(c.write_rpcs.get(), 1, "one RPC for the dirty page");
+        assert_eq!(c.pages_per_write_rpc.get(), 1);
         assert_eq!(
             r.host.stats().batched_write_rpcs.get(),
             0,

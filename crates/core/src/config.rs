@@ -71,6 +71,18 @@ pub(crate) const LOCKFREE_RETRIES: u32 = 1;
 /// capacity semantics are shard-count-independent.
 pub(crate) const CACHE_SHARDS: usize = 8;
 
+/// Upper bound on the dirty pages of one file that `gfsync`, the
+/// stale-reopen flush, and eviction gather into a single batched
+/// `WritePages` RPC (one round-trip, one scatter-gather D2H DMA charge).
+/// Batching never changes *which* bytes are written — only how many
+/// round-trips carry them. Under the *serialized* daemon engine
+/// ([`GpufsConfig::io_chunk_pages`] `= 0`) batches are additionally capped
+/// at 4 MB of page span — the measured optimum there; the pipelined
+/// default overlaps each chunk's gather with the previous chunk's
+/// `pwrite`s, so it has no span cap and this page count is the only limit
+/// (see `cache/writeback.rs`).
+pub(crate) const WRITE_BATCH_PAGES: usize = 32;
+
 /// Configuration of one GPU's GPUfs instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GpufsConfig {
@@ -102,19 +114,6 @@ pub struct GpufsConfig {
     /// `gread` batches at most the pages it itself spans, so random
     /// workloads fetch identical bytes at any window.
     pub readahead_pages: usize,
-    /// Upper bound on the dirty pages of one file that `gfsync`, the
-    /// stale-reopen flush, and eviction gather into a single batched
-    /// `WritePages` RPC (one round-trip, one scatter-gather D2H DMA
-    /// charge). `1` reproduces the original one-RPC-per-page write-back.
-    /// Unlike readahead, batching never changes *which* bytes are written
-    /// — only how many round-trips carry them — so it defaults on.
-    /// Under the *serialized* daemon engine ([`GpufsConfig::io_chunk_pages`]
-    /// `= 0`) batches are additionally capped at 4 MB of page span — the
-    /// measured optimum there; the pipelined default overlaps each
-    /// chunk's gather with the previous chunk's `pwrite`s, so it has no
-    /// span cap and this page count is the only limit (see
-    /// `cache/writeback.rs`).
-    pub write_batch_pages: usize,
     /// Chunk size, in buffer-cache pages, of the daemon's pipelined I/O
     /// engine. A batched `ReadPages`/`WritePages` RPC is streamed through
     /// the daemon in chunks of this many pages so the host file I/O of
@@ -193,7 +192,6 @@ impl Default for GpufsConfig {
             disable_closed_table: false,
             sync_on_close: false,
             readahead_pages: 1,
-            write_batch_pages: 32,
             io_chunk_pages: 2,
             daemon_workers: 1,
             dirty_high_pages: 0,
@@ -250,16 +248,6 @@ impl GpufsConfig {
     pub fn with_readahead(self, pages: usize) -> Self {
         Self {
             readahead_pages: pages.max(1),
-            ..self
-        }
-    }
-
-    /// Copy with the write-back batch cap set to `pages` (clamped to ≥ 1;
-    /// `1` = the original per-page write-back RPCs).
-    #[must_use]
-    pub fn with_write_batch(self, pages: usize) -> Self {
-        Self {
-            write_batch_pages: pages.max(1),
             ..self
         }
     }
@@ -408,7 +396,6 @@ mod tests {
     fn concurrency_defaults_to_paper_prototype_and_clamps() {
         let c = GpufsConfig::default();
         assert_eq!(c.daemon_workers, 1, "single-threaded daemon by default");
-        assert!(c.write_batch_pages > 1, "bulk write-back defaults on");
         let c = GpufsConfig::small_test().with_concurrency(0, 0);
         assert_eq!(c.daemon_workers, 1);
         let c = GpufsConfig::small_test().with_concurrency(4, 3);
@@ -419,18 +406,6 @@ mod tests {
                 .with_concurrency(1, 3)
                 .daemon_key(),
             "the channel count is no daemon state"
-        );
-        assert_eq!(
-            GpufsConfig::small_test()
-                .with_write_batch(0)
-                .write_batch_pages,
-            1
-        );
-        assert_eq!(
-            GpufsConfig::small_test()
-                .with_write_batch(8)
-                .write_batch_pages,
-            8
         );
     }
 

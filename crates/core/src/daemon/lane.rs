@@ -71,14 +71,7 @@ impl<'a> DmaLane<'a> {
     /// Ship one read chunk of `bytes` host-to-device, its data ready now
     /// on the worker's `clock`. The worker does not wait for it.
     pub(crate) fn read_chunk(&mut self, clock: &mut Clock, bytes: u64) {
-        let (dma, one_shot) = (self.gpu.dma(), self.one_shot());
-        self.ship(clock, Dir::H2d, bytes, |issue, first| {
-            if one_shot {
-                dma.reserve_h2d_scattered(issue, &[bytes])
-            } else {
-                dma.reserve_h2d_chunk(issue, &[bytes], first)
-            }
-        });
+        self.ship(clock, Dir::H2d, bytes);
     }
 
     /// Gather one write chunk of `bytes` device-to-host. The dirty bytes
@@ -91,29 +84,10 @@ impl<'a> DmaLane<'a> {
         ready: Nanos,
         bytes: u64,
     ) -> Reservation {
-        let (dma, one_shot) = (self.gpu.dma(), self.one_shot());
-        self.ship(clock, Dir::D2h { ready }, bytes, |issue, first| {
-            if one_shot {
-                dma.reserve_d2h_scattered(issue, &[bytes])
-            } else {
-                dma.reserve_d2h_chunk(issue, &[bytes], first)
-            }
-        })
+        self.ship(clock, Dir::D2h { ready }, bytes)
     }
 
-    /// The serialized engine has one chunk per RPC and ships it whole,
-    /// past the ring.
-    fn one_shot(&self) -> bool {
-        self.ctx.engine.io_chunk_pages == 0
-    }
-
-    fn ship(
-        &mut self,
-        clock: &mut Clock,
-        dir: Dir,
-        bytes: u64,
-        reserve: impl FnOnce(Nanos, bool) -> Reservation,
-    ) -> Reservation {
+    fn ship(&mut self, clock: &mut Clock, dir: Dir, bytes: u64) -> Reservation {
         let submit_ns = self.ctx.engine.timings.dma_chunk_ns;
         let first = self.shipped == 0;
         if !first {
@@ -122,13 +96,20 @@ impl<'a> DmaLane<'a> {
         // Issued when the data is ready and the transaction's previous
         // chunk has left the engine: chunks of one transaction never
         // overlap each other.
-        let (name, ready) = match dir {
-            Dir::H2d => ("dma", clock.now()),
-            Dir::D2h { ready } => ("gather", ready),
+        let dma = self.gpu.dma();
+        let (name, ready, link) = match dir {
+            Dir::H2d => ("dma", clock.now(), dma.h2d()),
+            Dir::D2h { ready } => ("gather", ready, dma.d2h()),
         };
         let sp = obs::span(name);
         let issue = ready.max(self.end);
-        let r = reserve(issue, first);
+        // The serialized engine has one chunk per RPC and ships it whole,
+        // past the ring.
+        let r = if self.ctx.engine.io_chunk_pages == 0 {
+            link.transfer(issue, bytes)
+        } else {
+            link.transfer_chunk(issue, bytes, first)
+        };
         if r.joined {
             // Appended to the running ring: a continuation's submit
             // instead of a transaction's setup.

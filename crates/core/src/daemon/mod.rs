@@ -374,15 +374,27 @@ impl GpufsHost {
             cell_stats.iter().flatten().map(Arc::as_ref),
         ));
         stats.register(&registry, Labels::none());
-        // Per-direction PCIe occupancy, read from the engines themselves:
-        // accepted service time including setup. Over the elapsed virtual
-        // time it says how busy a link was; against `daemon_bytes_*` at
-        // the link's bandwidth it says how much of that was setup.
+        // Device occupancy, read from the devices themselves: accepted
+        // service time including setup (a PCIe direction's DMA setup, the
+        // disk's seeks). Over the elapsed virtual time it says how busy a
+        // device was; against `daemon_bytes_*` at a link's bandwidth it
+        // says how much of that was setup.
         for (g, gpu) in gpus.iter().enumerate() {
             let (h2d, d2h) = (Arc::clone(gpu), Arc::clone(gpu));
             let labels = Labels::gpu(g as u32);
             registry.probe("pcie_h2d_busy_ns", labels, move || h2d.dma().busy_ns().0);
             registry.probe("pcie_d2h_busy_ns", labels, move || d2h.dma().busy_ns().1);
+        }
+        let disk = Arc::clone(&fs);
+        registry.probe("disk_busy_ns", Labels::none(), move || disk.disk_busy_ns());
+        if let Some(proxy) = &proxy {
+            let (up, down) = (Arc::clone(proxy), Arc::clone(proxy));
+            registry.probe("net_up_busy_ns", Labels::none(), move || {
+                up.link_busy_ns().0
+            });
+            registry.probe("net_down_busy_ns", Labels::none(), move || {
+                down.link_busy_ns().1
+            });
         }
         let engine = Arc::new(Engine {
             workers: WorkerPool::weighted(daemon_key.daemon_workers, &daemon_key.tenant_weights),

@@ -17,12 +17,11 @@
 //! +------+---------+------+-------+-------------+-----------+---------...
 //! ```
 //!
-//! The flags byte is new in version 2. Its only defined bit,
-//! [`FLAG_TRACE_CTX`], declares a 16-byte trace context (trace id +
-//! parent span id, both u64 LE) between the header and the payload, so
-//! a storage server can parent its spans under the host-side RPC that
-//! shipped the frame. Version-1 frames (11-byte header, no flags, no
-//! ctx) still decode — they simply carry [`obs::TraceCtx::NONE`].
+//! The flags byte's only defined bit, [`FLAG_TRACE_CTX`], declares a
+//! 16-byte trace context (trace id + parent span id, both u64 LE) between
+//! the header and the payload, so a storage server can parent its spans
+//! under the host-side RPC that shipped the frame. A frame without it
+//! carries [`obs::TraceCtx::NONE`].
 //!
 //! Decoding *rejects* — it never panics: truncated buffers, bad magic,
 //! unknown versions or kinds, non-UTF-8 paths, undeclared trailing bytes
@@ -35,17 +34,13 @@ use obs::TraceCtx;
 /// Frame magic: the first four bytes of every well-formed frame.
 pub const MAGIC: [u8; 4] = *b"GFSW";
 
-/// Wire-format version this build emits. Decoders also accept version-1
-/// frames (no flags byte, no trace ctx) and reject everything else
-/// (`ProtoError::BadVersion`) instead of guessing.
+/// Wire-format version this build speaks. Decoders reject every other
+/// version (`ProtoError::BadVersion`) instead of guessing.
 pub const VERSION: u16 = 2;
 
 /// Fixed frame header size: magic + version + kind + flags + payload
 /// length. The optional trace context rides *after* this header.
 pub const HEADER_LEN: usize = 4 + 2 + 1 + 1 + 4;
-
-/// Version-1 header size: magic + version + kind + payload length.
-const V1_HEADER_LEN: usize = 4 + 2 + 1 + 4;
 
 /// Frame flag: a 16-byte trace context (trace id + span id, u64 LE
 /// each) sits between the header and the payload.
@@ -303,52 +298,42 @@ pub fn charged_len(frame: &[u8]) -> usize {
     frame.len() - if traced { CTX_LEN } else { 0 }
 }
 
-/// Validate the header and return `(kind, ctx, payload)`. Version-1
-/// frames decode with [`TraceCtx::NONE`].
+/// Validate the header and return `(kind, ctx, payload)`.
 fn open_frame(buf: &[u8]) -> Result<(u8, TraceCtx, &[u8]), ProtoError> {
-    // Magic + version first: enough to route to the per-version layout.
+    // Magic + version first: a frame of another version may be laid out
+    // differently from here on.
     if buf.len() < 6 {
         return Err(ProtoError::Truncated);
     }
     if buf[..4] != MAGIC {
         return Err(ProtoError::BadMagic);
     }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
-    let (ctx, len, body) = match version {
-        1 => {
-            if buf.len() < V1_HEADER_LEN {
-                return Err(ProtoError::Truncated);
-            }
-            let len = u32::from_le_bytes([buf[7], buf[8], buf[9], buf[10]]) as usize;
-            (TraceCtx::NONE, len, &buf[V1_HEADER_LEN..])
-        }
-        2 => {
-            if buf.len() < HEADER_LEN {
-                return Err(ProtoError::Truncated);
-            }
-            let flags = buf[7];
-            if flags & !FLAG_TRACE_CTX != 0 {
-                return Err(ProtoError::Corrupt("unknown frame flag bits"));
-            }
-            let len = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]) as usize;
-            let mut body = &buf[HEADER_LEN..];
-            let ctx = if flags & FLAG_TRACE_CTX != 0 {
-                if body.len() < CTX_LEN {
-                    return Err(ProtoError::Truncated);
-                }
-                let mut a = [0u8; 8];
-                a.copy_from_slice(&body[..8]);
-                let trace = u64::from_le_bytes(a);
-                a.copy_from_slice(&body[8..CTX_LEN]);
-                let span = u64::from_le_bytes(a);
-                body = &body[CTX_LEN..];
-                TraceCtx { trace, span }
-            } else {
-                TraceCtx::NONE
-            };
-            (ctx, len, body)
-        }
+    match u16::from_le_bytes([buf[4], buf[5]]) {
+        VERSION => {}
         v => return Err(ProtoError::BadVersion(v)),
+    }
+    if buf.len() < HEADER_LEN {
+        return Err(ProtoError::Truncated);
+    }
+    let flags = buf[7];
+    if flags & !FLAG_TRACE_CTX != 0 {
+        return Err(ProtoError::Corrupt("unknown frame flag bits"));
+    }
+    let len = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]) as usize;
+    let mut body = &buf[HEADER_LEN..];
+    let ctx = if flags & FLAG_TRACE_CTX != 0 {
+        if body.len() < CTX_LEN {
+            return Err(ProtoError::Truncated);
+        }
+        let mut a = [0u8; 8];
+        a.copy_from_slice(&body[..8]);
+        let trace = u64::from_le_bytes(a);
+        a.copy_from_slice(&body[8..CTX_LEN]);
+        let span = u64::from_le_bytes(a);
+        body = &body[CTX_LEN..];
+        TraceCtx { trace, span }
+    } else {
+        TraceCtx::NONE
     };
     let kind = buf[6];
     if body.len() < len {
@@ -832,6 +817,12 @@ mod tests {
         frame[4] = 0xff;
         frame[5] = 0xff;
         assert_eq!(decode_request(&frame), Err(ProtoError::BadVersion(0xffff)));
+        // Version 1 (an 11-byte header without the flags byte) is no
+        // longer spoken either.
+        let mut frame = encode_request(&WireRequest::Fsync { fd: 1 });
+        frame[4] = 1;
+        frame[5] = 0;
+        assert_eq!(decode_request(&frame), Err(ProtoError::BadVersion(1)));
     }
 
     #[test]
@@ -914,20 +905,6 @@ mod tests {
         );
     }
 
-    /// Re-wrap a ctx-free v2 frame in the 11-byte version-1 header, as
-    /// a v1 sender would have emitted it.
-    fn reframe_v1(frame_v2: &[u8]) -> Vec<u8> {
-        assert_eq!(frame_v2[7], 0, "only ctx-free frames have a v1 shape");
-        let payload = &frame_v2[HEADER_LEN..];
-        let mut out = Vec::with_capacity(V1_HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        put_u16(&mut out, 1);
-        out.push(frame_v2[6]);
-        put_u32(&mut out, payload.len() as u32);
-        out.extend_from_slice(payload);
-        out
-    }
-
     #[test]
     fn trace_ctx_rides_the_frame_and_round_trips() {
         let req = WireRequest::ReadPages {
@@ -946,21 +923,8 @@ mod tests {
         assert_eq!(decode_request_ctx(&bare), Ok((req, TraceCtx::NONE)));
     }
 
-    #[test]
-    fn version_1_frames_still_decode_without_a_ctx() {
-        for req in all_requests() {
-            let v1 = reframe_v1(&encode_request(&req));
-            assert_eq!(decode_request_ctx(&v1), Ok((req.clone(), TraceCtx::NONE)));
-        }
-        for resp in all_responses() {
-            let v1 = reframe_v1(&encode_response(&resp));
-            assert_eq!(decode_response(&v1), Ok(resp.clone()));
-        }
-    }
-
-    // Property coverage of the new frame field: arbitrary contexts
-    // round-trip, every truncation rejects, and the v1 reframing of any
-    // request decodes cleanly with no ctx.
+    // Property coverage of the trace-ctx frame field: arbitrary contexts
+    // round-trip and every truncation rejects.
     use proptest::prelude::*;
 
     fn any_request() -> impl Strategy<Value = WireRequest> {
@@ -1016,12 +980,6 @@ mod tests {
             for cut in 0..frame.len() {
                 prop_assert!(decode_request_ctx(&frame[..cut]).is_err());
             }
-        }
-
-        #[test]
-        fn prop_v1_frames_decode_with_no_ctx(req in any_request()) {
-            let v1 = reframe_v1(&encode_request(&req));
-            prop_assert_eq!(decode_request_ctx(&v1), Ok((req, TraceCtx::NONE)));
         }
     }
 }

@@ -34,63 +34,20 @@ impl DmaEngines {
         &self.timings
     }
 
-    /// Reserve the host-to-device direction for `bytes`, without moving
-    /// data (used for modeling a transfer whose bytes are moved elsewhere).
-    pub fn reserve_h2d(&self, earliest: Nanos, bytes: u64) -> Reservation {
-        self.h2d.transfer(earliest, bytes)
+    /// The host-to-device direction: one-shot transfers
+    /// ([`BandwidthResource::transfer`]) and the descriptor-ring chunks of
+    /// the daemon's pipelined `ReadPages`
+    /// ([`BandwidthResource::transfer_chunk`]). Reserving moves no bytes.
+    #[must_use]
+    pub fn h2d(&self) -> &BandwidthResource {
+        &self.h2d
     }
 
-    /// Reserve the device-to-host direction for `bytes`.
-    pub fn reserve_d2h(&self, earliest: Nanos, bytes: u64) -> Reservation {
-        self.d2h.transfer(earliest, bytes)
-    }
-
-    /// Reserve the host-to-device direction for one scatter-gather
-    /// transaction over the given extents: setup is paid once for the
-    /// whole descriptor list (see [`simtime::BandwidthResource::transfer_scattered`]).
-    /// This is the timing model of a batched `ReadPages` on the paper
-    /// prototype's DMA path: one driver call per RPC, which neither joins
-    /// the descriptor ring nor leaves it running. Only the extents'
-    /// lengths matter; the caller moves the bytes.
-    pub fn reserve_h2d_scattered(&self, earliest: Nanos, extent_bytes: &[u64]) -> Reservation {
-        self.h2d.transfer_scattered(earliest, extent_bytes)
-    }
-
-    /// Reserve the device-to-host direction for one scatter-gather
-    /// transaction over the given extents — the write-back mirror of
-    /// [`DmaEngines::reserve_h2d_scattered`].
-    pub fn reserve_d2h_scattered(&self, earliest: Nanos, extent_bytes: &[u64]) -> Reservation {
-        self.d2h.transfer_scattered(earliest, extent_bytes)
-    }
-
-    /// Reserve the host-to-device direction for one *chunk* of a
-    /// scatter-gather transaction fed through the direction's descriptor
-    /// ring: setup is paid by the `first` chunk — unless the ring is still
-    /// running when its data is ready, in which case it is appended;
-    /// continuations stream the already-programmed list at pure bandwidth
-    /// (see [`simtime::BandwidthResource::transfer_chunk`]). This is the
-    /// timing model of the daemon's pipelined `ReadPages` engine. The
-    /// caller serializes chunks of one transaction by threading the
-    /// previous chunk's `end` into `earliest`.
-    pub fn reserve_h2d_chunk(
-        &self,
-        earliest: Nanos,
-        extent_bytes: &[u64],
-        first: bool,
-    ) -> Reservation {
-        self.h2d.transfer_chunk(earliest, extent_bytes, first)
-    }
-
-    /// Reserve the device-to-host direction for one chunk of a larger
-    /// scatter-gather transaction — the write-back mirror of
-    /// [`DmaEngines::reserve_h2d_chunk`].
-    pub fn reserve_d2h_chunk(
-        &self,
-        earliest: Nanos,
-        extent_bytes: &[u64],
-        first: bool,
-    ) -> Reservation {
-        self.d2h.transfer_chunk(earliest, extent_bytes, first)
+    /// The device-to-host direction: the write-back mirror of
+    /// [`DmaEngines::h2d`].
+    #[must_use]
+    pub fn d2h(&self) -> &BandwidthResource {
+        &self.d2h
     }
 
     /// Engine time — setup included — each direction has accepted since
@@ -117,7 +74,7 @@ impl Gpu {
     /// Panics if the destination range is out of bounds.
     pub fn dma_h2d(&self, src: &[u8], dst: DevPtr, earliest: Nanos) -> Reservation {
         self.global().write(dst, src);
-        self.dma().reserve_h2d(earliest, src.len() as u64)
+        self.dma().h2d().transfer(earliest, src.len() as u64)
     }
 }
 
@@ -149,7 +106,7 @@ mod tests {
         let gpu = Gpu::new(0, GpuSpec::small_test());
         let a = gpu.global().alloc(1 << 20).unwrap();
         let r1 = gpu.dma_h2d(&vec![1u8; 1 << 20], a, 0);
-        let r2 = gpu.dma().reserve_d2h(0, 1 << 20);
+        let r2 = gpu.dma().d2h().transfer(0, 1 << 20);
         // d2h did not queue behind h2d.
         assert_eq!(r2.start, 0);
         assert!(r1.start == 0);
@@ -169,11 +126,12 @@ mod tests {
     #[test]
     fn scattered_h2d_pays_one_setup_for_all_extents() {
         let dma = DmaEngines::from_timings(&Timings::default());
-        let scattered = dma.reserve_h2d_scattered(0, &[MB, MB]);
+        // A scatter-gather list is one transfer of its extents' total.
+        let scattered = dma.h2d().transfer(0, 2 * MB);
         // Same bytes as two singleton DMAs, minus one setup charge.
         let dma2 = DmaEngines::from_timings(&Timings::default());
-        let r1 = dma2.reserve_h2d(0, MB);
-        let r2 = dma2.reserve_h2d(0, MB);
+        let r1 = dma2.h2d().transfer(0, MB);
+        let r2 = dma2.h2d().transfer(0, MB);
         let serial = r1.busy() + r2.busy();
         let saved = serial - scattered.busy();
         let setup = dma.timings().dma_setup_ns;
@@ -187,11 +145,11 @@ mod tests {
     #[test]
     fn scattered_d2h_pays_one_setup_for_all_extents() {
         let dma = DmaEngines::from_timings(&Timings::default());
-        let scattered = dma.reserve_d2h_scattered(0, &[MB, MB]);
+        let scattered = dma.d2h().transfer(0, 2 * MB);
         // Same bytes as two singleton DMAs, minus one setup charge.
         let dma2 = DmaEngines::from_timings(&Timings::default());
-        let r1 = dma2.reserve_d2h(0, MB);
-        let r2 = dma2.reserve_d2h(0, MB);
+        let r1 = dma2.d2h().transfer(0, MB);
+        let r2 = dma2.d2h().transfer(0, MB);
         let saved = r1.busy() + r2.busy() - scattered.busy();
         let setup = dma.timings().dma_setup_ns;
         assert!(
@@ -203,12 +161,12 @@ mod tests {
     #[test]
     fn chunked_scattered_transfer_pays_setup_once() {
         let dma = DmaEngines::from_timings(&Timings::default());
-        let c1 = dma.reserve_h2d_chunk(0, &[MB], true);
-        let c2 = dma.reserve_h2d_chunk(c1.end, &[MB], false);
+        let c1 = dma.h2d().transfer_chunk(0, MB, true);
+        let c2 = dma.h2d().transfer_chunk(c1.end, MB, false);
         assert_eq!(c2.start, c1.end, "chunks of one transaction serialize");
         // Whole transaction costs the same as one scattered batch.
         let dma2 = DmaEngines::from_timings(&Timings::default());
-        let whole = dma2.reserve_h2d_scattered(0, &[MB, MB]);
+        let whole = dma2.h2d().transfer(0, 2 * MB);
         // Modulo per-chunk integer rounding of the bandwidth term.
         let chunked = c2.end - c1.start;
         assert!(
@@ -227,19 +185,19 @@ mod tests {
         let setup = dma.timings().dma_setup_ns;
         let bw = gpu.dma_h2d(&mb, dst, 0).busy() - setup;
         dma.reset();
-        let open = dma.reserve_h2d_chunk(0, &[MB], true);
+        let open = dma.h2d().transfer_chunk(0, MB, true);
         assert_eq!(open.busy(), setup + bw);
         // Another transaction, ready while `open` is on the engine.
-        let other = dma.reserve_h2d_chunk(open.end / 2, &[MB], true);
+        let other = dma.h2d().transfer_chunk(open.end / 2, MB, true);
         assert!(other.joined);
         assert_eq!(other.busy(), bw, "joined: no setup of its own");
         // One-shot transfers keep their cost, and the other direction's
         // ring is not running at all.
         let plain = gpu.dma_h2d(&mb, dst + (2 << 20), open.end / 2);
         assert_eq!(plain.busy(), setup + bw);
-        let shot = dma.reserve_h2d_scattered(open.end / 2, &[MB]);
+        let shot = dma.h2d().transfer(open.end / 2, MB);
         assert_eq!((shot.joined, shot.busy()), (false, setup + bw));
-        let up = dma.reserve_d2h_chunk(open.end / 2, &[MB], true);
+        let up = dma.d2h().transfer_chunk(open.end / 2, MB, true);
         assert!(!up.joined);
         assert_eq!(up.busy(), setup + bw);
         assert_eq!(dma.busy_ns(), (3 * setup + 4 * bw, setup + bw));

@@ -1,36 +1,24 @@
 //! Disk timing model: one head, seeks, and streaming bandwidth.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::Mutex;
-use simtime::{bw_time_ns, Nanos, Reservation, Timings};
+use simtime::{BandwidthResource, Nanos, Reservation, Timings};
 
 use crate::Ino;
 
 /// The timing model of the backing disk (paper testbed: 500 GB WDC WD5003,
 /// 7200 RPM, 132 MB/s streaming reads).
 ///
-/// The disk is a serial device: requests from any number of callers are
-/// served one at a time. A request whose start offset does not continue the
-/// previous request on the same file pays a seek; switching files always
-/// pays a seek. This is what makes many-small-file workloads (the Linux
-/// source tree of Table 4) disk-seek-bound when cold.
-///
-/// Capacity is enforced with a *work-conserving* cumulative-busy model
-/// rather than a strict FIFO on request arrival: a request completes at
-/// `max(its issue time, total work already accepted) + its service time`.
-/// At low utilization requests start when issued; under saturation the
-/// accumulated work term dominates and the device serializes at full
-/// capacity. Crucially, the model is insensitive to the *real-time* order
-/// in which simulated actors (whose virtual clocks legitimately diverge)
-/// happen to call in.
+/// The disk is a serial device — a [`BandwidthResource`] whose setup is
+/// its seek, so requests from any number of callers are served one at a
+/// time by the same start rule as every other device
+/// ([`simtime::Timeline`]). A request whose start offset does not continue
+/// the previous request on the same file pays a seek; switching files
+/// always pays a seek. This is what makes many-small-file workloads (the
+/// Linux source tree of Table 4) disk-seek-bound when cold.
 #[derive(Debug)]
 pub struct DiskModel {
-    /// Cumulative service time accepted since the last reset.
-    busy: AtomicU64,
-    state: Mutex<HeadState>,
-    stream_mb_s: f64,
-    seek_ns: Nanos,
+    head: Mutex<HeadState>,
+    stream: BandwidthResource,
 }
 
 #[derive(Debug, Default)]
@@ -44,10 +32,8 @@ impl DiskModel {
     #[must_use]
     pub fn from_timings(t: &Timings) -> Self {
         Self {
-            busy: AtomicU64::new(0),
-            state: Mutex::new(HeadState::default()),
-            stream_mb_s: t.disk_mb_s,
-            seek_ns: t.disk_seek_ns,
+            head: Mutex::new(HeadState::default()),
+            stream: BandwidthResource::new(t.disk_mb_s, t.disk_seek_ns),
         }
     }
 
@@ -55,35 +41,25 @@ impl DiskModel {
     /// `earliest`. Returns the reservation window on the disk head.
     pub fn access(&self, ino: Ino, offset: u64, bytes: u64, earliest: Nanos) -> Reservation {
         let seek = {
-            let mut st = self.state.lock();
-            let contiguous = st.last_ino == Some(ino) && st.last_end == offset;
-            st.last_ino = Some(ino);
-            st.last_end = offset + bytes;
+            let mut head = self.head.lock();
+            let contiguous = head.last_ino == Some(ino) && head.last_end == offset;
+            head.last_ino = Some(ino);
+            head.last_end = offset + bytes;
             !contiguous
         };
-        let mut dur = bw_time_ns(bytes, self.stream_mb_s);
-        if seek {
-            dur = dur.saturating_add(self.seek_ns);
-        }
-        let prior_work = self.busy.fetch_add(dur, Ordering::AcqRel);
-        let start = earliest.max(prior_work);
-        Reservation {
-            start,
-            end: start.saturating_add(dur),
-            joined: false,
-        }
+        self.stream.transfer_with_setup(earliest, bytes, seek)
     }
 
-    /// Streaming bandwidth in MB/s.
+    /// Service time — seeks included — accepted since the last reset.
     #[must_use]
-    pub fn bandwidth_mb_s(&self) -> f64 {
-        self.stream_mb_s
+    pub fn busy_ns(&self) -> Nanos {
+        self.stream.busy_ns()
     }
 
     /// Forget head position and queued work (between benchmark phases).
     pub fn reset(&self) {
-        self.busy.store(0, Ordering::Release);
-        *self.state.lock() = HeadState::default();
+        self.stream.reset();
+        *self.head.lock() = HeadState::default();
     }
 }
 
@@ -119,6 +95,39 @@ mod tests {
         let a = d.access(1, 0, 1_000_000, 0);
         let b = d.access(1, 0, 1_000_000, 0);
         assert!(b.start >= a.end || a.start >= b.end);
+    }
+
+    #[test]
+    fn disk_windows_are_exact() {
+        use simtime::bw_time_ns;
+        let t = Timings::default();
+        let seek = t.disk_seek_ns;
+        let bw = |bytes| bw_time_ns(bytes, t.disk_mb_s);
+        let d = disk();
+        // Two accesses issued at 0: the first starts at 0 and seeks, the
+        // second continues it and starts when the first has been served.
+        let a = d.access(1, 0, 1_000_000, 0);
+        assert_eq!((a.start, a.end), (0, seek + bw(1_000_000)));
+        let b = d.access(1, 1_000_000, 500_000, 0);
+        assert_eq!((b.start, b.end), (a.end, a.end + bw(500_000)));
+        // A seek iff the access does not continue the head's file and
+        // offset: a jump back seeks, a file switch seeks even at the
+        // offset the head stopped at, a continuation never does.
+        let back = d.access(1, 0, 4096, 0);
+        assert_eq!((back.start, back.busy()), (b.end, seek + bw(4096)));
+        let switch = d.access(2, 4096, 4096, 0);
+        assert_eq!((switch.start, switch.busy()), (back.end, seek + bw(4096)));
+        let on = d.access(2, 8192, 4096, 0);
+        assert_eq!((on.start, on.busy()), (switch.end, bw(4096)));
+        // After an idle gap an access starts when issued, and only the
+        // head's position decides its seek.
+        let late = on.end + 1_000_000;
+        let idle = d.access(2, 12_288, 4096, late);
+        assert_eq!((idle.start, idle.end), (late, late + bw(4096)));
+        // Reset forgets the head and the queue alike.
+        d.reset();
+        let fresh = d.access(2, 16_384, 4096, 0);
+        assert_eq!((fresh.start, fresh.end), (0, seek + bw(4096)));
     }
 
     #[test]

@@ -809,6 +809,13 @@ impl HostFs {
         cache.drop_caches();
     }
 
+    /// Disk service time, seeks included, accepted since the last
+    /// [`HostFs::reset_device_time`].
+    #[must_use]
+    pub fn disk_busy_ns(&self) -> Nanos {
+        self.disk.busy_ns()
+    }
+
     /// Reset all device queues and counters between benchmark phases,
     /// keeping namespace and cache contents.
     pub fn reset_device_time(&self) {

@@ -9,12 +9,13 @@
 //!
 //! * every simulated executor (a GPU threadblock slot, an RPC being served,
 //!   a DMA engine) owns an [`Clock`] holding its local virtual time;
-//! * shared devices are either a [`BandwidthResource`] (PCIe direction,
-//!   network link, DRAM) or a [`WorkerPool`] (the RPC daemon's workers,
-//!   which exist only as this pool) that arbitrate concurrent reservations
-//!   with one atomic add on the work the device has accepted so far;
+//! * every shared device reserves through a [`Timeline`] (one atomic add
+//!   on the work it has accepted so far): a [`BandwidthResource`] (PCIe
+//!   direction, network link, or the disk, whose setup is its seek) on
+//!   one server, a [`WorkerPool`] (the RPC daemon's workers) on `k`;
 //! * cross-actor waits take the maximum of the waiter's clock and the
-//!   producer's completion time.
+//!   producer's completion time, and actors pace on a [`ClockBoard`] to
+//!   stay virtually concurrent.
 //!
 //! Because reservations never block real threads, experiments that model
 //! minutes of device time execute in milliseconds of wall time.
@@ -32,13 +33,15 @@
 //! assert!(block.now() >= bw_time_ns(1 << 20, 5731.0));
 //! ```
 
+mod board;
 mod clock;
 mod resource;
 mod stats;
 mod timings;
 
+pub use board::{ClockBoard, Seat};
 pub use clock::Clock;
-pub use resource::{BandwidthResource, Reservation, WorkerPool};
+pub use resource::{BandwidthResource, Reservation, Timeline, WorkerPool};
 pub use stats::{ByteLedger, Counter};
 pub use timings::Timings;
 

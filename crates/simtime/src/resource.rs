@@ -26,20 +26,68 @@ impl Reservation {
     }
 }
 
-/// A device with a fixed streaming bandwidth and a fixed per-operation setup
-/// cost. A transfer of `b` bytes occupies the device for
-/// `setup + b / bandwidth`.
+/// The start rule every simulated device shares: `servers` identical
+/// servers behind one queue of caller-priced work.
 ///
-/// Models a PCIe DMA direction, a disk's streaming path, or a DRAM copy
-/// engine. Capacity is enforced with a *work-conserving* cumulative-busy
-/// model: a transfer completes at `max(its issue time, total work already
-/// accepted) + its service time`. At low utilization transfers start when
-/// issued; under saturation the accumulated-work term dominates and the
-/// device serializes at full bandwidth. The model is deliberately
-/// insensitive to the *real-time* order in which simulated actors (whose
-/// virtual clocks legitimately diverge) happen to call in — a strict FIFO
-/// on arrival order would let a request issued late in real time but
-/// early in virtual time queue behind far-future reservations.
+/// Capacity is enforced with a *work-conserving* cumulative-busy model:
+/// work of duration `d` issued at `t` runs over
+/// `[max(t, accepted / servers), … + d)`, where `accepted` is all the
+/// work reserved before it since the last reset. At low utilization work
+/// starts when issued; under saturation the accumulated-work term
+/// dominates and the device serializes at full capacity. The model is
+/// deliberately insensitive to the *real-time* order in which simulated
+/// actors (whose virtual clocks legitimately diverge) happen to call in —
+/// a strict FIFO on arrival order would let a request issued late in real
+/// time but early in virtual time queue behind far-future reservations.
+#[derive(Debug)]
+pub struct Timeline {
+    /// Service time accepted since the last reset, over all servers.
+    busy: AtomicU64,
+    servers: u64,
+}
+
+impl Timeline {
+    /// A timeline of `servers` servers (at least one), idle at time zero.
+    #[must_use]
+    pub fn new(servers: usize) -> Self {
+        Self {
+            busy: AtomicU64::new(0),
+            servers: servers.max(1) as u64,
+        }
+    }
+
+    /// Reserve `dur` nanoseconds of one server, not starting before
+    /// `earliest_start`.
+    pub fn reserve(&self, earliest_start: Nanos, dur: Nanos) -> Reservation {
+        let prior_work = self.busy.fetch_add(dur, Ordering::AcqRel);
+        let start = earliest_start.max(prior_work / self.servers);
+        Reservation {
+            start,
+            end: start.saturating_add(dur),
+            joined: false,
+        }
+    }
+
+    /// Service time accepted since the last [`Timeline::reset`], over all
+    /// servers: divided by `elapsed × servers` it is the occupancy.
+    #[must_use]
+    pub fn busy_ns(&self) -> Nanos {
+        self.busy.load(Ordering::Acquire)
+    }
+
+    /// Forget all accepted work.
+    pub fn reset(&self) {
+        self.busy.store(0, Ordering::Release);
+    }
+}
+
+/// A device with a fixed streaming bandwidth and a fixed per-operation setup
+/// cost: a one-server [`Timeline`] on which a transfer of `b` bytes
+/// occupies the device for `setup + b / bandwidth`.
+///
+/// Models a PCIe DMA direction, a network link direction, or a disk
+/// (whose setup is its seek, paid only when the head must move — see
+/// [`BandwidthResource::transfer_with_setup`]).
 #[derive(Debug)]
 pub struct BandwidthResource {
     engine: Engine,
@@ -50,11 +98,10 @@ pub struct BandwidthResource {
 /// The two words every reservation writes, on a cache line of their own:
 /// neighbouring engines (a link's two directions sit side by side) and the
 /// read-only calibration must not share it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 #[repr(align(64))]
 struct Engine {
-    /// Cumulative service time accepted since the last reset.
-    busy: AtomicU64,
+    timeline: Timeline,
     /// Latest end of any reserved ring chunk: until then the descriptor
     /// ring is running and open for appends.
     open_until: AtomicU64,
@@ -65,53 +112,45 @@ impl BandwidthResource {
     #[must_use]
     pub fn new(mb_per_s: f64, setup_ns: Nanos) -> Self {
         Self {
-            engine: Engine::default(),
+            engine: Engine {
+                timeline: Timeline::new(1),
+                open_until: AtomicU64::new(0),
+            },
             mb_per_s,
             setup_ns,
         }
     }
 
-    /// Configured streaming bandwidth in MB/s.
-    #[must_use]
-    pub fn bandwidth_mb_s(&self) -> f64 {
-        self.mb_per_s
-    }
-
     /// Service time — setup included — accepted since the last
-    /// [`BandwidthResource::reset`]. Over an interval in which the device
-    /// never idles this is the interval's length; divided by any elapsed
-    /// time it is the device's occupancy.
+    /// [`BandwidthResource::reset`] (see [`Timeline::busy_ns`]).
     #[must_use]
     pub fn busy_ns(&self) -> Nanos {
-        self.engine.busy.load(Ordering::Acquire)
-    }
-
-    fn accept(&self, earliest_start: Nanos, dur: Nanos, joined: bool) -> Reservation {
-        let prior_work = self.engine.busy.fetch_add(dur, Ordering::AcqRel);
-        let start = earliest_start.max(prior_work);
-        Reservation {
-            start,
-            end: start.saturating_add(dur),
-            joined,
-        }
+        self.engine.timeline.busy_ns()
     }
 
     /// Reserve the device for a transfer of `bytes`, not starting before
-    /// `earliest_start`. Returns the reservation window. A plain transfer
-    /// is a one-shot transaction: it always pays setup, never joins the
-    /// descriptor ring and leaves nothing open behind it.
+    /// `earliest_start`: a one-shot transaction, which always pays setup,
+    /// never joins the descriptor ring and leaves nothing open behind it.
+    /// A scatter-gather list is one transfer of its extents' total, one
+    /// setup: why batched multi-page DMA beats a transfer per page.
     pub fn transfer(&self, earliest_start: Nanos, bytes: u64) -> Reservation {
-        self.accept(earliest_start, self.service_time(bytes), false)
+        self.transfer_with_setup(earliest_start, bytes, true)
     }
 
-    /// Reserve the device for one scatter-gather transaction moving the
-    /// given extents back-to-back: a single per-operation setup cost is
-    /// paid no matter how many extents the descriptor list names, which is
-    /// what makes batched multi-page DMA cheaper than one transfer per
-    /// page (the amortization behind GPUfs readahead). One-shot, like
-    /// [`BandwidthResource::transfer`].
-    pub fn transfer_scattered(&self, earliest_start: Nanos, extent_bytes: &[u64]) -> Reservation {
-        self.transfer(earliest_start, extent_bytes.iter().sum())
+    /// [`BandwidthResource::transfer`], paying the per-operation setup only
+    /// if `setup`: a disk access that continues where the head stopped
+    /// needs no seek.
+    pub fn transfer_with_setup(
+        &self,
+        earliest_start: Nanos,
+        bytes: u64,
+        setup: bool,
+    ) -> Reservation {
+        let mut dur = bw_time_ns(bytes, self.mb_per_s);
+        if setup {
+            dur = dur.saturating_add(self.setup_ns);
+        }
+        self.engine.timeline.reserve(earliest_start, dur)
     }
 
     /// Reserve the device for one *chunk* of a scatter-gather transaction
@@ -142,21 +181,12 @@ impl BandwidthResource {
     /// `earliest_start`. The work-conserving busy model alone orders
     /// requests only under saturation, which would let chunks of one
     /// transaction fictitiously overlap each other on an idle device.
-    pub fn transfer_chunk(
-        &self,
-        earliest_start: Nanos,
-        extent_bytes: &[u64],
-        first: bool,
-    ) -> Reservation {
-        let total: u64 = extent_bytes.iter().sum();
-        let mut dur = bw_time_ns(total, self.mb_per_s);
+    pub fn transfer_chunk(&self, earliest_start: Nanos, bytes: u64, first: bool) -> Reservation {
         // `open_until` publishes nothing but itself; Acquire/AcqRel only
-        // keeps it ordered with the `busy` accesses around it.
+        // keeps it ordered with the busy account around it.
         let joined = first && earliest_start < self.engine.open_until.load(Ordering::Acquire);
-        if first && !joined {
-            dur = dur.saturating_add(self.setup_ns);
-        }
-        let r = self.accept(earliest_start, dur, joined);
+        let mut r = self.transfer_with_setup(earliest_start, bytes, first && !joined);
+        r.joined = joined;
         self.engine.open_until.fetch_max(r.end, Ordering::AcqRel);
         r
     }
@@ -171,37 +201,32 @@ impl BandwidthResource {
     /// Forget all queued work and stop the descriptor ring (used between
     /// benchmark phases).
     pub fn reset(&self) {
-        self.engine.busy.store(0, Ordering::Release);
+        self.engine.timeline.reset();
         self.engine.open_until.store(0, Ordering::Release);
     }
 }
 
 /// A pool of `k` identical servers sharing one queue of caller-priced
 /// work: the daemon's workers, each request drawing the CPU time it
-/// costs them.
-///
-/// The same cumulative-busy model as [`BandwidthResource`], spread over
-/// `k` servers: work starts at `max(its issue time, accepted work / k)`.
-/// While the pool has spare capacity work starts when issued; once more
-/// has been accepted than `k` servers could have finished by then, it
-/// queues. Only time *on a CPU* is drawn from the pool — a worker blocked
-/// on a disk, a link or a DMA engine holds none of it.
+/// costs them. It is a `k`-server [`Timeline`]: while the pool has spare
+/// capacity work starts when issued; once more has been accepted than
+/// `k` servers could have finished by then, it queues. Only time *on a
+/// CPU* is drawn from the pool — a worker blocked on a disk, a link or a
+/// DMA engine holds none of it.
 ///
 /// A pool built with [`WorkerPool::weighted`] also shares its servers
 /// between tenants by *start-time fair queueing*. Tenant `t` of weight
 /// `w_t` is guaranteed `k · w_t / Σw` servers, and its work carries a
 /// start tag: the later of its issue time and the time the tenant's
 /// earlier work would have drained at that guaranteed rate. Work starts
-/// at its start tag if that is sooner than the FIFO start above, so a
+/// at its start tag if that is sooner than the timeline's start, so a
 /// light tenant is not queued behind a heavy one's backlog, while a
 /// heavy tenant never starts later than FIFO would start it. Every
 /// draw still counts toward the accepted work, which is what pushes
 /// later work back.
 #[derive(Debug)]
 pub struct WorkerPool {
-    /// Cumulative CPU time accepted, summed over all servers.
-    busy: AtomicU64,
-    servers: u64,
+    timeline: Timeline,
     /// One entry per weighted tenant; empty for a plain FIFO pool.
     shares: Vec<Share>,
 }
@@ -230,22 +255,21 @@ impl WorkerPool {
     /// empty `weights` is [`WorkerPool::new`].
     #[must_use]
     pub fn weighted(servers: usize, weights: &[u32]) -> Self {
-        let servers = servers.max(1) as u64;
+        let timeline = Timeline::new(servers);
         let weight = |w: u32| u64::from(w.max(1));
         let total: u64 = weights.iter().copied().map(weight).sum();
         // One tenant shares with nobody: it is the FIFO pool.
         let shares = if weights.len() < 2 { &[][..] } else { weights };
         Self {
-            busy: AtomicU64::new(0),
-            servers,
             shares: shares
                 .iter()
                 .map(|&w| Share {
                     frontier: AtomicU64::new(0),
                     stretch_num: total,
-                    stretch_den: weight(w) * servers,
+                    stretch_den: weight(w) * timeline.servers,
                 })
                 .collect(),
+            timeline,
         }
     }
 
@@ -253,8 +277,7 @@ impl WorkerPool {
     /// (clamped to the last weighted tenant), not starting before
     /// `earliest_start`. On an unweighted pool every tenant is one FIFO.
     pub fn acquire_for(&self, tenant: usize, earliest_start: Nanos, dur: Nanos) -> Reservation {
-        let prior_work = self.busy.fetch_add(dur, Ordering::AcqRel);
-        let mut start = earliest_start.max(prior_work / self.servers);
+        let mut r = self.timeline.reserve(earliest_start, dur);
         if let Some(share) = self
             .shares
             .get(tenant.min(self.shares.len().saturating_sub(1)))
@@ -268,20 +291,17 @@ impl WorkerPool {
                     Some(f.max(earliest_start).saturating_add(span))
                 })
                 .unwrap_or_else(|f| f);
-            start = start.min(prior_tag.max(earliest_start));
+            r.start = r.start.min(prior_tag.max(earliest_start));
+            r.end = r.start.saturating_add(dur);
         }
-        Reservation {
-            start,
-            end: start.saturating_add(dur),
-            joined: false,
-        }
+        r
     }
 
-    /// CPU time accepted so far, summed over all servers: divided by
-    /// `elapsed × servers` it is the pool's occupancy.
+    /// CPU time accepted so far, summed over all servers (see
+    /// [`Timeline::busy_ns`]).
     #[must_use]
     pub fn busy_ns(&self) -> Nanos {
-        self.busy.load(Ordering::Acquire)
+        self.timeline.busy_ns()
     }
 }
 
@@ -320,14 +340,13 @@ mod tests {
 
     #[test]
     fn scattered_transfer_pays_setup_once() {
+        // A scatter-gather list is one transfer of its extents' total.
+        let extents = [500_000u64, 250_000, 250_000];
         let r = BandwidthResource::new(1000.0, 10_000);
-        let scattered = r.transfer_scattered(0, &[500_000, 250_000, 250_000]);
-        r.reset();
-        let contiguous = r.transfer(0, 1_000_000);
-        assert_eq!(scattered.busy(), contiguous.busy());
+        let scattered = r.transfer(0, extents.iter().sum());
         r.reset();
         let mut serial_busy = 0;
-        for bytes in [500_000u64, 250_000, 250_000] {
+        for bytes in extents {
             serial_busy += r.transfer(0, bytes).busy();
         }
         assert_eq!(
@@ -342,8 +361,8 @@ mod tests {
         let r = BandwidthResource::new(1000.0, 10_000);
         // One 1 MB transaction streamed as two 500 KB chunks, with the
         // caller threading prev.end into the next chunk's earliest.
-        let c1 = r.transfer_chunk(0, &[500_000], true);
-        let c2 = r.transfer_chunk(c1.end, &[500_000], false);
+        let c1 = r.transfer_chunk(0, 500_000, true);
+        let c2 = r.transfer_chunk(c1.end, 500_000, false);
         assert_eq!(c1.busy(), 10_000 + 500_000, "first chunk carries setup");
         assert_eq!(c2.busy(), 500_000, "continuation is pure bandwidth");
         assert_eq!(c2.start, c1.end, "chunks never overlap each other");
@@ -359,21 +378,21 @@ mod tests {
     #[test]
     fn a_streamed_transaction_opens_its_list_and_a_ready_chunk_joins() {
         let r = BandwidthResource::new(1000.0, 10_000);
-        let a0 = r.transfer_chunk(0, &[500_000], true);
+        let a0 = r.transfer_chunk(0, 500_000, true);
         assert!(!a0.joined, "nothing was running: the stream pays its setup");
         assert_eq!(a0.busy(), 10_000 + 500_000);
         // Another transaction's first chunk, ready while a0 is on the
         // engine: appended, pure bandwidth — and it keeps the ring running
         // for the next one in turn.
-        let b0 = r.transfer_chunk(a0.end - 1, &[500_000], true);
+        let b0 = r.transfer_chunk(a0.end - 1, 500_000, true);
         assert!(b0.joined);
         assert_eq!(b0.busy(), 500_000);
         assert_eq!(b0.start, a0.end, "it queues behind the running chunk");
-        let c = r.transfer_chunk(b0.end - 1, &[100_000], true);
+        let c = r.transfer_chunk(b0.end - 1, 100_000, true);
         assert!(c.joined);
         assert_eq!(c.busy(), 100_000);
         // Continuations never pay setup and never count as joins.
-        let a1 = r.transfer_chunk(a0.end, &[500_000], false);
+        let a1 = r.transfer_chunk(a0.end, 500_000, false);
         assert!(!a1.joined);
         assert_eq!(a1.busy(), 500_000);
         assert_eq!(
@@ -386,20 +405,20 @@ mod tests {
     #[test]
     fn only_a_gap_closes_the_list() {
         let r = BandwidthResource::new(1000.0, 10_000);
-        let a0 = r.transfer_chunk(0, &[500_000], true);
+        let a0 = r.transfer_chunk(0, 500_000, true);
         // Ready exactly when the reserved ring work ends: too late, the
         // engine has run dry and the driver must program a new list.
-        let late = r.transfer_chunk(a0.end, &[100_000], true);
+        let late = r.transfer_chunk(a0.end, 100_000, true);
         assert!(!late.joined);
         assert_eq!(late.busy(), 10_000 + 100_000);
         // The stream's own last chunk arrives after a gap. It is ring work
         // like any other: a chunk ready while it runs is appended, one
         // ready a nanosecond after it ends is not.
-        let a1 = r.transfer_chunk(late.end + 50_000, &[500_000], false);
+        let a1 = r.transfer_chunk(late.end + 50_000, 500_000, false);
         assert_eq!(a1.busy(), 500_000);
-        let during_last = r.transfer_chunk(a1.end - 1, &[100_000], true);
+        let during_last = r.transfer_chunk(a1.end - 1, 100_000, true);
         assert!(during_last.joined, "a final chunk is still a running ring");
-        let after = r.transfer_chunk(during_last.end, &[100_000], true);
+        let after = r.transfer_chunk(during_last.end, 100_000, true);
         assert!(!after.joined);
     }
 
@@ -408,15 +427,15 @@ mod tests {
         let r = BandwidthResource::new(5731.0, 25_000);
         let plain = BandwidthResource::new(5731.0, 25_000);
         for (earliest, bytes) in [(0, 65_536u64), (10, 4096), (90_000, 1 << 20), (5, 1)] {
-            let a = r.transfer_scattered(earliest, &[bytes / 2, bytes - bytes / 2]);
+            let a = r.transfer_with_setup(earliest, bytes, true);
             let b = plain.transfer(earliest, bytes);
-            assert_eq!(a, b, "scattered == transfer, bit for bit");
+            assert_eq!(a, b, "a transfer that sets up == transfer, bit for bit");
         }
         assert_eq!(r.busy_ns(), plain.busy_ns());
         // A ring chunk ready while those one-shots hold the device finds
         // no ring running and pays setup; a one-shot ready while *its*
         // chunk runs pays its own setup all the same.
-        let chunk = r.transfer_chunk(1, &[4096], true);
+        let chunk = r.transfer_chunk(1, 4096, true);
         assert!(!chunk.joined);
         assert_eq!(chunk.busy(), plain.service_time(4096));
         let shot = r.transfer(chunk.start + 1, 4096);
@@ -425,12 +444,44 @@ mod tests {
     }
 
     #[test]
+    fn every_device_starts_work_by_the_timeline_rule() {
+        // A link is a one-server timeline priced by setup + bandwidth.
+        let link = BandwidthResource::new(1000.0, 500);
+        let one = Timeline::new(1);
+        for (earliest, bytes) in [(0, 1_000u64), (0, 5_000), (90_000, 10), (3, 7)] {
+            assert_eq!(
+                link.transfer(earliest, bytes),
+                one.reserve(earliest, link.service_time(bytes))
+            );
+        }
+        assert_eq!(link.busy_ns(), one.busy_ns());
+        // Without its setup only the bandwidth term is charged, and a
+        // one-shot opens no ring whether it set up or not.
+        let bare = link.transfer_with_setup(0, 1_000, false);
+        assert_eq!((bare.busy(), bare.joined), (1_000, false));
+        assert!(!link.transfer_chunk(link.busy_ns() - 1, 10, true).joined);
+        // An unweighted pool is a k-server timeline.
+        let pool = WorkerPool::new(3);
+        let three = Timeline::new(3);
+        for (earliest, dur) in [(0, 70), (0, 70), (0, 70), (0, 70), (10, 5), (400, 1)] {
+            assert_eq!(
+                pool.acquire_for(0, earliest, dur),
+                three.reserve(earliest, dur)
+            );
+        }
+        assert_eq!(pool.busy_ns(), three.busy_ns());
+        three.reset();
+        assert_eq!((three.busy_ns(), three.reserve(5, 1).start), (0, 5));
+        assert_eq!(Timeline::new(0).reserve(0, 4).end, 4, "clamped to 1");
+    }
+
+    #[test]
     fn reset_closes_the_open_list() {
         let r = BandwidthResource::new(1000.0, 10_000);
-        let a0 = r.transfer_chunk(0, &[500_000], true);
+        let a0 = r.transfer_chunk(0, 500_000, true);
         r.reset();
         assert_eq!(r.busy_ns(), 0);
-        let b = r.transfer_chunk(a0.end / 2, &[100_000], true);
+        let b = r.transfer_chunk(a0.end / 2, 100_000, true);
         assert!(!b.joined, "reset forgets the running ring with the queue");
         assert_eq!(b.busy(), 10_000 + 100_000);
     }
@@ -545,7 +596,7 @@ mod tests {
                 for (i, &(lag, bytes)) in chunks.iter().enumerate() {
                     let first = i == 0;
                     let earliest = (issue + lag).max(prev_end);
-                    let res = r.transfer_chunk(earliest, &[bytes], first);
+                    let res = r.transfer_chunk(earliest, bytes, first);
                     prev_end = res.end;
                     out.push((
                         Step {
@@ -608,7 +659,7 @@ mod tests {
                 let plain = BandwidthResource::new(5731.0, 25_000);
                 for &(earliest, bytes) in &reqs {
                     prop_assert_eq!(
-                        ring.transfer_scattered(earliest, &[bytes]),
+                        ring.transfer_with_setup(earliest, bytes, true),
                         plain.transfer(earliest, bytes)
                     );
                 }
@@ -622,7 +673,7 @@ mod tests {
                             let ring = &ring;
                             s.spawn(move || {
                                 part.iter()
-                                    .map(|&(e, b)| ring.transfer_scattered(e, &[b]))
+                                    .map(|&(e, b)| ring.transfer_with_setup(e, b, true))
                                     .collect::<Vec<_>>()
                             })
                         })
@@ -638,7 +689,7 @@ mod tests {
                 prop_assert_eq!(ring.busy_ns(), plain.busy_ns());
                 // And they leave no ring behind them: a chunk ready in the
                 // thick of all that traffic still pays its own setup.
-                prop_assert!(!ring.transfer_chunk(1, &[4096], true).joined);
+                prop_assert!(!ring.transfer_chunk(1, 4096, true).joined);
             }
 
             #[test]

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use gpufs::cluster::{FleetView, ShardStrategy, WorkQueue};
 use gpufs::{GOpenMode, GpufsResult};
 use gpusim::Grid;
-use simtime::Nanos;
+use simtime::{ClockBoard, Nanos};
 
 use crate::compute::FlopsModel;
 use crate::corpus::ImageDataset;
@@ -156,9 +156,8 @@ pub fn cluster_search(
     // its virtual clock here at each claim, and may claim only when no
     // live block in the whole fleet is virtually behind it — i.e. items
     // go to the virtually-least-loaded block, exactly the greedy
-    // work-conserving schedule a real fleet exhibits. Exited blocks park
-    // at `u64::MAX` so they never hold the line (stored on every exit
-    // path, including errors).
+    // work-conserving schedule a real fleet exhibits. A block's seat
+    // parks when it exits, however it exits, so it never holds the line.
     let block_base: Vec<usize> = (0..n_gpus)
         .scan(0usize, |acc, g| {
             let base = *acc;
@@ -169,7 +168,7 @@ pub fn cluster_search(
     let total_blocks: usize = (0..n_gpus)
         .map(|g| fleet.gpu(g).spec().concurrent_blocks())
         .sum();
-    let clock_board: Vec<AtomicU64> = (0..total_blocks).map(|_| AtomicU64::new(0)).collect();
+    let board = ClockBoard::new(total_blocks);
 
     let per_gpu_elapsed: Vec<Nanos> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..n_gpus)
@@ -178,11 +177,12 @@ pub fn cluster_search(
                 let gpu = Arc::clone(fleet.gpu(g));
                 let (queue, chunks) = (&queue, &chunks);
                 let (results, items_done, failure) = (&results, &items_done, &failure);
-                let (clock_board, block_base) = (&clock_board, &block_base);
+                let (board, block_base) = (&board, &block_base);
                 s.spawn(move || {
                     let blocks = gpu.spec().concurrent_blocks();
                     let res = gpu.launch(Grid::new(blocks, 512), 0, |blk| {
                         let my_slot = block_base[g] + blk.block_id();
+                        let _seat = board.seat(my_slot);
                         let mut work = || -> GpufsResult<()> {
                             // Every block matches the full query set.
                             let fd_q = mount.open(blk, &ds.query_path, GOpenMode::ReadOnly)?;
@@ -193,19 +193,9 @@ pub fn cluster_search(
                                 qbytes.chunks_exact(ib).map(f32_slice).collect();
                             let nb = blk.grid().blocks;
                             loop {
-                                // Publish my clock; claim once nobody
-                                // live is virtually behind me.
-                                loop {
-                                    let now = blk.now();
-                                    clock_board[my_slot].store(now, Ordering::Release);
-                                    let behind = clock_board.iter().enumerate().any(|(s, c)| {
-                                        s != my_slot && c.load(Ordering::Acquire) < now
-                                    });
-                                    if !behind {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
+                                // Claim once nobody live is virtually
+                                // behind me.
+                                board.pace(my_slot, blk.now(), 0);
                                 let Some(item) = queue.next(g) else { break };
                                 let c = chunks[item.index];
                                 let fd =
@@ -234,11 +224,7 @@ pub fn cluster_search(
                             }
                             Ok(())
                         };
-                        let outcome = work();
-                        // Whatever happened, leave the clock board: a
-                        // parked block must never hold up the fleet.
-                        clock_board[my_slot].store(u64::MAX, Ordering::Release);
-                        if let Err(e) = outcome {
+                        if let Err(e) = work() {
                             failure.lock().get_or_insert(e);
                         }
                     });

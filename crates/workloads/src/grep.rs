@@ -241,7 +241,8 @@ pub fn grep_vanilla_gpu(
     // Phase 2: one bulk PCIe transfer of inputs + dictionary.
     let xfer = gpu
         .dma()
-        .reserve_h2d(cpu.now(), total_bytes + dict_bytes.len() as u64);
+        .h2d()
+        .transfer(cpu.now(), total_bytes + dict_bytes.len() as u64);
 
     // Phase 3 (GPU kernel): blocks split files (or, with few files, the
     // dictionary); kernel time is the slowest block's matching work at
@@ -280,7 +281,7 @@ pub fn grep_vanilla_gpu(
 
     // Phase 4: results come back and the CPU formats them
     // (post-processing, outside the kernel in the vanilla version).
-    let back = gpu.dma().reserve_d2h(kernel_end, out_volume.max(1));
+    let back = gpu.dma().d2h().transfer(kernel_end, out_volume.max(1));
     let end = back.end;
 
     Ok(GrepResult {

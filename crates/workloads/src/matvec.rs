@@ -198,7 +198,7 @@ pub fn matvec_cuda(
         cpu.wait_until(t_read);
         // Async DMA: enqueue and continue to the next pread; the PCIe
         // engine serializes transfers, creating the pipeline overlap.
-        let xfer = gpu.dma().reserve_h2d(cpu.now(), got as u64);
+        let xfer = gpu.dma().h2d().transfer(cpu.now(), got as u64);
         // Kernel for this chunk runs when its data is resident and the
         // previous chunk's kernel has finished.
         let rows_here = got as u64 / row_bytes;
@@ -210,7 +210,7 @@ pub fn matvec_cuda(
         buf_i = (buf_i + 1) % staging.len();
     }
     // Result vector comes back over PCIe (tiny).
-    let back = gpu.dma().reserve_d2h(end, rows * 4);
+    let back = gpu.dma().d2h().transfer(end, rows * 4);
     end = end.max(back.end);
     fs.close(fd_m)?;
     drop(staging);

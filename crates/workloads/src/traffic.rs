@@ -26,7 +26,6 @@
 //! tenant via `GpuFsMount::set_tenant`, so those mechanisms see exactly
 //! the traffic the trace describes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gpufs::cluster::GpuFleet;
@@ -34,7 +33,7 @@ use gpufs::{GOpenMode, GpufsResult};
 use gpusim::Grid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simtime::Nanos;
+use simtime::{ClockBoard, Nanos};
 
 /// Service class of one tenant's sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -447,7 +446,7 @@ pub fn replay(fleet: &GpuFleet, trace: &Trace) -> GpufsResult<TrafficOutcome> {
         })
         .collect();
     let total_blocks: usize = trace.blocks.iter().map(Vec::len).sum();
-    let clock_board: Vec<AtomicU64> = (0..total_blocks).map(|_| AtomicU64::new(0)).collect();
+    let board = ClockBoard::new(total_blocks);
     let failure: parking_lot::Mutex<Option<gpufs::GpufsError>> = parking_lot::Mutex::new(None);
     // Per-block histogram + byte counter, merged per tenant after the
     // join: blocks never share a sample sink, so recording needs no lock.
@@ -459,7 +458,7 @@ pub fn replay(fleet: &GpuFleet, trace: &Trace) -> GpufsResult<TrafficOutcome> {
             .map(|g| {
                 let mount = Arc::clone(fleet.mount(g));
                 let gpu = Arc::clone(fleet.gpu(g));
-                let (clock_board, block_base) = (&clock_board, &block_base);
+                let (board, block_base) = (&board, &block_base);
                 let (failure, sinks) = (&failure, &sinks);
                 s.spawn(move || {
                     let blocks = trace.blocks[g].len();
@@ -471,21 +470,17 @@ pub fn replay(fleet: &GpuFleet, trace: &Trace) -> GpufsResult<TrafficOutcome> {
                     }
                     let res = gpu.launch(Grid::new(blocks, 128), 0, |blk| {
                         let my_slot = block_base[g] + blk.block_id();
+                        // Parks the block's clock however it exits, so a
+                        // finished (or failed) block never holds the
+                        // fleet's pacing line.
+                        let _seat = board.seat(my_slot);
                         let sessions = &trace.blocks[g][blk.block_id()];
                         let tenant = trace.tenant_of[g][blk.block_id()];
                         let mut hist = Histogram::new();
                         let mut bytes = 0u64;
                         let lag = trace.config.pace_lag_ns;
-                        let pace = |blk: &mut gpusim::BlockCtx<'_>| loop {
-                            let now = blk.now();
-                            clock_board[my_slot].store(now, Ordering::Release);
-                            let behind = clock_board.iter().enumerate().any(|(s, c)| {
-                                s != my_slot && c.load(Ordering::Acquire).saturating_add(lag) < now
-                            });
-                            if !behind {
-                                break;
-                            }
-                            std::thread::yield_now();
+                        let pace = |blk: &mut gpusim::BlockCtx<'_>| {
+                            board.pace(my_slot, blk.now(), lag);
                         };
                         let mut work = |blk: &mut gpusim::BlockCtx<'_>| -> GpufsResult<()> {
                             let mut buf = vec![0u8; trace.config.op_bytes];
@@ -521,11 +516,7 @@ pub fn replay(fleet: &GpuFleet, trace: &Trace) -> GpufsResult<TrafficOutcome> {
                             }
                             Ok(())
                         };
-                        let outcome = work(blk);
-                        // Park the clock so a finished (or failed) block
-                        // never holds the fleet's pacing line.
-                        clock_board[my_slot].store(u64::MAX, Ordering::Release);
-                        if let Err(e) = outcome {
+                        if let Err(e) = work(blk) {
                             failure.lock().get_or_insert(e);
                         }
                         sinks.lock().push((tenant, hist, bytes));

@@ -13,7 +13,7 @@
 //! Measured here (4 MB corpus, ~2.5 MB of formatted output, 64 KB
 //! pages, default batch): **68 dirty output pages ship in 28 write
 //! RPCs** — one batch per flushing block — where per-page write-back
-//! (`write_batch_pages = 1`, the old behaviour) would issue all 68.
+//! (one RPC a page, the old behaviour) would issue all 68.
 //! The example prints the live counters so the ratio stays visible.
 //!
 //! Run with: `cargo run --release --example grep_search`

@@ -433,6 +433,67 @@ fn evict_random_miniature_stays_under_the_worker_bound() {
 }
 
 #[test]
+fn disk_and_link_busy_rows_read_the_devices() {
+    // The registry's device rows are the devices' own busy accounts: the
+    // disk's after a cold local read, and the link's two directions (and
+    // the storage server's disk) after a cold proxied one.
+    use gpufs::{HostProxy, StorageServer};
+    const PAGE: usize = 64 << 10;
+    let row = |host: &GpufsHost, key: &str| {
+        let snap = host.registry().snapshot();
+        snap.into_iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    };
+    let cold_read = |fs: &HostFs, host: &GpufsHost, gpu: &Gpu| {
+        fs.create_synthetic("/cold.bin", 4 * PAGE as u64, 5)
+            .unwrap();
+        fs.drop_caches();
+        let mount = host.mount(0, GpufsConfig::new(PAGE, 4 * PAGE)).unwrap();
+        gpu.launch(Grid::new(1, 32), 0, |blk| {
+            let fd = mount.open(blk, "/cold.bin", GOpenMode::ReadOnly).unwrap();
+            let mut buf = vec![0u8; PAGE];
+            assert_eq!(mount.read(blk, &fd, 0, &mut buf).unwrap(), PAGE);
+            mount.close(blk, fd).unwrap();
+        });
+    };
+
+    let r = rig(1);
+    cold_read(&r.fs, &r.host, &r.gpus[0]);
+    let disk = r.fs.disk_busy_ns();
+    assert!(disk > 0, "a cold read seeks and streams");
+    assert_eq!(row(&r.host, "disk_busy_ns"), Some(disk));
+    assert_eq!(
+        row(&r.host, "pcie_h2d_busy_ns{gpu=0}"),
+        Some(r.gpus[0].dma().busy_ns().0)
+    );
+    assert_eq!(
+        row(&r.host, "net_up_busy_ns"),
+        None,
+        "a local host has no link"
+    );
+    r.fs.reset_device_time();
+    assert_eq!(row(&r.host, "disk_busy_ns"), Some(0));
+
+    let fs = Arc::new(HostFs::new(HostFsConfig::default()));
+    let proxy = Arc::new(HostProxy::new(
+        Arc::new(StorageServer::new(Arc::clone(&fs))),
+        0,
+    ));
+    let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
+    let host = GpufsHost::with_proxy(
+        Arc::clone(&proxy),
+        vec![Arc::clone(&gpu)],
+        &GpufsConfig::default(),
+    );
+    cold_read(&fs, &host, &gpu);
+    let (up, down) = proxy.link_busy_ns();
+    assert!(up > 0 && down > 0, "requests go up, pages come down");
+    assert_eq!(row(&host, "net_up_busy_ns"), Some(up));
+    assert_eq!(row(&host, "net_down_busy_ns"), Some(down));
+    assert!(fs.disk_busy_ns() > 0, "the server's disk served the read");
+    assert_eq!(row(&host, "disk_busy_ns"), Some(fs.disk_busy_ns()));
+}
+
+#[test]
 fn zipf_miniature_misses_a_fifth_less_than_the_restarting_sweep() {
     // One block, so the run is deterministic: 16 384 Zipf(0.9) page reads
     // of a 512-page file (eight leaves) through a 128-frame cache. The

@@ -25,11 +25,11 @@ const PAGE: usize = 4096;
 /// Pages 0..8 are read-shared; pages 8..16 are written, one per block.
 const READ_PAGES: usize = BLOCKS;
 
-fn one_round(workers: usize, write_batch: usize) {
-    one_round_wb(workers, write_batch, 0, 0);
+fn one_round(workers: usize) {
+    one_round_wb(workers, 0, 0);
 }
 
-fn one_round_wb(workers: usize, write_batch: usize, dirty_high: usize, dirty_low: usize) {
+fn one_round_wb(workers: usize, dirty_high: usize, dirty_low: usize) {
     let fs = Arc::new(HostFs::new(HostFsConfig::default()));
     let base: Vec<u8> = (0..(2 * READ_PAGES * PAGE) as u32)
         .map(|i| (i % 239) as u8)
@@ -40,7 +40,6 @@ fn one_round_wb(workers: usize, write_batch: usize, dirty_high: usize, dirty_low
     // batched write-back and the fault path race on every serve.
     let cfg = GpufsConfig::new(PAGE, 8 * PAGE)
         .with_concurrency(1, workers)
-        .with_write_batch(write_batch)
         .with_readahead(2)
         .with_async_writeback(dirty_high, dirty_low);
     let host = GpufsHost::with_config(Arc::clone(&fs), vec![Arc::clone(&gpu)], &cfg);
@@ -111,18 +110,17 @@ fn one_round_wb(workers: usize, write_batch: usize, dirty_high: usize, dirty_low
 #[test]
 fn stress_cross_channel_mixed_read_write() {
     for round in 0..ROUNDS {
-        one_round(3, 4);
+        one_round(3);
         let _ = round;
     }
 }
 
 #[test]
 fn stress_single_fifo_baseline_matches() {
-    // The same workload through the paper's single-worker,
-    // per-page-write-back shape: the concurrency and batching knobs must
-    // never change correctness, only scheduling.
+    // The same workload through the paper's single-worker shape: the
+    // worker count must never change correctness, only scheduling.
     for _ in 0..ROUNDS {
-        one_round(1, 1);
+        one_round(1);
     }
 }
 
@@ -139,7 +137,7 @@ fn stress_async_flusher_and_throttle_under_eviction() {
     // page's shipment may have happened on the flusher thread instead of
     // the writer's fsync.
     for _ in 0..ROUNDS {
-        one_round_wb(3, 4, 4, 1);
+        one_round_wb(3, 4, 1);
     }
 }
 
@@ -149,7 +147,7 @@ fn stress_flusher_watermarks_wide_open() {
     // workload can reach): pure background draining racing foreground
     // fsync; results must be indistinguishable from the sync rounds.
     for _ in 0..ROUNDS {
-        one_round_wb(2, 4, 64, 2);
+        one_round_wb(2, 64, 2);
     }
 }
 
@@ -242,10 +240,8 @@ fn stress_tenant_isolation_bounds_victim_p99_under_10x_load() {
 /// them. Returns how many log files differ from what was written after
 /// their `gfsync` + `gclose`.
 fn logger_files_lost_over_quota(seed: u64) -> usize {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
     use gpufs::cluster::FleetBuilder;
-    use simtime::Timings;
+    use simtime::{ClockBoard, Timings};
     use workloads::traffic::{
         materialize_corpus, synthesize_trace, Op, TenantClass, TenantLoad, TrafficConfig,
     };
@@ -339,7 +335,7 @@ fn logger_files_lost_over_quota(seed: u64) -> usize {
         mount.set_tenant(slot, t);
     }
     let lag = traffic.pace_lag_ns;
-    let clock_board: Vec<AtomicU64> = sessions.iter().map(|_| AtomicU64::new(0)).collect();
+    let board = ClockBoard::new(sessions.len());
     fleet
         .gpu(0)
         .launch(Grid::new(sessions.len(), 128), 0, |blk| {
@@ -347,18 +343,8 @@ fn logger_files_lost_over_quota(seed: u64) -> usize {
             // The benchmark's pacing: no block runs more than `lag` of virtual
             // time ahead of the slowest live one, so virtually concurrent
             // sessions really do contend.
-            let pace = |blk: &mut gpusim::BlockCtx<'_>| loop {
-                let now = blk.now();
-                clock_board[me].store(now, Ordering::Release);
-                let behind = clock_board
-                    .iter()
-                    .enumerate()
-                    .any(|(s, c)| s != me && c.load(Ordering::Acquire).saturating_add(lag) < now);
-                if !behind {
-                    break;
-                }
-                std::thread::yield_now();
-            };
+            let _seat = board.seat(me);
+            let pace = |blk: &mut gpusim::BlockCtx<'_>| board.pace(me, blk.now(), lag);
             let mut buf = vec![0u8; PAGE];
             for sess in &sessions[me] {
                 blk.wait_until(sess.arrival);
@@ -382,7 +368,6 @@ fn logger_files_lost_over_quota(seed: u64) -> usize {
                 pace(blk);
                 mount.close(blk, fd).unwrap();
             }
-            clock_board[me].store(u64::MAX, Ordering::Release);
         });
 
     let lost = sessions
