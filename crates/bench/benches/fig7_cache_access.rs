@@ -6,9 +6,14 @@
 //! baseline reads the same bytes straight from GPU memory with no GPUfs
 //! involvement. Lock-free lookups cost only their local work; the locked
 //! traversal additionally serializes on the per-tree lock, which convoys
-//! the hundreds of concurrently running warps of real hardware — modeled
-//! here as a virtual serial resource. The paper reports the lock-free
-//! protocol at 85–88% of raw memory speed and ~3x the locked variant.
+//! the hundreds of concurrently running warps of real hardware. That
+//! convoy is not modelled as a queue here: every locked access charges
+//! its block an analytic `radix_lock_hold_ns × concurrent_blocks`
+//! (`gpufs` `cache/paging.rs`), whether or not another block wants the
+//! lock, so both ratios come out the same at every page size. ROADMAP
+//! item 19 replaces the multiplier with contention from the schedule.
+//! The paper reports the lock-free protocol at 85–88% of raw memory
+//! speed and ~3x the locked variant.
 
 use gpufs::{GOpenMode, GpufsConfig};
 use gpufs_bench::{banner, human_size, rig};

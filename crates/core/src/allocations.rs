@@ -17,7 +17,8 @@
 //! engine. The engine now `pread`s straight into the batch's frames and
 //! allocates the batch's two lists once (destinations, byte counts):
 //! 2 / 2 / 2 / 2 on either engine. A warm `gread` hit made
-//! no allocation before and makes none now.
+//! no allocation before and makes none now, and neither does a warm
+//! `gmmap` hit, whose map takes a handle on its file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,6 +93,24 @@ fn a_warm_gread_hit_allocates_nothing() {
         let (n, allocs) = allocations(|| mount.read(blk, &fd, 4096, &mut buf).unwrap());
         assert_eq!((n, allocs), (1024, 0));
         assert!(buf.iter().all(|&b| b == 5));
+        mount.close(blk, fd).unwrap();
+    });
+}
+
+#[test]
+fn a_warm_gmmap_hit_allocates_nothing() {
+    let r = rig(1);
+    r.fs.create("/map", &[6u8; 16 << 10]).unwrap();
+    let mount = r.host.mount(0, GpufsConfig::small_test()).unwrap();
+    run_block(&r, |blk| {
+        let fd = mount.open(blk, "/map", GOpenMode::ReadOnly).unwrap();
+        // The miss that makes the page resident.
+        let map = mount.mmap(blk, &fd, 4096, 1024).unwrap();
+        mount.munmap(blk, map);
+        let (map, allocs) = allocations(|| mount.mmap(blk, &fd, 4096, 1024).unwrap());
+        assert_eq!((map.len(), allocs), (1024, 0));
+        assert!(map.bytes().iter().all(|&b| b == 6));
+        mount.munmap(blk, map);
         mount.close(blk, fd).unwrap();
     });
 }

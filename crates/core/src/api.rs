@@ -14,7 +14,7 @@ use std::sync::Arc;
 use gpusim::BlockCtx;
 use simtime::bw_time_ns;
 
-use crate::cache::paging::PagePin;
+use crate::cache::FPage;
 use crate::config::GOpenMode;
 use crate::error::{GpufsError, GpufsResult};
 use crate::mount::GpuFsMount;
@@ -76,8 +76,14 @@ pub struct GStat {
 /// into one RPC. The constructor debug-asserts the single-page invariant
 /// so a regression can never silently hand out a mapping that reads past
 /// its pinned frame.
+///
+/// A mapping can outlive the descriptor it came from: it keeps its own
+/// handle on the file, and the page stays pinned until the map drops.
 pub struct GMap<'m> {
-    _pin: PagePin,
+    /// Keeps the file's radix tree, and so `fp`, alive after a `gclose`.
+    _file: Arc<GFile>,
+    /// The mapped page's fpage, pinned once by `gmmap`; `Drop` unpins it.
+    fp: *const FPage,
     ptr: *const u8,
     len: usize,
     file_offset: u64,
@@ -86,8 +92,17 @@ pub struct GMap<'m> {
 
 // SAFETY: the data pointer targets GPU global memory owned by the mount's
 // Arc<Gpu>, outliving 'm; the pin prevents the frame from being reused.
+// The fpage pointer targets the radix tree of `_file`, which the map owns;
+// FPage itself is Sync.
 unsafe impl Send for GMap<'_> {}
 unsafe impl Sync for GMap<'_> {}
+
+impl Drop for GMap<'_> {
+    fn drop(&mut self) {
+        // SAFETY: see the Send/Sync justification above.
+        unsafe { &*self.fp }.unpin();
+    }
+}
 
 impl std::fmt::Debug for GMap<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -331,7 +346,9 @@ impl GpuFsMount {
         // bytes exactly as the paper's relaxed gmmap does.
         let bytes = unsafe { self.gpu.global().slice(ptr, avail) };
         Ok(GMap {
-            _pin: pin,
+            // One clone per mapping, not per hit: the map may outlive `fd`.
+            _file: Arc::clone(file),
+            fp: pin.into_fpage(),
             ptr: bytes.as_ptr(),
             len: avail,
             file_offset: offset,

@@ -41,44 +41,32 @@ const READAHEAD_MAX_BATCH_BYTES: usize = 8 << 20;
 /// paper page size while still bounding daemon staging memory.
 const READAHEAD_MAX_BATCH_BYTES_PIPELINED: usize = 128 << 20;
 
-/// A pinned page: holds a reference that keeps the frame from eviction,
-/// plus the file itself so the fpage (which lives inside the file's radix
-/// tree) cannot be freed while pinned.
-pub(crate) struct PagePin {
-    file: Arc<GFile>,
-    fp: *const FPage,
+/// A pinned page: holds a reference that keeps the frame from eviction.
+/// It borrows the caller's file handle rather than owning one, so a pin
+/// writes nothing but the fpage's own pin count: the borrow is what keeps
+/// the file — and the fpage inside its radix tree — alive while pinned.
+pub(crate) struct PagePin<'f> {
+    fp: &'f FPage,
     frame: FrameIdx,
 }
 
-// SAFETY: the raw fpage pointer targets the radix tree owned by `file`,
-// which the pin keeps alive; FPage itself is Sync.
-unsafe impl Send for PagePin {}
-unsafe impl Sync for PagePin {}
-
-impl PagePin {
-    fn new(file: Arc<GFile>, fp: &FPage, frame: FrameIdx) -> Self {
-        Self {
-            file,
-            fp: fp as *const FPage,
-            frame,
-        }
-    }
-
+impl<'f> PagePin<'f> {
     /// The pinned frame.
     pub(crate) fn frame(&self) -> FrameIdx {
         self.frame
     }
 
-    fn fpage(&self) -> &FPage {
-        // SAFETY: see the Send/Sync justification above.
-        unsafe { &*self.fp }
+    /// Hand the pin over without dropping it: the caller now owns the
+    /// reference and must [`FPage::unpin`] the fpage itself, while
+    /// keeping its file alive (see [`crate::GMap`]).
+    pub(crate) fn into_fpage(self) -> &'f FPage {
+        std::mem::ManuallyDrop::new(self).fp
     }
 }
 
-impl Drop for PagePin {
+impl Drop for PagePin<'_> {
     fn drop(&mut self) {
-        let _keepalive = &self.file;
-        self.fpage().unpin();
+        self.fp.unpin();
     }
 }
 
@@ -101,12 +89,12 @@ impl ClaimedPage {
 
 impl GpuFsMount {
     /// Pin `page_idx` of `file`, faulting it in if absent (no readahead).
-    pub(crate) fn pin_page(
+    pub(crate) fn pin_page<'f>(
         &self,
         blk: &mut BlockCtx<'_>,
-        file: &Arc<GFile>,
+        file: &'f Arc<GFile>,
         page_idx: u64,
-    ) -> GpufsResult<PagePin> {
+    ) -> GpufsResult<PagePin<'f>> {
         self.pin_page_windowed(blk, file, page_idx, 1, page_idx)
     }
 
@@ -133,12 +121,12 @@ impl GpuFsMount {
     /// a sync pass sweeps every dirty page of a file, and taking the
     /// fpage lock for each would serialize it against the very readers
     /// the sharded control plane keeps lock-free.
-    pub(crate) fn pin_page_resident<L: crate::mount::Lane>(
+    pub(crate) fn pin_page_resident<'f, L: crate::mount::Lane>(
         &self,
         blk: &mut L,
-        file: &Arc<GFile>,
+        file: &'f Arc<GFile>,
         page_idx: u64,
-    ) -> Option<PagePin> {
+    ) -> Option<PagePin<'f>> {
         let fp = file.tree().get_or_insert(page_idx);
         let mut failed_attempts = 0u32;
         loop {
@@ -158,7 +146,7 @@ impl GpuFsMount {
                     let pf = self.frames.pframe(frame);
                     blk.wait_until(pf.ready_at.load(Ordering::Acquire));
                     blk.advance(self.timings.gpufs_hit_ns);
-                    return Some(PagePin::new(Arc::clone(file), fp, frame));
+                    return Some(PagePin { fp, frame });
                 }
                 Snapshot::Empty => return None,
                 Snapshot::Initializing => {
@@ -180,14 +168,14 @@ impl GpuFsMount {
     /// The lock-free fast path follows the paper's protocol: try the
     /// seqlock-validated lookup, retry [`LOCKFREE_RETRIES`] times on
     /// contention, then fall back to the fpage lock.
-    pub(crate) fn pin_page_windowed(
+    pub(crate) fn pin_page_windowed<'f>(
         &self,
         blk: &mut BlockCtx<'_>,
-        file: &Arc<GFile>,
+        file: &'f Arc<GFile>,
         page_idx: u64,
         window: usize,
         demand_through: u64,
-    ) -> GpufsResult<PagePin> {
+    ) -> GpufsResult<PagePin<'f>> {
         let fp = file.tree().get_or_insert(page_idx);
         let mut failed_attempts = 0u32;
         // An access that ever hit a concurrent update — a seqlock retry,
@@ -249,7 +237,7 @@ impl GpuFsMount {
                         blk.advance(convoy);
                     }
                     blk.advance(self.timings.gpufs_hit_ns);
-                    return Ok(PagePin::new(Arc::clone(file), fp, frame));
+                    return Ok(PagePin { fp, frame });
                 }
                 Snapshot::Empty => {
                     fp.lock();
@@ -359,15 +347,15 @@ impl GpuFsMount {
     /// the same `ReadPages` RPC. The target page is returned pinned;
     /// readahead pages are published `Ready`, unpinned, and flagged
     /// `prefetched` so later pins can count the readahead hit.
-    fn initialize_pages(
+    fn initialize_pages<'f>(
         &self,
         blk: &mut BlockCtx<'_>,
-        file: &Arc<GFile>,
+        file: &'f Arc<GFile>,
         page_idx: u64,
-        fp: &FPage,
+        fp: &'f FPage,
         window: usize,
         demand_through: u64,
-    ) -> GpufsResult<PagePin> {
+    ) -> GpufsResult<PagePin<'f>> {
         self.count_for(blk.block_id(), |c| {
             c.misses.incr();
             // Initialization holds the fpage lock for its state
@@ -494,7 +482,7 @@ impl GpuFsMount {
             blk.advance(self.timings.gpufs_page_op_ns);
         }
         sp.finish_attrs(t_miss, blk.now(), &[("page", page_idx)]);
-        Ok(PagePin::new(Arc::clone(file), fp, frame))
+        Ok(PagePin { fp, frame })
     }
 
     /// Publish one fetched page: EOF tail zeroing, pframe bookkeeping,

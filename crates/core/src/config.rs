@@ -71,6 +71,13 @@ pub(crate) const LOCKFREE_RETRIES: u32 = 1;
 /// capacity semantics are shard-count-independent.
 pub(crate) const CACHE_SHARDS: usize = 8;
 
+/// Leaf counter sheets per tenant: a lane's cache counters land on
+/// stripe `lane % LANE_STRIPES` of its tenant, and the tenant and mount
+/// sheets are sum views over the stripes. 32 gives each of the C2075's
+/// 28 resident threadblocks a stripe of its own, so a hit bumps no
+/// counter another resident block bumps.
+pub const LANE_STRIPES: usize = 32;
+
 /// Upper bound on the dirty pages of one file that `gfsync`, the
 /// stale-reopen flush, and eviction gather into a single batched
 /// `WritePages` RPC (one round-trip, one scatter-gather D2H DMA charge).

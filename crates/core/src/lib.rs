@@ -84,7 +84,7 @@ pub use cluster::{
     CoherenceOp, FileCoherence, FleetBuilder, FleetView, GpuFleet, HostFleet, HostFleetBuilder,
     ScheduleReport, ShardStrategy, WorkItem, WorkQueue,
 };
-pub use config::{GOpenMode, GpufsConfig};
+pub use config::{GOpenMode, GpufsConfig, LANE_STRIPES};
 pub use daemon::{DaemonStats, GpufsHost};
 pub use error::{GpufsError, GpufsResult};
 pub use mount::GpuFsMount;

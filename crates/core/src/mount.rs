@@ -36,7 +36,7 @@ use gpusim::{BlockCtx, Gpu};
 use simtime::Timings;
 
 use crate::cache::{CacheCounters, FrameArena, FrameIdx};
-use crate::config::{GpufsConfig, CACHE_SHARDS};
+use crate::config::{GpufsConfig, CACHE_SHARDS, LANE_STRIPES};
 use crate::daemon::GpufsHost;
 use crate::error::GpufsResult;
 use crate::rpc::{Request, RespOk, RpcHub, TenantId};
@@ -113,14 +113,18 @@ pub struct GpuFsMount {
     pub(crate) frames: FrameArena,
     pub(crate) tables: Tables,
     /// The aggregate cache sheet: a read-only [`CacheCounters::sum_of`]
-    /// view over [`GpuFsMount::tenant_counters`]. Writing it panics —
-    /// updates go through [`GpuFsMount::count_for`] to the faulting
-    /// lane's tenant leaf, and this view reads through to those cells.
+    /// view over every leaf stripe. Writing it panics — updates go
+    /// through [`GpuFsMount::count_for`] to the faulting lane's stripe,
+    /// and this view reads through to those cells.
     pub(crate) counters: CacheCounters,
-    /// Per-tenant leaf sheets — the only cache counters ever written
-    /// (single-tenant mounts have exactly one, and the aggregate view
-    /// equals it).
+    /// Per-tenant sheets: read-only sum views, each over its tenant's
+    /// `LANE_STRIPES` leaf stripes (single-tenant mounts have exactly
+    /// one, and the aggregate view equals it).
     pub(crate) tenant_counters: Vec<CacheCounters>,
+    /// The leaf sheets — the only cache counters ever written — one per
+    /// `(tenant, lane % LANE_STRIPES)`, so concurrent threadblocks bump
+    /// cells of their own instead of one shared per-tenant line.
+    stripes: Vec<CacheCounters>,
     /// Slot→tenant assignment (`slot % TENANT_SLOT_MAP`), default all
     /// tenant 0. Kernels partition their blocks with
     /// [`GpuFsMount::set_tenant`] before faulting.
@@ -203,12 +207,16 @@ impl GpufsHost {
             config.num_tenants(),
             &config.tenant_frame_quotas,
         )?;
-        let tenant_counters: Vec<CacheCounters> = (0..config.num_tenants())
+        let stripes: Vec<CacheCounters> = (0..config.num_tenants() * LANE_STRIPES)
             .map(|_| CacheCounters::new())
             .collect();
-        // Aggregate = sum view over the tenant leaves (one write path),
-        // and every sheet registers with the host's metrics registry
-        // under its place in the label hierarchy.
+        // Tenant sheets and the aggregate are sum views over the stripes
+        // (one write path), and every view registers with the host's
+        // metrics registry under its place in the label hierarchy.
+        let tenant_counters: Vec<CacheCounters> = stripes
+            .chunks(LANE_STRIPES)
+            .map(|leaves| CacheCounters::sum_of(&leaves.iter().collect::<Vec<_>>()))
+            .collect();
         let counters = CacheCounters::sum_of(&tenant_counters.iter().collect::<Vec<_>>());
         let gpu_label = obs::Labels::gpu(gpu_id as u32);
         for (t, sheet) in tenant_counters.iter().enumerate() {
@@ -226,6 +234,7 @@ impl GpufsHost {
             tables: Tables::new(),
             counters,
             tenant_counters,
+            stripes,
             tenant_of_slot: (0..TENANT_SLOT_MAP).map(|_| AtomicUsize::new(0)).collect(),
             host_fs: Arc::clone(self.fs()),
             dirty: DirtyLedger::default(),
@@ -253,7 +262,8 @@ impl GpuFsMount {
     }
 
     /// Buffer-cache activity counters attributed to `tenant` alone
-    /// (clamped to the last tenant). Summing over every tenant reproduces
+    /// (clamped to the last tenant): a read-only sum view over the
+    /// tenant's lane stripes. Summing over every tenant reproduces
     /// [`GpuFsMount::counters`] counter for counter.
     #[must_use]
     pub fn tenant_counters(&self, tenant: TenantId) -> &CacheCounters {
@@ -283,12 +293,14 @@ impl GpuFsMount {
             .min(self.num_tenants() - 1)
     }
 
-    /// Apply one counter update to the sheet of `lane`'s tenant — the
-    /// single attribution path. The aggregate is a sum view over the
-    /// tenant leaves, so it reflects this write with no second bump (and
+    /// Apply one counter update to `lane`'s leaf stripe of its tenant —
+    /// the single attribution path. Lanes share a stripe only modulo
+    /// [`LANE_STRIPES`], so a hit writes no line the other resident
+    /// blocks write. The tenant and aggregate sheets are sum views over
+    /// the stripes, so they reflect this write with no second bump (and
     /// would panic if one were attempted).
     pub(crate) fn count_for(&self, lane: usize, f: impl Fn(&CacheCounters)) {
-        f(self.tenant_counters(self.tenant_of(lane)));
+        f(&self.stripes[self.tenant_of(lane) * LANE_STRIPES + lane % LANE_STRIPES]);
     }
 
     /// Frames currently free in the raw data array.

@@ -326,6 +326,93 @@ fn cache_counters_attribute_per_tenant_and_sum_to_the_aggregate() {
     }
 }
 
+#[test]
+fn aliased_lane_stripes_still_reconcile_per_tenant() {
+    // More blocks than counter stripes, so lanes `b` and `b + LANE_STRIPES`
+    // share a leaf, across two tenants: a stripe's cells never mix
+    // tenants, so each tenant's view still counts its own blocks alone.
+    let fs = Arc::new(HostFs::new(HostFsConfig::default()));
+    let gpus: Vec<Arc<Gpu>> = vec![Arc::new(Gpu::new(0, GpuSpec::small_test()))];
+    let cfg = GpufsConfig::small_test().with_tenant_weights(vec![1, 1]);
+    let host = GpufsHost::with_config(Arc::clone(&fs), gpus.clone(), &cfg);
+    let mount = host.mount(0, cfg).unwrap();
+    fs.create("/shared", &[9u8; 4096]).unwrap();
+    let blocks = 2 * gpufs::LANE_STRIPES + 5;
+    // Every third block serves tenant 1.
+    let tenant = |b: usize| usize::from(b.is_multiple_of(3));
+    for b in 0..blocks {
+        mount.set_tenant(b, tenant(b));
+    }
+    // A block touches the page `b % 4 + 1` times, so the tenants' counts
+    // differ from any even split of the lanes.
+    let reads = |b: usize| (b % 4 + 1) as u64;
+    gpus[0].launch(Grid::new(blocks, 32), 0, |blk| {
+        let fd = mount.open(blk, "/shared", GOpenMode::ReadOnly).unwrap();
+        let mut buf = [0u8; 512];
+        for _ in 0..reads(blk.block_id()) {
+            assert_eq!(mount.read(blk, &fd, 0, &mut buf).unwrap(), 512);
+        }
+        mount.close(blk, fd).unwrap();
+    });
+    let (all, t0, t1) = (
+        mount.counters(),
+        mount.tenant_counters(0),
+        mount.tenant_counters(1),
+    );
+    for (i, (name, total)) in all.snapshot().into_iter().enumerate() {
+        assert_eq!(
+            t0.snapshot()[i].1 + t1.snapshot()[i].1,
+            total,
+            "aliased stripes must still sum to the aggregate for `{name}`"
+        );
+    }
+    // One page, read by every block: each access is a hit or the one
+    // miss, and it lands on the accessing block's own tenant.
+    for (t, sheet) in [(0, t0), (1, t1)] {
+        let accesses: u64 = (0..blocks).filter(|&b| tenant(b) == t).map(reads).sum();
+        assert_eq!(
+            sheet.hits.get() + sheet.misses.get(),
+            accesses,
+            "tenant {t}'s page accesses"
+        );
+    }
+    assert_eq!(all.misses.get(), 1, "the page faults in once");
+}
+
+#[test]
+fn a_map_outlives_the_close_of_its_fd() {
+    // Four frames: /b's four pages fit only if the frame /a's map held
+    // is reclaimed once the map is gone.
+    const PAGE: usize = 4096;
+    let r = rig(1);
+    let cfg = GpufsConfig::new(PAGE, 4 * PAGE).with_readahead(1);
+    let mount = r.host.mount(0, cfg).unwrap();
+    r.fs.create("/a", &[0xA1; PAGE]).unwrap();
+    let b: Vec<u8> = (0..4 * PAGE).map(|i| (i / PAGE) as u8 + 1).collect();
+    r.fs.create("/b", &b).unwrap();
+    r.gpus[0].launch(Grid::new(1, 32), 0, |blk| {
+        let fd = mount.open(blk, "/a", GOpenMode::ReadOnly).unwrap();
+        let map = mount.mmap(blk, &fd, 0, PAGE).unwrap();
+        mount.close(blk, fd).unwrap();
+        // The descriptor is gone; the map still holds its file and pin.
+        assert_eq!(map.len(), PAGE);
+        assert!(map.bytes().iter().all(|&x| x == 0xA1));
+        mount.munmap(blk, map);
+        // Unpinned, /a's page is a reclaim candidate: holding all four
+        // of /b's pages at once needs its frame.
+        let fd = mount.open(blk, "/b", GOpenMode::ReadOnly).unwrap();
+        let maps: Vec<_> = (0..4)
+            .map(|p| mount.mmap(blk, &fd, (p * PAGE) as u64, PAGE).unwrap())
+            .collect();
+        for (p, m) in maps.iter().enumerate() {
+            assert!(m.bytes().iter().all(|&x| x == p as u8 + 1), "page {p}");
+        }
+        drop(maps);
+        mount.close(blk, fd).unwrap();
+    });
+    assert_eq!(mount.counters().pages_reclaimed.get(), 1);
+}
+
 /// `n` page numbers drawn Zipf(0.9) over `pages` popularity ranks (by
 /// inverse CDF), the ranks scattered over the file rather than clustered
 /// at its head.

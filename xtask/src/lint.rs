@@ -28,7 +28,9 @@
 //!   layer): the paper's §4.2 protocol keeps `pin_page` mutex-free, and
 //!   a convenient slow-path lock quietly reintroduces the Figure-7
 //!   convoy. The fpage seqlock (`fp.lock()`) is part of the protocol
-//!   and does not trip this rule.
+//!   and does not trip this rule. Nor may that code `Arc::clone`: a
+//!   page pin borrows its file, and a refcount bump per pin is a write
+//!   to one line every resident threadblock shares.
 //! * **`proxy-hostfs`** — no `HostFs` token in the non-test host-proxy
 //!   code ([`PROXY_NO_HOSTFS`]: the proxy, its page cache, and its
 //!   `Backing` impl): everything the proxy learns about server state
@@ -80,11 +82,12 @@ const UNWRAP_SCOPE: &[&str] = &[
 /// wire tier, whose match arms are chosen by a peer's response.
 const PANIC_SCOPE: &[&str] = &["crates/core/src/remote/"];
 
-/// Files whose non-test code must stay mutex-free (the `hot-mutex`
-/// rule): the page-lookup hot path. A mutex here puts every concurrent
-/// threadblock back in the Figure-7 convoy the lock-free protocol
-/// exists to avoid, so introducing one demands an inline waiver with a
-/// measured justification.
+/// Files whose non-test code must stay mutex-free and `Arc::clone`-free
+/// (the `hot-mutex` rule): the page-lookup hot path. A mutex here puts
+/// every concurrent threadblock back in the Figure-7 convoy the
+/// lock-free protocol exists to avoid, and a refcount bump makes every
+/// hit write a line all blocks share, so introducing either demands an
+/// inline waiver with a measured justification.
 const HOT_LOCKFREE: &[&str] = &["crates/core/src/cache/paging.rs"];
 
 /// Files on the host side of the wire (the `proxy-hostfs` rule): the
@@ -226,7 +229,8 @@ xtask lint rules:
   unsafe-safety  every unsafe needs a // SAFETY: comment within 6 lines above
   hot-mutex      no Mutex/RwLock/parking_lot:: in the lock-free page-lookup
                  hot path (crates/core/src/cache/paging.rs) — the fpage
-                 seqlock is the only sanctioned lock there
+                 seqlock is the only sanctioned lock there — and no
+                 Arc::clone in its non-test code: a pin borrows its file
   proxy-hostfs   no HostFs token in non-test host-proxy code
                  (crates/core/src/remote/{proxy,cache,client}.rs) — the
                  proxy reaches the storage server only through the wire
@@ -353,6 +357,16 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
                          pin_page must stay mutex-free (paper §4.2) — \
                          waive only with a measured justification"
                     ),
+                );
+            }
+            if code_line.contains("Arc::clone") {
+                report(
+                    Rule::HotMutex,
+                    "Arc::clone in the lock-free page-lookup hot path; a pin \
+                     borrows its file, since a refcount bump per hit writes a \
+                     line every resident block shares — waive only with a \
+                     stated reason"
+                        .into(),
                 );
             }
         }
@@ -836,6 +850,29 @@ pub unsafe fn slice(&self) -> &[u8] { todo!() }
         let waived = "// lint:allow hot-mutex -- cold miss path only; measured zero contention\nuse parking_lot::Mutex;\n";
         assert!(lint_file("crates/core/src/cache/paging.rs", waived).is_empty());
         let reasonless = "// lint:allow hot-mutex\nuse parking_lot::Mutex;\n";
+        assert_eq!(
+            lint_file("crates/core/src/cache/paging.rs", reasonless).len(),
+            1
+        );
+    }
+
+    #[test]
+    fn hot_mutex_rule_rejects_arc_clone_in_the_paging_hot_path() {
+        // A refcount bump in non-test paging code fires, once per line,
+        // in either spelling.
+        let text = "let f = Arc::clone(file);\nlet g = std::sync::Arc::clone(&h);\n";
+        let f = lint_file("crates/core/src/cache/paging.rs", text);
+        assert_eq!(f.len(), 2, "both clones flagged: {f:?}");
+        assert!(f.iter().all(|x| x.rule.name() == "hot-mutex"));
+        // Scoped to the hot path: the same clone elsewhere is fine.
+        assert!(lint_file("crates/core/src/api.rs", text).is_empty());
+        // Test code may clone freely.
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { let g = Arc::clone(&h); }\n}\n";
+        assert!(lint_file("crates/core/src/cache/paging.rs", in_test).is_empty());
+        // A clone a change really needs takes a reasoned waiver.
+        let waived = "// lint:allow hot-mutex -- the batch outlives the caller's borrow\nlet f = Arc::clone(file);\n";
+        assert!(lint_file("crates/core/src/cache/paging.rs", waived).is_empty());
+        let reasonless = "// lint:allow hot-mutex\nlet f = Arc::clone(file);\n";
         assert_eq!(
             lint_file("crates/core/src/cache/paging.rs", reasonless).len(),
             1
