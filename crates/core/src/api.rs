@@ -79,20 +79,23 @@ pub struct GStat {
 ///
 /// A mapping can outlive the descriptor it came from: it keeps its own
 /// handle on the file, and the page stays pinned until the map drops.
+/// If the file leaves both file tables meanwhile (a `gunlink`, an
+/// `O_NOSYNC` close, a stale reopen, a close without the closed-file
+/// table), the map's release discards the page and returns its frames.
 pub struct GMap<'m> {
     /// Keeps the file's radix tree, and so `fp`, alive after a `gclose`.
-    _file: Arc<GFile>,
+    file: Arc<GFile>,
     /// The mapped page's fpage, pinned once by `gmmap`; `Drop` unpins it.
     fp: *const FPage,
     ptr: *const u8,
     len: usize,
     file_offset: u64,
-    _mount: std::marker::PhantomData<&'m GpuFsMount>,
+    mount: &'m GpuFsMount,
 }
 
 // SAFETY: the data pointer targets GPU global memory owned by the mount's
 // Arc<Gpu>, outliving 'm; the pin prevents the frame from being reused.
-// The fpage pointer targets the radix tree of `_file`, which the map owns;
+// The fpage pointer targets the radix tree of `file`, which the map owns;
 // FPage itself is Sync.
 unsafe impl Send for GMap<'_> {}
 unsafe impl Sync for GMap<'_> {}
@@ -100,7 +103,7 @@ unsafe impl Sync for GMap<'_> {}
 impl Drop for GMap<'_> {
     fn drop(&mut self) {
         // SAFETY: see the Send/Sync justification above.
-        unsafe { &*self.fp }.unpin();
+        self.mount.release_map_pin(&self.file, unsafe { &*self.fp });
     }
 }
 
@@ -347,12 +350,12 @@ impl GpuFsMount {
         let bytes = unsafe { self.gpu.global().slice(ptr, avail) };
         Ok(GMap {
             // One clone per mapping, not per hit: the map may outlive `fd`.
-            _file: Arc::clone(file),
+            file: Arc::clone(file),
             fp: pin.into_fpage(),
             ptr: bytes.as_ptr(),
             len: avail,
             file_offset: offset,
-            _mount: std::marker::PhantomData,
+            mount: self,
         })
     }
 
@@ -475,7 +478,7 @@ impl GpuFsMount {
             self.discard_file_cache(blk.block_id(), &open);
         }
         if let Some(parked) = self.tables.take_closed(ino) {
-            self.discard_file_cache(blk.block_id(), &parked);
+            self.retire_file_cache(blk.block_id(), &parked);
             let _ = self.rpc(
                 blk,
                 Request::Close {

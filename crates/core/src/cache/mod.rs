@@ -87,22 +87,9 @@ impl CacheCounters {
 
     /// Reset all counters to zero.
     pub fn reset(&self) {
-        self.lockfree_accesses.take();
-        self.locked_accesses.take();
-        self.pages_reclaimed.take();
-        self.hits.take();
-        self.misses.take();
-        self.writebacks.take();
-        self.readahead_hits.take();
-        self.read_rpcs.take();
-        self.batched_rpcs.take();
-        self.pages_per_rpc.take();
-        self.write_rpcs.take();
-        self.pages_per_write_rpc.take();
-        self.flusher_passes.take();
-        self.throttle_stalls.take();
-        self.reclaim_scanned.take();
-        self.second_chances.take();
+        for (_, counter) in self.fields() {
+            counter.take();
+        }
     }
 
     /// A read-only sum view over `parts`: each field aggregates the
@@ -161,29 +148,16 @@ impl CacheCounters {
         ]
     }
 
-    /// Every counter as a `(name, value)` row — the one list tests and
-    /// reporters iterate so a newly added counter cannot silently escape
-    /// the per-tenant sum-to-aggregate invariant.
+    /// Every counter as a `(name, value)` row — the registry names
+    /// without `cache_`, the one list tests and reporters iterate so a
+    /// newly added counter cannot silently escape the per-tenant
+    /// sum-to-aggregate invariant.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("lockfree_accesses", self.lockfree_accesses.get()),
-            ("locked_accesses", self.locked_accesses.get()),
-            ("pages_reclaimed", self.pages_reclaimed.get()),
-            ("hits", self.hits.get()),
-            ("misses", self.misses.get()),
-            ("writebacks", self.writebacks.get()),
-            ("readahead_hits", self.readahead_hits.get()),
-            ("read_rpcs", self.read_rpcs.get()),
-            ("batched_rpcs", self.batched_rpcs.get()),
-            ("pages_per_rpc", self.pages_per_rpc.get()),
-            ("write_rpcs", self.write_rpcs.get()),
-            ("pages_per_write_rpc", self.pages_per_write_rpc.get()),
-            ("flusher_passes", self.flusher_passes.get()),
-            ("throttle_stalls", self.throttle_stalls.get()),
-            ("reclaim_scanned", self.reclaim_scanned.get()),
-            ("second_chances", self.second_chances.get()),
-        ]
+        self.fields()
+            .iter()
+            .map(|&(name, counter)| (&name["cache_".len()..], counter.get()))
+            .collect()
     }
 }
 

@@ -13,7 +13,7 @@
 //! since — spending one of its references — and detaches the first
 //! unpinned pages it finds at zero.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, Ordering};
 
 use gpusim::BlockCtx;
 use hostfs::FsError;
@@ -387,6 +387,32 @@ impl GpuFsMount {
         self.host_fs
             .consistency()
             .unregister_gpu_cache(file.ino(), self.coherence_id);
+    }
+
+    /// [`Self::discard_file_cache`] for a file that has left both file
+    /// tables, so that only a live map can still reach it. A page such a
+    /// map pins is skipped by the discard; [`Self::release_map_pin`]
+    /// discards it when the map goes, or its frames would be lost for
+    /// the mount's life.
+    pub(crate) fn retire_file_cache(&self, shard: usize, file: &GFile) {
+        file.retire();
+        // Pairs with the fence in `release_map_pin`: either this discard
+        // sees the map's unpin, or the map sees the file retired.
+        fence(Ordering::SeqCst);
+        self.discard_file_cache(shard, file);
+    }
+
+    /// Drop a map's pin on `fp`, a page of `file`. If the file was
+    /// retired while the page was pinned, discard the page (a no-op while
+    /// another map still pins it, or when the retiring discard already
+    /// took it). A map belongs to no threadblock, so the frames go to
+    /// freelist shard 0.
+    pub(crate) fn release_map_pin(&self, file: &GFile, fp: &FPage) {
+        fp.unpin();
+        fence(Ordering::SeqCst);
+        if file.is_retired() {
+            self.try_discard_page(0, fp);
+        }
     }
 }
 

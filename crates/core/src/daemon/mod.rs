@@ -135,7 +135,13 @@ impl DaemonStats {
     /// Register every field with `registry` under `labels`, prefixed
     /// `daemon_` (the same cells — the registry adds names, not copies).
     pub fn register(&self, registry: &Registry, labels: Labels) {
-        for (name, counter) in [
+        for (name, counter) in self.fields() {
+            registry.register(name, labels, counter);
+        }
+    }
+
+    fn fields(&self) -> [(&'static str, &Counter); 12] {
+        [
             ("daemon_requests", &self.requests),
             ("daemon_bytes_h2d", &self.bytes_h2d),
             ("daemon_bytes_d2h", &self.bytes_d2h),
@@ -148,30 +154,19 @@ impl DaemonStats {
             ("daemon_write_dma_chunks", &self.write_dma_chunks),
             ("daemon_h2d_setups", &self.h2d_setups),
             ("daemon_d2h_setups", &self.d2h_setups),
-        ] {
-            registry.register(name, labels, counter);
-        }
+        ]
     }
 
-    /// Every counter as a `(name, value)` row — the one list tests
-    /// iterate so a newly added counter cannot silently escape the
-    /// per-GPU / per-tenant sum-to-aggregate invariant.
+    /// Every counter as a `(name, value)` row — the registry names
+    /// without `daemon_`, the one list tests iterate so a newly added
+    /// counter cannot silently escape the per-GPU / per-tenant
+    /// sum-to-aggregate invariant.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("requests", self.requests.get()),
-            ("bytes_h2d", self.bytes_h2d.get()),
-            ("bytes_d2h", self.bytes_d2h.get()),
-            ("opens", self.opens.get()),
-            ("batched_rpcs", self.batched_rpcs.get()),
-            ("pages_per_rpc", self.pages_per_rpc.get()),
-            ("batched_write_rpcs", self.batched_write_rpcs.get()),
-            ("pages_per_write_rpc", self.pages_per_write_rpc.get()),
-            ("read_dma_chunks", self.read_dma_chunks.get()),
-            ("write_dma_chunks", self.write_dma_chunks.get()),
-            ("h2d_setups", self.h2d_setups.get()),
-            ("d2h_setups", self.d2h_setups.get()),
-        ]
+        self.fields()
+            .iter()
+            .map(|&(name, counter)| (&name["daemon_".len()..], counter.get()))
+            .collect()
     }
 }
 

@@ -136,7 +136,7 @@ impl GpuFsMount {
             // are flushed first through the byte diff, so they merge with
             // whatever changed the file.
             self.flush_dirty(blk, &parked)?;
-            self.discard_file_cache(blk.block_id(), &parked);
+            self.retire_file_cache(blk.block_id(), &parked);
             let _ = self.rpc(
                 blk,
                 Request::Close {
@@ -196,7 +196,7 @@ impl GpuFsMount {
             return Ok(()); // already superseded
         }
         if file.mode() == GOpenMode::Temp {
-            self.discard_file_cache(blk.block_id(), &file);
+            self.retire_file_cache(blk.block_id(), &file);
             let _ = self.rpc(blk, Request::Close { fd: file.host_fd() })?;
             return Ok(());
         }
@@ -208,7 +208,7 @@ impl GpuFsMount {
         if self.config.disable_closed_table {
             // No-closed-table ablation: the cache dies with the open.
             self.flush_dirty(blk, &file)?;
-            self.discard_file_cache(blk.block_id(), &file);
+            self.retire_file_cache(blk.block_id(), &file);
             let _ = self.rpc(blk, Request::Close { fd: file.host_fd() })?;
             return Ok(());
         }
@@ -220,7 +220,7 @@ impl GpuFsMount {
                 // layer, but the copy just parked is still cached —
                 // restore its registration.
                 self.flush_dirty(blk, &displaced)?;
-                self.discard_file_cache(blk.block_id(), &displaced);
+                self.retire_file_cache(blk.block_id(), &displaced);
                 let _ = self.rpc(
                     blk,
                     Request::Close {

@@ -12,7 +12,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hostfs::{HostFd, Ino};
@@ -73,6 +73,10 @@ pub struct GFile {
     /// Virtual time of the latest confirmed write-back shipment; the
     /// clock floor a draining `gfsync` synchronizes its caller to.
     flush_horizon: AtomicU64,
+    /// Set once the file has left both file tables and its cache was
+    /// discarded: a page a live map pinned through that discard is this
+    /// file's last, and the map's release returns its frames.
+    retired: AtomicBool,
     /// The file's page cache.
     tree: RadixTree,
 }
@@ -102,6 +106,7 @@ impl GFile {
             seq_victim: AtomicU64::new(0),
             wb_inflight: AtomicUsize::new(0),
             flush_horizon: AtomicU64::new(0),
+            retired: AtomicBool::new(false),
             tree: RadixTree::new(),
         }
     }
@@ -225,6 +230,16 @@ impl GFile {
     /// Drop an open reference; returns `true` if this was the last.
     pub fn drop_ref(&self) -> bool {
         self.refs.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+
+    /// Mark the file retired (see [`crate::GMap`]'s release).
+    pub(crate) fn retire(&self) {
+        self.retired.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether the file has been retired.
+    pub(crate) fn is_retired(&self) -> bool {
+        self.retired.load(Ordering::SeqCst)
     }
 
     /// Re-arm a revived closed file with a single reference.

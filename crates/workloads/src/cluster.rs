@@ -262,7 +262,7 @@ pub fn cluster_search(
 mod tests {
     use super::*;
     use crate::corpus::{gen_image_dataset, ImageDatasetConfig};
-    use gpufs::cluster::FleetBuilder;
+    use gpufs::cluster::{FleetBuilder, HostFleet};
     use gpufs::GpufsConfig;
     use gpusim::GpuSpec;
     use hostfs::HostFs;
@@ -298,12 +298,11 @@ mod tests {
         ds
     }
 
-    #[test]
-    fn cluster_search_finds_exactly_the_planted_copies() {
-        let fs = Arc::new(HostFs::new(hostfs::HostFsConfig::default()));
-        let ds = dataset(&fs, vec![40, 30, 50, 20]);
-        let fleet = fleet(2, &fs);
-        let out = cluster_search(&fleet, &ds, 0.5, 8, ShardStrategy::WorkStealing).unwrap();
+    /// Search `fleet` with work stealing and check what holds on any
+    /// fleet shape: exactly the planted copies, every chunk once, and no
+    /// GPU ships a `WritePages` RPC (the corpus is read-only).
+    fn search_read_only(fleet: &impl FleetView, ds: &ImageDataset) {
+        let out = cluster_search(fleet, ds, 0.5, 8, ShardStrategy::WorkStealing).unwrap();
         assert_eq!(out.matches, ds.planted, "exhaustive search = planting");
         assert_eq!(
             out.items_per_gpu.iter().sum::<usize>(),
@@ -312,6 +311,36 @@ mod tests {
         );
         assert_eq!(out.bytes_scanned, 140 * 64 * 4);
         assert!(out.elapsed > 0);
+        for g in 0..fleet.len() {
+            assert_eq!(fleet.mount(g).counters().write_rpcs.get(), 0, "gpu {g}");
+        }
+    }
+
+    #[test]
+    fn cluster_search_finds_exactly_the_planted_copies() {
+        // One host with two GPUs.
+        let fs = Arc::new(HostFs::new(hostfs::HostFsConfig::default()));
+        let ds = dataset(&fs, vec![40, 30, 50, 20]);
+        let fleet = fleet(2, &fs);
+        search_read_only(&fleet, &ds);
+        assert_eq!(fleet.host_for(0).stats().bytes_d2h.get(), 0);
+
+        // Two hosts of one GPU each, behind proxies over one storage
+        // server: every wire round-trip is one frame the server served.
+        let hosts = HostFleet::builder(2, 1)
+            .spec(GpuSpec::small_test())
+            .config(GpufsConfig::new(8 << 10, 2 << 20))
+            .host_cache_pages(64)
+            .build()
+            .unwrap();
+        let ds = dataset(hosts.fs(), vec![40, 30, 50, 20]);
+        search_read_only(&hosts, &ds);
+        for h in 0..2 {
+            assert_eq!(hosts.host_stats(h).bytes_d2h.get(), 0, "host {h}");
+        }
+        let round_trips: u64 = (0..2).map(|h| hosts.proxy(h).wire().wire_rpcs.get()).sum();
+        assert!(round_trips > 0);
+        assert_eq!(round_trips, hosts.server().stats().frames.get());
     }
 
     #[test]

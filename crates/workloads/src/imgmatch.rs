@@ -368,6 +368,7 @@ mod tests {
         let gpu_res = imgmatch_gpufs(&[mount], &gpus, &ds, 0.5).unwrap();
         let cpu_res = imgmatch_cpu(&fs, 8, &ds, 0.5).unwrap();
         assert_eq!(gpu_res.matches, cpu_res.matches);
+        assert_eq!(cpu_res.matches, ds.planted);
     }
 
     #[test]
@@ -379,6 +380,11 @@ mod tests {
             .collect();
         let res = imgmatch_gpufs(&mounts, &gpus, &ds, 0.5).unwrap();
         assert_eq!(res.matches, ds.planted);
+        // Read-only: results live in GPU memory, so no GPU writes back.
+        for (g, mount) in mounts.iter().enumerate() {
+            assert_eq!(mount.counters().write_rpcs.get(), 0, "gpu {g} wrote back");
+            assert_eq!(host.stats_for(g).bytes_d2h.get(), 0, "gpu {g} moved D2H");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! each block's own `gfsync` finds exactly the one shared output page
 //! its write just re-dirtied — a batch of one per sync, the same cost as
 //! per-page write-back. Multi-page dirty sets are where batching wins;
-//! see `grep_search` (68 pages → 28 RPCs).
+//! the benchmark's `write_back` workload measures that
+//! (`cache.pages_per_write_rpc` in its `--trace 1` sheet).
 //!
 //! Run with: `cargo run --example quickstart`
 

@@ -9,7 +9,9 @@
 #
 # The suite includes the dirty-page-loss replay (the benchmark's parked
 # `tenant_mix` geometry, full size in release builds), which lost a page
-# about once in a hundred replays before the pin/evict race was fixed.
+# about once in a hundred replays before the pin/evict race was fixed,
+# and the two tenant-isolation checks, whose p99s follow the real-time
+# schedule.
 #
 # After it, the tests that once failed only now and then are looped on
 # their own, 20 times each: the deterministic pin/evict interleavings, and

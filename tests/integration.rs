@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 
-use gpufs::{GOpenMode, GpufsConfig, GpufsHost};
-use gpusim::{Gpu, GpuSpec, Grid};
+use gpufs::{GOpenMode, GpuFsMount, GpufsConfig, GpufsHost};
+use gpusim::{BlockCtx, Gpu, GpuSpec, Grid};
 use hostfs::{HostFs, HostFsConfig, OpenFlags};
 
 struct Rig {
@@ -382,35 +382,72 @@ fn aliased_lane_stripes_still_reconcile_per_tenant() {
 #[test]
 fn a_map_outlives_the_close_of_its_fd() {
     // Four frames: /b's four pages fit only if the frame /a's map held
-    // is reclaimed once the map is gone.
+    // comes back once the map is gone. A parked /a gives it back to
+    // reclaim; an /a that left both file tables while mapped gives it
+    // back when the map is released, by `gmunmap` or by a plain drop.
     const PAGE: usize = 4096;
-    let r = rig(1);
-    let cfg = GpufsConfig::new(PAGE, 4 * PAGE).with_readahead(1);
-    let mount = r.host.mount(0, cfg).unwrap();
-    r.fs.create("/a", &[0xA1; PAGE]).unwrap();
-    let b: Vec<u8> = (0..4 * PAGE).map(|i| (i / PAGE) as u8 + 1).collect();
-    r.fs.create("/b", &b).unwrap();
-    r.gpus[0].launch(Grid::new(1, 32), 0, |blk| {
-        let fd = mount.open(blk, "/a", GOpenMode::ReadOnly).unwrap();
-        let map = mount.mmap(blk, &fd, 0, PAGE).unwrap();
+    type Between = fn(&GpuFsMount, &mut BlockCtx<'_>);
+    let nothing: Between = |_, _| {};
+    let reopen_rw: Between = |mount, blk| {
+        // The parked copy is stale for a read-write open: dropped.
+        let fd = mount.open(blk, "/a", GOpenMode::ReadWrite).unwrap();
         mount.close(blk, fd).unwrap();
-        // The descriptor is gone; the map still holds its file and pin.
-        assert_eq!(map.len(), PAGE);
-        assert!(map.bytes().iter().all(|&x| x == 0xA1));
-        mount.munmap(blk, map);
-        // Unpinned, /a's page is a reclaim candidate: holding all four
-        // of /b's pages at once needs its frame.
-        let fd = mount.open(blk, "/b", GOpenMode::ReadOnly).unwrap();
-        let maps: Vec<_> = (0..4)
-            .map(|p| mount.mmap(blk, &fd, (p * PAGE) as u64, PAGE).unwrap())
-            .collect();
-        for (p, m) in maps.iter().enumerate() {
-            assert!(m.bytes().iter().all(|&x| x == p as u8 + 1), "page {p}");
-        }
-        drop(maps);
-        mount.close(blk, fd).unwrap();
-    });
-    assert_eq!(mount.counters().pages_reclaimed.get(), 1);
+    };
+    let unlink: Between = |mount, blk| mount.unlink(blk, "/a").unwrap();
+    let parked = GpufsConfig::new(PAGE, 4 * PAGE).with_readahead(1);
+    let unparked = GpufsConfig {
+        disable_closed_table: true,
+        ..parked.clone()
+    };
+    // (config, /a's open mode, between close and release, munmap?, reclaims)
+    let cases = [
+        (&parked, GOpenMode::ReadOnly, nothing, true, 1),
+        (&unparked, GOpenMode::ReadOnly, nothing, true, 0),
+        (&unparked, GOpenMode::ReadOnly, nothing, false, 0),
+        (&parked, GOpenMode::Temp, nothing, true, 0),
+        (&parked, GOpenMode::Temp, nothing, false, 0),
+        (&parked, GOpenMode::ReadOnly, reopen_rw, true, 0),
+        (&parked, GOpenMode::ReadOnly, unlink, false, 0),
+    ];
+    for (case, &(cfg, mode, between, munmap, reclaims)) in cases.iter().enumerate() {
+        let r = rig(1);
+        let mount = r.host.mount(0, cfg.clone()).unwrap();
+        r.fs.create("/a", &[0xA1; PAGE]).unwrap();
+        let b: Vec<u8> = (0..4 * PAGE).map(|i| (i / PAGE) as u8 + 1).collect();
+        r.fs.create("/b", &b).unwrap();
+        let ledger = |mount: &GpuFsMount| mount.attached_frames().len() + mount.free_frames();
+        r.gpus[0].launch(Grid::new(1, 32), 0, |blk| {
+            let fd = mount.open(blk, "/a", mode).unwrap();
+            let map = mount.mmap(blk, &fd, 0, PAGE).unwrap();
+            mount.close(blk, fd).unwrap();
+            between(&mount, blk);
+            // The descriptor is gone; the map still holds its file and pin.
+            assert_eq!(map.len(), PAGE);
+            assert!(map.bytes().iter().all(|&x| x == 0xA1));
+            if munmap {
+                mount.munmap(blk, map);
+            } else {
+                drop(map);
+            }
+            assert_eq!(ledger(&mount), 4, "case {case}: a frame went missing");
+            // Holding all four of /b's pages at once needs /a's frame.
+            let fd = mount.open(blk, "/b", GOpenMode::ReadOnly).unwrap();
+            let maps: Vec<_> = (0..4)
+                .map(|p| mount.mmap(blk, &fd, (p * PAGE) as u64, PAGE).unwrap())
+                .collect();
+            for (p, m) in maps.iter().enumerate() {
+                assert!(m.bytes().iter().all(|&x| x == p as u8 + 1), "page {p}");
+            }
+            drop(maps);
+            mount.close(blk, fd).unwrap();
+        });
+        assert_eq!(ledger(&mount), 4, "case {case}");
+        assert_eq!(
+            mount.counters().pages_reclaimed.get(),
+            reclaims,
+            "case {case}"
+        );
+    }
 }
 
 /// `n` page numbers drawn Zipf(0.9) over `pages` popularity ranks (by

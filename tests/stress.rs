@@ -151,9 +151,20 @@ fn stress_flusher_watermarks_wide_open() {
     }
 }
 
-/// One traffic replay of the two-tenant tail trace at the given hog
-/// intensity (scan sessions per hog block), returning the victim's p99.
-fn victim_p99_under_hog(hog_sessions: usize) -> u64 {
+/// The multi-tenant mount: the victim (tenant 0) weighted 8:1 over the
+/// hog, the hog admitted 4 requests at a time, and 56 of the 64 frames
+/// the victim's quota.
+fn isolating_config() -> GpufsConfig {
+    GpufsConfig::new(PAGE, 64 * PAGE)
+        .with_tenant_weights(vec![8, 1])
+        .with_tenant_admission(vec![0, 4])
+        .with_tenant_quotas(vec![56, 8])
+}
+
+/// One traffic replay of the two-tenant tail trace on a mount of
+/// `config`, at the given hog intensity (scan sessions per hog block).
+/// Returns the victim's p99 and the aggregate throughput in MB/s.
+fn replay_tail_trace(config: GpufsConfig, hog_sessions: usize) -> (u64, f64) {
     use gpufs::cluster::FleetBuilder;
     use simtime::Timings;
     use workloads::traffic::{run_traffic, TenantClass, TenantLoad, TrafficConfig};
@@ -196,19 +207,13 @@ fn victim_p99_under_hog(hog_sessions: usize) -> u64 {
         ],
     };
     let mut fleet = FleetBuilder::new(1)
-        .config(
-            GpufsConfig::new(PAGE, 64 * PAGE)
-                .with_tenant_weights(vec![8, 1])
-                .with_tenant_admission(vec![0, 4])
-                .with_tenant_quotas(vec![56, 8]),
-        )
+        .config(config)
         .timings(Timings::default())
         .build()
         .expect("fleet");
     let out = run_traffic(&fleet, &cfg).expect("traffic");
-    let p99 = out.per_tenant[0].p99;
     fleet.shutdown();
-    p99
+    (out.per_tenant[0].p99, out.throughput_mb_s)
 }
 
 #[test]
@@ -219,16 +224,53 @@ fn stress_tenant_isolation_bounds_victim_p99_under_10x_load() {
     // stays resident inside its cache quota, so its p99 lives in the
     // cache-hit bucket at both intensities; without the quota the 10x hog
     // flushes the hot set continuously and the victim's p99 lands in the
-    // disk bucket, ~7-11x worse (see `examples/multi_tenant.rs`). Each
-    // round replays the identical trace pair with fresh real-thread
+    // disk bucket (`stress_tenant_isolation_beats_fifo_on_victim_p99`).
+    // Each round replays the identical trace pair with fresh real-thread
     // interleavings (concurrent serves, freelist shards).
     for round in 0..3 {
-        let baseline = victim_p99_under_hog(10);
-        let loaded = victim_p99_under_hog(100);
+        let (baseline, _) = replay_tail_trace(isolating_config(), 10);
+        let (loaded, _) = replay_tail_trace(isolating_config(), 100);
         assert!(
             loaded <= baseline.saturating_mul(4),
             "round {round}: 10x hog load pushed the victim's p99 from \
              {baseline} ns to {loaded} ns (> 4x: isolation broken)"
+        );
+    }
+}
+
+#[test]
+fn stress_tenant_isolation_beats_fifo_on_victim_p99() {
+    // The same trace on a stock mount (one shared cache, first-come
+    // dispatch) and on the isolating one. On the stock mount the hog's
+    // scans keep evicting the victim's hot pages and its requests queue
+    // behind the hog's; inside its quota the hot set stays resident after
+    // the cold faults. Isolation must at least halve the victim's p99 and
+    // keep nine tenths of the aggregate throughput. The stock leg's p99
+    // sits near the knee of its latency curve, and the real-time
+    // schedule now and then lands it below the knee, on the isolated
+    // leg's value (1 replay of 36 on two cores), so the stock leg is the
+    // median of five replays and the isolated leg the worst of five.
+    const REPLAYS: usize = 5;
+    let legs = |config: fn() -> GpufsConfig| -> Vec<(u64, f64)> {
+        (0..REPLAYS)
+            .map(|_| replay_tail_trace(config(), 96))
+            .collect()
+    };
+    let fifo = legs(|| GpufsConfig::new(PAGE, 64 * PAGE));
+    let isolated = legs(isolating_config);
+    let mut fifo_p99: Vec<u64> = fifo.iter().map(|&(p99, _)| p99).collect();
+    fifo_p99.sort_unstable();
+    let fifo_p99 = fifo_p99[REPLAYS / 2];
+    let isolated_p99 = isolated.iter().map(|&(p99, _)| p99).max().unwrap();
+    assert!(
+        isolated_p99.saturating_mul(2) <= fifo_p99,
+        "victim p99: median {fifo_p99} ns FIFO vs worst {isolated_p99} ns isolated \
+         ({fifo:?} vs {isolated:?})"
+    );
+    for (&(_, fifo_mb_s), &(_, isolated_mb_s)) in fifo.iter().zip(&isolated) {
+        assert!(
+            isolated_mb_s >= 0.9 * fifo_mb_s,
+            "isolation cut throughput from {fifo_mb_s:.1} to {isolated_mb_s:.1} MB/s"
         );
     }
 }
