@@ -422,10 +422,8 @@ impl GpuFsMount {
             // A flusher batch still in flight may fail and re-arm its
             // pages; wait it out, then rescan so those pages get this
             // call's own (error-surfacing) shipment attempt.
-            let mut fruitless = 0usize;
             while file.wb_inflight() > 0 {
-                crate::backoff::spin_then_sleep(fruitless, 64);
-                fruitless += 1;
+                self.waits.wait(blk.now(), || file.wb_inflight() == 0);
             }
         }
         blk.wait_until(file.flush_horizon());

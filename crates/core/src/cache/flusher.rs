@@ -33,15 +33,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use gpusim::BlockCtx;
-use simtime::Clock;
+use simtime::{Clock, ClockBoard};
 
-use crate::backoff::spin_then_sleep;
 use crate::mount::{GpuFsMount, Lane};
 use crate::table::GFile;
 
-/// Consecutive fruitless throttle rounds (50 µs sleeps, after the spin
-/// budget) before a stalled writer gives up on the flusher and drains
-/// synchronously — roughly 0.2 s of real time.
+/// Consecutive fruitless throttle rounds (each a wait on the mount's
+/// board, of one 50 µs quantum at most) before a stalled writer gives up
+/// on the flusher and drains synchronously — roughly 0.2 s of real time.
 const THROTTLE_GIVEUP_ROUNDS: usize = 4096;
 
 /// The flusher's lane id: its RPCs are attributed to, and scheduled as,
@@ -104,33 +103,39 @@ pub(crate) fn stop(mount: &GpuFsMount) {
 }
 
 fn flusher_loop(mount: &Weak<GpuFsMount>, stop: &AtomicBool) {
-    let mut fruitless = 0usize;
+    // Nothing notifies the flusher: an idle round ends when there is
+    // work, or after one quantum.
+    let idle = ClockBoard::new(0);
+    let stopped = || stop.load(Ordering::Acquire);
+    let work = || mount.upgrade().is_some_and(|m| above_low(&m));
     loop {
-        if stop.load(Ordering::Acquire) {
+        if stopped() {
             return;
         }
-        // Upgrade per iteration (and drop before backing off) so this
-        // thread never keeps a dying mount alive across a sleep.
+        // Upgrade per iteration (and drop before waiting) so this thread
+        // never keeps a dying mount alive across a wait.
         let Some(m) = mount.upgrade() else { return };
-        if m.dirty.pages.load(Ordering::Acquire) <= m.config.dirty_low_pages {
+        if !above_low(&m) {
             drop(m);
-            spin_then_sleep(fruitless, 16);
-            fruitless = fruitless.saturating_add(1);
+            idle.wait(0, || stopped() || work());
             continue;
         }
         let shipped_before = m.counters.writebacks.get();
         flush_pass(&m, stop);
         m.count_for(FLUSHER_LANE, |c| c.flusher_passes.incr());
-        if m.counters.writebacks.get() > shipped_before {
-            fruitless = 0;
-        } else {
+        if m.counters.writebacks.get() == shipped_before {
             // Dirty pages it cannot ship (daemon down, everything
             // pinned): back off instead of spinning hot on failure.
             drop(m);
-            spin_then_sleep(fruitless, 16);
-            fruitless = fruitless.saturating_add(1);
+            idle.wait(0, stopped);
         }
     }
+}
+
+/// Whether the dirty ledger is above the low watermark: work for the
+/// flusher, and a throttled writer still stalled.
+fn above_low(m: &GpuFsMount) -> bool {
+    m.dirty.pages.load(Ordering::Acquire) > m.config.dirty_low_pages
 }
 
 /// One sweep over the mount's syncable files, stopping early once the
@@ -153,14 +158,15 @@ fn flush_pass(m: &GpuFsMount, stop: &AtomicBool) {
         // while this sweep shipped the previous file.
         lane.wait_until(m.virtual_frontier.load(Ordering::Acquire));
         let _ = m.flush_dirty(&mut lane, &file);
-        if m.dirty.pages.load(Ordering::Acquire) <= m.config.dirty_low_pages {
+        if !above_low(m) {
             break;
         }
     }
-    if m.dirty.pages.load(Ordering::Acquire) <= m.config.dirty_low_pages {
+    if !above_low(m) {
         // Publish the drain time: throttled writers resume at this
         // virtual instant.
         m.dirty.flush_vtime.fetch_max(lane.now(), Ordering::AcqRel);
+        m.waits.notify_all();
     }
     root.finish(t_entry, lane.now());
 }
@@ -179,7 +185,7 @@ impl GpuFsMount {
         // Make sure the flusher issues at (at least) this writer's time.
         self.note_frontier(Lane::now(blk));
         let mut fruitless = 0usize;
-        while self.dirty.pages.load(Ordering::Acquire) > self.config.dirty_low_pages {
+        while above_low(self) {
             let flusher_gone =
                 self.flusher_stop.load(Ordering::Acquire) || self.flusher.lock().is_none();
             if flusher_gone || fruitless > THROTTLE_GIVEUP_ROUNDS {
@@ -189,7 +195,7 @@ impl GpuFsMount {
                 let _ = self.flush_dirty(blk, file);
                 break;
             }
-            spin_then_sleep(fruitless, 64);
+            self.waits.wait(Lane::now(blk), || !above_low(self));
             fruitless += 1;
         }
         // The stall costs virtual time too: resume no earlier than the
@@ -219,11 +225,10 @@ mod tests {
             }
             // Wait (in real time) for the flusher to drain to the low
             // watermark without any gfsync from this block.
-            let mut fruitless = 0usize;
+            let t0 = std::time::Instant::now();
             while mount.dirty.pages.load(Ordering::Acquire) > 2 {
-                crate::backoff::spin_then_sleep(fruitless, 64);
-                fruitless += 1;
-                assert!(fruitless < 200_000, "flusher never drained");
+                std::thread::sleep(std::time::Duration::from_micros(50));
+                assert!(t0.elapsed().as_secs() < 10, "flusher never drained");
             }
             // gfsync now only has the residue to ship — and after it,
             // nothing dirty remains anywhere.

@@ -153,7 +153,8 @@ impl GpuFsMount {
                     // An in-flight init resolves in bounded time; retry
                     // from the fast path once it settles.
                     failed_attempts = 0;
-                    std::thread::yield_now();
+                    self.waits
+                        .wait(blk.now(), || fp.state() != PageState::Initializing);
                 }
             }
         }
@@ -258,7 +259,8 @@ impl GpuFsMount {
                     fp.unlock();
                 }
                 Snapshot::Initializing => {
-                    std::thread::yield_now();
+                    self.waits
+                        .wait(blk.now(), || fp.state() != PageState::Initializing);
                     contended = true;
                     failed_attempts = 0; // fresh page, start protocol over
                 }
@@ -317,15 +319,15 @@ impl GpuFsMount {
             // Frames for readahead are opportunistic: one reclaim attempt,
             // then give up rather than stall the demand miss.
             let Some(frame) = self.alloc_frame_opportunistic(blk) else {
-                Self::abort_init(fp);
+                self.abort_init(fp);
                 break;
             };
             let pristine = if file.mode().needs_pristine() {
                 match self.alloc_frame_opportunistic(blk) {
                     Some(p) => Some(p),
                     None => {
-                        self.frames.release(blk.block_id(), frame);
-                        Self::abort_init(fp);
+                        self.release_frame(blk.block_id(), frame);
+                        self.abort_init(fp);
                         break;
                     }
                 }
@@ -379,7 +381,7 @@ impl GpuFsMount {
         let (frame, pristine) = match allocated {
             Ok(pair) => pair,
             Err(e) => {
-                Self::abort_init(fp);
+                self.abort_init(fp);
                 return Err(e);
             }
         };
@@ -479,6 +481,7 @@ impl GpuFsMount {
             fp.pin_direct();
             fp.end_update();
             fp.unlock();
+            self.waits.notify_all();
             blk.advance(self.timings.gpufs_page_op_ns);
         }
         sp.finish_attrs(t_miss, blk.now(), &[("page", page_idx)]);
@@ -536,6 +539,7 @@ impl GpuFsMount {
         }
         fp.end_update();
         fp.unlock();
+        self.waits.notify_all();
         blk.advance(self.timings.gpufs_page_op_ns);
     }
 
@@ -552,25 +556,26 @@ impl GpuFsMount {
     ) {
         for extra in extras {
             if let Some(p) = extra.pristine {
-                self.frames.release(shard, p);
+                self.release_frame(shard, p);
             }
-            self.frames.release(shard, extra.frame);
-            Self::abort_init(extra.fpage());
+            self.release_frame(shard, extra.frame);
+            self.abort_init(extra.fpage());
         }
         if let Some(p) = pristine {
-            self.frames.release(shard, p);
+            self.release_frame(shard, p);
         }
-        self.frames.release(shard, frame);
-        Self::abort_init(fp);
+        self.release_frame(shard, frame);
+        self.abort_init(fp);
     }
 
-    pub(crate) fn abort_init(fp: &FPage) {
+    pub(crate) fn abort_init(&self, fp: &FPage) {
         fp.lock();
         fp.begin_update();
         fp.set_state(PageState::Empty);
         fp.set_frame(None);
         fp.end_update();
         fp.unlock();
+        self.waits.notify_all();
     }
 }
 

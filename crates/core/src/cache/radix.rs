@@ -60,6 +60,10 @@ pub const MAX_PAGES: u64 = 1 << (FANOUT_BITS * TREE_LEVELS);
 /// bounds how far the hand can travel for one frame.
 pub const REFERENCE_CAP: u8 = 3;
 
+/// Lockcheck id shared by every fpage lock: the checker needs to see that
+/// one is held, not which.
+static FPAGE_LOCKS: AtomicU64 = AtomicU64::new(0);
+
 /// Lifecycle of one fpage slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -127,7 +131,8 @@ impl FPage {
         }
     }
 
-    /// Spin until the fpage lock is held.
+    /// Spin until the fpage lock is held. No holder ever waits, and
+    /// lockcheck pins that: a `simtime` wait while it is held is a finding.
     pub fn lock(&self) {
         while self
             .locked
@@ -135,7 +140,11 @@ impl FPage {
             .is_err()
         {
             std::hint::spin_loop();
+            // lint:allow wait -- a holder never waits (lockcheck pins it)
             std::thread::yield_now();
+        }
+        if parking_lot::lockcheck::enabled() {
+            parking_lot::lockcheck::custom_acquired(&FPAGE_LOCKS, "fpage");
         }
     }
 
@@ -149,6 +158,9 @@ impl FPage {
             self.locked.load(Ordering::Relaxed),
             "unlock of unlocked fpage"
         );
+        if parking_lot::lockcheck::enabled() {
+            parking_lot::lockcheck::custom_released(FPAGE_LOCKS.load(Ordering::Relaxed));
+        }
         self.locked.store(false, Ordering::Release);
     }
 
@@ -598,6 +610,31 @@ impl RadixTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_fpage_lock_held_across_a_wait_is_a_lockcheck_finding() {
+        use parking_lot::lockcheck;
+        if !lockcheck::enabled() {
+            return; // a `LOCKCHECK=0` run checks nothing
+        }
+        let fp = FPage::new();
+        let board = simtime::ClockBoard::new(0);
+        fp.lock();
+        let waited = std::panic::catch_unwind(|| board.wait(0, || true));
+        fp.unlock();
+        assert!(waited.is_err(), "the checker stops the wait");
+        let reports = lockcheck::take_reports();
+        assert!(
+            reports
+                .iter()
+                .any(|r| r.contains("lock held across blocking region")
+                    && r.contains("simtime-wait")
+                    && r.contains("fpage")),
+            "{reports:#?}"
+        );
+        // Released, the lock no longer counts.
+        assert!(board.wait(0, || true));
+    }
 
     #[test]
     fn lookup_of_missing_page_is_none() {

@@ -30,13 +30,10 @@ use crate::table::GFile;
 /// concurrent faults, a convoy the OS scheduler can stretch out under
 /// load — resolves as soon as any pin drops, so only rounds that free
 /// nothing count toward giving up; genuinely wedged caches (all frames
-/// pinned indefinitely) still error out promptly.
+/// pinned indefinitely) still error out promptly: each fruitless round
+/// waits on the mount's board for at most one quantum, about 0.2 s in
+/// all.
 const RECLAIM_ROUNDS: usize = 4096;
-
-/// Zero-progress rounds spent busy-yielding before the allocation loop
-/// falls back to short sleeps (keeps the give-up latency for a genuinely
-/// wedged cache around 0.2 s while tolerating slow in-flight faults).
-const RECLAIM_SPIN_ROUNDS: usize = 128;
 
 /// Frames reclaimed per paging pass; small to keep the hijacked caller's
 /// detour short. The paper turns clock down as "variable-work"
@@ -88,7 +85,7 @@ impl GpuFsMount {
             (frame, None) => {
                 // Unreachable by construction (`pair == true` only returns
                 // with both frames), but losing `frame` here would leak it.
-                self.frames.release(blk.block_id(), frame);
+                self.release_frame(blk.block_id(), frame);
                 Err(GpufsError::CacheExhausted { requested: 2 })
             }
         }
@@ -112,14 +109,16 @@ impl GpuFsMount {
                 }
                 // All-or-nothing: never hold one frame while waiting for
                 // another (see `alloc_frame_pair`).
-                self.frames.release(shard, first);
+                self.release_frame(shard, first);
             }
             if self.reclaim(blk, RECLAIM_BATCH)? == 0 {
                 fruitless += 1;
                 // Give in-flight faults (e.g. a readahead batch whose
                 // frames are claimed across a host RPC) real time to
-                // publish and become evictable before giving up.
-                crate::backoff::spin_then_sleep(fruitless, RECLAIM_SPIN_ROUNDS);
+                // publish and become evictable before giving up. A freed
+                // frame or a published page ends the wait early; nothing
+                // left to notify, and it ends after one quantum.
+                self.waits.wait(blk.now(), || false);
             } else {
                 // Progress was made (even if a concurrent fault won the
                 // race to the freed frame): keep going.
@@ -251,6 +250,7 @@ impl GpuFsMount {
                                 for d in &detached {
                                     Self::reattach_page(d.fpage(), d.frame);
                                 }
+                                self.waits.notify_all();
                                 return Err(e);
                             }
                         }
@@ -272,6 +272,7 @@ impl GpuFsMount {
                     self.count_for(blk.block_id(), |c| c.pages_reclaimed.incr());
                     freed += 1;
                 }
+                self.waits.notify_all();
             }
             // A closed file drained of pages can release its host fd and
             // its table slot entirely.

@@ -191,7 +191,9 @@ impl GpuFsMount {
                 file.note_flush_horizon(blk.now());
             }
         }
-        file.wb_end();
+        if file.wb_end() {
+            self.waits.notify_all();
+        }
         r
     }
 

@@ -65,7 +65,6 @@
 #[cfg(test)]
 mod allocations;
 mod api;
-mod backoff;
 pub mod cache;
 pub mod cluster;
 mod config;

@@ -141,6 +141,9 @@ pub struct GpuFsMount {
     /// traffic lands "now" rather than in the virtual past.
     // lint:allow adhoc-counter -- a virtual-time frontier, not a tally
     pub(crate) virtual_frontier: AtomicU64,
+    /// Where a lane waiting for another lane parks (ARCHITECTURE.md,
+    /// "Waiting").
+    pub(crate) waits: simtime::ClockBoard,
     /// Background flusher control: set to request shutdown, joined on
     /// drop. `None` when async write-back is off.
     pub(crate) flusher_stop: Arc<std::sync::atomic::AtomicBool>,
@@ -240,6 +243,7 @@ impl GpufsHost {
             dirty: DirtyLedger::default(),
             // lint:allow adhoc-counter -- frontier init, not a counter
             virtual_frontier: AtomicU64::new(0),
+            waits: simtime::ClockBoard::new(0),
             flusher_stop: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             flusher: parking_lot::Mutex::new(None),
         });
@@ -388,7 +392,13 @@ impl GpuFsMount {
         {
             self.dirty.pages.fetch_sub(1, Ordering::AcqRel);
         }
+        self.release_frame(hint, frame);
+    }
+
+    /// Free `frame` into shard `hint` and wake the lanes waiting for one.
+    pub(crate) fn release_frame(&self, hint: usize, frame: FrameIdx) {
         self.frames.release(hint, frame);
+        self.waits.notify_all();
     }
 }
 

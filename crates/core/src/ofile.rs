@@ -212,28 +212,14 @@ impl GpuFsMount {
             let _ = self.rpc(blk, Request::Close { fd: file.host_fd() })?;
             return Ok(());
         }
-        if let Some(displaced) = self.tables.park_closed(Arc::clone(&file)) {
-            if !Arc::ptr_eq(&displaced, &file) {
-                // An older cached copy of the same inode: flush its dirty
-                // pages so no local writes are lost, then drop it. The
-                // discard unregisters this GPU from the consistency
-                // layer, but the copy just parked is still cached —
-                // restore its registration.
-                self.flush_dirty(blk, &displaced)?;
-                self.retire_file_cache(blk.block_id(), &displaced);
-                let _ = self.rpc(
-                    blk,
-                    Request::Close {
-                        fd: displaced.host_fd(),
-                    },
-                )?;
-                self.host_fs.consistency().register_gpu_cache(
-                    file.ino(),
-                    self.coherence_id,
-                    file.generation(),
-                );
-            }
-        }
+        // Nothing else of the inode is parked: every park runs under the
+        // path lock, a full open first takes the inode's parked copy, and
+        // inode numbers are never reused.
+        let displaced = self.tables.park_closed(Arc::clone(&file));
+        debug_assert!(
+            displaced.is_none_or(|d| Arc::ptr_eq(&d, &file)),
+            "a close displaced another parked copy of its inode"
+        );
         Ok(())
     }
 }

@@ -47,14 +47,13 @@
 //! to completion on its own thread. No threadblock can be left waiting on
 //! a request nobody will answer, because nobody but the caller answers.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::thread::Thread;
+use std::sync::Arc;
 
 use gpusim::{DevPtr, GpuId};
 use hostfs::{FsError, HostFd, Ino};
 use parking_lot::{Condvar, Mutex};
-use simtime::{Nanos, Timings};
+use simtime::{ClockBoard, Nanos, Timings};
 
 use crate::error::{GpufsError, GpufsResult};
 
@@ -273,31 +272,10 @@ impl Drop for Slot<'_> {
 /// Turns at the daemon, handed out in issue order: at most `turns` calls
 /// are being served at once, and when a turn frees it goes to the waiting
 /// caller whose request was issued earliest in virtual time (the earlier
-/// arrival on a tie).
-///
-/// This paces real threads the way the daemon's worker threads once did,
-/// and nothing more: which request costs what is decided in virtual time.
-/// But the `simtime` resources accept work in real arrival order, so a
-/// block whose thread ran ahead in virtual time would push every
-/// reservation it makes ahead of the blocks it left behind. Serving in
-/// turns keeps the blocks' clocks as close together as the daemon's
-/// queue kept them; without it `evict_random`'s modelled throughput
-/// halves. Handing a freed turn to the earliest-issued waiter is the
-/// paper's polled queue (§4.3) among the callers that queue here: a
-/// request posted earlier is not served behind one posted after it.
-///
-/// Two paths are still in real order. A turn that is free goes to
-/// whoever asks, without looking at its issue time; and a caller that
-/// has not yet reached the hub cannot be waited for, so a virtually
-/// earlier request still in flight on its thread can be overtaken by
-/// one that is already waiting.
-///
-/// There is one turn per daemon worker, but never fewer than two. A
-/// turn handed to a parked caller idles until that thread wakes up,
-/// where a worker thread went straight on to its next request; with two
-/// turns that wake-up overlaps the other turn's serve. Four turns for
-/// `seq_read_cold`'s two workers loosen the pacing enough to double its
-/// modelled p99, so the floor is two and not more.
+/// arrival on a tie) — the paper's polled queue (§4.3) among the callers
+/// that queue here. A free turn still goes to whoever asks. One turn per
+/// daemon worker, never fewer than two; ARCHITECTURE.md ("RPC layer")
+/// says why turns keep the modelled numbers put and why the floor is two.
 #[derive(Debug)]
 struct Turns {
     turns: usize,
@@ -306,12 +284,11 @@ struct Turns {
 
 #[derive(Debug)]
 struct TurnQueue {
-    next_ticket: u64,
     serving: usize,
-    /// Parked callers by `(issue time, ticket)`. A freed turn is granted
-    /// by taking the first entry out: a caller whose entry is gone holds
-    /// a turn.
-    waiting: BTreeMap<(Nanos, u64), Thread>,
+    /// Callers waiting for a turn, by issue time. A freed turn is granted
+    /// with [`ClockBoard::notify_first`]: a caller it picked holds a turn.
+    /// Shared so a caller can wait on it without holding this lock.
+    waiting: Arc<ClockBoard>,
 }
 
 impl Turns {
@@ -319,9 +296,8 @@ impl Turns {
         Self {
             turns: workers.max(2),
             queue: Mutex::new(TurnQueue {
-                next_ticket: 0,
                 serving: 0,
-                waiting: BTreeMap::new(),
+                waiting: Arc::new(ClockBoard::new(0)),
             }),
         }
     }
@@ -329,24 +305,16 @@ impl Turns {
     /// Wait for a turn for a request issued at `start`; it ends when the
     /// returned guard drops.
     fn take(&self, start: Nanos) -> Turn<'_> {
-        let key = {
-            let mut q = self.queue.lock();
-            if q.serving < self.turns {
-                q.serving += 1;
-                return Turn(self);
-            }
-            let key = (start, q.next_ticket);
-            q.next_ticket += 1;
-            q.waiting.insert(key, std::thread::current());
-            key
-        };
-        // An unpark that lands before the park makes it return at once.
-        loop {
-            std::thread::park();
-            if !self.queue.lock().waiting.contains_key(&key) {
-                return Turn(self);
-            }
+        let mut q = self.queue.lock();
+        if q.serving < self.turns {
+            q.serving += 1;
+            return Turn(self);
         }
+        let board = Arc::clone(&q.waiting);
+        let waiter = board.waiter(start);
+        drop(q);
+        while !waiter.wait(|| false) {}
+        Turn(self)
     }
 }
 
@@ -356,11 +324,9 @@ struct Turn<'a>(&'a Turns);
 
 impl Drop for Turn<'_> {
     fn drop(&mut self) {
-        let turns = self.0;
-        let mut q = turns.queue.lock();
-        match q.waiting.pop_first() {
-            Some((_, thread)) => thread.unpark(),
-            None => q.serving -= 1,
+        let mut q = self.0.queue.lock();
+        if !q.waiting.notify_first() {
+            q.serving -= 1;
         }
     }
 }

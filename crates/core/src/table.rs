@@ -252,9 +252,9 @@ impl GFile {
         self.wb_inflight.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Leave a write-back batch.
-    pub(crate) fn wb_end(&self) {
-        self.wb_inflight.fetch_sub(1, Ordering::AcqRel);
+    /// Leave a write-back batch; `true` when it was the last in flight.
+    pub(crate) fn wb_end(&self) -> bool {
+        self.wb_inflight.fetch_sub(1, Ordering::AcqRel) == 1
     }
 
     /// Write-back batches currently in flight for this file.

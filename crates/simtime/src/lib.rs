@@ -18,7 +18,10 @@
 //!   stay virtually concurrent.
 //!
 //! Because reservations never block real threads, experiments that model
-//! minutes of device time execute in milliseconds of wall time.
+//! minutes of device time execute in milliseconds of wall time. A real
+//! thread that must wait for another actor parks on a [`ClockBoard`], the
+//! one real-time wait; a [`ClockBoard::wait`] round ends after one 50 µs
+//! quantum at most, so a wait whose notifier is gone still ends.
 //!
 //! # Example
 //!
@@ -39,7 +42,7 @@ mod resource;
 mod stats;
 mod timings;
 
-pub use board::{ClockBoard, Seat};
+pub use board::{ClockBoard, Seat, Waiter};
 pub use clock::Clock;
 pub use resource::{BandwidthResource, Reservation, Timeline, WorkerPool};
 pub use stats::{ByteLedger, Counter};

@@ -16,10 +16,12 @@
 //!   ([`PANIC_SCOPE`]) the rule also covers `unreachable!` / `panic!`:
 //!   what that code matches on is a peer's bytes, so "cannot happen" is
 //!   the peer's to decide, and it must come back as a typed error.
-//! * **`sleep`** — no `thread::sleep` in non-test code under `crates/`
-//!   outside the designated backoff helper (`crates/core/src/backoff.rs`):
-//!   ad-hoc sleeps hide ordering bugs and skew the virtual clock's
-//!   real-time envelope.
+//! * **`wait`** — no `thread::sleep`, `yield_now`, `thread::park` or
+//!   `park_timeout` in non-test code under `crates/` outside
+//!   `crates/simtime/src/`: every real-time wait on another actor goes
+//!   through `simtime::ClockBoard`, so one type knows when an actor is
+//!   blocked; an ad-hoc sleep or spin hides ordering bugs and skews the
+//!   virtual clock's real-time envelope.
 //! * **`unsafe-safety`** — every `unsafe` in non-test code under
 //!   `crates/` needs a `// SAFETY:` comment (or a `# Safety` doc
 //!   section) within the six preceding lines.
@@ -51,22 +53,18 @@
 //!
 //! A finding is fixed or waived, never ignored: waivers are inline
 //! `// lint:allow <rule> -- <reason>` comments on the offending line or
-//! the line above, and the reason is mandatory. File-scoped waivers live
-//! in [`SLEEP_ALLOWED`] below, each with a comment.
+//! the line above, and the reason is mandatory. File-scoped exemptions
+//! live in the lists below, each with a comment.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Files allowed to call `thread::sleep`: the backoff helpers. Every
-/// entry needs a justification here — this list is the `sleep` rule's
-/// named allowlist.
-const SLEEP_ALLOWED: &[&str] = &[
-    // The one sanctioned blocking backoff: reclaim's spin-then-sleep
-    // loop and any future retry loop route through these helpers, so the
-    // "who is allowed to stall a threadblock" question has one answer.
-    "crates/core/src/backoff.rs",
-];
+/// Where the `wait` rule does not apply: the one wait type's crate.
+const WAIT_HOME: &str = "crates/simtime/src/";
+
+/// The tokens of a real-time wait outside [`WAIT_HOME`].
+const WAIT_TOKENS: &[&str] = &["thread::sleep", "yield_now", "thread::park", "park_timeout"];
 
 /// Directories under `crates/core/src/` (plus `rpc.rs`) where the
 /// `unwrap` rule applies: the daemon-facing production paths.
@@ -134,7 +132,7 @@ const ADHOC_COUNTER_ALLOWED: &[&str] = &[
 enum Rule {
     StdSync,
     Unwrap,
-    Sleep,
+    Wait,
     UnsafeSafety,
     HotMutex,
     ProxyHostFs,
@@ -146,7 +144,7 @@ impl Rule {
         match self {
             Rule::StdSync => "std-sync",
             Rule::Unwrap => "unwrap",
-            Rule::Sleep => "sleep",
+            Rule::Wait => "wait",
             Rule::UnsafeSafety => "unsafe-safety",
             Rule::HotMutex => "hot-mutex",
             Rule::ProxyHostFs => "proxy-hostfs",
@@ -225,7 +223,9 @@ xtask lint rules:
   unwrap         no .unwrap()/.expect( in non-test daemon/cache/cluster/remote/rpc
                  code, nor unreachable!/panic! in non-test remote/ code (a peer
                  picks those match arms: return a typed error)
-  sleep          no thread::sleep under crates/ outside crates/core/src/backoff.rs
+  wait           no thread::sleep/yield_now/thread::park/park_timeout in non-test
+                 code under crates/ outside crates/simtime/src/ (wait on a
+                 simtime::ClockBoard)
   unsafe-safety  every unsafe needs a // SAFETY: comment within 6 lines above
   hot-mutex      no Mutex/RwLock/parking_lot:: in the lock-free page-lookup
                  hot path (crates/core/src/cache/paging.rs) — the fpage
@@ -279,7 +279,7 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
     let in_test = test_regions(&code);
     let unwrap_scoped = UNWRAP_SCOPE.iter().any(|p| rel.starts_with(p));
     let panic_scoped = PANIC_SCOPE.iter().any(|p| rel.starts_with(p));
-    let sleep_allowed = SLEEP_ALLOWED.contains(&rel);
+    let wait_scoped = !rel.starts_with(WAIT_HOME);
     let hot_lockfree = HOT_LOCKFREE.contains(&rel);
     let proxy_no_hostfs = PROXY_NO_HOSTFS.contains(&rel);
     let engine_no_backend = ENGINE_NO_BACKEND.contains(&rel);
@@ -336,11 +336,13 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
                 }
             }
         }
-        if !sleep_allowed && code_line.contains("thread::sleep") {
-            report(
-                Rule::Sleep,
-                "thread::sleep outside the backoff helpers (crates/core/src/backoff.rs)".into(),
-            );
+        if wait_scoped {
+            if let Some(what) = WAIT_TOKENS.iter().find(|w| code_line.contains(*w)) {
+                report(
+                    Rule::Wait,
+                    format!("{what} outside simtime; wait on a simtime::ClockBoard"),
+                );
+            }
         }
         if has_word(code_line, "unsafe") && !safety_documented(&lines, &code, i) {
             report(
@@ -774,10 +776,21 @@ let c = '{'; let lt: &'static str = "x";"#,
     }
 
     #[test]
-    fn sleep_rule_exempts_the_backoff_helper() {
-        let text = "fn f() { std::thread::sleep(d); }\n";
-        assert_eq!(lint_file("crates/core/src/cluster/fleet.rs", text).len(), 1);
-        assert!(lint_file("crates/core/src/backoff.rs", text).is_empty());
+    fn wait_rule_exempts_simtime_and_tests_only() {
+        for call in [
+            "std::thread::sleep(d)",
+            "std::thread::yield_now()",
+            "std::thread::park()",
+            "std::thread::park_timeout(d)",
+        ] {
+            let text = format!("fn f() {{ {call}; }}\n");
+            let f = lint_file("crates/core/src/cluster/fleet.rs", &text);
+            assert_eq!(f.len(), 1, "{call}: {f:?}");
+            assert_eq!(f[0].rule.name(), "wait");
+            assert!(lint_file("crates/simtime/src/board.rs", &text).is_empty());
+            let test = format!("#[cfg(test)]\nmod tests {{ {text} }}\n");
+            assert!(lint_file("crates/core/src/cluster/fleet.rs", &test).is_empty());
+        }
     }
 
     #[test]
@@ -816,9 +829,9 @@ pub unsafe fn slice(&self) -> &[u8] { todo!() }
     #[test]
     fn inline_allow_requires_a_reason() {
         let with_reason =
-            "// lint:allow sleep -- measured: only reached in shutdown, bounded 1ms\nfn f() { std::thread::sleep(d); }\n";
+            "// lint:allow wait -- measured: only reached in shutdown, bounded 1ms\nfn f() { std::thread::sleep(d); }\n";
         assert!(lint_file("crates/x/src/lib.rs", with_reason).is_empty());
-        let without_reason = "// lint:allow sleep\nfn f() { std::thread::sleep(d); }\n";
+        let without_reason = "// lint:allow wait\nfn f() { std::thread::sleep(d); }\n";
         assert_eq!(lint_file("crates/x/src/lib.rs", without_reason).len(), 1);
         let wrong_rule = "// lint:allow unwrap -- reasons\nfn f() { std::thread::sleep(d); }\n";
         assert_eq!(lint_file("crates/x/src/lib.rs", wrong_rule).len(), 1);
