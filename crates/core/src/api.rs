@@ -242,10 +242,10 @@ impl GpuFsMount {
         }
         let root = self.tracer.root("gwrite");
         let t_entry = blk.now();
-        // Async write-back throttle: above the high watermark, stall
-        // until the background flusher drains the cache to the low one
-        // (checked once per call — a single gwrite spans few pages).
-        self.throttle_dirty(blk, file);
+        // The dirty-page cap: at the high mark, this block drains the
+        // cache to the low one first (checked once per call — a single
+        // gwrite spans few pages).
+        self.throttle_dirty(blk);
         let ps = self.config.page_size as u64;
         let mut done = 0usize;
         while done < src.len() {
@@ -388,12 +388,12 @@ impl GpuFsMount {
     // ==================================================================
 
     /// `gfsync`: write every dirty cached page of the file back to the
-    /// host page cache. Pages pinned by concurrent accesses are skipped,
-    /// as in the paper (Table 1). With the background flusher on, this is
-    /// *wait-for-drain*: it ships the residual dirty pages itself (so
-    /// host errors surface on this call), waits out any flusher batches
-    /// still in flight for the file, and synchronizes the caller's clock
-    /// to the last shipment — returning only once nothing dirty remains.
+    /// host page cache (paper Table 1). It ships the dirty pages itself
+    /// (so host errors surface on this call), waits out batches other
+    /// blocks still have in flight for the file — a batch clears its
+    /// pages' dirty bits when it gathers them, before their bytes reach
+    /// the host — and synchronizes the caller's clock to the file's last
+    /// shipment, returning only once nothing dirty remains.
     ///
     /// # Errors
     ///
@@ -405,22 +405,13 @@ impl GpuFsMount {
         }
         let root = self.tracer.root("gfsync");
         let t_entry = blk.now();
-        if self.config.dirty_high_pages == 0 {
-            // Synchronous write-back: one pass, the paper prototype's
-            // semantics (and virtual times) exactly. Every in-flight
-            // batch belongs to some foreground caller who awaits its own
-            // RPC, so there is no invisible shipment to drain.
-            self.flush_dirty(blk, file)?;
-            root.finish(t_entry, blk.now());
-            return Ok(());
-        }
         loop {
             let found = self.flush_dirty(blk, file)?;
             if found == 0 && file.wb_inflight() == 0 {
                 break;
             }
-            // A flusher batch still in flight may fail and re-arm its
-            // pages; wait it out, then rescan so those pages get this
+            // Another block's batch still in flight may fail and re-arm
+            // its pages; wait it out, then rescan so those pages get this
             // call's own (error-surfacing) shipment attempt.
             while file.wb_inflight() > 0 {
                 self.waits.wait(blk.now(), || file.wb_inflight() == 0);
@@ -922,5 +913,35 @@ mod tests {
             );
         }
         assert!(mount.counters().pages_reclaimed.get() > 0);
+    }
+
+    #[test]
+    fn gfsync_returns_only_once_the_callers_bytes_are_on_the_host() {
+        // Two blocks write disjoint halves of one page and gfsync. The
+        // first to gather the page ships both halves and clears its dirty
+        // bit, so the other block's scan finds the page clean while that
+        // batch is still on its way: its gfsync must wait the batch out.
+        const ROUNDS: usize = 200;
+        const HALF: usize = 2048;
+        let r = rig(1);
+        r.fs.create("/halves", &[0u8; 2 * HALF]).unwrap();
+        let mount = r.host.mount(0, GpufsConfig::new(4096, 64 * 4096)).unwrap();
+        for round in 0..ROUNDS {
+            r.gpus[0].launch(Grid::new(2, 32), 0, |blk| {
+                let b = blk.block_id();
+                let fill = (2 * round + b) as u8;
+                let fd = mount.open(blk, "/halves", GOpenMode::ReadWrite).unwrap();
+                mount
+                    .write(blk, &fd, (b * HALF) as u64, &[fill; HALF])
+                    .unwrap();
+                mount.fsync(blk, &fd).unwrap();
+                let (data, _) = r.fs.read_whole("/halves", 0).unwrap();
+                assert!(
+                    data[b * HALF..(b + 1) * HALF].iter().all(|&x| x == fill),
+                    "round {round}: block {b}'s half not on the host when its gfsync returned"
+                );
+                mount.close(blk, fd).unwrap();
+            });
+        }
     }
 }

@@ -212,7 +212,7 @@ impl FrameArena {
         self.shards.len()
     }
 
-    /// Map an arbitrary caller hint (threadblock slot, flusher lane) to
+    /// Map an arbitrary caller hint (a threadblock slot) to
     /// its home shard.
     #[must_use]
     pub fn shard_of(&self, hint: usize) -> usize {

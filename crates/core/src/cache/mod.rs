@@ -64,8 +64,9 @@ pub struct CacheCounters {
     /// Total pages carried by those write RPCs. Divide by
     /// [`CacheCounters::write_rpcs`] for the mean write-batch width.
     pub pages_per_write_rpc: Counter,
-    /// Flush passes the background write-back thread completed (each
-    /// pass sweeps every syncable file once).
+    /// Sweeps the dirty-page cap ran: a `gwrite` that found the cache at
+    /// `dirty_high_pages` wrote back the syncable files on its own block
+    /// until the ledger reached `dirty_low_pages`.
     pub flusher_passes: Counter,
     /// `gwrite` calls that stalled on the dirty-page high watermark.
     pub throttle_stalls: Counter,

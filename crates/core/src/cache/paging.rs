@@ -105,7 +105,7 @@ impl GpuFsMount {
     /// The write-back flush pins whole batches with this: a sync pass
     /// holding several pins must never allocate frames, or it would
     /// reintroduce the hold-and-wait interlock `alloc_frame_pair` exists
-    /// to prevent (flusher holds most frames pinned, its re-fault needs
+    /// to prevent (the flush holds most frames pinned, its re-fault needs
     /// frames, reclaim finds nothing evictable). A page that went `Empty`
     /// since the dirty scan was evicted — and eviction writes dirty data
     /// back before releasing the frame — so there is nothing left to
@@ -121,9 +121,9 @@ impl GpuFsMount {
     /// a sync pass sweeps every dirty page of a file, and taking the
     /// fpage lock for each would serialize it against the very readers
     /// the sharded control plane keeps lock-free.
-    pub(crate) fn pin_page_resident<'f, L: crate::mount::Lane>(
+    pub(crate) fn pin_page_resident<'f>(
         &self,
-        blk: &mut L,
+        blk: &mut BlockCtx<'_>,
         file: &'f Arc<GFile>,
         page_idx: u64,
     ) -> Option<PagePin<'f>> {

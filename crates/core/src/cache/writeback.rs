@@ -15,13 +15,14 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use gpusim::BlockCtx;
 use parking_lot::Mutex;
 use simtime::bw_time_ns;
 
 use crate::cache::{diff_extents, nonzero_extents, Extents, FrameIdx, PageState};
 use crate::config::{GOpenMode, WRITE_BATCH_PAGES};
 use crate::error::GpufsResult;
-use crate::mount::{GpuFsMount, Lane};
+use crate::mount::GpuFsMount;
 use crate::rpc::{PageWrite, Request, RespOk};
 use crate::table::GFile;
 
@@ -94,9 +95,9 @@ impl GpuFsMount {
     /// dirty pages the scan found (shipped or already drained by a
     /// concurrent pass) — `0` means the file had nothing left to flush,
     /// which is what `gfsync`'s drain loop terminates on.
-    pub(crate) fn flush_dirty<L: Lane>(
+    pub(crate) fn flush_dirty(
         &self,
-        blk: &mut L,
+        blk: &mut BlockCtx<'_>,
         file: &Arc<GFile>,
     ) -> GpufsResult<usize> {
         let mut dirty_pages = Vec::new();
@@ -142,9 +143,9 @@ impl GpuFsMount {
     }
 
     /// Write back a single page (`gmsync`, and the batch-of-one case).
-    pub(crate) fn writeback_frame<L: Lane>(
+    pub(crate) fn writeback_frame(
         &self,
-        blk: &mut L,
+        blk: &mut BlockCtx<'_>,
         file: &GFile,
         page_idx: u64,
         frame: FrameIdx,
@@ -159,9 +160,9 @@ impl GpuFsMount {
     ///
     /// On a failed batch every page of that batch has its dirty flag
     /// re-armed (pages of earlier, successful batches stay propagated).
-    pub(crate) fn writeback_frames<L: Lane>(
+    pub(crate) fn writeback_frames(
         &self,
-        blk: &mut L,
+        blk: &mut BlockCtx<'_>,
         file: &GFile,
         pages: &[(u64, FrameIdx)],
     ) -> GpufsResult<usize> {
@@ -174,9 +175,9 @@ impl GpuFsMount {
 
     /// Gather the dirty extents of `chunk` and ship them in one
     /// `WritePages` round-trip.
-    fn ship_batch<L: Lane>(
+    fn ship_batch(
         &self,
-        blk: &mut L,
+        blk: &mut BlockCtx<'_>,
         file: &GFile,
         chunk: &[(u64, FrameIdx)],
     ) -> GpufsResult<usize> {
@@ -197,9 +198,9 @@ impl GpuFsMount {
         r
     }
 
-    fn ship_batch_inner<L: Lane>(
+    fn ship_batch_inner(
         &self,
-        blk: &mut L,
+        blk: &mut BlockCtx<'_>,
         file: &GFile,
         chunk: &[(u64, FrameIdx)],
     ) -> GpufsResult<usize> {
@@ -221,7 +222,7 @@ impl GpuFsMount {
                 extents: g.extents.clone(),
             })
             .collect();
-        self.count_for(blk.lane_id(), |c| {
+        self.count_for(blk.block_id(), |c| {
             c.write_rpcs.incr();
             c.pages_per_write_rpc.add(gathered.len() as u64);
         });
@@ -266,7 +267,7 @@ impl GpuFsMount {
             .consistency()
             .register_gpu_cache(file.ino(), self.coherence_id, generation);
         for g in &gathered {
-            self.count_for(blk.lane_id(), |c| c.writebacks.incr());
+            self.count_for(blk.block_id(), |c| c.writebacks.incr());
             file.mark_host_valid(g.page_idx * ps + g.ds as u64);
             if let Some(snapshot) = &g.snapshot {
                 // Refresh the pristine copy: future diffs are relative to
@@ -292,9 +293,9 @@ impl GpuFsMount {
     /// copied into a page buffer from the process-wide pool
     /// ([`SNAPSHOT_BUFS`]); the buffer returns to it when the snapshot
     /// drops, after the pristine refresh or a failed batch's unwind.
-    fn gather_page<L: Lane>(
+    fn gather_page(
         &self,
-        blk: &mut L,
+        blk: &mut BlockCtx<'_>,
         file: &GFile,
         page_idx: u64,
         frame: FrameIdx,

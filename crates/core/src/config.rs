@@ -152,18 +152,17 @@ pub struct GpufsConfig {
     /// a config whose value disagrees with the daemon it is mounted on
     /// (never a silent no-op).
     pub daemon_workers: usize,
-    /// High watermark, in dirty pages, of the asynchronous write-back
-    /// throttle. `0` (the default) disables the background flusher
-    /// entirely: write-back happens synchronously at `gfsync`/eviction
-    /// exactly as before. When > 0, each mount runs a flusher thread that
-    /// gathers dirty pages into the batched `WritePages` path while
-    /// foreground faults proceed; a writer that would push the mount's
-    /// dirty-page count to `dirty_high_pages` or beyond blocks until the
-    /// flusher drains it back to [`GpufsConfig::dirty_low_pages`].
+    /// Cap, in pages, on the mount's dirty pages. `0` (the default)
+    /// leaves the cache uncapped: dirty pages wait for `gfsync`,
+    /// `gmsync` or eviction. When > 0, a `gwrite` that finds
+    /// `dirty_high_pages` or more dirty pages first writes back the
+    /// mount's syncable files on its own threadblock, through the
+    /// batched `WritePages` path, until at most
+    /// [`GpufsConfig::dirty_low_pages`] remain; the block pays for that
+    /// write-back in virtual time.
     pub dirty_high_pages: usize,
-    /// Low watermark of the async write-back throttle: once engaged, the
-    /// flusher drains the mount's dirty-page count below this level
-    /// before throttled writers resume. Meaningful only when
+    /// How far a writer at the dirty-page cap drains the cache: down to
+    /// this many dirty pages. Meaningful only when
     /// [`GpufsConfig::dirty_high_pages`] > 0; clamped below it.
     pub dirty_low_pages: usize,
     /// Service weights per tenant, indexed by [`crate::rpc::TenantId`].
@@ -286,9 +285,9 @@ impl GpufsConfig {
         }
     }
 
-    /// Copy with asynchronous write-back enabled behind a `high`/`low`
-    /// dirty-page watermark pair (`high = 0` disables the flusher; `low`
-    /// is clamped below `high` when the flusher is on).
+    /// Copy with a dirty-page cap of `high` pages that a writer drains
+    /// inline down to `low` (`high = 0` leaves the cache uncapped; `low`
+    /// is clamped below `high` when the cap is on).
     #[must_use]
     pub fn with_async_writeback(self, high: usize, low: usize) -> Self {
         Self {
@@ -439,7 +438,7 @@ mod tests {
         let c = GpufsConfig::small_test().with_async_writeback(8, 99);
         assert_eq!(c.dirty_low_pages, 7, "low clamps below high");
         let c = GpufsConfig::small_test().with_async_writeback(0, 5);
-        assert_eq!(c.dirty_high_pages, 0, "0 high = flusher off");
+        assert_eq!(c.dirty_high_pages, 0, "0 high = no cap");
     }
 
     #[test]

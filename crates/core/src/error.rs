@@ -33,9 +33,6 @@ pub enum GpufsError {
     /// Operation not permitted for the file's open mode (e.g. `gmsync` on
     /// an `O_NOSYNC` temporary file).
     InvalidMode(&'static str),
-    /// The host-side runtime could not allocate an OS resource it needs
-    /// (e.g. the async write-back flusher thread at mount time).
-    HostResource(&'static str),
 }
 
 impl fmt::Display for GpufsError {
@@ -55,9 +52,6 @@ impl fmt::Display for GpufsError {
             GpufsError::EmptyMapping => write!(f, "gmmap of zero bytes"),
             GpufsError::DaemonStopped => write!(f, "gpufs host daemon is not running"),
             GpufsError::InvalidMode(what) => write!(f, "operation invalid for open mode: {what}"),
-            GpufsError::HostResource(what) => {
-                write!(f, "host resource unavailable: {what}")
-            }
         }
     }
 }

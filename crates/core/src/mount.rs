@@ -27,9 +27,10 @@
 //! No daemon threads run on the GPU: paging and write-back happen on the
 //! calling threadblock ("GPUfs code hijacking the calling thread to
 //! perform paging", §4.2), preserving the pay-as-you-go principle of §3.4.
+//! That includes the dirty-page cap: the `gwrite` that reaches it drains
+//! the cache itself (`cache/flusher.rs`).
 
-// lint:allow adhoc-counter -- imports the two time-frontier words below
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gpusim::{BlockCtx, Gpu};
@@ -47,53 +48,17 @@ use crate::table::Tables;
 /// stable per-slot assignment without unbounded storage.
 const TENANT_SLOT_MAP: usize = 1024;
 
-/// Mount-wide dirty-page accounting shared by the foreground write path,
-/// the background flusher, and the reclaim/discard paths.
+/// Mount-wide dirty-page accounting shared by the write path, the
+/// dirty-page cap, and the write-back, reclaim and discard paths.
 ///
 /// `pages` counts buffer-cache pages whose `PFrame::dirty` bit is set; it
 /// moves on exactly the transitions that flip that bit (arm on write,
 /// clear on gather, re-arm on a failed write-back batch, clear on
 /// discard), so `pages == 0` means no page in the cache carries
-/// unwritten data. `flush_vtime` is the virtual time at which the
-/// background flusher last observed the ledger at or below the low
-/// watermark — throttled writers resume no earlier than this.
+/// unwritten data.
 #[derive(Debug, Default)]
 pub(crate) struct DirtyLedger {
     pub(crate) pages: AtomicUsize,
-    // lint:allow adhoc-counter -- a virtual-time frontier, not a tally
-    pub(crate) flush_vtime: AtomicU64,
-}
-
-/// A virtual-time execution lane: the clock/identity surface the paging
-/// and write-back layers need from whoever is driving them.
-///
-/// Threadblocks ([`BlockCtx`]) are the usual lane — every `g*` call runs
-/// on the faulting block, pay-as-you-go (§3.4). The background flusher is
-/// the one exception: it runs on a host-side thread with its own
-/// [`simtime::Clock`], issuing at the mount's virtual frontier, so the
-/// shared write-back code is generic over this trait instead of taking a
-/// `BlockCtx` outright.
-pub(crate) trait Lane {
-    fn now(&self) -> u64;
-    fn advance(&mut self, dur: u64);
-    fn wait_until(&mut self, t: u64);
-    /// Threadblock slot (for blocks); the slot's tenant is the lane's.
-    fn lane_id(&self) -> usize;
-}
-
-impl Lane for BlockCtx<'_> {
-    fn now(&self) -> u64 {
-        BlockCtx::now(self)
-    }
-    fn advance(&mut self, dur: u64) {
-        BlockCtx::advance(self, dur);
-    }
-    fn wait_until(&mut self, t: u64) {
-        BlockCtx::wait_until(self, t);
-    }
-    fn lane_id(&self) -> usize {
-        self.block_id()
-    }
 }
 
 /// One GPU's GPUfs instance (see module docs).
@@ -105,8 +70,8 @@ pub struct GpuFsMount {
     /// engines, stat sheets — while this is the coherence name).
     pub(crate) coherence_id: usize,
     pub(crate) hub: Arc<RpcHub>,
-    /// The host's span tracer (cloned handle): the `g*` entry points and
-    /// the background flusher open their trace roots on it.
+    /// The host's span tracer (cloned handle): the `g*` entry points
+    /// open their trace roots on it.
     pub(crate) tracer: obs::Tracer,
     pub(crate) timings: Timings,
     pub(crate) config: GpufsConfig,
@@ -134,20 +99,11 @@ pub struct GpuFsMount {
     /// and no daemon round-trip, which is what keeps closed-file-table
     /// revival cheap (paper §4.1: reopen must avoid CPU communication).
     pub(crate) host_fs: Arc<hostfs::HostFs>,
-    /// Dirty-page ledger driving the async write-back throttle.
+    /// Dirty-page ledger the dirty-page cap is held against.
     pub(crate) dirty: DirtyLedger,
-    /// Latest virtual time any threadblock has reached on this mount.
-    /// The background flusher issues its RPCs at this frontier so its
-    /// traffic lands "now" rather than in the virtual past.
-    // lint:allow adhoc-counter -- a virtual-time frontier, not a tally
-    pub(crate) virtual_frontier: AtomicU64,
-    /// Where a lane waiting for another lane parks (ARCHITECTURE.md,
+    /// Where a block waiting for another block parks (ARCHITECTURE.md,
     /// "Waiting").
     pub(crate) waits: simtime::ClockBoard,
-    /// Background flusher control: set to request shutdown, joined on
-    /// drop. `None` when async write-back is off.
-    pub(crate) flusher_stop: Arc<std::sync::atomic::AtomicBool>,
-    pub(crate) flusher: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for GpuFsMount {
@@ -226,7 +182,7 @@ impl GpufsHost {
             sheet.register(self.registry(), gpu_label.with_tenant(t as u32));
         }
         counters.register(self.registry(), gpu_label);
-        let mount = Arc::new(GpuFsMount {
+        Ok(Arc::new(GpuFsMount {
             timings: gpu.timings().clone(),
             hub: Arc::clone(self.hub()),
             tracer: self.tracer().clone(),
@@ -241,14 +197,8 @@ impl GpufsHost {
             tenant_of_slot: (0..TENANT_SLOT_MAP).map(|_| AtomicUsize::new(0)).collect(),
             host_fs: Arc::clone(self.fs()),
             dirty: DirtyLedger::default(),
-            // lint:allow adhoc-counter -- frontier init, not a counter
-            virtual_frontier: AtomicU64::new(0),
             waits: simtime::ClockBoard::new(0),
-            flusher_stop: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            flusher: parking_lot::Mutex::new(None),
-        });
-        crate::cache::flusher::spawn_if_configured(&mount)?;
-        Ok(mount)
+        }))
     }
 }
 
@@ -354,29 +304,22 @@ impl GpuFsMount {
     /// The daemon serves it on this thread (see [`crate::rpc`]): blocks
     /// can have requests in flight simultaneously, while one block's own
     /// synchronous calls stay FIFO.
-    pub(crate) fn rpc<L: Lane>(&self, blk: &mut L, req: Request) -> GpufsResult<RespOk> {
+    pub(crate) fn rpc(&self, blk: &mut BlockCtx<'_>, req: Request) -> GpufsResult<RespOk> {
         // The span opens before the call so the daemon's serve span nests
         // under this round-trip. A failed call drops the guard without
         // emitting.
         let sp = obs::span(req.rpc_span_name());
         let issued = blk.now();
         let (ok, t) = self.hub.call(
-            self.tenant_of(blk.lane_id()),
+            self.tenant_of(blk.block_id()),
             self.gpu.id(),
             issued,
             &self.timings,
             req,
         )?;
         blk.wait_until(t);
-        self.note_frontier(blk.now());
         sp.finish(issued, blk.now());
         Ok(ok)
-    }
-
-    /// Record that a threadblock has reached virtual time `now`, advancing
-    /// the mount-wide frontier the background flusher issues at.
-    pub(crate) fn note_frontier(&self, now: u64) {
-        self.virtual_frontier.fetch_max(now, Ordering::Relaxed);
     }
 
     /// Return `frame` to shard `hint`'s freelist, settling its dirty bit
@@ -395,15 +338,9 @@ impl GpuFsMount {
         self.release_frame(hint, frame);
     }
 
-    /// Free `frame` into shard `hint` and wake the lanes waiting for one.
+    /// Free `frame` into shard `hint` and wake the blocks waiting for one.
     pub(crate) fn release_frame(&self, hint: usize, frame: FrameIdx) {
         self.frames.release(hint, frame);
         self.waits.notify_all();
-    }
-}
-
-impl Drop for GpuFsMount {
-    fn drop(&mut self) {
-        crate::cache::flusher::stop(self);
     }
 }

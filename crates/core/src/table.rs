@@ -460,7 +460,7 @@ impl Tables {
     }
 
     /// Snapshot of every file — open or parked — whose mode syncs to the
-    /// host: the background flusher's work list. `O_NOSYNC` temporaries
+    /// host: the dirty-page cap's sweep list. `O_NOSYNC` temporaries
     /// are excluded on purpose; only eviction pressure spills those.
     #[must_use]
     pub fn syncable_files(&self) -> Vec<Arc<GFile>> {

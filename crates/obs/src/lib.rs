@@ -7,9 +7,9 @@
 //!
 //! * **Span tracing** ([`Tracer`], [`SpanRecord`]) — a trace id is
 //!   minted per `g*` call and carried through the RPC serve path, the
-//!   daemon pipeline, the remote wire protocol, and the flusher. Each
-//!   stage emits `(span, parent, start_vns, end_vns, attrs)` into
-//!   per-thread lock-free buffers drained at [`Tracer::snapshot`], so a
+//!   daemon pipeline, and the remote wire protocol. Each stage emits
+//!   `(span, parent, start_vns, end_vns, attrs)` into per-thread
+//!   lock-free buffers drained at [`Tracer::snapshot`], so a
 //!   single fault renders as a causal tree: `gread → pin_miss →
 //!   rpc:ReadPages → [pread ∥ dma] → net_roundtrip → server:ReadPages`.
 //! * **Metrics registry** ([`Registry`], [`Counter`], [`Histogram`]) —

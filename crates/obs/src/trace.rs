@@ -8,8 +8,8 @@
 //! one relaxed `AtomicBool` plus an unset thread-local.
 //!
 //! Scope propagation is thread-local, installed at trace *roots* (the
-//! `g*` entry points, the flusher pass, a thread adopting a context
-//! handed to it) and read by [`span`] at every instrumented stage in
+//! `g*` entry points, a thread adopting a context handed to it) and
+//! read by [`span`] at every instrumented stage in
 //! between — so no function signature on the hot path had to change to
 //! carry a context argument.
 
@@ -144,8 +144,8 @@ fn shard_of() -> usize {
     })
 }
 
-/// The span sink: owned by a `GpufsHost`, shared (cloned) into mounts,
-/// daemon workers, and the flusher. Off by default; enabling it changes
+/// The span sink: owned by a `GpufsHost`, shared (cloned) into mounts
+/// and daemon workers. Off by default; enabling it changes
 /// nothing about the simulation's virtual time (see the module docs).
 #[derive(Clone)]
 pub struct Tracer {

@@ -24,11 +24,15 @@
 # (the suite above runs that one too; here it gets 20 more processes).
 # With them go the waits that park on a `simtime::ClockBoard`: the
 # daemon-turn test that hands freed turns to parked callers in issue
-# order, the write throttle, the flusher draining in the background,
-# the cache-exhaustion give-up that fires with nothing left to notify,
-# and the board's own wait tests (its quantum fallback, `notify_first`
-# order, a seat ahead woken by the seat behind), so every park/unpark
-# handoff is re-rolled too.
+# order, the cache-exhaustion give-up that fires with nothing left to
+# notify, and the board's own wait tests (its quantum fallback,
+# `notify_first` order, a seat ahead woken by the seat behind), so every
+# park/unpark handoff is re-rolled too. Beside them run the dirty-page
+# cap's tests (the throttle, a writer draining the cache inline, and
+# five replays of one capped writer that must agree on every modelled
+# number) and the two-block `gfsync` that must find its half of a page
+# on the host the moment it returns, even when the other block's batch
+# carried it.
 #
 # Finally the whole `gpufs` lib test binary runs 5 times, unfiltered and in
 # debug as the tier-1 suite builds it: the loops above filter by test name,
@@ -54,7 +58,8 @@ for i in $(seq 1 "$flaky_runs"); do
     parked throttle_blocks_writers per_host_stats_sum concurrent_single_page_faults \
     a_hit_since_the_last_sweep a_saturated_count the_last_slot_of_a_full_leaf \
     a_freed_turn_goes_to_the_earliest_issued_waiter cache_exhaustion_is_reported_not_hung \
-    flusher_drains_dirty_pages_in_background
+    writer_drains_dirty_pages_inline the_throttle_replays_exactly \
+    gfsync_returns_only_once_the_callers_bytes_are_on_the_host
   cargo test -q --release -p simtime --lib board::tests
   cargo test -q --release --test stress stress_concurrent_sweeps
   cargo test -q --release --test integration evict_random_miniature

@@ -126,16 +126,15 @@ fn stress_single_fifo_baseline_matches() {
 
 #[test]
 fn stress_async_flusher_and_throttle_under_eviction() {
-    // The same workload with the background flusher on and the dirty
-    // watermarks squeezed (high = 4 against 8 written pages), so the
-    // writer blocks repeatedly trip the throttle while the flusher, the
-    // fsync drain loop, and eviction's write-back all gather from the
-    // same dirty set across real threads. The round's own asserts carry
-    // the payload: the accounting identity `hits + misses == lockfree +
-    // locked` must survive the extra flusher traffic (its lane takes no
-    // counters), and the file must come out byte-exact even when every
-    // page's shipment may have happened on the flusher thread instead of
-    // the writer's fsync.
+    // The same workload with the dirty-page cap squeezed (high = 4
+    // against 8 written pages), so the writer blocks repeatedly trip it
+    // while their inline sweeps, the fsync drain loop, and eviction's
+    // write-back all gather from the same dirty set. The round's own
+    // asserts carry the payload: the accounting identity `hits + misses
+    // == lockfree + locked` must survive the extra write-back (a sweep
+    // counts no page access), and the file must come out byte-exact even
+    // when a page's shipment happened in another block's sweep instead
+    // of its writer's fsync.
     for _ in 0..ROUNDS {
         one_round_wb(3, 4, 1);
     }
@@ -143,9 +142,9 @@ fn stress_async_flusher_and_throttle_under_eviction() {
 
 #[test]
 fn stress_flusher_watermarks_wide_open() {
-    // Flusher on but never throttling (high above every dirty count this
-    // workload can reach): pure background draining racing foreground
-    // fsync; results must be indistinguishable from the sync rounds.
+    // The cap armed but never reached (high above every dirty count this
+    // workload can reach): results must be indistinguishable from the
+    // uncapped rounds.
     for _ in 0..ROUNDS {
         one_round_wb(2, 64, 2);
     }

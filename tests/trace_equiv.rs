@@ -1,7 +1,7 @@
 //! Observer-effect guard for the span tracer: tracing is compiled in
 //! everywhere (the `g*` entry points, the pin path, the daemon
-//! pipeline, the wire protocol, the flusher), so it must be
-//! *time-transparent* — a run with tracing enabled must produce the
+//! pipeline, the wire protocol, the dirty-page cap's sweep), so it must
+//! be *time-transparent* — a run with tracing enabled must produce the
 //! same bit-identical virtual finish time and the same counter sheets
 //! as a run with tracing off (the default). The moment an instrumented
 //! stage reads the clock differently, charges the link for the trace

@@ -16,8 +16,8 @@
 //!   ([`PANIC_SCOPE`]) the rule also covers `unreachable!` / `panic!`:
 //!   what that code matches on is a peer's bytes, so "cannot happen" is
 //!   the peer's to decide, and it must come back as a typed error.
-//! * **`wait`** — no `thread::sleep`, `yield_now`, `thread::park` or
-//!   `park_timeout` in non-test code under `crates/` outside
+//! * **`wait`** — no `thread::sleep`, `yield_now`, `thread::park`,
+//!   `park_timeout` or `Condvar` in non-test code under `crates/` outside
 //!   `crates/simtime/src/`: every real-time wait on another actor goes
 //!   through `simtime::ClockBoard`, so one type knows when an actor is
 //!   blocked; an ad-hoc sleep or spin hides ordering bugs and skews the
@@ -64,7 +64,13 @@ use std::process::ExitCode;
 const WAIT_HOME: &str = "crates/simtime/src/";
 
 /// The tokens of a real-time wait outside [`WAIT_HOME`].
-const WAIT_TOKENS: &[&str] = &["thread::sleep", "yield_now", "thread::park", "park_timeout"];
+const WAIT_TOKENS: &[&str] = &[
+    "thread::sleep",
+    "yield_now",
+    "thread::park",
+    "park_timeout",
+    "Condvar",
+];
 
 /// Directories under `crates/core/src/` (plus `rpc.rs`) where the
 /// `unwrap` rule applies: the daemon-facing production paths.
@@ -223,9 +229,9 @@ xtask lint rules:
   unwrap         no .unwrap()/.expect( in non-test daemon/cache/cluster/remote/rpc
                  code, nor unreachable!/panic! in non-test remote/ code (a peer
                  picks those match arms: return a typed error)
-  wait           no thread::sleep/yield_now/thread::park/park_timeout in non-test
-                 code under crates/ outside crates/simtime/src/ (wait on a
-                 simtime::ClockBoard)
+  wait           no thread::sleep/yield_now/thread::park/park_timeout/Condvar in
+                 non-test code under crates/ outside crates/simtime/src/ (wait
+                 on a simtime::ClockBoard)
   unsafe-safety  every unsafe needs a // SAFETY: comment within 6 lines above
   hot-mutex      no Mutex/RwLock/parking_lot:: in the lock-free page-lookup
                  hot path (crates/core/src/cache/paging.rs) — the fpage
@@ -782,6 +788,7 @@ let c = '{'; let lt: &'static str = "x";"#,
             "std::thread::yield_now()",
             "std::thread::park()",
             "std::thread::park_timeout(d)",
+            "let c = parking_lot::Condvar::new()",
         ] {
             let text = format!("fn f() {{ {call}; }}\n");
             let f = lint_file("crates/core/src/cluster/fleet.rs", &text);
