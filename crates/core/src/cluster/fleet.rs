@@ -204,7 +204,7 @@ impl FleetBuilder {
         // silent no-op `mount` guards against — reject it here, where the
         // message can say it is an override.
         let key = self.base.daemon_key();
-        if self.overrides.values().any(|o| o.daemon_key() != key) {
+        if self.overrides.values().any(|o| !o.fits_daemon(&key)) {
             return Err(GpufsError::InvalidMode(
                 "per-GPU override changes daemon_workers/io_chunk_pages/\
                  tenant_weights/tenant_admission, which the fleet's shared \

@@ -16,8 +16,8 @@
 //! resident blocks, exactly like the atomically-incremented work index
 //! GPU kernels conventionally use.
 
+use obs::Counter;
 use parking_lot::Mutex;
-use simtime::Counter;
 use std::collections::VecDeque;
 
 /// How work items are distributed across the fleet.

@@ -340,9 +340,7 @@ impl GpufsConfig {
     }
 
     /// The knobs that are state of the host daemon rather than of a mount
-    /// — fixed when the host starts, clamped as the host clamps them. Two
-    /// configurations can share one daemon exactly when their keys are
-    /// equal; every place that has to decide that compares this.
+    /// — fixed when the host starts, clamped as the host clamps them.
     pub(crate) fn daemon_key(&self) -> DaemonKey {
         DaemonKey {
             daemon_workers: self.daemon_workers.max(1),
@@ -350,6 +348,14 @@ impl GpufsConfig {
             tenant_weights: self.tenant_weights.clone(),
             tenant_admission: self.tenant_admission.clone(),
         }
+    }
+
+    /// Whether this configuration can run on a daemon started with
+    /// `daemon`'s knobs: exactly when its own key is equal. Every place
+    /// that has to decide whether two configurations share one daemon
+    /// asks this.
+    pub(crate) fn fits_daemon(&self, daemon: &DaemonKey) -> bool {
+        self.daemon_key() == *daemon
     }
 
     /// A small configuration for unit tests: 4 KB pages, 16 frames.

@@ -569,21 +569,6 @@ impl Drop for GpufsHost {
     }
 }
 
-/// Static span name for serving one request kind (span labels must be
-/// `&'static str`, so the `serve:` prefix is baked per kind).
-fn serve_span_name(req: &Request) -> &'static str {
-    match req.kind_name() {
-        "Open" => "serve:Open",
-        "Close" => "serve:Close",
-        "ReadPages" => "serve:ReadPages",
-        "WritePages" => "serve:WritePages",
-        "Fsync" => "serve:Fsync",
-        "Unlink" => "serve:Unlink",
-        "Truncate" => "serve:Truncate",
-        _ => "serve:Stat",
-    }
-}
-
 /// What the hub serves requests through: the host's storage, the GPUs'
 /// DMA engines, the leaf stat sheets and the I/O engine.
 struct Daemon {
@@ -620,7 +605,7 @@ impl Daemon {
         // The caller's RPC span is this thread's current scope, so the
         // serve span (and any span it forwards over the wire) nests
         // under it.
-        let sp = obs::span(serve_span_name(req));
+        let sp = obs::span(req.serve_span_name());
         let serve_start = clock.now();
         let (result, end) = handlers::serve(&*self.backing, &self.gpus, &ctx, &mut clock, req);
         sp.finish_attrs(

@@ -148,8 +148,7 @@ impl GpufsHost {
         // caps were fixed when the host started — and the
         // daemon's per-tenant stat sheets must cover every tenant this
         // mount will name.
-        if config.daemon_key() != *self.daemon_key()
-            || config.num_tenants() > self.hub().num_tenants()
+        if !config.fits_daemon(self.daemon_key()) || config.num_tenants() > self.hub().num_tenants()
         {
             return Err(crate::error::GpufsError::InvalidMode(
                 "mount daemon_workers/io_chunk_pages/tenant_weights/\

@@ -24,8 +24,8 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use hostfs::Ino;
+use obs::Counter;
 use parking_lot::Mutex;
-use simtime::Counter;
 
 /// Activity counters of one host's page cache. All exact — unit tests
 /// assert them hit for hit.

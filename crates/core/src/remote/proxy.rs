@@ -20,8 +20,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use hostfs::{FsError, HostFd, Ino};
+use obs::Counter;
 use parking_lot::Mutex;
-use simtime::{BandwidthResource, Clock, Counter, Nanos, Timings};
+use simtime::{BandwidthResource, Clock, Nanos, Timings};
 
 use super::cache::HostPageCache;
 use super::proto::{self, WireRequest, WireResponse};

@@ -20,7 +20,8 @@
 use std::sync::Arc;
 
 use hostfs::{HostFs, OpenFlags};
-use simtime::{Clock, Counter, Nanos, Timings};
+use obs::Counter;
+use simtime::{Clock, Nanos, Timings};
 
 use super::proto::{self, ProtoError, WireRequest, WireResponse};
 use crate::daemon::backing::Backing;

@@ -14,12 +14,13 @@
 //! daemon's workers are a [`simtime::WorkerPool`] of `daemon_workers`
 //! servers, so what each request waits for is decided there. No worker
 //! thread, request queue or reply channel stands between a block and its
-//! answer: a block waits only for a turn, which paces the real threads
-//! the way the daemon's worker threads once did (see `Turns`). A freed
-//! turn goes to the waiting block whose request was issued earliest in
+//! answer: a block waits only at a `Gate` — for a turn, which paces the
+//! real threads the way the daemon's worker threads once did, and for
+//! its tenant's admission slot if the tenant is capped. A freed turn or
+//! slot goes to the waiting block whose request was issued earliest in
 //! virtual time, as the daemon polling the paper's queue would find it;
-//! a free turn, and a block not yet waiting, still go in real order.
-//! This is the shape of a synchronous device call made in the caller's
+//! a free one, and a block not yet waiting, still go in real order. This
+//! is the shape of a synchronous device call made in the caller's
 //! context, like rCore's `Device::read_at` (SNIPPETS.md №3).
 //!
 //! ## Multi-tenancy
@@ -37,6 +38,8 @@
 //!   its cap of requests unfinished at any virtual instant. A request
 //!   that would exceed it starts when the tenant's earliest unfinished
 //!   request completes, and counts one [`RpcHub::tenant_stalls`].
+//!   Admission goes in issue order: a freed slot goes to the waiting
+//!   request issued earliest.
 //! * Cache partitioning lives client-side (see `cache/reclaim.rs`), not
 //!   here.
 //!
@@ -48,7 +51,6 @@
 //! a request nobody will answer, because nobody but the caller answers.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use gpusim::{DevPtr, GpuId};
 use hostfs::{FsError, HostFd, Ino};
@@ -160,21 +162,6 @@ pub enum Request {
 }
 
 impl Request {
-    /// The request's stable kind name — span labels and wire diagnostics.
-    #[must_use]
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Request::Open { .. } => "Open",
-            Request::Close { .. } => "Close",
-            Request::ReadPages { .. } => "ReadPages",
-            Request::WritePages { .. } => "WritePages",
-            Request::Fsync { .. } => "Fsync",
-            Request::Unlink { .. } => "Unlink",
-            Request::Truncate { .. } => "Truncate",
-            Request::Stat { .. } => "Stat",
-        }
-    }
-
     /// The client-side span name for this request's round-trip (span
     /// labels must be `&'static str`, so the prefix is baked per kind).
     pub(crate) fn rpc_span_name(&self) -> &'static str {
@@ -187,6 +174,20 @@ impl Request {
             Request::Unlink { .. } => "rpc:Unlink",
             Request::Truncate { .. } => "rpc:Truncate",
             Request::Stat { .. } => "rpc:Stat",
+        }
+    }
+
+    /// The daemon-side span name for serving this request.
+    pub(crate) fn serve_span_name(&self) -> &'static str {
+        match self {
+            Request::Open { .. } => "serve:Open",
+            Request::Close { .. } => "serve:Close",
+            Request::ReadPages { .. } => "serve:ReadPages",
+            Request::WritePages { .. } => "serve:WritePages",
+            Request::Fsync { .. } => "serve:Fsync",
+            Request::Unlink { .. } => "serve:Unlink",
+            Request::Truncate { .. } => "serve:Truncate",
+            Request::Stat { .. } => "serve:Stat",
         }
     }
 }
@@ -244,90 +245,86 @@ pub(crate) type Served = (Result<RespOk, FsError>, Nanos);
 /// issue time)`. It runs on the calling thread.
 type ServeFn = dyn Fn(&Request, TenantId, GpuId, Nanos) -> Served + Send + Sync;
 
-/// One tenant's admission cap, kept in virtual time: a slot per request
-/// the tenant may have unfinished at once, each holding the virtual time
-/// its last request completed, or `None` while that request is being
-/// served.
+/// At most `k` calls hold a slot at once. A freed slot goes to the
+/// waiting caller whose request was issued earliest in virtual time (the
+/// earlier arrival on a tie) — the paper's polled queue (§4.3) among the
+/// callers that queue here — and a free slot to whoever asks. Each slot
+/// remembers the virtual time it frees at, and a call that takes it starts
+/// no earlier. The hub keeps one gate for the daemon's turns and one per
+/// capped tenant; ARCHITECTURE.md ("RPC layer") says why.
 #[derive(Debug)]
-struct Admission {
-    slots: Mutex<Vec<Option<Nanos>>>,
-    // lint:allow wait -- ROADMAP 22(b): moves onto the board as a measured change
-    freed: parking_lot::Condvar,
-}
-
-/// An admission slot taken by one call; dropping it records when the
-/// call's request completed and frees the slot from then on.
-struct Slot<'a> {
-    admission: &'a Admission,
-    index: usize,
-    done: Nanos,
-}
-
-impl Drop for Slot<'_> {
-    fn drop(&mut self) {
-        self.admission.slots.lock()[self.index] = Some(self.done);
-        self.admission.freed.notify_one();
-    }
-}
-
-/// Turns at the daemon, handed out in issue order: at most `turns` calls
-/// are being served at once, and when a turn frees it goes to the waiting
-/// caller whose request was issued earliest in virtual time (the earlier
-/// arrival on a tie) — the paper's polled queue (§4.3) among the callers
-/// that queue here. A free turn still goes to whoever asks. One turn per
-/// daemon worker, never fewer than two; ARCHITECTURE.md ("RPC layer")
-/// says why turns keep the modelled numbers put and why the floor is two.
-#[derive(Debug)]
-struct Turns {
-    turns: usize,
-    queue: Mutex<TurnQueue>,
+struct Gate {
+    slots: Mutex<Slots>,
+    /// Callers waiting for a slot, by issue time. A freed slot is handed
+    /// over with [`ClockBoard::notify_first`]: a caller it picked holds it.
+    waiting: ClockBoard,
 }
 
 #[derive(Debug)]
-struct TurnQueue {
-    serving: usize,
-    /// Callers waiting for a turn, by issue time. A freed turn is granted
-    /// with [`ClockBoard::notify_first`]: a caller it picked holds a turn.
-    /// Shared so a caller can wait on it without holding this lock.
-    waiting: Arc<ClockBoard>,
+struct Slots {
+    /// Free slots, each the virtual time it frees at.
+    free: Vec<Nanos>,
+    /// Slots handed to waiters that have not yet woken to claim them.
+    /// When several wait here, the first waiter to wake takes the one
+    /// that frees first, whichever pass picked it.
+    handed: Vec<Nanos>,
 }
 
-impl Turns {
-    fn new(workers: usize) -> Self {
+impl Gate {
+    fn new(k: usize) -> Self {
         Self {
-            turns: workers.max(2),
-            queue: Mutex::new(TurnQueue {
-                serving: 0,
-                waiting: Arc::new(ClockBoard::new(0)),
+            slots: Mutex::new(Slots {
+                free: vec![0; k],
+                handed: Vec::new(),
             }),
+            waiting: ClockBoard::new(0),
         }
     }
 
-    /// Wait for a turn for a request issued at `start`; it ends when the
-    /// returned guard drops.
-    fn take(&self, start: Nanos) -> Turn<'_> {
-        let mut q = self.queue.lock();
-        if q.serving < self.turns {
-            q.serving += 1;
-            return Turn(self);
-        }
-        let board = Arc::clone(&q.waiting);
-        let waiter = board.waiter(start);
-        drop(q);
-        while !waiter.wait(|| false) {}
-        Turn(self)
+    /// Take a slot for a request issued at `issue`, waiting for one to be
+    /// freed if all are held. Returns when the request may start — later
+    /// than `issue` if the slot frees later — and the pass holding the
+    /// slot, which frees at virtual time 0 unless its holder says when.
+    fn take(&self, issue: Nanos) -> (Nanos, Pass<'_>) {
+        let mut slots = self.slots.lock();
+        let frees_at = match earliest(&mut slots.free) {
+            Some(at) => at,
+            None => {
+                let waiter = self.waiting.waiter(issue);
+                drop(slots);
+                while !waiter.wait(|| false) {}
+                // The pass that picked this waiter left its slot here.
+                earliest(&mut self.slots.lock().handed).unwrap_or_default()
+            }
+        };
+        let pass = Pass {
+            gate: self,
+            frees_at: 0,
+        };
+        (issue.max(frees_at), pass)
     }
 }
 
-/// One call's turn at the daemon; dropping it hands the turn to the
-/// earliest-issued waiter, if any.
-struct Turn<'a>(&'a Turns);
+/// Take the earliest of `times` out.
+fn earliest(times: &mut Vec<Nanos>) -> Option<Nanos> {
+    let (i, _) = times.iter().enumerate().min_by_key(|&(_, at)| at)?;
+    Some(times.swap_remove(i))
+}
 
-impl Drop for Turn<'_> {
+/// One call's slot at a [`Gate`]; dropping it frees the slot at
+/// `frees_at`, straight to the earliest-issued waiter if there is one.
+struct Pass<'a> {
+    gate: &'a Gate,
+    frees_at: Nanos,
+}
+
+impl Drop for Pass<'_> {
     fn drop(&mut self) {
-        let mut q = self.0.queue.lock();
-        if !q.waiting.notify_first() {
-            q.serving -= 1;
+        let mut slots = self.gate.slots.lock();
+        if self.gate.waiting.notify_first() {
+            slots.handed.push(self.frees_at);
+        } else {
+            slots.free.push(self.frees_at);
         }
     }
 }
@@ -340,11 +337,14 @@ impl Drop for Turn<'_> {
 /// meet in the daemon's virtual-time resources.
 pub struct RpcHub {
     serve: Box<ServeFn>,
-    turns: Turns,
+    /// Turns at the daemon: one per worker, never fewer than two. A turn
+    /// records no time, so it never delays a request in virtual time.
+    turns: Gate,
     /// Tenant classes this hub distinguishes (≥ 1).
     tenants: usize,
-    /// Per-tenant admission caps; `None` = unlimited.
-    admission: Vec<Option<Admission>>,
+    /// Per-tenant admission caps, a slot per request the tenant may have
+    /// unfinished at once; `None` = unlimited.
+    admission: Vec<Option<Gate>>,
     /// Calls that started later than issued because of their tenant's
     /// cap, per tenant.
     stalls: Vec<obs::Counter>,
@@ -374,15 +374,11 @@ impl RpcHub {
         let tenants = tenants.max(admission.len()).max(1);
         Self {
             serve: Box::new(serve),
-            turns: Turns::new(workers),
+            turns: Gate::new(workers.max(2)),
             tenants,
             admission: (0..tenants)
                 .map(|t| match admission.get(t) {
-                    Some(&cap) if cap > 0 => Some(Admission {
-                        slots: Mutex::new(vec![Some(0); cap]),
-                        // lint:allow wait -- ROADMAP 22(b): moves onto the board as a measured change
-                        freed: parking_lot::Condvar::new(),
-                    }),
+                    Some(&cap) if cap > 0 => Some(Gate::new(cap)),
                     _ => None,
                 })
                 .collect(),
@@ -401,39 +397,6 @@ impl RpcHub {
     #[must_use]
     pub fn tenant_stalls(&self, tenant: TenantId) -> u64 {
         self.stalls[tenant.min(self.tenants - 1)].get()
-    }
-
-    /// Take one of `tenant`'s admission slots for a request issued at
-    /// `issue`. Returns when the request may start — later than `issue`
-    /// when all the tenant's slots are still busy then — and the slot, or
-    /// `(issue, None)` for an uncapped tenant.
-    ///
-    /// The slot that frees first in virtual time is taken. Only when every
-    /// slot's request is still being served on some thread, so that no
-    /// free time is known yet, does the caller wait for one to finish.
-    fn admit(&self, tenant: TenantId, issue: Nanos) -> (Nanos, Option<Slot<'_>>) {
-        let Some(admission) = &self.admission[tenant] else {
-            return (issue, None);
-        };
-        let mut slots = admission.slots.lock();
-        let (free_at, index) = loop {
-            let known = slots.iter().enumerate();
-            if let Some(first) = known.filter_map(|(i, s)| s.map(|t| (t, i))).min() {
-                break first;
-            }
-            admission.freed.wait(&mut slots);
-        };
-        slots[index] = None;
-        let start = issue.max(free_at);
-        if start > issue {
-            self.stalls[tenant].incr();
-        }
-        let slot = Slot {
-            admission,
-            index,
-            done: start,
-        };
-        (start, Some(slot))
     }
 
     /// Serve a request from `tenant` on GPU `gpu` on the calling thread.
@@ -457,13 +420,24 @@ impl RpcHub {
         // every thread that wants that lock for a full host round-trip.
         // Lockcheck flags exactly that.
         let (result, visible) = parking_lot::lockcheck::blocking_region("rpc-roundtrip", || {
-            let (start, mut slot) = self.admit(tenant, issue);
-            let turn = self.turns.take(start);
+            // A capped tenant's slot frees when its call's completion is
+            // visible; an uncapped call takes no admission lock at all.
+            let (start, mut admitted) = match &self.admission[tenant] {
+                Some(gate) => {
+                    let (start, pass) = gate.take(issue);
+                    if start > issue {
+                        self.stalls[tenant].incr();
+                    }
+                    (start, Some(pass))
+                }
+                None => (issue, None),
+            };
+            let (_, turn) = self.turns.take(start);
             let (result, end) = (self.serve)(&req, tenant, gpu, start);
             drop(turn);
             let visible = end + timings.rpc_complete_ns;
-            if let Some(slot) = &mut slot {
-                slot.done = visible;
+            if let Some(pass) = &mut admitted {
+                pass.frees_at = visible;
             }
             (result, visible)
         });
@@ -607,8 +581,8 @@ mod tests {
             "4 callers against a cap of 2 stall"
         );
         assert_eq!(hub.tenant_stalls(1), 0, "uncapped tenant never stalls");
-        let slots = hub.admission[0].as_ref().unwrap().slots.lock();
-        assert!(slots.iter().all(Option::is_some), "every slot released");
+        let admission = hub.admission[0].as_ref().unwrap();
+        assert!(idle(admission, 2), "every slot released");
     }
 
     #[test]
@@ -654,75 +628,146 @@ mod tests {
                     );
                 }
             }
-            let slots = hub.admission[0].as_ref().unwrap().slots.lock();
-            assert!(slots.iter().all(Option::is_some), "admission balanced");
+            let admission = hub.admission[0].as_ref().unwrap();
+            assert!(idle(admission, 1), "admission balanced");
+        }
+    }
+
+    /// Whether all `k` of `gate`'s slots are free and nobody waits.
+    fn idle(gate: &Gate, k: usize) -> bool {
+        gate.slots.lock().free.len() == k && gate.waiting.is_empty()
+    }
+
+    /// The request whose serve panics once let go.
+    const PANICS: HostFd = HostFd::MAX;
+
+    /// A one-tenant hub whose serves wait for the test: each logs its
+    /// request's `(start, fd)`, then holds its turn and its slot until
+    /// [`Held::release`] lets one serve go.
+    struct Held {
+        hub: RpcHub,
+        releases: Arc<(Mutex<usize>, Condvar)>,
+        log: Arc<Mutex<Vec<(Nanos, HostFd)>>>,
+    }
+
+    impl Held {
+        fn new(workers: usize, admission: &[usize]) -> Self {
+            let releases = Arc::new((Mutex::new(0usize), Condvar::new()));
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let (held, served) = (Arc::clone(&releases), Arc::clone(&log));
+            let hub = RpcHub::new(workers, 1, admission, move |req, _, _, start| {
+                let Request::Fsync { fd } = *req else {
+                    unreachable!("only fsyncs are posted")
+                };
+                served.lock().push((start, fd));
+                let (left, released) = &*held;
+                let mut left = left.lock();
+                while *left == 0 {
+                    released.wait(&mut left);
+                }
+                *left -= 1;
+                drop(left);
+                assert_ne!(fd, PANICS, "the daemon fails serving this request");
+                (Ok(RespOk::Done), start)
+            });
+            Self { hub, releases, log }
+        }
+
+        /// An fsync of `fd` issued at `issue`, visible as its serve ends.
+        fn call(&self, issue: Nanos, fd: HostFd) -> GpufsResult<(RespOk, Nanos)> {
+            let t = Timings {
+                rpc_complete_ns: 0,
+                ..Timings::default()
+            };
+            self.hub.call(0, 0, issue, &t, Request::Fsync { fd })
+        }
+
+        fn release(&self) {
+            *self.releases.0.lock() += 1;
+            self.releases.1.notify_one();
+        }
+
+        fn started(&self, n: usize) {
+            while self.log.lock().len() < n {
+                std::thread::yield_now();
+            }
+        }
+
+        /// With `holders` calls holding `gate`'s every slot, queue callers
+        /// at it in real order with issue times 300, 100, 200 and then 100
+        /// again, let the serves go one by one, and return the queued
+        /// requests' `(start, fd)` in the order they were served.
+        fn queue_at(&self, gate: &Gate, holders: usize) -> Vec<(Nanos, HostFd)> {
+            std::thread::scope(|s| {
+                for fd in 0..holders as HostFd {
+                    s.spawn(move || self.call(0, fd).unwrap());
+                }
+                self.started(holders);
+                for (i, (issue, fd)) in [(300, 2), (100, 3), (200, 4), (100, 5)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    s.spawn(move || self.call(issue, fd).unwrap());
+                    while gate.waiting.len() < i + 1 {
+                        std::thread::yield_now();
+                    }
+                }
+                for n in holders + 1..=holders + 4 {
+                    self.release();
+                    self.started(n);
+                }
+                (0..holders).for_each(|_| self.release());
+            });
+            self.log.lock()[holders..].to_vec()
         }
     }
 
     #[test]
     fn a_freed_turn_goes_to_the_earliest_issued_waiter() {
-        // Two turns, each serve held until the test releases it. With both
-        // turns taken, callers queue in real order with issue times 300,
-        // 100, 200 and then 100 again; each freed turn must go to the
+        // Two turns, both taken: each freed turn must go to the
         // earliest-issued waiter, the earlier arrival first on a tie.
-        let gate = Arc::new((Mutex::new(0usize), Condvar::new()));
-        let held = Arc::clone(&gate);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let served = Arc::clone(&log);
-        let hub = RpcHub::new(2, 1, &[], move |req, _, _, start| {
-            let Request::Fsync { fd } = req else {
-                unreachable!("only fsyncs are posted")
-            };
-            served.lock().push((start, *fd));
-            let (releases, released) = &*held;
-            let mut left = releases.lock();
-            while *left == 0 {
-                released.wait(&mut left);
-            }
-            *left -= 1;
-            (Ok(RespOk::Done), start)
-        });
-        let release = || {
-            *gate.0.lock() += 1;
-            gate.1.notify_one();
-        };
-        let started = |n: usize| {
-            while log.lock().len() < n {
-                std::thread::yield_now();
-            }
-        };
-        let queued = |n: usize| {
-            while hub.turns.queue.lock().waiting.len() < n {
-                std::thread::yield_now();
-            }
-        };
-        std::thread::scope(|s| {
-            let call = |issue: Nanos, fd: HostFd| {
-                let hub = &hub;
-                s.spawn(move || {
-                    hub.call(0, 0, issue, &Timings::default(), Request::Fsync { fd })
-                        .unwrap();
-                });
-            };
-            call(0, 0);
-            call(0, 1);
-            started(2);
-            for (i, (issue, fd)) in [(300, 2), (100, 3), (200, 4), (100, 5)]
-                .into_iter()
-                .enumerate()
-            {
-                call(issue, fd);
-                queued(i + 1);
-            }
-            for n in 3..=6 {
-                release();
-                started(n);
-            }
-            release();
-            release();
-        });
-        let order = log.lock()[2..].to_vec();
+        let held = Held::new(2, &[]);
+        let order = held.queue_at(&held.hub.turns, 2);
         assert_eq!(order, [(100, 3), (100, 5), (200, 4), (300, 2)]);
+    }
+
+    #[test]
+    fn a_freed_admission_slot_goes_to_the_earliest_issued_waiter() {
+        // A cap-1 tenant whose slot is taken: the freed slot goes the
+        // same way, and each request starts when its slot frees or when
+        // it was issued, whichever is later.
+        let held = Held::new(2, &[1]);
+        let order = held.queue_at(held.hub.admission[0].as_ref().unwrap(), 1);
+        assert_eq!(order, [(100, 3), (100, 5), (200, 4), (300, 2)]);
+    }
+
+    #[test]
+    fn a_panicking_serve_releases_its_turn_and_its_admission_slot() {
+        // A cap-1 tenant's serve panics while three callers on other
+        // threads wait for its slot: its turn and its slot go on to them,
+        // every one of their calls completes, and nobody is left waiting.
+        let held = Held::new(1, &[1]);
+        let admission = held.hub.admission[0].as_ref().unwrap();
+        std::thread::scope(|s| {
+            let held = &held;
+            let crashed = s.spawn(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| held.call(0, PANICS)))
+            });
+            held.started(1);
+            let callers: Vec<_> = [100, 200, 300]
+                .into_iter()
+                .map(|issue| s.spawn(move || held.call(issue, 1)))
+                .collect();
+            while admission.waiting.len() < 3 {
+                std::thread::yield_now();
+            }
+            (0..4).for_each(|_| held.release());
+            assert!(crashed.join().unwrap().is_err(), "the first serve panics");
+            for c in callers {
+                assert!(matches!(c.join().unwrap(), Ok((RespOk::Done, _))));
+            }
+        });
+        assert!(idle(&held.hub.turns, 2) && idle(admission, 1));
     }
 
     #[test]

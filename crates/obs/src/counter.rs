@@ -3,10 +3,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A relaxed atomic event counter with one twist over the plain
-/// `simtime::Counter`: it is a cheap *handle* (clonable, `Arc`-backed),
-/// and an aggregate sheet can be built as a [`Counter::sum`] view over
-/// leaf cells instead of a separately-written copy.
+/// A relaxed atomic event counter. It is a cheap *handle* (clonable,
+/// `Arc`-backed), and an aggregate sheet can be built as a
+/// [`Counter::sum`] view over leaf cells instead of a separately-written
+/// copy.
 ///
 /// That single property is the registry's anti-drift guarantee: the
 /// daemon's per-`(gpu, tenant)` leaf sheet is the only thing ever
@@ -127,6 +127,21 @@ mod tests {
         b.add(7);
         assert_eq!(total.take(), 10);
         assert_eq!(a.get() + b.get() + total.get(), 0);
+    }
+
+    #[test]
+    fn counts_across_threads() {
+        let c = Counter::new();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        c.incr();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 8000);
     }
 
     #[test]

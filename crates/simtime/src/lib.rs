@@ -45,7 +45,7 @@ mod timings;
 pub use board::{ClockBoard, Seat, Waiter};
 pub use clock::Clock;
 pub use resource::{BandwidthResource, Reservation, Timeline, WorkerPool};
-pub use stats::{ByteLedger, Counter};
+pub use stats::ByteLedger;
 pub use timings::Timings;
 
 /// Virtual nanoseconds. All virtual timestamps and durations use this unit.

@@ -1,47 +1,6 @@
-//! Lightweight atomic counters for experiment instrumentation.
+//! Shared byte accounting for experiment instrumentation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A relaxed atomic event counter.
-///
-/// GPUfs uses these to report the instrumentation columns of the paper's
-/// tables: lock-free vs locked radix-tree accesses (Table 2), pages
-/// reclaimed, RPC counts, and bytes moved per direction.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Increment by one.
-    pub fn incr(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Increment by `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero, returning the previous value.
-    pub fn take(&self) -> u64 {
-        self.value.swap(0, Ordering::Relaxed)
-    }
-}
 
 /// Shared accounting of bytes in use, with a fixed capacity.
 ///
@@ -123,29 +82,5 @@ mod tests {
         l.charge(250);
         assert_eq!(l.available(), 0);
         assert_eq!(l.used(), 250);
-    }
-
-    #[test]
-    fn counts_across_threads() {
-        let c = Counter::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        c.incr();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), 8000);
-    }
-
-    #[test]
-    fn add_and_take() {
-        let c = Counter::new();
-        c.add(5);
-        c.add(7);
-        assert_eq!(c.take(), 12);
-        assert_eq!(c.get(), 0);
     }
 }

@@ -23,8 +23,10 @@
 # hand and its reference counts, and the two-block sweep of one tree
 # (the suite above runs that one too; here it gets 20 more processes).
 # With them go the waits that park on a `simtime::ClockBoard`: the
-# daemon-turn test that hands freed turns to parked callers in issue
-# order, the cache-exhaustion give-up that fires with nothing left to
+# hub's gate tests (a freed daemon turn and a freed admission slot each
+# handed to parked callers in issue order, and a panicking serve whose
+# turn and slot must still reach the callers queued behind it), the
+# cache-exhaustion give-up that fires with nothing left to
 # notify, and the board's own wait tests (its quantum fallback,
 # `notify_first` order, a seat ahead woken by the seat behind), so every
 # park/unpark handoff is re-rolled too. Beside them run the dirty-page
@@ -57,7 +59,10 @@ for i in $(seq 1 "$flaky_runs"); do
   cargo test -q --release -p gpufs --lib -- \
     parked throttle_blocks_writers per_host_stats_sum concurrent_single_page_faults \
     a_hit_since_the_last_sweep a_saturated_count the_last_slot_of_a_full_leaf \
-    a_freed_turn_goes_to_the_earliest_issued_waiter cache_exhaustion_is_reported_not_hung \
+    a_freed_turn_goes_to_the_earliest_issued_waiter \
+    a_freed_admission_slot_goes_to_the_earliest_issued_waiter \
+    a_panicking_serve_releases_its_turn_and_its_admission_slot \
+    cache_exhaustion_is_reported_not_hung \
     writer_drains_dirty_pages_inline the_throttle_replays_exactly \
     gfsync_returns_only_once_the_callers_bytes_are_on_the_host
   cargo test -q --release -p simtime --lib board::tests
