@@ -30,16 +30,10 @@ use crate::table::GFile;
 /// at 16 MB pages more than halves Figure-4 throughput without this cap,
 /// because a single batch spans the whole file). 8 MB keeps the full
 /// window at every page size up to 1 MB and degrades gracefully above.
+/// The pipelined engine chunks a batch so host file I/O overlaps the
+/// in-flight DMA — the serialization this cap works around — so there the
+/// configured window is the only bound.
 const READAHEAD_MAX_BATCH_BYTES: usize = 8 << 20;
-
-/// The same bound under the *pipelined* engine, which chunks a batch so
-/// host file I/O overlaps the in-flight DMA — removing the very
-/// serialization the 8 MB cap works around. Measured on the Figure-4
-/// sweep, a whole-per-block batch (128 MB at window 8 / 16 MB pages) now
-/// lands within a few percent of the capped optimum instead of halving
-/// throughput, so the cap is raised to stay out of the way at every
-/// paper page size while still bounding daemon staging memory.
-const READAHEAD_MAX_BATCH_BYTES_PIPELINED: usize = 128 << 20;
 
 /// A pinned page: holds a reference that keeps the frame from eviction.
 /// It borrows the caller's file handle rather than owning one, so a pin
@@ -295,13 +289,11 @@ impl GpuFsMount {
         window: usize,
     ) -> Vec<ClaimedPage> {
         let mut claimed = Vec::new();
-        let cap_bytes = if self.config.io_chunk_pages == 0 {
-            READAHEAD_MAX_BATCH_BYTES
+        let window = if self.config.io_chunk_pages == 0 {
+            window.min((READAHEAD_MAX_BATCH_BYTES / self.config.page_size).max(1))
         } else {
-            READAHEAD_MAX_BATCH_BYTES_PIPELINED
+            window
         };
-        let max_pages = (cap_bytes / self.config.page_size).max(1);
-        let window = window.min(max_pages);
         for idx in page_idx + 1..page_idx + window as u64 {
             if !self.page_fetches(file, idx) {
                 break;
@@ -568,7 +560,7 @@ impl GpuFsMount {
         self.abort_init(fp);
     }
 
-    pub(crate) fn abort_init(&self, fp: &FPage) {
+    fn abort_init(&self, fp: &FPage) {
         fp.lock();
         fp.begin_update();
         fp.set_state(PageState::Empty);

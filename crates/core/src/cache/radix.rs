@@ -556,7 +556,7 @@ impl RadixTree {
 
     /// Number of leaf nodes allocated so far.
     #[must_use]
-    pub fn num_leaves(&self) -> usize {
+    fn num_leaves(&self) -> usize {
         self.leaves.iter().map(|s| s.lock().len()).sum()
     }
 

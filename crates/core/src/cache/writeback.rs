@@ -30,23 +30,6 @@ use crate::table::GFile;
 /// one host write.
 pub(super) const DIFF_MERGE_GAP: usize = 64;
 
-/// Upper bound on the page span one `WritePages` batch may cover under
-/// the *serialized* daemon engine (`io_chunk_pages = 0`), whatever the
-/// [`WRITE_BATCH_PAGES`] — the same
-/// pipelining argument as the read path's 8 MB readahead cap: a
-/// serialized batch is one gather-then-pwrite sequence, and an
-/// over-large batch trades away the overlap that separate in-flight
-/// requests get. Measured on the write-throughput sweep, 2–4 MB spans
-/// are the optimum (4 MB keeps the full default window at 128 KB pages
-/// and is within a few percent of peak everywhere below 1 MB); wider
-/// spans start losing the D2H/pwrite interleaving that separate
-/// round-trips retain.
-/// The pipelined engine has no such bound: its chunked gathers overlap
-/// each chunk's `pwrite`s — the serialization the cap worked around —
-/// and measured on the write sweep, a full 32-page batch at large pages
-/// matches or beats the span-capped split.
-const WRITEBACK_MAX_BATCH_BYTES: usize = 4 << 20;
-
 /// Page buffers for read-write snapshots, shared by every mount of the
 /// process. A buffer is only parked after it was live, and only
 /// allocated when none is parked, so parked plus live buffers never
@@ -110,7 +93,7 @@ impl GpuFsMount {
                 }
             }
         });
-        for chunk in dirty_pages.chunks(self.write_batch_cap()) {
+        for chunk in dirty_pages.chunks(WRITE_BATCH_PAGES) {
             // Pin the chunk to hold its frames across the write-back; the
             // pins drop (and the pages become evictable again) batch by
             // batch, not at the end of the whole flush. The pins are
@@ -133,15 +116,6 @@ impl GpuFsMount {
         Ok(dirty_pages.len())
     }
 
-    /// Largest number of pages one `WritePages` batch may carry.
-    pub(crate) fn write_batch_cap(&self) -> usize {
-        if self.config.io_chunk_pages == 0 {
-            WRITE_BATCH_PAGES.min((WRITEBACK_MAX_BATCH_BYTES / self.config.page_size).max(1))
-        } else {
-            WRITE_BATCH_PAGES
-        }
-    }
-
     /// Write back a single page (`gmsync`, and the batch-of-one case).
     pub(crate) fn writeback_frame(
         &self,
@@ -153,10 +127,10 @@ impl GpuFsMount {
         self.writeback_frames(blk, file, &[(page_idx, frame)])
     }
 
-    /// Write back a set of pages of one file, in capped `WritePages`
-    /// batches. The caller must hold each frame (pinned, or detached from
-    /// its fpage by eviction). Pages found clean are skipped. Returns the
-    /// bytes written.
+    /// Write back a set of pages of one file, in `WritePages` batches of
+    /// at most [`WRITE_BATCH_PAGES`]. The caller must hold each frame
+    /// (pinned, or detached from its fpage by eviction). Pages found clean
+    /// are skipped. Returns the bytes written.
     ///
     /// On a failed batch every page of that batch has its dirty flag
     /// re-armed (pages of earlier, successful batches stay propagated).
@@ -167,7 +141,7 @@ impl GpuFsMount {
         pages: &[(u64, FrameIdx)],
     ) -> GpufsResult<usize> {
         let mut written = 0;
-        for chunk in pages.chunks(self.write_batch_cap()) {
+        for chunk in pages.chunks(WRITE_BATCH_PAGES) {
             written += self.ship_batch(blk, file, chunk)?;
         }
         Ok(written)

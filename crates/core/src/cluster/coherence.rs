@@ -8,26 +8,23 @@
 //! holds it. This module gives the fleet the tools to observe and stress
 //! exactly that contract:
 //!
-//! * [`GpuFleet::coherence_audit`] / [`GpuFleet::audit_file`] — a
+//! * [`FleetView::coherence_audit`] / [`FleetView::audit_file`] — a
 //!   point-in-time view over the shared registry ([`hostfs::Consistency`
 //!   `::snapshot`]): per file, the host generation, every GPU's
 //!   registered cached generation, and which of those are lazily stale.
-//! * [`CoherenceOp`] + [`GpuFleet::run_close_to_open_schedule`] — a
+//! * [`CoherenceOp`] + [`FleetView::run_close_to_open_schedule`] — a
 //!   schedule driver for randomized cross-GPU open→write→close→reopen
 //!   interleavings: every `OpenCheck` must observe the latest *closed*
 //!   write, whichever GPU made it. The driver reports mismatches as data
 //!   (not panics) so property harnesses can attach case numbers.
+//!
+//! Both are provided methods of [`FleetView`], written once for the
+//! single-host and the cross-host fleet; this module holds their types.
 
-use std::sync::Arc;
+use hostfs::Ino;
 
-use gpusim::Grid;
-use hostfs::{HostFs, Ino};
-use parking_lot::Mutex;
-
-use crate::cluster::fleet::GpuFleet;
+#[cfg(doc)]
 use crate::cluster::view::FleetView;
-use crate::config::GOpenMode;
-use crate::error::GpufsResult;
 
 /// Audited coherence state of one file across the fleet (a
 /// [`hostfs::FileSnapshot`] with the staleness verdict applied).
@@ -49,7 +46,7 @@ pub struct FileCoherence {
 }
 
 /// One step of a randomized close-to-open schedule
-/// (see [`GpuFleet::run_close_to_open_schedule`]).
+/// (see [`FleetView::run_close_to_open_schedule`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoherenceOp {
     /// GPU `gpu` opens the file read-write, writes `tag` (to two
@@ -70,7 +67,7 @@ pub enum CoherenceOp {
     },
 }
 
-/// Outcome of one [`GpuFleet::run_close_to_open_schedule`] run.
+/// Outcome of one [`FleetView::run_close_to_open_schedule`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScheduleReport {
     /// `OpenCheck` steps executed.
@@ -84,179 +81,17 @@ pub struct ScheduleReport {
 /// fleet's smallest configured page size would depend on config, so the
 /// driver uses a fixed 64 KB stride and sizes the file accordingly —
 /// with ≤ 64 KB pages the two cells exercise two separate cache pages.
-const TAG_STRIDE: u64 = 64 << 10;
-
-/// Point-in-time coherence audit of every file `fs`'s registry tracks,
-/// sorted by inode — the shared engine behind both fleet types' audits.
-pub(crate) fn audit_registry(fs: &HostFs) -> Vec<FileCoherence> {
-    fs.consistency()
-        .snapshot()
-        .into_iter()
-        .map(|s| {
-            let stale = s.stale_cachers();
-            FileCoherence {
-                ino: s.ino,
-                generation: s.generation,
-                cachers: s.cachers,
-                stale,
-            }
-        })
-        .collect()
-}
-
-/// Per-file audit engine (one registry entry read, never the whole
-/// registry).
-pub(crate) fn audit_path(fs: &HostFs, path: &str) -> Option<FileCoherence> {
-    let ino = fs.ino_of(path).ok()?;
-    let s = fs.consistency().file_snapshot(ino)?;
-    let stale = s.stale_cachers();
-    Some(FileCoherence {
-        ino: s.ino,
-        generation: s.generation,
-        cachers: s.cachers,
-        stale,
-    })
-}
-
-impl GpuFleet {
-    /// Point-in-time coherence audit of every file the shared registry
-    /// tracks, sorted by inode.
-    #[must_use]
-    pub fn coherence_audit(&self) -> Vec<FileCoherence> {
-        audit_registry(self.fs())
-    }
-
-    /// Coherence audit of the file at `path`, if the registry tracks it
-    /// (one registry entry is read — a per-file audit never pays for the
-    /// whole registry).
-    #[must_use]
-    pub fn audit_file(&self, path: &str) -> Option<FileCoherence> {
-        audit_path(self.fs(), path)
-    }
-
-    /// Run a sequential close-to-open schedule against `path` (created
-    /// with tag 0 if missing): each op runs to completion — every
-    /// `WriteClose` fully publishes before the next op starts — so each
-    /// `OpenCheck` has exactly one correct answer, the latest closed
-    /// tag. Both tag cells (offset 0 and offset `TAG_STRIDE` = 64 KB)
-    /// must agree; a disagreement between them, or with the expected
-    /// tag, lands in [`ScheduleReport::mismatches`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on host errors seeding the file and on GPUfs errors inside
-    /// any step (daemon down, cache exhausted, ...), never on a
-    /// consistency violation — those are the report's job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an op names a GPU outside the fleet.
-    pub fn run_close_to_open_schedule(
-        &self,
-        path: &str,
-        ops: &[CoherenceOp],
-    ) -> GpufsResult<ScheduleReport> {
-        run_schedule(self, path, ops)
-    }
-}
-
-/// The schedule driver behind [`GpuFleet::run_close_to_open_schedule`]
-/// (and its cross-host counterpart): ops name GPUs by the view's global
-/// index, so the same schedule type spans hosts when the view does.
-pub(crate) fn run_schedule<F: FleetView>(
-    fleet: &F,
-    path: &str,
-    ops: &[CoherenceOp],
-) -> GpufsResult<ScheduleReport> {
-    if !fleet.fs().exists(path) {
-        fleet
-            .fs()
-            .create(path, &vec![0u8; (TAG_STRIDE + 8) as usize])
-            .map_err(crate::GpufsError::Host)?;
-    }
-    let mut report = ScheduleReport::default();
-    // Seed the expectation from the file's current (host-visible)
-    // tag: every WriteClose publishes before returning, so on a
-    // reused path the first tag cell *is* the latest closed write —
-    // resetting to 0 instead would report phantom mismatches.
-    let mut latest: u64 = {
-        let (data, _) = fleet
-            .fs()
-            .read_whole(path, 0)
-            .map_err(crate::GpufsError::Host)?;
-        let mut cell = [0u8; 8];
-        let n = data.len().min(8);
-        cell[..n].copy_from_slice(&data[..n]);
-        u64::from_le_bytes(cell)
-    };
-    let failure: Arc<Mutex<Option<crate::GpufsError>>> = Arc::new(Mutex::new(None));
-    let observed: Arc<Mutex<Option<(u64, u64)>>> = Arc::new(Mutex::new(None));
-    for (i, &op) in ops.iter().enumerate() {
-        match op {
-            CoherenceOp::WriteClose { gpu, tag } => {
-                let mount = Arc::clone(fleet.mount(gpu));
-                let path = path.to_owned();
-                let failure = Arc::clone(&failure);
-                fleet.gpu(gpu).launch(Grid::new(1, 32), 0, move |blk| {
-                    let mut work = || -> GpufsResult<()> {
-                        let fd = mount.open(blk, &path, GOpenMode::ReadWrite)?;
-                        mount.write(blk, &fd, 0, &tag.to_le_bytes())?;
-                        mount.write(blk, &fd, TAG_STRIDE, &tag.to_le_bytes())?;
-                        mount.fsync(blk, &fd)?;
-                        mount.close(blk, fd)
-                    };
-                    if let Err(e) = work() {
-                        failure.lock().get_or_insert(e);
-                    }
-                });
-                latest = tag;
-            }
-            CoherenceOp::OpenCheck { gpu } => {
-                let mount = Arc::clone(fleet.mount(gpu));
-                let path = path.to_owned();
-                let failure = Arc::clone(&failure);
-                let observed_in = Arc::clone(&observed);
-                fleet.gpu(gpu).launch(Grid::new(1, 32), 0, move |blk| {
-                    let mut work = || -> GpufsResult<(u64, u64)> {
-                        let fd = mount.open(blk, &path, GOpenMode::ReadOnly)?;
-                        let mut a = [0u8; 8];
-                        let mut b = [0u8; 8];
-                        mount.read(blk, &fd, 0, &mut a)?;
-                        mount.read(blk, &fd, TAG_STRIDE, &mut b)?;
-                        mount.close(blk, fd)?;
-                        Ok((u64::from_le_bytes(a), u64::from_le_bytes(b)))
-                    };
-                    match work() {
-                        Ok(tags) => *observed_in.lock() = Some(tags),
-                        Err(e) => {
-                            failure.lock().get_or_insert(e);
-                        }
-                    }
-                });
-                report.checks += 1;
-                if let Some((a, b)) = observed.lock().take() {
-                    if a != latest {
-                        report.mismatches.push((i, latest, a));
-                    }
-                    if b != latest {
-                        report.mismatches.push((i, latest, b));
-                    }
-                }
-            }
-        }
-        if let Some(e) = failure.lock().take() {
-            return Err(e);
-        }
-    }
-    Ok(report)
-}
+pub(crate) const TAG_STRIDE: u64 = 64 << 10;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::fleet::FleetBuilder;
-    use crate::config::GpufsConfig;
-    use gpusim::GpuSpec;
+    use std::sync::Arc;
+
+    use crate::cluster::fleet::{FleetBuilder, GpuFleet};
+    use crate::cluster::view::FleetView;
+    use crate::config::{GOpenMode, GpufsConfig};
+    use gpusim::{GpuSpec, Grid};
 
     fn fleet(n: usize) -> GpuFleet {
         FleetBuilder::new(n)

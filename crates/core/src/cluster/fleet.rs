@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gpusim::{Gpu, GpuCluster, GpuSpec};
+use gpusim::{Gpu, GpuSpec};
 use hostfs::{HostFs, HostFsConfig};
 use simtime::Timings;
 
@@ -74,6 +74,7 @@ impl FleetBuilder {
     /// base config, since one daemon serves every GPU;
     /// [`FleetBuilder::build`] rejects an override that disagrees).
     #[must_use]
+    // lint:allow dead-pub -- the per-GPU override of the GPU-side knobs, kept on purpose; this file's tests exercise it
     pub fn gpu_config(mut self, gpu: usize, config: GpufsConfig) -> Self {
         self.overrides.insert(gpu, config);
         self
@@ -95,7 +96,9 @@ impl FleetBuilder {
     }
 
     /// Give one GPU its own timing calibration — e.g. a narrower PCIe
-    /// slot — so the fleet models genuinely independent links.
+    /// slot — so the fleet models genuinely independent links. Only
+    /// tests build such a fleet.
+    #[cfg(test)]
     #[must_use]
     pub fn gpu_timings(mut self, gpu: usize, timings: Timings) -> Self {
         self.gpu_timings.insert(gpu, timings);
@@ -185,19 +188,12 @@ impl FleetBuilder {
                 }))
             }),
         };
-        let links: Vec<(GpuSpec, Timings)> = (0..self.n_gpus)
+        let gpus: Vec<Arc<Gpu>> = (0..self.n_gpus)
             .map(|g| {
-                (
-                    self.spec.clone(),
-                    self.gpu_timings
-                        .get(&g)
-                        .cloned()
-                        .unwrap_or_else(|| self.timings.clone()),
-                )
+                let timings = self.gpu_timings.get(&g).unwrap_or(&self.timings);
+                Arc::new(Gpu::with_timings(g, self.spec.clone(), timings))
             })
             .collect();
-        let cluster = GpuCluster::heterogeneous(&links);
-        let gpus: Vec<Arc<Gpu>> = cluster.gpus().to_vec();
 
         // Host-side knobs are daemon state: under the one shared daemon
         // an override that names different values would be exactly the

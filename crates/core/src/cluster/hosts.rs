@@ -22,10 +22,8 @@ use gpusim::{Gpu, GpuSpec};
 use hostfs::{HostFs, HostFsConfig};
 use simtime::Timings;
 
-use crate::cluster::coherence::{audit_path, audit_registry, run_schedule};
 use crate::cluster::fleet::GpuFleet;
 use crate::cluster::view::FleetView;
-use crate::cluster::{CoherenceOp, FileCoherence, ScheduleReport};
 use crate::config::GpufsConfig;
 use crate::daemon::DaemonStats;
 use crate::error::{GpufsError, GpufsResult};
@@ -217,6 +215,7 @@ impl HostFleet {
     }
 
     /// The host that global GPU `g` lives on.
+    #[cfg(test)]
     #[must_use]
     pub fn host_of(&self, g: usize) -> usize {
         g / self.gpus_per_host
@@ -233,37 +232,6 @@ impl HostFleet {
     #[must_use]
     pub fn host_stats(&self, h: usize) -> &DaemonStats {
         self.fleets[h].host().stats()
-    }
-
-    /// Point-in-time coherence audit of every file the shared registry
-    /// tracks — cachers carry host-qualified coherence ids.
-    #[must_use]
-    pub fn coherence_audit(&self) -> Vec<FileCoherence> {
-        audit_registry(self.fs())
-    }
-
-    /// Coherence audit of the file at `path`, if the registry tracks it.
-    #[must_use]
-    pub fn audit_file(&self, path: &str) -> Option<FileCoherence> {
-        audit_path(self.fs(), path)
-    }
-
-    /// Run a sequential close-to-open schedule whose ops name GPUs by
-    /// global index — so one schedule interleaves writers and readers
-    /// across hosts. Semantics are exactly
-    /// [`GpuFleet::run_close_to_open_schedule`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Fails on host errors seeding the file and on GPUfs errors inside
-    /// any step, never on a consistency violation — those are the
-    /// report's job.
-    pub fn run_close_to_open_schedule(
-        &self,
-        path: &str,
-        ops: &[CoherenceOp],
-    ) -> GpufsResult<ScheduleReport> {
-        run_schedule(self, path, ops)
     }
 
     /// Stop every host's daemon. Idempotent; in-flight requests drain
@@ -296,6 +264,7 @@ impl FleetView for HostFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::CoherenceOp;
 
     fn small(hosts: usize, gpus: usize, cache_pages: usize) -> HostFleet {
         HostFleet::builder(hosts, gpus)

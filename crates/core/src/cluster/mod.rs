@@ -18,18 +18,20 @@
 //!   mode where an idle GPU steals file chunks from the slowest shard —
 //!   the mechanism the paper's image search needs to balance skewed
 //!   match costs across devices.
-//! * **[`coherence`]** — fleet-level close-to-open enforcement and
-//!   stress machinery: auditing which GPU caches which file at which
-//!   generation (via the registry snapshot), and schedule drivers that
-//!   let tests interleave open→write→close→reopen across K GPUs and
-//!   assert every reopen observes the latest closed generation.
+//! * **[`coherence`]** — the types of fleet-level close-to-open
+//!   enforcement and stress: an audit of which GPU caches which file at
+//!   which generation (via the registry snapshot), and the ops and
+//!   report of a schedule that interleaves open→write→close→reopen
+//!   across K GPUs and checks every reopen observes the latest closed
+//!   generation.
 //! * **[`hosts`]** — [`HostFleet`]: fleets of fleets. M hosts, each a
 //!   [`GpuFleet`] served through a [`crate::HostProxy`] over a simulated
 //!   network link, sharing one [`crate::StorageServer`] and registry;
 //!   coherence ids are host-qualified so audits and schedules span
 //!   hosts.
 //! * **[`view`]** — [`FleetView`]: the common driver surface both fleet
-//!   types implement, so workloads run unchanged over either.
+//!   types implement, so workloads run unchanged over either; the audits
+//!   and the schedule runner are its provided methods.
 
 pub mod coherence;
 pub mod fleet;

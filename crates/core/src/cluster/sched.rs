@@ -157,6 +157,7 @@ impl WorkQueue {
     }
 
     /// Items not yet claimed, across all shards.
+    #[cfg(test)]
     #[must_use]
     pub fn remaining(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()

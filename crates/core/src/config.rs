@@ -35,13 +35,6 @@ impl GOpenMode {
         !matches!(self, GOpenMode::ReadOnly)
     }
 
-    /// Whether pages must be fetched from the host on first access
-    /// (write-once and temp files start as zeros instead).
-    #[must_use]
-    pub fn fetches_pages(self) -> bool {
-        matches!(self, GOpenMode::ReadOnly | GOpenMode::ReadWrite)
-    }
-
     /// Whether dirty pages ever propagate back to the host.
     #[must_use]
     pub fn syncs_to_host(self) -> bool {
@@ -82,12 +75,10 @@ pub const LANE_STRIPES: usize = 32;
 /// stale-reopen flush, and eviction gather into a single batched
 /// `WritePages` RPC (one round-trip, one scatter-gather D2H DMA charge).
 /// Batching never changes *which* bytes are written — only how many
-/// round-trips carry them. Under the *serialized* daemon engine
-/// ([`GpufsConfig::io_chunk_pages`] `= 0`) batches are additionally capped
-/// at 4 MB of page span — the measured optimum there; the pipelined
-/// default overlaps each chunk's gather with the previous chunk's
-/// `pwrite`s, so it has no span cap and this page count is the only limit
-/// (see `cache/writeback.rs`).
+/// round-trips carry them. This page count is the only limit, under
+/// either daemon engine: no workload writes back through the serialized
+/// engine ([`GpufsConfig::io_chunk_pages`] `= 0`), and the pipelined one
+/// overlaps each chunk's gather with the previous chunk's `pwrite`s.
 pub(crate) const WRITE_BATCH_PAGES: usize = 32;
 
 /// Configuration of one GPU's GPUfs instance.
@@ -376,7 +367,6 @@ mod tests {
         assert!(GOpenMode::ReadWrite.readable() && GOpenMode::ReadWrite.writable());
         assert!(GOpenMode::ReadWrite.needs_pristine());
         assert!(!GOpenMode::WriteOnce.readable() && GOpenMode::WriteOnce.writable());
-        assert!(!GOpenMode::WriteOnce.fetches_pages());
         assert!(GOpenMode::WriteOnce.syncs_to_host());
         assert!(
             !GOpenMode::WriteOnce.needs_pristine(),

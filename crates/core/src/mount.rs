@@ -232,7 +232,8 @@ impl GpuFsMount {
     /// Assign threadblock slot `slot` (modulo the slot-map size) to
     /// `tenant`. Every fault, RPC, and cache counter of that slot is
     /// attributed — and scheduled — as that tenant from then on. Slots
-    /// default to tenant 0.
+    /// default to tenant 0, and a `tenant` past [`Self::num_tenants`]
+    /// maps to the last tenant: this is the one store, so it clamps once.
     pub fn set_tenant(&self, slot: usize, tenant: TenantId) {
         let tenant = tenant.min(self.num_tenants() - 1);
         self.tenant_of_slot[slot % TENANT_SLOT_MAP].store(tenant, Ordering::Relaxed);
@@ -241,9 +242,9 @@ impl GpuFsMount {
     /// The tenant threadblock slot `slot` is assigned to.
     #[must_use]
     pub fn tenant_of(&self, slot: usize) -> TenantId {
-        self.tenant_of_slot[slot % TENANT_SLOT_MAP]
-            .load(Ordering::Relaxed)
-            .min(self.num_tenants() - 1)
+        let tenant = self.tenant_of_slot[slot % TENANT_SLOT_MAP].load(Ordering::Relaxed);
+        debug_assert!(tenant < self.num_tenants(), "set_tenant clamps every store");
+        tenant
     }
 
     /// Apply one counter update to `lane`'s leaf stripe of its tenant —

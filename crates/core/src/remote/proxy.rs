@@ -133,18 +133,11 @@ impl HostProxy {
         &self.wire
     }
 
-    /// Link time each direction has accepted since the last
-    /// [`HostProxy::reset_link`], as `(up, down)`.
+    /// Link time each direction has accepted since the proxy was built,
+    /// as `(up, down)`.
     #[must_use]
     pub fn link_busy_ns(&self) -> (Nanos, Nanos) {
         (self.up.busy_ns(), self.down.busy_ns())
-    }
-
-    /// Forget queued link work (used between benchmark phases, next to
-    /// `HostFs::reset_device_time`).
-    pub fn reset_link(&self) {
-        self.up.reset();
-        self.down.reset();
     }
 
     /// What this proxy knows about `fd`, if the server opened it here.

@@ -343,7 +343,7 @@ impl Tables {
 
     /// Empty tables spread over `shards` locks per map.
     #[must_use]
-    pub fn with_shards(shards: usize) -> Self {
+    fn with_shards(shards: usize) -> Self {
         Self {
             open: ShardedMap::new(shards),
             closed: ShardedMap::new(shards),
@@ -380,6 +380,7 @@ impl Tables {
     }
 
     /// Live `path_locks` entries (test hook for the gc above).
+    #[cfg(test)]
     #[must_use]
     pub fn path_locks_len(&self) -> usize {
         self.path_locks.shards.iter().map(|s| s.lock().len()).sum()

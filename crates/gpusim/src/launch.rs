@@ -25,12 +25,6 @@ impl Grid {
             threads_per_block,
         }
     }
-
-    /// Total threads in the kernel.
-    #[must_use]
-    pub fn total_threads(&self) -> usize {
-        self.blocks * self.threads_per_block
-    }
 }
 
 /// Result of a completed kernel: virtual start/end plus per-block end times.
@@ -116,12 +110,6 @@ impl<'g> BlockCtx<'g> {
         self.block_id
     }
 
-    /// Threads in this block.
-    #[must_use]
-    pub fn num_threads(&self) -> usize {
-        self.grid.threads_per_block
-    }
-
     /// Iterate the block's thread ids. Per-thread work runs sequentially;
     /// charge its cost once for the whole block via [`BlockCtx::advance`]
     /// using a per-thread-parallel cost model.
@@ -130,6 +118,7 @@ impl<'g> BlockCtx<'g> {
     }
 
     /// Iterate the block's warps.
+    #[cfg(test)]
     pub fn warps(&self) -> impl Iterator<Item = WarpCtx> + '_ {
         let ws = self.gpu.spec().warp_size;
         let n = self.grid.threads_per_block;
@@ -142,6 +131,7 @@ impl<'g> BlockCtx<'g> {
 
     /// Block-wide barrier (`__syncthreads`). Since intra-block threads run
     /// sequentially here, this only charges the barrier's hardware cost.
+    #[cfg(test)]
     pub fn sync_threads(&mut self) {
         self.clock.advance(20);
     }

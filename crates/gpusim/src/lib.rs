@@ -56,8 +56,6 @@ pub use mem::{DevPtr, GlobalMem, MemError};
 pub use pinned::HostPinned;
 pub use spec::GpuSpec;
 
-use std::sync::Arc;
-
 use simtime::Timings;
 
 /// Identifier of one GPU in a multi-GPU system.
@@ -117,124 +115,34 @@ impl Gpu {
     }
 }
 
-/// A set of GPUs attached to one host, as in the paper's 4-GPU testbed.
-///
-/// Each GPU has its own PCIe link (the testbed gives every TESLA its own
-/// slot), so multi-GPU scaling is limited by the host file system and RPC
-/// daemon rather than by a shared bus — matching Table 3's near-linear
-/// scaling.
-#[derive(Debug, Default)]
-pub struct GpuCluster {
-    gpus: Vec<Arc<Gpu>>,
-}
-
-impl GpuCluster {
-    /// An empty cluster.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { gpus: Vec::new() }
-    }
-
-    /// Build a cluster of `n` identical GPUs.
-    #[must_use]
-    pub fn homogeneous(n: usize, spec: &GpuSpec, timings: &Timings) -> Self {
-        let gpus = (0..n)
-            .map(|id| Arc::new(Gpu::with_timings(id, spec.clone(), timings)))
-            .collect();
-        Self { gpus }
-    }
-
-    /// Build a cluster from per-GPU `(spec, timings)` pairs — a fleet of
-    /// independent devices whose links may differ (a mixed-generation
-    /// server, or one GPU on a narrower PCIe slot). Each GPU gets its own
-    /// DMA engines calibrated from its own [`Timings`]; ids are assigned
-    /// in order.
-    #[must_use]
-    pub fn heterogeneous(links: &[(GpuSpec, Timings)]) -> Self {
-        let gpus = links
-            .iter()
-            .enumerate()
-            .map(|(id, (spec, timings))| Arc::new(Gpu::with_timings(id, spec.clone(), timings)))
-            .collect();
-        Self { gpus }
-    }
-
-    /// The GPUs as a shared-ownership slice (the shape the GPUfs host
-    /// daemon consumes).
-    #[must_use]
-    pub fn gpus(&self) -> &[Arc<Gpu>] {
-        &self.gpus
-    }
-
-    /// Add a GPU, returning its id.
-    pub fn add(&mut self, gpu: Gpu) -> GpuId {
-        let id = gpu.id();
-        self.gpus.push(Arc::new(gpu));
-        id
-    }
-
-    /// Number of GPUs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.gpus.len()
-    }
-
-    /// Whether the cluster has no GPUs.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.gpus.is_empty()
-    }
-
-    /// The GPU with identifier `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn gpu(&self, id: GpuId) -> &Arc<Gpu> {
-        &self.gpus[id]
-    }
-
-    /// Iterate over the GPUs.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<Gpu>> {
-        self.gpus.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Four GPUs built the way a fleet builds them keep their positional ids.
     #[test]
     fn cluster_of_four() {
-        let cluster = GpuCluster::homogeneous(4, &GpuSpec::small_test(), &Timings::default());
-        assert_eq!(cluster.len(), 4);
-        assert!(!cluster.is_empty());
-        for (i, gpu) in cluster.iter().enumerate() {
+        let gpus: Vec<Gpu> = (0..4)
+            .map(|id| Gpu::with_timings(id, GpuSpec::small_test(), &Timings::default()))
+            .collect();
+        assert_eq!(gpus.len(), 4);
+        for (i, gpu) in gpus.iter().enumerate() {
             assert_eq!(gpu.id(), i);
         }
     }
 
+    /// Each GPU's DMA link is calibrated from its own timings, not a shared one.
     #[test]
     fn heterogeneous_cluster_keeps_per_gpu_timings() {
         let slow = Timings {
             pcie_mb_s: 2000.0,
             ..Timings::default()
         };
-        let cluster = GpuCluster::heterogeneous(&[
-            (GpuSpec::small_test(), Timings::default()),
-            (GpuSpec::small_test(), slow.clone()),
-        ]);
-        assert_eq!(cluster.len(), 2);
-        assert_eq!(cluster.gpus()[0].timings().pcie_mb_s, 5731.0);
-        assert_eq!(cluster.gpus()[1].timings().pcie_mb_s, 2000.0);
-    }
-
-    #[test]
-    fn add_assigns_ids_from_gpu() {
-        let mut cluster = GpuCluster::new();
-        let id = cluster.add(Gpu::new(7, GpuSpec::small_test()));
-        assert_eq!(id, 7);
-        assert_eq!(cluster.gpu(0).id(), 7);
+        let gpus = [
+            Gpu::with_timings(0, GpuSpec::small_test(), &Timings::default()),
+            Gpu::with_timings(1, GpuSpec::small_test(), &slow),
+        ];
+        assert_eq!(gpus[0].timings().pcie_mb_s, 5731.0);
+        assert_eq!(gpus[1].timings().pcie_mb_s, 2000.0);
     }
 }

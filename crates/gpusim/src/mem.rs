@@ -227,7 +227,7 @@ impl GlobalMem {
 
     /// Sum of all free regions.
     #[must_use]
-    pub fn free_bytes(&self) -> usize {
+    fn free_bytes(&self) -> usize {
         self.free.lock().iter().map(|&(_, len)| len).sum()
     }
 

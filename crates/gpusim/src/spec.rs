@@ -36,20 +36,6 @@ impl GpuSpec {
         }
     }
 
-    /// A C2075 with its memory scaled down by `factor`, for benchmarks that
-    /// shrink datasets and cache budgets together to keep wall time low.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    #[must_use]
-    pub fn tesla_c2075_scaled(factor: usize) -> Self {
-        assert!(factor > 0, "scale factor must be positive");
-        let mut spec = Self::tesla_c2075();
-        spec.memory_bytes /= factor;
-        spec
-    }
-
     /// A small device for unit tests: 4 MPs, 64 MB memory.
     #[must_use]
     pub fn small_test() -> Self {
@@ -90,18 +76,5 @@ mod tests {
         assert_eq!(spec.memory_bytes, 6 << 30);
         // The paper launches 28 blocks = "twice the number of active MPs".
         assert_eq!(spec.concurrent_blocks(), 28);
-    }
-
-    #[test]
-    fn scaled_spec_divides_memory_only() {
-        let spec = GpuSpec::tesla_c2075_scaled(8);
-        assert_eq!(spec.memory_bytes, (6 << 30) / 8);
-        assert_eq!(spec.num_mps, 14);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale factor")]
-    fn zero_scale_factor_panics() {
-        let _ = GpuSpec::tesla_c2075_scaled(0);
     }
 }

@@ -67,6 +67,7 @@ impl OpenFlags {
 
     /// `O_WRONLY | O_CREAT | O_TRUNC` — the usual "produce an output file".
     #[must_use]
+    // lint:allow dead-pub -- the POSIX open-flag set beside read_only/read_write, kept on purpose; this file's tests exercise it
     pub fn create_truncate() -> Self {
         Self {
             read: false,
@@ -385,7 +386,7 @@ impl HostFs {
     /// # Errors
     ///
     /// Fails if the path is missing or not a directory.
-    pub fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
+    fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
         let inner = self.inner.lock();
         let ino = inner.resolve(path)?;
         let node = &inner.inodes[&ino];

@@ -136,7 +136,7 @@ impl Blocks {
 
     /// Make these bytes equal to `src`, copying only the blocks that
     /// differ. Returns whether anything changed.
-    pub fn assign(&mut self, src: &Blocks) -> bool {
+    fn assign(&mut self, src: &Blocks) -> bool {
         let mut changed = self.len != src.len;
         self.fit_blocks(src.len);
         self.len = src.len;
@@ -374,7 +374,7 @@ impl FileBody {
 /// in little-endian byte order, so any byte range reads the same
 /// regardless of access pattern. Every aligned word of `dst` is written
 /// whole; only a partial word at either end is copied in part.
-pub(crate) fn synth_fill(seed: u64, offset: u64, dst: &mut [u8]) {
+fn synth_fill(seed: u64, offset: u64, dst: &mut [u8]) {
     let word = |i: u64| splitmix64(seed ^ i).to_le_bytes();
     let mut index = offset / 8;
     let skip = (offset % 8) as usize;

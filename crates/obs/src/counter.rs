@@ -53,6 +53,7 @@ impl Counter {
     }
 
     /// Whether this counter is a writable leaf (false: a sum view).
+    #[cfg(test)]
     #[must_use]
     pub fn is_leaf(&self) -> bool {
         matches!(self.0, Inner::Leaf(_))

@@ -8,9 +8,8 @@ const HIST_SUB: usize = 1 << HIST_SUB_BITS;
 /// A latency histogram with logarithmic octaves split into linear
 /// subbuckets — constant memory, bounded relative error, cheap merge.
 ///
-/// This is the registry's one digest type: the traffic harness's
-/// per-tenant tail reports and the trace bins' stage breakdowns all
-/// build on it, so p50/p99/p999 mean the same thing everywhere.
+/// The traffic harness's per-tenant tail reports build on it; the
+/// metrics registry holds counters and probes only.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     counts: Vec<u64>,

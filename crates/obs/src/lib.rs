@@ -12,12 +12,14 @@
 //!   lock-free buffers drained at [`Tracer::snapshot`], so a
 //!   single fault renders as a causal tree: `gread → pin_miss →
 //!   rpc:ReadPages → [pread ∥ dma] → net_roundtrip → server:ReadPages`.
-//! * **Metrics registry** ([`Registry`], [`Counter`], [`Histogram`]) —
-//!   one typed home for the counter sheets and virtual-time latency
-//!   histograms, with hierarchical [`Labels`] (host/gpu/tenant)
-//!   and a cheap snapshot. Aggregate sheets are *sum views* over leaf
-//!   cells ([`Counter::sum`]), so per-tenant/per-GPU/per-host totals
-//!   cannot drift from the aggregate: there is exactly one write path.
+//! * **Metrics registry** ([`Registry`], [`Counter`]) — one typed home
+//!   for the counter sheets and read-through probes, with hierarchical
+//!   [`Labels`] (gpu/tenant) and a cheap snapshot. Aggregate sheets are
+//!   *sum views* over leaf cells ([`Counter::sum`]), so per-tenant and
+//!   per-GPU totals cannot drift from the aggregate: there is exactly
+//!   one write path.
+//! * **Latency digest** ([`Histogram`]) — log-octave virtual-time
+//!   buckets; the traffic harness's per-tenant tail reports build on it.
 //! * **Exporters** ([`chrome_trace_json`], [`folded_stacks`]) — Chrome
 //!   trace-event JSON (loads in Perfetto / `chrome://tracing`) and a
 //!   flamegraph-ready folded-stack dump.
@@ -42,7 +44,7 @@ mod trace;
 pub use counter::Counter;
 pub use export::{chrome_trace_json, folded_stacks};
 pub use hist::Histogram;
-pub use registry::{HistogramHandle, Labels, Registry};
+pub use registry::{Labels, Registry};
 pub use trace::{
     adopt_remote, current, span, RootSpan, ScopeGuard, Span, SpanRecord, TraceCtx, Tracer,
 };

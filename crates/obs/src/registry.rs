@@ -1,19 +1,17 @@
-//! The metrics registry: named counters and histograms under
+//! The metrics registry: named counters and read-through probes under
 //! hierarchical labels, with one cheap snapshot.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::{Counter, Histogram};
+use crate::Counter;
 
 /// Hierarchical metric labels. Every field is optional: an aggregate
 /// sheet carries none, a per-GPU sheet carries `gpu`, a daemon leaf
-/// carries `gpu` + `tenant`, a fleets-of-fleets sheet adds `host`.
+/// carries `gpu` + `tenant`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Labels {
-    /// Host index within a fleet of fleets.
-    pub host: Option<u32>,
     /// GPU index within a host.
     pub gpu: Option<u32>,
     /// Tenant class.
@@ -36,13 +34,6 @@ impl Labels {
         }
     }
 
-    /// Add a host index.
-    #[must_use]
-    pub fn with_host(mut self, host: u32) -> Self {
-        self.host = Some(host);
-        self
-    }
-
     /// Add a tenant class.
     #[must_use]
     pub fn with_tenant(mut self, tenant: u32) -> Self {
@@ -50,14 +41,11 @@ impl Labels {
         self
     }
 
-    /// Render as `host=0,gpu=1,tenant=2` (present fields only,
-    /// always in hierarchy order — the stable snapshot key).
+    /// Render as `gpu=1,tenant=2` (present fields only, always in
+    /// hierarchy order — the stable snapshot key).
     #[must_use]
     pub fn render(&self) -> String {
         let mut parts = Vec::new();
-        if let Some(h) = self.host {
-            parts.push(format!("host={h}"));
-        }
         if let Some(g) = self.gpu {
             parts.push(format!("gpu={g}"));
         }
@@ -65,24 +53,6 @@ impl Labels {
             parts.push(format!("tenant={t}"));
         }
         parts.join(",")
-    }
-}
-
-/// A shared handle to a registered histogram.
-#[derive(Clone, Debug)]
-pub struct HistogramHandle(Arc<Mutex<Histogram>>);
-
-impl HistogramHandle {
-    /// Record one virtual-time sample.
-    pub fn record(&self, v: u64) {
-        self.0.lock().record(v);
-    }
-
-    /// A point-in-time copy of the digest (p50/p99/p999 via
-    /// [`Histogram::quantile`]).
-    #[must_use]
-    pub fn digest(&self) -> Histogram {
-        self.0.lock().clone()
     }
 }
 
@@ -105,7 +75,6 @@ impl std::fmt::Debug for Probe {
 pub struct Registry {
     counters: Mutex<Vec<(&'static str, Labels, Counter)>>,
     probes: Mutex<Vec<(&'static str, Labels, Probe)>>,
-    hists: Mutex<Vec<(&'static str, Labels, HistogramHandle)>>,
 }
 
 impl Registry {
@@ -140,13 +109,6 @@ impl Registry {
             .push((name, labels, Probe(Arc::new(read))));
     }
 
-    /// Mint and register a histogram; returns the recording handle.
-    pub fn histogram(&self, name: &'static str, labels: Labels) -> HistogramHandle {
-        let h = HistogramHandle(Arc::new(Mutex::new(Histogram::new())));
-        self.hists.lock().push((name, labels, h.clone()));
-        h
-    }
-
     /// Every registered counter, then every probe, as a
     /// `(name{labels}, value)` row, each in registration order.
     #[must_use]
@@ -165,16 +127,6 @@ impl Registry {
                 .map(|(name, labels, p)| (keyed(name, labels), (p.0)())),
         );
         rows
-    }
-
-    /// Every registered histogram as a `(name{labels}, digest)` row.
-    #[must_use]
-    pub fn histograms(&self) -> Vec<(String, Histogram)> {
-        self.hists
-            .lock()
-            .iter()
-            .map(|(name, labels, h)| (keyed(name, labels), h.digest()))
-            .collect()
     }
 }
 
@@ -227,22 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_handles_share_state() {
-        let r = Registry::new();
-        let h = r.histogram("fault_ns", Labels::none().with_host(3));
-        h.record(100);
-        h.record(200);
-        let rows = r.histograms();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, "fault_ns{host=3}");
-        assert_eq!(rows[0].1.count(), 2);
-        assert_eq!(h.digest().max(), 200);
-    }
-
-    #[test]
     fn labels_render_in_hierarchy_order() {
-        let l = Labels::gpu(4).with_host(0).with_tenant(9);
-        assert_eq!(l.render(), "host=0,gpu=4,tenant=9");
+        let l = Labels::gpu(4).with_tenant(9);
+        assert_eq!(l.render(), "gpu=4,tenant=9");
         assert_eq!(Labels::none().render(), "");
     }
 }

@@ -220,6 +220,7 @@ impl Tracer {
     /// Adopt a context handed over from another thread: installs this
     /// thread's scope so its spans nest under the caller's. Inert when
     /// disabled or the context is absent.
+    // lint:allow dead-pub -- the cross-thread half of trace propagation, kept on purpose; this file's tests exercise it
     pub fn adopt(&self, ctx: TraceCtx) -> ScopeGuard {
         if !self.enabled() || ctx.is_none() {
             return ScopeGuard { prior: None };
@@ -400,6 +401,7 @@ pub struct Span {
 
 impl Span {
     /// Whether a scope was present when this span opened.
+    #[cfg(test)]
     #[must_use]
     pub fn is_active(&self) -> bool {
         self.state.is_some()

@@ -37,13 +37,14 @@ impl ByteLedger {
     }
 
     /// Bytes not charged. Saturates at zero if over-committed.
+    #[cfg(test)]
     #[must_use]
     pub fn available(&self) -> u64 {
         self.capacity.saturating_sub(self.used())
     }
 
     /// Charge `bytes` to the ledger. Over-commit is allowed (the real OS
-    /// would start thrashing, which callers model from [`Self::available`]).
+    /// would start thrashing, which callers model from what is left).
     pub fn charge(&self, bytes: u64) {
         self.used.fetch_add(bytes, Ordering::AcqRel);
     }

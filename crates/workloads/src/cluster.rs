@@ -29,44 +29,7 @@ use simtime::{ClockBoard, Nanos};
 
 use crate::compute::FlopsModel;
 use crate::corpus::ImageDataset;
-
-/// Packed "no match" sentinel in the results array.
-const NO_MATCH: u64 = u64::MAX;
-
-fn pack(db: usize, slot: usize) -> u64 {
-    ((db as u64) << 32) | slot as u64
-}
-
-fn unpack(v: u64) -> Option<(usize, usize)> {
-    if v == NO_MATCH {
-        None
-    } else {
-        Some(((v >> 32) as usize, (v & 0xffff_ffff) as usize))
-    }
-}
-
-fn f32_slice(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect()
-}
-
-fn matches_query(img: &[f32], query: &[f32], threshold_sq: f32) -> bool {
-    let d0 = img[0] - query[0];
-    if d0 * d0 > threshold_sq {
-        return false;
-    }
-    let mut acc = 0.0f32;
-    for (a, b) in img.iter().zip(query) {
-        let d = a - b;
-        acc += d * d;
-        if acc > threshold_sq {
-            return false;
-        }
-    }
-    true
-}
+use crate::imgmatch::{f32_slice, matches_query, pack, unpack, NO_MATCH};
 
 /// One work item: a chunk of one database file.
 #[derive(Debug, Clone, Copy)]

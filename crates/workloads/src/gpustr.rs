@@ -4,32 +4,21 @@
 //! implement limited GPU versions of the `sprintf`, `strtok`, `strlen`,
 //! `strcat` functions not normally available to GPU code" (paper §5.2.2).
 //! These operate on byte slices without allocation, as GPU code would.
+//! No workload here concatenates strings, so there is no `strcat`,
+//! and `gstrlen` builds only for the tests.
 
 /// Length of a NUL-terminated byte string, capped at the buffer length
 /// (`strlen`).
+#[cfg(test)]
 #[must_use]
 pub fn gstrlen(buf: &[u8]) -> usize {
     buf.iter().position(|&b| b == 0).unwrap_or(buf.len())
 }
 
-/// Append `src` to the NUL-terminated string in `dst`, returning the new
-/// length, or `None` if it does not fit including the terminator
-/// (`strcat` with bounds checking).
-pub fn gstrcat(dst: &mut [u8], src: &[u8]) -> Option<usize> {
-    let end = gstrlen(dst);
-    let n = gstrlen(src);
-    if end + n + 1 > dst.len() {
-        return None;
-    }
-    dst[end..end + n].copy_from_slice(&src[..n]);
-    dst[end + n] = 0;
-    Some(end + n)
-}
-
 /// Whether `b` separates words (whitespace and punctuation, matching the
 /// `grep -w` notion of a word boundary).
 #[must_use]
-pub fn is_word_boundary(b: u8) -> bool {
+fn is_word_boundary(b: u8) -> bool {
     !(b.is_ascii_alphanumeric() || b == b'_' || b == b'\'')
 }
 
@@ -70,7 +59,7 @@ impl<'a> Iterator for WordTokenizer<'a> {
 /// Write decimal `value` into `dst`, returning the byte length used, or
 /// `None` if it does not fit (the integer arm of the paper's limited
 /// `sprintf`).
-pub fn format_u64(dst: &mut [u8], value: u64) -> Option<usize> {
+fn format_u64(dst: &mut [u8], value: u64) -> Option<usize> {
     let mut tmp = [0u8; 20];
     let mut v = value;
     let mut i = tmp.len();
@@ -120,16 +109,6 @@ mod tests {
         assert_eq!(gstrlen(b"abc"), 3);
         assert_eq!(gstrlen(b""), 0);
         assert_eq!(gstrlen(b"\0"), 0);
-    }
-
-    #[test]
-    fn gstrcat_appends_with_bounds() {
-        let mut buf = [0u8; 8];
-        buf[..3].copy_from_slice(b"ab\0");
-        assert_eq!(gstrcat(&mut buf, b"cd\0"), Some(4));
-        assert_eq!(&buf[..5], b"abcd\0");
-        // Does not fit: 4 + 4 + 1 > 8.
-        assert_eq!(gstrcat(&mut buf, b"efgh"), None);
     }
 
     #[test]

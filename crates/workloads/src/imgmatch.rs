@@ -12,7 +12,7 @@
 //! generator plants byte-exact copies (distance 0), and non-planted
 //! images are offset so they can never match (see [`crate::corpus`]).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gpufs::{GOpenMode, GpuFsMount, GpufsResult};
@@ -25,7 +25,7 @@ use crate::corpus::ImageDataset;
 use crate::cpu::CpuExecutor;
 
 /// Packed "no match" sentinel in the results array.
-const NO_MATCH: u64 = u64::MAX;
+pub(crate) const NO_MATCH: u64 = u64::MAX;
 
 /// Outcome of one image-matching run.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ pub struct ImgMatchResult {
     pub queries_matched: usize,
 }
 
-fn unpack(v: u64) -> Option<(usize, usize)> {
+pub(crate) fn unpack(v: u64) -> Option<(usize, usize)> {
     if v == NO_MATCH {
         None
     } else {
@@ -46,7 +46,7 @@ fn unpack(v: u64) -> Option<(usize, usize)> {
     }
 }
 
-fn pack(db: usize, slot: usize) -> u64 {
+pub(crate) fn pack(db: usize, slot: usize) -> u64 {
     ((db as u64) << 32) | slot as u64
 }
 
@@ -54,7 +54,7 @@ fn pack(db: usize, slot: usize) -> u64 {
 /// generator separates non-matching images by ≥1.0 in every element, so
 /// one subtraction usually suffices. The *time model* still charges the
 /// full scan — real hardware computes all elements in parallel lanes.
-fn matches_query(img: &[f32], query: &[f32], threshold_sq: f32) -> bool {
+pub(crate) fn matches_query(img: &[f32], query: &[f32], threshold_sq: f32) -> bool {
     let d0 = img[0] - query[0];
     if d0 * d0 > threshold_sq {
         return false;
@@ -70,7 +70,7 @@ fn matches_query(img: &[f32], query: &[f32], threshold_sq: f32) -> bool {
     true
 }
 
-fn f32_slice(bytes: &[u8]) -> Vec<f32> {
+pub(crate) fn f32_slice(bytes: &[u8]) -> Vec<f32> {
     bytes
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
@@ -242,8 +242,6 @@ pub fn imgmatch_cpu(
         .map(|_| AtomicU64::new(NO_MATCH))
         .collect();
     let err: parking_lot::Mutex<Option<hostfs::FsError>> = parking_lot::Mutex::new(None);
-    let next_chunk = AtomicUsize::new(0);
-    let _ = next_chunk; // cores use static split, matching the paper
 
     let end = cpu.parallel(0, |core| {
         let span = ds.n_queries.div_ceil(cores);

@@ -14,8 +14,8 @@
 //!   charged against host memory, which is what starves the CPU page
 //!   cache on the largest inputs and produces the paper's 4× win for
 //!   GPUfs in the disk-bound regime.
-//! * [`matvec_cpu_reference`] — an untimed host-side reference used to
-//!   validate results.
+//! * `matvec_cpu_reference` (test builds only) — an untimed host-side
+//!   reference the tests validate results against.
 
 use std::sync::Arc;
 
@@ -227,6 +227,7 @@ pub fn matvec_cuda(
 /// # Errors
 ///
 /// Propagates host file-system errors.
+#[cfg(test)]
 pub fn matvec_cpu_reference(
     fs: &HostFs,
     matrix_path: &str,

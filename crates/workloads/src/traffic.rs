@@ -31,6 +31,7 @@ use std::sync::Arc;
 use gpufs::cluster::GpuFleet;
 use gpufs::{GOpenMode, GpufsResult};
 use gpusim::Grid;
+use obs::Histogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simtime::{ClockBoard, Nanos};
@@ -193,6 +194,7 @@ pub struct Trace {
 
 impl Trace {
     /// Total sessions across all blocks.
+    #[cfg(test)]
     #[must_use]
     pub fn num_sessions(&self) -> usize {
         self.blocks
@@ -334,11 +336,6 @@ pub fn synthesize_trace(cfg: &TrafficConfig, n_gpus: usize) -> Trace {
     }
 }
 
-// The latency digest moved to the observability crate so the traffic
-// harness, the metrics registry, and the trace exporters all bin with
-// the same buckets; re-exported here so existing callers keep working.
-pub use obs::Histogram;
-
 /// Tail-latency digest of one tenant after a replay.
 #[derive(Debug, Clone)]
 pub struct TenantTail {
@@ -380,7 +377,7 @@ pub struct TrafficOutcome {
 /// Jain's fairness index `(Σx)² / (n·Σx²)` (1 for an empty or uniform
 /// population).
 #[must_use]
-pub fn jain_index(xs: &[f64]) -> f64 {
+fn jain_index(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 1.0;
     }

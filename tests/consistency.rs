@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use gpufs::cluster::{CoherenceOp, FleetBuilder, HostFleet};
+use gpufs::cluster::{CoherenceOp, FleetBuilder, FleetView, HostFleet};
 use gpufs::{GOpenMode, GpufsConfig, GpufsHost};
 use gpusim::{Gpu, GpuSpec, Grid};
 use hostfs::{HostFs, HostFsConfig};
@@ -133,6 +133,54 @@ fn two_gpus_produce_one_write_once_file() {
     }
 }
 
+/// The close-to-open property both randomized schedules check, over any
+/// [`FleetView`]: `steps` become a schedule of publications (`true`) and
+/// reopens on the fleet's GPUs, every reopen must observe the latest
+/// closed tag, and the registry audit may track neither a coherence id
+/// outside the fleet nor a generation from the future.
+fn close_to_open_holds<F: FleetView>(
+    fleet: &F,
+    path: &str,
+    steps: &[(bool, prop::sample::Index)],
+) -> TestCaseResult {
+    let k = fleet.len();
+    let mut tag = 0u64;
+    let ops: Vec<CoherenceOp> = steps
+        .iter()
+        .map(|&(write, ref gpu)| {
+            let gpu = gpu.index(k);
+            if write {
+                tag += 1;
+                CoherenceOp::WriteClose { gpu, tag }
+            } else {
+                CoherenceOp::OpenCheck { gpu }
+            }
+        })
+        .collect();
+    let report = fleet
+        .run_close_to_open_schedule(path, &ops)
+        .expect("schedule runs clean");
+    prop_assert_eq!(
+        report.checks,
+        ops.iter()
+            .filter(|op| matches!(op, CoherenceOp::OpenCheck { .. }))
+            .count()
+    );
+    prop_assert!(
+        report.mismatches.is_empty(),
+        "close-to-open violated: {:?} under schedule {:?}",
+        report.mismatches,
+        ops
+    );
+    for file in fleet.coherence_audit() {
+        for &(cid, gen) in &file.cachers {
+            prop_assert!(cid < k);
+            prop_assert!(gen <= file.generation);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -151,42 +199,7 @@ proptest! {
             .config(GpufsConfig::small_test())
             .build()
             .expect("fleet");
-        let mut tag = 0u64;
-        let ops: Vec<CoherenceOp> = steps
-            .iter()
-            .map(|&(write, ref gpu)| {
-                let gpu = gpu.index(k);
-                if write {
-                    tag += 1;
-                    CoherenceOp::WriteClose { gpu, tag }
-                } else {
-                    CoherenceOp::OpenCheck { gpu }
-                }
-            })
-            .collect();
-        let report = fleet
-            .run_close_to_open_schedule("/prop_c2o", &ops)
-            .expect("schedule runs clean");
-        prop_assert_eq!(
-            report.checks,
-            ops.iter()
-                .filter(|op| matches!(op, CoherenceOp::OpenCheck { .. }))
-                .count()
-        );
-        prop_assert!(
-            report.mismatches.is_empty(),
-            "close-to-open violated: {:?} under schedule {:?}",
-            report.mismatches,
-            ops
-        );
-        // The registry never tracks a GPU outside the fleet, and every
-        // registered cache is at most the current generation.
-        for file in fleet.coherence_audit() {
-            for &(gpu, gen) in &file.cachers {
-                prop_assert!(gpu < k);
-                prop_assert!(gen <= file.generation);
-            }
-        }
+        close_to_open_holds(&fleet, "/prop_c2o", &steps)?;
     }
 
     /// The same close-to-open property *across hosts*: M×N GPUs behind
@@ -211,43 +224,7 @@ proptest! {
             .host_cache_pages(if cached { 64 } else { 0 })
             .build()
             .expect("host fleet");
-        let k = hosts * gpus_per_host;
-        let mut tag = 0u64;
-        let ops: Vec<CoherenceOp> = steps
-            .iter()
-            .map(|&(write, ref gpu)| {
-                let gpu = gpu.index(k);
-                if write {
-                    tag += 1;
-                    CoherenceOp::WriteClose { gpu, tag }
-                } else {
-                    CoherenceOp::OpenCheck { gpu }
-                }
-            })
-            .collect();
-        let report = fleet
-            .run_close_to_open_schedule("/prop_xhost", &ops)
-            .expect("schedule runs clean");
-        prop_assert_eq!(
-            report.checks,
-            ops.iter()
-                .filter(|op| matches!(op, CoherenceOp::OpenCheck { .. }))
-                .count()
-        );
-        prop_assert!(
-            report.mismatches.is_empty(),
-            "cross-host close-to-open violated: {:?} under schedule {:?}",
-            report.mismatches,
-            ops
-        );
-        // The registry tracks host-qualified coherence ids, never an id
-        // outside the fleet, never a generation from the future.
-        for file in fleet.coherence_audit() {
-            for &(cid, gen) in &file.cachers {
-                prop_assert!(cid < k);
-                prop_assert!(gen <= file.generation);
-            }
-        }
+        close_to_open_holds(&fleet, "/prop_xhost", &steps)?;
         // Lazy, never eager: a host cache entry is only ever invalidated
         // by a read that found it stale, so the lazy-invalidation count
         // can never exceed the misses that re-fetched (every

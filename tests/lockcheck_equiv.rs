@@ -1,87 +1,14 @@
 //! Observer-effect guard for the lockcheck instrumentation: one
 //! Figure-4-style smoke point (sequential read walk with readahead) run
 //! twice in one process — detector enabled, then runtime-disabled —
-//! must produce identical cache counters and a bit-identical virtual
+//! must produce the same registry snapshot and a bit-identical virtual
 //! finish time. The checker may only watch; the moment it perturbs lock
 //! semantics or the simulated clock, this fails.
 
-use std::sync::Arc;
+mod common;
 
-use gpufs::{GOpenMode, GpuFsMount, GpufsConfig, GpufsHost};
-use gpusim::{Gpu, GpuSpec, Grid};
-use hostfs::{HostFs, HostFsConfig};
+use common::fig4_smoke_point;
 use parking_lot::lockcheck;
-
-const PAGE: usize = 16 << 10;
-const FILE_BYTES: u64 = 2 << 20; // 128 pages: enough to exercise readahead
-
-/// Everything the run can observe: the virtual finish time (exact, in
-/// nanos) and the full deterministic counter sheet.
-#[derive(Debug, PartialEq, Eq)]
-struct Observation {
-    end_ns: u64,
-    hits: u64,
-    misses: u64,
-    readahead_hits: u64,
-    read_rpcs: u64,
-    batched_rpcs: u64,
-    pages_per_rpc: u64,
-    writebacks: u64,
-    pages_reclaimed: u64,
-    daemon_requests: u64,
-    daemon_opens: u64,
-}
-
-fn fig4_smoke_point() -> Observation {
-    let fs = Arc::new(HostFs::new(HostFsConfig::default()));
-    let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
-    let host = GpufsHost::new(Arc::clone(&fs), vec![Arc::clone(&gpu)]);
-    let cache = (FILE_BYTES as usize + 16 * PAGE).next_power_of_two();
-    let cfg = GpufsConfig::new(PAGE, cache).with_readahead(8);
-    let mount: Arc<GpuFsMount> = host.mount(0, cfg).unwrap();
-
-    fs.create_synthetic("/seq.bin", FILE_BYTES, 4).unwrap();
-    let _ = fs.read_whole("/seq.bin", 0).unwrap(); // warm, as fig4 does
-    fs.reset_device_time();
-
-    // One threadblock, unlike fig4's 28: with concurrent blocks the
-    // readahead/demand races genuinely reorder RPC batching between
-    // runs, so bit-identical virtual time is only a meaningful contract
-    // on a single-client timeline.
-    let blocks = 1usize;
-    let per_block = FILE_BYTES / blocks as u64;
-    let res = gpu.launch(Grid::new(blocks, 256), 0, |blk| {
-        let fd = mount.open(blk, "/seq.bin", GOpenMode::ReadOnly).unwrap();
-        let base = blk.block_id() as u64 * per_block;
-        let mut buf = vec![0u8; PAGE];
-        let mut off = 0u64;
-        let mut sum = 0u64;
-        while off < per_block {
-            let n = mount.read(blk, &fd, base + off, &mut buf).unwrap();
-            assert!(n > 0);
-            sum += buf[..n].iter().map(|&b| b as u64).sum::<u64>();
-            off += n as u64;
-        }
-        assert!(sum > 0, "synthetic data is non-zero");
-        mount.close(blk, fd).unwrap();
-    });
-
-    let c = mount.counters();
-    let d = host.stats();
-    Observation {
-        end_ns: res.end,
-        hits: c.hits.get(),
-        misses: c.misses.get(),
-        readahead_hits: c.readahead_hits.get(),
-        read_rpcs: c.read_rpcs.get(),
-        batched_rpcs: c.batched_rpcs.get(),
-        pages_per_rpc: c.pages_per_rpc.get(),
-        writebacks: c.writebacks.get(),
-        pages_reclaimed: c.pages_reclaimed.get(),
-        daemon_requests: d.requests.get(),
-        daemon_opens: d.opens.get(),
-    }
-}
 
 #[test]
 fn fig4_smoke_point_is_identical_with_lockcheck_on_and_off() {
@@ -92,7 +19,7 @@ fn fig4_smoke_point_is_identical_with_lockcheck_on_and_off() {
 
     lockcheck::set_enabled(true);
     let waived_before = lockcheck::waived_count();
-    let on = fig4_smoke_point();
+    let on = fig4_smoke_point(false);
     if compiled_in {
         let reports = lockcheck::take_reports();
         assert!(
@@ -106,10 +33,10 @@ fn fig4_smoke_point_is_identical_with_lockcheck_on_and_off() {
     }
 
     lockcheck::set_enabled(false);
-    let off = fig4_smoke_point();
+    let off = fig4_smoke_point(false);
     lockcheck::set_enabled(true);
 
-    // Counters equal and virtual time bit-identical: the checker
-    // observed the run without altering it.
-    assert_eq!(on, off);
+    // Virtual time bit-identical and the full registry snapshot equal:
+    // the checker observed the run without altering it.
+    assert_eq!(on, off, "lockcheck perturbed the run");
 }

@@ -1,9 +1,10 @@
 //! The `xtask lint` pass: source-level workspace invariants.
 //!
-//! Seven rules, motivated by the lockcheck layer, the repo's
+//! Eight rules, motivated by the lockcheck layer, the repo's
 //! concurrency-bug history (see ISSUE 6 / ARCHITECTURE.md), the
-//! cross-host storage tier's layering, and the metrics registry's
-//! single-attribution-path design:
+//! cross-host storage tier's layering, the metrics registry's
+//! single-attribution-path design, and a public surface that is only as
+//! wide as its callers:
 //!
 //! * **`std-sync`** — no direct `std::sync::{Mutex, RwLock, Condvar}`
 //!   anywhere under `crates/`: every lock must go through the
@@ -50,12 +51,22 @@
 //!   per-host rollup reconcile by construction. A stray atomic counter
 //!   is invisible to `Registry::snapshot` and reopens the counter-drift
 //!   bugs the registry closed.
+//! * **`dead-pub`** — every `pub` or `pub(crate)` fn in non-test code
+//!   under `crates/*/src/` is named in some other `.rs` file of the
+//!   repository (another crate, `tests/`, a bench target, `examples/`,
+//!   `xtask/` or `benchmark/`). A fn only its own file calls is private;
+//!   one only its own file's tests call is `#[cfg(test)]`; one nothing
+//!   calls is deleted. The rule matches on names, not paths: any other
+//!   file that names a fn clears it, so a dead fn with a common name
+//!   (`new`, `len`) goes unflagged. Unlike the rules above it reads the
+//!   whole tree at once ([`lint_tree`]).
 //!
 //! A finding is fixed or waived, never ignored: waivers are inline
 //! `// lint:allow <rule> -- <reason>` comments on the offending line or
 //! the line above, and the reason is mandatory. File-scoped exemptions
 //! live in the lists below, each with a comment.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -143,6 +154,7 @@ enum Rule {
     HotMutex,
     ProxyHostFs,
     AdhocCounter,
+    DeadPub,
 }
 
 impl Rule {
@@ -155,6 +167,7 @@ impl Rule {
             Rule::HotMutex => "hot-mutex",
             Rule::ProxyHostFs => "proxy-hostfs",
             Rule::AdhocCounter => "adhoc-counter",
+            Rule::DeadPub => "dead-pub",
         }
     }
 }
@@ -190,23 +203,28 @@ pub fn run(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let root = workspace_root();
-    let mut files = Vec::new();
-    collect_rs_files(&root.join("crates"), &mut files);
-    files.sort();
+    let mut paths = Vec::new();
+    collect_rs_files(&root, &mut paths);
+    paths.sort();
+    let files: Vec<(String, String)> = paths
+        .iter()
+        .filter_map(|file| {
+            let text = std::fs::read_to_string(file).ok()?;
+            let rel = file
+                .strip_prefix(&root)
+                .unwrap_or(file)
+                .to_string_lossy()
+                .replace('\\', "/");
+            Some((rel, text))
+        })
+        .collect();
     let mut findings = Vec::new();
     let mut scanned = 0usize;
-    for file in &files {
-        let Ok(text) = std::fs::read_to_string(file) else {
-            continue;
-        };
+    for (rel, text) in files.iter().filter(|(rel, _)| rel.starts_with("crates/")) {
         scanned += 1;
-        let rel = file
-            .strip_prefix(&root)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        findings.extend(lint_file(&rel, &text));
+        findings.extend(lint_file(rel, text));
     }
+    findings.extend(lint_tree(&files));
     if findings.is_empty() {
         println!("xtask lint: {scanned} files clean");
         ExitCode::SUCCESS
@@ -247,6 +265,10 @@ xtask lint rules:
   adhoc-counter  no raw AtomicU64 in non-test crates/core code outside the
                  data-plane files (radix/frames/table) — counters go through
                  obs::Counter and the registry so every rollup reconciles
+  dead-pub       every pub/pub(crate) fn in non-test crates/*/src code is named
+                 in some other .rs file of the repo (crates, tests, benches,
+                 examples, xtask, benchmark): else make it private, #[cfg(test)]
+                 or delete it. Matches on names, so a common name goes unflagged
 waive a finding inline: // lint:allow <rule> -- <reason>   (reason required)
 ";
 
@@ -266,8 +288,10 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
+            // Build outputs and hidden directories (`.git`, the
+            // benchmark driver's `.bench_build`) hold no repository code.
             let name = entry.file_name();
-            if name != "target" && name != ".git" {
+            if name != "target" && !name.to_string_lossy().starts_with('.') {
                 collect_rs_files(&path, out);
             }
         } else if path.extension().is_some_and(|e| e == "rs") {
@@ -408,6 +432,87 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// The cross-file `dead-pub` rule over `(workspace-relative path, text)`
+/// pairs: every `.rs` file of the repository, of which those under
+/// `crates/*/src/` are checked. A fn counts as called from elsewhere when
+/// its name appears as a word in the code (not the comments) of any
+/// other file, test code included.
+fn lint_tree(files: &[(String, String)]) -> Vec<Finding> {
+    let stripped: Vec<Vec<String>> = files
+        .iter()
+        .map(|(_, text)| {
+            let mut stripper = Stripper::default();
+            text.lines().map(|l| stripper.code_of(l)).collect()
+        })
+        .collect();
+    // How many files name each identifier: a fn's own file always does.
+    let mut named_in: HashMap<&str, usize> = HashMap::new();
+    for code in &stripped {
+        let words: HashSet<&str> = code.iter().flat_map(|l| words(l)).collect();
+        for w in words {
+            *named_in.entry(w).or_default() += 1;
+        }
+    }
+    let mut findings = Vec::new();
+    for ((rel, text), code) in files.iter().zip(&stripped) {
+        if !is_crate_src(rel) {
+            continue;
+        }
+        let lines: Vec<&str> = text.lines().collect();
+        let in_test = test_regions(code);
+        for (i, code_line) in code.iter().enumerate() {
+            let Some(name) = pub_fn_name(code_line) else {
+                continue;
+            };
+            if in_test[i] || named_in.get(name).copied().unwrap_or(0) > 1 {
+                continue;
+            }
+            if !allowed(&lines, i, Rule::DeadPub) {
+                findings.push(Finding {
+                    path: rel.clone(),
+                    line: i + 1,
+                    rule: Rule::DeadPub,
+                    message: format!(
+                        "pub fn `{name}` is named in no other file; make it private, \
+                         #[cfg(test)], or delete it"
+                    ),
+                });
+            }
+        }
+    }
+    findings
+}
+
+/// Whether `rel` is library source of a workspace crate: `crates/<x>/src/…`.
+fn is_crate_src(rel: &str) -> bool {
+    rel.strip_prefix("crates/")
+        .and_then(|r| r.split_once('/'))
+        .is_some_and(|(_, r)| r.starts_with("src/"))
+}
+
+/// The identifiers on a stripped code line.
+fn words(code_line: &str) -> impl Iterator<Item = &str> {
+    code_line
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+/// The name of the fn a stripped code line declares `pub` or
+/// `pub(crate)`, qualifiers (`const`, `unsafe`, `async`) allowed.
+fn pub_fn_name(code_line: &str) -> Option<&str> {
+    let rest = code_line.trim_start();
+    let mut rest = rest
+        .strip_prefix("pub(crate) ")
+        .or_else(|| rest.strip_prefix("pub "))?
+        .trim_start();
+    for qualifier in ["const ", "unsafe ", "async "] {
+        if let Some(r) = rest.strip_prefix(qualifier) {
+            rest = r.trim_start();
+        }
+    }
+    words(rest.strip_prefix("fn ")?).next()
 }
 
 /// `Some(token)` when the stripped code line references a mutex-family
@@ -993,6 +1098,66 @@ pub unsafe fn slice(&self) -> &[u8] { todo!() }
         assert!(lint_file("crates/core/src/mount.rs", waived).is_empty());
         let reasonless = "// lint:allow adhoc-counter\nlet t = AtomicU64::new(0);\n";
         assert_eq!(lint_file("crates/core/src/mount.rs", reasonless).len(), 1);
+    }
+
+    fn tree(files: &[(&str, &str)]) -> Vec<Finding> {
+        let files: Vec<(String, String)> = files
+            .iter()
+            .map(|(p, t)| (p.to_string(), t.to_string()))
+            .collect();
+        lint_tree(&files)
+    }
+
+    #[test]
+    fn dead_pub_flags_a_fn_no_other_file_names() {
+        let lib = "pub fn lonely() {}\npub(crate) const fn inner() -> u8 { 0 }\nfn private() {}\n";
+        let f = tree(&[("crates/x/src/lib.rs", lib)]);
+        assert_eq!(f.len(), 2, "both pub fns, not the private one: {f:?}");
+        assert!(f.iter().all(|x| x.rule.name() == "dead-pub"));
+        assert_eq!((f[0].line, f[1].line), (1, 2));
+        // A call from its own file is not a caller elsewhere.
+        let own = "pub fn lonely() {}\nfn user() { lonely() }\n";
+        assert_eq!(tree(&[("crates/x/src/lib.rs", own)]).len(), 1);
+        // Only crates/*/src is checked: a bench target's or test's own
+        // pub fns are not library surface.
+        assert!(tree(&[("crates/x/benches/b.rs", lib), ("tests/t.rs", lib)]).is_empty());
+    }
+
+    #[test]
+    fn dead_pub_is_cleared_by_any_other_file_naming_the_fn() {
+        let lib = "pub fn shared() {}\n";
+        for other in [
+            "crates/y/src/lib.rs",
+            "tests/integration.rs",
+            "crates/bench/benches/fig4.rs",
+            "examples/quickstart.rs",
+            "xtask/src/main.rs",
+            "benchmark/src/rig.rs",
+        ] {
+            let f = tree(&[
+                ("crates/x/src/lib.rs", lib),
+                (other, "fn t() { x::shared(); }\n"),
+            ]);
+            assert!(f.is_empty(), "{other}: {f:?}");
+        }
+        // A mention in a comment or a string is not a call.
+        let f = tree(&[
+            ("crates/x/src/lib.rs", lib),
+            ("tests/t.rs", "// shared\nlet s = \"shared\";\n"),
+        ]);
+        assert_eq!(f.len(), 1);
+    }
+
+    #[test]
+    fn dead_pub_takes_a_reasoned_waiver_and_skips_test_items() {
+        let waived =
+            "// lint:allow dead-pub -- tests reach it through a re-export\npub fn kept() {}\n";
+        assert!(tree(&[("crates/x/src/lib.rs", waived)]).is_empty());
+        let reasonless = "// lint:allow dead-pub\npub fn kept() {}\n";
+        assert_eq!(tree(&[("crates/x/src/lib.rs", reasonless)]).len(), 1);
+        let test_only = "#[cfg(test)]\npub fn oracle() -> u8 { 1 }\n\
+                         #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+        assert!(tree(&[("crates/x/src/lib.rs", test_only)]).is_empty());
     }
 
     #[test]
