@@ -119,7 +119,8 @@ impl PFrame {
 /// to a tenant, quotas cap nothing at allocation time (steal-when-idle —
 /// free frames always serve whoever faults), but reclaim consults
 /// [`FrameArena::over_quota`] to make an over-quota tenant evict its own
-/// pages first.
+/// pages first. A tenant id indexes the arena's per-tenant state
+/// directly: every method taking one panics past [`FrameArena::num_tenants`].
 #[derive(Debug)]
 pub struct FrameArena {
     base: DevPtr,
@@ -150,7 +151,7 @@ impl FrameArena {
     }
 
     /// [`FrameArena::new`] plus tenant accounting: `tenants` holding
-    /// counters (clamped to ≥ 1) and soft per-tenant frame `quotas`
+    /// counters (at least one) and soft per-tenant frame `quotas`
     /// (missing or zero entries mean unlimited).
     ///
     /// # Errors
@@ -176,7 +177,6 @@ impl FrameArena {
             lists[(i as usize) % n].push(i);
         }
         let shards = lists.into_iter().map(Mutex::new).collect();
-        let tenants = tenants.max(1);
         let holdings = (0..tenants).map(|_| AtomicUsize::new(0)).collect();
         let quotas = (0..tenants)
             .map(|t| match quotas.get(t) {
@@ -237,24 +237,23 @@ impl FrameArena {
         self.holdings.len()
     }
 
-    /// Frames currently charged to `tenant` (clamped to the last tenant).
+    /// Frames currently charged to `tenant`.
     #[must_use]
     pub fn tenant_held(&self, tenant: usize) -> usize {
-        self.holdings[tenant.min(self.holdings.len() - 1)].load(Ordering::Relaxed)
+        self.holdings[tenant].load(Ordering::Relaxed)
     }
 
     /// Soft frame quota of `tenant` (`usize::MAX` = unlimited).
     #[must_use]
     pub fn tenant_quota(&self, tenant: usize) -> usize {
-        self.quotas[tenant.min(self.quotas.len() - 1)]
+        self.quotas[tenant]
     }
 
     /// Whether `tenant` currently holds more frames than its soft quota —
     /// the signal reclaim uses to steer eviction at its own pages first.
     #[must_use]
     pub fn over_quota(&self, tenant: usize) -> bool {
-        let t = tenant.min(self.holdings.len() - 1);
-        self.holdings[t].load(Ordering::Relaxed) > self.quotas[t]
+        self.holdings[tenant].load(Ordering::Relaxed) > self.quotas[tenant]
     }
 
     /// Whether any tenant carries a finite quota (false on default,
@@ -296,7 +295,7 @@ impl FrameArena {
         self.alloc_owned(hint, 0)
     }
 
-    /// [`FrameArena::alloc`] charged to `tenant` (clamped): the frame's
+    /// [`FrameArena::alloc`] charged to `tenant`: the frame's
     /// pframe is stamped with the owner and the tenant's holding counter
     /// incremented. Quotas are soft — a free frame is never refused, even
     /// over quota (steal-when-idle); pressure is applied at reclaim time
@@ -307,9 +306,10 @@ impl FrameArena {
         for step in 0..n {
             let popped = self.shards[(home + step) % n].lock().pop();
             if let Some(f) = popped {
-                let t = tenant.min(self.holdings.len() - 1);
-                self.pframes[f as usize].tenant.store(t, Ordering::Relaxed);
-                self.holdings[t].fetch_add(1, Ordering::Relaxed);
+                self.pframes[f as usize]
+                    .tenant
+                    .store(tenant, Ordering::Relaxed);
+                self.holdings[tenant].fetch_add(1, Ordering::Relaxed);
                 return Some(f);
             }
         }
@@ -325,7 +325,7 @@ impl FrameArena {
     /// Panics in debug builds on double free.
     pub fn release(&self, hint: usize, idx: FrameIdx) {
         let owner = self.pframe(idx).tenant.load(Ordering::Relaxed);
-        self.holdings[owner.min(self.holdings.len() - 1)].fetch_sub(1, Ordering::Relaxed);
+        self.holdings[owner].fetch_sub(1, Ordering::Relaxed);
         self.pframe(idx).clear();
         #[cfg(debug_assertions)]
         for s in self.shards.iter() {

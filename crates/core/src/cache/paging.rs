@@ -64,21 +64,14 @@ impl Drop for PagePin<'_> {
     }
 }
 
-/// One readahead page claimed for a batched fault: its fpage is already
-/// `Initializing` and its frames are allocated.
-struct ClaimedPage {
+/// One readahead page claimed for a batched fault: its fpage, borrowed
+/// from the file's radix tree, is already `Initializing` and its frames
+/// are allocated.
+struct ClaimedPage<'f> {
     page_idx: u64,
-    fp: *const FPage,
+    fp: &'f FPage,
     frame: FrameIdx,
     pristine: Option<FrameIdx>,
-}
-
-impl ClaimedPage {
-    fn fpage(&self) -> &FPage {
-        // SAFETY: the caller holds the file Arc for the whole batch; the
-        // fpage lives in its radix tree.
-        unsafe { &*self.fp }
-    }
 }
 
 impl GpuFsMount {
@@ -281,13 +274,13 @@ impl GpuFsMount {
     /// each must still be fetchable (inside EOF, right mode), currently
     /// `Empty`, and backed by freshly allocated frames. Claiming stops at
     /// the first page that fails any test, keeping the batch contiguous.
-    fn claim_readahead(
+    fn claim_readahead<'f>(
         &self,
         blk: &mut BlockCtx<'_>,
-        file: &Arc<GFile>,
+        file: &'f Arc<GFile>,
         page_idx: u64,
         window: usize,
-    ) -> Vec<ClaimedPage> {
+    ) -> Vec<ClaimedPage<'f>> {
         let mut claimed = Vec::new();
         let window = if self.config.io_chunk_pages == 0 {
             window.min((READAHEAD_MAX_BATCH_BYTES / self.config.page_size).max(1))
@@ -328,7 +321,7 @@ impl GpuFsMount {
             };
             claimed.push(ClaimedPage {
                 page_idx: idx,
-                fp: fp as *const FPage,
+                fp,
                 frame,
                 pristine,
             });
@@ -441,7 +434,7 @@ impl GpuFsMount {
                     blk,
                     file,
                     extra.page_idx,
-                    extra.fpage(),
+                    extra.fp,
                     extra.frame,
                     extra.pristine,
                     xn,
@@ -541,7 +534,7 @@ impl GpuFsMount {
     fn abort_batch(
         &self,
         shard: usize,
-        extras: &[ClaimedPage],
+        extras: &[ClaimedPage<'_>],
         frame: FrameIdx,
         pristine: Option<FrameIdx>,
         fp: &FPage,
@@ -551,7 +544,7 @@ impl GpuFsMount {
                 self.release_frame(shard, p);
             }
             self.release_frame(shard, extra.frame);
-            self.abort_init(extra.fpage());
+            self.abort_init(extra.fp);
         }
         if let Some(p) = pristine {
             self.release_frame(shard, p);

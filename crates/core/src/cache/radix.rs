@@ -571,13 +571,14 @@ impl RadixTree {
 
     /// Advance the reclaim hand: visit fpages in ring order (leaves in
     /// allocation order, slots in index order) from where the last sweep
-    /// stopped. `f` examines one page — its index and slot — and returns
-    /// `true` to be handed the next. Every slot is claimed from the
+    /// stopped. `f` examines one page — its index and its fpage, borrowed
+    /// for as long as the tree, so the caller may keep it past the call —
+    /// and returns `true` to be handed the next. Every slot is claimed from the
     /// shared hand before it is examined, so concurrent sweeps split the
     /// ring between them instead of re-examining each other's slots, and
     /// the hand advances by exactly the slots examined. A sweep ends
     /// after one revolution at the latest.
-    pub fn for_each_reclaim_candidate(&self, mut f: impl FnMut(u64, &FPage) -> bool) {
+    pub fn for_each_reclaim_candidate<'a>(&'a self, mut f: impl FnMut(u64, &'a FPage) -> bool) {
         let snapshot: Vec<LeafRef> = self.leaf_snapshot();
         let ring = snapshot.len() * FANOUT;
         for _ in 0..ring {

@@ -46,18 +46,11 @@ const RECLAIM_BATCH: usize = 8;
 
 /// One page detached from its fpage for eviction: the fpage is
 /// `Initializing` (blocking new pins) and `frame` still holds the data.
-struct Detached {
+/// It borrows the fpage from the victim file's radix tree.
+struct Detached<'f> {
     page_idx: u64,
     frame: FrameIdx,
-    fp: *const FPage,
-}
-
-impl Detached {
-    fn fpage(&self) -> &FPage {
-        // SAFETY: the caller holds the victim file's Arc for the whole
-        // reclaim pass; the fpage lives in its radix tree.
-        unsafe { &*self.fp }
-    }
+    fp: &'f FPage,
 }
 
 impl GpuFsMount {
@@ -197,7 +190,7 @@ impl GpuFsMount {
             // Detach up to `want - freed` evictable pages: each leaves its
             // fpage `Initializing` (blocking new pins) with the frame
             // still holding the data, exactly as single-page eviction did.
-            let mut detached: Vec<Detached> = Vec::new();
+            let mut detached: Vec<Detached<'_>> = Vec::new();
             let owner_ok = |f: FrameIdx| {
                 owner.is_none_or(|t| self.frames.pframe(f).tenant.load(Ordering::Relaxed) == t)
             };
@@ -214,7 +207,7 @@ impl GpuFsMount {
                         detached.push(Detached {
                             page_idx: idx,
                             frame,
-                            fp: fp as *const FPage,
+                            fp,
                         });
                     }
                 }
@@ -248,7 +241,7 @@ impl GpuFsMount {
                                 // clean and simply stay cached; the failed
                                 // batch keeps its re-armed dirty flags.
                                 for d in &detached {
-                                    Self::reattach_page(d.fpage(), d.frame);
+                                    Self::reattach_page(d.fp, d.frame);
                                 }
                                 self.waits.notify_all();
                                 return Err(e);
@@ -263,7 +256,7 @@ impl GpuFsMount {
                         self.retire_frame(shard, pristine);
                     }
                     self.retire_frame(shard, d.frame);
-                    let fp = d.fpage();
+                    let fp = d.fp;
                     fp.lock();
                     fp.begin_update();
                     fp.set_state(PageState::Empty);

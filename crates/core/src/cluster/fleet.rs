@@ -9,9 +9,9 @@
 //! One [`GpufsHost`] serves every GPU, as the paper's single daemon
 //! process does. The host-side knobs ([`GpufsConfig::daemon_workers`],
 //! [`GpufsConfig::io_chunk_pages`], the tenant weights and caps) come
-//! from the fleet's base config, and a per-GPU override that names
-//! different values is rejected at build — exactly the validation
-//! `mount` performs for a lone mount, surfaced earlier. Per-GPU RPC
+//! from the fleet's base config, and each GPU's mount validates its own
+//! config against it ([`GpufsConfig::validate`]), so `build` refuses a
+//! per-GPU override that names different values. Per-GPU RPC
 //! attribution still works through [`GpufsHost::stats_for`].
 
 use std::collections::HashMap;
@@ -31,7 +31,8 @@ use crate::remote::HostProxy;
 ///
 /// Defaults: TESLA C2075 GPUs on the platform-default [`Timings`], the
 /// default [`GpufsConfig`], a shared daemon, and a fresh default host
-/// file system. Everything can be overridden fleet-wide or per GPU.
+/// file system. Everything can be overridden fleet-wide, and the
+/// GPUfs configuration also per GPU.
 #[derive(Debug, Clone)]
 pub struct FleetBuilder {
     n_gpus: usize,
@@ -39,7 +40,6 @@ pub struct FleetBuilder {
     overrides: HashMap<usize, GpufsConfig>,
     spec: GpuSpec,
     timings: Timings,
-    gpu_timings: HashMap<usize, Timings>,
     fs: Option<Arc<HostFs>>,
     proxy: Option<Arc<HostProxy>>,
     coherence_base: usize,
@@ -55,7 +55,6 @@ impl FleetBuilder {
             overrides: HashMap::new(),
             spec: GpuSpec::tesla_c2075(),
             timings: Timings::default(),
-            gpu_timings: HashMap::new(),
             fs: None,
             proxy: None,
             coherence_base: 0,
@@ -92,16 +91,6 @@ impl FleetBuilder {
     #[must_use]
     pub fn timings(mut self, timings: Timings) -> Self {
         self.timings = timings;
-        self
-    }
-
-    /// Give one GPU its own timing calibration — e.g. a narrower PCIe
-    /// slot — so the fleet models genuinely independent links. Only
-    /// tests build such a fleet.
-    #[cfg(test)]
-    #[must_use]
-    pub fn gpu_timings(mut self, gpu: usize, timings: Timings) -> Self {
-        self.gpu_timings.insert(gpu, timings);
         self
     }
 
@@ -150,9 +139,9 @@ impl FleetBuilder {
     ///
     /// # Errors
     ///
-    /// Fails on an empty fleet, on a per-GPU override whose host-side
-    /// knobs disagree with the shared daemon, or on any `mount` error
-    /// (cache larger than GPU memory, ...).
+    /// Fails on an empty fleet, or on any `mount` error: a per-GPU
+    /// override whose host-side knobs disagree with the shared daemon,
+    /// a cache larger than GPU memory, ...
     pub fn build(self) -> GpufsResult<GpuFleet> {
         if self.n_gpus == 0 {
             return Err(GpufsError::InvalidMode("a fleet needs at least one GPU"));
@@ -161,11 +150,9 @@ impl FleetBuilder {
         // by the loops below — the exact silent no-op this builder exists
         // to reject (an experiment "slowing GPU 4" of a 4-GPU fleet must
         // fail loudly, not measure a uniform fleet).
-        if self.overrides.keys().any(|&g| g >= self.n_gpus)
-            || self.gpu_timings.keys().any(|&g| g >= self.n_gpus)
-        {
+        if self.overrides.keys().any(|&g| g >= self.n_gpus) {
             return Err(GpufsError::InvalidMode(
-                "per-GPU config/timings override names a GPU outside the fleet",
+                "per-GPU config override names a GPU outside the fleet",
             ));
         }
         if let (Some(proxy), Some(fs)) = (&self.proxy, &self.fs) {
@@ -189,24 +176,9 @@ impl FleetBuilder {
             }),
         };
         let gpus: Vec<Arc<Gpu>> = (0..self.n_gpus)
-            .map(|g| {
-                let timings = self.gpu_timings.get(&g).unwrap_or(&self.timings);
-                Arc::new(Gpu::with_timings(g, self.spec.clone(), timings))
-            })
+            .map(|g| Arc::new(Gpu::with_timings(g, self.spec.clone(), &self.timings)))
             .collect();
 
-        // Host-side knobs are daemon state: under the one shared daemon
-        // an override that names different values would be exactly the
-        // silent no-op `mount` guards against — reject it here, where the
-        // message can say it is an override.
-        let key = self.base.daemon_key();
-        if self.overrides.values().any(|o| !o.fits_daemon(&key)) {
-            return Err(GpufsError::InvalidMode(
-                "per-GPU override changes daemon_workers/io_chunk_pages/\
-                 tenant_weights/tenant_admission, which the fleet's shared \
-                 daemon fixes for every GPU",
-            ));
-        }
         let host = match &self.proxy {
             Some(proxy) => GpufsHost::with_proxy(Arc::clone(proxy), gpus.clone(), &self.base),
             None => GpufsHost::with_config(Arc::clone(&fs), gpus.clone(), &self.base),
@@ -383,8 +355,8 @@ mod tests {
 
     #[test]
     fn shared_daemon_rejects_host_side_knob_overrides() {
-        // Every daemon-state knob is refused here, where the message
-        // names the shared daemon — not later by `mount`.
+        // Every daemon-state knob is refused by the override's mount,
+        // whose message names the shared daemon.
         for over in [
             GpufsConfig::small_test().with_concurrency(4, 2),
             GpufsConfig::small_test().with_io_chunk(0),
@@ -411,53 +383,13 @@ mod tests {
             Err(GpufsError::InvalidMode(_))
         ));
         // An override naming a GPU outside the fleet must fail loudly,
-        // never be silently dropped — whichever kind it is.
+        // never be silently dropped.
         assert!(matches!(
             small_fleet(2)
                 .gpu_config(2, GpufsConfig::small_test())
                 .build(),
             Err(GpufsError::InvalidMode(_))
         ));
-        assert!(matches!(
-            small_fleet(2).gpu_timings(7, Timings::default()).build(),
-            Err(GpufsError::InvalidMode(_))
-        ));
-    }
-
-    #[test]
-    fn per_gpu_timings_make_links_independent() {
-        let slow = Timings {
-            pcie_mb_s: 1000.0,
-            ..Timings::default()
-        };
-        let fleet = small_fleet(2).gpu_timings(1, slow).build().unwrap();
-        assert_eq!(fleet.gpu(0).timings().pcie_mb_s, 5731.0);
-        assert_eq!(fleet.gpu(1).timings().pcie_mb_s, 1000.0);
-        // The slow link really is slower: same single-page fetch, higher
-        // virtual elapsed time. Warm the (shared) host page cache first
-        // so neither GPU pays the one-off disk fetch.
-        fleet.fs().create("/t", &vec![1u8; 16 << 10]).unwrap();
-        let _ = fleet.fs().read_whole("/t", 0).unwrap();
-        let ends: Vec<u64> = (0..2)
-            .map(|g| {
-                let mount = Arc::clone(fleet.mount(g));
-                fleet
-                    .gpu(g)
-                    .launch(Grid::new(1, 32), 0, move |blk| {
-                        let fd = mount.open(blk, "/t", GOpenMode::ReadOnly).unwrap();
-                        let mut buf = vec![0u8; 16 << 10];
-                        mount.read(blk, &fd, 0, &mut buf).unwrap();
-                        mount.close(blk, fd).unwrap();
-                    })
-                    .end
-            })
-            .collect();
-        assert!(
-            ends[1] > ends[0],
-            "narrow link {} must be slower than wide {}",
-            ends[1],
-            ends[0]
-        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! GPUfs mount configuration and open modes.
 
+use crate::error::{GpufsError, GpufsResult};
+
 /// Access and consistency mode of one `gopen` (paper Table 1 and §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GOpenMode {
@@ -154,7 +156,8 @@ pub struct GpufsConfig {
     pub dirty_high_pages: usize,
     /// How far a writer at the dirty-page cap drains the cache: down to
     /// this many dirty pages. Meaningful only when
-    /// [`GpufsConfig::dirty_high_pages`] > 0; clamped below it.
+    /// [`GpufsConfig::dirty_high_pages`] > 0, and then it must sit below
+    /// it.
     pub dirty_low_pages: usize,
     /// Service weights per tenant, indexed by [`crate::rpc::TenantId`].
     /// Empty (the default), or a single weight, leaves the daemon's
@@ -176,7 +179,11 @@ pub struct GpufsConfig {
     /// exist, but reclaim under pressure prefers the frames of over-quota
     /// tenants (the caller's own first), so a hot tenant evicts its own
     /// pages before anyone else's. Empty (the default) disables
-    /// partitioning. Client-side state: the host daemon never sees it.
+    /// partitioning. The quotas are client-side, but their count is host
+    /// state: it counts in [`GpufsConfig::num_tenants`], by which the
+    /// host sizes its hub and stat sheets, so `mount` refuses a config
+    /// whose quotas name more tenants than its host
+    /// ([`GpufsConfig::validate`]).
     pub tenant_frame_quotas: Vec<usize>,
 }
 
@@ -200,16 +207,6 @@ impl Default for GpufsConfig {
     }
 }
 
-/// [`GpufsConfig::daemon_key`]: the knobs that are state of the host
-/// daemon, with the values the daemon runs them at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct DaemonKey {
-    pub daemon_workers: usize,
-    pub io_chunk_pages: usize,
-    pub tenant_weights: Vec<u32>,
-    pub tenant_admission: Vec<usize>,
-}
-
 impl GpufsConfig {
     /// A configuration with the given page size and cache capacity.
     ///
@@ -219,19 +216,15 @@ impl GpufsConfig {
     /// than `cache_bytes`.
     #[must_use]
     pub fn new(page_size: usize, cache_bytes: usize) -> Self {
-        assert!(
-            page_size.is_power_of_two(),
-            "page size must be a power of two"
-        );
-        assert!(
-            page_size <= cache_bytes,
-            "cache must hold at least one page"
-        );
-        Self {
+        let config = Self {
             page_size,
             cache_bytes,
             ..Self::default()
+        };
+        if let Err(GpufsError::InvalidMode(why)) = config.validate(&config) {
+            panic!("{why}");
         }
+        config
     }
 
     /// Number of page frames in the raw data array.
@@ -240,11 +233,12 @@ impl GpufsConfig {
         self.cache_bytes / self.page_size
     }
 
-    /// Copy with the readahead window set to `pages` (clamped to ≥ 1).
+    /// Copy with the readahead window set to `pages` (`1` = no
+    /// readahead; `0` is refused at `mount`).
     #[must_use]
     pub fn with_readahead(self, pages: usize) -> Self {
         Self {
-            readahead_pages: pages.max(1),
+            readahead_pages: pages,
             ..self
         }
     }
@@ -260,8 +254,8 @@ impl GpufsConfig {
         }
     }
 
-    /// Copy with the daemon's worker count set to `workers` (clamped to
-    /// ≥ 1; `1` = the paper's single-threaded event loop).
+    /// Copy with the daemon's worker count set to `workers` (`1` = the
+    /// paper's single-threaded event loop; `0` is refused at `mount`).
     ///
     /// `channels` has no effect. It named the paper's independent
     /// CPU-GPU request channels (§4.3); every threadblock now reaches the
@@ -271,19 +265,19 @@ impl GpufsConfig {
     pub fn with_concurrency(self, channels: usize, workers: usize) -> Self {
         let _ = channels;
         Self {
-            daemon_workers: workers.max(1),
+            daemon_workers: workers,
             ..self
         }
     }
 
     /// Copy with a dirty-page cap of `high` pages that a writer drains
-    /// inline down to `low` (`high = 0` leaves the cache uncapped; `low`
-    /// is clamped below `high` when the cap is on).
+    /// inline down to `low` (`high = 0` leaves the cache uncapped; with
+    /// the cap on, a `low` at or above `high` is refused at `mount`).
     #[must_use]
     pub fn with_async_writeback(self, high: usize, low: usize) -> Self {
         Self {
             dirty_high_pages: high,
-            dirty_low_pages: if high == 0 { low } else { low.min(high - 1) },
+            dirty_low_pages: low,
             ..self
         }
     }
@@ -320,7 +314,8 @@ impl GpufsConfig {
 
     /// Number of tenant classes this configuration distinguishes: the
     /// widest of the three tenant vectors, and at least 1 (the
-    /// single-tenant default).
+    /// single-tenant default). [`GpufsConfig::validate`] holds every
+    /// non-empty tenant vector to exactly this length.
     #[must_use]
     pub fn num_tenants(&self) -> usize {
         self.tenant_weights
@@ -330,23 +325,55 @@ impl GpufsConfig {
             .max(1)
     }
 
-    /// The knobs that are state of the host daemon rather than of a mount
-    /// — fixed when the host starts, clamped as the host clamps them.
-    pub(crate) fn daemon_key(&self) -> DaemonKey {
-        DaemonKey {
-            daemon_workers: self.daemon_workers.max(1),
-            io_chunk_pages: self.io_chunk_pages,
-            tenant_weights: self.tenant_weights.clone(),
-            tenant_admission: self.tenant_admission.clone(),
-        }
+    /// Check every rule on a configuration, for a mount on a host whose
+    /// daemon was started with `host` (pass `self` to check it alone).
+    /// This is the one place a configuration is refused: no builder and
+    /// no layer below adjusts a field.
+    ///
+    /// # Errors
+    ///
+    /// [`GpufsError::InvalidMode`] naming the first rule broken: the page
+    /// geometry, a readahead window or worker count of 0, a low dirty
+    /// mark not below a non-zero high one, a non-empty tenant vector that
+    /// does not name all [`GpufsConfig::num_tenants`], a host-side knob
+    /// that differs from `host`'s (a silent no-op on a running daemon),
+    /// or more tenants than `host` sized its hub and stat sheets for.
+    pub fn validate(&self, host: &GpufsConfig) -> GpufsResult<()> {
+        let n = self.num_tenants();
+        let (w, a, q) = (
+            &self.tenant_weights,
+            &self.tenant_admission,
+            &self.tenant_frame_quotas,
+        );
+        let refused = if !self.page_size.is_power_of_two() {
+            "page size must be a power of two"
+        } else if self.page_size > self.cache_bytes {
+            "cache must hold at least one page"
+        } else if self.readahead_pages == 0 || self.daemon_workers == 0 {
+            "readahead_pages and daemon_workers must be at least 1"
+        } else if self.dirty_high_pages > 0 && self.dirty_low_pages >= self.dirty_high_pages {
+            "dirty_low_pages must sit below a non-zero dirty_high_pages"
+        } else if [w.len(), a.len(), q.len()]
+            .iter()
+            .any(|&len| len != 0 && len != n)
+        {
+            "a non-empty tenant vector must name all num_tenants() tenants"
+        } else if self.daemon_knobs() != host.daemon_knobs() {
+            "daemon_workers/io_chunk_pages/tenant_weights/tenant_admission \
+             differ from the host's shared daemon (use GpufsHost::with_config)"
+        } else if n > host.num_tenants() {
+            "num_tenants() (every tenant vector, frame quotas included) \
+             exceeds the host's shared daemon (use GpufsHost::with_config)"
+        } else {
+            return Ok(());
+        };
+        Err(GpufsError::InvalidMode(refused))
     }
 
-    /// Whether this configuration can run on a daemon started with
-    /// `daemon`'s knobs: exactly when its own key is equal. Every place
-    /// that has to decide whether two configurations share one daemon
-    /// asks this.
-    pub(crate) fn fits_daemon(&self, daemon: &DaemonKey) -> bool {
-        self.daemon_key() == *daemon
+    /// The knobs that are state of the host daemon rather than of a mount.
+    fn daemon_knobs(&self) -> (usize, usize, &[u32], &[usize]) {
+        let (w, a) = (&self.tenant_weights, &self.tenant_admission);
+        (self.daemon_workers, self.io_chunk_pages, w, a)
     }
 
     /// A small configuration for unit tests: 4 KB pages, 16 frames.
@@ -388,9 +415,11 @@ mod tests {
             GpufsConfig::small_test().with_readahead(8).readahead_pages,
             8
         );
-        assert_eq!(
-            GpufsConfig::small_test().with_readahead(0).readahead_pages,
-            1
+        // The builder stores a 0 as given; `validate` refuses it.
+        let c = GpufsConfig::small_test().with_readahead(0);
+        assert_eq!(c.readahead_pages, 0);
+        assert!(
+            matches!(c.validate(&c), Err(GpufsError::InvalidMode(why)) if why.contains("readahead"))
         );
     }
 
@@ -398,15 +427,16 @@ mod tests {
     fn concurrency_defaults_to_paper_prototype_and_clamps() {
         let c = GpufsConfig::default();
         assert_eq!(c.daemon_workers, 1, "single-threaded daemon by default");
-        let c = GpufsConfig::small_test().with_concurrency(0, 0);
-        assert_eq!(c.daemon_workers, 1);
+        let c = GpufsConfig::small_test().with_concurrency(4, 0);
+        assert_eq!(c.daemon_workers, 0, "stored as given");
+        assert!(
+            matches!(c.validate(&c), Err(GpufsError::InvalidMode(why)) if why.contains("daemon_workers"))
+        );
         let c = GpufsConfig::small_test().with_concurrency(4, 3);
         assert_eq!(c.daemon_workers, 3);
         assert_eq!(
-            c.daemon_key(),
-            GpufsConfig::small_test()
-                .with_concurrency(1, 3)
-                .daemon_key(),
+            c.validate(&GpufsConfig::small_test().with_concurrency(1, 3)),
+            Ok(()),
             "the channel count is no daemon state"
         );
     }
@@ -431,10 +461,18 @@ mod tests {
         assert_eq!((c.dirty_high_pages, c.dirty_low_pages), (0, 0));
         let c = GpufsConfig::small_test().with_async_writeback(8, 2);
         assert_eq!((c.dirty_high_pages, c.dirty_low_pages), (8, 2));
-        let c = GpufsConfig::small_test().with_async_writeback(8, 99);
-        assert_eq!(c.dirty_low_pages, 7, "low clamps below high");
+        assert_eq!(c.validate(&c), Ok(()));
+        for low in [8, 99] {
+            let c = GpufsConfig::small_test().with_async_writeback(8, low);
+            assert_eq!(c.dirty_low_pages, low, "stored as given");
+            assert!(
+                matches!(c.validate(&c), Err(GpufsError::InvalidMode(why)) if why.contains("dirty_low_pages")),
+                "low {low} is not below high"
+            );
+        }
         let c = GpufsConfig::small_test().with_async_writeback(0, 5);
         assert_eq!(c.dirty_high_pages, 0, "0 high = no cap");
+        assert_eq!(c.validate(&c), Ok(()), "no cap, so no order to keep");
     }
 
     #[test]

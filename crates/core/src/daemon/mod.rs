@@ -57,7 +57,7 @@ use obs::{Counter, Labels, Registry, Tracer};
 use simtime::{bw_time_ns, Clock, Nanos, Timings, WorkerPool};
 
 use self::backing::Backing;
-use crate::config::{DaemonKey, GpufsConfig};
+use crate::config::GpufsConfig;
 use crate::remote::HostProxy;
 use crate::rpc::{Request, RpcHub, Served, TenantId};
 
@@ -298,9 +298,9 @@ pub struct GpufsHost {
     /// The I/O engine's settings and the workers' CPU pool, shared with
     /// the hub's serve path.
     engine: Arc<Engine>,
-    /// The daemon-state knobs this host was started with; a mount whose
-    /// configuration names others is refused.
-    daemon_key: DaemonKey,
+    /// The configuration this host was started with: the daemon runs its
+    /// host-side knobs, and `mount` validates against it.
+    config: GpufsConfig,
     /// When set, this daemon is the host side of a cross-host fleet:
     /// the serve path's `Backing` is the proxy (host cache, then the wire)
     /// instead of the file system. `fs` then aliases the storage server's
@@ -347,8 +347,6 @@ impl GpufsHost {
         config: &GpufsConfig,
         proxy: Option<Arc<HostProxy>>,
     ) -> Self {
-        // The daemon runs with the key's values: clamped in one place.
-        let daemon_key = config.daemon_key();
         let registry = Arc::new(Registry::new());
         let tracer = Tracer::new();
         // One leaf sheet per (gpu, tenant) cell — the single write path —
@@ -392,9 +390,9 @@ impl GpufsHost {
             });
         }
         let engine = Arc::new(Engine {
-            workers: WorkerPool::weighted(daemon_key.daemon_workers, &daemon_key.tenant_weights),
+            workers: WorkerPool::weighted(config.daemon_workers, &config.tenant_weights),
             timings: fs.timings().clone(),
-            io_chunk_pages: daemon_key.io_chunk_pages,
+            io_chunk_pages: config.io_chunk_pages,
         });
         // The same for the daemon's workers: CPU time drawn, summed over
         // the pool. Over `elapsed × daemon_workers` it is their occupancy.
@@ -425,9 +423,9 @@ impl GpufsHost {
             engine: Arc::clone(&engine),
         };
         let hub = Arc::new(RpcHub::new(
-            daemon_key.daemon_workers,
+            config.daemon_workers,
             n_tenants,
-            &daemon_key.tenant_admission,
+            &config.tenant_admission,
             move |req: &Request, tenant, gpu, issue| daemon.serve(req, tenant, gpu, issue),
         ));
         Self {
@@ -441,7 +439,7 @@ impl GpufsHost {
             registry,
             tracer,
             engine,
-            daemon_key,
+            config: config.clone(),
             proxy,
         }
     }
@@ -492,20 +490,28 @@ impl GpufsHost {
         &self.per_gpu_stats[gpu_id]
     }
 
-    /// Daemon activity counters attributed to `tenant` alone (clamped to
-    /// the last tenant, mirroring the hub's clamp). Summing over
-    /// every tenant reproduces [`GpufsHost::stats`] counter for counter.
+    /// Daemon activity counters attributed to `tenant` alone. Summing
+    /// over every tenant reproduces [`GpufsHost::stats`] counter for
+    /// counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tenant` is not below [`GpufsHost::num_tenants`].
     #[must_use]
     pub fn stats_for_tenant(&self, tenant: crate::rpc::TenantId) -> &DaemonStats {
-        &self.per_tenant_stats[tenant.min(self.per_tenant_stats.len() - 1)]
+        &self.per_tenant_stats[tenant]
     }
 
     /// Daemon activity counters attributed to one `(gpu, tenant)` cell —
     /// the leaf sheets every view above is summed from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gpu_id` is not a GPU of this host or `tenant` is not
+    /// below [`GpufsHost::num_tenants`].
     #[must_use]
     pub fn stats_for_cell(&self, gpu_id: usize, tenant: crate::rpc::TenantId) -> &DaemonStats {
-        let row = &self.cell_stats[gpu_id];
-        &row[tenant.min(row.len() - 1)]
+        &self.cell_stats[gpu_id][tenant]
     }
 
     /// Tenant classes this host's daemon distinguishes (≥ 1).
@@ -536,15 +542,15 @@ impl GpufsHost {
         self.tracer.set_enabled(on);
     }
 
-    /// See the `daemon_key` field.
-    pub(crate) fn daemon_key(&self) -> &DaemonKey {
-        &self.daemon_key
+    /// See the `config` field.
+    pub(crate) fn config(&self) -> &GpufsConfig {
+        &self.config
     }
 
     /// Size of the (virtual-time) worker pool this host was started with.
     #[must_use]
     pub fn daemon_workers(&self) -> usize {
-        self.daemon_key.daemon_workers
+        self.config.daemon_workers
     }
 
     /// Chunk size (in buffer-cache pages) of the pipelined I/O engine
@@ -583,10 +589,9 @@ impl Daemon {
     /// on the calling thread. Returns the response and the virtual time
     /// the daemon finished with it.
     fn serve(&self, req: &Request, tenant: TenantId, gpu: GpuId, issue: Nanos) -> Served {
-        let row = &self.cells[gpu];
-        let tenant = tenant.min(row.len() - 1);
+        debug_assert!(tenant < self.cells[gpu].len(), "set_tenant clamps every id");
         let ctx = ServeCtx {
-            leaf: &row[tenant],
+            leaf: &self.cells[gpu][tenant],
             tenant,
             engine: &self.engine,
             queue_ns: Cell::new(0),
@@ -681,7 +686,10 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::{call, pool};
     use super::*;
+    use crate::error::{GpufsError, GpufsResult};
     use crate::rpc::{Request, RespOk};
+    use gpusim::GpuSpec;
+    use hostfs::HostFsConfig;
     use simtime::Timings;
 
     #[test]
@@ -886,21 +894,22 @@ mod tests {
                 "tenant sheets must sum to the aggregate for `{name}`"
             );
         }
-        // An out-of-range tenant tag clamps to the last sheet instead of
-        // panicking, mirroring the hub's clamp.
-        let before = t1.requests.get();
-        h.hub()
-            .call(
-                7,
-                0,
-                0,
-                &t,
-                Request::Stat {
-                    path: "/shared".into(),
-                },
-            )
+        // An out-of-range tenant id is clamped once, where `set_tenant`
+        // stores it: the block's open lands on the last tenant's sheet.
+        let (before, opens) = (t1.requests.get(), all.opens.get());
+        let mount = h
+            .mount(0, GpufsConfig::small_test().with_tenant_weights(vec![2, 1]))
             .unwrap();
-        assert_eq!(h.stats_for_tenant(9).requests.get(), before + 1);
+        mount.set_tenant(0, 9);
+        h.gpus()[0].launch(gpusim::Grid::new(1, 32), 0, |blk| {
+            let fd = mount
+                .open(blk, "/shared", crate::GOpenMode::ReadOnly)
+                .unwrap();
+            mount.close(blk, fd).unwrap();
+        });
+        assert_eq!(all.opens.get(), opens + 1);
+        assert_eq!(h.stats_for_tenant(1).opens.get(), 1);
+        assert!(h.stats_for_tenant(1).requests.get() > before);
     }
 
     #[test]
@@ -932,6 +941,71 @@ mod tests {
         let h2 = GpufsHost::with_config(fs, vec![gpu], &cfg);
         assert_eq!(h2.io_chunk_pages(), 0);
         assert!(h2.mount(0, cfg).is_ok());
+    }
+
+    /// Mount `config` on a fresh one-GPU host started with `host`.
+    fn mount_on(host: &GpufsConfig, config: GpufsConfig) -> GpufsResult<()> {
+        let fs = Arc::new(HostFs::new(HostFsConfig::default()));
+        let gpu = Arc::new(Gpu::new(0, GpuSpec::small_test()));
+        GpufsHost::with_config(fs, vec![gpu], host)
+            .mount(0, config)
+            .map(drop)
+    }
+
+    /// Whether `r` is a refusal whose message contains `why`.
+    fn refused(r: GpufsResult<()>, why: &str) -> bool {
+        matches!(r, Err(GpufsError::InvalidMode(msg)) if msg.contains(why))
+    }
+
+    #[test]
+    fn mount_refuses_a_zero_window_a_zero_pool_and_unordered_dirty_marks() {
+        // Each config is mounted on a host started with it, so only the
+        // field's own rule can refuse it.
+        for config in [
+            GpufsConfig::small_test().with_readahead(0),
+            GpufsConfig::small_test().with_concurrency(4, 0),
+        ] {
+            assert!(refused(mount_on(&config, config.clone()), "at least 1"));
+        }
+        let config = GpufsConfig::small_test().with_async_writeback(8, 8);
+        assert!(refused(
+            mount_on(&config, config.clone()),
+            "dirty_low_pages"
+        ));
+        let config = GpufsConfig::small_test().with_async_writeback(8, 7);
+        assert_eq!(mount_on(&config, config.clone()), Ok(()));
+    }
+
+    #[test]
+    fn every_non_empty_tenant_vector_names_every_tenant() {
+        let config = GpufsConfig::small_test()
+            .with_tenant_weights(vec![3, 1])
+            .with_tenant_admission(vec![0, 4, 2]);
+        assert!(refused(mount_on(&config, config.clone()), "tenant vector"));
+        let config = GpufsConfig::small_test()
+            .with_tenant_weights(vec![3, 1])
+            .with_tenant_admission(vec![0, 4])
+            .with_tenant_quotas(vec![8, 8]);
+        assert_eq!(mount_on(&config, config.clone()), Ok(()));
+        let config = GpufsConfig::small_test().with_tenant_admission(vec![0, 4, 2]);
+        assert_eq!(
+            mount_on(&config, config.clone()),
+            Ok(()),
+            "empty vectors name none"
+        );
+    }
+
+    #[test]
+    fn a_mount_names_no_more_tenants_than_its_host() {
+        // Frame quotas are client-side, but their count sizes the host's
+        // hub and stat sheets: a default host has one tenant.
+        let two = GpufsConfig::small_test().with_tenant_quotas(vec![8, 8]);
+        let r = mount_on(&GpufsConfig::default(), two.clone());
+        assert!(refused(r.clone(), "num_tenants()"), "{r:?}");
+        assert!(refused(r, "frame quotas"));
+        assert_eq!(mount_on(&two, two.clone()), Ok(()));
+        // Fewer tenants than the host is fine: ids stay in range.
+        assert_eq!(mount_on(&two, GpufsConfig::small_test()), Ok(()));
     }
 
     #[test]

@@ -124,13 +124,9 @@ impl GpufsHost {
     ///
     /// # Errors
     ///
-    /// Fails if the GPU cannot hold the configured buffer cache, or if
-    /// the mount's host-side knobs ([`GpufsConfig::daemon_workers`],
-    /// [`GpufsConfig::io_chunk_pages`], the tenant weights and caps)
-    /// disagree with the daemon this host was started with — all are
-    /// daemon state, so a config that names different values would be a
-    /// silent no-op; build the host with [`GpufsHost::with_config`]
-    /// instead.
+    /// Fails if `config` breaks a rule of [`GpufsConfig::validate`]
+    /// against the configuration this host was started with, or if the
+    /// GPU cannot hold the configured buffer cache.
     pub fn mount(&self, gpu_id: usize, config: GpufsConfig) -> GpufsResult<Arc<GpuFsMount>> {
         self.mount_with_coherence_id(gpu_id, config, gpu_id)
     }
@@ -144,18 +140,7 @@ impl GpufsHost {
         config: GpufsConfig,
         coherence_id: usize,
     ) -> GpufsResult<Arc<GpuFsMount>> {
-        // Workers, the I/O engine's settings and the tenant weights and
-        // caps were fixed when the host started — and the
-        // daemon's per-tenant stat sheets must cover every tenant this
-        // mount will name.
-        if !config.fits_daemon(self.daemon_key()) || config.num_tenants() > self.hub().num_tenants()
-        {
-            return Err(crate::error::GpufsError::InvalidMode(
-                "mount daemon_workers/io_chunk_pages/tenant_weights/\
-                 tenant_admission do not match the host daemon \
-                 (build the host with GpufsHost::with_config)",
-            ));
-        }
+        config.validate(self.config())?;
         let gpu = Arc::clone(&self.gpus()[gpu_id]);
         let frames = FrameArena::with_quotas(
             gpu.global(),
@@ -214,13 +199,17 @@ impl GpuFsMount {
         &self.counters
     }
 
-    /// Buffer-cache activity counters attributed to `tenant` alone
-    /// (clamped to the last tenant): a read-only sum view over the
-    /// tenant's lane stripes. Summing over every tenant reproduces
-    /// [`GpuFsMount::counters`] counter for counter.
+    /// Buffer-cache activity counters attributed to `tenant` alone: a
+    /// read-only sum view over the tenant's lane stripes. Summing over
+    /// every tenant reproduces [`GpuFsMount::counters`] counter for
+    /// counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tenant` is not below [`GpuFsMount::num_tenants`].
     #[must_use]
     pub fn tenant_counters(&self, tenant: TenantId) -> &CacheCounters {
-        &self.tenant_counters[tenant.min(self.tenant_counters.len() - 1)]
+        &self.tenant_counters[tenant]
     }
 
     /// Tenant classes this mount distinguishes (≥ 1).
@@ -233,7 +222,8 @@ impl GpuFsMount {
     /// `tenant`. Every fault, RPC, and cache counter of that slot is
     /// attributed — and scheduled — as that tenant from then on. Slots
     /// default to tenant 0, and a `tenant` past [`Self::num_tenants`]
-    /// maps to the last tenant: this is the one store, so it clamps once.
+    /// maps to the last tenant. This is the one clamp of a tenant id:
+    /// every layer below indexes by the stored id directly.
     pub fn set_tenant(&self, slot: usize, tenant: TenantId) {
         let tenant = tenant.min(self.num_tenants() - 1);
         self.tenant_of_slot[slot % TENANT_SLOT_MAP].store(tenant, Ordering::Relaxed);

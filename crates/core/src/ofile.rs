@@ -487,4 +487,62 @@ mod tests {
             "without the closed-file table the reopen must refetch"
         );
     }
+
+    /// A block that joins another block's open (`open_locked` finds the
+    /// file in the open table) returns at its own virtual clock, so it
+    /// can issue `ReadPages` on a host fd before, in virtual time, the
+    /// host has opened it. Passes once a coalesced `gopen` waits until
+    /// the open it joined completed; until then the joiners return after
+    /// one `gpufs_page_op_ns` (3.5 µs) while the forwarded open takes
+    /// 14 µs.
+    #[test]
+    #[ignore = "known program defect: a coalesced gopen returns before the open it joined has completed"]
+    fn a_coalesced_open_returns_no_earlier_than_the_open_it_joined() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // Eight blocks, one per MP slot of the small GPU, open one path at
+        // virtual time 0 and hold their descriptors until all have
+        // opened, so one block forwards the open and seven join it. Each
+        // block is its own tenant, so the daemon's per-tenant sheets name
+        // the one that forwarded.
+        const BLOCKS: usize = 8;
+        let config = GpufsConfig::small_test().with_tenant_quotas(vec![0; BLOCKS]);
+        let fs = Arc::new(hostfs::HostFs::new(hostfs::HostFsConfig::default()));
+        fs.create("/joined", &[5u8; 4096]).unwrap();
+        let gpu = Arc::new(gpusim::Gpu::new(0, gpusim::GpuSpec::small_test()));
+        assert_eq!(
+            gpu.spec().concurrent_blocks(),
+            BLOCKS,
+            "every block resident"
+        );
+        let host = crate::GpufsHost::with_config(fs, vec![Arc::clone(&gpu)], &config);
+        let mount = host.mount(0, config).unwrap();
+        for b in 0..BLOCKS {
+            mount.set_tenant(b, b);
+        }
+        let opened: Vec<AtomicU64> = (0..BLOCKS).map(|_| AtomicU64::new(0)).collect();
+        let all_open = std::sync::Barrier::new(BLOCKS);
+        gpu.launch(Grid::new(BLOCKS, 32), 0, |blk| {
+            let fd = mount.open(blk, "/joined", GOpenMode::ReadOnly).unwrap();
+            opened[blk.block_id()].store(blk.now(), Ordering::Relaxed);
+            all_open.wait();
+            mount.close(blk, fd).unwrap();
+        });
+        assert_eq!(
+            host.stats().opens.get(),
+            1,
+            "one open forwarded, the rest joined"
+        );
+        let forwarder = (0..BLOCKS)
+            .find(|&t| host.stats_for_tenant(t).opens.get() == 1)
+            .unwrap();
+        let done = opened[forwarder].load(Ordering::Relaxed);
+        for (b, at) in opened.iter().enumerate() {
+            let at = at.load(Ordering::Relaxed);
+            assert!(
+                at >= done,
+                "block {b}'s gopen returned at {at} ns, before block {forwarder}'s \
+                 forwarded open completed at {done} ns"
+            );
+        }
+    }
 }

@@ -61,8 +61,10 @@ use crate::error::{GpufsError, GpufsResult};
 
 /// Service class of one GPUfs session. Tenant ids index the
 /// `tenant_weights` / `tenant_admission` / `tenant_frame_quotas` vectors
-/// of [`crate::GpufsConfig`]; ids beyond the configured tenant count are
-/// clamped to the last tenant.
+/// of [`crate::GpufsConfig`]. An id is clamped once, where it enters:
+/// [`crate::GpuFsMount::set_tenant`] maps one past the configured tenant
+/// count to the last tenant. Every layer below indexes by it directly,
+/// and the per-tenant readers panic past the count.
 pub type TenantId = usize;
 
 /// One page descriptor inside a [`Request::ReadPages`] batch.
@@ -340,8 +342,6 @@ pub struct RpcHub {
     /// Turns at the daemon: one per worker, never fewer than two. A turn
     /// records no time, so it never delays a request in virtual time.
     turns: Gate,
-    /// Tenant classes this hub distinguishes (≥ 1).
-    tenants: usize,
     /// Per-tenant admission caps, a slot per request the tenant may have
     /// unfinished at once; `None` = unlimited.
     admission: Vec<Option<Gate>>,
@@ -354,7 +354,7 @@ pub struct RpcHub {
 impl std::fmt::Debug for RpcHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RpcHub")
-            .field("tenants", &self.tenants)
+            .field("tenants", &self.stalls.len())
             .field("admission", &self.admission)
             .field("closed", &self.closed)
             .finish_non_exhaustive()
@@ -363,19 +363,17 @@ impl std::fmt::Debug for RpcHub {
 
 impl RpcHub {
     /// An open hub over the daemon's serve path `serve` for a daemon of
-    /// `workers` workers, distinguishing at least `tenants` tenant
-    /// classes, with per-tenant admission caps (`0`/missing = unlimited).
+    /// `workers` workers, distinguishing `tenants` tenant classes, with
+    /// per-tenant admission caps (`0`/missing = unlimited).
     pub(crate) fn new(
         workers: usize,
         tenants: usize,
         admission: &[usize],
         serve: impl Fn(&Request, TenantId, GpuId, Nanos) -> Served + Send + Sync + 'static,
     ) -> Self {
-        let tenants = tenants.max(admission.len()).max(1);
         Self {
             serve: Box::new(serve),
             turns: Gate::new(workers.max(2)),
-            tenants,
             admission: (0..tenants)
                 .map(|t| match admission.get(t) {
                     Some(&cap) if cap > 0 => Some(Gate::new(cap)),
@@ -390,13 +388,17 @@ impl RpcHub {
     /// Number of tenant classes this hub distinguishes (≥ 1).
     #[must_use]
     pub fn num_tenants(&self) -> usize {
-        self.tenants
+        self.stalls.len()
     }
 
     /// Calls of `tenant` whose start its admission cap delayed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tenant` is not below [`RpcHub::num_tenants`].
     #[must_use]
     pub fn tenant_stalls(&self, tenant: TenantId) -> u64 {
-        self.stalls[tenant.min(self.tenants - 1)].get()
+        self.stalls[tenant].get()
     }
 
     /// Serve a request from `tenant` on GPU `gpu` on the calling thread.
@@ -414,7 +416,7 @@ impl RpcHub {
         if self.closed.load(Ordering::Acquire) {
             return Err(GpufsError::DaemonStopped);
         }
-        let tenant = tenant.min(self.tenants - 1);
+        debug_assert!(tenant < self.num_tenants(), "set_tenant clamps every id");
         // The round-trip runs the host's side of the request, which takes
         // the host file system's locks; a shim lock held across it stalls
         // every thread that wants that lock for a full host round-trip.
@@ -493,7 +495,6 @@ mod tests {
             assert_eq!(visible, issue + t.rpc_complete_ns);
         }
         assert_eq!(hub.tenant_stalls(0), 0);
-        assert_eq!(fake_hub(1, &[0, 2]).num_tenants(), 2, "caps widen tenancy");
     }
 
     #[test]
@@ -587,16 +588,26 @@ mod tests {
 
     #[test]
     fn out_of_range_tenant_clamps_to_last() {
-        let hub = RpcHub::new(1, 2, &[], |_, tenant, _, start| {
-            assert_eq!(tenant, 1, "clamped before it reaches the daemon");
-            (Ok(RespOk::Done), start)
+        // `set_tenant` is the one clamp: a block assigned tenant 9 of a
+        // two-tenant mount issues its requests as tenant 1, so they land
+        // on the last tenant's sheets, and the hub indexes no further.
+        let config = crate::GpufsConfig::small_test().with_tenant_admission(vec![0, 2]);
+        let fs = Arc::new(hostfs::HostFs::new(hostfs::HostFsConfig::default()));
+        fs.create("/t", &[7u8; 4096]).unwrap();
+        let gpu = Arc::new(gpusim::Gpu::new(0, gpusim::GpuSpec::small_test()));
+        let host = crate::GpufsHost::with_config(fs, vec![Arc::clone(&gpu)], &config);
+        let mount = host.mount(0, config).unwrap();
+        mount.set_tenant(0, 9);
+        assert_eq!(mount.tenant_of(0), 1, "clamped where it is stored");
+        gpu.launch(gpusim::Grid::new(1, 32), 0, |blk| {
+            let fd = mount
+                .open(blk, "/t", crate::GOpenMode::ReadOnly)
+                .expect("clamped, not out of bounds");
+            mount.close(blk, fd).unwrap();
         });
-        let t = Timings::default();
-        let (ok, _) = hub
-            .call(99, 0, 0, &t, Request::Fsync { fd: 1 })
-            .expect("clamped, not out of bounds");
-        assert!(matches!(ok, RespOk::Done));
-        assert_eq!(hub.tenant_stalls(99), 0);
+        assert_eq!(host.stats_for_tenant(1).opens.get(), 1);
+        assert_eq!(host.stats_for_tenant(0).requests.get(), 0);
+        assert_eq!(host.hub().tenant_stalls(1), 0);
     }
 
     #[test]

@@ -46,21 +46,6 @@ impl KernelResult {
     }
 }
 
-/// One warp of a threadblock: `warp_size` consecutive thread lanes.
-///
-/// GPUfs's API is defined at warp (or, in the prototype and here, at
-/// threadblock) granularity; workloads use warps to structure per-lane work
-/// and to charge divergence-aware compute time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WarpCtx {
-    /// Index of this warp within its block.
-    pub warp_id: usize,
-    /// First thread lane of the warp.
-    pub first_lane: usize,
-    /// Number of lanes (equal to the warp size except for a ragged tail).
-    pub lanes: usize,
-}
-
 /// Execution context handed to a kernel closure, one per threadblock.
 ///
 /// The context owns the block's virtual [`Clock`] and its scratchpad
@@ -115,25 +100,6 @@ impl<'g> BlockCtx<'g> {
     /// using a per-thread-parallel cost model.
     pub fn threads(&self) -> std::ops::Range<usize> {
         0..self.grid.threads_per_block
-    }
-
-    /// Iterate the block's warps.
-    #[cfg(test)]
-    pub fn warps(&self) -> impl Iterator<Item = WarpCtx> + '_ {
-        let ws = self.gpu.spec().warp_size;
-        let n = self.grid.threads_per_block;
-        (0..n.div_ceil(ws)).map(move |warp_id| WarpCtx {
-            warp_id,
-            first_lane: warp_id * ws,
-            lanes: ws.min(n - warp_id * ws),
-        })
-    }
-
-    /// Block-wide barrier (`__syncthreads`). Since intra-block threads run
-    /// sequentially here, this only charges the barrier's hardware cost.
-    #[cfg(test)]
-    pub fn sync_threads(&mut self) {
-        self.clock.advance(20);
     }
 
     /// System-scope memory fence (`__threadfence_system`): makes this
@@ -343,25 +309,11 @@ mod tests {
     }
 
     #[test]
-    fn warps_cover_all_threads() {
-        let gpu = gpu();
-        gpu.launch(Grid::new(1, 100), 0, |blk| {
-            let warps: Vec<_> = blk.warps().collect();
-            assert_eq!(warps.len(), 4); // ceil(100/32)
-            let total: usize = warps.iter().map(|w| w.lanes).sum();
-            assert_eq!(total, 100);
-            assert_eq!(warps[3].lanes, 4);
-            assert_eq!(warps[2].first_lane, 64);
-        });
-    }
-
-    #[test]
     fn scratchpad_is_private_per_block() {
         let gpu = gpu();
         gpu.launch(Grid::new(8, 32), 0, |blk| {
             let id = blk.block_id() as u8;
             blk.scratch()[0] = id;
-            blk.sync_threads();
             assert_eq!(blk.scratch()[0], id);
         });
     }

@@ -51,7 +51,7 @@ mod pinned;
 mod spec;
 
 pub use dma::DmaEngines;
-pub use launch::{BlockCtx, Grid, KernelResult, WarpCtx};
+pub use launch::{BlockCtx, Grid, KernelResult};
 pub use mem::{DevPtr, GlobalMem, MemError};
 pub use pinned::HostPinned;
 pub use spec::GpuSpec;

@@ -273,15 +273,14 @@ impl WorkerPool {
         }
     }
 
-    /// Reserve `dur` nanoseconds of one worker's time for `tenant`
-    /// (clamped to the last weighted tenant), not starting before
-    /// `earliest_start`. On an unweighted pool every tenant is one FIFO.
+    /// Reserve `dur` nanoseconds of one worker's time for `tenant`, not
+    /// starting before `earliest_start`. On an unweighted pool every
+    /// tenant is one FIFO; a weighted pool panics on a tenant it has no
+    /// weight for.
     pub fn acquire_for(&self, tenant: usize, earliest_start: Nanos, dur: Nanos) -> Reservation {
         let mut r = self.timeline.reserve(earliest_start, dur);
-        if let Some(share) = self
-            .shares
-            .get(tenant.min(self.shares.len().saturating_sub(1)))
-        {
+        if !self.shares.is_empty() {
+            let share = &self.shares[tenant];
             let span = dur
                 .saturating_mul(share.stretch_num)
                 .div_ceil(share.stretch_den);

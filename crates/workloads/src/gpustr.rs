@@ -4,16 +4,8 @@
 //! implement limited GPU versions of the `sprintf`, `strtok`, `strlen`,
 //! `strcat` functions not normally available to GPU code" (paper §5.2.2).
 //! These operate on byte slices without allocation, as GPU code would.
-//! No workload here concatenates strings, so there is no `strcat`,
-//! and `gstrlen` builds only for the tests.
-
-/// Length of a NUL-terminated byte string, capped at the buffer length
-/// (`strlen`).
-#[cfg(test)]
-#[must_use]
-pub fn gstrlen(buf: &[u8]) -> usize {
-    buf.iter().position(|&b| b == 0).unwrap_or(buf.len())
-}
+//! No workload here concatenates strings or measures a NUL-terminated
+//! one, so there is no `strcat` and no `strlen`.
 
 /// Whether `b` separates words (whitespace and punctuation, matching the
 /// `grep -w` notion of a word boundary).
@@ -102,14 +94,6 @@ pub fn format_match_line(dst: &mut [u8], word: &[u8], file: &[u8], count: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gstrlen_stops_at_nul_or_end() {
-        assert_eq!(gstrlen(b"abc\0def"), 3);
-        assert_eq!(gstrlen(b"abc"), 3);
-        assert_eq!(gstrlen(b""), 0);
-        assert_eq!(gstrlen(b"\0"), 0);
-    }
 
     #[test]
     fn tokenizer_splits_on_punctuation_and_whitespace() {

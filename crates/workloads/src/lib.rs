@@ -30,7 +30,7 @@
 //! Shakespeare, image databases); [`compute`] holds the calibrated
 //! compute-throughput model shared by GPU and CPU variants; [`cpu`] is the
 //! modeled multicore executor; [`gpustr`] reimplements the limited GPU
-//! versions of `strlen`/`strtok`/`sprintf`-style helpers the paper had to
+//! versions of the `strtok`/`sprintf`-style helpers the paper had to
 //! write for GPU code (§5.2.2).
 
 pub mod cluster;

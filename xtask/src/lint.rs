@@ -68,7 +68,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Where the `wait` rule does not apply: the one wait type's crate.
@@ -202,22 +201,7 @@ pub fn run(args: &[String]) -> ExitCode {
         print!("{}", RULES_HELP);
         return ExitCode::SUCCESS;
     }
-    let root = workspace_root();
-    let mut paths = Vec::new();
-    collect_rs_files(&root, &mut paths);
-    paths.sort();
-    let files: Vec<(String, String)> = paths
-        .iter()
-        .filter_map(|file| {
-            let text = std::fs::read_to_string(file).ok()?;
-            let rel = file
-                .strip_prefix(&root)
-                .unwrap_or(file)
-                .to_string_lossy()
-                .replace('\\', "/");
-            Some((rel, text))
-        })
-        .collect();
+    let files = crate::repo_files();
     let mut findings = Vec::new();
     let mut scanned = 0usize;
     for (rel, text) in files.iter().filter(|(rel, _)| rel.starts_with("crates/")) {
@@ -271,34 +255,6 @@ xtask lint rules:
                  or delete it. Matches on names, so a common name goes unflagged
 waive a finding inline: // lint:allow <rule> -- <reason>   (reason required)
 ";
-
-fn workspace_root() -> PathBuf {
-    // xtask lives at <root>/xtask, so the workspace root is one up from
-    // this crate's manifest.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("xtask has a parent directory")
-        .to_path_buf()
-}
-
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            // Build outputs and hidden directories (`.git`, the
-            // benchmark driver's `.bench_build`) hold no repository code.
-            let name = entry.file_name();
-            if name != "target" && !name.to_string_lossy().starts_with('.') {
-                collect_rs_files(&path, out);
-            }
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
 
 /// Lint one file's text; `rel` is the workspace-relative path used for
 /// scoping and reporting.
