@@ -25,7 +25,7 @@ use std::cell::Cell;
 
 use crate::config::{GOpenMode, GpufsConfig};
 use crate::daemon::testutil::{call, host_chunked};
-use crate::rpc::{PageRead, Request, RespOk};
+use crate::rpc::{MetaOk, MetaOp, PageRead, Request, RespOk};
 use crate::testrig::{rig, run_block};
 
 thread_local! {
@@ -123,14 +123,14 @@ fn serving_a_read_batch_allocates_the_same_at_any_width() {
         h.fs()
             .create_synthetic("/batch", 64 * PAGE as u64, 7)
             .unwrap();
-        let Ok((RespOk::Opened { fd, .. }, _)) = call(
+        let Ok((RespOk::Meta(MetaOk::Opened { fd, .. }), _)) = call(
             &h,
-            Request::Open {
+            Request::Meta(MetaOp::Open {
                 path: "/batch".into(),
                 write: false,
                 create: false,
                 truncate: false,
-            },
+            }),
         ) else {
             panic!("open failed")
         };

@@ -18,7 +18,7 @@ use crate::cache::FPage;
 use crate::config::GOpenMode;
 use crate::error::{GpufsError, GpufsResult};
 use crate::mount::GpuFsMount;
-use crate::rpc::{Request, RespOk};
+use crate::rpc::{MetaOk, MetaOp, Request, RespOk};
 use crate::table::GFile;
 
 /// A GPUfs file descriptor.
@@ -433,9 +433,9 @@ impl GpuFsMount {
         if fd.file().mode().syncs_to_host() {
             self.rpc(
                 blk,
-                Request::Fsync {
+                Request::Meta(MetaOp::Fsync {
                     fd: fd.file().host_fd(),
-                },
+                }),
             )?;
         }
         Ok(())
@@ -450,18 +450,18 @@ impl GpuFsMount {
     pub fn unlink(&self, blk: &mut BlockCtx<'_>, path: &str) -> GpufsResult<()> {
         let resp = self.rpc(
             blk,
-            Request::Stat {
+            Request::Meta(MetaOp::Stat {
                 path: path.to_owned(),
-            },
+            }),
         )?;
-        let RespOk::Stat { ino, .. } = resp else {
+        let RespOk::Meta(MetaOk::Stat { ino, .. }) = resp else {
             unreachable!("stat answers Stat")
         };
         self.rpc(
             blk,
-            Request::Unlink {
+            Request::Meta(MetaOp::Unlink {
                 path: path.to_owned(),
-            },
+            }),
         )?;
         if let Some(open) = self.tables.get_open(path) {
             self.discard_file_cache(blk.block_id(), &open);
@@ -470,9 +470,9 @@ impl GpuFsMount {
             self.retire_file_cache(blk.block_id(), &parked);
             let _ = self.rpc(
                 blk,
-                Request::Close {
+                Request::Meta(MetaOp::Close {
                     fd: parked.host_fd(),
-                },
+                }),
             )?;
         }
         Ok(())
@@ -491,10 +491,10 @@ impl GpuFsMount {
         }
         self.rpc(
             blk,
-            Request::Truncate {
+            Request::Meta(MetaOp::Truncate {
                 fd: file.host_fd(),
                 size,
-            },
+            }),
         )?;
         file.set_size(size);
         let ps = self.config.page_size as u64;

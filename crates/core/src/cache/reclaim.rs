@@ -22,7 +22,7 @@ use crate::cache::{FPage, FrameIdx, PageState};
 use crate::config::GOpenMode;
 use crate::error::{GpufsError, GpufsResult};
 use crate::mount::GpuFsMount;
-use crate::rpc::Request;
+use crate::rpc::{MetaOp, Request};
 use crate::table::GFile;
 
 /// Consecutive *zero-progress* reclaim rounds before a frame allocation
@@ -277,9 +277,9 @@ impl GpuFsMount {
                 if !resident && self.tables.remove_closed(victim) {
                     let _ = self.rpc(
                         blk,
-                        Request::Close {
+                        Request::Meta(MetaOp::Close {
                             fd: victim.host_fd(),
-                        },
+                        }),
                     )?;
                     // Nothing of the file is cached here any more.
                     self.host_fs

@@ -144,20 +144,20 @@ impl FleetBuilder {
     /// a cache larger than GPU memory, ...
     pub fn build(self) -> GpufsResult<GpuFleet> {
         if self.n_gpus == 0 {
-            return Err(GpufsError::InvalidMode("a fleet needs at least one GPU"));
+            return Err(GpufsError::InvalidConfig("a fleet needs at least one GPU"));
         }
         // An override keyed outside the fleet would be silently dropped
         // by the loops below — the exact silent no-op this builder exists
         // to reject (an experiment "slowing GPU 4" of a 4-GPU fleet must
         // fail loudly, not measure a uniform fleet).
         if self.overrides.keys().any(|&g| g >= self.n_gpus) {
-            return Err(GpufsError::InvalidMode(
+            return Err(GpufsError::InvalidConfig(
                 "per-GPU config override names a GPU outside the fleet",
             ));
         }
         if let (Some(proxy), Some(fs)) = (&self.proxy, &self.fs) {
             if !Arc::ptr_eq(proxy.server().fs(), fs) {
-                return Err(GpufsError::InvalidMode(
+                return Err(GpufsError::InvalidConfig(
                     "host_fs and proxy name different file systems; a proxied \
                      fleet's fs is always its server's",
                 ));
@@ -365,7 +365,7 @@ mod tests {
         ] {
             let err = small_fleet(2).gpu_config(1, over).build();
             assert!(
-                matches!(err, Err(GpufsError::InvalidMode(why)) if why.contains("shared daemon"))
+                matches!(err, Err(GpufsError::InvalidConfig(why)) if why.contains("shared daemon"))
             );
         }
         // GPU-side overrides are fine under a shared daemon.
@@ -380,7 +380,7 @@ mod tests {
         // And a zero-GPU fleet is rejected outright.
         assert!(matches!(
             GpuFleet::builder(0).build(),
-            Err(GpufsError::InvalidMode(_))
+            Err(GpufsError::InvalidConfig(_))
         ));
         // An override naming a GPU outside the fleet must fail loudly,
         // never be silently dropped.
@@ -388,7 +388,7 @@ mod tests {
             small_fleet(2)
                 .gpu_config(2, GpufsConfig::small_test())
                 .build(),
-            Err(GpufsError::InvalidMode(_))
+            Err(GpufsError::InvalidConfig(_))
         ));
     }
 

@@ -111,7 +111,7 @@ impl HostFleetBuilder {
     /// (cache larger than GPU memory, ...).
     pub fn build(self) -> GpufsResult<HostFleet> {
         if self.hosts == 0 || self.gpus_per_host == 0 {
-            return Err(GpufsError::InvalidMode(
+            return Err(GpufsError::InvalidConfig(
                 "a host fleet needs at least one host and one GPU per host",
             ));
         }
@@ -296,11 +296,11 @@ mod tests {
         // Empty dimensions are rejected loudly.
         assert!(matches!(
             HostFleet::builder(0, 2).build(),
-            Err(GpufsError::InvalidMode(_))
+            Err(GpufsError::InvalidConfig(_))
         ));
         assert!(matches!(
             HostFleet::builder(2, 0).build(),
-            Err(GpufsError::InvalidMode(_))
+            Err(GpufsError::InvalidConfig(_))
         ));
     }
 

@@ -221,7 +221,7 @@ impl GpufsConfig {
             cache_bytes,
             ..Self::default()
         };
-        if let Err(GpufsError::InvalidMode(why)) = config.validate(&config) {
+        if let Err(GpufsError::InvalidConfig(why)) = config.validate(&config) {
             panic!("{why}");
         }
         config
@@ -332,7 +332,7 @@ impl GpufsConfig {
     ///
     /// # Errors
     ///
-    /// [`GpufsError::InvalidMode`] naming the first rule broken: the page
+    /// [`GpufsError::InvalidConfig`] naming the first rule broken: the page
     /// geometry, a readahead window or worker count of 0, a low dirty
     /// mark not below a non-zero high one, a non-empty tenant vector that
     /// does not name all [`GpufsConfig::num_tenants`], a host-side knob
@@ -367,7 +367,7 @@ impl GpufsConfig {
         } else {
             return Ok(());
         };
-        Err(GpufsError::InvalidMode(refused))
+        Err(GpufsError::InvalidConfig(refused))
     }
 
     /// The knobs that are state of the host daemon rather than of a mount.
@@ -419,7 +419,7 @@ mod tests {
         let c = GpufsConfig::small_test().with_readahead(0);
         assert_eq!(c.readahead_pages, 0);
         assert!(
-            matches!(c.validate(&c), Err(GpufsError::InvalidMode(why)) if why.contains("readahead"))
+            matches!(c.validate(&c), Err(GpufsError::InvalidConfig(why)) if why.contains("readahead"))
         );
     }
 
@@ -430,7 +430,7 @@ mod tests {
         let c = GpufsConfig::small_test().with_concurrency(4, 0);
         assert_eq!(c.daemon_workers, 0, "stored as given");
         assert!(
-            matches!(c.validate(&c), Err(GpufsError::InvalidMode(why)) if why.contains("daemon_workers"))
+            matches!(c.validate(&c), Err(GpufsError::InvalidConfig(why)) if why.contains("daemon_workers"))
         );
         let c = GpufsConfig::small_test().with_concurrency(4, 3);
         assert_eq!(c.daemon_workers, 3);
@@ -466,7 +466,7 @@ mod tests {
             let c = GpufsConfig::small_test().with_async_writeback(8, low);
             assert_eq!(c.dirty_low_pages, low, "stored as given");
             assert!(
-                matches!(c.validate(&c), Err(GpufsError::InvalidMode(why)) if why.contains("dirty_low_pages")),
+                matches!(c.validate(&c), Err(GpufsError::InvalidConfig(why)) if why.contains("dirty_low_pages")),
                 "low {low} is not below high"
             );
         }

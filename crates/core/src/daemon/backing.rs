@@ -2,9 +2,10 @@
 //! *against*.
 //!
 //! [`Backing`] is the paper's "host file system" as the communication
-//! layer (§4.3) sees it — six metadata calls plus the two chunk calls the
-//! staged engine's stage 1 and write lane are made of, in the shape of
-//! rCore's `Device` (`read_at`/`write_at` over anything). Every method
+//! layer (§4.3) sees it — one call for every metadata operation
+//! ([`MetaOp`]) plus the two chunk calls the staged engine's stage 1 and
+//! write lane are made of, in the shape of rCore's `Device`
+//! (`read_at`/`write_at` over anything). Every method
 //! advances the caller's [`Clock`] to the moment its result is in this
 //! host's memory. Two types implement it, and neither is a wrapper:
 //!
@@ -29,37 +30,17 @@
 //! paper's pinned staging buffers are modelled in virtual time only
 //! (`daemon/pipeline.rs`).
 
-use hostfs::{FsError, HostFd, HostFs, Ino, OpenFlags};
+use hostfs::{FsError, HostFd, HostFs, OpenFlags};
 use simtime::Clock;
 
 use super::ServeCtx;
-
-/// What [`Backing::open`] learned about the file it opened.
-pub(crate) struct Opened {
-    pub fd: HostFd,
-    pub ino: Ino,
-    /// Size at open time.
-    pub size: u64,
-    /// Consistency generation at open time.
-    pub generation: u64,
-}
-
-/// What [`Backing::stat`] reports.
-pub(crate) struct FileStat {
-    pub ino: Ino,
-    pub size: u64,
-    pub writable: bool,
-    pub generation: u64,
-}
+use crate::rpc::{MetaOk, MetaOp};
 
 /// The storage a daemon worker serves against. See the module docs.
 pub(crate) trait Backing: Send + Sync {
-    fn open(&self, clock: &mut Clock, path: &str, flags: OpenFlags) -> Result<Opened, FsError>;
-    fn close(&self, clock: &mut Clock, fd: HostFd) -> Result<(), FsError>;
-    fn fsync(&self, clock: &mut Clock, fd: HostFd) -> Result<(), FsError>;
-    fn unlink(&self, clock: &mut Clock, path: &str) -> Result<(), FsError>;
-    fn truncate(&self, clock: &mut Clock, fd: HostFd, size: u64) -> Result<(), FsError>;
-    fn stat(&self, clock: &mut Clock, path: &str) -> Result<FileStat, FsError>;
+    /// Serve one metadata operation, answered in the shape
+    /// [`MetaOp::fits`] names.
+    fn meta(&self, clock: &mut Clock, op: &MetaOp) -> Result<MetaOk, FsError>;
 
     /// Stage 1 of a read: read the file at each `(offset, dst)` of `pages`
     /// straight into its `dst`, in order, and set the same index of `ns`
@@ -90,53 +71,51 @@ pub(crate) trait Backing: Send + Sync {
     ) -> Result<(usize, u64), FsError>;
 }
 
-// `HostFs`'s own methods of the same names take priority inside this
-// impl, so `self.open(path, flags, now)` below is the file-system call.
 impl Backing for HostFs {
-    fn open(&self, clock: &mut Clock, path: &str, flags: OpenFlags) -> Result<Opened, FsError> {
-        let (fd, t) = self.open(path, flags, clock.now())?;
-        // fstat on a freshly opened fd can only fail if the fd table is
-        // corrupt; that comes back as the open's error.
-        let meta = self.fstat(fd)?;
-        clock.wait_until(t);
-        Ok(Opened {
-            fd,
-            ino: meta.ino,
-            size: meta.size,
-            generation: self.consistency().generation(meta.ino),
-        })
-    }
-
-    fn close(&self, _clock: &mut Clock, fd: HostFd) -> Result<(), FsError> {
-        self.close(fd)
-    }
-
-    fn fsync(&self, clock: &mut Clock, fd: HostFd) -> Result<(), FsError> {
-        let t = self.fsync(fd, clock.now())?;
-        clock.wait_until(t);
-        Ok(())
-    }
-
-    fn unlink(&self, clock: &mut Clock, path: &str) -> Result<(), FsError> {
-        let t = self.unlink(path, clock.now())?;
-        clock.wait_until(t);
-        Ok(())
-    }
-
-    fn truncate(&self, clock: &mut Clock, fd: HostFd, size: u64) -> Result<(), FsError> {
-        let t = self.ftruncate(fd, size, clock.now())?;
-        clock.wait_until(t);
-        Ok(())
-    }
-
-    fn stat(&self, _clock: &mut Clock, path: &str) -> Result<FileStat, FsError> {
-        let m = self.stat(path)?;
-        Ok(FileStat {
-            ino: m.ino,
-            size: m.size,
-            writable: m.writable,
-            generation: self.consistency().generation(m.ino),
-        })
+    /// The one place an op becomes a file-system call.
+    fn meta(&self, clock: &mut Clock, op: &MetaOp) -> Result<MetaOk, FsError> {
+        let now = clock.now();
+        let done = match op {
+            MetaOp::Open {
+                path,
+                write,
+                create,
+                truncate,
+            } => {
+                let flags = OpenFlags {
+                    read: true,
+                    write: *write,
+                    create: *create,
+                    truncate: *truncate,
+                };
+                let (fd, t) = self.open(path, flags, now)?;
+                // fstat on a freshly opened fd can only fail if the fd
+                // table is corrupt; that comes back as the open's error.
+                let meta = self.fstat(fd)?;
+                clock.wait_until(t);
+                return Ok(MetaOk::Opened {
+                    fd,
+                    ino: meta.ino,
+                    size: meta.size,
+                    generation: self.consistency().generation(meta.ino),
+                });
+            }
+            MetaOp::Stat { path } => {
+                let m = self.stat(path)?;
+                return Ok(MetaOk::Stat {
+                    ino: m.ino,
+                    size: m.size,
+                    writable: m.writable,
+                    generation: self.consistency().generation(m.ino),
+                });
+            }
+            MetaOp::Close { fd } => self.close(*fd).map(|()| now)?,
+            MetaOp::Fsync { fd } => self.fsync(*fd, now)?,
+            MetaOp::Unlink { path } => self.unlink(path, now)?,
+            MetaOp::Truncate { fd, size } => self.ftruncate(*fd, *size, now)?,
+        };
+        clock.wait_until(done);
+        Ok(MetaOk::Done)
     }
 
     fn read_chunk(

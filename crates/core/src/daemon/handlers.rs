@@ -1,21 +1,20 @@
-//! Per-request handlers of the daemon.
+//! The daemon's one dispatch.
 //!
-//! [`serve`] is the one dispatch point every request enters, whatever
-//! storage the host has: metadata operations
-//! (open/close/fsync/unlink/truncate/stat) are one [`Backing`] call each,
-//! while the two bulk-data requests — `ReadPages` and `WritePages` —
-//! delegate to the staged, chunked engine in [`super::pipeline`].
+//! [`serve`] is the one point every request enters, whatever storage the
+//! host has: a metadata operation is one [`Backing::meta`] call, while
+//! the two bulk-data requests — `ReadPages` and `WritePages` — delegate
+//! to the staged, chunked engine in [`super::pipeline`].
 
 use std::sync::Arc;
 
 use gpusim::Gpu;
-use hostfs::{FsError, OpenFlags};
+use hostfs::FsError;
 use simtime::{Clock, Nanos};
 
 use super::backing::Backing;
 use super::pipeline;
 use super::ServeCtx;
-use crate::rpc::{Request, RespOk};
+use crate::rpc::{MetaOp, Request, RespOk};
 
 /// Serve one request. Returns the response and the virtual time at which
 /// the requester may proceed (which, for reads, includes DMA the worker
@@ -28,27 +27,12 @@ pub(super) fn serve(
     req: &Request,
 ) -> (Result<RespOk, FsError>, Nanos) {
     let result = match req {
-        Request::Open {
-            path,
-            write,
-            create,
-            truncate,
-        } => {
-            ctx.on(|s| s.opens.incr());
-            let flags = OpenFlags {
-                read: true,
-                write: *write,
-                create: *create,
-                truncate: *truncate,
-            };
-            backing.open(clock, path, flags).map(|o| RespOk::Opened {
-                fd: o.fd,
-                ino: o.ino,
-                size: o.size,
-                generation: o.generation,
-            })
+        Request::Meta(op) => {
+            if let MetaOp::Open { .. } = op {
+                ctx.on(|s| s.opens.incr());
+            }
+            backing.meta(clock, op).map(RespOk::Meta)
         }
-        Request::Close { fd } => backing.close(clock, *fd).map(|()| RespOk::Done),
         Request::ReadPages { fd, pages, gpu } => {
             match pipeline::read_pages(backing, &gpus[*gpu], ctx, clock, *fd, pages) {
                 Ok((read, landed)) => return (Ok(read), landed),
@@ -58,17 +42,6 @@ pub(super) fn serve(
         Request::WritePages { fd, pages, gpu } => {
             pipeline::write_pages(backing, &gpus[*gpu], ctx, clock, *fd, pages)
         }
-        Request::Fsync { fd } => backing.fsync(clock, *fd).map(|()| RespOk::Done),
-        Request::Unlink { path } => backing.unlink(clock, path).map(|()| RespOk::Done),
-        Request::Truncate { fd, size } => {
-            backing.truncate(clock, *fd, *size).map(|()| RespOk::Done)
-        }
-        Request::Stat { path } => backing.stat(clock, path).map(|m| RespOk::Stat {
-            ino: m.ino,
-            size: m.size,
-            writable: m.writable,
-            generation: m.generation,
-        }),
     };
     (result, clock.now())
 }
@@ -76,7 +49,7 @@ pub(super) fn serve(
 #[cfg(test)]
 mod tests {
     use super::super::testutil::{call, host};
-    use crate::rpc::{PageRead, PageWrite, Request, RespOk};
+    use crate::rpc::{MetaOk, MetaOp, PageRead, PageWrite, Request, RespOk};
     use hostfs::FsError;
 
     #[test]
@@ -85,15 +58,15 @@ mod tests {
         h.fs().create("/f", b"hello world").unwrap();
         let (ok, t_open) = call(
             &h,
-            Request::Open {
+            Request::Meta(MetaOp::Open {
                 path: "/f".into(),
                 write: false,
                 create: false,
                 truncate: false,
-            },
+            }),
         )
         .unwrap();
-        let RespOk::Opened { fd, size, .. } = ok else {
+        let RespOk::Meta(MetaOk::Opened { fd, size, .. }) = ok else {
             panic!("expected Opened")
         };
         assert_eq!(size, 11);
@@ -122,8 +95,8 @@ mod tests {
         h.gpus()[0].global().read(dst, &mut out);
         assert_eq!(&out, b"hello world");
 
-        let (ok, _) = call(&h, Request::Close { fd }).unwrap();
-        assert!(matches!(ok, RespOk::Done));
+        let (ok, _) = call(&h, Request::Meta(MetaOp::Close { fd })).unwrap();
+        assert!(matches!(ok, RespOk::Meta(MetaOk::Done)));
     }
 
     #[test]
@@ -132,15 +105,15 @@ mod tests {
         h.fs().create("/f", &[0xaau8; 64]).unwrap();
         let (ok, _) = call(
             &h,
-            Request::Open {
+            Request::Meta(MetaOp::Open {
                 path: "/f".into(),
                 write: true,
                 create: false,
                 truncate: false,
-            },
+            }),
         )
         .unwrap();
-        let RespOk::Opened { fd, .. } = ok else {
+        let RespOk::Meta(MetaOk::Opened { fd, .. }) = ok else {
             panic!()
         };
         let src = h.gpus()[0].global().alloc(64).unwrap();
@@ -184,12 +157,12 @@ mod tests {
         let h = host();
         let err = call(
             &h,
-            Request::Open {
+            Request::Meta(MetaOp::Open {
                 path: "/missing".into(),
                 write: false,
                 create: false,
                 truncate: false,
-            },
+            }),
         );
         assert!(matches!(
             err,
@@ -201,12 +174,12 @@ mod tests {
     fn stat_and_unlink() {
         let h = host();
         h.fs().create("/s", &[1u8; 100]).unwrap();
-        let (ok, _) = call(&h, Request::Stat { path: "/s".into() }).unwrap();
-        let RespOk::Stat { size, .. } = ok else {
+        let (ok, _) = call(&h, Request::Meta(MetaOp::Stat { path: "/s".into() })).unwrap();
+        let RespOk::Meta(MetaOk::Stat { size, .. }) = ok else {
             panic!()
         };
         assert_eq!(size, 100);
-        call(&h, Request::Unlink { path: "/s".into() }).unwrap();
+        call(&h, Request::Meta(MetaOp::Unlink { path: "/s".into() })).unwrap();
         assert!(!h.fs().exists("/s"));
     }
 }

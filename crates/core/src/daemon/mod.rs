@@ -5,8 +5,9 @@
 //! initiating DMA transfers directly to or from GPU buffer-cache pages.
 //! Here the daemon's work for a request runs on the calling threadblock's
 //! own thread (`RpcHub::call` in [`crate::rpc`]), and its workers exist
-//! only as a virtual-time pool and as turns callers take in arrival
-//! order. The module splits along the daemon's concerns:
+//! only as a virtual-time pool and as turns at the hub: a freed turn goes
+//! to the waiting caller whose request was issued earliest in virtual
+//! time. The module splits along the daemon's concerns:
 //!
 //! * **`mod.rs` (this file)** — [`GpufsHost`] lifecycle, the entry of the
 //!   serve path (`Daemon::serve`), and [`DaemonStats`].
@@ -14,9 +15,9 @@
 //!   served against, and its implementation on [`HostFs`]. A proxy-backed
 //!   host serves against the [`HostProxy`]'s implementation instead
 //!   (`remote/client.rs`); nothing above the seam can tell which.
-//! * **[`handlers`]** — the one dispatch match every request enters, and
-//!   the metadata operations (open/close/fsync/unlink/truncate/stat),
-//!   each one `Backing` call.
+//! * **[`handlers`]** — the one dispatch match every request enters: a
+//!   metadata operation ([`crate::rpc::MetaOp`]) is one `Backing::meta`
+//!   call.
 //! * **[`pipeline`]** — the staged, chunked I/O engine behind the two
 //!   bulk-data requests, the only one in the tree. A batched `ReadPages`
 //!   is streamed in chunks of [`crate::GpufsConfig::io_chunk_pages`]: the
@@ -687,7 +688,7 @@ mod tests {
     use super::testutil::{call, pool};
     use super::*;
     use crate::error::{GpufsError, GpufsResult};
-    use crate::rpc::{Request, RespOk};
+    use crate::rpc::{MetaOk, MetaOp, Request, RespOk};
     use gpusim::GpuSpec;
     use hostfs::HostFsConfig;
     use simtime::Timings;
@@ -697,7 +698,7 @@ mod tests {
         let mut h = testutil::host();
         h.shutdown();
         h.shutdown();
-        let err = call(&h, Request::Stat { path: "/".into() });
+        let err = call(&h, Request::Meta(MetaOp::Stat { path: "/".into() }));
         assert!(matches!(err, Err(crate::error::GpufsError::DaemonStopped)));
 
         // Shut a multi-worker daemon down while requests are in flight
@@ -719,11 +720,11 @@ mod tests {
                                 0,
                                 0,
                                 &t,
-                                Request::Stat {
+                                Request::Meta(MetaOp::Stat {
                                     path: "/inflight".into(),
-                                },
+                                }),
                             ) {
-                                Ok((RespOk::Stat { size, .. }, _)) => {
+                                Ok((RespOk::Meta(MetaOk::Stat { size, .. }), _)) => {
                                     assert_eq!(size, 64);
                                     oks += 1;
                                 }
@@ -748,7 +749,7 @@ mod tests {
         let rejected: u32 = outcomes.iter().map(|(_, r)| r).sum();
         assert_eq!(served + rejected, 8 * 50, "every call resolved");
         assert!(matches!(
-            call(&h, Request::Stat { path: "/".into() }),
+            call(&h, Request::Meta(MetaOp::Stat { path: "/".into() })),
             Err(crate::error::GpufsError::DaemonStopped)
         ));
     }
@@ -769,15 +770,15 @@ mod tests {
                     0,
                     0,
                     &t,
-                    Request::Open {
+                    Request::Meta(MetaOp::Open {
                         path: "/attr".into(),
                         write,
                         create: false,
                         truncate: false,
-                    },
+                    }),
                 )
                 .unwrap();
-            let RespOk::Opened { fd, .. } = ok else {
+            let RespOk::Meta(MetaOk::Opened { fd, .. }) = ok else {
                 panic!()
             };
             fd
@@ -845,15 +846,15 @@ mod tests {
                 0,
                 0,
                 &t,
-                Request::Open {
+                Request::Meta(MetaOp::Open {
                     path: "/shared".into(),
                     write: false,
                     create: false,
                     truncate: false,
-                },
+                }),
             )
             .unwrap();
-        let RespOk::Opened { fd, .. } = ok else {
+        let RespOk::Meta(MetaOk::Opened { fd, .. }) = ok else {
             panic!()
         };
         // Tenant 0 reads three pages, tenant 1 reads one: the call's
@@ -920,7 +921,7 @@ mod tests {
         // A config naming a different worker count would be a silent
         // no-op (the daemon already exists): mount must reject it.
         let err = h.mount(0, GpufsConfig::small_test());
-        assert!(matches!(err, Err(crate::error::GpufsError::InvalidMode(_))));
+        assert!(matches!(err, Err(GpufsError::InvalidConfig(_))));
         let ok = h.mount(0, GpufsConfig::small_test().with_concurrency(4, 3));
         assert!(ok.is_ok(), "the channel count is no daemon state");
         // The I/O-engine chunk size is host-side state too: a config
@@ -931,7 +932,7 @@ mod tests {
                 .with_concurrency(4, 3)
                 .with_io_chunk(0),
         );
-        assert!(matches!(err, Err(crate::error::GpufsError::InvalidMode(_))));
+        assert!(matches!(err, Err(GpufsError::InvalidConfig(_))));
         // And the config path agrees with itself end to end.
         let fs = Arc::new(HostFs::new(hostfs::HostFsConfig::default()));
         let gpu = Arc::new(Gpu::new(0, gpusim::GpuSpec::small_test()));
@@ -954,7 +955,7 @@ mod tests {
 
     /// Whether `r` is a refusal whose message contains `why`.
     fn refused(r: GpufsResult<()>, why: &str) -> bool {
-        matches!(r, Err(GpufsError::InvalidMode(msg)) if msg.contains(why))
+        matches!(r, Err(GpufsError::InvalidConfig(msg)) if msg.contains(why))
     }
 
     #[test]
@@ -1017,15 +1018,15 @@ mod tests {
             .unwrap();
         let (ok, _) = call(
             &h,
-            Request::Open {
+            Request::Meta(MetaOp::Open {
                 path: "/pool".into(),
                 write: false,
                 create: false,
                 truncate: false,
-            },
+            }),
         )
         .unwrap();
-        let RespOk::Opened { fd, .. } = ok else {
+        let RespOk::Meta(MetaOk::Opened { fd, .. }) = ok else {
             panic!()
         };
         std::thread::scope(|s| {
@@ -1084,14 +1085,14 @@ mod tests {
         let _ = fs.read_whole("/data", 0).unwrap();
         fs.reset_device_time();
         let t = Timings::default();
-        let (RespOk::Opened { fd, .. }, _) = call(
+        let (RespOk::Meta(MetaOk::Opened { fd, .. }), _) = call(
             &h,
-            Request::Open {
+            Request::Meta(MetaOp::Open {
                 path: "/data".into(),
                 write: false,
                 create: false,
                 truncate: false,
-            },
+            }),
         )
         .unwrap() else {
             panic!("open answers Opened")

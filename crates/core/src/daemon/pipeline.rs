@@ -193,11 +193,10 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    use super::super::backing::{FileStat, Opened};
     use super::super::testutil::{call, host, host_chunked, host_chunked_proxied};
     use super::super::{DaemonStats, Engine, GpufsHost};
     use super::*;
-    use crate::rpc::{PageRead, PageWrite, Request, RespOk};
+    use crate::rpc::{MetaOk, MetaOp, PageRead, PageWrite, Request, RespOk};
     use hostfs::{HostFs, HostFsConfig, OpenFlags};
     use simtime::WorkerPool;
     use simtime::{Nanos, Timings};
@@ -205,15 +204,15 @@ mod tests {
     fn open(h: &GpufsHost, path: &str, write: bool) -> hostfs::HostFd {
         let (ok, _) = call(
             h,
-            Request::Open {
+            Request::Meta(MetaOp::Open {
                 path: path.into(),
                 write,
                 create: false,
                 truncate: false,
-            },
+            }),
         )
         .unwrap();
-        let RespOk::Opened { fd, .. } = ok else {
+        let RespOk::Meta(MetaOk::Opened { fd, .. }) = ok else {
             panic!("expected Opened")
         };
         fd
@@ -636,8 +635,10 @@ mod tests {
             let (data, _) = h.fs().read_whole("/ro", 0).unwrap();
             assert!(data.iter().all(|&b| b == 0), "no byte reached the file");
             // The daemon is still healthy.
-            let (ok, _) = call(&h, Request::Stat { path: "/ro".into() }).unwrap();
-            assert!(matches!(ok, RespOk::Stat { size, .. } if size == 4 * page as u64));
+            let (ok, _) = call(&h, Request::Meta(MetaOp::Stat { path: "/ro".into() })).unwrap();
+            assert!(
+                matches!(ok, RespOk::Meta(MetaOk::Stat { size, .. }) if size == 4 * page as u64)
+            );
         }
     }
 
@@ -649,7 +650,7 @@ mod tests {
         for h in [host_chunked(2), host_chunked_proxied(2)] {
             h.fs().create("/clean", &[1u8; 4096]).unwrap();
             let fd = open(&h, "/clean", true);
-            call(&h, Request::Close { fd }).unwrap();
+            call(&h, Request::Meta(MetaOp::Close { fd })).unwrap();
             let pages = vec![PageWrite {
                 src: h.gpus()[0].global().alloc(4096).unwrap(),
                 page_offset: 0,
@@ -900,23 +901,8 @@ mod tests {
     }
 
     impl Backing for FailingReads {
-        fn open(&self, clock: &mut Clock, path: &str, flags: OpenFlags) -> Result<Opened, FsError> {
-            Backing::open(&self.fs, clock, path, flags)
-        }
-        fn close(&self, clock: &mut Clock, fd: HostFd) -> Result<(), FsError> {
-            Backing::close(&self.fs, clock, fd)
-        }
-        fn fsync(&self, clock: &mut Clock, fd: HostFd) -> Result<(), FsError> {
-            Backing::fsync(&self.fs, clock, fd)
-        }
-        fn unlink(&self, clock: &mut Clock, path: &str) -> Result<(), FsError> {
-            Backing::unlink(&self.fs, clock, path)
-        }
-        fn truncate(&self, clock: &mut Clock, fd: HostFd, size: u64) -> Result<(), FsError> {
-            Backing::truncate(&self.fs, clock, fd, size)
-        }
-        fn stat(&self, clock: &mut Clock, path: &str) -> Result<FileStat, FsError> {
-            Backing::stat(&self.fs, clock, path)
+        fn meta(&self, clock: &mut Clock, op: &MetaOp) -> Result<MetaOk, FsError> {
+            self.fs.meta(clock, op)
         }
         fn read_chunk(
             &self,

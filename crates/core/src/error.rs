@@ -33,6 +33,10 @@ pub enum GpufsError {
     /// Operation not permitted for the file's open mode (e.g. `gmsync` on
     /// an `O_NOSYNC` temporary file).
     InvalidMode(&'static str),
+    /// A configuration was refused: a mount's [`crate::GpufsConfig`]
+    /// broke one of its rules, or a fleet builder was asked for a fleet
+    /// it cannot build. The text names the rule.
+    InvalidConfig(&'static str),
 }
 
 impl fmt::Display for GpufsError {
@@ -52,6 +56,7 @@ impl fmt::Display for GpufsError {
             GpufsError::EmptyMapping => write!(f, "gmmap of zero bytes"),
             GpufsError::DaemonStopped => write!(f, "gpufs host daemon is not running"),
             GpufsError::InvalidMode(what) => write!(f, "operation invalid for open mode: {what}"),
+            GpufsError::InvalidConfig(why) => write!(f, "configuration refused: {why}"),
         }
     }
 }
@@ -99,5 +104,9 @@ mod tests {
             .to_string()
             .contains('3'));
         assert!(GpufsError::ReadOnly("/f".into()).to_string().contains("/f"));
+        assert_eq!(
+            GpufsError::InvalidConfig("page size must be a power of two").to_string(),
+            "configuration refused: page size must be a power of two"
+        );
     }
 }

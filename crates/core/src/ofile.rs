@@ -15,7 +15,7 @@ use crate::api::GFd;
 use crate::config::GOpenMode;
 use crate::error::{GpufsError, GpufsResult};
 use crate::mount::GpuFsMount;
-use crate::rpc::{Request, RespOk};
+use crate::rpc::{MetaOk, MetaOp, Request, RespOk};
 use crate::table::GFile;
 
 impl GpuFsMount {
@@ -99,19 +99,19 @@ impl GpuFsMount {
         // reopen would destroy ranges other GPUs already synced.
         let resp = self.rpc(
             blk,
-            Request::Open {
+            Request::Meta(MetaOp::Open {
                 path: path.to_owned(),
                 write: mode.writable(),
                 create,
                 truncate: false,
-            },
+            }),
         )?;
-        let RespOk::Opened {
+        let RespOk::Meta(MetaOk::Opened {
             fd: host_fd,
             ino,
             size,
             generation,
-        } = resp
+        }) = resp
         else {
             unreachable!("open must answer Opened");
         };
@@ -123,7 +123,7 @@ impl GpuFsMount {
                 // Re-register with the consistency layer — this path also
                 // repairs a cache whose registration was dropped (e.g. by
                 // drained-closed-file reclaim) while its pages survived.
-                let _ = self.rpc(blk, Request::Close { fd: host_fd })?;
+                let _ = self.rpc(blk, Request::Meta(MetaOp::Close { fd: host_fd }))?;
                 parked.revive();
                 self.tables.insert_open(Arc::clone(&parked));
                 self.host_fs
@@ -139,9 +139,9 @@ impl GpuFsMount {
             self.retire_file_cache(blk.block_id(), &parked);
             let _ = self.rpc(
                 blk,
-                Request::Close {
+                Request::Meta(MetaOp::Close {
                     fd: parked.host_fd(),
-                },
+                }),
             )?;
         }
 
@@ -197,7 +197,7 @@ impl GpuFsMount {
         }
         if file.mode() == GOpenMode::Temp {
             self.retire_file_cache(blk.block_id(), &file);
-            let _ = self.rpc(blk, Request::Close { fd: file.host_fd() })?;
+            let _ = self.rpc(blk, Request::Meta(MetaOp::Close { fd: file.host_fd() }))?;
             return Ok(());
         }
         if self.config.sync_on_close {
@@ -209,7 +209,7 @@ impl GpuFsMount {
             // No-closed-table ablation: the cache dies with the open.
             self.flush_dirty(blk, &file)?;
             self.retire_file_cache(blk.block_id(), &file);
-            let _ = self.rpc(blk, Request::Close { fd: file.host_fd() })?;
+            let _ = self.rpc(blk, Request::Meta(MetaOp::Close { fd: file.host_fd() }))?;
             return Ok(());
         }
         // Nothing else of the inode is parked: every park runs under the

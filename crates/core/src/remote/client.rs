@@ -18,7 +18,8 @@
 //! A response is the peer's: one of the wrong shape, a `Read` with the
 //! wrong number of pages or a page longer than was asked for, a `Wrote`
 //! that claims more bytes than were sent — each fails the one RPC with
-//! [`FsError::Protocol`] before anything is cached, counted or DMA'd.
+//! [`FsError::Protocol`] before anything is cached, counted or DMA'd, and
+//! before the descriptor table learns from it.
 //!
 //! Under [`simtime::Timings::without_net`] with the host cache disabled,
 //! every wire round-trip collapses to the server's own service time at
@@ -26,13 +27,14 @@
 //! virtual times bit for bit, worker-bound schedules included (asserted
 //! by the transcript-equality tests below).
 
-use hostfs::{FsError, HostFd, OpenFlags};
+use hostfs::{FsError, HostFd};
 use simtime::{bw_time_ns, Clock};
 
 use super::proto::{WireRequest, WireResponse};
-use super::proxy::HostProxy;
-use crate::daemon::backing::{Backing, FileStat, Opened};
+use super::proxy::{FdState, HostProxy};
+use crate::daemon::backing::Backing;
 use crate::daemon::ServeCtx;
+use crate::rpc::{MetaOk, MetaOp};
 
 /// The storage server answered a request with a response of the wrong
 /// shape. The response is peer-controlled, so this fails the one RPC with
@@ -40,91 +42,48 @@ use crate::daemon::ServeCtx;
 /// than taking the daemon worker down.
 fn unanswerable(what: &str, got: &WireResponse) -> FsError {
     let kind = match got {
-        WireResponse::Opened { .. } => "Opened",
+        WireResponse::Meta(MetaOk::Opened { .. }) => "Opened",
+        WireResponse::Meta(MetaOk::Stat { .. }) => "Stat",
+        WireResponse::Meta(MetaOk::Done) => "Done",
         WireResponse::Read { .. } => "Read",
         WireResponse::Wrote { .. } => "Wrote",
-        WireResponse::Stat { .. } => "Stat",
-        WireResponse::Done => "Done",
         WireResponse::Err(_) => "Err",
     };
     FsError::Protocol(format!("storage server answered {what} with {kind}"))
 }
 
-/// The only success shape of close, fsync, unlink and truncate.
-fn done(resp: WireResponse) -> Result<(), FsError> {
-    match resp {
-        WireResponse::Done => Ok(()),
-        other => Err(unanswerable("a Done-shaped request", &other)),
-    }
-}
-
 impl Backing for HostProxy {
-    fn open(&self, clock: &mut Clock, path: &str, flags: OpenFlags) -> Result<Opened, FsError> {
-        let req = WireRequest::Open {
-            path: path.to_owned(),
-            write: flags.write,
-            create: flags.create,
-            truncate: flags.truncate,
+    /// One frame. The descriptor table learns from the answer only once
+    /// its shape fits the op.
+    fn meta(&self, clock: &mut Clock, op: &MetaOp) -> Result<MetaOk, FsError> {
+        let ok = match self.call(clock, &WireRequest::Meta(op.clone()))? {
+            WireResponse::Meta(ok) if op.fits(&ok) => ok,
+            other => return Err(unanswerable(op.names()[0], &other)),
         };
-        match self.call(clock, &req)? {
-            WireResponse::Opened {
-                fd,
-                ino,
-                size,
-                generation,
-            } => Ok(Opened {
-                fd,
-                ino,
-                size,
-                generation,
-            }),
-            other => Err(unanswerable("Open", &other)),
+        if let MetaOk::Opened {
+            fd,
+            ino,
+            generation,
+            ..
+        } = ok
+        {
+            self.fds.lock().insert(fd, FdState { ino, generation });
         }
-    }
-
-    fn close(&self, clock: &mut Clock, fd: HostFd) -> Result<(), FsError> {
-        self.call(clock, &WireRequest::Close { fd }).and_then(done)
-    }
-
-    fn fsync(&self, clock: &mut Clock, fd: HostFd) -> Result<(), FsError> {
-        self.call(clock, &WireRequest::Fsync { fd }).and_then(done)
-    }
-
-    fn unlink(&self, clock: &mut Clock, path: &str) -> Result<(), FsError> {
-        let path = path.to_owned();
-        self.call(clock, &WireRequest::Unlink { path })
-            .and_then(done)
-    }
-
-    fn truncate(&self, clock: &mut Clock, fd: HostFd, size: u64) -> Result<(), FsError> {
-        let st = self.fd_state(fd);
-        self.call(clock, &WireRequest::Truncate { fd, size })
-            .and_then(done)?;
-        // Like write-back: this host must read its own truncation, so
-        // drop every cached page past the new end of file. (Bytes below
-        // `size` are untouched by a truncate and stay valid.)
-        if let Some(st) = st {
-            self.cache().invalidate_overlapping(st.ino, size, u64::MAX);
+        match *op {
+            MetaOp::Close { fd } => {
+                self.fds.lock().remove(&fd);
+            }
+            // Like write-back: this host must read its own truncation, so
+            // drop every cached page past the new end of file. (Bytes below
+            // `size` are untouched by a truncate and stay valid.)
+            MetaOp::Truncate { fd, size } => {
+                if let Some(st) = self.fd_state(fd) {
+                    self.cache().invalidate_overlapping(st.ino, size, u64::MAX);
+                }
+            }
+            _ => {}
         }
-        Ok(())
-    }
-
-    fn stat(&self, clock: &mut Clock, path: &str) -> Result<FileStat, FsError> {
-        let path = path.to_owned();
-        match self.call(clock, &WireRequest::Stat { path })? {
-            WireResponse::Stat {
-                ino,
-                size,
-                writable,
-                generation,
-            } => Ok(FileStat {
-                ino,
-                size,
-                writable,
-                generation,
-            }),
-            other => Err(unanswerable("Stat", &other)),
-        }
+        Ok(ok)
     }
 
     /// Host-cache hits cost a local DRAM copy; the misses ride one wire
@@ -220,6 +179,9 @@ impl Backing for HostProxy {
             }
             other => return Err(unanswerable("WritePages", &other)),
         };
+        if let Some(st) = self.fds.lock().get_mut(&fd) {
+            st.generation = generation;
+        }
         if let Some(w) = worker {
             w.file_io(clock, issued, ranges.iter().map(|(a, b)| (b - a) as usize));
         }
@@ -248,7 +210,7 @@ mod tests {
     use crate::config::GpufsConfig;
     use crate::daemon::GpufsHost;
     use crate::remote::{HostProxy, StorageServer};
-    use crate::rpc::{PageRead, PageWrite, Request, RespOk};
+    use crate::rpc::{MetaOk, MetaOp, PageRead, PageWrite, Request, RespOk};
 
     const PAGE: usize = 4096;
 
@@ -292,15 +254,15 @@ mod tests {
                 0,
                 0,
                 &Timings::default(),
-                Request::Open {
+                Request::Meta(MetaOp::Open {
                     path: path.into(),
                     write,
                     create: false,
                     truncate: false,
-                },
+                }),
             )
             .unwrap();
-        let RespOk::Opened { fd, .. } = ok else {
+        let RespOk::Meta(MetaOk::Opened { fd, .. }) = ok else {
             panic!("expected Opened, got {ok:?}")
         };
         fd
@@ -356,38 +318,38 @@ mod tests {
                 gpu: 0,
             },
         ));
-        out.push(call(h, Request::Fsync { fd: wfd }));
+        out.push(call(h, Request::Meta(MetaOp::Fsync { fd: wfd })));
         out.push(call(
             h,
-            Request::Stat {
+            Request::Meta(MetaOp::Stat {
                 path: "/data".into(),
-            },
+            }),
         ));
         out.push(call(
             h,
-            Request::Truncate {
+            Request::Meta(MetaOp::Truncate {
                 fd: wfd,
                 size: PAGE as u64 * 3,
-            },
+            }),
         ));
         // Reread after the truncate: pages now past EOF move no bytes.
         out.push(call(h, read_req(fd, &dsts, 0)));
-        out.push(call(h, Request::Close { fd: wfd }));
-        out.push(call(h, Request::Close { fd }));
+        out.push(call(h, Request::Meta(MetaOp::Close { fd: wfd })));
+        out.push(call(h, Request::Meta(MetaOp::Close { fd })));
         out.push(call(
             h,
-            Request::Unlink {
+            Request::Meta(MetaOp::Unlink {
                 path: "/nope".into(),
-            },
+            }),
         ));
         out.push(call(
             h,
-            Request::Open {
+            Request::Meta(MetaOp::Open {
                 path: "/missing".into(),
                 write: false,
                 create: false,
                 truncate: false,
-            },
+            }),
         ));
         for &dst in &dsts {
             let mut buf = vec![0u8; PAGE];
@@ -453,15 +415,15 @@ mod tests {
         let dsts: Vec<DevPtr> = (0..2)
             .map(|_| h.gpus()[0].global().alloc(PAGE).unwrap())
             .collect();
-        let stat = Request::Stat {
+        let stat = Request::Meta(MetaOp::Stat {
             path: "/data".into(),
-        };
-        let open_req = Request::Open {
+        });
+        let open_req = Request::Meta(MetaOp::Open {
             path: "/data".into(),
             write: false,
             create: false,
             truncate: false,
-        };
+        });
         let write_req = Request::WritePages {
             fd,
             pages: vec![PageWrite {
@@ -475,10 +437,33 @@ mod tests {
         let read = |lens: &[usize]| WireResponse::Read {
             pages: lens.iter().map(|&len| vec![0x5a; len]).collect(),
         };
+        let opened = WireResponse::Meta(MetaOk::Opened {
+            fd: 77,
+            ino: 1,
+            size: 0,
+            generation: 0,
+        });
+        let stat_ok = WireResponse::Meta(MetaOk::Stat {
+            ino: 1,
+            size: 0,
+            writable: true,
+            generation: 0,
+        });
+        let meta = |op| Request::Meta(op);
         for (req, wrong) in [
-            (open_req, WireResponse::Done),
-            (stat.clone(), WireResponse::Done),
-            (Request::Fsync { fd }, wrote(1)),
+            // Each metadata op, answered in another op's shape.
+            (open_req, WireResponse::Meta(MetaOk::Done)),
+            (stat.clone(), WireResponse::Meta(MetaOk::Done)),
+            (meta(MetaOp::Fsync { fd }), wrote(1)),
+            (meta(MetaOp::Close { fd: 404 }), opened.clone()),
+            (meta(MetaOp::Unlink { path: "/no".into() }), stat_ok),
+            (
+                meta(MetaOp::Truncate {
+                    fd,
+                    size: 2 * PAGE as u64,
+                }),
+                opened,
+            ),
             (read_req(fd, &dsts[..1], 0), wrote(1)),
             (write_req.clone(), read(&[])),
             // Well-shaped, wrong content: a page short of the two asked
@@ -503,10 +488,92 @@ mod tests {
             );
             // Same worker pool, next request: served normally.
             let ok = h.hub().call(0, 0, 0, &Timings::default(), stat.clone());
-            assert!(matches!(ok, Ok((RespOk::Stat { .. }, _))), "got {ok:?}");
+            assert!(
+                matches!(ok, Ok((RespOk::Meta(MetaOk::Stat { .. }), _))),
+                "got {ok:?}"
+            );
         }
-        assert_eq!(h.proxy().expect("proxied host").cache().len(), 0);
+        let proxy = h.proxy().expect("proxied host");
+        assert_eq!(proxy.cache().len(), 0);
+        assert!(
+            proxy.fd_state(77).is_none(),
+            "a rejected Opened opens nothing"
+        );
         h.shutdown();
+    }
+
+    /// A misanswer teaches the descriptor table nothing. An `Opened` that
+    /// answers a `Stat` is rejected, and `/a`'s descriptor still reads
+    /// `/a`, not the inode the rogue answer named, whose page the host
+    /// cache holds; a `Wrote` claiming more bytes than were sent leaves
+    /// the descriptor's generation where it was.
+    #[test]
+    fn a_rejected_answer_leaves_the_descriptor_table_alone() {
+        use crate::remote::proto::WireResponse;
+        use hostfs::FsError;
+
+        let h = proxied_host(2, 64);
+        h.fs().create("/a", &[0xaa; PAGE]).unwrap();
+        h.fs().create("/b", &[0xbb; PAGE]).unwrap();
+        let opened = |path: &str, write| {
+            let req = Request::Meta(MetaOp::Open {
+                path: path.into(),
+                write,
+                create: false,
+                truncate: false,
+            });
+            match h.hub().call(0, 0, 0, &Timings::default(), req) {
+                Ok((
+                    RespOk::Meta(MetaOk::Opened {
+                        fd,
+                        ino,
+                        generation,
+                        ..
+                    }),
+                    _,
+                )) => (fd, ino, generation),
+                other => panic!("expected Opened, got {other:?}"),
+            }
+        };
+        let (fd_a, ino_a, gen_a) = opened("/a", true);
+        let (fd_b, ino_b, gen_b) = opened("/b", false);
+        let dst = [h.gpus()[0].global().alloc(PAGE).unwrap()];
+        call(&h, read_req(fd_b, &dst, 0));
+        let proxy = h.proxy().expect("proxied host");
+        proxy.misanswer_next(WireResponse::Meta(MetaOk::Opened {
+            fd: fd_a,
+            ino: ino_b,
+            size: PAGE as u64,
+            generation: gen_b,
+        }));
+        let stat = Request::Meta(MetaOp::Stat { path: "/a".into() });
+        let got = h.hub().call(0, 0, 0, &Timings::default(), stat);
+        let want = FsError::Protocol("storage server answered Stat with Opened".into());
+        assert!(
+            matches!(&got, Err(crate::error::GpufsError::Host(e)) if *e == want),
+            "got {got:?}"
+        );
+        assert_eq!(proxy.fd_state(fd_a).map(|st| st.ino), Some(ino_a));
+        call(&h, read_req(fd_a, &dst, 0));
+        let mut out = vec![0u8; PAGE];
+        h.gpus()[0].global().read(dst[0], &mut out);
+        assert_eq!(out, vec![0xaa; PAGE], "/a's descriptor reads /a");
+
+        proxy.misanswer_next(WireResponse::Wrote {
+            n: 65,
+            generation: gen_a + 100,
+        });
+        let write = Request::WritePages {
+            fd: fd_a,
+            pages: vec![PageWrite {
+                src: dst[0],
+                page_offset: 0,
+                extents: vec![(0, 64)],
+            }],
+            gpu: 0,
+        };
+        assert!(h.hub().call(0, 0, 0, &Timings::default(), write).is_err());
+        assert_eq!(proxy.fd_state(fd_a).map(|st| st.generation), Some(gen_a));
     }
 
     /// The tentpole's time-transparency claim, end to end through the
@@ -671,8 +738,8 @@ mod tests {
         // Close-to-open: the reopened descriptor sees the writer's
         // generation, so every surviving entry is invalidated lazily on
         // its next lookup — exactly four, none of them eagerly.
-        call(&h, Request::Close { fd: wfd });
-        call(&h, Request::Close { fd });
+        call(&h, Request::Meta(MetaOp::Close { fd: wfd }));
+        call(&h, Request::Meta(MetaOp::Close { fd }));
         let fd2 = open(&h, "/c", false);
         assert_eq!(proxy.cache().len(), 4, "reopen alone evicts nothing");
         call(&h, read_req(fd2, &dsts, 0));

@@ -1,12 +1,14 @@
 //! The hand-rolled wire format of the host↔storage-server boundary.
 //!
-//! The cross-host split serializes the daemon's existing request/response
-//! surface ([`crate::rpc::Request`] / [`crate::rpc::RespOk`]) into
-//! explicit length-prefixed frames — no serde, no derive magic, every
-//! byte written and checked by hand like the repo's shims. What travels
-//! is the *storage* half of each request: page reads carry `(offset,
-//! len)` descriptors (the GPU frame addresses stay host-side, DMA is the
-//! proxy's job), page writes carry the gathered dirty-extent bytes.
+//! The cross-host split serializes the daemon's request/response surface
+//! ([`crate::rpc::Request`] / [`crate::rpc::RespOk`]) into explicit
+//! length-prefixed frames — no serde, no derive magic, every byte written
+//! and checked by hand like the repo's shims. What travels is the
+//! *storage* half of each request: a metadata operation goes as the hub
+//! carries it (a [`MetaOp`] out, a [`MetaOk`] back, one frame kind per op
+//! and per answer shape), page reads carry `(offset, len)` descriptors
+//! (the GPU frame addresses stay host-side, DMA is the proxy's job), and
+//! page writes carry the gathered dirty-extent bytes.
 //!
 //! ## Frame layout (version 2)
 //!
@@ -28,8 +30,10 @@
 //! and out-of-spec flag bits all come back as a [`ProtoError`]. A server
 //! fed garbage answers with an error, it does not fall over.
 
-use hostfs::{FsError, HostFd, Ino};
+use hostfs::{FsError, HostFd};
 use obs::TraceCtx;
+
+use crate::rpc::{MetaOk, MetaOp};
 
 /// Frame magic: the first four bytes of every well-formed frame.
 pub const MAGIC: [u8; 4] = *b"GFSW";
@@ -82,22 +86,8 @@ impl std::error::Error for ProtoError {}
 /// or already resolved to bytes by the proxy's D2H gather (writes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireRequest {
-    /// Open (and possibly create) a file on the storage server.
-    Open {
-        /// Absolute path on the server's file system.
-        path: String,
-        /// Write access requested.
-        write: bool,
-        /// Create if missing.
-        create: bool,
-        /// Truncate on open.
-        truncate: bool,
-    },
-    /// Close a server-side descriptor.
-    Close {
-        /// Descriptor from a previous [`WireRequest::Open`].
-        fd: HostFd,
-    },
+    /// A metadata operation, as the hub carries it.
+    Meta(MetaOp),
     /// Read a batch of page extents: `(file offset, length)` pairs in
     /// ascending file order. One frame per pipeline chunk, so the
     /// server's file I/O of chunk *k+1* overlaps the proxy-side DMA of
@@ -117,45 +107,14 @@ pub enum WireRequest {
         /// Extents to write, as `(offset, bytes)`.
         extents: Vec<(u64, Vec<u8>)>,
     },
-    /// Flush the file to the server's stable storage.
-    Fsync {
-        /// Server-side descriptor.
-        fd: HostFd,
-    },
-    /// Remove a file from the server's namespace.
-    Unlink {
-        /// Absolute path.
-        path: String,
-    },
-    /// Truncate the file.
-    Truncate {
-        /// Server-side descriptor.
-        fd: HostFd,
-        /// New size in bytes.
-        size: u64,
-    },
-    /// Query file metadata by path.
-    Stat {
-        /// Absolute path.
-        path: String,
-    },
 }
 
 /// A storage response on the wire — [`crate::rpc::RespOk`] with read
 /// payloads carried as bytes, plus the server-side error channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireResponse {
-    /// Result of [`WireRequest::Open`].
-    Opened {
-        /// Server-side descriptor.
-        fd: HostFd,
-        /// Inode on the server.
-        ino: Ino,
-        /// Size at open time.
-        size: u64,
-        /// Consistency generation at open time.
-        generation: u64,
-    },
+    /// The answer to a [`WireRequest::Meta`].
+    Meta(MetaOk),
     /// Bytes read per requested page, in request order (short at EOF,
     /// empty past it).
     Read {
@@ -169,19 +128,6 @@ pub enum WireResponse {
         /// Consistency generation after the writes.
         generation: u64,
     },
-    /// Metadata from [`WireRequest::Stat`].
-    Stat {
-        /// Inode number.
-        ino: Ino,
-        /// Size in bytes.
-        size: u64,
-        /// Whether the file is writable.
-        writable: bool,
-        /// Consistency generation.
-        generation: u64,
-    },
-    /// Operation with no payload completed.
-    Done,
     /// The server's file system rejected the request.
     Err(FsError),
 }
@@ -393,12 +339,12 @@ pub fn encode_request(req: &WireRequest) -> Vec<u8> {
 pub fn encode_request_ctx(req: &WireRequest, ctx: TraceCtx) -> Vec<u8> {
     let mut p = Vec::new();
     let kind = match req {
-        WireRequest::Open {
+        WireRequest::Meta(MetaOp::Open {
             path,
             write,
             create,
             truncate,
-        } => {
+        }) => {
             put_str(&mut p, path);
             let mut flags = 0u8;
             if *write {
@@ -413,7 +359,7 @@ pub fn encode_request_ctx(req: &WireRequest, ctx: TraceCtx) -> Vec<u8> {
             p.push(flags);
             REQ_OPEN
         }
-        WireRequest::Close { fd } => {
+        WireRequest::Meta(MetaOp::Close { fd }) => {
             put_u64(&mut p, *fd);
             REQ_CLOSE
         }
@@ -435,20 +381,20 @@ pub fn encode_request_ctx(req: &WireRequest, ctx: TraceCtx) -> Vec<u8> {
             }
             REQ_WRITE
         }
-        WireRequest::Fsync { fd } => {
+        WireRequest::Meta(MetaOp::Fsync { fd }) => {
             put_u64(&mut p, *fd);
             REQ_FSYNC
         }
-        WireRequest::Unlink { path } => {
+        WireRequest::Meta(MetaOp::Unlink { path }) => {
             put_str(&mut p, path);
             REQ_UNLINK
         }
-        WireRequest::Truncate { fd, size } => {
+        WireRequest::Meta(MetaOp::Truncate { fd, size }) => {
             put_u64(&mut p, *fd);
             put_u64(&mut p, *size);
             REQ_TRUNCATE
         }
-        WireRequest::Stat { path } => {
+        WireRequest::Meta(MetaOp::Stat { path }) => {
             put_str(&mut p, path);
             REQ_STAT
         }
@@ -484,14 +430,14 @@ pub fn decode_request_ctx(buf: &[u8]) -> Result<(WireRequest, TraceCtx), ProtoEr
             if flags & !(FLAG_WRITE | FLAG_CREATE | FLAG_TRUNCATE) != 0 {
                 return Err(ProtoError::Corrupt("unknown open flag bits"));
             }
-            WireRequest::Open {
+            WireRequest::Meta(MetaOp::Open {
                 path,
                 write: flags & FLAG_WRITE != 0,
                 create: flags & FLAG_CREATE != 0,
                 truncate: flags & FLAG_TRUNCATE != 0,
-            }
+            })
         }
-        REQ_CLOSE => WireRequest::Close { fd: r.u64()? },
+        REQ_CLOSE => WireRequest::Meta(MetaOp::Close { fd: r.u64()? }),
         REQ_READ => {
             let fd = r.u64()?;
             let n = r.u32()? as usize;
@@ -514,13 +460,13 @@ pub fn decode_request_ctx(buf: &[u8]) -> Result<(WireRequest, TraceCtx), ProtoEr
             }
             WireRequest::WritePages { fd, extents }
         }
-        REQ_FSYNC => WireRequest::Fsync { fd: r.u64()? },
-        REQ_UNLINK => WireRequest::Unlink { path: r.string()? },
-        REQ_TRUNCATE => WireRequest::Truncate {
+        REQ_FSYNC => WireRequest::Meta(MetaOp::Fsync { fd: r.u64()? }),
+        REQ_UNLINK => WireRequest::Meta(MetaOp::Unlink { path: r.string()? }),
+        REQ_TRUNCATE => WireRequest::Meta(MetaOp::Truncate {
             fd: r.u64()?,
             size: r.u64()?,
-        },
-        REQ_STAT => WireRequest::Stat { path: r.string()? },
+        }),
+        REQ_STAT => WireRequest::Meta(MetaOp::Stat { path: r.string()? }),
         _ => return Err(ProtoError::Corrupt("unknown request kind")),
     };
     r.finish()?;
@@ -532,12 +478,12 @@ pub fn decode_request_ctx(buf: &[u8]) -> Result<(WireRequest, TraceCtx), ProtoEr
 pub fn encode_response(resp: &WireResponse) -> Vec<u8> {
     let mut p = Vec::new();
     let kind = match resp {
-        WireResponse::Opened {
+        WireResponse::Meta(MetaOk::Opened {
             fd,
             ino,
             size,
             generation,
-        } => {
+        }) => {
             put_u64(&mut p, *fd);
             put_u64(&mut p, *ino);
             put_u64(&mut p, *size);
@@ -556,19 +502,19 @@ pub fn encode_response(resp: &WireResponse) -> Vec<u8> {
             put_u64(&mut p, *generation);
             RESP_WROTE
         }
-        WireResponse::Stat {
+        WireResponse::Meta(MetaOk::Stat {
             ino,
             size,
             writable,
             generation,
-        } => {
+        }) => {
             put_u64(&mut p, *ino);
             put_u64(&mut p, *size);
             p.push(u8::from(*writable));
             put_u64(&mut p, *generation);
             RESP_STAT
         }
-        WireResponse::Done => RESP_DONE,
+        WireResponse::Meta(MetaOk::Done) => RESP_DONE,
         WireResponse::Err(e) => {
             encode_fs_error(&mut p, e);
             RESP_ERR
@@ -589,12 +535,12 @@ pub fn decode_response(buf: &[u8]) -> Result<WireResponse, ProtoError> {
     let (kind, _ctx, payload) = open_frame(buf)?;
     let mut r = Reader::new(payload);
     let resp = match kind {
-        RESP_OPENED => WireResponse::Opened {
+        RESP_OPENED => WireResponse::Meta(MetaOk::Opened {
             fd: r.u64()?,
             ino: r.u64()?,
             size: r.u64()?,
             generation: r.u64()?,
-        },
+        }),
         RESP_READ => {
             let n = r.u32()? as usize;
             let mut pages = Vec::new();
@@ -615,14 +561,14 @@ pub fn decode_response(buf: &[u8]) -> Result<WireResponse, ProtoError> {
                 1 => true,
                 _ => return Err(ProtoError::Corrupt("writable is not a bool")),
             };
-            WireResponse::Stat {
+            WireResponse::Meta(MetaOk::Stat {
                 ino,
                 size,
                 writable,
                 generation: r.u64()?,
-            }
+            })
         }
-        RESP_DONE => WireResponse::Done,
+        RESP_DONE => WireResponse::Meta(MetaOk::Done),
         RESP_ERR => WireResponse::Err(decode_fs_error(&mut r)?),
         _ => return Err(ProtoError::Corrupt("unknown response kind")),
     };
@@ -697,19 +643,19 @@ mod tests {
 
     fn all_requests() -> Vec<WireRequest> {
         vec![
-            WireRequest::Open {
+            WireRequest::Meta(MetaOp::Open {
                 path: "/data/file.bin".into(),
                 write: true,
                 create: false,
                 truncate: true,
-            },
-            WireRequest::Open {
+            }),
+            WireRequest::Meta(MetaOp::Open {
                 path: String::new(),
                 write: false,
                 create: true,
                 truncate: false,
-            },
-            WireRequest::Close { fd: u64::MAX },
+            }),
+            WireRequest::Meta(MetaOp::Close { fd: u64::MAX }),
             WireRequest::ReadPages {
                 fd: 3,
                 pages: vec![(0, 65536), (65536, 65536), (1 << 40, 7)],
@@ -726,25 +672,25 @@ mod tests {
                 fd: 9,
                 extents: vec![],
             },
-            WireRequest::Fsync { fd: 1 },
-            WireRequest::Unlink {
+            WireRequest::Meta(MetaOp::Fsync { fd: 1 }),
+            WireRequest::Meta(MetaOp::Unlink {
                 path: "/gone".into(),
-            },
-            WireRequest::Truncate { fd: 4, size: 1234 },
-            WireRequest::Stat {
+            }),
+            WireRequest::Meta(MetaOp::Truncate { fd: 4, size: 1234 }),
+            WireRequest::Meta(MetaOp::Stat {
                 path: "/π/utf8 ✓".into(),
-            },
+            }),
         ]
     }
 
     fn all_responses() -> Vec<WireResponse> {
         vec![
-            WireResponse::Opened {
+            WireResponse::Meta(MetaOk::Opened {
                 fd: 7,
                 ino: 42,
                 size: u64::MAX,
                 generation: 3,
-            },
+            }),
             WireResponse::Read {
                 pages: vec![vec![0u8; 64 << 10], vec![], vec![9, 9]],
             },
@@ -753,13 +699,13 @@ mod tests {
                 n: 100,
                 generation: 8,
             },
-            WireResponse::Stat {
+            WireResponse::Meta(MetaOk::Stat {
                 ino: 1,
                 size: 2,
                 writable: true,
                 generation: 0,
-            },
-            WireResponse::Done,
+            }),
+            WireResponse::Meta(MetaOk::Done),
             WireResponse::Err(FsError::NotFound("/missing".into())),
             WireResponse::Err(FsError::AlreadyExists("/dup".into())),
             WireResponse::Err(FsError::IsADirectory("/d".into())),
@@ -810,16 +756,16 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_are_distinguished() {
-        let mut frame = encode_request(&WireRequest::Fsync { fd: 1 });
+        let mut frame = encode_request(&WireRequest::Meta(MetaOp::Fsync { fd: 1 }));
         frame[0] = b'X';
         assert_eq!(decode_request(&frame), Err(ProtoError::BadMagic));
-        let mut frame = encode_request(&WireRequest::Fsync { fd: 1 });
+        let mut frame = encode_request(&WireRequest::Meta(MetaOp::Fsync { fd: 1 }));
         frame[4] = 0xff;
         frame[5] = 0xff;
         assert_eq!(decode_request(&frame), Err(ProtoError::BadVersion(0xffff)));
         // Version 1 (an 11-byte header without the flags byte) is no
         // longer spoken either.
-        let mut frame = encode_request(&WireRequest::Fsync { fd: 1 });
+        let mut frame = encode_request(&WireRequest::Meta(MetaOp::Fsync { fd: 1 }));
         frame[4] = 1;
         frame[5] = 0;
         assert_eq!(decode_request(&frame), Err(ProtoError::BadVersion(1)));
@@ -827,25 +773,25 @@ mod tests {
 
     #[test]
     fn unknown_kinds_flags_and_tags_reject() {
-        let mut frame = encode_request(&WireRequest::Fsync { fd: 1 });
+        let mut frame = encode_request(&WireRequest::Meta(MetaOp::Fsync { fd: 1 }));
         frame[6] = 200;
         assert!(matches!(
             decode_request(&frame),
             Err(ProtoError::Corrupt(_))
         ));
-        let mut frame = encode_response(&WireResponse::Done);
+        let mut frame = encode_response(&WireResponse::Meta(MetaOk::Done));
         frame[6] = 200;
         assert!(matches!(
             decode_response(&frame),
             Err(ProtoError::Corrupt(_))
         ));
         // Out-of-spec open flag bits (last payload byte).
-        let mut frame = encode_request(&WireRequest::Open {
+        let mut frame = encode_request(&WireRequest::Meta(MetaOp::Open {
             path: "/f".into(),
             write: false,
             create: false,
             truncate: false,
-        });
+        }));
         let last = frame.len() - 1;
         frame[last] = 0x80;
         assert!(matches!(
@@ -863,7 +809,7 @@ mod tests {
 
     #[test]
     fn trailing_and_oversized_frames_reject() {
-        let mut frame = encode_request(&WireRequest::Close { fd: 1 });
+        let mut frame = encode_request(&WireRequest::Meta(MetaOp::Close { fd: 1 }));
         frame.push(0);
         assert!(matches!(
             decode_request(&frame),
@@ -871,11 +817,11 @@ mod tests {
         ));
         // Declared payload length longer than the buffer (offset 8 is
         // the low byte of the v2 length field).
-        let mut frame = encode_request(&WireRequest::Close { fd: 1 });
+        let mut frame = encode_request(&WireRequest::Meta(MetaOp::Close { fd: 1 }));
         frame[8] = 0xff;
         assert_eq!(decode_request(&frame), Err(ProtoError::Truncated));
         // Out-of-spec frame flag bits reject.
-        let mut frame = encode_request(&WireRequest::Close { fd: 1 });
+        let mut frame = encode_request(&WireRequest::Meta(MetaOp::Close { fd: 1 }));
         frame[7] = 0x80;
         assert_eq!(
             decode_request(&frame),
@@ -885,7 +831,7 @@ mod tests {
 
     #[test]
     fn non_utf8_paths_reject() {
-        let mut frame = encode_request(&WireRequest::Unlink { path: "/ab".into() });
+        let mut frame = encode_request(&WireRequest::Meta(MetaOp::Unlink { path: "/ab".into() }));
         // Payload: u32 len 3, then "/ab" — stomp a continuation byte.
         frame[HEADER_LEN + 4 + 1] = 0xff;
         assert_eq!(
@@ -923,6 +869,113 @@ mod tests {
         assert_eq!(decode_request_ctx(&bare), Ok((req, TraceCtx::NONE)));
     }
 
+    /// Lower-case hex of `bytes`, for comparing frames to the golden
+    /// strings below (whose spaces only separate fields).
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact version-2 frame of every request and response kind:
+    /// header (magic, version, kind, flags, payload length), then the
+    /// payload. The link model charges these lengths, so a change here
+    /// moves every remote virtual time.
+    #[test]
+    fn golden_v2_frames_are_pinned_byte_for_byte() {
+        let requests = [
+            (
+                WireRequest::Meta(MetaOp::Open {
+                    path: "/a".into(),
+                    write: true,
+                    create: true,
+                    truncate: false,
+                }),
+                "47465357 0200 00 00 07000000 02000000 2f61 03",
+            ),
+            (
+                WireRequest::Meta(MetaOp::Close { fd: 3 }),
+                "47465357 0200 01 00 08000000 0300000000000000",
+            ),
+            (
+                WireRequest::ReadPages {
+                    fd: 3,
+                    pages: vec![(4096, 4096)],
+                },
+                "47465357 0200 02 00 18000000 0300000000000000 01000000 0010000000000000 00100000",
+            ),
+            (
+                WireRequest::WritePages {
+                    fd: 3,
+                    extents: vec![(8, vec![1, 2])],
+                },
+                "47465357 0200 03 00 1a000000 0300000000000000 01000000 0800000000000000 02000000 0102",
+            ),
+            (
+                WireRequest::Meta(MetaOp::Fsync { fd: 3 }),
+                "47465357 0200 04 00 08000000 0300000000000000",
+            ),
+            (
+                WireRequest::Meta(MetaOp::Unlink { path: "/a".into() }),
+                "47465357 0200 05 00 06000000 02000000 2f61",
+            ),
+            (
+                WireRequest::Meta(MetaOp::Truncate { fd: 3, size: 10 }),
+                "47465357 0200 06 00 10000000 0300000000000000 0a00000000000000",
+            ),
+            (
+                WireRequest::Meta(MetaOp::Stat { path: "/a".into() }),
+                "47465357 0200 07 00 06000000 02000000 2f61",
+            ),
+        ];
+        let responses = [
+            (
+                WireResponse::Meta(MetaOk::Opened {
+                    fd: 3,
+                    ino: 7,
+                    size: 10,
+                    generation: 2,
+                }),
+                "47465357 0200 00 00 20000000 0300000000000000 0700000000000000 0a00000000000000 0200000000000000",
+            ),
+            (
+                WireResponse::Read {
+                    pages: vec![vec![5, 6]],
+                },
+                "47465357 0200 01 00 0a000000 01000000 02000000 0506",
+            ),
+            (
+                WireResponse::Wrote {
+                    n: 2,
+                    generation: 3,
+                },
+                "47465357 0200 02 00 10000000 0200000000000000 0300000000000000",
+            ),
+            (
+                WireResponse::Meta(MetaOk::Stat {
+                    ino: 7,
+                    size: 10,
+                    writable: true,
+                    generation: 2,
+                }),
+                "47465357 0200 03 00 19000000 0700000000000000 0a00000000000000 01 0200000000000000",
+            ),
+            (WireResponse::Meta(MetaOk::Done), "47465357 0200 04 00 00000000"),
+            (
+                WireResponse::Err(FsError::NotFound("/a".into())),
+                "47465357 0200 05 00 07000000 00 02000000 2f61",
+            ),
+        ];
+        for (req, golden) in requests {
+            let frame = encode_request(&req);
+            assert_eq!(hex(&frame), golden.replace(' ', ""), "{req:?}");
+            assert_eq!(decode_request(&frame), Ok(req));
+        }
+        for (resp, golden) in responses {
+            let frame = encode_response(&resp);
+            assert_eq!(hex(&frame), golden.replace(' ', ""), "{resp:?}");
+            assert_eq!(decode_response(&frame), Ok(resp));
+        }
+    }
+
     // Property coverage of the trace-ctx frame field: arbitrary contexts
     // round-trip and every truncation rejects.
     use proptest::prelude::*;
@@ -930,14 +983,14 @@ mod tests {
     fn any_request() -> impl Strategy<Value = WireRequest> {
         prop_oneof![
             (0usize..12, any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
-                |(n, write, create, truncate)| WireRequest::Open {
+                |(n, write, create, truncate)| WireRequest::Meta(MetaOp::Open {
                     path: format!("/{}", "a".repeat(n)),
                     write,
                     create,
                     truncate,
-                }
+                })
             ),
-            any::<u64>().prop_map(|fd| WireRequest::Close { fd }),
+            any::<u64>().prop_map(|fd| WireRequest::Meta(MetaOp::Close { fd })),
             (
                 any::<u64>(),
                 proptest::collection::vec((any::<u64>(), 0u32..1 << 20), 0..8)
@@ -951,8 +1004,9 @@ mod tests {
                 )
             )
                 .prop_map(|(fd, extents)| WireRequest::WritePages { fd, extents }),
-            any::<u64>().prop_map(|fd| WireRequest::Fsync { fd }),
-            (any::<u64>(), any::<u64>()).prop_map(|(fd, size)| WireRequest::Truncate { fd, size }),
+            any::<u64>().prop_map(|fd| WireRequest::Meta(MetaOp::Fsync { fd })),
+            (any::<u64>(), any::<u64>())
+                .prop_map(|(fd, size)| WireRequest::Meta(MetaOp::Truncate { fd, size })),
         ]
     }
 

@@ -74,7 +74,10 @@ pub struct HostProxy {
     up: BandwidthResource,
     down: BandwidthResource,
     cache: HostPageCache,
-    fds: Mutex<HashMap<HostFd, FdState>>,
+    /// What the server told this host about each descriptor it opened
+    /// here; the `Backing` impl (`client.rs`) keeps it, from answers that
+    /// fit their request.
+    pub(super) fds: Mutex<HashMap<HostFd, FdState>>,
     wire: WireStats,
     /// Test seam: a response to hand back in place of the server's next
     /// one, standing in for a peer that answers out of protocol.
@@ -150,10 +153,6 @@ impl HostProxy {
     /// plus half the fixed round-trip, the server's own service time,
     /// then downlink serialization plus the other half.
     ///
-    /// The descriptor table is maintained here, from response traffic
-    /// alone: `Opened` inserts, `Wrote` advances the generation,
-    /// `Close` removes.
-    ///
     /// # Errors
     ///
     /// Returns the [`FsError`] the server answered with, or
@@ -194,34 +193,6 @@ impl HostProxy {
             .map_err(|e| FsError::Protocol(format!("response frame: {e}")))?;
         #[cfg(test)]
         let resp = self.misanswer.lock().take().unwrap_or(resp);
-        match (&resp, req) {
-            (
-                WireResponse::Opened {
-                    fd,
-                    ino,
-                    generation,
-                    ..
-                },
-                _,
-            ) => {
-                self.fds.lock().insert(
-                    *fd,
-                    FdState {
-                        ino: *ino,
-                        generation: *generation,
-                    },
-                );
-            }
-            (WireResponse::Wrote { generation, .. }, WireRequest::WritePages { fd, .. }) => {
-                if let Some(st) = self.fds.lock().get_mut(fd) {
-                    st.generation = *generation;
-                }
-            }
-            (WireResponse::Done, WireRequest::Close { fd }) => {
-                self.fds.lock().remove(fd);
-            }
-            _ => {}
-        }
         match resp {
             WireResponse::Err(e) => Err(e),
             ok => Ok(ok),
@@ -233,6 +204,8 @@ impl HostProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::backing::Backing;
+    use crate::rpc::{MetaOk, MetaOp};
     use hostfs::{HostFs, HostFsConfig};
     use simtime::bw_time_ns;
 
@@ -246,21 +219,16 @@ mod tests {
     }
 
     fn open(p: &HostProxy, clock: &mut Clock, path: &str) -> HostFd {
-        let resp = p
-            .call(
-                clock,
-                &WireRequest::Open {
-                    path: path.into(),
-                    write: true,
-                    create: false,
-                    truncate: false,
-                },
-            )
-            .expect("open");
-        let WireResponse::Opened { fd, .. } = resp else {
-            panic!("expected Opened, got {resp:?}");
+        let op = MetaOp::Open {
+            path: path.into(),
+            write: true,
+            create: false,
+            truncate: false,
         };
-        fd
+        match p.meta(clock, &op).expect("open") {
+            MetaOk::Opened { fd, .. } => fd,
+            ok => panic!("expected Opened, got {ok:?}"),
+        }
     }
 
     #[test]
@@ -276,18 +244,18 @@ mod tests {
         let (frame, t_direct) = p
             .server()
             .serve_frame(
-                &proto::encode_request(&WireRequest::Open {
+                &proto::encode_request(&WireRequest::Meta(MetaOp::Open {
                     path: "/w".into(),
                     write: true,
                     create: false,
                     truncate: false,
-                }),
+                })),
                 500,
             )
             .expect("direct frame");
         assert!(matches!(
             proto::decode_response(&frame).expect("response"),
-            WireResponse::Opened { .. }
+            WireResponse::Meta(MetaOk::Opened { .. })
         ));
         assert_eq!(t_proxy, t_direct, "a free link adds zero virtual time");
     }
@@ -339,26 +307,16 @@ mod tests {
         let fd = open(&p, &mut clock, "/w");
         let st = p.fd_state(fd).expect("opened fd is tracked");
         let gen_open = st.generation;
-        let resp = p
-            .call(
-                &mut clock,
-                &WireRequest::WritePages {
-                    fd,
-                    extents: vec![(0, vec![9u8; 64])],
-                },
-            )
+        let (_, generation) = p
+            .write_chunk(None, &mut clock, fd, &[(0, &[9u8; 64])])
             .expect("write");
-        let WireResponse::Wrote { generation, .. } = resp else {
-            panic!("expected Wrote, got {resp:?}");
-        };
         assert!(generation > gen_open, "write-back advances the generation");
         assert_eq!(
             p.fd_state(fd).expect("still tracked").generation,
             generation,
             "the proxy reads its own writes at the new generation"
         );
-        p.call(&mut clock, &WireRequest::Close { fd })
-            .expect("close");
+        p.meta(&mut clock, &MetaOp::Close { fd }).expect("close");
         assert!(p.fd_state(fd).is_none(), "close drops the entry");
     }
 
@@ -367,7 +325,7 @@ mod tests {
         let p = proxy_with(Timings::default().without_net(), 0);
         let mut clock = Clock::starting_at(0);
         let err = p
-            .call(&mut clock, &WireRequest::Fsync { fd: 404 })
+            .call(&mut clock, &WireRequest::Meta(MetaOp::Fsync { fd: 404 }))
             .expect_err("bad descriptor");
         assert_eq!(err, FsError::BadDescriptor(404));
     }

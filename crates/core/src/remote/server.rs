@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use hostfs::{HostFs, OpenFlags};
+use hostfs::HostFs;
 use obs::Counter;
 use simtime::{Clock, Nanos, Timings};
 
@@ -29,14 +29,9 @@ use crate::daemon::backing::Backing;
 /// The trace-span name of one served wire request.
 fn server_span_name(req: &WireRequest) -> &'static str {
     match req {
-        WireRequest::Open { .. } => "server:Open",
-        WireRequest::Close { .. } => "server:Close",
+        WireRequest::Meta(op) => op.names()[3],
         WireRequest::ReadPages { .. } => "server:ReadPages",
         WireRequest::WritePages { .. } => "server:WritePages",
-        WireRequest::Fsync { .. } => "server:Fsync",
-        WireRequest::Unlink { .. } => "server:Unlink",
-        WireRequest::Truncate { .. } => "server:Truncate",
-        WireRequest::Stat { .. } => "server:Stat",
     }
 }
 
@@ -144,28 +139,7 @@ impl StorageServer {
     fn serve(&self, req: WireRequest, clock: &mut Clock) -> WireResponse {
         let backing: &dyn Backing = self.fs.as_ref();
         let result = match req {
-            WireRequest::Open {
-                path,
-                write,
-                create,
-                truncate,
-            } => {
-                let flags = OpenFlags {
-                    read: true,
-                    write,
-                    create,
-                    truncate,
-                };
-                backing
-                    .open(clock, &path, flags)
-                    .map(|o| WireResponse::Opened {
-                        fd: o.fd,
-                        ino: o.ino,
-                        size: o.size,
-                        generation: o.generation,
-                    })
-            }
-            WireRequest::Close { fd } => backing.close(clock, fd).map(|()| WireResponse::Done),
+            WireRequest::Meta(op) => backing.meta(clock, &op).map(WireResponse::Meta),
             WireRequest::ReadPages { fd, pages } => {
                 // The response's pages, filled by the file system in place.
                 let mut bufs: Vec<Vec<u8>> = pages
@@ -203,19 +177,6 @@ impl StorageServer {
                         }
                     })
             }
-            WireRequest::Fsync { fd } => backing.fsync(clock, fd).map(|()| WireResponse::Done),
-            WireRequest::Unlink { path } => {
-                backing.unlink(clock, &path).map(|()| WireResponse::Done)
-            }
-            WireRequest::Truncate { fd, size } => backing
-                .truncate(clock, fd, size)
-                .map(|()| WireResponse::Done),
-            WireRequest::Stat { path } => backing.stat(clock, &path).map(|m| WireResponse::Stat {
-                ino: m.ino,
-                size: m.size,
-                writable: m.writable,
-                generation: m.generation,
-            }),
         };
         result.unwrap_or_else(WireResponse::Err)
     }
@@ -225,7 +186,8 @@ impl StorageServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hostfs::{FsError, HostFsConfig};
+    use crate::rpc::{MetaOk, MetaOp};
+    use hostfs::{FsError, HostFsConfig, OpenFlags};
 
     fn server() -> StorageServer {
         StorageServer::new(Arc::new(HostFs::new(HostFsConfig::default())))
@@ -247,15 +209,15 @@ mod tests {
         s.fs().create("/f", b"hello wire").unwrap();
         let (resp, t_open) = ask(
             &s,
-            &WireRequest::Open {
+            &WireRequest::Meta(MetaOp::Open {
                 path: "/f".into(),
                 write: true,
                 create: false,
                 truncate: false,
-            },
+            }),
             1000,
         );
-        let WireResponse::Opened { fd, size, .. } = resp else {
+        let WireResponse::Meta(MetaOk::Opened { fd, size, .. }) = resp else {
             panic!("expected Opened, got {resp:?}");
         };
         assert_eq!(size, 10);
@@ -289,8 +251,8 @@ mod tests {
         let (data, _) = s.fs().read_whole("/f", 0).unwrap();
         assert_eq!(&data, b"HELLO wire");
 
-        let (resp, _) = ask(&s, &WireRequest::Close { fd }, t_read);
-        assert!(matches!(resp, WireResponse::Done));
+        let (resp, _) = ask(&s, &WireRequest::Meta(MetaOp::Close { fd }), t_read);
+        assert!(matches!(resp, WireResponse::Meta(MetaOk::Done)));
         assert_eq!(s.stats().frames.get(), 4);
         assert_eq!(s.stats().errors.get(), 0);
     }
@@ -301,15 +263,15 @@ mod tests {
         s.fs().create("/g", &[0u8; 16]).unwrap();
         let (resp, _) = ask(
             &s,
-            &WireRequest::Open {
+            &WireRequest::Meta(MetaOp::Open {
                 path: "/g".into(),
                 write: true,
                 create: false,
                 truncate: false,
-            },
+            }),
             0,
         );
-        let WireResponse::Opened { fd, generation, .. } = resp else {
+        let WireResponse::Meta(MetaOk::Opened { fd, generation, .. }) = resp else {
             panic!()
         };
         let (resp, end) = ask(
@@ -333,13 +295,13 @@ mod tests {
         let s = server();
         let (resp, _) = ask(
             &s,
-            &WireRequest::Stat {
+            &WireRequest::Meta(MetaOp::Stat {
                 path: "/missing".into(),
-            },
+            }),
             0,
         );
         assert!(matches!(resp, WireResponse::Err(FsError::NotFound(_))));
-        let (resp, _) = ask(&s, &WireRequest::Fsync { fd: 999 }, 0);
+        let (resp, _) = ask(&s, &WireRequest::Meta(MetaOp::Fsync { fd: 999 }), 0);
         assert!(matches!(
             resp,
             WireResponse::Err(FsError::BadDescriptor(999))
@@ -352,7 +314,7 @@ mod tests {
         let s = server();
         assert_eq!(s.serve_frame(&[], 0), Err(ProtoError::Truncated));
         assert_eq!(s.serve_frame(&[0xaa; 32], 0), Err(ProtoError::BadMagic));
-        let mut frame = proto::encode_request(&WireRequest::Fsync { fd: 1 });
+        let mut frame = proto::encode_request(&WireRequest::Meta(MetaOp::Fsync { fd: 1 }));
         frame[4] = 9;
         assert_eq!(s.serve_frame(&frame, 0), Err(ProtoError::BadVersion(9)));
         assert_eq!(s.stats().frames.get(), 0, "rejected frames never count");
@@ -397,15 +359,15 @@ mod tests {
         s.fs().reset_device_time();
         let (resp, t_open) = ask(
             &s,
-            &WireRequest::Open {
+            &WireRequest::Meta(MetaOp::Open {
                 path: "/t".into(),
                 write: false,
                 create: false,
                 truncate: false,
-            },
+            }),
             100,
         );
-        let WireResponse::Opened { fd, .. } = resp else {
+        let WireResponse::Meta(MetaOk::Opened { fd, .. }) = resp else {
             panic!()
         };
         let pages: Vec<(u64, u32)> = (0..4).map(|i| (i * (64 << 10), 64 << 10)).collect();

@@ -92,9 +92,11 @@ pub struct PageWrite {
     pub extents: Vec<(u32, u32)>,
 }
 
-/// A request from a GPU threadblock to the host daemon.
-#[derive(Debug, Clone)]
-pub enum Request {
+/// A metadata operation: the half of the request boundary that names a
+/// file, not its pages. The hub, the daemon's storage seam and the wire
+/// all carry it as it is, and it is answered by a [`MetaOk`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MetaOp {
     /// Open (and possibly create) a host file.
     Open {
         /// Absolute path on the host file system.
@@ -108,9 +110,100 @@ pub enum Request {
     },
     /// Close a host descriptor.
     Close {
-        /// Host descriptor from a previous [`Request::Open`].
+        /// Host descriptor from a previous [`MetaOp::Open`].
         fd: HostFd,
     },
+    /// Flush the host file to stable storage.
+    Fsync {
+        /// Host descriptor.
+        fd: HostFd,
+    },
+    /// Remove a file from the host namespace.
+    Unlink {
+        /// Absolute path.
+        path: String,
+    },
+    /// Truncate the host file.
+    Truncate {
+        /// Host descriptor.
+        fd: HostFd,
+        /// New size in bytes.
+        size: u64,
+    },
+    /// Query file metadata by path.
+    Stat {
+        /// Absolute path.
+        path: String,
+    },
+}
+
+impl MetaOp {
+    /// The op's name, then its span names at the hub, the daemon and the
+    /// storage server (span labels are `&'static str`, so each prefix is
+    /// baked per op).
+    pub(crate) fn names(&self) -> [&'static str; 4] {
+        match self {
+            MetaOp::Open { .. } => ["Open", "rpc:Open", "serve:Open", "server:Open"],
+            MetaOp::Close { .. } => ["Close", "rpc:Close", "serve:Close", "server:Close"],
+            MetaOp::Fsync { .. } => ["Fsync", "rpc:Fsync", "serve:Fsync", "server:Fsync"],
+            MetaOp::Unlink { .. } => ["Unlink", "rpc:Unlink", "serve:Unlink", "server:Unlink"],
+            MetaOp::Truncate { .. } => [
+                "Truncate",
+                "rpc:Truncate",
+                "serve:Truncate",
+                "server:Truncate",
+            ],
+            MetaOp::Stat { .. } => ["Stat", "rpc:Stat", "serve:Stat", "server:Stat"],
+        }
+    }
+
+    /// Whether `ok` is the shape of answer this op gets: `Opened` for an
+    /// open, `Stat` for a stat, `Done` for the rest.
+    pub(crate) fn fits(&self, ok: &MetaOk) -> bool {
+        match self {
+            MetaOp::Open { .. } => matches!(ok, MetaOk::Opened { .. }),
+            MetaOp::Stat { .. } => matches!(ok, MetaOk::Stat { .. }),
+            _ => matches!(ok, MetaOk::Done),
+        }
+    }
+}
+
+/// The answer to a [`MetaOp`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MetaOk {
+    /// Result of [`MetaOp::Open`].
+    Opened {
+        /// Host descriptor for subsequent data requests.
+        fd: HostFd,
+        /// Host inode number (keys the closed-file table).
+        ino: Ino,
+        /// File size at open time (fixed for the whole GPU open, paper
+        /// Table 1: `gfstat` reflects size at first `gopen`).
+        size: u64,
+        /// Host consistency generation at open time.
+        generation: u64,
+    },
+    /// Metadata from [`MetaOp::Stat`].
+    Stat {
+        /// Inode number.
+        ino: Ino,
+        /// Size in bytes.
+        size: u64,
+        /// Whether the file is writable at host level.
+        writable: bool,
+        /// Host consistency generation (the lazy-invalidation probe that
+        /// the WRAPFS character device answers in the paper, §4.4).
+        generation: u64,
+    },
+    /// Operation with no payload completed.
+    Done,
+}
+
+/// A request from a GPU threadblock to the host daemon.
+#[derive(Debug, Clone)]
+pub enum Request {
+    /// A metadata operation.
+    Meta(MetaOp),
     /// Read a batch of pages of one file into GPU memory in a single
     /// daemon round-trip: the daemon preads every descriptor into staging
     /// and ships the whole batch with *one* scatter-gather DMA charge.
@@ -139,57 +232,24 @@ pub enum Request {
         /// Which GPU's DMA engine to use.
         gpu: GpuId,
     },
-    /// Flush the host file to stable storage.
-    Fsync {
-        /// Host descriptor.
-        fd: HostFd,
-    },
-    /// Remove a file from the host namespace.
-    Unlink {
-        /// Absolute path.
-        path: String,
-    },
-    /// Truncate the host file.
-    Truncate {
-        /// Host descriptor.
-        fd: HostFd,
-        /// New size in bytes.
-        size: u64,
-    },
-    /// Query file metadata by path.
-    Stat {
-        /// Absolute path.
-        path: String,
-    },
 }
 
 impl Request {
-    /// The client-side span name for this request's round-trip (span
-    /// labels must be `&'static str`, so the prefix is baked per kind).
+    /// The client-side span name for this request's round-trip.
     pub(crate) fn rpc_span_name(&self) -> &'static str {
         match self {
-            Request::Open { .. } => "rpc:Open",
-            Request::Close { .. } => "rpc:Close",
+            Request::Meta(op) => op.names()[1],
             Request::ReadPages { .. } => "rpc:ReadPages",
             Request::WritePages { .. } => "rpc:WritePages",
-            Request::Fsync { .. } => "rpc:Fsync",
-            Request::Unlink { .. } => "rpc:Unlink",
-            Request::Truncate { .. } => "rpc:Truncate",
-            Request::Stat { .. } => "rpc:Stat",
         }
     }
 
     /// The daemon-side span name for serving this request.
     pub(crate) fn serve_span_name(&self) -> &'static str {
         match self {
-            Request::Open { .. } => "serve:Open",
-            Request::Close { .. } => "serve:Close",
+            Request::Meta(op) => op.names()[2],
             Request::ReadPages { .. } => "serve:ReadPages",
             Request::WritePages { .. } => "serve:WritePages",
-            Request::Fsync { .. } => "serve:Fsync",
-            Request::Unlink { .. } => "serve:Unlink",
-            Request::Truncate { .. } => "serve:Truncate",
-            Request::Stat { .. } => "serve:Stat",
         }
     }
 }
@@ -197,18 +257,8 @@ impl Request {
 /// Successful response payloads.
 #[derive(Debug, Clone)]
 pub enum RespOk {
-    /// Result of [`Request::Open`].
-    Opened {
-        /// Host descriptor for subsequent data requests.
-        fd: HostFd,
-        /// Host inode number (keys the closed-file table).
-        ino: Ino,
-        /// File size at open time (fixed for the whole GPU open, paper
-        /// Table 1: `gfstat` reflects size at first `gopen`).
-        size: u64,
-        /// Host consistency generation at open time.
-        generation: u64,
-    },
+    /// The answer to a [`Request::Meta`].
+    Meta(MetaOk),
     /// Per-page byte counts transferred by a [`Request::ReadPages`] batch.
     Read {
         /// Bytes actually read per descriptor, in request order (short at
@@ -223,20 +273,6 @@ pub enum RespOk {
         /// cache track its own propagated changes).
         generation: u64,
     },
-    /// Metadata from [`Request::Stat`].
-    Stat {
-        /// Inode number.
-        ino: Ino,
-        /// Size in bytes.
-        size: u64,
-        /// Whether the file is writable at host level.
-        writable: bool,
-        /// Host consistency generation (the lazy-invalidation probe that
-        /// the WRAPFS character device answers in the paper, §4.4).
-        generation: u64,
-    },
-    /// Operation with no payload completed.
-    Done,
 }
 
 /// What a request's answer is: the response and the virtual time the
@@ -465,7 +501,7 @@ mod tests {
     /// A hub whose serve path answers `Done` 100 ns after it starts.
     fn fake_hub(tenants: usize, admission: &[usize]) -> RpcHub {
         RpcHub::new(1, tenants, admission, |_, _, _, start| {
-            (Ok(RespOk::Done), start + 100)
+            (Ok(RespOk::Meta(MetaOk::Done)), start + 100)
         })
     }
 
@@ -474,9 +510,9 @@ mod tests {
         let hub = fake_hub(1, &[]);
         let t = Timings::default();
         let (ok, visible) = hub
-            .call(0, 0, 1_000, &t, Request::Fsync { fd: 3 })
+            .call(0, 0, 1_000, &t, Request::Meta(MetaOp::Fsync { fd: 3 }))
             .expect("call should succeed");
-        assert!(matches!(ok, RespOk::Done));
+        assert!(matches!(ok, RespOk::Meta(MetaOk::Done)));
         assert_eq!(visible, 1_100 + t.rpc_complete_ns);
     }
 
@@ -486,12 +522,14 @@ mod tests {
         // flight, and nothing ever stalls.
         let hub = RpcHub::new(1, 1, &[], |_, tenant, _, start| {
             assert_eq!(tenant, 0);
-            (Ok(RespOk::Done), start)
+            (Ok(RespOk::Meta(MetaOk::Done)), start)
         });
         assert_eq!(hub.num_tenants(), 1);
         let t = Timings::default();
         for issue in [0, 0, 5, 5, 3] {
-            let (_, visible) = hub.call(0, 0, issue, &t, Request::Fsync { fd: 1 }).unwrap();
+            let (_, visible) = hub
+                .call(0, 0, issue, &t, Request::Meta(MetaOp::Fsync { fd: 1 }))
+                .unwrap();
             assert_eq!(visible, issue + t.rpc_complete_ns);
         }
         assert_eq!(hub.tenant_stalls(0), 0);
@@ -501,7 +539,13 @@ mod tests {
     fn closed_hub_rejects_calls() {
         let hub = fake_hub(1, &[]);
         hub.close();
-        let err = hub.call(0, 0, 0, &Timings::default(), Request::Fsync { fd: 1 });
+        let err = hub.call(
+            0,
+            0,
+            0,
+            &Timings::default(),
+            Request::Meta(MetaOp::Fsync { fd: 1 }),
+        );
         assert!(matches!(err, Err(GpufsError::DaemonStopped)));
     }
 
@@ -513,7 +557,10 @@ mod tests {
         let pool = Arc::new(simtime::WorkerPool::weighted(1, &[4, 1]));
         let served = Arc::clone(&pool);
         let hub = RpcHub::new(2, 2, &[], move |_, tenant, _, start| {
-            (Ok(RespOk::Done), served.acquire_for(tenant, start, 100).end)
+            (
+                Ok(RespOk::Meta(MetaOk::Done)),
+                served.acquire_for(tenant, start, 100).end,
+            )
         });
         std::thread::scope(|s| {
             for slot in 0..8usize {
@@ -522,9 +569,9 @@ mod tests {
                     let t = Timings::default();
                     for _ in 0..16 {
                         let (ok, _) = hub
-                            .call(slot % 2, 0, 0, &t, Request::Fsync { fd: 1 })
+                            .call(slot % 2, 0, 0, &t, Request::Meta(MetaOp::Fsync { fd: 1 }))
                             .unwrap();
-                        assert!(matches!(ok, RespOk::Done));
+                        assert!(matches!(ok, RespOk::Meta(MetaOk::Done)));
                     }
                 });
             }
@@ -544,7 +591,7 @@ mod tests {
             if tenant == 0 {
                 log.lock().push(start);
             }
-            (Ok(RespOk::Done), start + 1_000)
+            (Ok(RespOk::Meta(MetaOk::Done)), start + 1_000)
         });
         let t = Timings::default();
         let done = std::thread::scope(|s| {
@@ -555,9 +602,9 @@ mod tests {
                         (0..24u64)
                             .map(|i| {
                                 let (_, visible) = hub
-                                    .call(0, 0, i * 100, t, Request::Fsync { fd: 1 })
+                                    .call(0, 0, i * 100, t, Request::Meta(MetaOp::Fsync { fd: 1 }))
                                     .unwrap();
-                                hub.call(1, 0, i * 100, t, Request::Fsync { fd: 1 })
+                                hub.call(1, 0, i * 100, t, Request::Meta(MetaOp::Fsync { fd: 1 }))
                                     .unwrap();
                                 visible
                             })
@@ -623,7 +670,7 @@ mod tests {
                     std::thread::spawn(move || {
                         let t = Timings::default();
                         (0..16)
-                            .map(|_| hub.call(0, 0, 0, &t, Request::Fsync { fd: 1 }))
+                            .map(|_| hub.call(0, 0, 0, &t, Request::Meta(MetaOp::Fsync { fd: 1 })))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -667,7 +714,7 @@ mod tests {
             let log = Arc::new(Mutex::new(Vec::new()));
             let (held, served) = (Arc::clone(&releases), Arc::clone(&log));
             let hub = RpcHub::new(workers, 1, admission, move |req, _, _, start| {
-                let Request::Fsync { fd } = *req else {
+                let Request::Meta(MetaOp::Fsync { fd }) = *req else {
                     unreachable!("only fsyncs are posted")
                 };
                 served.lock().push((start, fd));
@@ -679,7 +726,7 @@ mod tests {
                 *left -= 1;
                 drop(left);
                 assert_ne!(fd, PANICS, "the daemon fails serving this request");
-                (Ok(RespOk::Done), start)
+                (Ok(RespOk::Meta(MetaOk::Done)), start)
             });
             Self { hub, releases, log }
         }
@@ -690,7 +737,8 @@ mod tests {
                 rpc_complete_ns: 0,
                 ..Timings::default()
             };
-            self.hub.call(0, 0, issue, &t, Request::Fsync { fd })
+            self.hub
+                .call(0, 0, issue, &t, Request::Meta(MetaOp::Fsync { fd }))
         }
 
         fn release(&self) {
@@ -775,7 +823,10 @@ mod tests {
             (0..4).for_each(|_| held.release());
             assert!(crashed.join().unwrap().is_err(), "the first serve panics");
             for c in callers {
-                assert!(matches!(c.join().unwrap(), Ok((RespOk::Done, _))));
+                assert!(matches!(
+                    c.join().unwrap(),
+                    Ok((RespOk::Meta(MetaOk::Done), _))
+                ));
             }
         });
         assert!(idle(&held.hub.turns, 2) && idle(admission, 1));
@@ -791,9 +842,9 @@ mod tests {
             0,
             0,
             &Timings::default(),
-            Request::Stat {
+            Request::Meta(MetaOp::Stat {
                 path: "/gone".into(),
-            },
+            }),
         );
         assert!(matches!(err, Err(GpufsError::Host(FsError::NotFound(_)))));
     }

@@ -306,6 +306,7 @@ use gpufs::remote::proto::{
     decode_request, decode_response, encode_request, encode_response, ProtoError, VERSION,
 };
 use gpufs::remote::{WireRequest, WireResponse};
+use gpufs::rpc::{MetaOk, MetaOp};
 use hostfs::FsError;
 
 /// The largest payload a single page can carry on the wire (one 64 KiB
@@ -350,14 +351,14 @@ fn wire_fs_error() -> impl Strategy<Value = FsError> {
 fn wire_request() -> impl Strategy<Value = WireRequest> {
     prop_oneof![
         (wire_path(), any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
-            |(path, write, create, truncate)| WireRequest::Open {
+            |(path, write, create, truncate)| WireRequest::Meta(MetaOp::Open {
                 path,
                 write,
                 create,
                 truncate,
-            }
+            })
         ),
-        any::<u64>().prop_map(|fd| WireRequest::Close { fd }),
+        any::<u64>().prop_map(|fd| WireRequest::Meta(MetaOp::Close { fd })),
         (
             any::<u64>(),
             proptest::collection::vec((any::<u64>(), 0u32..(MAX_WIRE_PAGE as u32 + 1)), 0..9),
@@ -368,10 +369,11 @@ fn wire_request() -> impl Strategy<Value = WireRequest> {
             proptest::collection::vec((any::<u64>(), wire_page_bytes()), 0..5),
         )
             .prop_map(|(fd, extents)| WireRequest::WritePages { fd, extents }),
-        any::<u64>().prop_map(|fd| WireRequest::Fsync { fd }),
-        wire_path().prop_map(|path| WireRequest::Unlink { path }),
-        (any::<u64>(), any::<u64>()).prop_map(|(fd, size)| WireRequest::Truncate { fd, size }),
-        wire_path().prop_map(|path| WireRequest::Stat { path }),
+        any::<u64>().prop_map(|fd| WireRequest::Meta(MetaOp::Fsync { fd })),
+        wire_path().prop_map(|path| WireRequest::Meta(MetaOp::Unlink { path })),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(fd, size)| WireRequest::Meta(MetaOp::Truncate { fd, size })),
+        wire_path().prop_map(|path| WireRequest::Meta(MetaOp::Stat { path })),
     ]
 }
 
@@ -380,26 +382,26 @@ fn wire_request() -> impl Strategy<Value = WireRequest> {
 fn wire_response() -> impl Strategy<Value = WireResponse> {
     prop_oneof![
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-            |(fd, ino, size, generation)| WireResponse::Opened {
+            |(fd, ino, size, generation)| WireResponse::Meta(MetaOk::Opened {
                 fd,
                 ino,
                 size,
                 generation,
-            }
+            })
         ),
         proptest::collection::vec(wire_page_bytes(), 0..5)
             .prop_map(|pages| WireResponse::Read { pages }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(n, generation)| WireResponse::Wrote { n, generation }),
         (any::<u64>(), any::<u64>(), any::<bool>(), any::<u64>()).prop_map(
-            |(ino, size, writable, generation)| WireResponse::Stat {
+            |(ino, size, writable, generation)| WireResponse::Meta(MetaOk::Stat {
                 ino,
                 size,
                 writable,
                 generation,
-            }
+            })
         ),
-        (0u32..1).prop_map(|_| WireResponse::Done),
+        (0u32..1).prop_map(|_| WireResponse::Meta(MetaOk::Done)),
         wire_fs_error().prop_map(WireResponse::Err),
     ]
 }
