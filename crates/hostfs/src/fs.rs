@@ -810,6 +810,20 @@ impl HostFs {
         cache.drop_caches();
     }
 
+    /// 4 KiB blocks of `path`'s cached content that its durable copy
+    /// does not share: the host memory its writes since the last `fsync`
+    /// hold. A created or fsynced file holds each block once; 0 for a
+    /// synthetic file.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `path` does not exist.
+    pub fn unshared_blocks(&self, path: &str) -> FsResult<usize> {
+        let inner = self.inner.lock();
+        let ino = inner.resolve(path)?;
+        Ok(inner.inodes[&ino].body.unshared_blocks())
+    }
+
     /// Disk service time, seeks included, accepted since the last
     /// [`HostFs::reset_device_time`].
     #[must_use]

@@ -9,24 +9,41 @@
 //! taken from and parked on one process-wide free list, so a file that
 //! grows under `pwrite`, and every file of the next file system, reuses
 //! memory the process has already touched instead of faulting in fresh
-//! pages.
+//! pages. A body's cached and durable copies share their equal blocks by
+//! reference count, and a write to a shared block copies it first.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 /// Bytes per block of a [`Blocks`] body: one host page.
 const BLOCK_BYTES: usize = 4 << 10;
 
-type Block = Box<[u8; BLOCK_BYTES]>;
+/// One block, shared by every list that holds the same bytes. Never
+/// written through `Arc::make_mut`: its fresh allocation would fault in
+/// a page the free list already has.
+type Block = Arc<[u8; BLOCK_BYTES]>;
 
-/// Blocks of dropped and shrunk bodies, waiting for the next body that
-/// grows. A block is only ever parked after it was live, and only
-/// allocated when this list is empty, so parked plus live blocks never
-/// exceed the most that were live at once.
+/// Unshared blocks of dropped and shrunk bodies, waiting for the next
+/// body that grows or copies a shared block. A block is only ever parked
+/// after it was live, only when no other list still holds it, and only
+/// allocated when this list is empty, so parked plus live distinct
+/// blocks never exceed the most that were live at once. A block's share
+/// count cannot change between the check and the park: a block is shared
+/// only among the copies of one body, and every body lives under its
+/// file system's `HostFs::inner`, so only the holder of that lock moves
+/// the body's blocks.
 static FREE_BLOCKS: Mutex<Vec<Block>> = Mutex::new(Vec::new());
+
+/// Park each of `blocks` that no other list holds; a shared one only
+/// loses this reference.
+fn park(blocks: impl IntoIterator<Item = Block>) {
+    let mut free = FREE_BLOCKS.lock();
+    free.extend(blocks.into_iter().filter(|b| Arc::strong_count(b) == 1));
+}
 
 /// Bytes as a list of 4 KiB blocks, taken from a process-wide free list
 /// as they grow and parked on it as they shrink or drop. Bytes `[0, len)`
@@ -34,6 +51,10 @@ static FREE_BLOCKS: Mutex<Vec<Block>> = Mutex::new(Vec::new());
 /// parked block keeps whatever its last file wrote), so every growth
 /// zeroes the part of itself that no write covers: a file reads as zero
 /// wherever it has not written.
+///
+/// [`Clone`] shares every block; a write to a block another list holds
+/// first swaps in a private copy (copy on write), so no write through
+/// one list ever shows in another.
 #[derive(Default)]
 pub struct Blocks {
     len: usize,
@@ -58,6 +79,28 @@ impl Blocks {
         (self.len - i * BLOCK_BYTES).min(BLOCK_BYTES)
     }
 
+    /// Blocks at the same index that `self` and `other` hold by the same
+    /// pointer.
+    fn shared_with(&self, other: &Blocks) -> usize {
+        let pairs = self.blocks.iter().zip(&other.blocks);
+        pairs.filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    }
+
+    /// Block `b`, writable. A block another list holds is first replaced
+    /// by a private copy taken from the free list.
+    fn block_mut(&mut self, b: usize) -> &mut [u8; BLOCK_BYTES] {
+        if Arc::get_mut(&mut self.blocks[b]).is_none() {
+            let mut own = FREE_BLOCKS
+                .lock()
+                .pop()
+                .unwrap_or_else(|| Arc::new([0u8; BLOCK_BYTES]));
+            let bytes = Arc::get_mut(&mut own).expect("a free block is unshared");
+            bytes.copy_from_slice(&self.blocks[b][..]);
+            self.blocks[b] = own;
+        }
+        Arc::get_mut(&mut self.blocks[b]).expect("an unshared block")
+    }
+
     /// Copy `[offset, offset + dst.len())` into `dst`; the blocks must
     /// cover the range.
     fn copy_out(&self, offset: usize, dst: &mut [u8]) {
@@ -69,14 +112,14 @@ impl Blocks {
     /// Copy `src` to `offset`; the blocks must cover the range.
     fn copy_in(&mut self, offset: usize, src: &[u8]) {
         for (b, in_block, in_range) in pieces(offset, offset + src.len()) {
-            self.blocks[b][in_block].copy_from_slice(&src[in_range]);
+            self.block_mut(b)[in_block].copy_from_slice(&src[in_range]);
         }
     }
 
     /// Zero `[from, to)`; the blocks must cover the range.
     fn zero(&mut self, from: usize, to: usize) {
         for (b, in_block, _) in pieces(from, to) {
-            self.blocks[b][in_block].fill(0);
+            self.block_mut(b)[in_block].fill(0);
         }
     }
 
@@ -92,9 +135,9 @@ impl Blocks {
             self.blocks.extend(free.drain(from..));
             drop(free);
             self.blocks
-                .resize_with(want, || Box::new([0u8; BLOCK_BYTES]));
+                .resize_with(want, || Arc::new([0u8; BLOCK_BYTES]));
         } else if want < have {
-            FREE_BLOCKS.lock().extend(self.blocks.drain(want..));
+            park(self.blocks.drain(want..));
         }
     }
 
@@ -134,19 +177,13 @@ impl Blocks {
         self.set_len(len, len);
     }
 
-    /// Make these bytes equal to `src`, copying only the blocks that
-    /// differ. Returns whether anything changed.
+    /// Make these bytes `src`'s by sharing every one of its blocks; the
+    /// blocks this list alone held are parked. Returns whether the
+    /// content changed, comparing only blocks not already shared.
     fn assign(&mut self, src: &Blocks) -> bool {
-        let mut changed = self.len != src.len;
-        self.fit_blocks(src.len);
+        let changed = self != src;
+        park(std::mem::replace(&mut self.blocks, src.blocks.clone()));
         self.len = src.len;
-        for (i, (dst, from)) in self.blocks.iter_mut().zip(&src.blocks).enumerate() {
-            let n = src.valid_in(i);
-            if dst[..n] != from[..n] {
-                dst[..n].copy_from_slice(&from[..n]);
-                changed = true;
-            }
-        }
         changed
     }
 }
@@ -161,9 +198,10 @@ impl From<&[u8]> for Blocks {
 
 impl Clone for Blocks {
     fn clone(&self) -> Self {
-        let mut b = Blocks::default();
-        b.assign(self);
-        b
+        Blocks {
+            len: self.len,
+            blocks: self.blocks.clone(),
+        }
     }
 }
 
@@ -175,7 +213,9 @@ impl PartialEq for Blocks {
                 .iter()
                 .zip(&other.blocks)
                 .enumerate()
-                .all(|(i, (a, b))| a[..self.valid_in(i)] == b[..self.valid_in(i)])
+                .all(|(i, (a, b))| {
+                    Arc::ptr_eq(a, b) || a[..self.valid_in(i)] == b[..self.valid_in(i)]
+                })
     }
 }
 
@@ -208,7 +248,7 @@ impl fmt::Debug for Blocks {
 impl Drop for Blocks {
     fn drop(&mut self) {
         if !self.blocks.is_empty() {
-            FREE_BLOCKS.lock().append(&mut self.blocks);
+            park(self.blocks.drain(..));
         }
     }
 }
@@ -238,7 +278,8 @@ pub enum FileKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FileBody {
     /// Materialized content. `durable` holds the on-disk copy; `cached`
-    /// additionally reflects writes that have not been fsynced yet.
+    /// additionally reflects writes that have not been fsynced yet. The
+    /// two share every block no write since the last sync has touched.
     Bytes {
         /// Content as visible through the page cache (latest writes).
         cached: Blocks,
@@ -264,7 +305,8 @@ impl FileBody {
         }
     }
 
-    /// A mutable file whose cached and durable copies are both `content`.
+    /// A mutable file whose cached and durable copies are both `content`,
+    /// held once: the two share every block.
     #[must_use]
     pub fn bytes(content: &[u8]) -> Self {
         let durable = Blocks::from(content);
@@ -321,9 +363,10 @@ impl FileBody {
         }
     }
 
-    /// Persist the cached copy (fsync). Returns the number of bytes that
-    /// differed, as a proxy for the write-back volume. For synthetic files
-    /// this is always 0.
+    /// Persist the cached copy (fsync): the durable copy takes the cached
+    /// one's blocks by pointer. Returns the number of bytes that differed,
+    /// as a proxy for the write-back volume. For synthetic files this is
+    /// always 0.
     pub fn sync(&mut self) -> u64 {
         match self {
             FileBody::Bytes { cached, durable } => {
@@ -338,7 +381,8 @@ impl FileBody {
         }
     }
 
-    /// Discard non-persisted writes (crash). Returns bytes rolled back.
+    /// Discard non-persisted writes (crash): the cached copy takes the
+    /// durable one's blocks by pointer. Returns bytes rolled back.
     pub fn roll_back(&mut self) -> u64 {
         match self {
             FileBody::Bytes { cached, durable } => {
@@ -348,6 +392,19 @@ impl FileBody {
                 } else {
                     0
                 }
+            }
+            FileBody::Synthetic { .. } => 0,
+        }
+    }
+
+    /// Blocks of the cached copy that the durable copy does not share:
+    /// the host memory that writes since the last sync hold. 0 for a
+    /// synthetic file.
+    #[must_use]
+    pub(crate) fn unshared_blocks(&self) -> usize {
+        match self {
+            FileBody::Bytes { cached, durable } => {
+                cached.blocks.len() - cached.shared_with(durable)
             }
             FileBody::Synthetic { .. } => 0,
         }
@@ -415,7 +472,7 @@ pub(crate) fn synth_byte(seed: u64, pos: u64) -> u8 {
 /// The mutable body as two plain vectors, the reference the tests hold
 /// the block body of [`FileBody::Bytes`] to.
 #[cfg(test)]
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct VecBody {
     cached: Vec<u8>,
     durable: Vec<u8>,
@@ -647,6 +704,10 @@ mod tests {
         Sync,
         RollBack,
         Read(usize, usize),
+        /// Make the twin a clone of the body.
+        Clone,
+        /// Write into the twin, as `Write` does into the body.
+        WriteTwin(usize, usize, u8),
     }
 
     /// Offsets anywhere in five blocks, half of them within a few bytes
@@ -669,7 +730,26 @@ mod tests {
             (0usize..1).prop_map(|_| Op::Sync),
             (0usize..1).prop_map(|_| Op::RollBack),
             (offset(), 0usize..3 * BLOCK_BYTES).prop_map(|(at, len)| Op::Read(at, len)),
+            (0usize..1).prop_map(|_| Op::Clone),
+            (offset(), 0usize..2 * BLOCK_BYTES + 9, any::<u8>())
+                .prop_map(|(at, len, seed)| Op::WriteTwin(at, len, seed)),
         ]
+    }
+
+    /// `len` bytes of the pattern seeded by `seed`, none of them zero.
+    fn pattern(len: usize, seed: u8) -> Vec<u8> {
+        (0..len).map(|i| seed.wrapping_add(i as u8) | 1).collect()
+    }
+
+    /// Whether `body`'s cached copy reads as `reference`'s and its
+    /// durable copy equals `reference`'s.
+    fn holds(body: &FileBody, reference: &VecBody) -> bool {
+        let FileBody::Bytes { cached, durable } = body else {
+            return false;
+        };
+        let mut whole = vec![0x5a; cached.len()];
+        cached.read_at(0, &mut whole);
+        whole == reference.cached && *durable == Blocks::from(&reference.durable[..])
     }
 
     proptest! {
@@ -681,13 +761,15 @@ mod tests {
         ) {
             // Park blocks full of non-zero bytes first, so growth takes
             // blocks whose old content must not show through.
+            // The twin is a clone of the body taken at a `Clone` step: a
+            // write through either must never show in the other.
             drop(Blocks::from(&[0xee; 6 * BLOCK_BYTES][..]));
             let (mut body, mut reference) = (FileBody::empty(), VecBody::default());
+            let (mut twin, mut twin_reference) = (FileBody::empty(), VecBody::default());
             for (step, &op) in ops.iter().enumerate() {
                 match op {
                     Op::Write(at, len, seed) => {
-                        let src: Vec<u8> =
-                            (0..len).map(|i| seed.wrapping_add(i as u8) | 1).collect();
+                        let src = pattern(len, seed);
                         prop_assert!(body.write_at(at as u64, &src));
                         reference.write_at(at, &src);
                     }
@@ -708,12 +790,21 @@ mod tests {
                         );
                         prop_assert!(got == want, "step {step}: {op:?} read differs");
                     }
+                    Op::Clone => (twin, twin_reference) = (body.clone(), reference.clone()),
+                    Op::WriteTwin(at, len, seed) => {
+                        let src = pattern(len, seed);
+                        prop_assert!(twin.write_at(at as u64, &src));
+                        twin_reference.write_at(at, &src);
+                    }
                 }
-                let len = body.len() as usize;
-                prop_assert_eq!(len, reference.cached.len(), "step {}", step);
-                let mut whole = vec![0x5a; len];
-                body.read_at(0, &mut whole);
-                prop_assert!(whole == reference.cached, "step {step}: content differs after {op:?}");
+                if matches!(op, Op::Sync | Op::RollBack) {
+                    let FileBody::Bytes { cached, durable } = &body else { unreachable!() };
+                    let n = cached.blocks.len();
+                    prop_assert_eq!(durable.blocks.len(), n, "step {}", step);
+                    prop_assert_eq!(cached.shared_with(durable), n, "step {}: {:?}", step, op);
+                }
+                prop_assert!(holds(&body, &reference), "step {step}: body differs after {op:?}");
+                prop_assert!(holds(&twin, &twin_reference), "step {step}: twin differs after {op:?}");
             }
         }
     }

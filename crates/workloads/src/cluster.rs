@@ -154,6 +154,9 @@ pub fn cluster_search(
                             mount.close(blk, fd_q)?;
                             let queries: Vec<Vec<f32>> =
                                 qbytes.chunks_exact(ib).map(f32_slice).collect();
+                            // Decoded: the raw bytes would otherwise live
+                            // as long as the block does.
+                            drop(qbytes);
                             let nb = blk.grid().blocks;
                             loop {
                                 // Claim once nobody live is virtually

@@ -12,7 +12,13 @@
 //! faults of the three rounds with 32 MB files (debug build, two-core
 //! Xeon): with one vector per body and a fresh snapshot per page, 61 847
 //! / 27 782 / 29 025; with pooled blocks and snapshot buffers, 59 852 /
-//! 63 / 139 (the first round also faults in the GPU arena).
+//! 63 / 139 (the first round also faults in the GPU arena). The
+//! read-write file comes from `HostFs::create`, so its cached and
+//! durable copies share their blocks and each rewritten block is copied
+//! on write from the free list first: three runs read 52 980 / 1 331 /
+//! 110, 53 890 / 76 / 641 and 54 407 / 70 / 36, against 59 956–60 183 /
+//! 50–71 / 62–146 with a private block list per copy (the first round
+//! now faults in one copy of that file, not two).
 //!
 //! The only test in its own binary, so no other test's threads fault
 //! pages while the counter is read.
