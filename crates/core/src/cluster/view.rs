@@ -122,63 +122,40 @@ pub trait FleetView {
             cell[..n].copy_from_slice(&data[..n]);
             u64::from_le_bytes(cell)
         };
-        let failure: Arc<Mutex<Option<GpufsError>>> = Arc::new(Mutex::new(None));
-        let observed: Arc<Mutex<Option<(u64, u64)>>> = Arc::new(Mutex::new(None));
         for (i, &op) in ops.iter().enumerate() {
             match op {
                 CoherenceOp::WriteClose { gpu, tag } => {
-                    let mount = Arc::clone(self.mount(gpu));
-                    let path = path.to_owned();
-                    let failure = Arc::clone(&failure);
-                    self.gpu(gpu).launch(Grid::new(1, 32), 0, move |blk| {
-                        let mut work = || -> GpufsResult<()> {
-                            let fd = mount.open(blk, &path, GOpenMode::ReadWrite)?;
-                            mount.write(blk, &fd, 0, &tag.to_le_bytes())?;
-                            mount.write(blk, &fd, TAG_STRIDE, &tag.to_le_bytes())?;
-                            mount.fsync(blk, &fd)?;
-                            mount.close(blk, fd)
-                        };
-                        if let Err(e) = work() {
-                            failure.lock().get_or_insert(e);
-                        }
-                    });
+                    let mount = self.mount(gpu);
+                    self.gpu(gpu).try_launch(Grid::new(1, 32), 0, |blk| {
+                        let fd = mount.open(blk, path, GOpenMode::ReadWrite)?;
+                        mount.write(blk, &fd, 0, &tag.to_le_bytes())?;
+                        mount.write(blk, &fd, TAG_STRIDE, &tag.to_le_bytes())?;
+                        mount.fsync(blk, &fd)?;
+                        mount.close(blk, fd)
+                    })?;
                     latest = tag;
                 }
                 CoherenceOp::OpenCheck { gpu } => {
-                    let mount = Arc::clone(self.mount(gpu));
-                    let path = path.to_owned();
-                    let failure = Arc::clone(&failure);
-                    let observed_in = Arc::clone(&observed);
-                    self.gpu(gpu).launch(Grid::new(1, 32), 0, move |blk| {
-                        let mut work = || -> GpufsResult<(u64, u64)> {
-                            let fd = mount.open(blk, &path, GOpenMode::ReadOnly)?;
-                            let mut a = [0u8; 8];
-                            let mut b = [0u8; 8];
-                            mount.read(blk, &fd, 0, &mut a)?;
-                            mount.read(blk, &fd, TAG_STRIDE, &mut b)?;
-                            mount.close(blk, fd)?;
-                            Ok((u64::from_le_bytes(a), u64::from_le_bytes(b)))
-                        };
-                        match work() {
-                            Ok(tags) => *observed_in.lock() = Some(tags),
-                            Err(e) => {
-                                failure.lock().get_or_insert(e);
-                            }
-                        }
-                    });
+                    let mount = self.mount(gpu);
+                    let observed = Mutex::new((0, 0));
+                    self.gpu(gpu).try_launch(Grid::new(1, 32), 0, |blk| {
+                        let fd = mount.open(blk, path, GOpenMode::ReadOnly)?;
+                        let mut a = [0u8; 8];
+                        let mut b = [0u8; 8];
+                        mount.read(blk, &fd, 0, &mut a)?;
+                        mount.read(blk, &fd, TAG_STRIDE, &mut b)?;
+                        *observed.lock() = (u64::from_le_bytes(a), u64::from_le_bytes(b));
+                        mount.close(blk, fd)
+                    })?;
                     report.checks += 1;
-                    if let Some((a, b)) = observed.lock().take() {
-                        if a != latest {
-                            report.mismatches.push((i, latest, a));
-                        }
-                        if b != latest {
-                            report.mismatches.push((i, latest, b));
-                        }
+                    let (a, b) = observed.into_inner();
+                    if a != latest {
+                        report.mismatches.push((i, latest, a));
+                    }
+                    if b != latest {
+                        report.mismatches.push((i, latest, b));
                     }
                 }
-            }
-            if let Some(e) = failure.lock().take() {
-                return Err(e);
             }
         }
         Ok(report)

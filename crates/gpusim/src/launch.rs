@@ -1,9 +1,13 @@
-//! Kernel launch and the non-preemptive threadblock scheduler.
+//! Kernel launch and the non-preemptive threadblock scheduler, and the
+//! one fleet launch: a kernel per GPU, paced on one shared clock board.
 
+use std::borrow::Borrow;
+
+use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use simtime::{Clock, Nanos};
+use simtime::{Clock, ClockBoard, Nanos};
 
 use crate::{Gpu, GpuId};
 
@@ -225,11 +229,128 @@ impl Gpu {
         }
     }
 
+    /// [`Gpu::launch`] for a kernel that can fail: every block runs to its
+    /// end or its error, and the launch returns the first error any block
+    /// returned.
+    ///
+    /// # Errors
+    ///
+    /// The first error a block returned.
+    ///
+    /// # Panics
+    ///
+    /// As [`Gpu::launch`].
+    pub fn try_launch<E, F>(&self, grid: Grid, start: Nanos, kernel: F) -> Result<KernelResult, E>
+    where
+        E: Send,
+        F: Fn(&mut BlockCtx<'_>) -> Result<(), E> + Sync,
+    {
+        let first = Mutex::new(None);
+        let res = self.launch(grid, start, |blk| {
+            if let Err(e) = kernel(blk) {
+                first.lock().get_or_insert(e);
+            }
+        });
+        first.into_inner().map_or(Ok(res), Err)
+    }
+
     /// Timing calibration this GPU was built with.
     #[must_use]
     pub fn timings(&self) -> &simtime::Timings {
         self.dma().timings()
     }
+}
+
+/// A block's seat on its fleet's clock board, handed to every block of a
+/// [`launch_fleet`] kernel.
+#[derive(Debug, Clone, Copy)]
+pub struct Pace<'b> {
+    board: &'b ClockBoard,
+    seat: usize,
+}
+
+impl Pace<'_> {
+    /// Publish `blk`'s clock and wait until no live block of the fleet is
+    /// more than `lag` virtual ns behind it (`lag = 0`: the virtually
+    /// least-advanced block goes first).
+    pub fn wait(&self, blk: &BlockCtx<'_>, lag: Nanos) {
+        self.board.pace(self.seat, blk.now(), lag);
+    }
+}
+
+/// Launch one kernel per GPU of a fleet, all at virtual time 0, on one
+/// shared virtual clock, and return each GPU's end time.
+///
+/// `grids[g]` is GPU `g`'s grid; a grid of 0 blocks launches nothing there
+/// and reports end 0. Each launching GPU gets its own OS thread, which
+/// calls [`Gpu::try_launch`], so [`Gpu::launch`] draws each GPU's
+/// dispatch seed as a lone launch would. The kernel runs once per block
+/// with the GPU's index, the block's context and its [`Pace`].
+///
+/// Why the pace: blocks are real threads whose real speed has nothing to
+/// do with the virtual cost they accrue, and the kernels start one GPU
+/// after another, so anything they claim or queue for un-paced goes to
+/// whoever the OS schedules first — a schedule of no virtual timeline.
+/// Every block of the fleet holds one seat of one [`ClockBoard`], seat
+/// Σ(blocks of lower GPUs) + block id; [`Pace::wait`] orders the fleet's
+/// steps by virtual time. A seat parks however its block exits, so a
+/// finished or failed block never holds the line.
+///
+/// # Errors
+///
+/// The first error a block returned, in GPU order; every block still
+/// runs to its end or its own error.
+///
+/// # Panics
+///
+/// Panics before any block runs if `grids` and `gpus` differ in length or
+/// a grid has more blocks than its GPU has MP slots: a block not yet
+/// dispatched keeps its seat at clock 0, so every block that paces past
+/// the lag would wait for it forever. Panics if a block panics.
+pub fn launch_fleet<G, E, F>(gpus: &[G], grids: &[Grid], kernel: F) -> Result<Vec<Nanos>, E>
+where
+    G: Borrow<Gpu> + Sync,
+    E: Send,
+    F: Fn(usize, &mut BlockCtx<'_>, Pace<'_>) -> Result<(), E> + Sync,
+{
+    assert_eq!(gpus.len(), grids.len(), "one grid per GPU");
+    let mut seats = 0;
+    let mut bases = Vec::with_capacity(grids.len());
+    for (g, (gpu, grid)) in gpus.iter().zip(grids).enumerate() {
+        let slots = gpu.borrow().spec().concurrent_blocks();
+        assert!(
+            grid.blocks <= slots,
+            "GPU {g}: a grid of {} blocks over-subscribes its {slots} MP slots",
+            grid.blocks
+        );
+        bases.push(seats);
+        seats += grid.blocks;
+    }
+    let board = ClockBoard::new(seats);
+    std::thread::scope(|s| {
+        let launches: Vec<_> = gpus
+            .iter()
+            .zip(grids)
+            .zip(bases)
+            .enumerate()
+            .map(|(g, ((gpu, &grid), base))| {
+                let (board, kernel) = (&board, &kernel);
+                (grid.blocks > 0).then(|| {
+                    s.spawn(move || {
+                        gpu.borrow().try_launch(grid, 0, |blk| {
+                            let seat = base + blk.block_id();
+                            let _seat = board.seat(seat);
+                            kernel(g, blk, Pace { board, seat })
+                        })
+                    })
+                })
+            })
+            .collect();
+        launches
+            .into_iter()
+            .map(|h| h.map_or(Ok(0), |h| Ok(h.join().expect("gpu thread")?.end)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -331,5 +452,76 @@ mod tests {
     #[should_panic(expected = "at least one threadblock")]
     fn empty_grid_panics() {
         gpu().launch(Grid::new(0, 32), 0, |_| {});
+    }
+
+    #[test]
+    fn try_launch_runs_every_block_and_keeps_a_blocks_error() {
+        let ran = AtomicU64::new(0);
+        let res = gpu().try_launch(Grid::new(8, 32), 0, |blk| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            match blk.block_id() {
+                3 => Err(3),
+                _ => Ok(()),
+            }
+        });
+        assert_eq!(res.unwrap_err(), 3);
+        assert_eq!(
+            ran.load(Ordering::Relaxed),
+            8,
+            "a failed block stops no other"
+        );
+        assert!(gpu()
+            .try_launch(Grid::new(2, 32), 0, |_| Ok::<(), ()>(()))
+            .is_ok());
+    }
+
+    #[test]
+    fn a_fleet_launch_seats_every_block_and_skips_empty_grids() {
+        let gpus: Vec<Gpu> = (0..3)
+            .map(|id| Gpu::new(id, GpuSpec::small_test()))
+            .collect();
+        let t0 = gpus[0].timings().kernel_launch_ns;
+        let per_gpu: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
+        let grids = [Grid::new(3, 32), Grid::new(0, 32), Grid::new(8, 32)];
+        let ends = launch_fleet(&gpus, &grids, |g, blk, pace| {
+            assert_eq!(blk.gpu_id(), g);
+            per_gpu[g].fetch_add(1, Ordering::Relaxed);
+            // Eleven seats, paced across both launching GPUs.
+            for _ in 0..4 {
+                pace.wait(blk, 0);
+                blk.advance(250 * (g as u64 + 1));
+            }
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(ends, [t0 + 1_000, 0, t0 + 3_000]);
+        let ran: Vec<u64> = per_gpu.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(ran, [3, 0, 8]);
+
+        let failed = launch_fleet(&gpus[..2], &grids[..2], |g, blk, _| {
+            if blk.block_id() == 1 {
+                Err(g)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(failed, Err(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "GPU 1: a grid of 9 blocks over-subscribes its 8 MP slots")]
+    fn an_over_subscribed_grid_is_refused_before_any_block_runs() {
+        let gpus = [gpu(), gpu()];
+        let ran = AtomicU64::new(0);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            launch_fleet(&gpus, &[Grid::new(1, 32), Grid::new(9, 32)], |_, _, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                Ok::<(), ()>(())
+            })
+        }));
+        // A launch that had started would have run GPU 0's block before
+        // the scope let the panic out.
+        assert_eq!(ran.load(Ordering::Relaxed), 0, "a block ran");
+        std::panic::resume_unwind(refused.expect_err("9 blocks on 8 slots"));
     }
 }

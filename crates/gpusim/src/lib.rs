@@ -51,7 +51,7 @@ mod pinned;
 mod spec;
 
 pub use dma::DmaEngines;
-pub use launch::{BlockCtx, Grid, KernelResult};
+pub use launch::{launch_fleet, BlockCtx, Grid, KernelResult, Pace};
 pub use mem::{DevPtr, GlobalMem, MemError};
 pub use pinned::HostPinned;
 pub use spec::GpuSpec;

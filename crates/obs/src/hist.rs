@@ -14,7 +14,6 @@ const HIST_SUB: usize = 1 << HIST_SUB_BITS;
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,
-    sum: u128,
     max: u64,
 }
 
@@ -31,7 +30,6 @@ impl Histogram {
         Self {
             counts: vec![0; (64 - HIST_SUB_BITS as usize) * HIST_SUB],
             total: 0,
-            sum: 0,
             max: 0,
         }
     }
@@ -60,7 +58,6 @@ impl Histogram {
     pub fn record(&mut self, v: u64) {
         self.counts[Self::bucket_of(v)] += 1;
         self.total += 1;
-        self.sum += u128::from(v);
         self.max = self.max.max(v);
     }
 
@@ -70,7 +67,6 @@ impl Histogram {
             *a += b;
         }
         self.total += other.total;
-        self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
 
@@ -78,22 +74,6 @@ impl Histogram {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.total
-    }
-
-    /// Mean of the recorded samples (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Largest recorded sample.
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.max
     }
 
     /// The `q`-quantile (`0.5` = p50), as the upper edge of the bucket
@@ -139,17 +119,15 @@ mod tests {
         other.record(4000);
         h.merge(&other);
         assert_eq!(h.count(), 1001);
-        assert_eq!(h.max(), 4000);
         assert!(h.quantile(1.0) == 4000);
     }
 
     #[test]
-    fn small_values_are_exact_and_mean_tracks() {
+    fn small_values_are_exact() {
         let mut h = Histogram::new();
         for v in [0u64, 1, 2, 3] {
             h.record(v);
         }
         assert_eq!(h.quantile(0.25), 1, "values below 2^3 are exact");
-        assert!((h.mean() - 1.5).abs() < 1e-9);
     }
 }

@@ -23,9 +23,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gpufs::cluster::{FleetView, ShardStrategy, WorkQueue};
-use gpufs::{GOpenMode, GpufsResult};
-use gpusim::Grid;
-use simtime::{ClockBoard, Nanos};
+use gpufs::{GOpenMode, GpuFsMount, GpufsResult};
+use gpusim::{launch_fleet, Gpu, Grid};
+use simtime::Nanos;
 
 use crate::compute::FlopsModel;
 use crate::corpus::ImageDataset;
@@ -108,104 +108,54 @@ pub fn cluster_search(
         .map(|_| AtomicU64::new(NO_MATCH))
         .collect();
     let items_done: Vec<AtomicU64> = (0..n_gpus).map(|_| AtomicU64::new(0)).collect();
-    let failure: parking_lot::Mutex<Option<gpufs::GpufsError>> = parking_lot::Mutex::new(None);
-    // The fleet's claim order must follow *virtual* time, not the real
-    // OS-thread race: blocks are real threads whose real speed runs far
-    // ahead of the virtual cost they accrue (and kernels launch one GPU
-    // after another), so un-paced greedy claiming lets whoever is
-    // scheduled first drain — and over-steal — the queue in microseconds
-    // of real time, a schedule corresponding to no virtual timeline. The
-    // clock board fixes the order conservatively: every block publishes
-    // its virtual clock here at each claim, and may claim only when no
-    // live block in the whole fleet is virtually behind it — i.e. items
-    // go to the virtually-least-loaded block, exactly the greedy
-    // work-conserving schedule a real fleet exhibits. A block's seat
-    // parks when it exits, however it exits, so it never holds the line.
-    let block_base: Vec<usize> = (0..n_gpus)
-        .scan(0usize, |acc, g| {
-            let base = *acc;
-            *acc += fleet.gpu(g).spec().concurrent_blocks();
-            Some(base)
-        })
+    let gpus: Vec<&Gpu> = (0..n_gpus).map(|g| &**fleet.gpu(g)).collect();
+    let mounts: Vec<&Arc<GpuFsMount>> = (0..n_gpus).map(|g| fleet.mount(g)).collect();
+    let grids: Vec<Grid> = gpus
+        .iter()
+        .map(|gpu| Grid::new(gpu.spec().concurrent_blocks(), 512))
         .collect();
-    let total_blocks: usize = (0..n_gpus)
-        .map(|g| fleet.gpu(g).spec().concurrent_blocks())
-        .sum();
-    let board = ClockBoard::new(total_blocks);
 
-    let per_gpu_elapsed: Vec<Nanos> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n_gpus)
-            .map(|g| {
-                let mount = Arc::clone(fleet.mount(g));
-                let gpu = Arc::clone(fleet.gpu(g));
-                let (queue, chunks) = (&queue, &chunks);
-                let (results, items_done, failure) = (&results, &items_done, &failure);
-                let (board, block_base) = (&board, &block_base);
-                s.spawn(move || {
-                    let blocks = gpu.spec().concurrent_blocks();
-                    let res = gpu.launch(Grid::new(blocks, 512), 0, |blk| {
-                        let my_slot = block_base[g] + blk.block_id();
-                        let _seat = board.seat(my_slot);
-                        let mut work = || -> GpufsResult<()> {
-                            // Every block matches the full query set.
-                            let fd_q = mount.open(blk, &ds.query_path, GOpenMode::ReadOnly)?;
-                            let mut qbytes = vec![0u8; ds.n_queries * ib];
-                            mount.read(blk, &fd_q, 0, &mut qbytes)?;
-                            mount.close(blk, fd_q)?;
-                            let queries: Vec<Vec<f32>> =
-                                qbytes.chunks_exact(ib).map(f32_slice).collect();
-                            // Decoded: the raw bytes would otherwise live
-                            // as long as the block does.
-                            drop(qbytes);
-                            let nb = blk.grid().blocks;
-                            loop {
-                                // Claim once nobody live is virtually
-                                // behind me.
-                                board.pace(my_slot, blk.now(), 0);
-                                let Some(item) = queue.next(g) else { break };
-                                let c = chunks[item.index];
-                                let fd =
-                                    mount.open(blk, &ds.db_paths[c.db], GOpenMode::ReadOnly)?;
-                                let mut buf = vec![0u8; c.n_imgs * ib];
-                                let got = mount.read(blk, &fd, (c.img0 * ib) as u64, &mut buf)?;
-                                debug_assert_eq!(got, c.n_imgs * ib);
-                                mount.close(blk, fd)?;
-                                let flops =
-                                    (c.n_imgs as u64) * (ds.n_queries as u64) * (ds.dim as u64) * 2;
-                                blk.advance(model.gpu_block_time(flops, nb));
-                                for i in 0..c.n_imgs {
-                                    let image = f32_slice(&buf[i * ib..(i + 1) * ib]);
-                                    for (q, query) in queries.iter().enumerate() {
-                                        if matches_query(&image, query, threshold_sq) {
-                                            // Highest-priority match wins,
-                                            // whichever GPU finds it first.
-                                            results[q].fetch_min(
-                                                pack(c.db, c.img0 + i),
-                                                Ordering::Relaxed,
-                                            );
-                                        }
-                                    }
-                                }
-                                items_done[g].fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(())
-                        };
-                        if let Err(e) = work() {
-                            failure.lock().get_or_insert(e);
-                        }
-                    });
-                    res.end
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("gpu thread"))
-            .collect()
-    });
-    if let Some(e) = failure.into_inner() {
-        return Err(e);
-    }
+    // Claims follow virtual time (see `launch_fleet`): a block claims an
+    // item only once no live block of the fleet is virtually behind it,
+    // so items go to the virtually least-loaded block — the greedy
+    // work-conserving schedule a real fleet exhibits.
+    let per_gpu_elapsed = launch_fleet(&gpus, &grids, |g, blk, pace| -> GpufsResult<()> {
+        let mount = mounts[g];
+        // Every block matches the full query set.
+        let fd_q = mount.open(blk, &ds.query_path, GOpenMode::ReadOnly)?;
+        let mut qbytes = vec![0u8; ds.n_queries * ib];
+        mount.read(blk, &fd_q, 0, &mut qbytes)?;
+        mount.close(blk, fd_q)?;
+        let queries: Vec<Vec<f32>> = qbytes.chunks_exact(ib).map(f32_slice).collect();
+        // Decoded: the raw bytes would otherwise live as long as the
+        // block does.
+        drop(qbytes);
+        let nb = blk.grid().blocks;
+        loop {
+            pace.wait(blk, 0);
+            let Some(item) = queue.next(g) else { break };
+            let c = chunks[item.index];
+            let fd = mount.open(blk, &ds.db_paths[c.db], GOpenMode::ReadOnly)?;
+            let mut buf = vec![0u8; c.n_imgs * ib];
+            let got = mount.read(blk, &fd, (c.img0 * ib) as u64, &mut buf)?;
+            debug_assert_eq!(got, c.n_imgs * ib);
+            mount.close(blk, fd)?;
+            let flops = (c.n_imgs as u64) * (ds.n_queries as u64) * (ds.dim as u64) * 2;
+            blk.advance(model.gpu_block_time(flops, nb));
+            for i in 0..c.n_imgs {
+                let image = f32_slice(&buf[i * ib..(i + 1) * ib]);
+                for (q, query) in queries.iter().enumerate() {
+                    if matches_query(&image, query, threshold_sq) {
+                        // Highest-priority match wins, whichever GPU
+                        // finds it first.
+                        results[q].fetch_min(pack(c.db, c.img0 + i), Ordering::Relaxed);
+                    }
+                }
+            }
+            items_done[g].fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    })?;
 
     let matches: Vec<Option<(usize, usize)>> = results
         .iter()

@@ -96,103 +96,93 @@ pub fn grep_gpufs(
     let match_records = AtomicU64::new(0);
     let total_occurrences = AtomicU64::new(0);
     let word_totals: Mutex<HashMap<Vec<u8>, u64>> = Mutex::new(HashMap::new());
-    let failure: Mutex<Option<gpufs::GpufsError>> = Mutex::new(None);
 
     let blocks = gpu.spec().concurrent_blocks();
-    let result = gpu.launch(Grid::new(blocks, 512), 0, |blk| {
-        let mut work = || -> GpufsResult<()> {
-            // Read the file list and the dictionary through GPUfs; both
-            // are cached after the first block pulls them.
-            let fd_list = mount.open(blk, file_list_path, GOpenMode::ReadOnly)?;
-            let list_size = mount.fstat(blk, &fd_list).size as usize;
-            let mut list_bytes = vec![0u8; list_size];
-            mount.read(blk, &fd_list, 0, &mut list_bytes)?;
-            mount.close(blk, fd_list)?;
-            let files: Vec<&str> = std::str::from_utf8(&list_bytes)
-                .expect("file list is utf-8")
-                .lines()
-                .collect();
+    let result = gpu.try_launch(Grid::new(blocks, 512), 0, |blk| -> GpufsResult<()> {
+        // Read the file list and the dictionary through GPUfs; both
+        // are cached after the first block pulls them.
+        let fd_list = mount.open(blk, file_list_path, GOpenMode::ReadOnly)?;
+        let list_size = mount.fstat(blk, &fd_list).size as usize;
+        let mut list_bytes = vec![0u8; list_size];
+        mount.read(blk, &fd_list, 0, &mut list_bytes)?;
+        mount.close(blk, fd_list)?;
+        let files: Vec<&str> = std::str::from_utf8(&list_bytes)
+            .expect("file list is utf-8")
+            .lines()
+            .collect();
 
-            let fd_dict = mount.open(blk, dict_path, GOpenMode::ReadOnly)?;
-            let dict_size = mount.fstat(blk, &fd_dict).size as usize;
-            let mut dict_bytes = vec![0u8; dict_size];
-            mount.read(blk, &fd_dict, 0, &mut dict_bytes)?;
-            mount.close(blk, fd_dict)?;
-            let dict = parse_dictionary(&dict_bytes);
-            debug_assert!(dict.windows(2).all(|w| w[0] <= w[1]), "dictionary sorted");
+        let fd_dict = mount.open(blk, dict_path, GOpenMode::ReadOnly)?;
+        let dict_size = mount.fstat(blk, &fd_dict).size as usize;
+        let mut dict_bytes = vec![0u8; dict_size];
+        mount.read(blk, &fd_dict, 0, &mut dict_bytes)?;
+        mount.close(blk, fd_dict)?;
+        let dict = parse_dictionary(&dict_bytes);
+        debug_assert!(dict.windows(2).all(|w| w[0] <= w[1]), "dictionary sorted");
 
-            let fd_out = mount.open(blk, out_path, GOpenMode::WriteOnce)?;
-            let mut out_buf = vec![0u8; BLOCK_OUT_BUF];
-            let mut out_len = 0usize;
+        let fd_out = mount.open(blk, out_path, GOpenMode::WriteOnce)?;
+        let mut out_buf = vec![0u8; BLOCK_OUT_BUF];
+        let mut out_len = 0usize;
 
-            // Work split: with many files, blocks stride over the file
-            // list, each matching the whole dictionary. With fewer files
-            // than blocks (the Shakespeare case), every block scans every
-            // file but only its shard of the dictionary — the paper's
-            // one-word-per-thread parallelization.
-            let nb = blk.grid().blocks;
-            let (my_files, my_dict): (Vec<usize>, &[Vec<u8>]) = if files.len() >= nb {
-                (
-                    (blk.block_id()..files.len()).step_by(nb).collect(),
-                    &dict[..],
-                )
-            } else {
-                let span = dict.len().div_ceil(nb);
-                let d0 = (blk.block_id() * span).min(dict.len());
-                let d1 = (d0 + span).min(dict.len());
-                ((0..files.len()).collect(), &dict[d0..d1])
-            };
-            for i in my_files {
-                let fd = mount.open(blk, files[i], GOpenMode::ReadOnly)?;
-                let size = mount.fstat(blk, &fd).size as usize;
-                let mut text = vec![0u8; size];
-                let n = mount.read(blk, &fd, 0, &mut text)?;
-                debug_assert_eq!(n, size);
-                // Matching cost: text bytes x this block's dictionary
-                // words, at the block's share of the GPU rate.
-                blk.advance(model.gpu_block_time(
-                    size as u64,
-                    my_dict.len() as u64,
-                    nb.min(blk.gpu().spec().concurrent_blocks()),
-                ));
-                let counts = count_matches(&text, my_dict);
-                for (&w, &c) in &counts {
-                    match_records.fetch_add(1, Ordering::Relaxed);
-                    total_occurrences.fetch_add(c, Ordering::Relaxed);
-                    loop {
-                        if let Some(len) = format_match_line(
-                            &mut out_buf[out_len..],
-                            &my_dict[w],
-                            files[i].as_bytes(),
-                            c,
-                        ) {
-                            out_len += len;
-                            break;
-                        }
-                        // Buffer full: flush to a freshly reserved range.
-                        let off = out_cursor.fetch_add(out_len as u64, Ordering::Relaxed);
-                        mount.write(blk, &fd_out, off, &out_buf[..out_len])?;
-                        out_len = 0;
-                    }
-                }
-                merge_result(&word_totals, my_dict, &counts);
-                mount.close(blk, fd)?;
-            }
-            if out_len > 0 {
-                let off = out_cursor.fetch_add(out_len as u64, Ordering::Relaxed);
-                mount.write(blk, &fd_out, off, &out_buf[..out_len])?;
-            }
-            mount.fsync(blk, &fd_out)?;
-            mount.close(blk, fd_out)?;
-            Ok(())
+        // Work split: with many files, blocks stride over the file
+        // list, each matching the whole dictionary. With fewer files
+        // than blocks (the Shakespeare case), every block scans every
+        // file but only its shard of the dictionary — the paper's
+        // one-word-per-thread parallelization.
+        let nb = blk.grid().blocks;
+        let (my_files, my_dict): (Vec<usize>, &[Vec<u8>]) = if files.len() >= nb {
+            (
+                (blk.block_id()..files.len()).step_by(nb).collect(),
+                &dict[..],
+            )
+        } else {
+            let span = dict.len().div_ceil(nb);
+            let d0 = (blk.block_id() * span).min(dict.len());
+            let d1 = (d0 + span).min(dict.len());
+            ((0..files.len()).collect(), &dict[d0..d1])
         };
-        if let Err(e) = work() {
-            failure.lock().get_or_insert(e);
+        for i in my_files {
+            let fd = mount.open(blk, files[i], GOpenMode::ReadOnly)?;
+            let size = mount.fstat(blk, &fd).size as usize;
+            let mut text = vec![0u8; size];
+            let n = mount.read(blk, &fd, 0, &mut text)?;
+            debug_assert_eq!(n, size);
+            // Matching cost: text bytes x this block's dictionary
+            // words, at the block's share of the GPU rate.
+            blk.advance(model.gpu_block_time(
+                size as u64,
+                my_dict.len() as u64,
+                nb.min(blk.gpu().spec().concurrent_blocks()),
+            ));
+            let counts = count_matches(&text, my_dict);
+            for (&w, &c) in &counts {
+                match_records.fetch_add(1, Ordering::Relaxed);
+                total_occurrences.fetch_add(c, Ordering::Relaxed);
+                loop {
+                    if let Some(len) = format_match_line(
+                        &mut out_buf[out_len..],
+                        &my_dict[w],
+                        files[i].as_bytes(),
+                        c,
+                    ) {
+                        out_len += len;
+                        break;
+                    }
+                    // Buffer full: flush to a freshly reserved range.
+                    let off = out_cursor.fetch_add(out_len as u64, Ordering::Relaxed);
+                    mount.write(blk, &fd_out, off, &out_buf[..out_len])?;
+                    out_len = 0;
+                }
+            }
+            merge_result(&word_totals, my_dict, &counts);
+            mount.close(blk, fd)?;
         }
-    });
-    if let Some(e) = failure.into_inner() {
-        return Err(e);
-    }
+        if out_len > 0 {
+            let off = out_cursor.fetch_add(out_len as u64, Ordering::Relaxed);
+            mount.write(blk, &fd_out, off, &out_buf[..out_len])?;
+        }
+        mount.fsync(blk, &fd_out)?;
+        mount.close(blk, fd_out)
+    })?;
     Ok(GrepResult {
         elapsed: result.elapsed(),
         match_records: match_records.load(Ordering::Relaxed),

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gpufs::{GOpenMode, GpuFsMount, GpufsResult};
-use gpusim::{Gpu, Grid};
+use gpusim::{launch_fleet, Gpu, Grid};
 use hostfs::HostFs;
 use simtime::Nanos;
 
@@ -100,40 +100,24 @@ pub fn imgmatch_gpufs(
     let results: Vec<AtomicU64> = (0..ds.n_queries)
         .map(|_| AtomicU64::new(NO_MATCH))
         .collect();
-    let failure: parking_lot::Mutex<Option<gpufs::GpufsError>> = parking_lot::Mutex::new(None);
-
-    let ends: Vec<Nanos> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n_gpus)
-            .map(|g| {
-                let mount = Arc::clone(&mounts[g]);
-                let gpu = Arc::clone(&gpus[g]);
-                let results = &results;
-                let failure = &failure;
-                s.spawn(move || {
-                    let q0 = g * per_gpu;
-                    let q1 = ds.n_queries.min(q0 + per_gpu);
-                    if q0 >= q1 {
-                        return 0;
-                    }
-                    let blocks = gpu.spec().concurrent_blocks();
-                    let res = gpu.launch(Grid::new(blocks, 512), 0, |blk| {
-                        let r = run_block(&mount, blk, ds, threshold, q0, q1, results);
-                        if let Err(e) = r {
-                            failure.lock().get_or_insert(e);
-                        }
-                    });
-                    res.end
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("gpu thread"))
-            .collect()
-    });
-    if let Some(e) = failure.into_inner() {
-        return Err(e);
-    }
+    // A GPU the split leaves without queries launches nothing.
+    let grids: Vec<Grid> = gpus
+        .iter()
+        .enumerate()
+        .map(|(g, gpu)| {
+            let blocks = if g * per_gpu < ds.n_queries {
+                gpu.spec().concurrent_blocks()
+            } else {
+                0
+            };
+            Grid::new(blocks, 512)
+        })
+        .collect();
+    let ends = launch_fleet(gpus, &grids, |g, blk, _| {
+        let q0 = g * per_gpu;
+        let q1 = ds.n_queries.min(q0 + per_gpu);
+        run_block(&mounts[g], blk, ds, threshold, q0, q1, &results)
+    })?;
     let matches: Vec<Option<(usize, usize)>> = results
         .iter()
         .map(|r| unpack(r.load(Ordering::Relaxed)))

@@ -18,12 +18,13 @@
 //! [`cluster`] scales the image search out: the §6 distributed search
 //! over a `gpufs::cluster::GpuFleet`, sharding the database files across
 //! N GPUs through the fleet's work-distribution queue (static or
-//! work-stealing).
+//! work-stealing). It, [`traffic`] and the multi-GPU image match launch
+//! through `gpusim::launch_fleet`, one kernel per GPU on one clock board.
 //!
 //! [`traffic`] drives a fleet with synthesized production traffic —
 //! Zipf-popular files, bursty arrivals, mixed tenant classes — and
-//! measures per-tenant tail latency (p50/p99/p999, Jain fairness), the
-//! harness behind the multi-tenant dispatch/quota knobs in `gpufs`.
+//! measures each tenant's p99 request latency and the fleet's throughput,
+//! the harness behind the multi-tenant dispatch/quota knobs in `gpufs`.
 //!
 //! Supporting modules: [`corpus`] generates the deterministic synthetic
 //! datasets standing in for the paper's inputs (Linux source tree,

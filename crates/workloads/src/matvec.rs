@@ -62,77 +62,67 @@ pub fn matvec_gpufs(
     let blocks = gpu.spec().concurrent_blocks();
     let model = FlopsModel::matvec();
     let row_bytes = cols * 4;
-    let failure: parking_lot::Mutex<Option<gpufs::GpufsError>> = parking_lot::Mutex::new(None);
 
-    let result = gpu.launch(Grid::new(blocks, 256), 0, |blk| {
-        let mut work = || -> GpufsResult<()> {
-            let fd_m = mount.open(blk, matrix_path, GOpenMode::ReadOnly)?;
-            let fd_v = mount.open(blk, vector_path, GOpenMode::ReadOnly)?;
-            let fd_o = mount.open(blk, out_path, GOpenMode::WriteOnce)?;
+    let result = gpu.try_launch(Grid::new(blocks, 256), 0, |blk| -> GpufsResult<()> {
+        let fd_m = mount.open(blk, matrix_path, GOpenMode::ReadOnly)?;
+        let fd_v = mount.open(blk, vector_path, GOpenMode::ReadOnly)?;
+        let fd_o = mount.open(blk, out_path, GOpenMode::WriteOnce)?;
 
-            // Load the vector (cached in the GPU buffer cache after the
-            // first block fetches it).
-            let mut vbytes = vec![0u8; (cols * 4) as usize];
-            mount.read(blk, &fd_v, 0, &mut vbytes)?;
-            let vector: Vec<f32> = (0..cols as usize).map(|i| f32_at(&vbytes, i)).collect();
+        // Load the vector (cached in the GPU buffer cache after the
+        // first block fetches it).
+        let mut vbytes = vec![0u8; (cols * 4) as usize];
+        mount.read(blk, &fd_v, 0, &mut vbytes)?;
+        let vector: Vec<f32> = (0..cols as usize).map(|i| f32_at(&vbytes, i)).collect();
 
-            // This block's band of rows.
-            let nb = blk.grid().blocks as u64;
-            let band = rows.div_ceil(nb);
-            let r0 = blk.block_id() as u64 * band;
-            let r1 = rows.min(r0 + band);
-            let mut results: Vec<u8> = Vec::with_capacity(((r1 - r0) * 4) as usize);
+        // This block's band of rows.
+        let nb = blk.grid().blocks as u64;
+        let band = rows.div_ceil(nb);
+        let r0 = blk.block_id() as u64 * band;
+        let r1 = rows.min(r0 + band);
+        let mut results: Vec<u8> = Vec::with_capacity(((r1 - r0) * 4) as usize);
 
-            let mut row = r0;
-            while row < r1 {
-                // Map as much of the matrix as gmmap will give us from
-                // this row onward (at most one buffer-cache page).
-                let offset = row * row_bytes;
-                let map = mount.mmap(blk, &fd_m, offset, ((r1 - row) * row_bytes) as usize)?;
-                let whole_rows = (map.len() as u64 / row_bytes).max(1).min(r1 - row);
-                let usable = (whole_rows * row_bytes) as usize;
-                if usable > map.len() {
-                    // Page boundary split a row: fall back to gread for it.
-                    drop(map);
-                    let mut rbytes = vec![0u8; row_bytes as usize];
-                    mount.read(blk, &fd_m, offset, &mut rbytes)?;
-                    let mut acc = 0.0f32;
-                    for (c, &v) in vector.iter().enumerate().take(cols as usize) {
-                        acc += f32_at(&rbytes, c) * v;
-                    }
-                    results.extend_from_slice(&acc.to_le_bytes());
-                    blk.advance(model.gpu_block_time(2 * cols, blk.grid().blocks));
-                    row += 1;
-                    continue;
+        let mut row = r0;
+        while row < r1 {
+            // Map as much of the matrix as gmmap will give us from
+            // this row onward (at most one buffer-cache page).
+            let offset = row * row_bytes;
+            let map = mount.mmap(blk, &fd_m, offset, ((r1 - row) * row_bytes) as usize)?;
+            let whole_rows = (map.len() as u64 / row_bytes).max(1).min(r1 - row);
+            let usable = (whole_rows * row_bytes) as usize;
+            if usable > map.len() {
+                // Page boundary split a row: fall back to gread for it.
+                drop(map);
+                let mut rbytes = vec![0u8; row_bytes as usize];
+                mount.read(blk, &fd_m, offset, &mut rbytes)?;
+                let mut acc = 0.0f32;
+                for (c, &v) in vector.iter().enumerate().take(cols as usize) {
+                    acc += f32_at(&rbytes, c) * v;
                 }
-                let data = map.bytes();
-                for r in 0..whole_rows as usize {
-                    let base = r * row_bytes as usize;
-                    let mut acc = 0.0f32;
-                    for (c, &v) in vector.iter().enumerate().take(cols as usize) {
-                        acc += f32_at(&data[base..], c) * v;
-                    }
-                    results.extend_from_slice(&acc.to_le_bytes());
-                }
-                blk.advance(model.gpu_block_time(2 * cols * whole_rows, blk.grid().blocks));
-                mount.munmap(blk, map);
-                row += whole_rows;
+                results.extend_from_slice(&acc.to_le_bytes());
+                blk.advance(model.gpu_block_time(2 * cols, blk.grid().blocks));
+                row += 1;
+                continue;
             }
-
-            mount.write(blk, &fd_o, r0 * 4, &results)?;
-            mount.fsync(blk, &fd_o)?;
-            mount.close(blk, fd_o)?;
-            mount.close(blk, fd_v)?;
-            mount.close(blk, fd_m)?;
-            Ok(())
-        };
-        if let Err(e) = work() {
-            failure.lock().get_or_insert(e);
+            let data = map.bytes();
+            for r in 0..whole_rows as usize {
+                let base = r * row_bytes as usize;
+                let mut acc = 0.0f32;
+                for (c, &v) in vector.iter().enumerate().take(cols as usize) {
+                    acc += f32_at(&data[base..], c) * v;
+                }
+                results.extend_from_slice(&acc.to_le_bytes());
+            }
+            blk.advance(model.gpu_block_time(2 * cols * whole_rows, blk.grid().blocks));
+            mount.munmap(blk, map);
+            row += whole_rows;
         }
-    });
-    if let Some(e) = failure.into_inner() {
-        return Err(e);
-    }
+
+        mount.write(blk, &fd_o, r0 * 4, &results)?;
+        mount.fsync(blk, &fd_o)?;
+        mount.close(blk, fd_o)?;
+        mount.close(blk, fd_v)?;
+        mount.close(blk, fd_m)
+    })?;
     let matrix_bytes = rows * row_bytes;
     Ok(MatvecResult {
         elapsed: result.elapsed(),

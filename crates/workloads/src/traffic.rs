@@ -14,10 +14,10 @@
 //!   byte for byte.
 //! * [`replay`] drives a [`GpuFleet`] with the trace — every threadblock
 //!   replays its assigned sessions at their arrival times, paced by the
-//!   same virtual clock board as [`crate::cluster`] so contention is
+//!   same fleet launch as [`crate::cluster`] so contention is
 //!   arbitrated in virtual order, not by the OS thread race — and
-//!   records per-request fault latency into per-tenant [`Histogram`]s
-//!   (p50/p99/p999) plus a Jain fairness index.
+//!   records per-request fault latency into per-tenant [`Histogram`]s,
+//!   reported as each tenant's p99.
 //!
 //! The per-tenant knobs under test live in `gpufs`:
 //! `GpufsConfig::tenant_weights` (weighted RPC dispatch),
@@ -26,15 +26,13 @@
 //! tenant via `GpuFsMount::set_tenant`, so those mechanisms see exactly
 //! the traffic the trace describes.
 
-use std::sync::Arc;
-
 use gpufs::cluster::GpuFleet;
 use gpufs::{GOpenMode, GpufsResult};
-use gpusim::Grid;
+use gpusim::{launch_fleet, Grid};
 use obs::Histogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simtime::{ClockBoard, Nanos};
+use simtime::Nanos;
 
 /// Service class of one tenant's sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,51 +341,18 @@ pub struct TenantTail {
     pub ops: u64,
     /// Bytes moved by the tenant's data ops.
     pub bytes: u64,
-    /// Median request latency (virtual ns).
-    pub p50: u64,
     /// 99th-percentile request latency (virtual ns).
     pub p99: u64,
-    /// 99.9th-percentile request latency (virtual ns).
-    pub p999: u64,
-    /// Mean request latency (virtual ns).
-    pub mean: f64,
-    /// Worst request latency (virtual ns).
-    pub max: u64,
 }
 
 /// Outcome of [`replay`].
 #[derive(Debug, Clone)]
 pub struct TrafficOutcome {
-    /// Virtual end time of the slowest GPU.
-    pub elapsed: Nanos,
     /// Per-tenant tail digests, indexed by tenant id.
     pub per_tenant: Vec<TenantTail>,
-    /// Jain fairness index over per-tenant mean *service rates*
-    /// (completed requests per virtual second): 1 = perfectly even,
-    /// `1/n` = one tenant served exclusively.
-    pub fairness: f64,
-    /// Total requests completed.
-    pub total_ops: u64,
-    /// Total bytes moved by data ops.
-    pub total_bytes: u64,
-    /// Aggregate data throughput in MB/s of virtual time.
+    /// Aggregate data throughput in MB/s of virtual time (the slowest
+    /// GPU's end).
     pub throughput_mb_s: f64,
-}
-
-/// Jain's fairness index `(Σx)² / (n·Σx²)` (1 for an empty or uniform
-/// population).
-#[must_use]
-fn jain_index(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    let s: f64 = xs.iter().sum();
-    let s2: f64 = xs.iter().map(|x| x * x).sum();
-    if s2 == 0.0 {
-        1.0
-    } else {
-        s * s / (xs.len() as f64 * s2)
-    }
 }
 
 /// Create the read corpus `trace` expects on `fleet`'s host file system
@@ -410,13 +375,13 @@ pub fn materialize_corpus(fleet: &GpuFleet, trace: &Trace) -> GpufsResult<()> {
     Ok(())
 }
 
-/// Replay `trace` against `fleet`, one OS thread per GPU, one launched
-/// threadblock per trace block, paced on the shared virtual clock board
-/// (see [`crate::cluster`] for why un-paced replay measures the OS
-/// scheduler instead of the virtual timeline). Each block tags its slot
-/// with its tenant, waits for each session's arrival, executes the
-/// session, and records one latency sample per request (open, data op,
-/// close) into its tenant's histogram.
+/// Replay `trace` against `fleet`, one launched threadblock per trace
+/// block, paced on the fleet's one clock board (see
+/// [`gpusim::launch_fleet`] for why un-paced replay measures the OS
+/// scheduler instead of the virtual timeline). Each block's slot is
+/// tagged with its tenant; the block waits for each session's arrival,
+/// executes the session, and records one latency sample per request
+/// (open, data op, close) into its tenant's histogram.
 ///
 /// # Errors
 ///
@@ -424,7 +389,8 @@ pub fn materialize_corpus(fleet: &GpuFleet, trace: &Trace) -> GpufsResult<()> {
 ///
 /// # Panics
 ///
-/// Panics if `trace` names more GPUs than `fleet` has.
+/// Panics if `trace` names more GPUs than `fleet` has, or gives a GPU
+/// more blocks than it has MP slots.
 pub fn replay(fleet: &GpuFleet, trace: &Trace) -> GpufsResult<TrafficOutcome> {
     assert!(
         trace.blocks.len() <= fleet.len(),
@@ -434,102 +400,64 @@ pub fn replay(fleet: &GpuFleet, trace: &Trace) -> GpufsResult<TrafficOutcome> {
     );
     let n_gpus = trace.blocks.len();
     let n_tenants = trace.config.tenants.len();
-
-    let block_base: Vec<usize> = (0..n_gpus)
-        .scan(0usize, |acc, g| {
-            let base = *acc;
-            *acc += trace.blocks[g].len();
-            Some(base)
-        })
+    for (mount, tenants) in fleet.mounts().iter().zip(&trace.tenant_of) {
+        for (slot, &t) in tenants.iter().enumerate() {
+            mount.set_tenant(slot, t);
+        }
+    }
+    let grids: Vec<Grid> = trace
+        .blocks
+        .iter()
+        .map(|blocks| Grid::new(blocks.len(), 128))
         .collect();
-    let total_blocks: usize = trace.blocks.iter().map(Vec::len).sum();
-    let board = ClockBoard::new(total_blocks);
-    let failure: parking_lot::Mutex<Option<gpufs::GpufsError>> = parking_lot::Mutex::new(None);
+    let lag = trace.config.pace_lag_ns;
     // Per-block histogram + byte counter, merged per tenant after the
-    // join: blocks never share a sample sink, so recording needs no lock.
+    // launch: blocks never share a sample sink, so recording needs no lock.
     let sinks: parking_lot::Mutex<Vec<(usize, Histogram, u64)>> =
         parking_lot::Mutex::new(Vec::new());
 
-    let per_gpu_elapsed: Vec<Nanos> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n_gpus)
-            .map(|g| {
-                let mount = Arc::clone(fleet.mount(g));
-                let gpu = Arc::clone(fleet.gpu(g));
-                let (board, block_base) = (&board, &block_base);
-                let (failure, sinks) = (&failure, &sinks);
-                s.spawn(move || {
-                    let blocks = trace.blocks[g].len();
-                    if blocks == 0 {
-                        return 0;
-                    }
-                    for (slot, &t) in trace.tenant_of[g].iter().enumerate() {
-                        mount.set_tenant(slot, t);
-                    }
-                    let res = gpu.launch(Grid::new(blocks, 128), 0, |blk| {
-                        let my_slot = block_base[g] + blk.block_id();
-                        // Parks the block's clock however it exits, so a
-                        // finished (or failed) block never holds the
-                        // fleet's pacing line.
-                        let _seat = board.seat(my_slot);
-                        let sessions = &trace.blocks[g][blk.block_id()];
-                        let tenant = trace.tenant_of[g][blk.block_id()];
-                        let mut hist = Histogram::new();
-                        let mut bytes = 0u64;
-                        let lag = trace.config.pace_lag_ns;
-                        let pace = |blk: &mut gpusim::BlockCtx<'_>| {
-                            board.pace(my_slot, blk.now(), lag);
-                        };
-                        let mut work = |blk: &mut gpusim::BlockCtx<'_>| -> GpufsResult<()> {
-                            let mut buf = vec![0u8; trace.config.op_bytes];
-                            for sess in sessions {
-                                blk.wait_until(sess.arrival);
-                                pace(blk);
-                                let t0 = blk.now();
-                                let fd = mount.open(blk, &sess.path, sess.mode)?;
-                                hist.record(blk.now() - t0);
-                                for op in &sess.ops {
-                                    pace(blk);
-                                    let t0 = blk.now();
-                                    match *op {
-                                        Op::Read { offset, len } => {
-                                            let n =
-                                                mount.read(blk, &fd, offset, &mut buf[..len])?;
-                                            bytes += n as u64;
-                                        }
-                                        Op::Write { offset, len } => {
-                                            mount.write(blk, &fd, offset, &buf[..len])?;
-                                            bytes += len as u64;
-                                        }
-                                    }
-                                    hist.record(blk.now() - t0);
-                                }
-                                if sess.fsync {
-                                    mount.fsync(blk, &fd)?;
-                                }
-                                pace(blk);
-                                let t0 = blk.now();
-                                mount.close(blk, fd)?;
-                                hist.record(blk.now() - t0);
-                            }
-                            Ok(())
-                        };
-                        if let Err(e) = work(blk) {
-                            failure.lock().get_or_insert(e);
+    let per_gpu_elapsed = launch_fleet(
+        &fleet.gpus()[..n_gpus],
+        &grids,
+        |g, blk, pace| -> GpufsResult<()> {
+            let mount = fleet.mount(g);
+            let mut hist = Histogram::new();
+            let mut bytes = 0u64;
+            let mut buf = vec![0u8; trace.config.op_bytes];
+            for sess in &trace.blocks[g][blk.block_id()] {
+                blk.wait_until(sess.arrival);
+                pace.wait(blk, lag);
+                let t0 = blk.now();
+                let fd = mount.open(blk, &sess.path, sess.mode)?;
+                hist.record(blk.now() - t0);
+                for op in &sess.ops {
+                    pace.wait(blk, lag);
+                    let t0 = blk.now();
+                    match *op {
+                        Op::Read { offset, len } => {
+                            let n = mount.read(blk, &fd, offset, &mut buf[..len])?;
+                            bytes += n as u64;
                         }
-                        sinks.lock().push((tenant, hist, bytes));
-                    });
-                    res.end
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("gpu thread"))
-            .collect()
-    });
-    if let Some(e) = failure.into_inner() {
-        return Err(e);
-    }
+                        Op::Write { offset, len } => {
+                            mount.write(blk, &fd, offset, &buf[..len])?;
+                            bytes += len as u64;
+                        }
+                    }
+                    hist.record(blk.now() - t0);
+                }
+                if sess.fsync {
+                    mount.fsync(blk, &fd)?;
+                }
+                pace.wait(blk, lag);
+                let t0 = blk.now();
+                mount.close(blk, fd)?;
+                hist.record(blk.now() - t0);
+            }
+            let tenant = trace.tenant_of[g][blk.block_id()];
+            sinks.lock().push((tenant, hist, bytes));
+            Ok(())
+        },
+    )?;
 
     let mut hists: Vec<Histogram> = (0..n_tenants).map(|_| Histogram::new()).collect();
     let mut bytes: Vec<u64> = vec![0; n_tenants];
@@ -537,32 +465,18 @@ pub fn replay(fleet: &GpuFleet, trace: &Trace) -> GpufsResult<TrafficOutcome> {
         hists[t].merge(&h);
         bytes[t] += b;
     }
-    let elapsed = per_gpu_elapsed.iter().copied().max().unwrap_or(0).max(1);
-    let per_tenant: Vec<TenantTail> = hists
-        .iter()
-        .zip(&bytes)
-        .map(|(h, &b)| TenantTail {
-            ops: h.count(),
-            bytes: b,
-            p50: h.quantile(0.50),
-            p99: h.quantile(0.99),
-            p999: h.quantile(0.999),
-            mean: h.mean(),
-            max: h.max(),
-        })
-        .collect();
-    let rates: Vec<f64> = per_tenant
-        .iter()
-        .map(|t| t.ops as f64 / elapsed as f64)
-        .collect();
-    let total_ops = per_tenant.iter().map(|t| t.ops).sum();
-    let total_bytes = bytes.iter().sum();
+    let elapsed = per_gpu_elapsed.into_iter().max().unwrap_or(0).max(1);
+    let total_bytes: u64 = bytes.iter().sum();
     Ok(TrafficOutcome {
-        elapsed,
-        fairness: jain_index(&rates),
-        per_tenant,
-        total_ops,
-        total_bytes,
+        per_tenant: hists
+            .iter()
+            .zip(&bytes)
+            .map(|(h, &b)| TenantTail {
+                ops: h.count(),
+                bytes: b,
+                p99: h.quantile(0.99),
+            })
+            .collect(),
         throughput_mb_s: total_bytes as f64 / (1 << 20) as f64 / (elapsed as f64 / 1e9),
     })
 }
@@ -667,13 +581,6 @@ mod tests {
     // `obs::hist`; here it is only re-exported.
 
     #[test]
-    fn jain_index_ranges() {
-        assert!((jain_index(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        assert!((jain_index(&[1.0, 0.0, 0.0]) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((jain_index(&[]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn replay_serves_every_session_and_attributes_tenants() {
         let fleet = FleetBuilder::new(2)
             .spec(GpuSpec::small_test())
@@ -690,13 +597,10 @@ mod tests {
             .flatten()
             .map(|s| 2 + s.ops.len() as u64)
             .sum();
-        assert_eq!(out.total_ops, expected);
+        assert_eq!(out.per_tenant.iter().map(|t| t.ops).sum::<u64>(), expected);
         assert_eq!(out.per_tenant.len(), 3);
         assert!(out.per_tenant.iter().all(|t| t.ops > 0));
-        assert!(out.per_tenant.iter().all(|t| t.p50 <= t.p99));
-        assert!(out.per_tenant.iter().all(|t| t.p99 <= t.p999));
-        assert!(out.fairness > 0.0 && out.fairness <= 1.0);
-        assert!(out.elapsed > 0 && out.throughput_mb_s > 0.0);
+        assert!(out.throughput_mb_s > 0.0);
         // The logger tenant moved write bytes.
         assert_eq!(out.per_tenant[2].bytes, 3 * 4 * (4 << 10));
     }

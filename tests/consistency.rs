@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use gpufs::cluster::{CoherenceOp, FleetBuilder, FleetView, HostFleet};
 use gpufs::{GOpenMode, GpufsConfig, GpufsHost};
-use gpusim::{Gpu, GpuSpec, Grid};
+use gpusim::{launch_fleet, Gpu, GpuSpec, Grid};
 use hostfs::{HostFs, HostFsConfig};
 use proptest::prelude::*;
 
@@ -102,24 +102,15 @@ fn two_gpus_produce_one_write_once_file() {
         .map(|g| host.mount(g, GpufsConfig::new(4 << 10, 256 << 10)).unwrap())
         .collect();
 
-    std::thread::scope(|s| {
-        for g in 0..2usize {
-            let mount = Arc::clone(&m[g]);
-            let gpu = Arc::clone(&gpus[g]);
-            s.spawn(move || {
-                gpu.launch(Grid::new(4, 32), 0, |blk| {
-                    let fd = mount
-                        .open(blk, "/produced.out", GOpenMode::WriteOnce)
-                        .unwrap();
-                    let lane = (g * 4 + blk.block_id()) as u64;
-                    let payload = vec![lane as u8 + 1; 1500];
-                    mount.write(blk, &fd, lane * 1500, &payload).unwrap();
-                    mount.fsync(blk, &fd).unwrap();
-                    mount.close(blk, fd).unwrap();
-                });
-            });
-        }
-    });
+    launch_fleet(&gpus, &[Grid::new(4, 32); 2], |g, blk, _| {
+        let fd = m[g].open(blk, "/produced.out", GOpenMode::WriteOnce)?;
+        let lane = (g * 4 + blk.block_id()) as u64;
+        let payload = vec![lane as u8 + 1; 1500];
+        m[g].write(blk, &fd, lane * 1500, &payload)?;
+        m[g].fsync(blk, &fd)?;
+        m[g].close(blk, fd)
+    })
+    .unwrap();
 
     let (data, _) = fs.read_whole("/produced.out", 0).unwrap();
     assert_eq!(data.len(), 8 * 1500);

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use gpufs::{GOpenMode, GpuFsMount, GpufsConfig, GpufsHost};
-use gpusim::{BlockCtx, Gpu, GpuSpec, Grid};
+use gpusim::{launch_fleet, BlockCtx, Gpu, GpuSpec, Grid};
 use hostfs::{HostFs, HostFsConfig, OpenFlags};
 
 struct Rig {
@@ -102,25 +102,17 @@ fn four_gpus_write_disjoint_stripes_of_one_file() {
         .map(|g| r.host.mount(g, GpufsConfig::small_test()).unwrap())
         .collect();
 
-    std::thread::scope(|s| {
-        for (g, mount) in mounts.iter().enumerate() {
-            let mount = Arc::clone(mount);
-            let gpu = Arc::clone(&r.gpus[g]);
-            s.spawn(move || {
-                gpu.launch(Grid::new(2, 32), 0, |blk| {
-                    let fd = mount
-                        .open(blk, "/striped.out", GOpenMode::ReadWrite)
-                        .unwrap();
-                    // Each GPU writes two 2 KB stripes via its blocks.
-                    let stripe = (g * 2 + blk.block_id()) as u64 * 2048;
-                    let payload = vec![(g * 2 + blk.block_id()) as u8 + 10; 2048];
-                    mount.write(blk, &fd, stripe, &payload).unwrap();
-                    mount.fsync(blk, &fd).unwrap();
-                    mount.close(blk, fd).unwrap();
-                });
-            });
-        }
-    });
+    launch_fleet(&r.gpus, &[Grid::new(2, 32); 4], |g, blk, _| {
+        let mount = &mounts[g];
+        let fd = mount.open(blk, "/striped.out", GOpenMode::ReadWrite)?;
+        // Each GPU writes two 2 KB stripes via its blocks.
+        let stripe = (g * 2 + blk.block_id()) as u64 * 2048;
+        let payload = vec![(g * 2 + blk.block_id()) as u8 + 10; 2048];
+        mount.write(blk, &fd, stripe, &payload)?;
+        mount.fsync(blk, &fd)?;
+        mount.close(blk, fd)
+    })
+    .unwrap();
 
     let (data, _) = r.fs.read_whole("/striped.out", 0).unwrap();
     for stripe in 0..8usize {

@@ -282,7 +282,8 @@ fn stress_tenant_isolation_beats_fifo_on_victim_p99() {
 /// their `gfsync` + `gclose`.
 fn logger_files_lost_over_quota(seed: u64) -> usize {
     use gpufs::cluster::FleetBuilder;
-    use simtime::{ClockBoard, Timings};
+    use gpusim::launch_fleet;
+    use simtime::Timings;
     use workloads::traffic::{
         materialize_corpus, synthesize_trace, Op, TenantClass, TenantLoad, TrafficConfig,
     };
@@ -370,46 +371,43 @@ fn logger_files_lost_over_quota(seed: u64) -> usize {
         .map(|i| (i / PAGE * 31 + i % 251 + 1) as u8)
         .collect();
 
-    let mount = Arc::clone(fleet.mount(0));
+    let mount = fleet.mount(0);
     let (sessions, tenant_of) = (&trace.blocks[0], &trace.tenant_of[0]);
     for (slot, &t) in tenant_of.iter().enumerate() {
         mount.set_tenant(slot, t);
     }
     let lag = traffic.pace_lag_ns;
-    let board = ClockBoard::new(sessions.len());
-    fleet
-        .gpu(0)
-        .launch(Grid::new(sessions.len(), 128), 0, |blk| {
-            let me = blk.block_id();
-            // The benchmark's pacing: no block runs more than `lag` of virtual
-            // time ahead of the slowest live one, so virtually concurrent
-            // sessions really do contend.
-            let _seat = board.seat(me);
-            let pace = |blk: &mut gpusim::BlockCtx<'_>| board.pace(me, blk.now(), lag);
-            let mut buf = vec![0u8; PAGE];
-            for sess in &sessions[me] {
-                blk.wait_until(sess.arrival);
-                pace(blk);
-                let fd = mount.open(blk, &sess.path, sess.mode).unwrap();
-                for op in &sess.ops {
-                    pace(blk);
-                    match *op {
-                        Op::Read { offset, len } => {
-                            mount.read(blk, &fd, offset, &mut buf[..len]).unwrap();
-                        }
-                        Op::Write { offset, len } => {
-                            let src = &payload[offset as usize..offset as usize + len];
-                            mount.write(blk, &fd, offset, src).unwrap();
-                        }
+    // The benchmark's pacing: no block runs more than `lag` of virtual
+    // time ahead of the slowest live one, so virtually concurrent
+    // sessions really do contend.
+    let grid = Grid::new(sessions.len(), 128);
+    launch_fleet(&fleet.gpus()[..1], &[grid], |_, blk, pace| {
+        let mut buf = vec![0u8; PAGE];
+        for sess in &sessions[blk.block_id()] {
+            blk.wait_until(sess.arrival);
+            pace.wait(blk, lag);
+            let fd = mount.open(blk, &sess.path, sess.mode)?;
+            for op in &sess.ops {
+                pace.wait(blk, lag);
+                match *op {
+                    Op::Read { offset, len } => {
+                        mount.read(blk, &fd, offset, &mut buf[..len])?;
+                    }
+                    Op::Write { offset, len } => {
+                        let src = &payload[offset as usize..offset as usize + len];
+                        mount.write(blk, &fd, offset, src)?;
                     }
                 }
-                if sess.fsync {
-                    mount.fsync(blk, &fd).unwrap();
-                }
-                pace(blk);
-                mount.close(blk, fd).unwrap();
             }
-        });
+            if sess.fsync {
+                mount.fsync(blk, &fd)?;
+            }
+            pace.wait(blk, lag);
+            mount.close(blk, fd)?;
+        }
+        Ok::<(), gpufs::GpufsError>(())
+    })
+    .expect("replay");
 
     let lost = sessions
         .iter()

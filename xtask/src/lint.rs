@@ -1,6 +1,6 @@
 //! The `xtask lint` pass: source-level workspace invariants.
 //!
-//! Eight rules, motivated by the lockcheck layer, the repo's
+//! Nine rules, motivated by the lockcheck layer, the repo's
 //! concurrency-bug history (see ISSUE 6 / ARCHITECTURE.md), the
 //! cross-host storage tier's layering, the metrics registry's
 //! single-attribution-path design, and a public surface that is only as
@@ -23,6 +23,12 @@
 //!   through `simtime::ClockBoard`, so one type knows when an actor is
 //!   blocked; an ad-hoc sleep or spin hides ordering bugs and skews the
 //!   virtual clock's real-time envelope.
+//! * **`pace`** — no `.seat(` or `.pace(` in non-test code under
+//!   `crates/` outside `crates/simtime/src/` and the fleet launcher's
+//!   file ([`PACE_HOME`]): a block's seat on a clock board, and the order
+//!   of the seats, are the launcher's to give, so a multi-GPU driver
+//!   paces through `gpusim::launch_fleet` and cannot grow its own
+//!   seating loop.
 //! * **`unsafe-safety`** — every `unsafe` in non-test code under
 //!   `crates/` needs a `// SAFETY:` comment (or a `# Safety` doc
 //!   section) within the six preceding lines.
@@ -72,6 +78,13 @@ use std::process::ExitCode;
 
 /// Where the `wait` rule does not apply: the one wait type's crate.
 const WAIT_HOME: &str = "crates/simtime/src/";
+
+/// Where the `pace` rule does not apply: the clock board's crate and the
+/// fleet launcher's file.
+const PACE_HOME: &[&str] = &[WAIT_HOME, "crates/gpusim/src/launch.rs"];
+
+/// The tokens of taking or pacing a clock-board seat outside [`PACE_HOME`].
+const PACE_TOKENS: &[&str] = &[".seat(", ".pace("];
 
 /// The tokens of a real-time wait outside [`WAIT_HOME`].
 const WAIT_TOKENS: &[&str] = &[
@@ -149,6 +162,7 @@ enum Rule {
     StdSync,
     Unwrap,
     Wait,
+    Pace,
     UnsafeSafety,
     HotMutex,
     ProxyHostFs,
@@ -162,6 +176,7 @@ impl Rule {
             Rule::StdSync => "std-sync",
             Rule::Unwrap => "unwrap",
             Rule::Wait => "wait",
+            Rule::Pace => "pace",
             Rule::UnsafeSafety => "unsafe-safety",
             Rule::HotMutex => "hot-mutex",
             Rule::ProxyHostFs => "proxy-hostfs",
@@ -234,6 +249,9 @@ xtask lint rules:
   wait           no thread::sleep/yield_now/thread::park/park_timeout/Condvar in
                  non-test code under crates/ outside crates/simtime/src/ (wait
                  on a simtime::ClockBoard)
+  pace           no .seat(/.pace( in non-test code under crates/ outside
+                 crates/simtime/src/ and crates/gpusim/src/launch.rs (launch
+                 through gpusim::launch_fleet, which seats and paces blocks)
   unsafe-safety  every unsafe needs a // SAFETY: comment within 6 lines above
   hot-mutex      no Mutex/RwLock/parking_lot:: in the lock-free page-lookup
                  hot path (crates/core/src/cache/paging.rs) — the fpage
@@ -266,6 +284,7 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
     let unwrap_scoped = UNWRAP_SCOPE.iter().any(|p| rel.starts_with(p));
     let panic_scoped = PANIC_SCOPE.iter().any(|p| rel.starts_with(p));
     let wait_scoped = !rel.starts_with(WAIT_HOME);
+    let pace_scoped = !PACE_HOME.iter().any(|p| rel.starts_with(p));
     let hot_lockfree = HOT_LOCKFREE.contains(&rel);
     let proxy_no_hostfs = PROXY_NO_HOSTFS.contains(&rel);
     let engine_no_backend = ENGINE_NO_BACKEND.contains(&rel);
@@ -327,6 +346,16 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
                 report(
                     Rule::Wait,
                     format!("{what} outside simtime; wait on a simtime::ClockBoard"),
+                );
+            }
+        }
+        if pace_scoped {
+            if let Some(what) = PACE_TOKENS.iter().find(|w| code_line.contains(*w)) {
+                report(
+                    Rule::Pace,
+                    format!(
+                        "{what} outside the fleet launcher; launch through gpusim::launch_fleet"
+                    ),
                 );
             }
         }
@@ -859,6 +888,22 @@ let c = '{'; let lt: &'static str = "x";"#,
             let test = format!("#[cfg(test)]\nmod tests {{ {text} }}\n");
             assert!(lint_file("crates/core/src/cluster/fleet.rs", &test).is_empty());
         }
+    }
+
+    #[test]
+    fn pace_rule_exempts_simtime_the_launcher_and_tests_only() {
+        for call in ["let _seat = board.seat(slot)", "board.pace(slot, now, 0)"] {
+            let text = format!("fn f() {{ {call}; }}\n");
+            let f = lint_file("crates/workloads/src/cluster.rs", &text);
+            assert_eq!(f.len(), 1, "{call}: {f:?}");
+            assert_eq!(f[0].rule.name(), "pace");
+            assert!(lint_file("crates/simtime/src/board.rs", &text).is_empty());
+            assert!(lint_file("crates/gpusim/src/launch.rs", &text).is_empty());
+            let test = format!("#[cfg(test)]\nmod tests {{ {text} }}\n");
+            assert!(lint_file("crates/workloads/src/cluster.rs", &test).is_empty());
+        }
+        let launched = "fn f() { pace.wait(blk, 0); }\n";
+        assert!(lint_file("crates/workloads/src/cluster.rs", launched).is_empty());
     }
 
     #[test]
