@@ -2,6 +2,7 @@
 //! one fleet launch: a kernel per GPU, paced on one shared clock board.
 
 use std::borrow::Borrow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use rand::seq::SliceRandom;
@@ -9,6 +10,7 @@ use rand::SeedableRng;
 
 use simtime::{Clock, ClockBoard, Nanos};
 
+use crate::pool::{Job, Pool, BLOCK_THREADS};
 use crate::{Gpu, GpuId};
 
 /// Launch geometry: how many threadblocks, how many threads per block.
@@ -48,6 +50,15 @@ impl KernelResult {
     pub fn elapsed(&self) -> Nanos {
         self.end - self.start
     }
+}
+
+/// A launch laid out on its GPU's MP slots: the blocks in dispatch order,
+/// how many slots run them, and when each slot's first block starts.
+struct Plan {
+    grid: Grid,
+    order: Vec<usize>,
+    slots: usize,
+    t0: Nanos,
 }
 
 /// Execution context handed to a kernel closure, one per threadblock.
@@ -163,55 +174,17 @@ impl Gpu {
     where
         F: Fn(&mut BlockCtx<'_>) + Sync,
     {
-        assert!(grid.blocks > 0, "kernel must have at least one threadblock");
-        assert!(
-            grid.threads_per_block > 0,
-            "threadblocks must have at least one thread"
-        );
-
-        // The hardware scheduler dispatches blocks in nondeterministic
-        // order (paper §2); model it as a seeded shuffle.
-        let mut order: Vec<usize> = (0..grid.blocks).collect();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        order.shuffle(&mut rng);
-
-        let launch_overhead = self.timings().kernel_launch_ns;
-        let t0 = start + launch_overhead;
-        let slots = self.spec().concurrent_blocks().min(grid.blocks).max(1);
+        let plan = self.plan(grid, start, seed);
         let mut block_ends = vec![0u64; grid.blocks];
-
-        // Blocks are assigned to MP slots round-robin over the shuffled
-        // dispatch order. The hardware scheduler would instead hand the
-        // next block to whichever slot drains first; round-robin matches
-        // it exactly for uniform blocks and approximates it otherwise,
-        // while keeping slot-local virtual time independent of host OS
-        // scheduling (a work-stealing pull would let one host thread
-        // grab many blocks per timeslice and skew per-slot clocks).
+        // One OS thread per MP slot, spawned for this launch: an unseated
+        // launch's schedule still depends on when its threads start
+        // (ROADMAP item 8), so only a seated launch runs on the kept
+        // threads of `launch_fleet`.
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..slots)
+            let handles: Vec<_> = (0..plan.slots)
                 .map(|slot| {
-                    let order = &order;
-                    let kernel = &kernel;
-                    s.spawn(move || {
-                        let mut ends = Vec::new();
-                        let mut slot_clock = Clock::starting_at(t0);
-                        let mut i = slot;
-                        while i < order.len() {
-                            let block_id = order[i];
-                            i += slots;
-                            let mut ctx = BlockCtx {
-                                gpu: self,
-                                grid,
-                                block_id,
-                                clock: slot_clock.clone(),
-                                scratch: vec![0u8; self.spec().scratchpad_bytes],
-                            };
-                            kernel(&mut ctx);
-                            slot_clock = ctx.clock;
-                            ends.push((block_id, slot_clock.now()));
-                        }
-                        ends
-                    })
+                    let (plan, kernel) = (&plan, &kernel);
+                    s.spawn(move || self.run_slot(plan, slot, kernel))
                 })
                 .collect();
             for h in handles {
@@ -221,12 +194,65 @@ impl Gpu {
             }
         });
 
-        let end = block_ends.iter().copied().max().unwrap_or(t0);
+        let end = block_ends.iter().copied().max().unwrap_or(plan.t0);
         KernelResult {
             start,
             end,
             block_ends,
         }
+    }
+
+    /// Lay `grid` out on this GPU's MP slots, as a launch at `start` with
+    /// dispatch seed `seed` runs it.
+    fn plan(&self, grid: Grid, start: Nanos, seed: u64) -> Plan {
+        assert!(grid.blocks > 0, "kernel must have at least one threadblock");
+        assert!(
+            grid.threads_per_block > 0,
+            "threadblocks must have at least one thread"
+        );
+        // The hardware scheduler dispatches blocks in nondeterministic
+        // order (paper §2); model it as a seeded shuffle.
+        let mut order: Vec<usize> = (0..grid.blocks).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        order.shuffle(&mut rng);
+        Plan {
+            grid,
+            order,
+            slots: self.spec().concurrent_blocks().min(grid.blocks).max(1),
+            t0: start + self.timings().kernel_launch_ns,
+        }
+    }
+
+    /// Run MP slot `slot` of `plan`: its blocks back to back, without
+    /// preemption, each with a fresh scratchpad and starting where the
+    /// one before it ended. Returns each block's id and end.
+    ///
+    /// Blocks are assigned to MP slots round-robin over the shuffled
+    /// dispatch order. The hardware scheduler would instead hand the
+    /// next block to whichever slot drains first; round-robin matches it
+    /// exactly for uniform blocks and approximates it otherwise, while
+    /// keeping slot-local virtual time independent of host OS scheduling
+    /// (a work-stealing pull would let one host thread grab many blocks
+    /// per timeslice and skew per-slot clocks).
+    fn run_slot<F>(&self, plan: &Plan, slot: usize, kernel: &F) -> Vec<(usize, Nanos)>
+    where
+        F: Fn(&mut BlockCtx<'_>),
+    {
+        let mut ends = Vec::new();
+        let mut slot_clock = Clock::starting_at(plan.t0);
+        for &block_id in plan.order.iter().skip(slot).step_by(plan.slots) {
+            let mut ctx = BlockCtx {
+                gpu: self,
+                grid: plan.grid,
+                block_id,
+                clock: slot_clock,
+                scratch: vec![0u8; self.spec().scratchpad_bytes],
+            };
+            kernel(&mut ctx);
+            slot_clock = ctx.clock;
+            ends.push((block_id, slot_clock.now()));
+        }
+        ends
     }
 
     /// [`Gpu::launch`] for a kernel that can fail: every block runs to its
@@ -279,13 +305,16 @@ impl Pace<'_> {
 }
 
 /// Launch one kernel per GPU of a fleet, all at virtual time 0, on one
-/// shared virtual clock, and return each GPU's end time.
+/// shared virtual clock, and return each GPU's end time: the latest end
+/// of its blocks.
 ///
 /// `grids[g]` is GPU `g`'s grid; a grid of 0 blocks launches nothing there
-/// and reports end 0. Each launching GPU gets its own OS thread, which
-/// calls [`Gpu::try_launch`], so [`Gpu::launch`] draws each GPU's
-/// dispatch seed as a lone launch would. The kernel runs once per block
-/// with the GPU's index, the block's context and its [`Pace`].
+/// and reports end 0. Each launching GPU draws its own dispatch seed and
+/// lays its blocks out on its MP slots as [`Gpu::launch`] does. Every MP
+/// slot of the fleet then runs at once, each on a thread of its own that
+/// is kept from launch to launch, and the launch returns when all have
+/// finished. The kernel runs once per block with the GPU's index, the
+/// block's context and its [`Pace`].
 ///
 /// Why the pace: blocks are real threads whose real speed has nothing to
 /// do with the virtual cost they accrue, and the kernels start one GPU
@@ -306,8 +335,25 @@ impl Pace<'_> {
 /// Panics before any block runs if `grids` and `gpus` differ in length or
 /// a grid has more blocks than its GPU has MP slots: a block not yet
 /// dispatched keeps its seat at clock 0, so every block that paces past
-/// the lag would wait for it forever. Panics if a block panics.
+/// the lag would wait for it forever. If a block panics, every other
+/// block still runs to its end, and then the launch panics with the
+/// first panicking block's own payload, in GPU order.
 pub fn launch_fleet<G, E, F>(gpus: &[G], grids: &[Grid], kernel: F) -> Result<Vec<Nanos>, E>
+where
+    G: Borrow<Gpu> + Sync,
+    E: Send,
+    F: Fn(usize, &mut BlockCtx<'_>, Pace<'_>) -> Result<(), E> + Sync,
+{
+    launch_fleet_on(&BLOCK_THREADS, gpus, grids, kernel)
+}
+
+/// [`launch_fleet`] on the kept threads of `pool`.
+fn launch_fleet_on<G, E, F>(
+    pool: &'static Pool,
+    gpus: &[G],
+    grids: &[Grid],
+    kernel: F,
+) -> Result<Vec<Nanos>, E>
 where
     G: Borrow<Gpu> + Sync,
     E: Send,
@@ -327,30 +373,43 @@ where
         seats += grid.blocks;
     }
     let board = ClockBoard::new(seats);
-    std::thread::scope(|s| {
-        let launches: Vec<_> = gpus
-            .iter()
-            .zip(grids)
-            .zip(bases)
-            .enumerate()
-            .map(|(g, ((gpu, &grid), base))| {
-                let (board, kernel) = (&board, &kernel);
-                (grid.blocks > 0).then(|| {
-                    s.spawn(move || {
-                        gpu.borrow().try_launch(grid, 0, |blk| {
-                            let seat = base + blk.block_id();
-                            let _seat = board.seat(seat);
-                            kernel(g, blk, Pace { board, seat })
-                        })
-                    })
-                })
-            })
-            .collect();
-        launches
-            .into_iter()
-            .map(|h| h.map_or(Ok(0), |h| Ok(h.join().expect("gpu thread")?.end)))
-            .collect()
-    })
+    let plans: Vec<Option<Plan>> = gpus
+        .iter()
+        .zip(grids)
+        .map(|(gpu, &grid)| (grid.blocks > 0).then(|| gpu.borrow().plan(grid, 0, rand::random())))
+        .collect();
+    let ends: Vec<AtomicU64> = gpus.iter().map(|_| AtomicU64::new(0)).collect();
+    let failures: Vec<Mutex<Option<E>>> = gpus.iter().map(|_| Mutex::new(None)).collect();
+    let (board, kernel) = (&board, &kernel);
+    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(seats);
+    for (g, plan) in plans.iter().enumerate() {
+        let Some(plan) = plan else { continue };
+        let (gpu, end, failed) = (gpus[g].borrow(), &ends[g], &failures[g]);
+        for slot in 0..plan.slots {
+            // A slot runs one block (no grid over-subscribes, above), and
+            // its job holds that block's seat from here: a job dropped
+            // unrun leaves the board.
+            let seat = bases[g] + plan.order[slot];
+            let held = board.seat(seat);
+            jobs.push(Box::new(move || {
+                let _held = held;
+                let slot_ends = gpu.run_slot(plan, slot, &|blk: &mut BlockCtx<'_>| {
+                    if let Err(e) = kernel(g, blk, Pace { board, seat }) {
+                        failed.lock().get_or_insert(e);
+                    }
+                });
+                for (_, block_end) in slot_ends {
+                    end.fetch_max(block_end, Ordering::Relaxed);
+                }
+            }));
+        }
+    }
+    pool.run(jobs);
+    failures
+        .into_iter()
+        .zip(ends)
+        .map(|(failed, end)| failed.into_inner().map_or(Ok(end.into_inner()), Err))
+        .collect()
 }
 
 #[cfg(test)]
@@ -506,6 +565,66 @@ mod tests {
             }
         });
         assert_eq!(failed, Err(0));
+    }
+
+    #[test]
+    fn a_blocks_panic_reaches_the_caller_after_every_other_block_ran() {
+        let gpus = [gpu(), Gpu::new(1, GpuSpec::small_test())];
+        let grids = [Grid::new(8, 32); 2];
+        let finished = AtomicU64::new(0);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            launch_fleet(&gpus, &grids, |g, blk, pace| {
+                for _ in 0..3 {
+                    pace.wait(blk, 0);
+                    blk.advance(100);
+                    if (g, blk.block_id()) == (1, 3) {
+                        panic!("block 3 fails");
+                    }
+                }
+                finished.fetch_add(1, Ordering::Relaxed);
+                Ok::<(), ()>(())
+            })
+        }));
+        let payload = crashed.expect_err("block 3 of GPU 1 panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"block 3 fails"));
+        assert_eq!(
+            finished.load(Ordering::Relaxed),
+            15,
+            "every other block ran"
+        );
+
+        let ran = AtomicU64::new(0);
+        launch_fleet(&gpus, &grids, |_, blk, pace| {
+            pace.wait(blk, 0);
+            ran.fetch_add(1, Ordering::Relaxed);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(ran.load(Ordering::Relaxed), 16);
+    }
+
+    #[test]
+    fn fleet_launches_reuse_their_block_threads() {
+        // A pool of its own, so no other test's launches count.
+        static POOL: Pool = Pool::new();
+        let gpus = [gpu(), Gpu::new(1, GpuSpec::small_test())];
+        let grids = [Grid::new(8, 32), Grid::new(5, 32)];
+        let launch = || {
+            launch_fleet_on(&POOL, &gpus, &grids, |_, blk, pace| {
+                pace.wait(blk, 0);
+                blk.advance(1_000);
+                pace.wait(blk, 0);
+                Ok::<(), ()>(())
+            })
+            .unwrap()
+        };
+        launch();
+        let after_first = POOL.spawned();
+        for _ in 1..20 {
+            launch();
+        }
+        assert_eq!(POOL.spawned(), after_first, "a warm pool spawned a thread");
+        assert!(after_first <= 8 + 5, "{after_first} threads for 13 slots");
     }
 
     #[test]

@@ -48,6 +48,7 @@ mod dma;
 mod launch;
 mod mem;
 mod pinned;
+mod pool;
 mod spec;
 
 pub use dma::DmaEngines;

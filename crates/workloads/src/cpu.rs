@@ -66,6 +66,7 @@ impl CpuExecutor {
     where
         F: Fn(&mut CoreCtx) + Sync,
     {
+        // lint:allow spawn -- the CPU baseline's cores, not GPU blocks: one thread per modelled core
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..self.cores)
                 .map(|core_id| {

@@ -1,6 +1,6 @@
 //! The `xtask lint` pass: source-level workspace invariants.
 //!
-//! Nine rules, motivated by the lockcheck layer, the repo's
+//! Ten rules, motivated by the lockcheck layer, the repo's
 //! concurrency-bug history (see ISSUE 6 / ARCHITECTURE.md), the
 //! cross-host storage tier's layering, the metrics registry's
 //! single-attribution-path design, and a public surface that is only as
@@ -29,6 +29,12 @@
 //!   of the seats, are the launcher's to give, so a multi-GPU driver
 //!   paces through `gpusim::launch_fleet` and cannot grow its own
 //!   seating loop.
+//! * **`spawn`** — no `thread::spawn`, `thread::scope` or
+//!   `thread::Builder` in non-test code under `crates/` outside the
+//!   launcher's and the block-thread pool's files ([`SPAWN_HOME`]): a
+//!   block runs on a thread the launcher gives it, so a driver cannot
+//!   grow a thread per GPU or per block of its own, and the threads a
+//!   fleet keeps are the only ones that outlive a call.
 //! * **`unsafe-safety`** — every `unsafe` in non-test code under
 //!   `crates/` needs a `// SAFETY:` comment (or a `# Safety` doc
 //!   section) within the six preceding lines.
@@ -82,6 +88,13 @@ const WAIT_HOME: &str = "crates/simtime/src/";
 /// Where the `pace` rule does not apply: the clock board's crate and the
 /// fleet launcher's file.
 const PACE_HOME: &[&str] = &[WAIT_HOME, "crates/gpusim/src/launch.rs"];
+
+/// Where the `spawn` rule does not apply: the launcher's file and the
+/// block-thread pool's.
+const SPAWN_HOME: &[&str] = &["crates/gpusim/src/launch.rs", "crates/gpusim/src/pool.rs"];
+
+/// The tokens of starting an OS thread outside [`SPAWN_HOME`].
+const SPAWN_TOKENS: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
 
 /// The tokens of taking or pacing a clock-board seat outside [`PACE_HOME`].
 const PACE_TOKENS: &[&str] = &[".seat(", ".pace("];
@@ -163,6 +176,7 @@ enum Rule {
     Unwrap,
     Wait,
     Pace,
+    Spawn,
     UnsafeSafety,
     HotMutex,
     ProxyHostFs,
@@ -177,6 +191,7 @@ impl Rule {
             Rule::Unwrap => "unwrap",
             Rule::Wait => "wait",
             Rule::Pace => "pace",
+            Rule::Spawn => "spawn",
             Rule::UnsafeSafety => "unsafe-safety",
             Rule::HotMutex => "hot-mutex",
             Rule::ProxyHostFs => "proxy-hostfs",
@@ -252,6 +267,9 @@ xtask lint rules:
   pace           no .seat(/.pace( in non-test code under crates/ outside
                  crates/simtime/src/ and crates/gpusim/src/launch.rs (launch
                  through gpusim::launch_fleet, which seats and paces blocks)
+  spawn          no thread::spawn/thread::scope/thread::Builder in non-test code
+                 under crates/ outside crates/gpusim/src/{launch,pool}.rs (a
+                 block runs on the thread its launcher gives it)
   unsafe-safety  every unsafe needs a // SAFETY: comment within 6 lines above
   hot-mutex      no Mutex/RwLock/parking_lot:: in the lock-free page-lookup
                  hot path (crates/core/src/cache/paging.rs) — the fpage
@@ -285,6 +303,7 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
     let panic_scoped = PANIC_SCOPE.iter().any(|p| rel.starts_with(p));
     let wait_scoped = !rel.starts_with(WAIT_HOME);
     let pace_scoped = !PACE_HOME.iter().any(|p| rel.starts_with(p));
+    let spawn_scoped = !SPAWN_HOME.contains(&rel);
     let hot_lockfree = HOT_LOCKFREE.contains(&rel);
     let proxy_no_hostfs = PROXY_NO_HOSTFS.contains(&rel);
     let engine_no_backend = ENGINE_NO_BACKEND.contains(&rel);
@@ -356,6 +375,14 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
                     format!(
                         "{what} outside the fleet launcher; launch through gpusim::launch_fleet"
                     ),
+                );
+            }
+        }
+        if spawn_scoped {
+            if let Some(what) = SPAWN_TOKENS.iter().find(|w| code_line.contains(*w)) {
+                report(
+                    Rule::Spawn,
+                    format!("{what} outside the launcher; run blocks through a gpusim launch"),
                 );
             }
         }
@@ -904,6 +931,29 @@ let c = '{'; let lt: &'static str = "x";"#,
         }
         let launched = "fn f() { pace.wait(blk, 0); }\n";
         assert!(lint_file("crates/workloads/src/cluster.rs", launched).is_empty());
+    }
+
+    #[test]
+    fn spawn_rule_exempts_the_launcher_the_pool_and_tests_only() {
+        for call in [
+            "std::thread::spawn(move || work())",
+            "std::thread::scope(|s| run(s))",
+            "let b = thread::Builder::new()",
+        ] {
+            let text = format!("fn f() {{ {call}; }}\n");
+            let f = lint_file("crates/workloads/src/cluster.rs", &text);
+            assert_eq!(f.len(), 1, "{call}: {f:?}");
+            assert_eq!(f[0].rule.name(), "spawn");
+            assert!(lint_file("crates/gpusim/src/launch.rs", &text).is_empty());
+            assert!(lint_file("crates/gpusim/src/pool.rs", &text).is_empty());
+            assert_eq!(lint_file("crates/gpusim/src/mem.rs", &text).len(), 1);
+            let test = format!("#[cfg(test)]\nmod tests {{ {text} }}\n");
+            assert!(lint_file("crates/workloads/src/cluster.rs", &test).is_empty());
+            let waived = format!("// lint:allow spawn -- the CPU baseline's cores\n{text}");
+            assert!(lint_file("crates/workloads/src/cpu.rs", &waived).is_empty());
+        }
+        let scoped = "fn f() { s.spawn(|| run()); }\n";
+        assert!(lint_file("crates/workloads/src/cpu.rs", scoped).is_empty());
     }
 
     #[test]
