@@ -1,5 +1,6 @@
-//! Kernel launch and the non-preemptive threadblock scheduler, and the
-//! one fleet launch: a kernel per GPU, paced on one shared clock board.
+//! Kernel launch and the non-preemptive threadblock scheduler: one slot
+//! runner behind the single-GPU launch and the fleet launch, which runs a
+//! kernel per GPU, paced on one shared clock board.
 
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,15 +34,13 @@ impl Grid {
     }
 }
 
-/// Result of a completed kernel: virtual start/end plus per-block end times.
+/// Result of a completed kernel: its virtual start and end.
 #[derive(Debug, Clone)]
 pub struct KernelResult {
     /// Virtual time at which the kernel was launched.
     pub start: Nanos,
     /// Virtual completion time: the latest block-end over all MP slots.
     pub end: Nanos,
-    /// Per-threadblock completion times, indexed by block id.
-    pub block_ends: Vec<Nanos>,
 }
 
 impl KernelResult {
@@ -64,15 +63,17 @@ struct Plan {
 /// Execution context handed to a kernel closure, one per threadblock.
 ///
 /// The context owns the block's virtual [`Clock`] and its scratchpad
-/// buffer. Application "threads" inside a block run sequentially via
-/// [`BlockCtx::threads`]; the real concurrency in the simulator is between
-/// blocks.
+/// buffer, and, in a seated launch ([`launch_fleet`]), the block's seat
+/// on its launch's clock board. Application "threads" inside a block run
+/// sequentially via [`BlockCtx::threads`]; the real concurrency in the
+/// simulator is between blocks.
 pub struct BlockCtx<'g> {
     gpu: &'g Gpu,
     grid: Grid,
     block_id: usize,
     clock: Clock,
     scratch: Vec<u8>,
+    seat: Option<(&'g ClockBoard, usize)>,
 }
 
 impl std::fmt::Debug for BlockCtx<'_> {
@@ -140,6 +141,17 @@ impl<'g> BlockCtx<'g> {
         self.clock.wait_until(t);
     }
 
+    /// Publish this block's clock on its seat and wait until no live
+    /// block of its launch is more than `lag` virtual ns behind it
+    /// (`lag = 0`: the virtually least-advanced block goes first). A
+    /// block of an unseated launch ([`Gpu::launch`]) holds no seat, and
+    /// this returns at once.
+    pub fn pace(&self, lag: Nanos) {
+        if let Some((board, seat)) = self.seat {
+            board.pace(seat, self.clock.now(), lag);
+        }
+    }
+
     /// The block's scratchpad ("shared") memory.
     pub fn scratch(&mut self) -> &mut [u8] {
         &mut self.scratch
@@ -153,18 +165,21 @@ impl Gpu {
     /// Threadblocks are dispatched in a randomly shuffled order onto
     /// `spec.concurrent_blocks()` MP slots, each backed by a real OS
     /// thread. A slot runs its blocks back-to-back without preemption; the
-    /// kernel completes when the slowest slot drains.
+    /// kernel completes when the slowest slot drains. The launch is
+    /// unseated: [`BlockCtx::pace`] returns at once.
     ///
     /// # Panics
     ///
-    /// Panics if a block panics (the paper notes a GPU software failure
-    /// kills the whole GPU context; we surface it as a test failure).
+    /// If a block panics (the paper notes a GPU software failure kills
+    /// the whole GPU context; we surface it as a test failure): its slot
+    /// runs no further block, every other slot still runs to its end, and
+    /// then the launch panics with the first panicking block's own
+    /// payload, in slot order.
     pub fn launch<F>(&self, grid: Grid, start: Nanos, kernel: F) -> KernelResult
     where
         F: Fn(&mut BlockCtx<'_>) + Sync,
     {
-        let seed = rand::random::<u64>();
-        self.launch_seeded(grid, start, seed, kernel)
+        self.launch_seeded(grid, start, rand::random(), kernel)
     }
 
     /// [`Gpu::launch`] with a fixed dispatch-order seed, for reproducible
@@ -174,32 +189,36 @@ impl Gpu {
     where
         F: Fn(&mut BlockCtx<'_>) + Sync,
     {
-        let plan = self.plan(grid, start, seed);
-        let mut block_ends = vec![0u64; grid.blocks];
-        // One OS thread per MP slot, spawned for this launch: an unseated
-        // launch's schedule still depends on when its threads start
-        // (ROADMAP item 8), so only a seated launch runs on the kept
-        // threads of `launch_fleet`.
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..plan.slots)
-                .map(|slot| {
-                    let (plan, kernel) = (&plan, &kernel);
-                    s.spawn(move || self.run_slot(plan, slot, kernel))
-                })
-                .collect();
-            for h in handles {
-                for (block_id, end) in h.join().expect("threadblock panicked") {
-                    block_ends[block_id] = end;
-                }
-            }
+        let alone = [Some(self.plan(grid, start, seed))];
+        let Ok(ends) = run_slots(std::slice::from_ref(self), &alone, None, &|_, blk| {
+            kernel(blk);
+            Ok::<(), std::convert::Infallible>(())
         });
+        let end = ends[0];
+        KernelResult { start, end }
+    }
 
-        let end = block_ends.iter().copied().max().unwrap_or(plan.t0);
-        KernelResult {
-            start,
-            end,
-            block_ends,
-        }
+    /// [`Gpu::launch`] for a kernel that can fail: every block runs to its
+    /// end or its error, and the launch returns the first error any block
+    /// returned.
+    ///
+    /// # Errors
+    ///
+    /// The first error a block returned.
+    ///
+    /// # Panics
+    ///
+    /// As [`Gpu::launch`].
+    pub fn try_launch<E, F>(&self, grid: Grid, start: Nanos, kernel: F) -> Result<KernelResult, E>
+    where
+        E: Send,
+        F: Fn(&mut BlockCtx<'_>) -> Result<(), E> + Sync,
+    {
+        let alone = [Some(self.plan(grid, start, rand::random()))];
+        let end = run_slots(std::slice::from_ref(self), &alone, None, &|_, blk| {
+            kernel(blk)
+        })?[0];
+        Ok(KernelResult { start, end })
     }
 
     /// Lay `grid` out on this GPU's MP slots, as a launch at `start` with
@@ -223,84 +242,10 @@ impl Gpu {
         }
     }
 
-    /// Run MP slot `slot` of `plan`: its blocks back to back, without
-    /// preemption, each with a fresh scratchpad and starting where the
-    /// one before it ended. Returns each block's id and end.
-    ///
-    /// Blocks are assigned to MP slots round-robin over the shuffled
-    /// dispatch order. The hardware scheduler would instead hand the
-    /// next block to whichever slot drains first; round-robin matches it
-    /// exactly for uniform blocks and approximates it otherwise, while
-    /// keeping slot-local virtual time independent of host OS scheduling
-    /// (a work-stealing pull would let one host thread grab many blocks
-    /// per timeslice and skew per-slot clocks).
-    fn run_slot<F>(&self, plan: &Plan, slot: usize, kernel: &F) -> Vec<(usize, Nanos)>
-    where
-        F: Fn(&mut BlockCtx<'_>),
-    {
-        let mut ends = Vec::new();
-        let mut slot_clock = Clock::starting_at(plan.t0);
-        for &block_id in plan.order.iter().skip(slot).step_by(plan.slots) {
-            let mut ctx = BlockCtx {
-                gpu: self,
-                grid: plan.grid,
-                block_id,
-                clock: slot_clock,
-                scratch: vec![0u8; self.spec().scratchpad_bytes],
-            };
-            kernel(&mut ctx);
-            slot_clock = ctx.clock;
-            ends.push((block_id, slot_clock.now()));
-        }
-        ends
-    }
-
-    /// [`Gpu::launch`] for a kernel that can fail: every block runs to its
-    /// end or its error, and the launch returns the first error any block
-    /// returned.
-    ///
-    /// # Errors
-    ///
-    /// The first error a block returned.
-    ///
-    /// # Panics
-    ///
-    /// As [`Gpu::launch`].
-    pub fn try_launch<E, F>(&self, grid: Grid, start: Nanos, kernel: F) -> Result<KernelResult, E>
-    where
-        E: Send,
-        F: Fn(&mut BlockCtx<'_>) -> Result<(), E> + Sync,
-    {
-        let first = Mutex::new(None);
-        let res = self.launch(grid, start, |blk| {
-            if let Err(e) = kernel(blk) {
-                first.lock().get_or_insert(e);
-            }
-        });
-        first.into_inner().map_or(Ok(res), Err)
-    }
-
     /// Timing calibration this GPU was built with.
     #[must_use]
     pub fn timings(&self) -> &simtime::Timings {
         self.dma().timings()
-    }
-}
-
-/// A block's seat on its fleet's clock board, handed to every block of a
-/// [`launch_fleet`] kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct Pace<'b> {
-    board: &'b ClockBoard,
-    seat: usize,
-}
-
-impl Pace<'_> {
-    /// Publish `blk`'s clock and wait until no live block of the fleet is
-    /// more than `lag` virtual ns behind it (`lag = 0`: the virtually
-    /// least-advanced block goes first).
-    pub fn wait(&self, blk: &BlockCtx<'_>, lag: Nanos) {
-        self.board.pace(self.seat, blk.now(), lag);
     }
 }
 
@@ -313,17 +258,18 @@ impl Pace<'_> {
 /// lays its blocks out on its MP slots as [`Gpu::launch`] does. Every MP
 /// slot of the fleet then runs at once, each on a thread of its own that
 /// is kept from launch to launch, and the launch returns when all have
-/// finished. The kernel runs once per block with the GPU's index, the
-/// block's context and its [`Pace`].
+/// finished. The kernel runs once per block with the GPU's index and the
+/// block's context.
 ///
-/// Why the pace: blocks are real threads whose real speed has nothing to
-/// do with the virtual cost they accrue, and the kernels start one GPU
-/// after another, so anything they claim or queue for un-paced goes to
-/// whoever the OS schedules first — a schedule of no virtual timeline.
-/// Every block of the fleet holds one seat of one [`ClockBoard`], seat
-/// Σ(blocks of lower GPUs) + block id; [`Pace::wait`] orders the fleet's
-/// steps by virtual time. A seat parks however its block exits, so a
-/// finished or failed block never holds the line.
+/// Why the launch is seated: blocks are real threads whose real speed
+/// has nothing to do with the virtual cost they accrue, and the kernels
+/// start one GPU after another, so anything they claim or queue for
+/// un-paced goes to whoever the OS schedules first — a schedule of no
+/// virtual timeline. Every block of the fleet holds one seat of one
+/// [`ClockBoard`], seat Σ(blocks of lower GPUs) + block id;
+/// [`BlockCtx::pace`] orders the fleet's steps by virtual time. A seat
+/// parks however its block exits, so a finished or failed block never
+/// holds the line.
 ///
 /// # Errors
 ///
@@ -342,7 +288,7 @@ pub fn launch_fleet<G, E, F>(gpus: &[G], grids: &[Grid], kernel: F) -> Result<Ve
 where
     G: Borrow<Gpu> + Sync,
     E: Send,
-    F: Fn(usize, &mut BlockCtx<'_>, Pace<'_>) -> Result<(), E> + Sync,
+    F: Fn(usize, &mut BlockCtx<'_>) -> Result<(), E> + Sync,
 {
     launch_fleet_on(&BLOCK_THREADS, gpus, grids, kernel)
 }
@@ -357,11 +303,9 @@ fn launch_fleet_on<G, E, F>(
 where
     G: Borrow<Gpu> + Sync,
     E: Send,
-    F: Fn(usize, &mut BlockCtx<'_>, Pace<'_>) -> Result<(), E> + Sync,
+    F: Fn(usize, &mut BlockCtx<'_>) -> Result<(), E> + Sync,
 {
     assert_eq!(gpus.len(), grids.len(), "one grid per GPU");
-    let mut seats = 0;
-    let mut bases = Vec::with_capacity(grids.len());
     for (g, (gpu, grid)) in gpus.iter().zip(grids).enumerate() {
         let slots = gpu.borrow().spec().concurrent_blocks();
         assert!(
@@ -369,42 +313,93 @@ where
             "GPU {g}: a grid of {} blocks over-subscribes its {slots} MP slots",
             grid.blocks
         );
-        bases.push(seats);
-        seats += grid.blocks;
     }
-    let board = ClockBoard::new(seats);
     let plans: Vec<Option<Plan>> = gpus
         .iter()
         .zip(grids)
         .map(|(gpu, &grid)| (grid.blocks > 0).then(|| gpu.borrow().plan(grid, 0, rand::random())))
         .collect();
+    run_slots(gpus, &plans, Some(pool), &kernel)
+}
+
+/// The one slot runner: run every MP slot of every planned GPU at once,
+/// one job per slot, and return each GPU's end (0 for a GPU with no
+/// plan), or the first error a block returned, in GPU order.
+///
+/// The executor follows from the seat. A seated launch (one given a
+/// `pool`) seats every block on one board, at Σ(blocks of lower GPUs) +
+/// block id, and runs its slots on the pool's kept threads; there a slot
+/// runs one block, and its job holds that block's seat from here, so a
+/// job dropped unrun leaves the board. An unseated launch spawns one OS
+/// thread per slot, in slot order: its schedule still depends on when
+/// its threads start (ROADMAP item 8). Once every slot has finished, the
+/// first block panic in GPU and slot order is re-raised, payload and all.
+fn run_slots<G, E, F>(
+    gpus: &[G],
+    plans: &[Option<Plan>],
+    pool: Option<&'static Pool>,
+    kernel: &F,
+) -> Result<Vec<Nanos>, E>
+where
+    G: Borrow<Gpu> + Sync,
+    E: Send,
+    F: Fn(usize, &mut BlockCtx<'_>) -> Result<(), E> + Sync,
+{
+    let seats = plans.iter().flatten().map(|plan| plan.grid.blocks).sum();
+    let board = pool.map(|_| ClockBoard::new(seats));
     let ends: Vec<AtomicU64> = gpus.iter().map(|_| AtomicU64::new(0)).collect();
     let failures: Vec<Mutex<Option<E>>> = gpus.iter().map(|_| Mutex::new(None)).collect();
-    let (board, kernel) = (&board, &kernel);
-    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(seats);
+    let mut jobs: Vec<Job<'_>> = Vec::new();
+    let mut base = 0;
     for (g, plan) in plans.iter().enumerate() {
         let Some(plan) = plan else { continue };
         let (gpu, end, failed) = (gpus[g].borrow(), &ends[g], &failures[g]);
+        let seat = board.as_ref().map(|board| (board, base));
+        base += plan.grid.blocks;
         for slot in 0..plan.slots {
-            // A slot runs one block (no grid over-subscribes, above), and
-            // its job holds that block's seat from here: a job dropped
-            // unrun leaves the board.
-            let seat = bases[g] + plan.order[slot];
-            let held = board.seat(seat);
+            let held = seat.map(|(board, base)| board.seat(base + plan.order[slot]));
+            // A slot runs its blocks back to back, without preemption,
+            // each with a fresh scratchpad, from where the one before it
+            // ended. Slots take blocks round-robin over the dispatch order:
+            // exactly the hardware's drain-first handout for uniform blocks,
+            // and, unlike a work-stealing pull, blind to host OS scheduling,
+            // which would skew the slot clocks.
             jobs.push(Box::new(move || {
                 let _held = held;
-                let slot_ends = gpu.run_slot(plan, slot, &|blk: &mut BlockCtx<'_>| {
-                    if let Err(e) = kernel(g, blk, Pace { board, seat }) {
+                let mut clock = Clock::starting_at(plan.t0);
+                for &block_id in plan.order.iter().skip(slot).step_by(plan.slots) {
+                    let mut blk = BlockCtx {
+                        gpu,
+                        grid: plan.grid,
+                        block_id,
+                        clock,
+                        scratch: vec![0u8; gpu.spec().scratchpad_bytes],
+                        seat: seat.map(|(board, base)| (board, base + block_id)),
+                    };
+                    if let Err(e) = kernel(g, &mut blk) {
                         failed.lock().get_or_insert(e);
                     }
-                });
-                for (_, block_end) in slot_ends {
-                    end.fetch_max(block_end, Ordering::Relaxed);
+                    clock = blk.clock;
                 }
+                end.fetch_max(clock.now(), Ordering::Relaxed);
             }));
         }
     }
-    pool.run(jobs);
+    if let Some(pool) = pool {
+        pool.run(jobs);
+    } else {
+        let panic = std::thread::scope(|s| {
+            let threads: Vec<_> = jobs.into_iter().map(|job| s.spawn(job)).collect();
+            // Join every thread, keeping the first panic.
+            threads
+                .into_iter()
+                .filter_map(|t| t.join().err())
+                .reduce(|first, _| first)
+        });
+        if let Some(panic) = panic {
+            std::panic::resume_unwind(panic);
+        }
+    }
     failures
         .into_iter()
         .zip(ends)
@@ -416,7 +411,8 @@ where
 mod tests {
     use super::*;
     use crate::GpuSpec;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
 
     fn gpu() -> Gpu {
         Gpu::new(0, GpuSpec::small_test())
@@ -438,12 +434,15 @@ mod tests {
     #[test]
     fn kernel_end_is_max_block_end() {
         let gpu = gpu();
+        let block_ends: Vec<AtomicU64> = (0..16).map(|_| AtomicU64::new(0)).collect();
         let res = gpu.launch(Grid::new(16, 32), 1000, |blk| {
             blk.advance(1_000 * (blk.block_id() as u64 + 1));
+            block_ends[blk.block_id()].store(blk.now(), Ordering::Relaxed);
         });
         assert_eq!(res.start, 1000);
-        assert_eq!(res.block_ends.len(), 16);
-        assert_eq!(res.end, *res.block_ends.iter().max().unwrap());
+        let block_ends: Vec<Nanos> = block_ends.into_iter().map(AtomicU64::into_inner).collect();
+        assert!(block_ends.iter().all(|&end| end > 1000), "every block ran");
+        assert_eq!(res.end, *block_ends.iter().max().unwrap());
         assert!(res.elapsed() >= 1_000);
     }
 
@@ -535,6 +534,43 @@ mod tests {
     }
 
     #[test]
+    fn a_single_gpu_launch_re_raises_its_blocks_own_panic() {
+        let finished = AtomicU64::new(0);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gpu().launch(Grid::new(4, 32), 0, |blk| {
+                blk.advance(100);
+                if blk.block_id() == 1 {
+                    panic!("block 1 fails");
+                }
+                finished.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        let payload = crashed.expect_err("block 1 panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"block 1 fails"));
+        assert_eq!(finished.load(Ordering::Relaxed), 3, "every other block ran");
+    }
+
+    #[test]
+    fn an_unseated_blocks_pace_returns_at_once() {
+        // Seated, block 1 would hold its seat at clock 0 and block 0's
+        // pace would wait for it, while block 1 waits for that pace.
+        let paced = AtomicBool::new(false);
+        gpu().launch(Grid::new(2, 32), 0, |blk| {
+            if blk.block_id() == 0 {
+                blk.advance(1_000_000);
+                blk.pace(0);
+                paced.store(true, Ordering::Release);
+            } else {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !paced.load(Ordering::Acquire) {
+                    assert!(Instant::now() < deadline, "block 0's pace waited");
+                    std::thread::yield_now();
+                }
+            }
+        });
+    }
+
+    #[test]
     fn a_fleet_launch_seats_every_block_and_skips_empty_grids() {
         let gpus: Vec<Gpu> = (0..3)
             .map(|id| Gpu::new(id, GpuSpec::small_test()))
@@ -542,12 +578,12 @@ mod tests {
         let t0 = gpus[0].timings().kernel_launch_ns;
         let per_gpu: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
         let grids = [Grid::new(3, 32), Grid::new(0, 32), Grid::new(8, 32)];
-        let ends = launch_fleet(&gpus, &grids, |g, blk, pace| {
+        let ends = launch_fleet(&gpus, &grids, |g, blk| {
             assert_eq!(blk.gpu_id(), g);
             per_gpu[g].fetch_add(1, Ordering::Relaxed);
             // Eleven seats, paced across both launching GPUs.
             for _ in 0..4 {
-                pace.wait(blk, 0);
+                blk.pace(0);
                 blk.advance(250 * (g as u64 + 1));
             }
             Ok::<(), ()>(())
@@ -557,7 +593,7 @@ mod tests {
         let ran: Vec<u64> = per_gpu.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         assert_eq!(ran, [3, 0, 8]);
 
-        let failed = launch_fleet(&gpus[..2], &grids[..2], |g, blk, _| {
+        let failed = launch_fleet(&gpus[..2], &grids[..2], |g, blk| {
             if blk.block_id() == 1 {
                 Err(g)
             } else {
@@ -573,9 +609,9 @@ mod tests {
         let grids = [Grid::new(8, 32); 2];
         let finished = AtomicU64::new(0);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            launch_fleet(&gpus, &grids, |g, blk, pace| {
+            launch_fleet(&gpus, &grids, |g, blk| {
                 for _ in 0..3 {
-                    pace.wait(blk, 0);
+                    blk.pace(0);
                     blk.advance(100);
                     if (g, blk.block_id()) == (1, 3) {
                         panic!("block 3 fails");
@@ -594,8 +630,8 @@ mod tests {
         );
 
         let ran = AtomicU64::new(0);
-        launch_fleet(&gpus, &grids, |_, blk, pace| {
-            pace.wait(blk, 0);
+        launch_fleet(&gpus, &grids, |_, blk| {
+            blk.pace(0);
             ran.fetch_add(1, Ordering::Relaxed);
             Ok::<(), ()>(())
         })
@@ -610,10 +646,10 @@ mod tests {
         let gpus = [gpu(), Gpu::new(1, GpuSpec::small_test())];
         let grids = [Grid::new(8, 32), Grid::new(5, 32)];
         let launch = || {
-            launch_fleet_on(&POOL, &gpus, &grids, |_, blk, pace| {
-                pace.wait(blk, 0);
+            launch_fleet_on(&POOL, &gpus, &grids, |_, blk| {
+                blk.pace(0);
                 blk.advance(1_000);
-                pace.wait(blk, 0);
+                blk.pace(0);
                 Ok::<(), ()>(())
             })
             .unwrap()
@@ -633,7 +669,7 @@ mod tests {
         let gpus = [gpu(), gpu()];
         let ran = AtomicU64::new(0);
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            launch_fleet(&gpus, &[Grid::new(1, 32), Grid::new(9, 32)], |_, _, _| {
+            launch_fleet(&gpus, &[Grid::new(1, 32), Grid::new(9, 32)], |_, _| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 Ok::<(), ()>(())
             })

@@ -52,7 +52,7 @@ mod pool;
 mod spec;
 
 pub use dma::DmaEngines;
-pub use launch::{launch_fleet, BlockCtx, Grid, KernelResult, Pace};
+pub use launch::{launch_fleet, BlockCtx, Grid, KernelResult};
 pub use mem::{DevPtr, GlobalMem, MemError};
 pub use pinned::HostPinned;
 pub use spec::GpuSpec;

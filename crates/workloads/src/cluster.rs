@@ -119,7 +119,7 @@ pub fn cluster_search(
     // item only once no live block of the fleet is virtually behind it,
     // so items go to the virtually least-loaded block — the greedy
     // work-conserving schedule a real fleet exhibits.
-    let per_gpu_elapsed = launch_fleet(&gpus, &grids, |g, blk, pace| -> GpufsResult<()> {
+    let per_gpu_elapsed = launch_fleet(&gpus, &grids, |g, blk| -> GpufsResult<()> {
         let mount = mounts[g];
         // Every block matches the full query set.
         let fd_q = mount.open(blk, &ds.query_path, GOpenMode::ReadOnly)?;
@@ -132,7 +132,7 @@ pub fn cluster_search(
         drop(qbytes);
         let nb = blk.grid().blocks;
         loop {
-            pace.wait(blk, 0);
+            blk.pace(0);
             let Some(item) = queue.next(g) else { break };
             let c = chunks[item.index];
             let fd = mount.open(blk, &ds.db_paths[c.db], GOpenMode::ReadOnly)?;

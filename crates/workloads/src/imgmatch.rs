@@ -113,7 +113,7 @@ pub fn imgmatch_gpufs(
             Grid::new(blocks, 512)
         })
         .collect();
-    let ends = launch_fleet(gpus, &grids, |g, blk, _| {
+    let ends = launch_fleet(gpus, &grids, |g, blk| {
         let q0 = g * per_gpu;
         let q1 = ds.n_queries.min(q0 + per_gpu);
         run_block(&mounts[g], blk, ds, threshold, q0, q1, &results)

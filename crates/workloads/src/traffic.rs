@@ -419,19 +419,19 @@ pub fn replay(fleet: &GpuFleet, trace: &Trace) -> GpufsResult<TrafficOutcome> {
     let per_gpu_elapsed = launch_fleet(
         &fleet.gpus()[..n_gpus],
         &grids,
-        |g, blk, pace| -> GpufsResult<()> {
+        |g, blk| -> GpufsResult<()> {
             let mount = fleet.mount(g);
             let mut hist = Histogram::new();
             let mut bytes = 0u64;
             let mut buf = vec![0u8; trace.config.op_bytes];
             for sess in &trace.blocks[g][blk.block_id()] {
                 blk.wait_until(sess.arrival);
-                pace.wait(blk, lag);
+                blk.pace(lag);
                 let t0 = blk.now();
                 let fd = mount.open(blk, &sess.path, sess.mode)?;
                 hist.record(blk.now() - t0);
                 for op in &sess.ops {
-                    pace.wait(blk, lag);
+                    blk.pace(lag);
                     let t0 = blk.now();
                     match *op {
                         Op::Read { offset, len } => {
@@ -448,7 +448,7 @@ pub fn replay(fleet: &GpuFleet, trace: &Trace) -> GpufsResult<TrafficOutcome> {
                 if sess.fsync {
                     mount.fsync(blk, &fd)?;
                 }
-                pace.wait(blk, lag);
+                blk.pace(lag);
                 let t0 = blk.now();
                 mount.close(blk, fd)?;
                 hist.record(blk.now() - t0);

@@ -102,7 +102,7 @@ fn two_gpus_produce_one_write_once_file() {
         .map(|g| host.mount(g, GpufsConfig::new(4 << 10, 256 << 10)).unwrap())
         .collect();
 
-    launch_fleet(&gpus, &[Grid::new(4, 32); 2], |g, blk, _| {
+    launch_fleet(&gpus, &[Grid::new(4, 32); 2], |g, blk| {
         let fd = m[g].open(blk, "/produced.out", GOpenMode::WriteOnce)?;
         let lane = (g * 4 + blk.block_id()) as u64;
         let payload = vec![lane as u8 + 1; 1500];

@@ -102,7 +102,7 @@ fn four_gpus_write_disjoint_stripes_of_one_file() {
         .map(|g| r.host.mount(g, GpufsConfig::small_test()).unwrap())
         .collect();
 
-    launch_fleet(&r.gpus, &[Grid::new(2, 32); 4], |g, blk, _| {
+    launch_fleet(&r.gpus, &[Grid::new(2, 32); 4], |g, blk| {
         let mount = &mounts[g];
         let fd = mount.open(blk, "/striped.out", GOpenMode::ReadWrite)?;
         // Each GPU writes two 2 KB stripes via its blocks.

@@ -381,14 +381,14 @@ fn logger_files_lost_over_quota(seed: u64) -> usize {
     // time ahead of the slowest live one, so virtually concurrent
     // sessions really do contend.
     let grid = Grid::new(sessions.len(), 128);
-    launch_fleet(&fleet.gpus()[..1], &[grid], |_, blk, pace| {
+    launch_fleet(&fleet.gpus()[..1], &[grid], |_, blk| {
         let mut buf = vec![0u8; PAGE];
         for sess in &sessions[blk.block_id()] {
             blk.wait_until(sess.arrival);
-            pace.wait(blk, lag);
+            blk.pace(lag);
             let fd = mount.open(blk, &sess.path, sess.mode)?;
             for op in &sess.ops {
-                pace.wait(blk, lag);
+                blk.pace(lag);
                 match *op {
                     Op::Read { offset, len } => {
                         mount.read(blk, &fd, offset, &mut buf[..len])?;
@@ -402,7 +402,7 @@ fn logger_files_lost_over_quota(seed: u64) -> usize {
             if sess.fsync {
                 mount.fsync(blk, &fd)?;
             }
-            pace.wait(blk, lag);
+            blk.pace(lag);
             mount.close(blk, fd)?;
         }
         Ok::<(), gpufs::GpufsError>(())

@@ -53,7 +53,7 @@ fn a_kept_block_thread_starts_every_launch_with_no_trace_scope() {
     let grids = [Grid::new(4, 32); 2];
     let scoped_at_entry = AtomicUsize::new(0);
     let launch = |gpus: &[Arc<Gpu>], mounts: &[Arc<GpuFsMount>]| {
-        launch_fleet(gpus, &grids, |g, blk, _| {
+        launch_fleet(gpus, &grids, |g, blk| {
             if obs::current() != TraceCtx::NONE {
                 scoped_at_entry.fetch_add(1, Ordering::Relaxed);
             }

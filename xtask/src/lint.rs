@@ -23,12 +23,13 @@
 //!   through `simtime::ClockBoard`, so one type knows when an actor is
 //!   blocked; an ad-hoc sleep or spin hides ordering bugs and skews the
 //!   virtual clock's real-time envelope.
-//! * **`pace`** — no `.seat(` or `.pace(` in non-test code under
-//!   `crates/` outside `crates/simtime/src/` and the fleet launcher's
-//!   file ([`PACE_HOME`]): a block's seat on a clock board, and the order
-//!   of the seats, are the launcher's to give, so a multi-GPU driver
-//!   paces through `gpusim::launch_fleet` and cannot grow its own
-//!   seating loop.
+//! * **`pace`** — no `.seat(`, and no `.pace(` of more than one
+//!   argument, in non-test code under `crates/` outside
+//!   `crates/simtime/src/` and the launcher's file ([`PACE_HOME`]): a
+//!   block's seat on a clock board, and the order of the seats, are the
+//!   launcher's to give, so a multi-GPU driver launches through
+//!   `gpusim::launch_fleet`, paces with the block's own `blk.pace(lag)`,
+//!   and cannot grow its own seating loop.
 //! * **`spawn`** — no `thread::spawn`, `thread::scope` or
 //!   `thread::Builder` in non-test code under `crates/` outside the
 //!   launcher's and the block-thread pool's files ([`SPAWN_HOME`]): a
@@ -86,7 +87,7 @@ use std::process::ExitCode;
 const WAIT_HOME: &str = "crates/simtime/src/";
 
 /// Where the `pace` rule does not apply: the clock board's crate and the
-/// fleet launcher's file.
+/// launcher's file.
 const PACE_HOME: &[&str] = &[WAIT_HOME, "crates/gpusim/src/launch.rs"];
 
 /// Where the `spawn` rule does not apply: the launcher's file and the
@@ -96,8 +97,10 @@ const SPAWN_HOME: &[&str] = &["crates/gpusim/src/launch.rs", "crates/gpusim/src/
 /// The tokens of starting an OS thread outside [`SPAWN_HOME`].
 const SPAWN_TOKENS: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
 
-/// The tokens of taking or pacing a clock-board seat outside [`PACE_HOME`].
-const PACE_TOKENS: &[&str] = &[".seat(", ".pace("];
+/// The call a block paces with, `blk.pace(lag)`: the one `.pace(` that
+/// may appear outside [`PACE_HOME`], told from the board's `.pace(seat,
+/// now, lag)` by its single argument.
+const PACE_CALL: &str = ".pace(";
 
 /// The tokens of a real-time wait outside [`WAIT_HOME`].
 const WAIT_TOKENS: &[&str] = &[
@@ -264,9 +267,11 @@ xtask lint rules:
   wait           no thread::sleep/yield_now/thread::park/park_timeout/Condvar in
                  non-test code under crates/ outside crates/simtime/src/ (wait
                  on a simtime::ClockBoard)
-  pace           no .seat(/.pace( in non-test code under crates/ outside
-                 crates/simtime/src/ and crates/gpusim/src/launch.rs (launch
-                 through gpusim::launch_fleet, which seats and paces blocks)
+  pace           no .seat( and no board .pace(seat, now, lag) in non-test code
+                 under crates/ outside crates/simtime/src/ and
+                 crates/gpusim/src/launch.rs (launch through
+                 gpusim::launch_fleet, which seats blocks; a block paces
+                 with its one-argument blk.pace(lag))
   spawn          no thread::spawn/thread::scope/thread::Builder in non-test code
                  under crates/ outside crates/gpusim/src/{launch,pool}.rs (a
                  block runs on the thread its launcher gives it)
@@ -369,11 +374,12 @@ fn lint_file(rel: &str, text: &str) -> Vec<Finding> {
             }
         }
         if pace_scoped {
-            if let Some(what) = PACE_TOKENS.iter().find(|w| code_line.contains(*w)) {
+            if let Some(what) = board_seat_use(code_line) {
                 report(
                     Rule::Pace,
                     format!(
-                        "{what} outside the fleet launcher; launch through gpusim::launch_fleet"
+                        "{what} outside the launcher; launch through gpusim::launch_fleet \
+                         and pace with blk.pace(lag)"
                     ),
                 );
             }
@@ -543,6 +549,34 @@ fn mutex_use(code_line: &str) -> Option<&'static str> {
 }
 
 /// `Some(name)` when the stripped code line uses a std::sync lock type.
+/// A clock-board seat taken (`.seat(`) or paced on directly (a `.pace(`
+/// with more than one argument, or one whose arguments run past the
+/// line) on `code_line`; a block's one-argument `blk.pace(lag)` is not.
+fn board_seat_use(code_line: &str) -> Option<&'static str> {
+    if code_line.contains(".seat(") {
+        return Some(".seat(");
+    }
+    let mut rest = code_line;
+    'calls: while let Some(pos) = rest.find(PACE_CALL) {
+        rest = &rest[pos + PACE_CALL.len()..];
+        let mut depth = 1;
+        for (i, c) in rest.char_indices() {
+            match c {
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' => depth -= 1,
+                ',' if depth == 1 => break,
+                _ => {}
+            }
+            if depth == 0 {
+                rest = &rest[i..];
+                continue 'calls;
+            }
+        }
+        return Some(PACE_CALL);
+    }
+    None
+}
+
 fn std_sync_use(code_line: &str) -> Option<&'static str> {
     for what in ["Mutex", "RwLock", "Condvar"] {
         if code_line.contains(&format!("std::sync::{what}")) {
@@ -929,8 +963,12 @@ let c = '{'; let lt: &'static str = "x";"#,
             let test = format!("#[cfg(test)]\nmod tests {{ {text} }}\n");
             assert!(lint_file("crates/workloads/src/cluster.rs", &test).is_empty());
         }
-        let launched = "fn f() { pace.wait(blk, 0); }\n";
-        assert!(lint_file("crates/workloads/src/cluster.rs", launched).is_empty());
+        for paced in ["blk.pace(lag)", "blk.pace(0)", "blk.pace(cfg.lag(2))"] {
+            let text = format!("fn f() {{ {paced}; }}\n");
+            assert!(lint_file("crates/workloads/src/cluster.rs", &text).is_empty());
+        }
+        let split = "fn f() {\n    board.pace(\n        seat,\n    );\n}\n";
+        assert_eq!(lint_file("crates/workloads/src/cluster.rs", split).len(), 1);
     }
 
     #[test]
